@@ -1,11 +1,10 @@
 GO ?= go
 
 # Where machine-readable benchmark reports land. Override per-figure, e.g.
-#   make perf BENCH_OUT=BENCH_2.json
-#   make bench-serve BENCH_OUT=BENCH_3.json
+#   make bench-spec BENCH_OUT=BENCH_6.json
 BENCH_OUT ?= bench.json
 
-.PHONY: all tier1 verify bench perf bench-serve bench-spec bench-pack bench-cores bench-load fmt clean
+.PHONY: all tier1 verify bench bench-spec bench-pack bench-cores bench-load fmt clean
 
 all: verify
 
@@ -15,29 +14,21 @@ tier1:
 	$(GO) test ./...
 
 # Full verify path: tier-1 plus static checks and the race detector over
-# the concurrent packages (the solver, the batched decode pool, and the
-# serving daemon).
+# the concurrent packages (the solver, the decode loop, and the serving
+# daemon), then vet + test of bench/ — a nested module, so ./... above never
+# compiles it although it imports internal/.
 verify: tier1
 	$(GO) vet ./...
 	@fmtout=$$(gofmt -l .); if [ -n "$$fmtout" ]; then \
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; fi
 	GOMAXPROCS=4 $(GO) test -race ./internal/core/... ./internal/smt/... ./internal/nn/... ./internal/server/... ./internal/router/... ./internal/prefixcache/... ./internal/pack/...
+	(cd bench && $(GO) vet . && $(GO) test .)
 
-# Kernel microbenchmarks (vs seed-copy references) plus the perf figure,
-# which writes the machine-readable report.
+# Kernel and engine microbenchmarks (vs seed-copy references). End-to-end
+# numbers come from the repository benchmark: bash bench/run.sh (see
+# bench/README.md).
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' ./...
-	$(GO) run ./cmd/lejit-bench -scale tiny -fig perf -json $(BENCH_OUT)
-
-# Regenerate just the machine-readable perf report.
-perf:
-	$(GO) run ./cmd/lejit-bench -scale tiny -fig perf -json $(BENCH_OUT)
-
-# Serving load test: end-to-end HTTP throughput/latency through lejitd's
-# micro-batching queue (BENCH_3.json in the committed tree), plus the
-# warm-vs-cold prefix-cache comparison (BENCH_5.json).
-bench-serve:
-	$(GO) run ./cmd/lejit-bench -scale tiny -fig serve -json $(BENCH_OUT)
 
 # Speculative-decoding sweep (BENCH_6.json in the committed tree): lookahead
 # 0 sweeps k in {0,2,4,8,16}; setting SPEC_LOOKAHEAD=k compares {0,k} only.

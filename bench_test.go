@@ -219,9 +219,8 @@ func BenchmarkFig5Generators(b *testing.B) {
 // --- Ablation benches -------------------------------------------------------
 
 // BenchmarkLockStepDecode measures a full lock-step group decode (one
-// BatchSession shared by `lanes` records) against the same records decoded
-// one at a time on the per-record path; compare ns/op across the sub-benches
-// scaled by lane count.
+// BatchSession shared by `lanes` records) at several group sizes, a group of
+// one included; compare ns/op across the sub-benches scaled by lane count.
 func BenchmarkLockStepDecode(b *testing.B) {
 	eng := benchEngine(b, benchEnv(b).ImputeRules, core.LeJIT)
 	prompts := imputePrompts(b)
@@ -386,26 +385,6 @@ func BenchmarkBeamImpute4(b *testing.B) {
 			if _, ok := err.(core.ErrInfeasible); !ok {
 				b.Fatal(err)
 			}
-		}
-	}
-}
-
-func BenchmarkBatchImpute(b *testing.B) {
-	env := benchEnv(b)
-	slots, err := core.TelemetryGrammar(env.Schema, dataset.CoarseFields(), dataset.FineField)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := core.Config{
-		LM: core.WrapNN(env.Model), Tok: env.Tok, Schema: env.Schema,
-		Rules: env.ImputeRules, Slots: slots,
-		Temperature: env.Scale.Temperature,
-	}
-	prompts := imputePrompts(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.BatchImpute(cfg, prompts, 4, int64(i)); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

@@ -31,7 +31,7 @@ func main() {
 
 func run() error {
 	scale := flag.String("scale", "default", "default|tiny")
-	figs := flag.String("fig", "all", "comma-separated: 3l,3r,4l,4r,5,abl,perf,serve,spec,pack,cores,load (all = every figure except serve, spec, pack, cores, and load)")
+	figs := flag.String("fig", "all", "comma-separated: 3l,3r,4l,4r,5,abl,spec,pack,cores,load (all = every figure except spec, pack, cores, and load)")
 	testN := flag.Int("testn", 0, "override test-record count")
 	sampleN := flag.Int("samplen", 0, "override synthesis sample count")
 	racks := flag.Int("racks", 0, "override total rack count")
@@ -40,7 +40,7 @@ func run() error {
 	cache := flag.String("cache", "artifacts", "model cache directory ('' disables)")
 	seed := flag.Int64("seed", 0, "override seed")
 	workers := flag.Int("workers", 0, "decode workers for batched methods (0 = GOMAXPROCS)")
-	jsonOut := flag.String("json", "", "write the perf report to this file (e.g. BENCH_1.json)")
+	jsonOut := flag.String("json", "", "write the machine-readable report of -fig spec|pack|cores|load to this file")
 	kernelWorkers := flag.Int("kernel-workers", 0, "GEMM worker-group size for figure decodes (0 = leave serial, <0 = GOMAXPROCS)")
 	quantize := flag.String("quantize", "", "weight quantization for figure decodes: exact|snap ('' = off)")
 	lookahead := flag.Int("lookahead", 0, "speculative window for -fig spec: 0 sweeps {0,2,4,8,16}, k>0 compares {0,k}")
@@ -114,6 +114,9 @@ func run() error {
 		want[strings.TrimSpace(f)] = true
 	}
 	all := want["all"]
+	if *jsonOut != "" && !want["spec"] && !want["pack"] && !want["cores"] && !want["load"] {
+		return fmt.Errorf("-json needs -fig spec, pack, cores or load: the paper figures print tables only")
+	}
 
 	env, err := experiments.Prepare(sc)
 	if err != nil {
@@ -175,22 +178,6 @@ func run() error {
 			return err
 		}
 		fmt.Println(experiments.AblationTable("Ablation: decoding strategy (sampling vs greedy vs beam)", db).Render())
-	}
-	if all || want["perf"] || (*jsonOut != "" && !want["serve"] && !want["spec"] && !want["pack"] && !want["cores"] && !want["load"]) {
-		rep, err := experiments.RunPerf(env, nil)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.PerfTable(rep).Render())
-		if rep.Warning != "" {
-			fmt.Printf("# warning: %s\n", rep.Warning)
-		}
-		if *jsonOut != "" {
-			if err := rep.WriteJSON(*jsonOut); err != nil {
-				return err
-			}
-			fmt.Printf("# perf report written to %s\n", *jsonOut)
-		}
 	}
 	// The speculative-decoding sweep re-decodes the test set once per
 	// lookahead setting, so it only runs when asked for explicitly — it is
@@ -286,24 +273,6 @@ func run() error {
 				return err
 			}
 			fmt.Printf("# load report written to %s\n", *jsonOut)
-		}
-	}
-	// The serving load test spins up a real lejitd instance, so it only
-	// runs when asked for explicitly — it is not part of "all".
-	if want["serve"] {
-		rep, err := experiments.RunServeBench(env, experiments.ServeBenchConfig{})
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.ServeTable(rep).Render())
-		if rep.Warning != "" {
-			fmt.Printf("# warning: %s\n", rep.Warning)
-		}
-		if *jsonOut != "" {
-			if err := rep.WriteJSON(*jsonOut); err != nil {
-				return err
-			}
-			fmt.Printf("# serve report written to %s\n", *jsonOut)
 		}
 	}
 	return nil

@@ -2,18 +2,19 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"runtime"
-	"runtime/debug"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/rules"
 )
 
-// DecodeFn decodes one prompt on an engine. DecodeBatch calls it with a
-// worker-local engine and a per-prompt RNG; implementations must not retain
-// either across calls. Method expressions over *Engine fit directly, e.g.
-// (*Engine).Vanilla.
+// DecodeFn decodes one prompt on an engine. DecodeBatch calls it with an
+// engine dedicated to the call and a per-prompt RNG; implementations must
+// not retain either across calls. Method expressions over *Engine fit
+// directly, e.g. (*Engine).Vanilla.
 type DecodeFn func(e *Engine, known rules.Record, rng *rand.Rand) (Result, error)
 
 // DecodeCtxFn is the context-aware form of DecodeFn. The context is the
@@ -135,26 +136,17 @@ func MixSeed(seed int64, i int) int64 {
 	return int64(z)
 }
 
-func batchSeed(seed int64, i int) int64 { return MixSeed(seed, i) }
-
-// defaultDecode selects ImputeCtx/GenerateCtx by prompt presence.
-func defaultDecode(ctx context.Context, e *Engine, known rules.Record, rng *rand.Rand) (Result, error) {
-	if known == nil {
-		return e.GenerateCtx(ctx, rng)
-	}
-	return e.ImputeCtx(ctx, known, rng)
-}
-
 // DecodeBatch decodes prompts[i] for every i and returns results in prompt
 // order. A nil prompt means unconditional generation; a nil decode selects
-// Generate/Impute accordingly. workers < 1 means runtime.GOMAXPROCS(0).
+// the guided decoder (Generate/Impute). workers < 1 means
+// runtime.GOMAXPROCS(0).
 //
 // Determinism contract: prompt i is decoded with
-// rand.NewSource(MixSeed(seed, i)) on an engine equivalent to the receiver
-// (the receiver itself when workers == 1, a Clone otherwise), so for a fixed
-// seed the returned records are byte-identical for every worker count.
-// Engines are single-threaded; each worker gets its own clone, while the LM
-// weights and the compiled rule formula are shared read-only.
+// rand.NewSource(MixSeed(seed, i)) on a clone of the receiver, so for a
+// fixed seed the returned records are byte-identical for every worker count.
+// Engines are single-threaded; each record in flight has a pooled clone to
+// itself, while the LM weights and the compiled rule formula are shared
+// read-only.
 func (e *Engine) DecodeBatch(prompts []rules.Record, workers int, seed int64, decode DecodeFn) ([]BatchResult, error) {
 	var dc DecodeCtxFn
 	if decode != nil {
@@ -181,145 +173,114 @@ func (e *Engine) DecodeBatchCtx(ctx context.Context, prompts []rules.Record, wor
 // preserves DecodeBatch's determinism contract — request i without an
 // explicit seed uses rand.NewSource(MixSeed(seed, i)) — while letting a
 // serving layer cancel or time out individual records without aborting the
-// batch. The returned error reports only batch-level failures (engine
-// cloning); per-record failures, including context cancellation, land in
-// BatchResult.Err.
+// batch. Per-record failures, including context cancellation and recovered
+// panics (*PanicError), land in BatchResult.Err; the returned error is
+// always nil and is kept for the callers that check it.
 //
-// When the engine's LM implements BatchLM, the batch-level decode function
-// is the default guided decoder, and at least two requests carry no
-// per-request Decode override, those requests are decoded lock-step through
-// a shared BatchSession (lockstep.go): each transformer weight block is
-// streamed once per token step for the whole group instead of once per
-// record. The determinism contract is unchanged — outputs are bit-identical
-// to the per-record path for every batch composition.
+// Requests decoded by the guided decoder (no Decode override, nil decode)
+// become lanes of the lock-step loop (lockstep.go), cut into at most workers
+// contiguous groups, each stepping through one shared BatchSession.
+// Requests under a decode function (the baselines) run one record at a time
+// on a pooled clone. Groups and override records drain from one work list on
+// at most workers goroutines, the caller's included. Neither the grouping
+// nor the worker count affects output: every record's seed, engine, and
+// decoder are its own.
 func (e *Engine) DecodeRequests(ctx context.Context, reqs []BatchRequest, workers int, seed int64, decode DecodeCtxFn) ([]BatchResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	defaultPath := decode == nil
-	if decode == nil {
-		decode = defaultDecode
-	}
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(reqs) {
-		workers = len(reqs)
-	}
 	out := make([]BatchResult, len(reqs))
-	for i := range out {
-		out[i].Index = i
-	}
-	if len(reqs) == 0 {
-		return out, nil
-	}
 	e.notePoolDemand(len(reqs))
-	if blm, ok := e.cfg.LM.(BatchLM); ok && defaultPath {
-		eligible := 0
-		for i := range reqs {
-			if reqs[i].Decode == nil {
-				eligible++
-			}
-		}
-		if eligible >= 2 {
-			e.decodeRequestsLockStep(ctx, reqs, workers, seed, decode, out, blm)
-			return out, nil
-		}
-	}
-	if workers == 1 {
-		for i := range reqs {
-			e.runRequest(ctx, reqs, i, seed, decode, e, out)
-		}
-		return out, nil
-	}
 
-	engines := make([]*Engine, workers)
-	for w := range engines {
-		eng, err := e.Clone()
-		if err != nil {
-			return nil, err
-		}
-		engines[w] = eng
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for _, eng := range engines {
-		wg.Add(1)
-		go func(eng *Engine) {
-			defer wg.Done()
-			for i := range idx {
-				if e.runRequest(ctx, reqs, i, seed, decode, eng, out) {
-					// The worker's engine absorbed a panic: replace it for
-					// the remaining records. If cloning fails, keep the old
-					// one — its solver frames were rebalanced by the guided
-					// path's deferred cleanup, so best-effort reuse beats
-					// failing every remaining record.
-					if fresh, cerr := e.Clone(); cerr == nil {
-						eng = fresh
-					}
-				}
-			}
-		}(eng)
-	}
+	// Resolve every request once: its context with the per-request overrides
+	// applied, its seeded RNG, and which decoder runs it.
+	var lanes []*lsLane
+	var overrides []func()
+	plans := make(map[string]*promptPlan)
 	for i := range reqs {
-		idx <- i
+		r, res := &reqs[i], &out[i]
+		res.Index = i
+		rctx := r.Ctx
+		if rctx == nil {
+			rctx = ctx
+		}
+		// A request whose context is already done is not decoded at all.
+		if err := rctx.Err(); err != nil {
+			res.Err = err
+			continue
+		}
+		if r.NoPrefixCache {
+			rctx = DisablePrefixCache(rctx)
+		}
+		if r.Lookahead != nil {
+			rctx = WithLookahead(rctx, *r.Lookahead)
+		}
+		s := MixSeed(seed, i)
+		if r.Seed != nil {
+			s = *r.Seed
+		}
+		rng := rand.New(rand.NewSource(s))
+		d := r.Decode
+		if d == nil {
+			d = decode
+		}
+		if d == nil {
+			lanes = append(lanes, &lsLane{out: res, ctx: rctx, known: r.Prompt, rng: rng, plan: e.planPrompt(r.Prompt, plans)})
+			continue
+		}
+		overrides = append(overrides, func() { e.decodeOverride(rctx, d, r.Prompt, rng, res) })
 	}
-	close(idx)
+	// The work list: the groups first — they are the long items — then one
+	// item per override record.
+	groups := workers
+	if groups > len(lanes) {
+		groups = len(lanes)
+	}
+	work := make([]func(), 0, groups+len(overrides))
+	for g := 0; g < groups; g++ {
+		group := lanes[g*len(lanes)/groups : (g+1)*len(lanes)/groups]
+		work = append(work, func() { e.decodeLockStep(group) })
+	}
+	work = append(work, overrides...)
+
+	var next atomic.Int64
+	drain := func() {
+		for i := next.Add(1) - 1; i < int64(len(work)); i = next.Add(1) - 1 {
+			work[i]()
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers && w < len(work); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			drain()
+		}()
+	}
+	drain()
 	wg.Wait()
 	return out, nil
 }
 
-// runRequest decodes reqs[i] on eng via the per-record path, resolving the
-// request's context, seed, and decode overrides. Shared by the worker pool
-// above and the lock-step scheduler's fallback lanes. A panic inside the
-// decode is converted into a per-record *PanicError and reported via the
-// poisoned return: the caller should retire eng (the panic unwound through
-// its solver and session state) rather than reuse or pool it. The guided
-// path defers its frame cleanup, so even a poisoned engine has had its
-// solver stack rebalanced — reuse is a last resort, not instant corruption.
-func (e *Engine) runRequest(ctx context.Context, reqs []BatchRequest, i int, seed int64, decode DecodeCtxFn, eng *Engine, out []BatchResult) (poisoned bool) {
-	rctx := reqs[i].Ctx
-	if rctx == nil {
-		rctx = ctx
-	}
-	if err := rctx.Err(); err != nil {
-		out[i].Err = err
-		return false
-	}
-	if reqs[i].NoPrefixCache {
-		rctx = DisablePrefixCache(rctx)
-	}
-	if reqs[i].Lookahead != nil {
-		rctx = WithLookahead(rctx, *reqs[i].Lookahead)
-	}
-	s := batchSeed(seed, i)
-	if reqs[i].Seed != nil {
-		s = *reqs[i].Seed
-	}
-	d := reqs[i].Decode
-	if d == nil {
-		d = decode
-	}
-	rng := rand.New(rand.NewSource(s))
-	defer func() {
-		if r := recover(); r != nil {
-			out[i].Res = Result{}
-			out[i].Err = &PanicError{Value: r, Stack: debug.Stack()}
-			poisoned = true
-		}
-	}()
-	out[i].Res, out[i].Err = d(rctx, eng, reqs[i].Prompt, rng)
-	return false
-}
-
-// BatchImpute builds an engine from cfg and imputes every prompt via
-// DecodeBatch. Kept as the package-level convenience entry point; callers
-// that already hold an engine should use DecodeBatch directly and skip the
-// construction cost.
-func BatchImpute(cfg Config, prompts []rules.Record, workers int, seed int64) ([]BatchResult, error) {
-	eng, err := NewEngine(cfg)
+// decodeOverride runs one record under a decode function on a pooled clone.
+// A panic inside the decode becomes the record's *PanicError and the clone
+// is discarded rather than pooled: the panic unwound through its solver and
+// session state.
+func (e *Engine) decodeOverride(ctx context.Context, decode DecodeCtxFn, known rules.Record, rng *rand.Rand, out *BatchResult) {
+	eng, err := e.acquireClone()
 	if err != nil {
-		return nil, err
+		out.Err = err
+		return
 	}
-	return eng.DecodeBatch(prompts, workers, seed, nil)
+	out.Err = guardLane(func() (derr error) {
+		out.Res, derr = decode(ctx, eng, known, rng)
+		return derr
+	})
+	var pe *PanicError
+	if !errors.As(out.Err, &pe) {
+		e.releaseClone(eng)
+	}
 }

@@ -262,28 +262,3 @@ func TestImputeCtxCancelMidDecode(t *testing.T) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
 }
-
-// TestBatchImputeCompat keeps the package-level entry point working.
-func TestBatchImputeCompat(t *testing.T) {
-	schema := testSchema(t)
-	rs, err := rules.ParseRuleSet(testRules, schema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{
-		LM: uniformLM{vocab: vocab.Telemetry().Size()}, Tok: vocab.Telemetry(),
-		Schema: schema, Rules: rs, Slots: testGrammar(t, schema), Mode: LeJIT,
-	}
-	out, err := BatchImpute(cfg, testPrompts(3), 2, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 3 {
-		t.Fatalf("got %d results, want 3", len(out))
-	}
-	for i, b := range out {
-		if b.Err != nil {
-			t.Fatalf("record %d: %v", i, b.Err)
-		}
-	}
-}

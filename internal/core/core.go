@@ -66,9 +66,9 @@ type BatchSession interface {
 }
 
 // BatchLM is an LM whose sessions can be stepped in lock-step. When the
-// engine's LM implements it, DecodeRequests routes eligible records through
-// the batched GEMM path (lockstep.go); otherwise every record decodes on
-// its own Session.
+// engine's LM implements it, the decode loop (lockstep.go) advances all of a
+// group's lanes with one batched forward pass per token step; otherwise it
+// loops Append over one Session per lane.
 type BatchLM interface {
 	LM
 	NewBatchSession(n int) BatchSession
@@ -335,8 +335,8 @@ type Engine struct {
 	// snapshots from a stale pack are dropped on sight. A cache shared across
 	// engine families with different fingerprints simply never cross-serves.
 	fingerprint uint64
-	// poolMu guards pool, a free list of idle clones used by the lock-step
-	// scheduler (lockstep.go) so per-lane engines are cloned once and then
+	// poolMu guards pool, a free list of idle clones DecodeRequests draws its
+	// per-record engines from (lockstep.go), so they are cloned once and then
 	// recycled across batches. Only the root engine of a clone family pools.
 	// poolDemand is the largest concurrent-lane demand seen so far; it lifts
 	// the pool's retention cap above 2×NumCPU so large micro-batches on
@@ -477,18 +477,27 @@ func ruleFingerprint(cfg Config) uint64 {
 	return h.Sum64()
 }
 
-// SetPrefixCache installs (or, with nil, removes) the cross-request prefix
-// cache on the engine after construction, mirroring SetSolverBudget: the
-// cache is written into the config so future clones inherit it, and idle
-// pooled clones are updated in place. Call before decoding begins.
-func (e *Engine) SetPrefixCache(c *prefixcache.Cache) {
-	e.cfg.PrefixCache = c
+// configure applies set to the engine and to every idle clone in its pool.
+// The Set* methods below write their setting into cfg through it, so future
+// clones inherit the setting and pooled ones — the engines lanes actually run
+// on — do not keep a stale one. Call before decoding begins: clones checked
+// out mid-decode are not reached.
+func (e *Engine) configure(set func(*Engine)) {
+	set(e)
 	e.poolMu.Lock()
-	for _, cl := range e.pool {
-		cl.cfg.PrefixCache = c
-		cl.fingerprint = e.fingerprint
+	for _, c := range e.pool {
+		set(c)
 	}
 	e.poolMu.Unlock()
+}
+
+// SetPrefixCache installs (or, with nil, removes) the cross-request prefix
+// cache on the engine after construction (see configure).
+func (e *Engine) SetPrefixCache(cache *prefixcache.Cache) {
+	e.configure(func(c *Engine) {
+		c.cfg.PrefixCache = cache
+		c.fingerprint = e.fingerprint
+	})
 }
 
 // PrefixCache returns the engine's prefix cache (nil when disabled).
@@ -497,56 +506,39 @@ func (e *Engine) PrefixCache() *prefixcache.Cache { return e.cfg.PrefixCache }
 // SetSolverBudget installs a per-Check solver budget (node limit and
 // wall-clock deadline; a zero leaves that dimension unlimited) on the engine
 // after construction, covering engines built by helpers that take no Config
-// (the experiments harness, -demo). The budget is written into the engine's
-// config so every future Clone — including pooled lock-step lanes — inherits
-// it; call before decoding begins, since already-pooled clones are updated
-// only as the pool drains through Clone.
+// (the experiments harness, -demo). The engine, its idle pooled clones and,
+// through cfg, every future Clone get it (see configure).
 func (e *Engine) SetSolverBudget(maxNodes uint64, timeout time.Duration) {
-	if maxNodes > 0 {
-		e.cfg.MaxNodes = maxNodes
-		e.solver.MaxNodes = maxNodes
-	}
-	e.cfg.SolverTimeout = timeout
-	e.solver.Timeout = timeout
-	e.poolMu.Lock()
-	for _, c := range e.pool {
+	e.configure(func(c *Engine) {
 		if maxNodes > 0 {
 			c.cfg.MaxNodes = maxNodes
 			c.solver.MaxNodes = maxNodes
 		}
 		c.cfg.SolverTimeout = timeout
 		c.solver.Timeout = timeout
-	}
-	e.poolMu.Unlock()
+	})
 }
 
-// SetKernelWorkers sizes the LM's kernel worker group after construction,
-// mirroring SetSolverBudget: the count is written into the config so future
-// clones inherit it (their re-application is a no-op on the shared model),
-// and idle pooled clones' configs are updated in place. Returns the
-// effective worker count — 0 when the LM is not nn-backed (non-transformer
-// LMs have no kernels to shard). Call before decoding begins.
+// SetKernelWorkers sizes the LM's kernel worker group after construction
+// (see configure; a clone re-applying the count is a no-op on the shared
+// model). Returns the effective worker count — 0 when the LM is not
+// nn-backed (non-transformer LMs have no kernels to shard).
 func (e *Engine) SetKernelWorkers(n int) int {
 	lm, ok := e.cfg.LM.(nnLM)
 	if !ok {
 		return 0
 	}
 	eff := lm.m.SetKernelWorkers(n)
-	e.cfg.KernelWorkers = eff
-	e.poolMu.Lock()
-	for _, c := range e.pool {
-		c.cfg.KernelWorkers = eff
-	}
-	e.poolMu.Unlock()
+	e.configure(func(c *Engine) { c.cfg.KernelWorkers = eff })
 	return eff
 }
 
 // SetWeightQuantization builds the LM's int8 weight store after
 // construction (mode nn.QuantExact or nn.QuantSnap; see
-// Config.QuantizeWeights) and records the mode in the config for future
-// clones. Idempotent on the shared model — a second call returns the
-// existing store's stats. Returns an error for unknown modes or non-nn LMs.
-// Call before decoding begins: snap mode rewrites the model's weights.
+// Config.QuantizeWeights) and records the mode for clones (see configure).
+// Idempotent on the shared model — a second call returns the existing
+// store's stats. Returns an error for unknown modes or non-nn LMs. Call
+// before decoding begins: snap mode rewrites the model's weights.
 func (e *Engine) SetWeightQuantization(mode string) (nn.QuantStats, error) {
 	lm, ok := e.cfg.LM.(nnLM)
 	if !ok {
@@ -556,26 +548,14 @@ func (e *Engine) SetWeightQuantization(mode string) (nn.QuantStats, error) {
 	if err != nil {
 		return nn.QuantStats{}, err
 	}
-	e.cfg.QuantizeWeights = st.Mode
-	e.poolMu.Lock()
-	for _, c := range e.pool {
-		c.cfg.QuantizeWeights = st.Mode
-	}
-	e.poolMu.Unlock()
+	e.configure(func(c *Engine) { c.cfg.QuantizeWeights = st.Mode })
 	return st, nil
 }
 
 // SetLookahead sets the speculative-decoding window (Config.Lookahead)
-// after construction, mirroring SetSolverBudget: it is written into the
-// config so future clones inherit it, and idle pooled clones are updated in
-// place. Call before decoding begins.
+// after construction (see configure).
 func (e *Engine) SetLookahead(k int) {
-	e.cfg.Lookahead = k
-	e.poolMu.Lock()
-	for _, c := range e.pool {
-		c.cfg.Lookahead = k
-	}
-	e.poolMu.Unlock()
+	e.configure(func(c *Engine) { c.cfg.Lookahead = k })
 }
 
 // Clone returns an independent engine with the same configuration (for

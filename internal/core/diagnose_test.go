@@ -69,75 +69,3 @@ func TestDiagnoseCoreIsActuallyUnsat(t *testing.T) {
 		}
 	}
 }
-
-func TestBatchImputeMatchesSequential(t *testing.T) {
-	schema := testSchema(t)
-	rs, err := rules.ParseRuleSet(testRules, schema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{
-		LM: uniformLM{vocab: vocab.Telemetry().Size()}, Tok: vocab.Telemetry(),
-		Schema: schema, Rules: rs, Slots: testGrammar(t, schema),
-	}
-	prompts := []rules.Record{
-		{"TotalIngress": {100}, "Congestion": {8}},
-		{"TotalIngress": {50}, "Congestion": {0}},
-		{"TotalIngress": {200}, "Congestion": {30}},
-		{"TotalIngress": {0}, "Congestion": {0}},
-		{"TotalIngress": {120}, "Congestion": {2}},
-		{"TotalIngress": {0}, "Congestion": {99}}, // infeasible
-	}
-	par, err := BatchImpute(cfg, prompts, 3, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := BatchImpute(cfg, prompts, 1, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(par) != len(prompts) || len(seq) != len(prompts) {
-		t.Fatal("wrong result counts")
-	}
-	for i := range prompts {
-		if (par[i].Err == nil) != (seq[i].Err == nil) {
-			t.Fatalf("prompt %d: error mismatch %v vs %v", i, par[i].Err, seq[i].Err)
-		}
-		if par[i].Err != nil {
-			continue
-		}
-		for j := range par[i].Res.Rec["I"] {
-			if par[i].Res.Rec["I"][j] != seq[i].Res.Rec["I"][j] {
-				t.Fatalf("prompt %d: parallel %v vs sequential %v (worker count must not change results)",
-					i, par[i].Res.Rec["I"], seq[i].Res.Rec["I"])
-			}
-		}
-		// Compliance holds for every successful batch result.
-		vs, err := rs.Violations(par[i].Res.Rec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(vs) > 0 {
-			t.Fatalf("prompt %d: violations %v", i, vs)
-		}
-	}
-	// The last prompt is infeasible and must report it.
-	if _, ok := par[5].Err.(ErrInfeasible); !ok {
-		t.Errorf("prompt 5: err %v, want ErrInfeasible", par[5].Err)
-	}
-}
-
-func TestBatchImputeEmpty(t *testing.T) {
-	schema := testSchema(t)
-	cfg := Config{
-		LM: uniformLM{vocab: vocab.Telemetry().Size()}, Tok: vocab.Telemetry(),
-		Schema: schema, Slots: testGrammar(t, schema),
-	}
-	out, err := BatchImpute(cfg, nil, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 0 {
-		t.Errorf("got %d results for no prompts", len(out))
-	}
-}

@@ -15,12 +15,12 @@ import (
 // instead of a hard failure.
 var ErrBudget = smt.ErrBudget
 
-// PanicError wraps a panic recovered from one decoding lane. The lock-step
-// scheduler and the worker pool convert panics inside a lane (e.g. an
+// PanicError wraps a panic recovered from one record's decode. The decode
+// loop and DecodeRequests' override records convert a panic (e.g. an
 // invariant breach in sampling or an LM session misuse) into a per-record
-// *PanicError instead of crashing the process; the lane's engine clone is
-// discarded rather than pooled, since its solver stack may have been
-// mid-mutation when the panic unwound.
+// *PanicError instead of crashing the process; a pooled engine clone the
+// record ran on is discarded rather than recycled, since its solver stack
+// may have been mid-mutation when the panic unwound.
 type PanicError struct {
 	Value any    // the recovered panic value
 	Stack []byte // stack at recovery, for logs

@@ -203,10 +203,36 @@ func TestClonePoolBounded(t *testing.T) {
 	}
 }
 
-// TestWorkerPoolPanicRecovered: the per-record worker pool (requests with
-// Decode overrides) converts a panic into that record's *PanicError and keeps
-// decoding the rest.
-func TestWorkerPoolPanicRecovered(t *testing.T) {
+// TestImputeCtxPanicIsError: a direct ImputeCtx is a batch of one, so a panic
+// inside it comes back as a *PanicError instead of reaching the caller, and
+// — there being no clone to discard — the same engine, its solver frame
+// popped, decodes the next record exactly as a clean engine does.
+func TestImputeCtxPanicIsError(t *testing.T) {
+	reqs := faultReqs(2)
+	bad := reqs[0].Prompt["TotalIngress"][0]
+	e := nnFaultEngine(t, poison(bad, func() error { panic("injected solo panic") }))
+
+	_, err := e.ImputeCtx(context.Background(), reqs[0].Prompt, rand.New(rand.NewSource(1)))
+	var pe *PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("panicking ImputeCtx err %v, want *PanicError", err)
+	}
+	got, err := e.ImputeCtx(context.Background(), reqs[1].Prompt, rand.New(rand.NewSource(2)))
+	if err != nil {
+		t.Fatalf("decode after a recovered panic: %v", err)
+	}
+	want, err := nnTestEngine(t).ImputeCtx(context.Background(), reqs[1].Prompt, rand.New(rand.NewSource(2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Rec, want.Rec) {
+		t.Errorf("record after a recovered panic %v != clean engine's %v", got.Rec, want.Rec)
+	}
+}
+
+// TestOverridePanicRecovered: a request with a Decode override that panics
+// gets that record's *PanicError while the rest of the batch decodes.
+func TestOverridePanicRecovered(t *testing.T) {
 	e := nnTestEngine(t)
 	reqs := faultReqs(3)
 	reqs[1].Decode = func(ctx context.Context, eng *Engine, known rules.Record, rng *rand.Rand) (Result, error) {

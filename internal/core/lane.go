@@ -15,13 +15,12 @@ import (
 
 // laneDecoder is the guided (LeJIT) decoding loop turned inside out: instead
 // of driving an LM session itself, it hands its driver one token at a time
-// (next) and is told when the LM has consumed it (advance). The per-record
-// path (Engine.guided) drives it with a plain Session; the lock-step
-// scheduler (lockstep.go) drives one laneDecoder per batch lane between
-// shared GEMM steps. Both drivers execute the same per-record sequence of
-// solver probes, RNG draws, and token decisions, so a record's output is
-// identical — bit for bit, given the NN kernels' bit-exactness — whichever
-// path decodes it.
+// (next) and is told when the LM has consumed it (advance). Its one driver is
+// the lock-step loop (lockstep.go), which steps one laneDecoder per batch
+// lane between shared forward passes; a direct Impute/Generate is a batch of
+// one lane. A record's solver probes, RNG draws, and token decisions are all
+// made here, per lane, so its output does not depend on which records share
+// its batch.
 //
 // All solver work happens on the decoder's engine, which must be dedicated
 // to this lane until finish: the known prefix is asserted under a Push frame
@@ -47,7 +46,7 @@ type laneDecoder struct {
 	// they name the radix-tree position of the lane's current prefix. warm
 	// holds a pending cache hit until the driver claims it via applyWarm;
 	// capture is the driver-installed hook that freezes the LM state at a
-	// boundary (nil when the LM is not a paged nn.Session).
+	// boundary (nil when the batch session cannot clone a lane out).
 	useCache bool
 	warm     *prefixcache.Hit
 	key      []int
@@ -88,10 +87,9 @@ type laneDecoder struct {
 	emitSlots int // slots already rendered to the hook
 }
 
-// promptPlan is a prompt rendered and tokenized once. The lock-step
-// scheduler precomputes plans so identical prompts in one batch are encoded
-// a single time and shared read-only across lanes; the per-record path
-// builds one on the fly.
+// promptPlan is a prompt rendered and tokenized once. DecodeRequests plans
+// a batch's prompts up front so identical ones are encoded a single time and
+// shared read-only across lanes; a direct Impute/Generate plans on the fly.
 type promptPlan struct {
 	text     string
 	fromSlot int
@@ -99,34 +97,37 @@ type promptPlan struct {
 	err      error
 }
 
-// planPrompt renders and tokenizes known's prompt.
-func (e *Engine) planPrompt(known rules.Record) *promptPlan {
+// planPrompt renders and tokenizes known's prompt. A non-nil byText is the
+// batch's plan table: a prompt already in it is returned instead of encoded
+// again, a new one is added.
+func (e *Engine) planPrompt(known rules.Record, byText map[string]*promptPlan) *promptPlan {
 	text, fromSlot, err := e.promptFor(known)
 	if err != nil {
 		return &promptPlan{err: err}
 	}
+	if p, ok := byText[text]; ok && p.fromSlot == fromSlot {
+		return p
+	}
 	p := &promptPlan{text: text, fromSlot: fromSlot}
 	p.ids, p.err = e.cfg.Tok.Encode(text)
+	if byText != nil {
+		byText[text] = p
+	}
 	return p
 }
 
 // newLaneDecoder starts one record's guided decode on e: it asserts the
 // known prefix under a Push frame, runs the feasibility pre-check, and
-// queues BOS plus the rendered prompt for the LM. On any setup failure the
-// returned decoder is already finished with the error recorded.
-func (e *Engine) newLaneDecoder(ctx context.Context, known rules.Record, rng *rand.Rand) *laneDecoder {
-	return e.newLaneDecoderPlan(ctx, known, rng, nil)
-}
-
-// newLaneDecoderPlan is newLaneDecoder with an optional precomputed prompt
-// plan (nil → plan here).
-func (e *Engine) newLaneDecoderPlan(ctx context.Context, known rules.Record, rng *rand.Rand, plan *promptPlan) *laneDecoder {
+// queues BOS plus the rendered prompt for the LM (plan is the prompt already
+// planned, nil → plan here). On any setup failure the returned decoder is
+// already finished with the error recorded.
+func (e *Engine) newLaneDecoder(ctx context.Context, known rules.Record, rng *rand.Rand, plan *promptPlan) *laneDecoder {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	ld := &laneDecoder{e: e, ctx: ctx, rng: rng, draw: rng, known: known, emit: emitFor(ctx)}
 	if plan == nil {
-		plan = e.planPrompt(known)
+		plan = e.planPrompt(known, nil)
 	}
 	if plan.err != nil {
 		ld.fail(plan.err)
@@ -194,9 +195,8 @@ func (e *Engine) newLaneDecoderPlan(ctx context.Context, known rules.Record, rng
 
 // applyWarm consumes the lane's pending cache hit: the already-consumed
 // prefix is dropped from the LM feed queue and the caller takes ownership of
-// the restored session (the solo driver decodes on it directly; the
-// lock-step driver copies it into its lane and releases it). Returns nil on
-// a cold lane. Must be called before the first next().
+// the restored session (the driver copies it into its lane and releases
+// it). Returns nil on a cold lane. Must be called before the first next().
 func (ld *laneDecoder) applyWarm() *nn.Session {
 	if ld.warm == nil || ld.finished {
 		return nil
@@ -223,8 +223,7 @@ func (ld *laneDecoder) fail(err error) {
 	ld.finish()
 }
 
-// finish settles the stats and pops the lane's solver frame. Idempotent; the
-// per-record driver defers it so the engine is always left clean.
+// finish settles the stats and pops the lane's solver frame. Idempotent.
 func (ld *laneDecoder) finish() {
 	if ld.finished {
 		return

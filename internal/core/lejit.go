@@ -4,7 +4,6 @@ import (
 	"context"
 	"math/rand"
 
-	"repro/internal/nn"
 	"repro/internal/rules"
 )
 
@@ -17,7 +16,11 @@ func (e *Engine) Impute(known rules.Record, rng *rand.Rand) (Result, error) {
 
 // ImputeCtx is Impute under a context: a cancelled or expired context stops
 // the decode at the next token boundary — before the next round of solver
-// probes — and returns the context's error.
+// probes — and returns the context's error. A panic inside the decode (an
+// invariant breach, a panicking FaultHook or LM) is returned as a
+// *PanicError, as on every batch path, instead of reaching the caller; the
+// record's solver frame has been popped, so the engine can decode the next
+// record.
 func (e *Engine) ImputeCtx(ctx context.Context, known rules.Record, rng *rand.Rand) (Result, error) {
 	return e.guided(ctx, known, rng)
 }
@@ -33,65 +36,10 @@ func (e *Engine) GenerateCtx(ctx context.Context, rng *rand.Rand) (Result, error
 	return e.guided(ctx, nil, rng)
 }
 
-// guided is the LeJIT decoding loop (paper Fig 1b):
-//
-//  1. Compile-once rules live on the engine's solver; the known prefix is
-//     asserted under a Push frame.
-//  2. For each remaining slot, a character-level transition system
-//     (internal/transition, paper Fig 2) asks the solver range-feasibility
-//     queries — "does a rule-compliant completion exist in which this
-//     variable's value starts with these digits?" — which perform the
-//     lookahead over unfixed suffix variables for free, because the solver
-//     treats them as existentially quantified.
-//  3. Admissible tokens keep their model logits; everything else is masked
-//     and the remainder renormalized. When the value terminates, its
-//     equality is asserted, activating/deactivating rules for later slots
-//     (dynamic partial instantiation, §3 step ①–②).
-//
-// The loop itself lives in laneDecoder (lane.go), a token-at-a-time state
-// machine that the per-record path here and the lock-step batch scheduler
-// (lockstep.go) drive identically: guided feeds it a private Session, the
-// scheduler feeds many lanes from one shared BatchSession.
+// guided decodes one record as a batch of one: a single lane on the receiver,
+// stepped by the same lock-step loop that decodes every batch (lockstep.go).
 func (e *Engine) guided(ctx context.Context, known rules.Record, rng *rand.Rand) (Result, error) {
-	ld := e.newLaneDecoder(ctx, known, rng)
-	defer ld.finish()
-	if !ld.done() {
-		var sess Session
-		var logits []float32
-		if ws := ld.applyWarm(); ws != nil {
-			// Prefix-cache hit: decode directly on the restored session. Its
-			// logits are the model's output after the cached prefix, exactly
-			// what a cold decode would have computed token by token.
-			sess = ws
-			logits = ws.Logits()
-		} else {
-			sess = e.cfg.LM.NewSession()
-		}
-		if ns, ok := sess.(*nn.Session); ok {
-			// Snapshot capture at slot boundaries is a COW clone: pages are
-			// shared, so the cost is O(pages) bookkeeping, not a KV copy.
-			ld.capture = ns.Clone
-			// The paged session can rewind, which is what arms speculative
-			// decoding (Config.Lookahead); other LMs stay on the exact path.
-			ld.installRewind(ns.Len, ns.Rewind)
-			defer ns.Release()
-		}
-		for !ld.done() {
-			tok, err := ld.next(logits)
-			if err != nil {
-				ld.fail(err)
-				break
-			}
-			if err := sess.Append(tok); err != nil {
-				ld.fail(err)
-				break
-			}
-			if err := ld.advance(tok); err != nil {
-				ld.fail(err)
-				break
-			}
-			logits = sess.Logits()
-		}
-	}
-	return ld.result()
+	var out BatchResult
+	e.decodeLockStep([]*lsLane{{out: &out, ctx: ctx, known: known, rng: rng, eng: e}})
+	return out.Res, out.Err
 }

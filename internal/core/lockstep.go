@@ -5,26 +5,25 @@ import (
 	"errors"
 	"math/rand"
 	"runtime"
-	"sync"
 
 	"repro/internal/nn"
+	"repro/internal/rules"
 )
 
-// This file implements the lock-step batched decode path: all eligible
-// records of a DecodeRequests batch step through one shared BatchSession,
-// so each transformer weight block is streamed from memory once per token
-// step (a GEMM) instead of once per record (B independent matrix-vector
-// passes). The solver side stays strictly per-lane — each lane drives its
-// own laneDecoder on its own pooled engine clone — so a record's sequence
-// of solver probes and RNG draws is exactly the per-record path's, and its
-// output is bit-identical to a solo decode (enforced by tests).
+// This file implements the decode driver: every guided decode — a
+// DecodeRequests batch, or a direct Impute/Generate as its one-lane case —
+// steps through one shared BatchSession, so each transformer weight block is
+// streamed from memory once per token step (a GEMM) instead of once per
+// record. The solver side stays strictly per-lane — each lane drives its own
+// laneDecoder on an engine dedicated to it — so a record's sequence of
+// solver probes and RNG draws, and therefore its output, does not depend on
+// which records share its batch (enforced by tests).
 //
-// Fallback rules: records that carry a per-request Decode override (beam,
-// diagnose, baseline modes), batches whose decode fn is not the default
-// guided decoder, and LMs that do not implement BatchLM all take the
-// existing per-record worker pool. Within a lock-step group, a lane that
-// fails mid-flight (context cancelled, NN context length exceeded, ...)
-// is retired alone; its batch-mates keep stepping.
+// Records that carry a Decode override (the baselines) are not guided
+// decodes and never enter this loop; DecodeRequests runs them per record
+// (batch.go). Within a group, a lane that fails mid-flight (context
+// cancelled, NN context length exceeded, ...) is retired alone; its
+// batch-mates keep stepping.
 
 // acquireClone hands out an engine dedicated to one lane, reusing a pooled
 // clone when one is idle. Clones share the compiled rule formula and the LM
@@ -91,10 +90,69 @@ type rewindBatchSession interface {
 	RewindLane(lane, pos int, logits []float32) error
 }
 
-// lsLane is one record in flight inside a lock-step group.
+// sessionBatch implements BatchSession over n plain Sessions by looping
+// Append, for LMs that have no batched forward pass (pack.UniformLM, test
+// LMs). It implements neither prefixBatchSession nor rewindBatchSession, so
+// its lanes decode cold and exact.
+type sessionBatch struct {
+	sess []Session
+	pos  []int
+	// ahead[l] marks a lane that consumed its token in a call a later lane
+	// then failed: Sessions cannot be validated before they mutate, so the
+	// driver's retry of the surviving lanes must not feed it again.
+	ahead []bool
+}
+
+func newSessionBatch(lm LM, n int) *sessionBatch {
+	b := &sessionBatch{sess: make([]Session, n), pos: make([]int, n), ahead: make([]bool, n)}
+	for i := range b.sess {
+		b.sess[i] = lm.NewSession()
+	}
+	return b
+}
+
+func (b *sessionBatch) AppendBatch(lanes, toks []int) error {
+	for i, l := range lanes {
+		if b.ahead[l] {
+			b.ahead[l] = false
+			continue
+		}
+		if err := b.sess[l].Append(toks[i]); err != nil {
+			for _, done := range lanes[:i] {
+				b.ahead[done] = true
+			}
+			return &nn.LaneError{Lane: l, Err: err}
+		}
+		b.pos[l]++
+	}
+	return nil
+}
+
+func (b *sessionBatch) Logits(lane int) []float32 { return b.sess[lane].Logits() }
+func (b *sessionBatch) Len(lane int) int          { return b.pos[lane] }
+
+// newBatchSession opens an n-lane session on the engine's LM: the model's own
+// batched forward pass when it has one, the Append-looping adapter otherwise.
+func (e *Engine) newBatchSession(n int) BatchSession {
+	if blm, ok := e.cfg.LM.(BatchLM); ok {
+		return blm.NewBatchSession(n)
+	}
+	return newSessionBatch(e.cfg.LM, n)
+}
+
+// lsLane is one guided decode, resolved: its context already carries the
+// request's prefix-cache and lookahead overrides, its rng is already seeded.
 type lsLane struct {
-	out  *BatchResult
-	eng  *Engine
+	out   *BatchResult
+	ctx   context.Context
+	known rules.Record
+	rng   *rand.Rand
+	plan  *promptPlan // nil → planned at lane start
+	// eng is the engine dedicated to the lane until it settles: the driving
+	// engine itself for a direct Impute/Generate, otherwise (nil until the
+	// lane starts) a clone from the driving engine's pool.
+	eng *Engine
+
 	ld   *laneDecoder
 	slot int // lane index in the group's BatchSession
 	tok  int // token pending in the current step
@@ -104,13 +162,16 @@ type lsLane struct {
 func (e *Engine) settle(la *lsLane) {
 	la.ld.finish()
 	la.out.Res, la.out.Err = la.ld.result()
-	e.releaseClone(la.eng)
+	if la.eng != e {
+		e.releaseClone(la.eng)
+	}
 }
 
 // failLane retires la with err. A recovered panic (*PanicError) means the
 // lane's engine is suspect — its solver stack may have been mid-mutation
-// when the panic unwound — so the clone is discarded instead of pooled, and
-// even the finish bookkeeping is guarded. Clean failures settle normally.
+// when the panic unwound — so a pooled clone is discarded instead of
+// recycled, and even the finish bookkeeping is guarded. Clean failures
+// settle normally.
 func (e *Engine) failLane(la *lsLane, err error) {
 	var pe *PanicError
 	if !errors.As(err, &pe) {
@@ -126,86 +187,93 @@ func (e *Engine) failLane(la *lsLane, err error) {
 	la.out.Res, la.out.Err = la.ld.res, err
 }
 
-// decodeLockStep decodes reqs[i] for every i in idxs through one shared
-// BatchSession, writing outcomes into out. Seeds, per-request contexts, and
-// all decoding decisions are per-lane, so results do not depend on which
-// records share a batch. plans[i], when non-nil, is request i's pre-encoded
-// prompt (shared read-only across lanes with identical prompts).
-func (e *Engine) decodeLockStep(ctx context.Context, reqs []BatchRequest, idxs []int, seed int64, out []BatchResult, blm BatchLM, plans []*promptPlan) {
-	bs := blm.NewBatchSession(len(idxs))
-	lanes := make([]*lsLane, 0, len(idxs))
-	for slot, i := range idxs {
-		rctx := reqs[i].Ctx
-		if rctx == nil {
-			rctx = ctx
-		}
-		// A request whose context is already done is not decoded at all,
-		// mirroring the per-record path.
-		if err := rctx.Err(); err != nil {
-			out[i].Err = err
-			continue
-		}
-		if reqs[i].NoPrefixCache {
-			rctx = DisablePrefixCache(rctx)
-		}
-		if reqs[i].Lookahead != nil {
-			rctx = WithLookahead(rctx, *reqs[i].Lookahead)
-		}
+// startLane builds la's decoder on its engine and wires it to lane la.slot
+// of bs: speculation when the session can rewind a lane, prefix-cache warm
+// start and snapshot capture when it can seed and clone one. It reports
+// whether the lane has tokens to decode; a lane that failed or finished
+// during set-up has its outcome recorded already.
+func (e *Engine) startLane(bs BatchSession, la *lsLane) bool {
+	if la.eng == nil {
 		eng, err := e.acquireClone()
 		if err != nil {
-			out[i].Err = err
-			continue
+			la.out.Err = err
+			return false
 		}
-		s := batchSeed(seed, i)
-		if reqs[i].Seed != nil {
-			s = *reqs[i].Seed
-		}
-		var plan *promptPlan
-		if plans != nil {
-			plan = plans[i]
-		}
-		la := &lsLane{out: &out[i], eng: eng, slot: slot}
-		pbs, canWarm := bs.(prefixBatchSession)
-		if perr := guardLane(func() error {
-			la.ld = eng.newLaneDecoderPlan(rctx, reqs[i].Prompt, rand.New(rand.NewSource(s)), plan)
-			if la.ld.done() {
-				return nil
-			}
-			if rbs, ok := bs.(rewindBatchSession); ok {
-				slot := la.slot
-				la.ld.installRewind(
-					func() int { return bs.Len(slot) },
-					func(pos int, logits []float32) error { return rbs.RewindLane(slot, pos, logits) },
-				)
-			}
-			if !canWarm {
-				return nil
-			}
-			// A prefix-cache hit seeds the lane's KV block and position
-			// directly; the laneDecoder has already dropped the restored
-			// tokens from its feed queue. Snapshot capture copies the lane
-			// back out of the batch at slot boundaries.
-			if ws := la.ld.applyWarm(); ws != nil {
-				err := pbs.SeedLane(slot, ws)
-				ws.Release()
-				if err != nil {
-					return err
-				}
-			}
-			la.ld.capture = func() *nn.Session { return pbs.CloneLane(la.slot) }
-			return nil
-		}); perr != nil {
-			// Setup panicked or the warm seed failed: a seeded-then-failed
-			// lane cannot fall back to cold (its prompt queue is already
-			// truncated), so record the error and discard the clone unpooled.
-			out[i].Err = perr
-			continue
-		}
+		la.eng = eng
+	}
+	if perr := guardLane(func() error {
+		la.ld = la.eng.newLaneDecoder(la.ctx, la.known, la.rng, la.plan)
 		if la.ld.done() {
-			e.settle(la)
-			continue
+			return nil
 		}
-		lanes = append(lanes, la)
+		if rbs, ok := bs.(rewindBatchSession); ok {
+			la.ld.installRewind(
+				func() int { return bs.Len(la.slot) },
+				func(pos int, logits []float32) error { return rbs.RewindLane(la.slot, pos, logits) },
+			)
+		}
+		pbs, ok := bs.(prefixBatchSession)
+		if !ok {
+			return nil
+		}
+		// A prefix-cache hit seeds the lane's KV block and position
+		// directly; the laneDecoder has already dropped the restored
+		// tokens from its feed queue. Snapshot capture copies the lane
+		// back out of the batch at slot boundaries.
+		if ws := la.ld.applyWarm(); ws != nil {
+			err := pbs.SeedLane(la.slot, ws)
+			ws.Release()
+			if err != nil {
+				return err
+			}
+		}
+		la.ld.capture = func() *nn.Session { return pbs.CloneLane(la.slot) }
+		return nil
+	}); perr != nil {
+		// Set-up panicked or the warm seed failed. A seeded-then-failed lane
+		// cannot fall back to cold (its prompt queue is already truncated),
+		// so the lane fails; a panic before the decoder existed leaves
+		// nothing to finish.
+		if la.ld == nil {
+			la.out.Err = perr
+		} else {
+			e.failLane(la, perr)
+		}
+		return false
+	}
+	if la.ld.done() {
+		e.settle(la)
+		return false
+	}
+	return true
+}
+
+// decodeLockStep is the LeJIT decoding loop (paper Fig 1b) for a group of
+// lanes sharing one BatchSession, writing each lane's outcome through its
+// out pointer. Per token step:
+//
+//  1. Per lane, a character-level transition system (internal/transition,
+//     paper Fig 2) asks the solver range-feasibility queries — "does a
+//     rule-compliant completion exist in which this variable's value starts
+//     with these digits?" — which perform the lookahead over unfixed suffix
+//     variables for free, because the solver treats them as existentially
+//     quantified. Admissible tokens keep their model logits; everything else
+//     is masked, the remainder renormalized, and one token sampled.
+//  2. One forward pass feeds every lane its token.
+//  3. Per lane, a value that terminated has its equality asserted,
+//     activating/deactivating rules for later slots (dynamic partial
+//     instantiation, §3 step ①–②).
+//
+// Seeds, contexts, and all decoding decisions are per-lane, so results do
+// not depend on which records share a group — a group of one included.
+func (e *Engine) decodeLockStep(work []*lsLane) {
+	bs := e.newBatchSession(len(work))
+	lanes := make([]*lsLane, 0, len(work))
+	for slot, la := range work {
+		la.slot = slot
+		if e.startLane(bs, la) {
+			lanes = append(lanes, la)
+		}
 	}
 
 	stepLanes := make([]int, 0, len(lanes))
@@ -237,9 +305,9 @@ func (e *Engine) decodeLockStep(ctx context.Context, reqs []BatchRequest, idxs [
 			stepRefs = append(stepRefs, la)
 		}
 
-		// Phase 2: one GEMM forward for every surviving lane. A *LaneError
-		// means AppendBatch validated and refused one lane without touching
-		// any state: retire that lane and retry the rest.
+		// Phase 2: one forward pass for every surviving lane. A *LaneError
+		// means AppendBatch refused one lane and left the others as they
+		// were: retire that lane and retry the rest.
 		for len(stepLanes) > 0 {
 			err := guardLane(func() error { return bs.AppendBatch(stepLanes, stepToks) })
 			if err == nil {
@@ -296,82 +364,4 @@ func (e *Engine) decodeLockStep(ctx context.Context, reqs []BatchRequest, idxs [
 		}
 		lanes = next
 	}
-}
-
-// decodeRequestsLockStep is the batched front half of DecodeRequests:
-// records without a per-request Decode override step through shared
-// BatchSessions (split into at most `workers` groups, each on its own
-// goroutine), while override records take the per-record path concurrently.
-// Grouping never affects output: every record's seed, engine, and decoder
-// are its own.
-func (e *Engine) decodeRequestsLockStep(ctx context.Context, reqs []BatchRequest, workers int, seed int64, decode DecodeCtxFn, out []BatchResult, blm BatchLM) {
-	batched := make([]int, 0, len(reqs))
-	var rest []int
-	for i := range reqs {
-		if reqs[i].Decode == nil {
-			batched = append(batched, i)
-		} else {
-			rest = append(rest, i)
-		}
-	}
-	// Hoist prompt rendering + tokenization out of lane setup: identical
-	// prompts in one batch (the common serving shape — many requests
-	// conditioned on the same coarse counters) are encoded exactly once and
-	// the plan shared read-only across their lanes.
-	plans := make([]*promptPlan, len(reqs))
-	byText := make(map[string]*promptPlan, len(batched))
-	for _, i := range batched {
-		text, fromSlot, err := e.promptFor(reqs[i].Prompt)
-		if err != nil {
-			plans[i] = &promptPlan{err: err}
-			continue
-		}
-		if p, ok := byText[text]; ok && p.fromSlot == fromSlot {
-			plans[i] = p
-			continue
-		}
-		p := &promptPlan{text: text, fromSlot: fromSlot}
-		p.ids, p.err = e.cfg.Tok.Encode(text)
-		byText[text] = p
-		plans[i] = p
-	}
-	groups := workers
-	if groups > len(batched) {
-		groups = len(batched)
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < groups; g++ {
-		// Contiguous split: group g takes batched[lo:hi].
-		lo := g * len(batched) / groups
-		hi := (g + 1) * len(batched) / groups
-		if lo == hi {
-			continue
-		}
-		wg.Add(1)
-		go func(idxs []int) {
-			defer wg.Done()
-			e.decodeLockStep(ctx, reqs, idxs, seed, out, blm, plans)
-		}(batched[lo:hi])
-	}
-	// Per-request Decode overrides keep the per-record path, sharing the
-	// clone pool; at most one extra goroutine beyond the group budget.
-	if len(rest) > 0 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for _, i := range rest {
-				eng, err := e.acquireClone()
-				if err != nil {
-					out[i].Err = err
-					continue
-				}
-				if e.runRequest(ctx, reqs, i, seed, decode, eng, out) {
-					// Poisoned by a recovered panic: discard, never pool.
-					continue
-				}
-				e.releaseClone(eng)
-			}
-		}()
-	}
-	wg.Wait()
 }

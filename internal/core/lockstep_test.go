@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -15,10 +16,10 @@ import (
 
 // --- NN-backed fixtures -----------------------------------------------------
 //
-// The mock LMs above don't implement BatchLM, so every other test in this
-// package exercises the per-record fallback. These tests build a real (tiny,
-// untrained) transformer: WrapNN's adapter implements BatchLM, which routes
-// eligible DecodeRequests batches through the lock-step scheduler.
+// The mock LMs of the other test files don't implement BatchLM, so the decode
+// loop steps them through its Session adapter. These tests build a real
+// (tiny, untrained) transformer: WrapNN's adapter implements BatchLM, so the
+// loop advances its lanes with one batched forward pass per step.
 
 var (
 	nnModelOnce sync.Once
@@ -64,8 +65,9 @@ func nnTestEngine(tb testing.TB) *Engine {
 	return e
 }
 
-// soloDecode runs reqs[i] exactly as the per-record path would, on a fresh
-// clone so the comparison engine carries no state from other records.
+// soloDecode runs reqs[i] alone through ImputeCtx/GenerateCtx — a batch of
+// one lane — on a fresh clone, so the comparison engine carries no state
+// from other records.
 func soloDecode(tb testing.TB, e *Engine, req BatchRequest, seed int64, i int) (Result, error) {
 	tb.Helper()
 	eng, err := e.Clone()
@@ -111,8 +113,9 @@ func checkMatchesSolo(t *testing.T, e *Engine, reqs []BatchRequest, out []BatchR
 
 // TestLockStepMatchesSolo: batches of every small size and mixed prompt
 // shapes (imputation, generation, per-request seeds) decode to records
-// byte-identical to the per-record path. This is the golden equivalence the
-// GEMM decode path promises: batch composition never changes any record.
+// byte-identical to the same requests decoded alone. This is the golden
+// equivalence the GEMM decode path promises: batch composition never changes
+// any record.
 func TestLockStepMatchesSolo(t *testing.T) {
 	e := nnTestEngine(t)
 	override := int64(12345)
@@ -179,12 +182,16 @@ func TestLockStepGroupingInvariance(t *testing.T) {
 	}
 }
 
-// TestLockStepMixedOverrides: per-request Decode overrides fall back to the
-// per-record path while their batch-mates stay lock-step, all in one call.
+// TestLockStepMixedOverrides: per-request Decode overrides run per record
+// while their batch-mates stay lock-step and a pre-cancelled request is not
+// decoded at all — one call, each outcome at its own index.
 func TestLockStepMixedOverrides(t *testing.T) {
 	e := nnTestEngine(t)
 	calls := 0
+	dead, cancel := context.WithCancel(context.Background())
+	cancel()
 	reqs := []BatchRequest{
+		{Prompt: rules.Record{"TotalIngress": {75}, "Congestion": {3}}, Ctx: dead},
 		{Prompt: rules.Record{"TotalIngress": {120}, "Congestion": {10}}},
 		{Prompt: rules.Record{"TotalIngress": {90}, "Congestion": {0}}, Decode: func(ctx context.Context, eng *Engine, known rules.Record, rng *rand.Rand) (Result, error) {
 			calls++
@@ -198,6 +205,9 @@ func TestLockStepMixedOverrides(t *testing.T) {
 	}
 	if calls != 1 {
 		t.Errorf("override decode called %d times, want 1", calls)
+	}
+	if out[0].Err != context.Canceled {
+		t.Errorf("pre-cancelled request err %v, want context.Canceled", out[0].Err)
 	}
 	checkMatchesSolo(t, e, reqs, out, 11)
 }
@@ -312,6 +322,71 @@ func TestLockStepClonePool(t *testing.T) {
 	for i := range reqs {
 		if fmt.Sprint(first[i].Res.Rec) != fmt.Sprint(second[i].Res.Rec) {
 			t.Errorf("record %d drifted across pooled batches: %v != %v", i, first[i].Res.Rec, second[i].Res.Rec)
+		}
+	}
+}
+
+// TestDecodeRequestsMatchesImpute pins the one driver: whatever the LM kind
+// (a BatchLM transformer, a plain-Session LM behind the adapter — the shape
+// of pack.UniformLM, which this package cannot import — or one whose last
+// lane's session errors mid-decode), batch size, or goroutine budget, every
+// DecodeRequests outcome equals ImputeCtx on a fresh clone with the same
+// seed. Under the adapter the failing lane retires alone: its batch-mates,
+// fed before it in the same step, must not be fed twice by the retry. A
+// prompt the rules make infeasible reports ErrInfeasible at its own index,
+// and an empty batch returns no results.
+func TestDecodeRequestsMatchesImpute(t *testing.T) {
+	tok := vocab.Telemetry()
+	if out, err := nnTestEngine(t).DecodeRequests(context.Background(), nil, 3, 1, nil); err != nil || len(out) != 0 {
+		t.Fatalf("empty batch: %d results, err %v", len(out), err)
+	}
+	for _, n := range []int{1, 2, 7} {
+		reqs := faultReqs(n)
+		if n > 1 {
+			reqs[0].Prompt = rules.Record{"TotalIngress": {0}, "Congestion": {99}} // r3 needs max(I) >= 30
+		}
+		uniform := testEngine(t, uniformLM{vocab: tok.Size()}, LeJIT)
+		text, _, err := uniform.promptFor(reqs[n-1].Prompt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bad, err := tok.Encode(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		engines := map[string]*Engine{
+			"nn":      nnTestEngine(t),
+			"uniform": uniform,
+			"failing": testEngine(t, failingLM{
+				vocab: tok.Size(), inner: scriptedLM{tok: tok, text: "31415926535897932384626433832795028841971"},
+				only: append([]int{vocab.BOS}, bad...), after: len(bad) + 4,
+			}, LeJIT),
+		}
+		for name, e := range engines {
+			for _, workers := range []int{1, 3} {
+				out, err := e.DecodeRequests(context.Background(), reqs, workers, 42, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Run(fmt.Sprintf("%s/n=%d/workers=%d", name, n, workers), func(t *testing.T) {
+					checkMatchesSolo(t, e, reqs, out, 42)
+					for i := range out {
+						switch {
+						case name == "failing" && i == n-1:
+							if !errors.Is(out[i].Err, errInjected) {
+								t.Errorf("failing lane err %v, want the injected failure", out[i].Err)
+							}
+						case n > 1 && i == 0:
+							var inf ErrInfeasible
+							if !errors.As(out[i].Err, &inf) {
+								t.Errorf("infeasible prompt err %v, want ErrInfeasible", out[i].Err)
+							}
+						case out[i].Err != nil:
+							t.Errorf("record %d: %v", i, out[i].Err)
+						}
+					}
+				})
+			}
 		}
 	}
 }

@@ -508,8 +508,9 @@ func (o *slotOracle) FeasibleAny(ranges [][2]int64) bool {
 
 // noteModel remembers the latest full model the solver produced. Models are
 // feasibility certificates for every variable at the epoch they were found,
-// which seeds the next slot's witness for free; guided() re-validates the
-// model across value assertions when the pinned value matches.
+// which seeds the next slot's witness for free; laneDecoder.advance
+// re-validates the model across value assertions when the pinned value
+// matches.
 func (e *Engine) noteModel(m map[smt.Var]int64) {
 	if m == nil {
 		return

@@ -174,11 +174,11 @@ func (sp *laneSpec) deferProbe(v smt.Var, ranges [][2]int64) {
 	})
 }
 
-// installRewind arms speculative decoding on the lane. Drivers whose LM can
-// rewind (the paged nn sessions, solo or batched) call it right after
-// installing the capture hook. Lanes without a rewind hook — or with a zero
-// lookahead, a non-LeJIT mode, or no rules — decode on the exact path,
-// which is byte-for-byte the pre-speculation code path.
+// installRewind arms speculative decoding on the lane. The driver calls it
+// when its batch session can rewind a lane (rewindBatchSession). Lanes
+// without a rewind hook — or with a zero lookahead, a non-LeJIT mode, or no
+// rules — decode on the exact path, which is byte-for-byte the
+// pre-speculation code path.
 func (ld *laneDecoder) installRewind(lmLen func() int, lmRewind func(pos int, logits []float32) error) {
 	if ld.finished || lmRewind == nil {
 		return

@@ -60,35 +60,66 @@ func TestTraceHookObservesEverySlot(t *testing.T) {
 	}
 }
 
-// failingSession errors after a fixed number of appends — injected failure
-// to verify the engine propagates model errors instead of masking them.
+// failingLM's sessions error after a fixed number of appends — injected
+// failure to verify the engine propagates model errors instead of masking
+// them. only, when set, confines the failure to the session whose first
+// tokens are these (BOS plus one request's prompt), so one lane of a batch
+// fails whichever path decodes it; inner, when set, supplies the logits, so
+// batch-mates have token-dependent output a mis-fed session would corrupt.
 type failingLM struct {
 	vocab int
 	after int
+	only  []int
+	inner LM
 }
 
 func (f failingLM) VocabSize() int { return f.vocab }
 func (f failingLM) NewSession() Session {
-	return &failingSession{logits: make([]float32, f.vocab), after: f.after}
+	s := &failingSession{lm: f, logits: make([]float32, f.vocab)}
+	if f.inner != nil {
+		s.inner = f.inner.NewSession()
+	}
+	return s
 }
 
 type failingSession struct {
+	lm     failingLM
 	logits []float32
-	n      int
-	after  int
+	inner  Session
+	seen   []int
 }
 
 var errInjected = errors.New("injected model failure")
 
 func (s *failingSession) Append(tok int) error {
-	s.n++
-	if s.n > s.after {
+	s.seen = append(s.seen, tok)
+	if len(s.seen) > s.lm.after && hasPrefix(s.seen, s.lm.only) {
 		return errInjected
+	}
+	if s.inner != nil {
+		return s.inner.Append(tok)
 	}
 	return nil
 }
 
-func (s *failingSession) Logits() []float32 { return s.logits }
+func hasPrefix(xs, prefix []int) bool {
+	if len(xs) < len(prefix) {
+		return false
+	}
+	for i, p := range prefix {
+		if xs[i] != p {
+			return false
+		}
+	}
+	return true
+}
+
+func (s *failingSession) Logits() []float32 {
+	if s.inner != nil {
+		return s.inner.Logits()
+	}
+	return s.logits
+}
 
 func TestModelErrorPropagates(t *testing.T) {
 	schema := testSchema(t)

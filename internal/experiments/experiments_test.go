@@ -239,59 +239,3 @@ func TestDecodeStrategyAblationTiny(t *testing.T) {
 	}
 	_ = AblationTable("decode", ab).Render()
 }
-
-func TestRunPerfTiny(t *testing.T) {
-	env := tinyEnv(t)
-	rep, err := RunPerf(env, []int{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Records != env.Scale.TestN {
-		t.Errorf("records %d, want %d", rep.Records, env.Scale.TestN)
-	}
-	if rep.Tokens == 0 || rep.TokensPerSec <= 0 {
-		t.Errorf("no throughput measured: tokens=%d tokens/sec=%v", rep.Tokens, rep.TokensPerSec)
-	}
-	if rep.ChecksPerToken <= 0 {
-		t.Error("checks/token not recorded")
-	}
-	if rep.FastPathRate <= 0 || rep.FastPathRate > 1 {
-		t.Errorf("fast-path rate %v outside (0,1]", rep.FastPathRate)
-	}
-	if sum := rep.FastPathRate + rep.SolverProbeRate; sum < 0.999 || sum > 1.001 {
-		t.Errorf("probe resolution rates sum to %v, want 1", sum)
-	}
-	if rep.NumCPU <= 0 || rep.GoMaxProcs <= 0 {
-		t.Errorf("cpu context not recorded: NumCPU=%d GOMAXPROCS=%d", rep.NumCPU, rep.GoMaxProcs)
-	}
-	if rep.GoMaxProcs == 1 && rep.Warning == "" {
-		t.Error("GOMAXPROCS=1 run must carry a warning in the report")
-	}
-	if rep.WarmStartRate <= 0 || rep.WarmStartRate > 1 {
-		t.Errorf("warm-start rate %v outside (0,1]", rep.WarmStartRate)
-	}
-	if len(rep.ByWorkers) != 2 || rep.ByWorkers[0].Workers != 1 || rep.ByWorkers[1].Workers != 2 {
-		t.Fatalf("worker sweep %+v, want counts {1,2}", rep.ByWorkers)
-	}
-	for _, w := range rep.ByWorkers {
-		if w.RecordsPerSec <= 0 {
-			t.Errorf("workers=%d: no throughput", w.Workers)
-		}
-	}
-	if len(rep.ByBatch) != 4 {
-		t.Fatalf("batch sweep has %d entries, want 4", len(rep.ByBatch))
-	}
-	for i, bp := range rep.ByBatch {
-		if bp.TokensPerSec <= 0 {
-			t.Errorf("batch=%d: no throughput", bp.Batch)
-		}
-		if bp.WeightBytesPerToken <= 0 {
-			t.Errorf("batch=%d: weight traffic not recorded", bp.Batch)
-		}
-		if i > 0 && bp.WeightBytesPerToken >= rep.ByBatch[i-1].WeightBytesPerToken {
-			t.Errorf("batch=%d streams %v B/token, not below batch=%d's %v",
-				bp.Batch, bp.WeightBytesPerToken, rep.ByBatch[i-1].Batch, rep.ByBatch[i-1].WeightBytesPerToken)
-		}
-	}
-	_ = PerfTable(rep).Render()
-}

@@ -3,22 +3,21 @@ package experiments
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
-	"net"
 	"net/http"
 	"os"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/metrics"
+	"repro/internal/pack"
 	"repro/internal/server"
 )
 
@@ -267,8 +266,16 @@ func loadServer(env *Env, cfg LoadBenchConfig, replicas int) (*server.Server, st
 	if err != nil {
 		return nil, "", nil, err
 	}
+	pk, err := pack.FromEngine("default", eng, env.ImputeRules, env.Schema)
+	if err != nil {
+		return nil, "", nil, err
+	}
+	reg := pack.NewRegistry(0)
+	if err := reg.Register(pk); err != nil {
+		return nil, "", nil, err
+	}
 	srv, err := server.New(server.Config{
-		Engine: eng, Rules: env.ImputeRules, Schema: env.Schema,
+		Packs: reg, DefaultPack: "default",
 		BatchWindow: cfg.BatchWindow, MaxBatch: cfg.MaxBatch, Workers: cfg.Workers,
 		QueueDepth: cfg.QueueDepth, Replicas: replicas,
 		Seed: env.Scale.Seed,
@@ -276,24 +283,16 @@ func loadServer(env *Env, cfg LoadBenchConfig, replicas int) (*server.Server, st
 	if err != nil {
 		return nil, "", nil, err
 	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
+	base, shutdown, err := listenAndServe(srv)
 	if err != nil {
-		srv.Close()
 		return nil, "", nil, err
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ctx, l) }()
-	shutdown := func() error {
-		cancel()
-		return <-serveErr
-	}
-	return srv, "http://" + l.Addr().String(), shutdown, nil
+	return srv, base, shutdown, nil
 }
 
 // verifyStreamed proves streamed == unary on one fleet before load: per combo
-// sequentially (solo decode path), as one concurrent wave per mode (lock-step
-// path, nn-backed lanes coalesce), and once with an 8-token speculative
+// sequentially (batches of one), as one concurrent wave per mode (the lanes
+// coalesce into shared batches), and once with an 8-token speculative
 // window. Returns the expected line per combo and the pack epoch served.
 func verifyStreamed(client *http.Client, base string, combos []loadCombo) (lines []string, epoch string, errs int, match bool) {
 	match = true
@@ -494,13 +493,17 @@ func runLoadPoint(client *http.Client, base string, combos []loadCombo, expected
 			pt.Errors++
 		}
 	}
-	sort.Float64s(lat)
-	sort.Float64s(ttft)
-	pt.P50Ms = percentile(lat, 0.50)
-	pt.P95Ms = percentile(lat, 0.95)
-	pt.P99Ms = percentile(lat, 0.99)
-	pt.TTFTP50Ms = percentile(ttft, 0.50)
-	pt.TTFTP95Ms = percentile(ttft, 0.95)
+	// Percentile is NaN on an empty sample, which JSON cannot carry; a point
+	// with no successes keeps zeros.
+	if len(lat) > 0 {
+		pt.P50Ms = metrics.Percentile(lat, 50)
+		pt.P95Ms = metrics.Percentile(lat, 95)
+		pt.P99Ms = metrics.Percentile(lat, 99)
+	}
+	if len(ttft) > 0 {
+		pt.TTFTP50Ms = metrics.Percentile(ttft, 50)
+		pt.TTFTP95Ms = metrics.Percentile(ttft, 95)
+	}
 	if elapsed > 0 {
 		pt.AchievedPerSec = float64(pt.OK) / elapsed.Seconds()
 	}

@@ -89,6 +89,34 @@ type packBenchResult struct {
 	epoch     string
 }
 
+// ServeBenchConfig parameterizes the closed-loop HTTP workload of the pack
+// benchmark.
+type ServeBenchConfig struct {
+	Requests    int           // total requests (default 128)
+	Concurrency int           // concurrent clients (default 16)
+	BatchWindow time.Duration // micro-batch window (default 2ms)
+	MaxBatch    int           // records per batch cap (default 32)
+	Workers     int           // goroutines per micro-batch (default Scale.Workers)
+}
+
+func (c *ServeBenchConfig) fill(sc ScaleConfig) {
+	if c.Requests <= 0 {
+		c.Requests = 128
+	}
+	if c.Concurrency <= 0 {
+		c.Concurrency = 16
+	}
+	if c.BatchWindow <= 0 {
+		c.BatchWindow = 2 * time.Millisecond
+	}
+	if c.MaxBatch <= 0 {
+		c.MaxBatch = 32
+	}
+	if c.Workers <= 0 {
+		c.Workers = sc.Workers
+	}
+}
+
 // RunPackBench benchmarks multi-pack serving: it registers the three
 // built-in packs (telemetry on the environment's trained model, routercfg
 // and fincompliance on tiny transformers trained in-process on their example

@@ -315,9 +315,8 @@ func (bs *BatchSession) RewindLane(lane, pos int, logits []float32) error {
 
 // CloneLane extracts lane as an independent single-row Session — same
 // consumed prefix, same pending logits, its own KV cache — so a lane can
-// leave the lock-step batch and continue on the per-record path (beam
-// search, diagnosis, a prefix-cache snapshot) without re-decoding its
-// prefix. The lane's contiguous cache block is re-sliced into private pages;
+// leave the lock-step batch as a frozen single-row session (a prefix-cache
+// snapshot) without re-decoding its prefix. The lane's contiguous cache block is re-sliced into private pages;
 // only the filled positions are copied.
 func (bs *BatchSession) CloneLane(lane int) *Session {
 	m := bs.m

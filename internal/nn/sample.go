@@ -199,33 +199,6 @@ func (s *Session) Logits() []float32 {
 	return s.logits
 }
 
-// Rewind truncates the session back to pos consumed tokens and restores the
-// pending logits to the caller-supplied snapshot (a copy taken when the
-// session was at pos). Whole pages beyond the kept prefix are released; a
-// kept partial boundary page may still hold stale tail positions, but
-// attention only ever reads positions ≤ the current length, and the next
-// Append overwrites the stale slot (copy-on-write if the page is shared).
-// The logits are copied into the session's fixed buffer, so a caller holding
-// the Logits() slice sees the restored values in place. This is the cheap
-// per-lane checkpoint restore speculative decoding needs (DESIGN.md §13).
-func (s *Session) Rewind(pos int, logits []float32) error {
-	if pos < 0 || pos > s.pos {
-		return fmt.Errorf("nn: Rewind(%d) outside [0,%d]", pos, s.pos)
-	}
-	if len(logits) != len(s.logits) {
-		return fmt.Errorf("nn: Rewind logits length %d, want %d", len(logits), len(s.logits))
-	}
-	keep := (pos + PageTokens - 1) / PageTokens
-	for i := keep; i < len(s.pages); i++ {
-		s.pages[i].release()
-		s.pages[i] = nil
-	}
-	s.pages = s.pages[:keep]
-	s.pos = pos
-	copy(s.logits, logits)
-	return nil
-}
-
 // Clone returns an independent copy of the session: same consumed prefix,
 // same pending logits, its own view of the KV cache. Used by beam-search
 // decoding (beams share a prefix and then diverge) and by the prefix cache

@@ -210,10 +210,11 @@ func compile(def Definition, checkExamples bool) (*Compiled, error) {
 	}, nil
 }
 
-// FromEngine wraps an already-built engine as a single pack, preserving its
-// decode behavior bit for bit (the engine is used as-is, not rebuilt). This
-// is the compatibility path for callers that configure a server with one
-// engine instead of a registry.
+// FromEngine wraps an already-built engine as a pack, used as-is rather than
+// rebuilt from a Definition. It is the seam that lets tests and the load
+// harness serve a hand-built engine (a FaultHook, a gated or stub LM, a model
+// trained by the harness) through a registry; everything else builds packs
+// with Compile.
 func FromEngine(name string, eng *core.Engine, rs *rules.RuleSet, schema *rules.Schema) (*Compiled, error) {
 	if !nameRE.MatchString(name) {
 		return nil, fmt.Errorf("pack: invalid name %q (want %s)", name, nameRE)

@@ -129,6 +129,9 @@ func TestSubmitSpreadsLoad(t *testing.T) {
 			t.Errorf("job %d decoded on shard %d, admitted to %d", i, res.Shard, admitted[i])
 		}
 	}
+	// A batch settles its inflight count after it has answered its jobs;
+	// Close waits for the batchers, so the count is final once it returns.
+	r.Close()
 	if q, inflight := r.Load(); q != 0 || inflight != 0 {
 		t.Errorf("idle router reports queued=%d inflight=%d", q, inflight)
 	}

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -79,7 +80,7 @@ func TestBackpressure(t *testing.T) {
 
 	eng, rs, schema := testEngine(t, gateLM{vocab: vocab.Telemetry().Size(), gate: gate})
 	s, err := New(Config{
-		Engine: eng, Rules: rs, Schema: schema,
+		Packs: testPacks(t, eng, rs, schema, 0), DefaultPack: "default",
 		BatchWindow: time.Millisecond, MaxBatch: 1, QueueDepth: 1, Workers: 1,
 	})
 	if err != nil {
@@ -163,7 +164,7 @@ func TestRequestTimeout(t *testing.T) {
 func TestServeEndToEnd(t *testing.T) {
 	eng, rs, schema := testEngine(t, uniformLM{vocab: vocab.Telemetry().Size()})
 	s, err := New(Config{
-		Engine: eng, Rules: rs, Schema: schema,
+		Packs: testPacks(t, eng, rs, schema, 0), DefaultPack: "default",
 		BatchWindow: 20 * time.Millisecond, MaxBatch: 8, Workers: 4,
 	})
 	if err != nil {
@@ -286,5 +287,59 @@ func waitFor(t *testing.T, s *Server, cond func(Snapshot) bool) {
 	t.Helper()
 	if !s.Metrics().WaitUntil(5*time.Second, cond) {
 		t.Fatal("condition not reached within 5s")
+	}
+}
+
+// TestServeDisconnectsStalledHeaders: a client that connects and never
+// finishes its request headers is disconnected once readHeaderTimeout has
+// passed, and a well-formed request on another connection is served while it
+// stalls.
+func TestServeDisconnectsStalledHeaders(t *testing.T) {
+	old := readHeaderTimeout
+	readHeaderTimeout = 200 * time.Millisecond
+	t.Cleanup(func() { readHeaderTimeout = old })
+
+	s := newTestServer(t, nil)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- s.Serve(ctx, l) }()
+
+	stalled, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stalled.Close()
+	// A request line and one header, never the blank line that ends them.
+	if _, err := io.WriteString(stalled, "POST /v1/impute HTTP/1.1\r\nHost: lejitd\r\n"); err != nil {
+		t.Fatal(err)
+	}
+
+	resp, err := http.Post("http://"+l.Addr().String()+"/v1/impute", "application/json",
+		strings.NewReader(`{"known": {"TotalIngress": [100], "Congestion": [0]}, "seed": 1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("well-formed request beside a stalled one: status %d", resp.StatusCode)
+	}
+
+	// The server must hang up on the stalled connection (EOF, or an error
+	// reply before it); the test's own read deadline expiring instead means
+	// the connection was left open.
+	stalled.SetReadDeadline(time.Now().Add(5 * time.Second))
+	_, err = io.ReadAll(stalled)
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("stalled connection still open %v after its header deadline", 5*time.Second)
+	}
+
+	cancel()
+	if err := <-serveErr; err != nil && err != http.ErrServerClosed {
+		t.Fatalf("Serve: %v", err)
 	}
 }

@@ -22,9 +22,10 @@ import (
 // --- nn-backed fixtures -------------------------------------------------------
 //
 // uniformLM/gateLM do not implement core.BatchLM, so every other server test
-// exercises the per-record worker pool. The fault-injection e2e needs the
-// lock-step GEMM path — the one a poisoned lane shares with 15 strangers —
-// so it builds a real (tiny, untrained) transformer.
+// steps its lanes through the decode loop's Session adapter. The
+// fault-injection e2e needs the batched GEMM forward pass — the one a
+// poisoned lane shares with 15 strangers — so it builds a real (tiny,
+// untrained) transformer.
 
 var (
 	faultModelOnce sync.Once
@@ -72,7 +73,7 @@ func newFaultServer(t *testing.T, hook func(core.FaultSite) error, tweak func(*C
 	t.Helper()
 	eng, rs, schema := nnServerEngine(t, hook)
 	cfg := Config{
-		Engine: eng, Rules: rs, Schema: schema,
+		Packs: testPacks(t, eng, rs, schema, 0), DefaultPack: "default",
 		BatchWindow: 150 * time.Millisecond, MaxBatch: 16, Workers: 1,
 	}
 	if tweak != nil {
@@ -270,7 +271,7 @@ func TestDrainRefusalBeatsQueueFull(t *testing.T) {
 
 	eng, rs, schema := testEngine(t, gateLM{vocab: vocab.Telemetry().Size(), gate: gate})
 	s, err := New(Config{
-		Engine: eng, Rules: rs, Schema: schema,
+		Packs: testPacks(t, eng, rs, schema, 0), DefaultPack: "default",
 		BatchWindow: time.Millisecond, MaxBatch: 1, QueueDepth: 1, Workers: 1,
 	})
 	if err != nil {
@@ -358,7 +359,7 @@ func TestTimeoutMsClampedToServerMax(t *testing.T) {
 	gate := make(chan struct{})
 	eng, rs, schema := testEngine(t, gateLM{vocab: vocab.Telemetry().Size(), gate: gate})
 	s, err := New(Config{
-		Engine: eng, Rules: rs, Schema: schema,
+		Packs: testPacks(t, eng, rs, schema, 0), DefaultPack: "default",
 		BatchWindow: time.Millisecond, Workers: 1,
 		Timeout: 100 * time.Millisecond,
 	})

@@ -27,8 +27,8 @@ func newPrefixTestServer(t *testing.T) *Server {
 	}
 	eng, rs, schema := testEngine(t, core.WrapNN(m))
 	s, err := New(Config{
-		Engine: eng, Rules: rs, Schema: schema,
-		Workers: 2, BatchWindow: time.Millisecond, PrefixCacheMB: 16,
+		Packs: testPacks(t, eng, rs, schema, 16<<20), DefaultPack: "default",
+		Workers: 2, BatchWindow: time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -20,29 +19,17 @@ import (
 	"repro/internal/rules"
 )
 
-// Config assembles a Server. Either Packs or Engine is required; everything
+// Config assembles a Server. Packs and DefaultPack are required; everything
 // else has serving-sane defaults.
 type Config struct {
 	// Packs is the domain-pack registry the server decodes under: each
 	// request selects a pack by name ("pack" field, default DefaultPack) and
-	// runs against that pack's engine, rules, and schema. When nil, the
-	// Engine/Rules/Schema fields below are wrapped into a single-pack
-	// registry named "default" — the pre-pack construction path.
+	// runs against that pack's engine, rules, and schema. Kernel worker
+	// groups, weight quantization and prefix caches are per-pack state
+	// (pack.Definition, pack.NewRegistry).
 	Packs *pack.Registry
 	// DefaultPack names the pack used by requests that do not select one.
-	// Required when Packs is set; implied ("default") otherwise.
 	DefaultPack string
-
-	// Engine decodes when Packs is nil. Engines are used only from the
-	// single batcher goroutine (which hands per-worker clones to the pool),
-	// so the engine's no-concurrency contract holds.
-	Engine *core.Engine
-	// Rules defines compliance for responses and /v1/check when Packs is
-	// nil. May be nil.
-	Rules *rules.RuleSet
-	// Schema validates request records when Packs is nil. May be nil (no
-	// validation).
-	Schema *rules.Schema
 
 	// Replicas is the engine shard count (default 1). Each shard runs its
 	// own micro-batcher and engine clones behind a load-aware router; rule
@@ -61,7 +48,8 @@ type Config struct {
 	// QueueDepth bounds total queued admissions across shards; full queues
 	// answer 429 with Retry-After (default 256, split evenly per shard).
 	QueueDepth int
-	// Workers is the decode pool size per batch (default GOMAXPROCS).
+	// Workers is the goroutine budget per micro-batch (default GOMAXPROCS):
+	// a batch's lanes are cut into at most that many lock-step groups.
 	Workers int
 	// Timeout is the default per-request deadline (default 30s); requests
 	// may lower or raise it via timeout_ms.
@@ -77,24 +65,6 @@ type Config struct {
 	// 200, so load balancers keep the instance) once at least this many
 	// requests have exhausted their solver budget. 0 disables degradation.
 	DegradedThreshold int
-	// KernelWorkers, when non-zero and Packs is nil, shards the wrapped
-	// engine's GEMM kernels across a worker group of that many goroutines
-	// (negative → GOMAXPROCS). Output is bit-identical at any worker count
-	// (DESIGN.md §15). No-op for non-nn engines. When Packs is set, worker
-	// groups are per-pack state (pack.Definition.KernelWorkers).
-	KernelWorkers int
-	// Quantize, when non-empty and Packs is nil, applies int8 weight
-	// quantization ("exact" or "snap", see nn.Model.Quantize) to the wrapped
-	// engine's model. Errors for non-nn engines. When Packs is set,
-	// quantization is per-pack state (pack.Definition.Quantize).
-	Quantize string
-	// PrefixCacheMB, when positive and Packs is nil, attaches a
-	// cross-request prefix cache of that many MiB to the wrapped engine
-	// (DESIGN.md §11): decodes sharing a prompt prefix reuse frozen
-	// transformer KV state and solver witnesses across micro-batches, with
-	// LRU eviction under the byte cap. 0 disables the cache. When Packs is
-	// set, per-pack caches are the registry's business (pack.NewRegistry).
-	PrefixCacheMB int
 	// Logf, when set, receives serving log lines.
 	Logf func(format string, args ...any)
 }
@@ -150,8 +120,8 @@ type Server struct {
 // New builds a Server and starts its shard batcher goroutines. Callers must
 // Close it (Serve does so on return).
 func New(cfg Config) (*Server, error) {
-	if cfg.Packs == nil && cfg.Engine == nil {
-		return nil, fmt.Errorf("server: Packs or Engine is required")
+	if cfg.Packs == nil {
+		return nil, fmt.Errorf("server: Packs is required")
 	}
 	cfg.fill()
 	s := &Server{
@@ -160,31 +130,6 @@ func New(cfg Config) (*Server, error) {
 		defaultPack: cfg.DefaultPack,
 		mux:         http.NewServeMux(),
 		started:     time.Now(),
-	}
-	if s.packs == nil {
-		// Legacy construction: wrap the single engine as the pack "default".
-		// The registry owns the per-pack prefix cache (it outlives any
-		// single micro-batch: snapshots captured in one batch warm requests
-		// in every later one), so PrefixCacheMB becomes its byte budget.
-		s.packs = pack.NewRegistry(int64(cfg.PrefixCacheMB) << 20)
-		if cfg.KernelWorkers != 0 {
-			cfg.Engine.SetKernelWorkers(cfg.KernelWorkers)
-		}
-		if cfg.Quantize != "" {
-			if _, err := cfg.Engine.SetWeightQuantization(cfg.Quantize); err != nil {
-				return nil, fmt.Errorf("server: %w", err)
-			}
-		}
-		pk, err := pack.FromEngine("default", cfg.Engine, cfg.Rules, cfg.Schema)
-		if err != nil {
-			return nil, err
-		}
-		if err := s.packs.Register(pk); err != nil {
-			return nil, err
-		}
-		if s.defaultPack == "" {
-			s.defaultPack = "default"
-		}
 	}
 	if _, ok := s.packs.Get(s.defaultPack); !ok {
 		return nil, fmt.Errorf("server: default pack %q is not registered (have %v)", s.defaultPack, s.packs.Names())
@@ -240,12 +185,18 @@ func (s *Server) Router() *router.Router { return s.router }
 // are drained (Serve sequences this correctly).
 func (s *Server) Close() { s.router.Close() }
 
+// readHeaderTimeout bounds how long a connection may take to deliver its
+// request headers; without it a client that connects and stalls holds a
+// connection and a goroutine for as long as it likes. A var only so the
+// stalled-header test can shorten it.
+var readHeaderTimeout = 10 * time.Second
+
 // Serve accepts connections on l until ctx is cancelled, then drains: new
 // requests are refused with 503, in-flight requests finish (bounded by
 // DrainTimeout), and only then is the batcher stopped. This is the SIGTERM
 // path — cmd/lejitd passes a signal-cancelled context.
 func (s *Server) Serve(ctx context.Context, l net.Listener) error {
-	hs := &http.Server{Handler: s}
+	hs := &http.Server{Handler: s, ReadHeaderTimeout: readHeaderTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(l) }()
 	select {
@@ -469,9 +420,13 @@ func (s *Server) buildDecodeOutcome(pk *pack.Compiled, res router.Result) decode
 	}
 	st := res.Res.Stats
 	s.metrics.countDecode(pk.Def.Name, st.Tokens, st.SolverChecks, st.SpecAcceptedTokens, st.SpecRollbacks)
+	line, err := pk.FormatRecord(res.Res.Rec)
+	if err != nil {
+		return decodeOutcome{code: http.StatusInternalServerError, errMsg: err.Error()}
+	}
 	out := &DecodeResponse{
 		Record:    res.Res.Rec,
-		Line:      formatLine(pk.Engine, res.Res.Rec),
+		Line:      line,
 		Compliant: true,
 		BatchSize: res.BatchSize,
 		Pack:      pk.Def.Name,
@@ -502,20 +457,6 @@ func (s *Server) writeDecodeResult(w http.ResponseWriter, pk *pack.Compiled, res
 		return writeError(w, o.code, o.errMsg, o.status)
 	}
 	return writeJSON(w, http.StatusOK, o.body)
-}
-
-// formatLine renders a record in the engine's grammar order (digits +
-// separators), the same text format the pack's LM was trained on.
-func formatLine(e *core.Engine, rec rules.Record) string {
-	var b strings.Builder
-	for _, sl := range e.Slots() {
-		vs, ok := rec[sl.Field]
-		if !ok || sl.Index >= len(vs) {
-			return ""
-		}
-		fmt.Fprintf(&b, "%d%c", vs[sl.Index], sl.Sep)
-	}
-	return b.String()
 }
 
 // handleCheck serves /v1/check: pure rule evaluation, no queue, no decode.

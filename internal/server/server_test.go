@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/pack"
 	"repro/internal/rules"
 	"repro/internal/vocab"
 )
@@ -103,12 +104,29 @@ func testEngine(t *testing.T, lm core.LM) (*core.Engine, *rules.RuleSet, *rules.
 	return eng, rs, schema
 }
 
+// testPacks serves a hand-built engine as the single pack "default" through
+// pack.FromEngine — the seam that lets a test put a FaultHook or a gated LM
+// behind the server. cacheBytes is the registry's per-pack prefix-cache
+// budget (0 disables the cache).
+func testPacks(tb testing.TB, eng *core.Engine, rs *rules.RuleSet, schema *rules.Schema, cacheBytes int64) *pack.Registry {
+	tb.Helper()
+	pk, err := pack.FromEngine("default", eng, rs, schema)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	reg := pack.NewRegistry(cacheBytes)
+	if err := reg.Register(pk); err != nil {
+		tb.Fatal(err)
+	}
+	return reg
+}
+
 // newTestServer builds a Server over a uniform LM, applies cfg tweaks, and
 // registers cleanup.
 func newTestServer(t *testing.T, tweak func(*Config)) *Server {
 	t.Helper()
 	eng, rs, schema := testEngine(t, uniformLM{vocab: vocab.Telemetry().Size()})
-	cfg := Config{Engine: eng, Rules: rs, Schema: schema, Workers: 2, BatchWindow: time.Millisecond}
+	cfg := Config{Packs: testPacks(t, eng, rs, schema, 0), DefaultPack: "default", Workers: 2, BatchWindow: time.Millisecond}
 	if tweak != nil {
 		tweak(&cfg)
 	}

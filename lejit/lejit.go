@@ -9,6 +9,12 @@
 // and renormalizes. Outputs are guaranteed to satisfy every rule while
 // preserving the model's learned distribution among compliant choices.
 //
+// Every guided decode runs through one loop (DESIGN.md §9): Impute and
+// Generate decode a batch of one record, ImputeBatch a batch of many that
+// shares each forward pass of the model. A record's output depends on its
+// prompt and seed only, never on what it is batched with, and a panic inside
+// a decode is returned as an error rather than raised.
+//
 // The same trained model is repurposed across tasks by swapping rule sets:
 //
 //	pipe, _ := lejit.NewPipeline(model, schema, imputationRules)
@@ -264,10 +270,11 @@ func (p *Pipeline) ImputeBeam(known Record, width int) (Record, Stats, error) {
 	return res.Rec, res.Stats, err
 }
 
-// ImputeBatch decodes many prompts in parallel (workers ≤ 0 → GOMAXPROCS),
-// returning per-prompt records and errors in prompt order. Deterministic in
-// seed regardless of worker count. The pipeline's engine is reused: worker
-// clones share its compiled rule formula, so spin-up is cheap.
+// ImputeBatch decodes many prompts as one batch on at most workers
+// goroutines (workers ≤ 0 → GOMAXPROCS), returning per-prompt records and
+// errors in prompt order. Deterministic in seed regardless of worker count.
+// The pipeline's engine is reused: each record decodes on a pooled clone
+// sharing its compiled rule formula, so spin-up is cheap.
 func (p *Pipeline) ImputeBatch(prompts []Record, workers int, seed int64) ([]Record, []error, error) {
 	out, err := p.eng.DecodeBatch(prompts, workers, seed, nil)
 	if err != nil {
