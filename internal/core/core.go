@@ -241,9 +241,10 @@ type Stats struct {
 	// OracleFastPath counts probes answered locally from the slot's
 	// interval state (no solver call); OracleProbes counts probes that
 	// reached the solver — the two partition OracleQueries. (An epoch-keyed
-	// probe cache once sat between them; it was removed after BENCH_2
-	// measured a 0.17% hit rate, see DESIGN.md §6.) FastPathMismatches
-	// counts ValidateFastPath disagreements — nonzero means a soundness bug.
+	// probe cache once sat between them; it was removed after
+	// artifacts/history/BENCH_2.json measured a 0.17% hit rate, see
+	// DESIGN.md §6.) FastPathMismatches counts ValidateFastPath
+	// disagreements — nonzero means a soundness bug.
 	OracleFastPath     uint64
 	OracleProbes       uint64
 	FastPathMismatches uint64

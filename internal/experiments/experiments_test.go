@@ -3,11 +3,14 @@ package experiments
 import (
 	"context"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/nn"
 )
 
 // prepared caches one tiny environment across the package's tests (training
@@ -238,4 +241,80 @@ func TestDecodeStrategyAblationTiny(t *testing.T) {
 		}
 	}
 	_ = AblationTable("decode", ab).Render()
+}
+
+// TestCommittedArtifactsLoad: every model cached under artifacts/ loads, and
+// the default scale's key is among them with the default scale's shape — so
+// `lejit-bench -scale default` finds its model instead of silently
+// retraining over a file it cannot read.
+func TestCommittedArtifactsLoad(t *testing.T) {
+	paths, err := filepath.Glob("../../artifacts/gpt2mini_*.gob")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no committed model artifacts (err %v)", err)
+	}
+	sc := DefaultScale()
+	defaultSeen := false
+	for _, p := range paths {
+		f, err := os.Open(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := nn.Load(f)
+		f.Close()
+		isDefault := filepath.Base(p) == "gpt2mini_"+sc.cacheKey()+".gob"
+		defaultSeen = defaultSeen || isDefault
+		if err != nil {
+			t.Errorf("%s: %v", p, err)
+			continue
+		}
+		if want := sc.modelCfg(m.Cfg.Vocab); isDefault && m.Cfg != want {
+			t.Errorf("%s: config %+v, want the default scale's %+v", p, m.Cfg, want)
+		}
+	}
+	if !defaultSeen {
+		t.Errorf("no artifact for the default scale (key %s)", sc.cacheKey())
+	}
+}
+
+// TestSaveModelAtomic: saveModel leaves exactly the named file, loadable and
+// world-readable, and no temp file beside it; overwriting an existing cache
+// entry goes through the same rename.
+func TestSaveModelAtomic(t *testing.T) {
+	m, err := nn.New(TinyScale().modelCfg(16), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "cache") // saveModel creates it
+	path := filepath.Join(dir, "gpt2mini_test.gob")
+	for pass := 0; pass < 2; pass++ {
+		if err := saveModel(m, path); err != nil {
+			t.Fatal(err)
+		}
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ents) != 1 || ents[0].Name() != filepath.Base(path) {
+			t.Fatalf("pass %d: cache dir holds %v, want only %s", pass, ents, filepath.Base(path))
+		}
+		info, err := ents[0].Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Mode().Perm() != 0o644 {
+			t.Errorf("pass %d: mode %v, want 0644", pass, info.Mode().Perm())
+		}
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := nn.Load(f)
+		f.Close()
+		if err != nil {
+			t.Fatalf("pass %d: %v", pass, err)
+		}
+		if got.NumParams() != m.NumParams() {
+			t.Errorf("pass %d: loaded %d params, saved %d", pass, got.NumParams(), m.NumParams())
+		}
+	}
 }

@@ -61,16 +61,6 @@ func pad(s string, w int) string {
 }
 
 func pct(v float64) string   { return fmt.Sprintf("%.2f%%", v*100) }
-func f1(v float64) string    { return strconv.FormatFloat(v, 'f', 1, 64) }
 func f3(v float64) string    { return strconv.FormatFloat(v, 'f', 3, 64) }
 func itoa(v int) string      { return strconv.Itoa(v) }
 func itoa64(v uint64) string { return strconv.FormatUint(v, 10) }
-
-// speedupCell renders a nullable speedup: "n/a" when the host could not
-// have shown one (GOMAXPROCS=1).
-func speedupCell(s *float64) string {
-	if s == nil {
-		return "n/a"
-	}
-	return fmt.Sprintf("%.2fx", *s)
-}

@@ -8,6 +8,7 @@ package experiments
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -249,20 +250,32 @@ func (e *Env) loadOrTrain() error {
 	e.Model = m
 
 	if path != "" {
-		if err := os.MkdirAll(sc.CacheDir, 0o755); err != nil {
-			return err
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := m.Save(f); err != nil {
-			return err
+		if err := saveModel(m, path); err != nil {
+			return fmt.Errorf("experiments: caching model: %w", err)
 		}
 		e.Logf("experiments: cached model at %s", path)
 	}
 	return nil
+}
+
+// saveModel writes m to path through a temp file in the same directory and a
+// rename, so path never holds a partly written model: a run that is killed
+// mid-write, or whose Close fails, leaves the previous file (or none) behind
+// instead of a truncated gob that every later run silently retrains over.
+func saveModel(m *nn.Model, path string) error {
+	dir := filepath.Dir(path)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	defer os.Remove(f.Name()) // no-op once renamed
+	if err := errors.Join(m.Save(f), f.Chmod(0o644), f.Close()); err != nil {
+		return err
+	}
+	return os.Rename(f.Name(), path)
 }
 
 // Corpus tokenizes windows into BOS…EOS training sequences.
@@ -281,19 +294,12 @@ func Corpus(tok *vocab.Tokenizer, ws []dataset.Window) ([][]int, error) {
 // EngineFor builds a decoding engine over the trained model for the given
 // rule set and mode.
 func (e *Env) EngineFor(rs *rules.RuleSet, mode core.Mode) (*core.Engine, error) {
-	return e.EngineForModel(e.Model, rs, mode)
-}
-
-// EngineForModel is EngineFor over an explicit model — the cores benchmark
-// decodes against a gob-cloned copy so snap-mode quantization never touches
-// the shared Env model.
-func (e *Env) EngineForModel(m *nn.Model, rs *rules.RuleSet, mode core.Mode) (*core.Engine, error) {
 	slots, err := core.TelemetryGrammar(e.Schema, dataset.CoarseFields(), dataset.FineField)
 	if err != nil {
 		return nil, err
 	}
 	return core.NewEngine(core.Config{
-		LM: core.WrapNN(m), Tok: e.Tok, Schema: e.Schema,
+		LM: core.WrapNN(e.Model), Tok: e.Tok, Schema: e.Schema,
 		Rules: rs, Slots: slots, Mode: mode,
 		Temperature: e.Scale.Temperature,
 	})

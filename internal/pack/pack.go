@@ -211,10 +211,9 @@ func compile(def Definition, checkExamples bool) (*Compiled, error) {
 }
 
 // FromEngine wraps an already-built engine as a pack, used as-is rather than
-// rebuilt from a Definition. It is the seam that lets tests and the load
-// harness serve a hand-built engine (a FaultHook, a gated or stub LM, a model
-// trained by the harness) through a registry; everything else builds packs
-// with Compile.
+// rebuilt from a Definition. It is a test seam: it lets a test serve a
+// hand-built engine (a FaultHook, a gated or stub LM) through a registry;
+// everything else builds packs with Compile.
 func FromEngine(name string, eng *core.Engine, rs *rules.RuleSet, schema *rules.Schema) (*Compiled, error) {
 	if !nameRE.MatchString(name) {
 		return nil, fmt.Errorf("pack: invalid name %q (want %s)", name, nameRE)

@@ -141,9 +141,18 @@ func TestStreamMatchesUnarySolo(t *testing.T) {
 
 // TestStreamMatchesUnaryLockStep: streamed and unary requests coalesced into
 // lock-step batches (nn-backed engine, wide batch window) stay bit-identical
-// per (prompt, seed) — chunks from concurrently decoding lanes never mix.
+// per (prompt, seed) — chunks from concurrently decoding lanes never mix, on
+// one shard and when the router spreads each wave over a fleet of four.
 func TestStreamMatchesUnaryLockStep(t *testing.T) {
-	s := newFaultServer(t, nil, nil)
+	for _, replicas := range []int{1, 4} {
+		t.Run(fmt.Sprintf("replicas=%d", replicas), func(t *testing.T) {
+			testStreamMatchesUnaryLockStep(t, replicas)
+		})
+	}
+}
+
+func testStreamMatchesUnaryLockStep(t *testing.T, replicas int) {
+	s := newFaultServer(t, nil, func(c *Config) { c.Replicas = replicas })
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
