@@ -293,6 +293,72 @@ func BenchmarkSMTCheckMinedRules(b *testing.B) {
 	}
 }
 
+// BenchmarkSMTOraclePattern replays the decoder's solver traffic for one
+// imputed record without the LM: the mined rules stay asserted, each
+// iteration pushes a frame, pins a prompt's five coarse fields, and then per
+// fine-grained slot reads the base bounds, probes the ten first-digit ranges
+// and asserts a feasible value. Unlike BenchmarkSMTCheckMinedRules it works
+// on a pinned stack, where most mined rows are constants or entailed bounds.
+// `go test -bench SMTOraclePattern -cpuprofile cpu.out .` is the way to
+// profile the solver as the serving path exercises it.
+func BenchmarkSMTOraclePattern(b *testing.B) {
+	env := benchEnv(b)
+	s := smt.NewSolver()
+	bind := rules.Instantiate(s, env.Schema)
+	f, err := env.ImputeRules.CompileAll(bind)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s.Assert(f)
+	fine, _ := bind.Vars(dataset.FineField)
+	pin := func(rec rules.Record) {
+		for _, name := range dataset.CoarseFields() {
+			vs, _ := bind.Vars(name)
+			s.Assert(smt.Eq(smt.V(vs[0]), smt.C(rec[name][0])))
+		}
+	}
+	// Keep the prompts the rules admit (a test record may violate a mined rule).
+	var prompts []rules.Record
+	for _, rec := range imputePrompts(b) {
+		s.Push()
+		pin(rec)
+		if s.Check().Status == smt.Sat {
+			prompts = append(prompts, rec)
+		}
+		s.Pop()
+	}
+	if len(prompts) == 0 {
+		b.Fatal("no feasible prompt")
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Push()
+		pin(prompts[i%len(prompts)])
+		for _, v := range fine {
+			if _, _, ok := s.BaseBounds(v); !ok {
+				b.Fatal("pinned stack infeasible")
+			}
+			val, found := int64(0), false
+			for d := int64(0); d <= 9; d++ {
+				r := s.CheckWith(smt.Ge(smt.V(v), smt.C(10*d)), smt.Le(smt.V(v), smt.C(10*d+9)))
+				if r.Status == smt.Unknown {
+					b.Fatal("unknown")
+				}
+				if r.Status == smt.Sat {
+					// The last feasible range's witness: values differ per slot
+					// and the sum coupling stays satisfiable.
+					val, found = r.Model[v], true
+				}
+			}
+			if !found {
+				b.Fatal("no feasible value")
+			}
+			s.Assert(smt.Eq(smt.V(v), smt.C(val)))
+		}
+		s.Pop()
+	}
+}
+
 func BenchmarkSMTFeasibleRange(b *testing.B) {
 	s := smt.NewSolver()
 	var sum smt.LinExpr

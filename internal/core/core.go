@@ -317,16 +317,17 @@ type Engine struct {
 	// digitTok[d] is the token id of digit d.
 	digitTok  [10]int
 	maxDigits map[string]int // per field, from the domain's upper bound
-	// lastModel is the most recent model the solver produced, valid while
-	// the epoch matches lastModelEpoch; it seeds each slot oracle's witness
-	// so a slot's first probe (HasPath) usually costs no solver check.
-	lastModel      map[smt.Var]int64
+	// lastModel is the most recent model the solver produced, indexed by
+	// smt.Var and valid while the epoch matches lastModelEpoch; it seeds each
+	// slot oracle's witness so a slot's first probe (HasPath) usually costs
+	// no solver check.
+	lastModel      []int64
 	lastModelEpoch uint64
-	// varConjuncts indexes the rule formula's top-level conjuncts by the
-	// variables they mention, built lazily on the first model-patching
-	// attempt (oracle.go). Shared across records: the rule formula never
-	// changes after construction.
-	varConjuncts map[smt.Var][]smt.Formula
+	// varConjuncts[v] lists the rule formula's top-level conjuncts that
+	// mention v, built lazily on the first model-patching attempt
+	// (oracle.go). Shared across records: the rule formula never changes
+	// after construction.
+	varConjuncts [][]smt.Formula
 	// fingerprint is the rule-epoch fingerprint stamped on prefix-cache
 	// snapshots: a hash of everything that decides whether a cached
 	// (KV state, witness model) pair is still valid — the rule set, schema,

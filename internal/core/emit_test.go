@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/prefixcache"
 	"repro/internal/rules"
 )
 
@@ -167,5 +168,38 @@ func TestEmitSpeculativeNeverRetracts(t *testing.T) {
 	}
 	if !rolledBack {
 		t.Fatal("no seed triggered a rollback; the retraction edge was not exercised")
+	}
+}
+
+// TestEmitWarmPromptPrecedesFirstStep: a lane restored from a full-prompt
+// cache hit streams its prompt slots when it starts, before the first guided
+// step (the first slot's base build and probes), as a cold lane streams each
+// prompt slot while the prompt is still being fed.
+func TestEmitWarmPromptPrecedesFirstStep(t *testing.T) {
+	e := nnPrefixEngine(t, prefixcache.New(16<<20), "")
+	prompt := rules.Record{"TotalIngress": {120}, "Congestion": {10}}
+	for pass, wantHit := range []bool{false, true} {
+		var events []string // "emit" per streamed slot, "step" per guided step
+		eng, err := e.Clone()
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.cfg.TraceHook = func(TraceStep) { events = append(events, "step") }
+		ctx := WithEmit(context.Background(), func(int, string) { events = append(events, "emit") })
+		res, err := eng.ImputeCtx(ctx, prompt, rand.New(rand.NewSource(5)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hit := res.Stats.PrefixHitTokens > 0; hit != wantHit {
+			t.Fatalf("pass %d: prefix hit = %v, want %v", pass, hit, wantHit)
+		}
+		for i := 0; i < len(prompt); i++ {
+			if events[i] != "emit" {
+				t.Fatalf("pass %d: events start %v; want the %d prompt slots streamed before the first step", pass, events[:i+1], len(prompt))
+			}
+		}
+		if events[len(prompt)] != "step" {
+			t.Fatalf("pass %d: a sampled slot was streamed before any guided step: %v", pass, events[:len(prompt)+1])
+		}
 	}
 }

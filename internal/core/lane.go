@@ -185,7 +185,7 @@ func (e *Engine) newLaneDecoder(ctx context.Context, known rules.Record, rng *ra
 			return ld
 		}
 		// The feasibility model doubles as the first slot's witness seed.
-		e.noteModel(r.Model)
+		e.noteModel(denseModel(r.Model))
 	}
 
 	ld.vals = make([]int64, 0, len(e.cfg.Slots)-plan.fromSlot)
@@ -591,12 +591,9 @@ func (ld *laneDecoder) maybeCapture() {
 	// this epoch; the witness may assign more than the key pins (later knowns
 	// are already asserted), which only makes it a stronger model of the
 	// key's assertion set. A nil model still warm-starts the transformer.
-	var model map[smt.Var]int64
+	var model []int64
 	if e.lastModel != nil && e.lastModelEpoch == e.solver.Epoch() {
-		model = make(map[smt.Var]int64, len(e.lastModel))
-		for k, v := range e.lastModel {
-			model[k] = v
-		}
+		model = append(model, e.lastModel...)
 	}
 	key := append([]int(nil), ld.key...)
 	snap := &prefixcache.Snapshot{

@@ -226,6 +226,12 @@ func (e *Engine) startLane(bs BatchSession, la *lsLane) bool {
 			if err != nil {
 				return err
 			}
+			// The restored slots are complete: stream them now, as a cold
+			// lane streams each prompt slot when its separator is fed, not
+			// after the first slot's base build and probes.
+			if la.ld.emit != nil {
+				la.ld.flushEmit()
+			}
 		}
 		la.ld.capture = func() *nn.Session { return pbs.CloneLane(la.slot) }
 		return nil

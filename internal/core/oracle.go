@@ -72,9 +72,7 @@ func (e *Engine) newSlotOracle(v smt.Var, st *Stats) *slotOracle {
 	o.kLo, o.kHi = lo, hi
 	o.convex = !e.solver.VarDisjunctionTainted(v)
 	if e.lastModel != nil && e.lastModelEpoch == e.solver.Epoch() {
-		if mv, found := e.lastModel[v]; found {
-			o.addWitness(mv)
-		}
+		o.addWitness(e.lastModel[v])
 	}
 	return o
 }
@@ -151,7 +149,7 @@ func (o *slotOracle) probe(qlo, qhi int64) bool {
 	o.st.OracleProbes++
 	sat := r.Status == smt.Sat
 	if sat {
-		e.noteModel(r.Model)
+		e.noteModel(denseModel(r.Model))
 		o.addWitness(r.Model[o.v])
 	} else if r.Status == smt.Unsat {
 		o.noteUnsat(qlo, qhi)
@@ -190,10 +188,7 @@ func (o *slotOracle) patchFeasible(lo, hi int64) bool {
 	if e.lastModel == nil || e.lastModelEpoch != e.solver.Epoch() {
 		return false
 	}
-	m, ok := e.lastModel[o.v]
-	if !ok {
-		return false
-	}
+	m := e.lastModel[o.v]
 	if lo < o.kLo {
 		lo = o.kLo
 	}
@@ -242,14 +237,13 @@ func (e *Engine) patchValue(v smt.Var, x int64) bool {
 
 // patchModel attempts to keep m a full model of the current stack under
 // M[v] = x: it evaluates every rule conjunct mentioning v under the patched
-// model, keeping the patch on success and rolling it back on any failure
-// (including an evaluation error, which would mean the model is not
-// complete over the conjunct's variables — treated as "cannot certify",
-// never as feasible). m must be a model of the current stack minus any
-// constraint on v itself — speculative suffix validation runs this against
-// a scratch copy of the window's settle model at a replayed probe-time
-// stack, where that holds because the stack is a prefix of the settled one.
-func (e *Engine) patchModel(m map[smt.Var]int64, v smt.Var, x int64) bool {
+// model (smt.Holds: m is indexed by variable, so a conjunct costs a slice
+// read per term), keeping the patch on success and rolling it back on any
+// failure. m must be a model of the current stack minus any constraint on v
+// itself — speculative suffix validation runs this against a scratch copy
+// of the window's settle model at a replayed probe-time stack, where that
+// holds because the stack is a prefix of the settled one.
+func (e *Engine) patchModel(m []int64, v smt.Var, x int64) bool {
 	old := m[v]
 	if x == old {
 		// m already satisfies the stack with this value.
@@ -257,24 +251,19 @@ func (e *Engine) patchModel(m map[smt.Var]int64, v smt.Var, x int64) bool {
 	}
 	m[v] = x
 	var broken smt.Formula
-	ok := true
 	for _, c := range e.conjunctsOn(v) {
-		sat, err := smt.EvalFormula(c, m)
-		if err != nil {
-			ok, broken = false, nil
-			break
+		if smt.Holds(c, m) {
+			continue
 		}
-		if !sat {
-			if broken != nil {
-				// Two independent conjuncts broken: repair would need to
-				// move two more variables. Leave it to the solver.
-				ok, broken = false, nil
-				break
-			}
-			ok, broken = false, c
+		if broken != nil {
+			// Two independent conjuncts broken: repair would need to move
+			// two more variables. Leave it to the solver.
+			m[v] = old
+			return false
 		}
+		broken = c
 	}
-	if ok || (broken != nil && e.repairConjunct(m, broken, v)) {
+	if broken == nil || e.repairConjunct(m, broken, v) {
 		return true
 	}
 	m[v] = old
@@ -293,15 +282,12 @@ func (e *Engine) patchModel(m map[smt.Var]int64, v smt.Var, x int64) bool {
 // declared domain. On success the model differs from a known-satisfying one
 // in exactly {v, u}, and every conjunct mentioning either has been
 // re-evaluated true: the patched model is again a full model.
-func (e *Engine) repairConjunct(m map[smt.Var]int64, broken smt.Formula, v smt.Var) bool {
+func (e *Engine) repairConjunct(m []int64, broken smt.Formula, v smt.Var) bool {
 	a, isAtom := smt.AtomOf(broken)
 	if !isAtom {
 		return false
 	}
-	resid, err := a.Expr.Eval(m)
-	if err != nil {
-		return false
-	}
+	resid := a.Expr.At(m)
 	for _, u := range a.Expr.Vars() {
 		if u == v {
 			continue
@@ -326,8 +312,7 @@ func (e *Engine) repairConjunct(m map[smt.Var]int64, broken smt.Formula, v smt.V
 		m[u] = newU
 		good := true
 		for _, c := range e.conjunctsOn(u) {
-			sat, err := smt.EvalFormula(c, m)
-			if err != nil || !sat {
+			if !smt.Holds(c, m) {
 				good = false
 				break
 			}
@@ -511,12 +496,25 @@ func (o *slotOracle) FeasibleAny(ranges [][2]int64) bool {
 // which seeds the next slot's witness for free; laneDecoder.advance
 // re-validates the model across value assertions when the pinned value
 // matches.
-func (e *Engine) noteModel(m map[smt.Var]int64) {
+func (e *Engine) noteModel(m []int64) {
 	if m == nil {
 		return
 	}
 	e.lastModel = m
 	e.lastModelEpoch = e.solver.Epoch()
+}
+
+// denseModel re-indexes a solver model by variable. Solver models are
+// complete — one entry per declared variable — so the slice has no gaps.
+func denseModel(m map[smt.Var]int64) []int64 {
+	if m == nil {
+		return nil
+	}
+	d := make([]int64, len(m))
+	for v, x := range m {
+		d[v] = x
+	}
+	return d
 }
 
 // conjunctsOn returns the rule formula's top-level conjuncts that mention v,
@@ -526,7 +524,7 @@ func (e *Engine) noteModel(m map[smt.Var]int64) {
 // mention an in-flight slot variable.
 func (e *Engine) conjunctsOn(v smt.Var) []smt.Formula {
 	if e.varConjuncts == nil {
-		e.varConjuncts = map[smt.Var][]smt.Formula{}
+		e.varConjuncts = make([][]smt.Formula, e.solver.NumVars())
 		if e.ruleFormula != nil {
 			for _, c := range smt.Conjuncts(e.ruleFormula) {
 				for u := range smt.FormulaVars(c) {

@@ -116,7 +116,7 @@ type specCP struct {
 
 	nVals, nKey, keySlots, genCaps int
 	stats                          Stats
-	model                          map[smt.Var]int64
+	model                          []int64
 	modelValid                     bool
 }
 
@@ -232,10 +232,7 @@ func (ld *laneDecoder) specCheckpoint(logits []float32) {
 		cp.oWvals = append([]int64(nil), ld.oracle.wvals...)
 	}
 	if e.lastModel != nil {
-		cp.model = make(map[smt.Var]int64, len(e.lastModel))
-		for k, v := range e.lastModel {
-			cp.model[k] = v
-		}
+		cp.model = append([]int64(nil), e.lastModel...)
 		cp.modelValid = e.lastModelEpoch == e.solver.Epoch()
 	}
 	sp.cps = append(sp.cps, cp)
@@ -333,7 +330,7 @@ func (ld *laneDecoder) resolveWindow(cause error) (rolledBack bool, err error) {
 // Also returned: the settle model (for commitWindow to publish), and the
 // last run's replica with its stack height, so commit or rollback can fold
 // the knowledge proven here back into the live oracle (mergeOracle).
-func (ld *laneDecoder) validateProbes() (viol int, fullModel map[smt.Var]int64, vo *slotOracle, voN int) {
+func (ld *laneDecoder) validateProbes() (viol int, fullModel []int64, vo *slotOracle, voN int) {
 	e := ld.e
 	sp := ld.spec
 	vfp := e.cfg.ValidateFastPath
@@ -350,21 +347,19 @@ func (ld *laneDecoder) validateProbes() (viol int, fullModel map[smt.Var]int64, 
 		settled = true
 		fullModel = e.lastModel
 	}
-	settle := func() map[smt.Var]int64 {
+	settle := func() []int64 {
 		if !settled {
 			settled = true
 			ld.specStackTo(len(sp.asserts))
 			if r := e.solver.Check(); r.Status == smt.Sat {
-				fullModel = r.Model
+				fullModel = denseModel(r.Model)
 			}
 		}
 		return fullModel
 	}
 	seed := func(vo *slotOracle) {
 		if m := fullModel; m != nil {
-			if x, ok := m[vo.v]; ok {
-				vo.addWitness(x)
-			}
+			vo.addWitness(m[vo.v])
 		}
 	}
 	// The run's patchable models: full models of the run's probe-time stack
@@ -378,17 +373,7 @@ func (ld *laneDecoder) validateProbes() (viol int, fullModel map[smt.Var]int64, 
 	// whole window stack and hence the run's prefix of it. Each is re-copied
 	// per run: patches shift variables the suffix stack re-pins, so an
 	// evolved copy is only a model of its own run's stack.
-	var cpScr, stScr map[smt.Var]int64
-	copyModel := func(src map[smt.Var]int64) map[smt.Var]int64 {
-		if src == nil {
-			return nil
-		}
-		dst := make(map[smt.Var]int64, len(src))
-		for k, x := range src {
-			dst[k] = x
-		}
-		return dst
-	}
+	var cpScr, stScr []int64
 
 	// materialize folds the solver's propagated bounds at the run's
 	// probe-time stack into the replica, at most once per run. Bounds can
@@ -425,7 +410,7 @@ func (ld *laneDecoder) validateProbes() (viol int, fullModel map[smt.Var]int64, 
 		cpScr, stScr = nil, nil
 		if pr0.pos >= 0 && pr0.pos < len(sp.cps) {
 			if cp := &sp.cps[pr0.pos]; cp.nAsserts == pr0.nAsserts && cp.modelValid {
-				cpScr = copyModel(cp.model)
+				cpScr = append([]int64(nil), cp.model...)
 			}
 		}
 		for ; i < len(sp.probes); i++ {
@@ -461,7 +446,7 @@ func (ld *laneDecoder) validateProbes() (viol int, fullModel map[smt.Var]int64, 
 					d = vo.answerRanges(pr.ranges)
 					if d == 0 {
 						if stScr == nil {
-							stScr = copyModel(fullModel)
+							stScr = append([]int64(nil), fullModel...)
 						}
 						ld.specStackTo(pr.nAsserts)
 						if ld.patchRanges(vo, stScr, pr.ranges) {
@@ -526,7 +511,7 @@ func (ld *laneDecoder) validateProbes() (viol int, fullModel map[smt.Var]int64, 
 				// The fresh model satisfies this run's stack and sits inside
 				// the probed range: the best patch base for the run's
 				// remaining probes, so install it at the free tier.
-				cpScr = rr.Model
+				cpScr = denseModel(rr.Model)
 			case smt.Unsat:
 				for _, r := range und {
 					vo.noteUnsat(r[0], r[1])
@@ -569,14 +554,11 @@ func (ld *laneDecoder) replayOracle(pr *specProbe) *slotOracle {
 // into the range intersected with the known envelope, then the opposite end
 // of the clamped range. On success the witness feeds the replica so sibling
 // probes of the run resolve locally.
-func (ld *laneDecoder) patchRanges(vo *slotOracle, m map[smt.Var]int64, ranges [][2]int64) bool {
+func (ld *laneDecoder) patchRanges(vo *slotOracle, m []int64, ranges [][2]int64) bool {
 	if m == nil {
 		return false
 	}
-	mv, ok := m[vo.v]
-	if !ok {
-		return false
-	}
+	mv := m[vo.v]
 	for _, r := range ranges {
 		if vo.answerLocal(r[0], r[1]) != 0 {
 			continue
@@ -670,7 +652,7 @@ func mergeOracle(dst, src *slotOracle) {
 // the last run's validation replica: folding it into the live oracle hands
 // the witnesses and envelope tightenings proven during validation to the
 // decode that continues from here.
-func (ld *laneDecoder) commitWindow(accepted int, model map[smt.Var]int64, vo *slotOracle, voN int) {
+func (ld *laneDecoder) commitWindow(accepted int, model []int64, vo *slotOracle, voN int) {
 	sp := ld.spec
 	ld.insertCaps(sp.caps)
 	sp.caps = sp.caps[:0]

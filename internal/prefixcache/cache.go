@@ -21,7 +21,6 @@ import (
 	"sync"
 
 	"repro/internal/nn"
-	"repro/internal/smt"
 )
 
 // Snapshot is the paired mid-record state stored at one radix node. The
@@ -34,8 +33,9 @@ type Snapshot struct {
 	// Model is the solver's witness model at the boundary — a satisfying
 	// assignment for the rule set plus every value pinned by the key. Nil
 	// when the engine had no epoch-current model at capture time; a nil
-	// model still warm-starts the transformer, just not the oracle.
-	Model map[smt.Var]int64
+	// model still warm-starts the transformer, just not the oracle. Indexed
+	// by smt.Var.
+	Model []int64
 	// RuleEpoch fingerprints the rule environment (rules, schema, slots,
 	// decode mode, model identity) the snapshot was captured under.
 	RuleEpoch uint64
@@ -48,7 +48,7 @@ type Snapshot struct {
 // is a private copy the caller may mutate.
 type Hit struct {
 	Sess   *nn.Session
-	Model  map[smt.Var]int64
+	Model  []int64
 	Tokens int // key prefix length restored (BOS included)
 	Slots  int
 }
@@ -144,10 +144,7 @@ func (c *Cache) Lookup(key []int, epoch uint64) *Hit {
 		Slots:  best.snap.Slots,
 	}
 	if m := best.snap.Model; m != nil {
-		h.Model = make(map[smt.Var]int64, len(m))
-		for k, v := range m {
-			h.Model[k] = v
-		}
+		h.Model = append([]int64(nil), m...)
 	}
 	return h
 }
@@ -169,7 +166,7 @@ func (c *Cache) NeedsInsert(key []int, epoch uint64) bool {
 // from another epoch is replaced; least-recently-used entries are evicted
 // until the new total fits.
 func (c *Cache) Insert(key []int, snap *Snapshot) bool {
-	bytes := snap.Sess.KVBytes() + int64(len(snap.Model))*16 + int64(len(key))*8 + entryOverhead
+	bytes := snap.Sess.KVBytes() + int64(len(snap.Model))*8 + int64(len(key))*8 + entryOverhead
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if len(key) < 2 || bytes > c.maxBytes {

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/nn"
-	"repro/internal/smt"
 )
 
 var (
@@ -39,7 +38,7 @@ func sessFor(t testing.TB, key []int) *nn.Session {
 func snapFor(t testing.TB, key []int, epoch uint64, slots int) *Snapshot {
 	return &Snapshot{
 		Sess:      sessFor(t, key),
-		Model:     map[smt.Var]int64{smt.Var(1): 42},
+		Model:     []int64{0, 42},
 		RuleEpoch: epoch,
 		Slots:     slots,
 	}
@@ -86,11 +85,11 @@ func TestLongestPrefixLookup(t *testing.T) {
 		if h.Sess.Len() != tc.wantTokens {
 			t.Fatalf("case %d: restored session at %d tokens, want %d", i, h.Sess.Len(), tc.wantTokens)
 		}
-		if h.Model[smt.Var(1)] != 42 {
+		if h.Model[1] != 42 {
 			t.Fatalf("case %d: model not restored", i)
 		}
 		// The hit is owned: mutating it must not corrupt the cached copy.
-		h.Model[smt.Var(1)] = -1
+		h.Model[1] = -1
 		if err := h.Sess.Append(2); err != nil {
 			t.Fatal(err)
 		}

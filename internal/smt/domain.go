@@ -31,25 +31,6 @@ func (d *domains) fixed(v Var) bool { return d.lo[v] == d.hi[v] }
 // width returns the number of values in the domain of v.
 func (d *domains) width(v Var) int64 { return d.hi[v] - d.lo[v] + 1 }
 
-// tightenLo raises the lower bound of v to at least b. It reports whether the
-// domain changed and whether it became empty.
-func (d *domains) tightenLo(v Var, b int64) (changed, empty bool) {
-	if b <= d.lo[v] {
-		return false, false
-	}
-	d.lo[v] = b
-	return true, b > d.hi[v]
-}
-
-// tightenHi lowers the upper bound of v to at most b.
-func (d *domains) tightenHi(v Var, b int64) (changed, empty bool) {
-	if b >= d.hi[v] {
-		return false, false
-	}
-	d.hi[v] = b
-	return true, b < d.lo[v]
-}
-
 // exprRange computes the interval [min, max] that e can take under the
 // current bounds.
 func (d *domains) exprRange(e LinExpr) (minV, maxV int64) {

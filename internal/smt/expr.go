@@ -126,6 +126,15 @@ func Sum(es ...LinExpr) LinExpr {
 	return out
 }
 
+// At evaluates the expression under a complete assignment indexed by Var.
+func (e LinExpr) At(m []int64) int64 {
+	v := e.k
+	for _, t := range e.terms {
+		v += t.C * m[t.V]
+	}
+	return v
+}
+
 // Eval evaluates the expression under a complete assignment. It returns an
 // error if any referenced variable is missing from the assignment.
 func (e LinExpr) Eval(assign map[Var]int64) (int64, error) {
@@ -257,15 +266,6 @@ func floorDiv(a, b int64) int64 {
 	q := a / b
 	if a%b != 0 && (a < 0) != (b < 0) {
 		q--
-	}
-	return q
-}
-
-// ceilDiv returns ⌈a/b⌉ for b > 0.
-func ceilDiv(a, b int64) int64 {
-	q := a / b
-	if a%b != 0 && (a < 0) == (b < 0) {
-		q++
 	}
 	return q
 }

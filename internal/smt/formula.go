@@ -238,55 +238,48 @@ func nnf(f Formula) Formula {
 	panic("smt: unknown formula node")
 }
 
-// EvalFormula evaluates f under a complete assignment.
-func EvalFormula(f Formula, assign map[Var]int64) (bool, error) {
+// Holds evaluates f under the complete assignment m, indexed by Var (m[v] is
+// the value of v; every variable of f must be below len(m)). This is the
+// ground evaluator of the decoder's model patching, which re-evaluates a
+// handful of rule conjuncts per probe: a slice index per term, no hashing.
+func Holds(f Formula, m []int64) bool {
 	switch g := f.(type) {
 	case boolF:
-		return g.v, nil
+		return g.v
 	case atomF:
-		v, err := g.a.Expr.Eval(assign)
-		if err != nil {
-			return false, err
-		}
+		v := g.a.Expr.At(m)
 		switch g.a.Op {
 		case OpLE:
-			return v <= 0, nil
+			return v <= 0
 		case OpLT:
-			return v < 0, nil
+			return v < 0
 		case OpGE:
-			return v >= 0, nil
+			return v >= 0
 		case OpGT:
-			return v > 0, nil
+			return v > 0
 		case OpEQ:
-			return v == 0, nil
+			return v == 0
 		case OpNE:
-			return v != 0, nil
+			return v != 0
 		}
-		return false, fmt.Errorf("smt: bad atom op %v", g.a.Op)
 	case notF:
-		v, err := EvalFormula(g.f, assign)
-		return !v, err
+		return !Holds(g.f, m)
 	case andF:
 		for _, sub := range g.fs {
-			v, err := EvalFormula(sub, assign)
-			if err != nil || !v {
-				return false, err
+			if !Holds(sub, m) {
+				return false
 			}
 		}
-		return true, nil
+		return true
 	case orF:
 		for _, sub := range g.fs {
-			v, err := EvalFormula(sub, assign)
-			if err != nil {
-				return false, err
-			}
-			if v {
-				return true, nil
+			if Holds(sub, m) {
+				return true
 			}
 		}
-		return false, nil
+		return false
 	}
-	return false, fmt.Errorf("smt: unknown formula node %T", f)
+	panic(fmt.Sprintf("smt: unknown formula node %T", f))
 }
 
 // Conjuncts splits f into its top-level conjuncts. And flattens nested

@@ -16,7 +16,9 @@ package smt
 //     v = y ∧ (y ≤ 0 ∨ y ≥ 10) punches a hole into v's projection without
 //     any disjunction naming v. VarDisjunctionTainted therefore reports v
 //     as tainted when v is connected, through the constraint graph of the
-//     epoch's live constraints, to any variable of a live disjunction.
+//     stack's asserted rows (entailed ones included) and the unit
+//     alternatives folded into the store, to any variable of a live
+//     disjunction.
 //     For the conjunctive remainder, interval-ness is a property of the
 //     rule grammar, not of linear arithmetic in general (coupled equality
 //     chains like w = x+y ∧ x = y give w an all-even projection); LeJIT's
@@ -97,45 +99,46 @@ func (b *baseStore) simplifyDisjunctions(s *Solver) {
 
 // buildTaint marks every variable whose feasible projection may be
 // non-convex: those in the same constraint-graph component as a variable of
-// a live disjunction. Components are computed by union-find over the base
-// constraints; disjunction variables then taint their components.
-func (b *baseStore) buildTaint(nvars int) {
+// a live disjunction. The graph is b.graph — every asserted row of the
+// prefix, including rows the box entails and dropEntailed removed — joined
+// with the rows still in the store, which adds the folded unit alternatives
+// that can still act.
+func (b *baseStore) buildTaint() {
 	if len(b.disj) == 0 {
 		return // no live disjunctions: every projection is an interval
 	}
-	parent := make([]int32, nvars)
-	for i := range parent {
-		parent[i] = int32(i)
-	}
-	var find func(x int32) int32
-	find = func(x int32) int32 {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]] // path halving
-			x = parent[x]
-		}
-		return x
-	}
-	union := func(x, y int32) {
-		rx, ry := find(x), find(y)
-		if rx != ry {
-			parent[rx] = ry
-		}
-	}
+	g := append([]int32(nil), b.graph...)
 	for i := range b.cons {
-		terms := b.cons[i].terms
-		for j := 1; j < len(terms); j++ {
-			union(int32(terms[0].V), int32(terms[j].V))
-		}
+		joinVars(g, b.cons[i].terms)
 	}
 	tainted := make(map[int32]bool)
-	for _, g := range b.disj {
-		for v := range FormulaVars(g) {
-			tainted[find(int32(v))] = true
+	for _, d := range b.disj {
+		for v := range FormulaVars(d) {
+			tainted[findRoot(g, int32(v))] = true
 		}
 	}
-	b.disjTaint = make([]bool, nvars)
+	b.disjTaint = make([]bool, len(g))
 	for v := range b.disjTaint {
-		b.disjTaint[v] = tainted[find(int32(v))]
+		b.disjTaint[v] = tainted[findRoot(g, int32(v))]
+	}
+}
+
+// findRoot returns the representative of x in the union-find forest g,
+// halving the path as it climbs.
+func findRoot(g []int32, x int32) int32 {
+	for g[x] != x {
+		g[x] = g[g[x]]
+		x = g[x]
+	}
+	return x
+}
+
+// joinVars merges the components of all variables of one row.
+func joinVars(g []int32, terms []term) {
+	for j := 1; j < len(terms); j++ {
+		if rx, ry := findRoot(g, int32(terms[0].V)), findRoot(g, int32(terms[j].V)); rx != ry {
+			g[rx] = ry
+		}
 	}
 }
 

@@ -111,6 +111,26 @@ func reduceCon(c lincon) lincon {
 	return lincon{terms: ts, rhs: floorDiv(c.rhs, g), eq: c.eq}
 }
 
+// bound names one end of one variable's domain: 2v is the lower bound of v,
+// 2v+1 the upper. A row's feasibility test and every bound it derives read
+// minSum alone — the lower bounds of its positive terms and the upper bounds
+// of its negative ones (an equality reads maxSum too, so all of them) — so a
+// row needs waking only when one of those moves.
+type bound int32
+
+func loOf(v Var) bound { return bound(v) << 1 }
+func hiOf(v Var) bound { return bound(v)<<1 | 1 }
+
+// reads reports whether a move of b can change what c derives.
+func (c *lincon) reads(b bound) bool {
+	for _, t := range c.terms {
+		if t.V == Var(b>>1) {
+			return c.eq || (t.C < 0) == (b&1 == 1)
+		}
+	}
+	return false
+}
+
 // propagate runs bounds-consistency propagation over cons until fixpoint.
 // It returns false on conflict (some constraint unsatisfiable under the
 // bounds, or a domain became empty). The count of individual bound
@@ -142,10 +162,19 @@ func propagate(d *domains, cons []lincon, tightenings *uint64) bool {
 //	c_j x_j ≤ rhs − Σ_{i≠j} min(c_i x_i)
 //
 // and tightens x_j accordingly; equalities propagate both directions.
-// When changedVars is non-nil, every variable whose bound moves is appended
-// to it (the worklist propagator uses this to wake watching constraints).
-func propagateOne(d *domains, c *lincon, changedVars *[]Var) (ok, changed bool) {
-	// minSum / maxSum of the left-hand side under current bounds.
+// When moved is non-nil, every bound that moves is appended to it (the
+// worklist propagator uses this to wake the constraints that read it).
+//
+// Most visits move nothing, so the loop is built to make those cheap. With
+// slack = rhs − minSum the bound above reads lo_j + ⌊slack/c_j⌋ for c_j > 0
+// (hi_j − ⌊slack/|c_j|⌋ for c_j < 0), which is tighter than the current one
+// exactly when slack < |c_j|·(hi_j − lo_j): a term is tested with one
+// multiplication and divided only when its bound really moves. The lower
+// side of an equality is the mirror image in surplus = maxSum − rhs. Both
+// quotients are of a non-negative by a positive number, so Go's truncating
+// division is the floor.
+func propagateOne(d *domains, c *lincon, moved *[]bound) (ok, changed bool) {
+restart:
 	var minSum, maxSum int64
 	for _, t := range c.terms {
 		if t.C > 0 {
@@ -156,67 +185,43 @@ func propagateOne(d *domains, c *lincon, changedVars *[]Var) (ok, changed bool) 
 			maxSum += t.C * d.lo[t.V]
 		}
 	}
-	if minSum > c.rhs {
-		return false, false
+	if minSum > c.rhs || (c.eq && maxSum < c.rhs) {
+		return false, changed
 	}
-	if c.eq && maxSum < c.rhs {
-		return false, false
-	}
+	slack, surplus := c.rhs-minSum, maxSum-c.rhs
 	for _, t := range c.terms {
-		// Contribution of t to minSum / maxSum.
-		var tMin, tMax int64
-		if t.C > 0 {
-			tMin, tMax = t.C*d.lo[t.V], t.C*d.hi[t.V]
-		} else {
-			tMin, tMax = t.C*d.hi[t.V], t.C*d.lo[t.V]
-		}
-		// Upper side: c_j x_j ≤ rhs − (minSum − tMin)
-		ub := c.rhs - (minSum - tMin)
-		var ch, empty bool
-		if t.C > 0 {
-			ch, empty = d.tightenHi(t.V, floorDiv(ub, t.C))
-		} else {
-			ch, empty = d.tightenLo(t.V, ceilDiv(ub, t.C))
-		}
-		if empty {
-			return false, false
-		}
-		if ch {
-			if changedVars != nil {
-				*changedVars = append(*changedVars, t.V)
+		v, a := t.V, abs64(t.C)
+		reach := a * (d.hi[v] - d.lo[v])
+		var m bound
+		if slack < reach {
+			if t.C > 0 {
+				d.hi[v], m = d.lo[v]+slack/a, hiOf(v)
+			} else {
+				d.lo[v], m = d.hi[v]-slack/a, loOf(v)
 			}
-			changed = true
-			// Recompute sums after a tightening so later terms use
-			// fresh bounds.
-			return propagateRestart(d, c, changedVars)
+		} else if c.eq && surplus < reach {
+			if t.C > 0 {
+				d.lo[v], m = d.hi[v]-surplus/a, loOf(v)
+			} else {
+				d.hi[v], m = d.lo[v]+surplus/a, hiOf(v)
+			}
+		} else {
+			continue
+		}
+		changed = true
+		if moved != nil {
+			*moved = append(*moved, m)
 		}
 		if c.eq {
-			// Lower side: c_j x_j ≥ rhs − (maxSum − tMax)
-			lb := c.rhs - (maxSum - tMax)
-			if t.C > 0 {
-				ch, empty = d.tightenLo(t.V, ceilDiv(lb, t.C))
-			} else {
-				ch, empty = d.tightenHi(t.V, floorDiv(lb, t.C))
-			}
-			if empty {
-				return false, false
-			}
-			if ch {
-				if changedVars != nil {
-					*changedVars = append(*changedVars, t.V)
-				}
-				return propagateRestart(d, c, changedVars)
-			}
+			// The move changed the other sum, which the terms already passed
+			// read on their opposite side: start over with fresh sums.
+			goto restart
 		}
+		// An inequality's tightenings leave minSum, hence slack, as it was,
+		// and a term's test reads nothing else but its own width: the terms
+		// already passed would pass again.
 	}
 	return true, changed
-}
-
-// propagateRestart re-runs propagateOne after a tightening; it reports
-// changed=true unconditionally since a bound moved.
-func propagateRestart(d *domains, c *lincon, changedVars *[]Var) (ok, changed bool) {
-	ok, _ = propagateOne(d, c, changedVars)
-	return ok, true
 }
 
 // conSatisfiedAtFixpoint reports whether the constraint is certainly

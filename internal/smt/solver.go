@@ -73,12 +73,12 @@ type Solver struct {
 
 	// epoch identifies the solver's logical state: two moments with equal
 	// epochs have identical declared variables and identical assertion
-	// stacks. Anything memoized against an epoch (the warm-start base
-	// stores below, callers' oracle caches) is valid exactly when the
-	// epoch matches again. Fresh epochs come from epochSrc; returning to a
-	// previous state — TruncateTo, or an Assert that replays the formula a
-	// TruncateTo discarded — restores that state's old epoch, which is
-	// what keeps the memos warm across speculative stack rewinds.
+	// stacks. Anything a caller memoizes against an epoch (the decoder's
+	// witness model) is valid exactly when the epoch matches again. Fresh
+	// epochs come from epochSrc; returning to a previous state — TruncateTo,
+	// or an Assert that replays the formula a TruncateTo discarded —
+	// restores that state's old epoch, which is what keeps the memos warm
+	// across speculative stack rewinds.
 	epoch    uint64
 	epochSrc uint64 // monotone source of never-reused fresh epoch values
 	// gen guards epoch restoration: it advances when the variable set
@@ -104,13 +104,10 @@ type Solver struct {
 	shadow     []shadowEntry
 	shadowBase int
 
-	base *baseStore // memoized propagated store for the current epoch
-	// baseCache keeps the last few built base stores keyed by epoch, so a
-	// caller ping-ponging between stack heights (speculative validation
-	// probing several checkpoints of one window) rebuilds each height's
-	// base once instead of once per visit.
-	baseCache map[uint64]*baseStore
-	baseOrder []uint64
+	// base0 memoizes the propagated store of the empty assertion stack; the
+	// store of every other stack prefix lives on the assertion that
+	// completes it (compiledAssert.base).
+	base0 *baseStore
 
 	// MaxNodes bounds the search-tree size per Check; Check returns
 	// Unknown when exceeded. The default is generous for LeJIT-scale
@@ -133,18 +130,24 @@ type Solver struct {
 	stats Stats
 
 	// Worklist-propagation scratch, reused across Checks.
-	workQ   []int32
-	inQ     []bool
-	chgVars []Var
+	workQ []int32
+	inQ   []bool
+	moved []bound
 }
 
 // compiledAssert is an asserted formula lowered once at Assert time: NNF
 // applied, atoms normalized into linear constraints, disjunctions collected.
-// unsat marks a formula with a trivially-false conjunct.
+// unsat marks a formula with a trivially-false conjunct. base memoizes the
+// propagated store of the stack prefix this assertion completes (nil until
+// a Check needs it); living here, it is dropped by Pop, retained by
+// TruncateTo and restored by a replaying Assert together with the compiled
+// form, so a caller ping-ponging between stack heights builds each height
+// once.
 type compiledAssert struct {
 	cons  []lincon
 	disj  []orF
 	unsat bool
+	base  *baseStore
 }
 
 // shadowEntry is one assertion retained across a TruncateTo for undo
@@ -197,17 +200,22 @@ func compileAssert(f Formula) compiledAssert {
 }
 
 // baseStore memoizes the assertion-stack-dependent part of a Check: the
-// union of all compiled assertions plus the root domains propagated once to
-// fixpoint. CheckWith warm-starts every probe of the same epoch from here
-// instead of recompiling and re-propagating the whole stack.
+// root domains propagated to fixpoint under a stack prefix, plus the
+// constraints of that prefix that can still act on a smaller box. CheckWith
+// warm-starts every probe of the same stack from here instead of
+// recompiling and re-propagating it.
 type baseStore struct {
-	epoch    uint64
-	conflict bool // the assertions alone are Unsat
+	gen      uint64 // variable generation built under; stale once it differs
+	conflict bool   // the assertions alone are Unsat
 	dom      *domains
 	cons     []lincon
 	disj     []orF
-	// watch[v] lists the indices of cons containing variable v, so a probe
-	// that tightens v wakes only the constraints that can react.
+	// graph is a union-find forest over the variables, joined by every row
+	// asserted in the prefix, entailed or not; a derived store copies its
+	// parent's and adds its own rows (see buildTaint).
+	graph []int32
+	// watch[b] lists the indices of the cons that read bound b (see bound),
+	// so a probe that moves it wakes only the constraints that can react.
 	watch [][]int32
 	// disjTaint[v] marks variables connected to a live disjunction (nil when
 	// no disjunction survived simplification); see interval.go.
@@ -400,7 +408,7 @@ func (s *Solver) Check() Result {
 
 // CheckWith decides satisfiability of the active assertions conjoined with
 // extra, without mutating the assertion stack. The assertions themselves are
-// not reprocessed: the check warm-starts from the epoch's memoized base
+// not reprocessed: the check warm-starts from the stack's memoized base
 // store and only compiles the extra formulas.
 func (s *Solver) CheckWith(extra ...Formula) Result {
 	s.stats.Checks++
@@ -411,7 +419,7 @@ func (s *Solver) CheckWith(extra ...Formula) Result {
 			return Result{Status: Unknown, Err: err}
 		}
 	}
-	if s.base != nil && s.base.epoch == s.epoch {
+	if s.builtBase(len(s.asserted)) != nil {
 		s.stats.WarmStarts++
 	}
 	base := s.currentBase()
@@ -463,108 +471,164 @@ func (s *Solver) CheckWith(extra ...Formula) Result {
 	return res
 }
 
-// currentBase returns the memoized base store for the current epoch,
-// building it on the first use after a mutation. Propagating the asserted
-// constraints here is sound for every subsequent probe: bounds propagation
-// only removes values that no model of the assertions can take, and extra
-// formulas only shrink the model set further. The same monotonicity argument
-// covers the disjunction simplification (see interval.go).
-func (s *Solver) currentBase() *baseStore {
-	if s.base != nil && s.base.epoch == s.epoch {
-		return s.base
+// currentBase returns the base store of the whole assertion stack, building
+// it on the first use after a mutation. Propagating the asserted constraints
+// here is sound for every subsequent probe: bounds propagation only removes
+// values that no model of the assertions can take, and extra formulas only
+// shrink the model set further. The same monotonicity argument covers the
+// disjunction simplification (see interval.go).
+func (s *Solver) currentBase() *baseStore { return s.baseAt(len(s.asserted)) }
+
+// builtBase returns the memoized base store of the stack prefix of length n,
+// or nil when it has not been built for the current set of variables.
+func (s *Solver) builtBase(n int) *baseStore {
+	b := s.base0
+	if n > 0 {
+		b = s.compiled[n-1].base
 	}
-	if b, ok := s.baseCache[s.epoch]; ok {
-		s.base = b
+	if b == nil || b.gen != s.gen {
+		return nil
+	}
+	return b
+}
+
+// baseAt returns the base store of the stack prefix of length n, deriving it
+// from a parent on first use: the longest prefix already built; failing
+// that, the innermost open frame below n, built now because Pop returns
+// there and every later push starts from it; failing that, the declared
+// domains. The parent's box is already at fixpoint with the parent's rows,
+// so only the assertions above it, and what they disturb, are propagated —
+// a decoder that pins one value per slot pays for that value's rows, not for
+// the stack. Bounds consistency has one greatest fixpoint, whatever the
+// order it is reached in, so a derived store has the domains, the conflict
+// flag and the taint a from-scratch build of the same prefix would have.
+func (s *Solver) baseAt(n int) *baseStore {
+	if b := s.builtBase(n); b != nil {
 		return b
 	}
-	s.stats.BaseBuilds++
-	b := &baseStore{epoch: s.epoch}
-	var nc, nd int
-	for i := range s.compiled {
-		nc += len(s.compiled[i].cons)
-		nd += len(s.compiled[i].disj)
+	p, parent := n, (*baseStore)(nil)
+	for p > 0 && parent == nil {
+		p--
+		parent = s.builtBase(p)
 	}
-	b.cons = make([]lincon, 0, nc)
-	b.disj = make([]orF, 0, nd)
-	for i := range s.compiled {
+	for i := len(s.frames) - 1; i >= 0 && parent == nil; i-- {
+		if f := s.frames[i]; 0 < f && f < n {
+			p, parent = f, s.baseAt(f)
+		}
+	}
+	if parent == nil {
+		parent = &baseStore{dom: newDomains(s.lo, s.hi), graph: make([]int32, len(s.lo))}
+		for v := range parent.graph {
+			parent.graph[v] = int32(v)
+		}
+	}
+
+	s.stats.BaseBuilds++
+	b := &baseStore{gen: s.gen, conflict: parent.conflict, dom: parent.dom.clone()}
+	b.graph = append([]int32(nil), parent.graph...)
+	b.cons = append([]lincon(nil), parent.cons...) // its own array: dropEntailed filters in place
+	b.disj = capDisj(parent.disj)
+	for i := p; i < n; i++ {
 		ca := &s.compiled[i]
 		if ca.unsat {
 			b.conflict = true
 		}
 		b.cons = append(b.cons, ca.cons...)
 		b.disj = append(b.disj, ca.disj...)
+		for j := range ca.cons {
+			joinVars(b.graph, ca.cons[j].terms)
+		}
 	}
-	b.dom = newDomains(s.lo, s.hi)
-	if !b.conflict && !propagate(b.dom, b.cons, &s.stats.Propagations) {
-		b.conflict = true
+	if !b.conflict {
+		// Rows above the parent are found by scan, as a probe's extras are;
+		// with no parent rows to index, plain round-robin is the cheaper way
+		// to bring a whole stack to fixpoint.
+		if w := len(parent.cons); w == 0 {
+			b.conflict = !propagate(b.dom, b.cons, &s.stats.Propagations)
+		} else {
+			b.conflict = !s.propagateWakeup(b.dom, b.cons, parent.watch, w, w, nil)
+		}
 	}
 	if !b.conflict {
 		b.simplifyDisjunctions(s)
 	}
 	if !b.conflict {
-		b.watch = make([][]int32, len(s.lo))
+		b.dropEntailed()
+		b.buildTaint()
+		b.watch = make([][]int32, 2*len(s.lo))
 		for i := range b.cons {
-			for _, t := range b.cons[i].terms {
-				b.watch[t.V] = append(b.watch[t.V], int32(i))
+			c := &b.cons[i]
+			for _, t := range c.terms {
+				if lo := loOf(t.V); c.eq || t.C > 0 {
+					b.watch[lo] = append(b.watch[lo], int32(i))
+				}
+				if hi := hiOf(t.V); c.eq || t.C < 0 {
+					b.watch[hi] = append(b.watch[hi], int32(i))
+				}
 			}
 		}
-		b.buildTaint(len(s.lo))
 	}
-	s.base = b
-	// Built stores are immutable after this point (Check clones the
-	// domains and cap-guards the slices), so keeping a few around keyed by
-	// epoch is safe; restoration of an old epoch then reuses its store.
-	const baseCacheCap = 8
-	if s.baseCache == nil {
-		s.baseCache = make(map[uint64]*baseStore, baseCacheCap)
+	if n == 0 {
+		s.base0 = b
+	} else {
+		s.compiled[n-1].base = b
 	}
-	if len(s.baseOrder) >= baseCacheCap {
-		delete(s.baseCache, s.baseOrder[0])
-		s.baseOrder = s.baseOrder[1:]
-	}
-	s.baseCache[b.epoch] = b
-	s.baseOrder = append(s.baseOrder, b.epoch)
 	return b
 }
 
+// dropEntailed removes from the store every row the propagated box already
+// entails: an inequality whose left-hand side cannot exceed rhs anywhere in
+// the box, an equality whose variables are all fixed on it. Probes and
+// branches only shrink the box, so such a row can never tighten a bound,
+// never conflict, and holds at every leaf — it is dead weight in the watch
+// lists, the branch-variable scan and the final verification. Under a pinned
+// prompt that is most of a mined rule set. Order among the kept rows is
+// preserved, so the search visits what remains exactly as before.
+func (b *baseStore) dropEntailed() {
+	kept := b.cons[:0]
+	for _, c := range b.cons {
+		minSum, maxSum := b.dom.exprRange(LinExpr{terms: c.terms})
+		if maxSum <= c.rhs && (!c.eq || minSum == c.rhs) {
+			continue
+		}
+		kept = append(kept, c)
+	}
+	b.cons = kept
+}
+
 // propagateWakeup runs worklist propagation over cons, assuming d is already
-// at fixpoint with respect to cons[:newFrom] except for variables listed in
-// dirty (mutated directly by a domain split). Seeds are the new constraints
-// cons[newFrom:] plus the watchers of every dirty variable. When a
-// constraint tightens a variable, the constraints containing that variable
-// are re-queued — via the epoch's watch index for cons[:watchN], by linear
-// scan for the (few) constraints added during this Check's search. This
-// makes the cost of a node proportional to the constraints it actually
-// disturbs instead of the whole assertion stack.
-func (s *Solver) propagateWakeup(d *domains, cons []lincon, watch [][]int32, watchN, newFrom int, dirty []Var) bool {
+// at fixpoint with respect to cons[:newFrom] except for the bounds listed in
+// dirty (moved directly by a domain split). Seeds are the new constraints
+// cons[newFrom:] plus the readers of every dirty bound. When a constraint
+// moves a bound, the constraints that read it are re-queued — via the base
+// store's watch index for cons[:watchN], by linear scan for the (few)
+// constraints added during this Check's search. A row outside the queue is
+// at fixpoint and stays there until a bound it reads moves, so the rows left
+// asleep would have done nothing; the cost of a node is proportional to the
+// constraints it actually disturbs instead of the whole assertion stack.
+func (s *Solver) propagateWakeup(d *domains, cons []lincon, watch [][]int32, watchN, newFrom int, dirty []bound) bool {
 	if cap(s.inQ) < len(cons) {
 		s.inQ = make([]bool, len(cons))
 	}
 	inQ := s.inQ[:len(cons)]
 	clear(inQ)
 	q := s.workQ[:0]
-	enqueueVar := func(v Var) {
-		for _, j := range watch[v] {
+	wake := func(b bound) {
+		for _, j := range watch[b] {
 			if !inQ[j] {
 				inQ[j] = true
 				q = append(q, j)
 			}
 		}
 		for j := watchN; j < len(cons); j++ {
-			if inQ[j] {
-				continue
-			}
-			for _, t := range cons[j].terms {
-				if t.V == v {
-					inQ[j] = true
-					q = append(q, int32(j))
-					break
-				}
+			if !inQ[j] && cons[j].reads(b) {
+				inQ[j] = true
+				q = append(q, int32(j))
 			}
 		}
 	}
-	for _, v := range dirty {
-		enqueueVar(v)
+	for _, b := range dirty {
+		wake(b)
 	}
 	for i := newFrom; i < len(cons); i++ {
 		if !inQ[i] {
@@ -572,23 +636,23 @@ func (s *Solver) propagateWakeup(d *domains, cons []lincon, watch [][]int32, wat
 			q = append(q, int32(i))
 		}
 	}
-	chg := s.chgVars[:0]
+	moved := s.moved[:0]
 	ok := true
 	for head := 0; head < len(q); head++ {
 		i := q[head]
 		inQ[i] = false
-		chg = chg[:0]
-		okOne, _ := propagateOne(d, &cons[i], &chg)
+		moved = moved[:0]
+		okOne, _ := propagateOne(d, &cons[i], &moved)
 		if !okOne {
 			ok = false
 			break
 		}
-		s.stats.Propagations += uint64(len(chg))
-		for _, v := range chg {
-			enqueueVar(v)
+		s.stats.Propagations += uint64(len(moved))
+		for _, b := range moved {
+			wake(b)
 		}
 	}
-	s.workQ, s.chgVars = q[:0], chg[:0]
+	s.workQ, s.moved = q[:0], moved[:0]
 	return ok
 }
 
@@ -617,9 +681,9 @@ type searchState struct {
 	// skipProp marks the domains already at fixpoint with the constraints
 	// handed to the next search call (warm-started probes); consumed once.
 	skipProp bool
-	// dirtyVar is the variable a domain split just narrowed; the next
-	// search call seeds propagation from its watchers. Consumed once.
-	dirtyVar Var
+	// dirty is the bound a domain split just moved; the next search call
+	// seeds propagation from its readers. Consumed once.
+	dirty    bound
 	hasDirty bool
 }
 
@@ -704,10 +768,10 @@ func (st *searchState) search(pending []Formula, cons []lincon, disj []orF) (Sta
 	if st.skipProp {
 		st.skipProp = false
 	} else {
-		var dirty []Var
-		var dbuf [1]Var
+		var dirty []bound
+		var dbuf [1]bound
 		if st.hasDirty {
-			dbuf[0] = st.dirtyVar
+			dbuf[0] = st.dirty
 			dirty = dbuf[:]
 			st.hasDirty = false
 		}
@@ -811,10 +875,13 @@ func (st *searchState) search(pending []Formula, cons []lincon, disj []orF) (Sta
 	// Domain split: [lo, mid] then [mid+1, hi].
 	lo, hi := d.lo[v], d.hi[v]
 	mid := lo + (hi-lo)/2
-	for _, half := range [2][2]int64{{lo, mid}, {mid + 1, hi}} {
+	for _, half := range [2]struct {
+		lo, hi int64
+		moved  bound
+	}{{lo, mid, hiOf(v)}, {mid + 1, hi, loOf(v)}} {
 		saved := d.clone()
-		d.lo[v], d.hi[v] = half[0], half[1]
-		st.dirtyVar, st.hasDirty = v, true
+		d.lo[v], d.hi[v] = half.lo, half.hi
+		st.dirty, st.hasDirty = half.moved, true
 		status, model := st.search(nil, capCons(cons), nil)
 		if status == Sat || status == Unknown {
 			return status, model
