@@ -23,10 +23,10 @@ func (e *LaneError) Unwrap() error { return e.Err }
 // BatchSession steps up to n independent decoding sessions ("lanes") through
 // the model in lock-step. Where Session.Append is a chain of matrix-vector
 // products that stream every weight matrix from memory once per token per
-// record, AppendBatch runs the active lanes through matLinear/matLinear3
-// GEMM kernels that stream each weight block once per token step for the
-// whole batch — the per-lane arithmetic (and therefore the float32 result)
-// is bit-identical to the single-row kernels.
+// record, AppendBatch runs the active lanes through the same GEMM kernels
+// (Model.gemm/gemm3) with more rows, streaming each weight block once per
+// token step for the whole batch — the per-lane arithmetic (and therefore
+// the float32 result) is bit-identical to the one-row call.
 //
 // Lanes are ragged: each has its own position, and any subset may be
 // advanced per call (records finish at different steps). All buffers — the
@@ -409,26 +409,4 @@ func (m *Model) AppendWeightBytes() int64 {
 	f := int64(m.Cfg.ff()) * d
 	perLayer := 4*d*d + 2*d*f // wq,wk,wv,wo + w1,w2
 	return 4 * (int64(m.Cfg.Layers)*perLayer + int64(m.Cfg.Vocab)*d)
-}
-
-// matLinear is the batched form of vecLinear: Y = X·W + b for X [rows, in]
-// and Y [rows, out], both compacted row-major. The loop order is weight
-// block outer, lane inner: each 4-row block of W is loaded once and folded
-// into every lane before moving on, so W streams from memory once per call
-// instead of once per lane. Within a lane the accumulation order is exactly
-// vecLinear's (same 4-wide blocks via accumBlock4, same tail), so each
-// output row is bit-identical to a vecLinear call on that row alone. This
-// is the serial full-range case of matLinearCols (gemm.go); the sharded and
-// int8 paths go through Model.gemm.
-func matLinear(y, x, w, b []float32, in, out, rows int) {
-	matLinearCols(y, x, w, b, nil, in, out, rows, 0, out, nil)
-}
-
-// matLinear3 is the batched form of vecLinear3: the three attention
-// projections for all lanes in one pass, with each 4-row block of Wq/Wk/Wv
-// read once per token step. Per lane the q/k/v accumulation order matches
-// vecLinear3 exactly, so the outputs are bit-identical to the single-row
-// kernel. Serial full-range case of matLinear3Cols (gemm.go).
-func matLinear3(q, k, v, x, wq, wk, wv, bq, bk, bv []float32, in, out, rows int) {
-	matLinear3Cols(q, k, v, x, wq, wk, wv, bq, bk, bv, nil, nil, nil, in, out, rows, 0, out, nil)
 }

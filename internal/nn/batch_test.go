@@ -2,7 +2,6 @@ package nn
 
 import (
 	"errors"
-	"math"
 	"math/rand"
 	"strconv"
 	"testing"
@@ -11,8 +10,8 @@ import (
 // This file pins the lock-step GEMM path to the single-row Session: for any
 // batch composition — ragged starts, ragged finishes, lanes skipping steps —
 // every lane's logits must be bit-identical to a solo Session fed the same
-// tokens. The matLinear/matLinear3 kernels preserve vecLinear's per-row
-// accumulation order exactly, so identical bits are the contract.
+// tokens. The GEMM kernels' per-row accumulation order does not depend on the
+// number of rows, so identical bits are the contract.
 
 // laneSchedule fixes, per lane, the token sequence it will consume.
 func laneSchedule(rng *rand.Rand, lanes, minLen, maxLen, vocab int) [][]int {
@@ -193,48 +192,14 @@ func TestAppendBatchValidation(t *testing.T) {
 	}
 }
 
-// TestMatLinearMatchesVecLinear fuzzes the GEMM kernels row-by-row against
-// the single-row kernels across shapes exercising every tail residue.
+// TestMatLinearMatchesVecLinear fuzzes the GEMM kernels at several rows
+// against the seed's single-row loop applied row by row, across shapes
+// exercising every tail residue.
 func TestMatLinearMatchesVecLinear(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
-	fill := func(n int) []float32 {
-		s := make([]float32, n)
-		for i := range s {
-			s[i] = float32(rng.NormFloat64())
-		}
-		return s
-	}
+	fill := seedFill(rng)
 	for trial := 0; trial < 50; trial++ {
-		in := 1 + rng.Intn(33)
-		out := 1 + rng.Intn(33)
-		rows := 1 + rng.Intn(6)
-		x, b := fill(rows*in), fill(out)
-		wq, wk, wv := fill(in*out), fill(in*out), fill(in*out)
-
-		y := make([]float32, rows*out)
-		matLinear(y, x, wq, b, in, out, rows)
-		q := make([]float32, rows*out)
-		k := make([]float32, rows*out)
-		v := make([]float32, rows*out)
-		matLinear3(q, k, v, x, wq, wk, wv, b, b, b, in, out, rows)
-
-		wantY := make([]float32, out)
-		wantQ, wantK, wantV := make([]float32, out), make([]float32, out), make([]float32, out)
-		for r := 0; r < rows; r++ {
-			xr := x[r*in : (r+1)*in]
-			vecLinear(wantY, xr, wq, b, in, out)
-			vecLinear3(wantQ, wantK, wantV, xr, wq, wk, wv, b, b, b, in, out)
-			for j := 0; j < out; j++ {
-				if math.Float32bits(y[r*out+j]) != math.Float32bits(wantY[j]) {
-					t.Fatalf("matLinear rows=%d in=%d out=%d r=%d j=%d: got %v, want %v",
-						rows, in, out, r, j, y[r*out+j], wantY[j])
-				}
-				if q[r*out+j] != wantQ[j] || k[r*out+j] != wantK[j] || v[r*out+j] != wantV[j] {
-					t.Fatalf("matLinear3 rows=%d in=%d out=%d r=%d j=%d: q %v/%v k %v/%v v %v/%v",
-						rows, in, out, r, j, q[r*out+j], wantQ[j], k[r*out+j], wantK[j], v[r*out+j], wantV[j])
-				}
-			}
-		}
+		checkGemmMatchesSeed(t, rng, fill, 1+rng.Intn(6))
 	}
 }
 

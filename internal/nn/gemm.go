@@ -4,11 +4,11 @@ import "repro/internal/tensor"
 
 // This file holds the column-range GEMM kernels and the dispatchers that
 // shard them across the kernel worker group (parallel.go). matLinearCols
-// computes output columns [j0,j1) for every lane; matLinear and matLinear3
-// in batch.go are the j0=0,j1=out serial case. Each output element has one
-// accumulator fed in ascending input-row order regardless of [j0,j1), so
-// any column partition — and therefore any worker count — produces
-// bit-identical float32 results.
+// computes output columns [j0,j1) for every lane around the one inner kernel,
+// tensor.Accum4; Session.Append is the rows=1 case. Each output element has
+// one accumulator fed in ascending input-row order regardless of [j0,j1) and
+// of rows, so any column partition — and therefore any worker count — and any
+// batch size produce bit-identical float32 results.
 //
 // The kernels optionally read the int8 weight store (quant.go): weight rows
 // with an exact dequant round-trip are staged through a per-block dq
@@ -49,10 +49,12 @@ func weightRow(w []float32, qt *quantTensor, p, out, j0, j1 int, dq []float32) [
 }
 
 // matLinearCols computes columns [j0,j1) of Y = X·W + b for X [rows, in],
-// Y [rows, out], both compacted row-major. Loop order matches matLinear
-// (weight block outer, lane inner) and the per-element accumulation order
-// matches vecLinear exactly, so the full-range call is bit-identical to the
-// pre-sharding kernel and any column partition composes to the same result.
+// Y [rows, out], both compacted row-major. The loop order is weight block
+// outer, lane inner: each 4-row block of W is loaded once and folded into
+// every lane before moving on, so W streams from memory once per call
+// instead of once per lane. Per element the accumulation is the scalar
+// loop's (bias, then input rows ascending), so every column partition
+// composes to the full-range result.
 func matLinearCols(y, x, w, b []float32, qt *quantTensor, in, out, rows, j0, j1 int, dq []float32) {
 	for r := 0; r < rows; r++ {
 		copy(y[r*out+j0:r*out+j1], b[j0:j1])
@@ -62,7 +64,7 @@ func matLinearCols(y, x, w, b []float32, qt *quantTensor, in, out, rows, j0, j1 
 		blk, stride := weightBlock4(w, qt, p, out, j0, j1, dq)
 		for r := 0; r < rows; r++ {
 			xr := x[r*in:]
-			accumBlock4(y[r*out+j0:r*out+j1], blk, stride, xr[p], xr[p+1], xr[p+2], xr[p+3])
+			tensor.Accum4(y[r*out+j0:r*out+j1], blk, stride, xr[p], xr[p+1], xr[p+2], xr[p+3])
 		}
 	}
 	for ; p < in; p++ {
@@ -77,8 +79,9 @@ func matLinearCols(y, x, w, b []float32, qt *quantTensor, in, out, rows, j0, j1 
 	}
 }
 
-// matLinear3Cols computes columns [j0,j1) of the three fused attention
-// projections for all lanes (the column-range form of matLinear3). dq must
+// matLinear3Cols computes columns [j0,j1) of the three attention projections
+// for all lanes in one pass over the shared input rows, each projection
+// accumulating exactly as matLinearCols would alone. dq must
 // hold 12·(j1-j0) floats: one 4-row staging block per projection, live
 // simultaneously because the lane loop folds all three per weight block.
 func matLinear3Cols(q, k, v, x, wq, wk, wv, bq, bk, bv []float32, tq, tk, tv *quantTensor, in, out, rows, j0, j1 int, dq []float32) {
@@ -100,9 +103,9 @@ func matLinear3Cols(q, k, v, x, wq, wk, wv, bq, bk, bv []float32, tq, tk, tv *qu
 		for r := 0; r < rows; r++ {
 			xr := x[r*in:]
 			x0, x1, x2, x3 := xr[p], xr[p+1], xr[p+2], xr[p+3]
-			accumBlock4(q[r*out+j0:r*out+j1], bq4, sq, x0, x1, x2, x3)
-			accumBlock4(k[r*out+j0:r*out+j1], bk4, sk, x0, x1, x2, x3)
-			accumBlock4(v[r*out+j0:r*out+j1], bv4, sv, x0, x1, x2, x3)
+			tensor.Accum4(q[r*out+j0:r*out+j1], bq4, sq, x0, x1, x2, x3)
+			tensor.Accum4(k[r*out+j0:r*out+j1], bk4, sk, x0, x1, x2, x3)
+			tensor.Accum4(v[r*out+j0:r*out+j1], bv4, sv, x0, x1, x2, x3)
 		}
 	}
 	for ; p < in; p++ {

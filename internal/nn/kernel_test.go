@@ -8,13 +8,14 @@ import (
 	"repro/internal/tensor"
 )
 
-// This file pins the rewritten per-token kernels (fused q/k/v projection,
-// 4-wide unrolled vecLinear/Dot, head-major KV cache, partial Clone) to the
-// seed implementation: refAppend below is the seed's Session.Append copied
-// verbatim (over [Ctx, D] row-major caches and the zero-skipping vecLinear),
-// and the golden tests require bit-identical logits, not just close ones.
-// The unrolls keep one accumulator per output and add terms in ascending
-// input order, so identical floats are the contract, not an accident.
+// This file pins the per-token kernels (fused q/k/v projection, the 4-row
+// tensor.Accum4 GEMM kernel, 4-wide Dot, table-driven GELU, head-major KV
+// cache, partial Clone) to the seed implementation: refSession.Append below
+// is the seed's Session.Append copied verbatim (over [Ctx, D] row-major
+// caches, the zero-skipping scalar vecLinear and the math.Tanh GELU), and the
+// golden tests require bit-identical logits, not just close ones. The
+// kernels keep one accumulator per output and add terms in ascending input
+// order, so identical floats are the contract, not an accident.
 
 // refSession is the seed Session: per-layer [Ctx, D] caches, token-major.
 type refSession struct {
@@ -62,6 +63,17 @@ func refVecLinear(y, x, w, b []float32, in, out int) {
 		for j := 0; j < out; j++ {
 			y[j] += xv * row[j]
 		}
+	}
+}
+
+// refGELU is the seed GELU: math.Tanh in float64, one rounding. The reference
+// keeps its own copy so that a drifting tensor.GELU moves only one side of
+// the golden comparison.
+func refGELU(out, x []float32) {
+	const c = 0.7978845608028654 // sqrt(2/π)
+	for i, v := range x {
+		u := float64(v)
+		out[i] = float32(0.5 * u * (1 + math.Tanh(c*(u+0.044715*u*u*u))))
 	}
 }
 
@@ -131,7 +143,7 @@ func (s *refSession) Append(tok int) {
 
 		tensor.LayerNormRow(ln, x, ly.ln2g.W, ly.ln2b.W)
 		refVecLinear(hbuf, ln, ly.w1.W, ly.b1.W, d, f)
-		tensor.GELU(hg, hbuf)
+		refGELU(hg, hbuf)
 		mlp := s.mlp
 		refVecLinear(mlp, hg, ly.w2.W, ly.b2.W, f, d)
 		for j := range x {
@@ -242,51 +254,76 @@ func TestGoldenCloneMatchesSeed(t *testing.T) {
 	compareLogitsBits(t, s.Logits(), r.logits, "original after branching")
 }
 
-// TestVecLinearMatchesSeed fuzzes the unrolled kernels directly against the
-// seed loops, including zero inputs (the removed skip branch) and lengths
-// exercising every tail residue mod 4.
-func TestVecLinearMatchesSeed(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	fill := func(n int) []float32 {
+// checkGemmMatchesSeed runs one random shape through matLinearCols and
+// matLinear3Cols the ways production does — full range and a random column
+// partition, float32 weights and an int8 store with some fallback rows — and
+// requires every output row bit-equal to the seed loop on that row alone.
+func checkGemmMatchesSeed(t *testing.T, rng *rand.Rand, fill func(int) []float32, rows int) {
+	t.Helper()
+	in, out := 1+rng.Intn(33), 1+rng.Intn(33)
+	x, b := fill(rows*in), fill(out)
+	w := [3][]float32{fill(in * out), fill(in * out), fill(in * out)}
+	for _, quant := range []bool{false, true} {
+		var qt [3]*quantTensor
+		if quant {
+			for i := range qt {
+				qt[i], _ = quantizeTensor(w[i], in, out, true) // snaps w[i] onto its grid
+				qt[i].ok[rng.Intn(in)] = false                 // a row served from float32
+			}
+		}
+		var want [3][]float32
+		for i := range want {
+			want[i] = make([]float32, rows*out)
+			for r := 0; r < rows; r++ {
+				refVecLinear(want[i][r*out:(r+1)*out], x[r*in:(r+1)*in], w[i], b, in, out)
+			}
+		}
+		for _, cuts := range [][]int{{0, out}, {0, rng.Intn(out + 1), out}, {0, out / 3, out / 3, out}} {
+			y := make([]float32, rows*out)
+			q, k, v := make([]float32, rows*out), make([]float32, rows*out), make([]float32, rows*out)
+			dq := make([]float32, 12*out)
+			for c := 0; c+1 < len(cuts); c++ {
+				matLinearCols(y, x, w[0], b, qt[0], in, out, rows, cuts[c], cuts[c+1], dq)
+				matLinear3Cols(q, k, v, x, w[0], w[1], w[2], b, b, b, qt[0], qt[1], qt[2], in, out, rows, cuts[c], cuts[c+1], dq)
+			}
+			for i, got := range [][]float32{y, q, k, v} {
+				ref := want[max(i-1, 0)]
+				for j := range ref {
+					if math.Float32bits(got[j]) != math.Float32bits(ref[j]) {
+						t.Fatalf("rows=%d in=%d out=%d quant=%v cuts=%v output %d [%d]: got %v, seed %v",
+							rows, in, out, quant, cuts, i, j, got[j], ref[j])
+					}
+				}
+			}
+		}
+	}
+}
+
+// seedFill draws normals with one value in eight zeroed, to exercise the
+// seed loop's zero-skip branch that the kernels dropped.
+func seedFill(rng *rand.Rand) func(int) []float32 {
+	return func(n int) []float32 {
 		s := make([]float32, n)
 		for i := range s {
-			if rng.Intn(8) == 0 {
-				s[i] = 0 // exercise the seed's zero-skip path
-			} else {
+			if rng.Intn(8) != 0 {
 				s[i] = float32(rng.NormFloat64())
 			}
 		}
 		return s
 	}
+}
+
+// TestVecLinearMatchesSeed fuzzes the single-row kernels directly against the
+// seed loops, including zero inputs (the removed skip branch) and lengths
+// exercising every tail residue mod 4.
+func TestVecLinearMatchesSeed(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	fill := seedFill(rng)
 	for trial := 0; trial < 50; trial++ {
+		checkGemmMatchesSeed(t, rng, fill, 1)
+
 		in := 1 + rng.Intn(33)
-		out := 1 + rng.Intn(33)
-		x, b := fill(in), fill(out)
-		wq, wk, wv := fill(in*out), fill(in*out), fill(in*out)
-
-		want := make([]float32, out)
-		refVecLinear(want, x, wq, b, in, out)
-		got := make([]float32, out)
-		vecLinear(got, x, wq, b, in, out)
-		for j := range want {
-			if got[j] != want[j] {
-				t.Fatalf("vecLinear in=%d out=%d j=%d: got %v, seed %v", in, out, j, got[j], want[j])
-			}
-		}
-
-		q, k, v := make([]float32, out), make([]float32, out), make([]float32, out)
-		vecLinear3(q, k, v, x, wq, wk, wv, b, b, b, in, out)
-		wantK, wantV := make([]float32, out), make([]float32, out)
-		refVecLinear(wantK, x, wk, b, in, out)
-		refVecLinear(wantV, x, wv, b, in, out)
-		for j := range want {
-			if q[j] != want[j] || k[j] != wantK[j] || v[j] != wantV[j] {
-				t.Fatalf("vecLinear3 in=%d out=%d j=%d: q %v/%v k %v/%v v %v/%v",
-					in, out, j, q[j], want[j], k[j], wantK[j], v[j], wantV[j])
-			}
-		}
-
-		y := fill(in)
+		x, y := fill(in), fill(in)
 		if g, w := tensor.Dot(x, y), refDot(x, y); math.Float32bits(g) != math.Float32bits(w) {
 			t.Fatalf("Dot len=%d: got %v, seed %v", in, g, w)
 		}
@@ -320,9 +357,9 @@ func BenchmarkVecLinear(b *testing.B) {
 		w[i] = float32(rng.NormFloat64())
 	}
 	y := make([]float32, out)
-	b.Run("unrolled", func(b *testing.B) {
+	b.Run("kernel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			vecLinear(y, x, w, bias, in, out)
+			matLinearCols(y, x, w, bias, nil, in, out, 1, 0, out, nil)
 		}
 	})
 	b.Run("seed", func(b *testing.B) {
@@ -348,14 +385,14 @@ func BenchmarkVecLinear3(b *testing.B) {
 	q, k, v := make([]float32, d), make([]float32, d), make([]float32, d)
 	b.Run("fused", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			vecLinear3(q, k, v, x, wq, wk, wv, bias, bias, bias, d, d)
+			matLinear3Cols(q, k, v, x, wq, wk, wv, bias, bias, bias, nil, nil, nil, d, d, 1, 0, d, nil)
 		}
 	})
 	b.Run("separate", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			vecLinear(q, x, wq, bias, d, d)
-			vecLinear(k, x, wk, bias, d, d)
-			vecLinear(v, x, wv, bias, d, d)
+			matLinearCols(q, x, wq, bias, nil, d, d, 1, 0, d, nil)
+			matLinearCols(k, x, wk, bias, nil, d, d, 1, 0, d, nil)
+			matLinearCols(v, x, wv, bias, nil, d, d, 1, 0, d, nil)
 		}
 	})
 }
@@ -416,13 +453,15 @@ func BenchmarkAttentionInner(b *testing.B) {
 	})
 }
 
-// BenchmarkSessionAppend is the ISSUE's acceptance benchmark: the rewritten
-// Append must beat the seed implementation by ≥1.5x on a full-context fill.
+// BenchmarkSessionAppend is a full-context fill: the rewritten Append must
+// beat the seed implementation by ≥1.5x. workers2 is the same fill with the
+// one-row GEMMs above minParallelMadds column-sharded over two kernel
+// workers — the pair DESIGN.md §15 quotes for the dispatch threshold.
 func BenchmarkSessionAppend(b *testing.B) {
 	m := goldenModel(b, benchCfg(), 7)
 	rng := rand.New(rand.NewSource(5))
 	seq := randSeq(rng, m.Cfg.Ctx, m.Cfg.Vocab)
-	b.Run("rewritten", func(b *testing.B) {
+	fill := func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			s := m.NewSession()
 			for _, tok := range seq {
@@ -431,6 +470,12 @@ func BenchmarkSessionAppend(b *testing.B) {
 				}
 			}
 		}
+	}
+	b.Run("rewritten", fill)
+	b.Run("workers2", func(b *testing.B) {
+		m.SetKernelWorkers(2)
+		defer m.SetKernelWorkers(1)
+		fill(b)
 	})
 	b.Run("seed", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

@@ -236,93 +236,3 @@ func (s *Session) Release() {
 func (s *Session) KVBytes() int64 {
 	return int64(len(s.pages)) * pageBytes(s.m)
 }
-
-// vecLinear computes y = x·W + b for a single row x (len in), W [in, out].
-// Four input rows are folded per pass; each y[j] still accumulates strictly
-// in ascending input order (separate adds, one accumulator), so the result
-// is bit-identical to the scalar loop. The old per-input zero test is gone:
-// layer-norm output is essentially never zero, so the branch only cost.
-func vecLinear(y, x, w, b []float32, in, out int) {
-	y = y[:out]
-	copy(y, b[:out])
-	p := 0
-	for ; p+4 <= in; p += 4 {
-		x0, x1, x2, x3 := x[p], x[p+1], x[p+2], x[p+3]
-		base := p * out
-		r0 := w[base : base+out]
-		r1 := w[base+out : base+2*out]
-		r2 := w[base+2*out : base+3*out]
-		r3 := w[base+3*out : base+4*out]
-		for j := range y {
-			a := y[j]
-			a += x0 * r0[j]
-			a += x1 * r1[j]
-			a += x2 * r2[j]
-			a += x3 * r3[j]
-			y[j] = a
-		}
-	}
-	for ; p < in; p++ {
-		xv := x[p]
-		row := w[p*out : (p+1)*out]
-		for j := range y {
-			y[j] += xv * row[j]
-		}
-	}
-}
-
-// accumBlock4 folds four input rows (w, a 4-row block at the given row
-// stride) into y with one accumulator per element and adds in ascending
-// input order — the FP operation sequence of four scalar passes. Factored
-// out so each projection's inner loop gets its own register allocation
-// scope; with the three loops inlined into one function body the live slice
-// headers spill and the fused projection ran ~50% slower than three
-// separate ones. The bounds are len(y) past each row start (not stride
-// multiples) so a column-range caller (matLinearCols with j0 > 0) stays in
-// bounds on the weight matrix's last 4-row block.
-func accumBlock4(y, w []float32, stride int, x0, x1, x2, x3 float32) {
-	n := len(y)
-	r0 := w[:n]
-	r1 := w[stride : stride+n]
-	r2 := w[2*stride : 2*stride+n]
-	r3 := w[3*stride : 3*stride+n]
-	for j := range y {
-		a := y[j]
-		a += x0 * r0[j]
-		a += x1 * r1[j]
-		a += x2 * r2[j]
-		a += x3 * r3[j]
-		y[j] = a
-	}
-}
-
-// vecLinear3 fuses the three attention projections sharing one input row:
-// q = x·Wq + bq, k = x·Wk + bk, v = x·Wv + bv. The input row is traversed
-// once, in blocks of four; within a block each projection accumulates with
-// the same 4-wide order-preserving pattern as vecLinear, so all three
-// outputs are bit-identical to three separate calls.
-func vecLinear3(q, k, v, x, wq, wk, wv, bq, bk, bv []float32, in, out int) {
-	q, k, v = q[:out], k[:out], v[:out]
-	copy(q, bq[:out])
-	copy(k, bk[:out])
-	copy(v, bv[:out])
-	p := 0
-	for ; p+4 <= in; p += 4 {
-		base := p * out
-		x0, x1, x2, x3 := x[p], x[p+1], x[p+2], x[p+3]
-		accumBlock4(q, wq[base:base+4*out], out, x0, x1, x2, x3)
-		accumBlock4(k, wk[base:base+4*out], out, x0, x1, x2, x3)
-		accumBlock4(v, wv[base:base+4*out], out, x0, x1, x2, x3)
-	}
-	for ; p < in; p++ {
-		xv := x[p]
-		rq := wq[p*out : (p+1)*out]
-		rk := wk[p*out : (p+1)*out]
-		rv := wv[p*out : (p+1)*out]
-		for j := range q {
-			q[j] += xv * rq[j]
-			k[j] += xv * rk[j]
-			v[j] += xv * rv[j]
-		}
-	}
-}
