@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all tier1 verify bench fmt clean
+.PHONY: all tier1 verify bench loc fmt clean
 
 all: verify
 
@@ -11,8 +11,8 @@ tier1:
 
 # Full verify path: tier-1 plus static checks (vet's asmdecl pass is the
 # frame-layout check of internal/tensor's assembly), the race detector over
-# the concurrent packages (the solver, the decode loop, and the serving
-# daemon), GELU against its reference on all 2^32 inputs (≈ 80 s on 2 cores),
+# the concurrent packages (the solver, the decode loop — DecodeRequests' lane
+# groups share one *nn.Model across goroutines — and the serving daemon), GELU against its reference on all 2^32 inputs (≈ 80 s on 2 cores),
 # a cross-build so the non-amd64 kernel body cannot rot, then vet + test of
 # bench/ — a nested module, so ./... above never compiles it although it
 # imports internal/.
@@ -30,6 +30,12 @@ verify: tier1
 # bench/README.md).
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' ./...
+
+# Non-test code size: non-blank, non-// lines of non-test *.go plus *.s
+# under internal, cmd and lejit. The one line count simplicity changes quote.
+loc:
+	@find internal cmd lejit \( -name '*.go' ! -name '*_test.go' -o -name '*.s' \) -print0 | \
+		xargs -0 cat | grep -cvE '^[[:space:]]*(//|$$)'
 
 fmt:
 	gofmt -w .

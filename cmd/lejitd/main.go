@@ -78,8 +78,6 @@ func run() error {
 	solverTimeout := flag.Duration("solver-timeout", 0, "wall-clock budget per SMT check (0 = none)")
 	degradedThreshold := flag.Int("degraded-threshold", 0, "report /healthz status \"degraded\" once this many requests exhausted their solver budget (0 = disabled)")
 	prefixCacheMB := flag.Int("prefix-cache-mb", 64, "per-pack cross-request prefix cache budget in MiB: decodes sharing a prompt prefix reuse transformer KV and solver state across batches (0 = disabled)")
-	kernelWorkers := flag.Int("kernel-workers", 0, "GEMM worker-group size for nn-backed packs; output is bit-identical at any count (0 = serial, <0 = GOMAXPROCS); a pack's kernel_workers manifest directive wins")
-	quantize := flag.String("quantize", "", "int8 weight quantization for nn-backed packs: exact|snap ('' = off); a pack's quantize manifest directive wins")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address (e.g. localhost:6060); off when empty, never on the public listener")
 	flag.Parse()
 
@@ -88,13 +86,9 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if *quantize != "" && *quantize != nn.QuantExact && *quantize != nn.QuantSnap {
-		return fmt.Errorf("-quantize %q (want exact|snap)", *quantize)
-	}
-	// Budgets, the speculative window, and the kernel knobs are engine
-	// state, so they apply per registered pack — and ride along across hot
-	// reloads, which rebuild engines from the current configuration. Packs
-	// whose manifests pin kernel_workers/quantize keep their own settings.
+	// Budgets and the speculative window are engine state, so they apply per
+	// registered pack — and ride along across hot reloads, which rebuild
+	// engines from the current configuration.
 	for _, name := range reg.Names() {
 		pk, _ := reg.Get(name)
 		if *solverBudget > 0 || *solverTimeout > 0 {
@@ -102,21 +96,6 @@ func run() error {
 		}
 		if *lookahead > 0 {
 			pk.Engine.SetLookahead(*lookahead)
-		}
-		if *kernelWorkers != 0 && pk.Def.KernelWorkers == 0 {
-			if eff := pk.Engine.SetKernelWorkers(*kernelWorkers); eff > 1 {
-				logf("lejitd: pack %s: GEMM worker group of %d", name, eff)
-			}
-		}
-		if *quantize != "" && pk.Def.Quantize == "" {
-			st, err := pk.Engine.SetWeightQuantization(*quantize)
-			if err != nil {
-				// Uniform-LM packs have no weights to quantize; the flag is
-				// best-effort across the registry, so skip them.
-				logf("lejitd: pack %s: -quantize skipped: %v", name, err)
-				continue
-			}
-			logf("lejitd: pack %s: int8 weights (%s, row coverage %.2f)", name, st.Mode, st.Coverage)
 		}
 	}
 	srv, err := server.New(server.Config{

@@ -35,6 +35,11 @@ func (a nnLM) newCloneable() Session { return nnSession{a.m.NewSession()} }
 //
 // The LM's sessions must support cloning (CloneableSession; the built-in
 // transformer does).
+//
+// BeamImpute is the decoding-strategy ablation (lejit-bench -fig abl; the
+// public lejit.Pipeline.ImputeBeam wraps it), not a serving path: it drives
+// a Session directly, outside the lock-step loop, and no server route or
+// benchmark workload reaches it.
 func (e *Engine) BeamImpute(known rules.Record, width int) (Result, error) {
 	if width < 1 {
 		return Result{}, fmt.Errorf("core: beam width %d < 1", width)

@@ -159,22 +159,7 @@ type Config struct {
 
 	Temperature float64 // softmax temperature (0 → 1.0)
 	TopK        int     // restrict sampling to the K most likely admissible tokens (0 → all)
-	// KernelWorkers sizes the LM's kernel worker group (multi-core GEMM
-	// sharding, DESIGN.md §15): n > 1 shards eligible kernels across n
-	// goroutines, negative means GOMAXPROCS, 0 leaves the model's current
-	// setting untouched. Only nn-backed LMs (WrapNN) honor it; output is
-	// bit-identical at every setting. The worker group lives on the model,
-	// so it is shared by every engine and clone over that model.
-	KernelWorkers int
-	// QuantizeWeights builds the LM's int8 weight store at engine
-	// construction: nn.QuantExact keeps the weights untouched and serves
-	// only rows with an exact int8 round-trip (typically none for trained
-	// float32 weights), nn.QuantSnap snaps the weights onto their int8 grid
-	// once so the whole model streams quantized. Empty leaves the model
-	// as-is. Like the worker group, the store is model-level shared state;
-	// logits are unchanged by construction (the dequant-exact invariant).
-	QuantizeWeights string
-	MaxNodes        uint64 // solver search budget per Check (0 → solver default)
+	MaxNodes    uint64  // solver search budget per Check (0 → solver default)
 	// SolverTimeout is the wall-clock budget per solver Check (0 → none).
 	// A Check that exceeds it returns Unknown and the lane fails with an
 	// error unwrapping to ErrBudget, so one pathological rule set cannot
@@ -267,12 +252,6 @@ type Stats struct {
 	// ForcedSteps) are invariant across Lookahead settings.
 	SpecAcceptedTokens int
 	SpecRollbacks      int
-	// KernelWorkers is the LM kernel worker-group size this decode ran
-	// under (1 = serial; 0 for non-nn LMs). QuantizedWeightRows is the
-	// fraction of weight rows served from the int8 store (0 when the store
-	// is absent or disabled).
-	KernelWorkers       int
-	QuantizedWeightRows float64
 }
 
 // Result is one decoded record plus its statistics.
@@ -431,22 +410,6 @@ func newEngine(cfg Config, ruleFormula smt.Formula) (*Engine, error) {
 			}
 		}
 	}
-	// Kernel configuration lands on the shared model before the fingerprint
-	// is taken. Both calls are idempotent on the model (SetKernelWorkers
-	// no-ops on an unchanged count, Quantize returns the existing store), so
-	// the clone path re-applying the same config mid-serve is free — and a
-	// snap-mode Quantize changes weights only on the first engine build,
-	// before any decoding, never under a live prefix cache.
-	if lm, ok := cfg.LM.(nnLM); ok {
-		if cfg.KernelWorkers != 0 {
-			lm.m.SetKernelWorkers(cfg.KernelWorkers)
-		}
-		if cfg.QuantizeWeights != "" {
-			if _, err := lm.m.Quantize(cfg.QuantizeWeights); err != nil {
-				return nil, fmt.Errorf("core: quantizing weights: %w", err)
-			}
-		}
-	}
 	e.fingerprint = ruleFingerprint(cfg)
 	return e, nil
 }
@@ -519,39 +482,6 @@ func (e *Engine) SetSolverBudget(maxNodes uint64, timeout time.Duration) {
 		c.cfg.SolverTimeout = timeout
 		c.solver.Timeout = timeout
 	})
-}
-
-// SetKernelWorkers sizes the LM's kernel worker group after construction
-// (see configure; a clone re-applying the count is a no-op on the shared
-// model). Returns the effective worker count — 0 when the LM is not
-// nn-backed (non-transformer LMs have no kernels to shard).
-func (e *Engine) SetKernelWorkers(n int) int {
-	lm, ok := e.cfg.LM.(nnLM)
-	if !ok {
-		return 0
-	}
-	eff := lm.m.SetKernelWorkers(n)
-	e.configure(func(c *Engine) { c.cfg.KernelWorkers = eff })
-	return eff
-}
-
-// SetWeightQuantization builds the LM's int8 weight store after
-// construction (mode nn.QuantExact or nn.QuantSnap; see
-// Config.QuantizeWeights) and records the mode for clones (see configure).
-// Idempotent on the shared model — a second call returns the existing
-// store's stats. Returns an error for unknown modes or non-nn LMs. Call
-// before decoding begins: snap mode rewrites the model's weights.
-func (e *Engine) SetWeightQuantization(mode string) (nn.QuantStats, error) {
-	lm, ok := e.cfg.LM.(nnLM)
-	if !ok {
-		return nn.QuantStats{}, fmt.Errorf("core: LM is not an nn model; nothing to quantize")
-	}
-	st, err := lm.m.Quantize(mode)
-	if err != nil {
-		return nn.QuantStats{}, err
-	}
-	e.configure(func(c *Engine) { c.cfg.QuantizeWeights = st.Mode })
-	return st, nil
 }
 
 // SetLookahead sets the speculative-decoding window (Config.Lookahead)

@@ -243,12 +243,6 @@ func (ld *laneDecoder) finish() {
 		ld.spec.open = false
 	}
 	ld.res.Stats.SolverChecks = ld.e.solver.Stats().Checks - ld.checksBefore
-	if lm, ok := ld.e.cfg.LM.(nnLM); ok {
-		ld.res.Stats.KernelWorkers = lm.m.KernelWorkers()
-		if lm.m.QuantEnabled() {
-			ld.res.Stats.QuantizedWeightRows = lm.m.QuantCoverage()
-		}
-	}
 	if ld.pushed {
 		ld.e.solver.Pop()
 		ld.pushed = false

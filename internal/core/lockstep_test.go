@@ -1,11 +1,15 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -42,6 +46,12 @@ func nnTestModel(tb testing.TB) *nn.Model {
 
 func nnTestEngine(tb testing.TB) *Engine {
 	tb.Helper()
+	return nnEngineOver(tb, nnTestModel(tb))
+}
+
+// nnEngineOver builds the LeJIT telemetry engine of nnTestEngine over m.
+func nnEngineOver(tb testing.TB, m *nn.Model) *Engine {
+	tb.Helper()
 	schema := rules.MustSchema(
 		rules.Field{Name: "TotalIngress", Kind: rules.Scalar, Lo: 0, Hi: 300},
 		rules.Field{Name: "Congestion", Kind: rules.Scalar, Lo: 0, Hi: 100},
@@ -56,7 +66,7 @@ func nnTestEngine(tb testing.TB) *Engine {
 		tb.Fatal(err)
 	}
 	e, err := NewEngine(Config{
-		LM: WrapNN(nnTestModel(tb)), Tok: vocab.Telemetry(), Schema: schema,
+		LM: WrapNN(m), Tok: vocab.Telemetry(), Schema: schema,
 		Rules: rs, Slots: slots, Mode: LeJIT,
 	})
 	if err != nil {
@@ -388,5 +398,134 @@ func TestDecodeRequestsMatchesImpute(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// snappedModel returns a private model whose weight tensors each sit on a
+// 256-point affine grid (lo + scale·q, q in [0,255]): the weights an int8
+// store holds. The snap goes through Save/Load, so it needs no access to the
+// model's internals.
+func snappedModel(tb testing.TB) *nn.Model {
+	tb.Helper()
+	m, err := nn.New(nn.Config{
+		Vocab: vocab.Telemetry().Size(), Ctx: 48, Dim: 48, Heads: 4, Layers: 2,
+	}, 7)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	var g struct {
+		Cfg     nn.Config
+		Weights [][]float32
+		Step    int
+	}
+	if err := gob.NewDecoder(&buf).Decode(&g); err != nil {
+		tb.Fatal(err)
+	}
+	moved := 0
+	for _, w := range g.Weights {
+		lo, hi := w[0], w[0]
+		for _, v := range w {
+			lo, hi = min(lo, v), max(hi, v)
+		}
+		s := (hi - lo) / 255
+		if s == 0 {
+			continue // constant tensor (LayerNorm gains and biases)
+		}
+		for i, v := range w {
+			w[i] = lo + s*float32(math.Round(float64((v-lo)/s)))
+			if w[i] != v {
+				moved++
+			}
+		}
+	}
+	if moved == 0 {
+		tb.Fatal("snapping moved no weight")
+	}
+	buf.Reset()
+	if err := gob.NewEncoder(&buf).Encode(g); err != nil {
+		tb.Fatal(err)
+	}
+	sm, err := nn.Load(&buf)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return sm
+}
+
+// TestLockStepShardedQuantizedMatchesSolo is the end-to-end golden check on
+// int8-grid weights: a lock-step batch sharded across three lane groups that
+// share one snapped model yields the same records as per-record solo decodes
+// of the same engine. The int8 weight store that once served such weights is
+// gone (DESIGN.md §15), so they take the one float32 path like any others.
+func TestLockStepShardedQuantizedMatchesSolo(t *testing.T) {
+	e := nnEngineOver(t, snappedModel(t))
+	reqs := []BatchRequest{
+		{Prompt: rules.Record{"TotalIngress": {120}, "Congestion": {10}}},
+		{Prompt: rules.Record{"TotalIngress": {60}, "Congestion": {0}}},
+		{},
+		{Prompt: rules.Record{"TotalIngress": {200}, "Congestion": {55}}},
+	}
+	out, err := e.DecodeRequests(context.Background(), reqs, 3, 42, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkMatchesSolo(t, e, reqs, out, 42)
+	for i := range out {
+		if out[i].Err != nil {
+			t.Errorf("record %d: %v", i, out[i].Err)
+		}
+	}
+}
+
+// TestReleaseClonePoolCap: the pool retains up to max(2×NumCPU, observed
+// batch demand) clones — the demand high-water mark lifts the CPU-derived
+// cap so a large micro-batch on a small host keeps its lane engines.
+func TestReleaseClonePoolCap(t *testing.T) {
+	e := nnTestEngine(t)
+	drain := func() {
+		e.poolMu.Lock()
+		e.pool = nil
+		e.poolDemand = 0
+		e.poolMu.Unlock()
+	}
+	drain()
+	defer drain()
+
+	baseCap := 2 * runtime.NumCPU()
+	want := baseCap + 3
+	clones := make([]*Engine, want+2)
+	for i := range clones {
+		c, err := e.Clone()
+		if err != nil {
+			t.Fatal(err)
+		}
+		clones[i] = c
+	}
+
+	for _, c := range clones {
+		e.releaseClone(c)
+	}
+	e.poolMu.Lock()
+	got := len(e.pool)
+	e.poolMu.Unlock()
+	if got != baseCap {
+		t.Fatalf("pool retained %d clones with no recorded demand, want %d", got, baseCap)
+	}
+
+	drain()
+	e.notePoolDemand(want)
+	e.notePoolDemand(1) // a smaller batch must not lower the high-water mark
+	for _, c := range clones {
+		e.releaseClone(c)
+	}
+	e.poolMu.Lock()
+	got = len(e.pool)
+	e.poolMu.Unlock()
+	if got != want {
+		t.Fatalf("pool retained %d clones with demand %d, want %d", got, want, want)
 	}
 }

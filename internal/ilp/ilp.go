@@ -8,6 +8,10 @@
 // projection optimizes numerical distance, not semantic likelihood, and so
 // hurts statistical fidelity — is exactly what the Fig 4/5 experiments
 // measure against this implementation.
+//
+// It is a paper-figure baseline, not a serving path: the PostHoc decode mode
+// and the Zoom2Net substitute call it, and no server route or benchmark
+// workload reaches it.
 package ilp
 
 import (

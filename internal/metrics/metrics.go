@@ -65,7 +65,9 @@ func JSD(a, b []float64, bins int, lo, hi float64) float64 {
 		m := (pa[i] + pb[i]) / 2
 		d += 0.5*klTerm(pa[i], m) + 0.5*klTerm(pb[i], m)
 	}
-	return d
+	// Disjoint histograms sum bin masses like 1/3+1/3+1/3, which can round
+	// to 1+ulp; clamp rounding back into the divergence's [0,1] range.
+	return math.Min(math.Max(d, 0), 1)
 }
 
 func klTerm(p, m float64) float64 {

@@ -24,7 +24,7 @@ func (e *LaneError) Unwrap() error { return e.Err }
 // the model in lock-step. Where Session.Append is a chain of matrix-vector
 // products that stream every weight matrix from memory once per token per
 // record, AppendBatch runs the active lanes through the same GEMM kernels
-// (Model.gemm/gemm3) with more rows, streaming each weight block once per
+// (matLinear/matLinear3) with more rows, streaming each weight block once per
 // token step for the whole batch — the per-lane arithmetic (and therefore
 // the float32 result) is bit-identical to the one-row call.
 //
@@ -48,12 +48,8 @@ type BatchSession struct {
 	// r-th lane passed to the current AppendBatch call.
 	x, ln, q, k, v, attn, proj, mlp []float32 // [n*Dim]
 	hbuf, hg                        []float32 // [n*F]
-	// Per-block kernel scratch: sc.p holds one attention score row per
-	// worker block (lanes attend in parallel blocks; serial attention uses
-	// sc.p[0]), sc.dq the dequant staging slabs when the model has an int8
-	// store. Sized for the worker count at construction.
-	sc     kernelScratch
-	inStep []bool // [n] duplicate-lane check scratch
+	p                               []float32 // [Ctx] attention score row, reused lane by lane
+	inStep                          []bool    // [n] duplicate-lane check scratch
 }
 
 // NewBatchSession creates a lock-step session with n lanes, all empty.
@@ -65,12 +61,7 @@ func (m *Model) NewBatchSession(n int) *BatchSession {
 	f := m.Cfg.ff() * d
 	ctx := m.Cfg.Ctx
 	cache := ctx * d
-	workers := m.KernelWorkers()
-	scratch := workers * ctx // per-block attention rows
-	if m.quant.Load() != nil {
-		scratch += workers * 12 * f // per-block dequant staging
-	}
-	a := tensor.NewArena(2*m.Cfg.Layers*n*cache + n*m.Cfg.Vocab + 8*n*d + 2*n*f + scratch)
+	a := tensor.NewArena(2*m.Cfg.Layers*n*cache + n*m.Cfg.Vocab + 8*n*d + 2*n*f + ctx)
 	bs := &BatchSession{
 		m:      m,
 		n:      n,
@@ -94,16 +85,7 @@ func (m *Model) NewBatchSession(n int) *BatchSession {
 	bs.mlp = a.Alloc(n * d)
 	bs.hbuf = a.Alloc(n * f)
 	bs.hg = a.Alloc(n * f)
-	bs.sc.p = make([][]float32, workers)
-	for i := range bs.sc.p {
-		bs.sc.p[i] = a.Alloc(ctx)
-	}
-	if m.quant.Load() != nil {
-		bs.sc.dq = make([][]float32, workers)
-		for i := range bs.sc.dq {
-			bs.sc.dq[i] = a.Alloc(12 * f)
-		}
-	}
+	bs.p = a.Alloc(ctx)
 	return bs
 }
 
@@ -172,13 +154,6 @@ func (bs *BatchSession) AppendBatch(lanes, toks []int) error {
 	q, k, v, attn := bs.q[:rows*d], bs.k[:rows*d], bs.v[:rows*d], bs.attn[:rows*d]
 	proj, mlp := bs.proj[:rows*d], bs.mlp[:rows*d]
 	hbuf, hg := bs.hbuf[:rows*f], bs.hg[:rows*f]
-	mq := m.activeQuant()
-	// Attention cost this step, for the parallel-dispatch decision: each
-	// lane's q·K and p·V passes touch 2·d floats per attended position.
-	attnWork := 0
-	for _, lane := range lanes {
-		attnWork += 2 * d * (bs.pos[lane] + 1)
-	}
 	for l := range m.layers {
 		ly := &m.layers[l]
 		for r := 0; r < rows; r++ {
@@ -186,8 +161,7 @@ func (bs *BatchSession) AppendBatch(lanes, toks []int) error {
 		}
 
 		// One GEMM for all lanes' q/k/v: each weight block is read once.
-		tq, tk, tv, two, tw1, tw2 := mq.layerTensors(l)
-		m.gemm3(q, k, v, ln, ly.wq.W, ly.wk.W, ly.wv.W, ly.bq.W, ly.bk.W, ly.bv.W, tq, tk, tv, d, d, rows, &bs.sc)
+		matLinear3(q, k, v, ln, ly.wq.W, ly.wk.W, ly.wv.W, ly.bq.W, ly.bk.W, ly.bv.W, d, d, rows)
 
 		// Scatter k/v into each lane's head-major cache block.
 		kcl, vcl := bs.kc[l], bs.vc[l]
@@ -203,24 +177,11 @@ func (bs *BatchSession) AppendBatch(lanes, toks []int) error {
 
 		// Attention is inherently per-lane: ragged positions mean each lane
 		// attends over a different-length history of its own cache block.
-		// Lanes are independent, so the worker group shards them as lane
-		// blocks (each block gets its own score row sc.p[bi]); within a lane
-		// the arithmetic is untouched, so the partition is bit-exact.
-		if pool, blocks := m.kernelBlocks(attnWork, rows, 1, len(bs.sc.p)); blocks > 1 {
-			m.parallelOps.Add(1)
-			pool.parallelFor(blocks, func(bi int) {
-				for r := bi * rows / blocks; r < (bi+1)*rows/blocks; r++ {
-					bs.attendLane(kcl, vcl, q, attn, r, lanes[r], bs.sc.p[bi], scale)
-				}
-			})
-		} else {
-			m.serialOps.Add(1)
-			for r, lane := range lanes {
-				bs.attendLane(kcl, vcl, q, attn, r, lane, bs.sc.p[0], scale)
-			}
+		for r, lane := range lanes {
+			bs.attendLane(kcl, vcl, q, attn, r, lane, scale)
 		}
 
-		m.gemm(proj, attn, ly.wo.W, ly.bo.W, two, d, d, rows, &bs.sc)
+		matLinear(proj, attn, ly.wo.W, ly.bo.W, d, d, rows)
 		for i := range x {
 			x[i] += proj[i]
 		}
@@ -228,9 +189,9 @@ func (bs *BatchSession) AppendBatch(lanes, toks []int) error {
 		for r := 0; r < rows; r++ {
 			tensor.LayerNormRow(ln[r*d:(r+1)*d], x[r*d:(r+1)*d], ly.ln2g.W, ly.ln2b.W)
 		}
-		m.gemm(hbuf, ln, ly.w1.W, ly.b1.W, tw1, d, f, rows, &bs.sc)
+		matLinear(hbuf, ln, ly.w1.W, ly.b1.W, d, f, rows)
 		tensor.GELU(hg, hbuf)
-		m.gemm(mlp, hg, ly.w2.W, ly.b2.W, tw2, f, d, rows, &bs.sc)
+		matLinear(mlp, hg, ly.w2.W, ly.b2.W, f, d, rows)
 		for i := range x {
 			x[i] += mlp[i]
 		}
@@ -241,7 +202,7 @@ func (bs *BatchSession) AppendBatch(lanes, toks []int) error {
 	}
 	// Tied head as a GEMM: vocab-outer so each embedding row is streamed once
 	// for all lanes; per lane this is the same ⟨ln, tok_v⟩ as Session.
-	m.headLogits(bs.logits, ln, lanes, rows, &bs.sc)
+	m.headLogits(bs.logits, ln, lanes, rows)
 	for _, lane := range lanes {
 		bs.pos[lane]++
 	}
@@ -249,9 +210,8 @@ func (bs *BatchSession) AppendBatch(lanes, toks []int) error {
 }
 
 // attendLane runs one lane's causal attention over its cache block into the
-// compacted attn row r, using p as the score row. A method rather than a
-// closure inside AppendBatch so the serial hot path stays allocation-free.
-func (bs *BatchSession) attendLane(kcl, vcl, q, attn []float32, r, lane int, p []float32, scale float32) {
+// compacted attn row r, using bs.p as the score row.
+func (bs *BatchSession) attendLane(kcl, vcl, q, attn []float32, r, lane int, scale float32) {
 	m := bs.m
 	d := m.Cfg.Dim
 	h := m.Cfg.Heads
@@ -268,7 +228,7 @@ func (bs *BatchSession) attendLane(kcl, vcl, q, attn []float32, r, lane int, p [
 		qh := q[r*d+off : r*d+off+dh]
 		kh := kcl[base+hd*ctx*dh:]
 		vh := vcl[base+hd*ctx*dh:]
-		p := p[:t+1]
+		p := bs.p[:t+1]
 		for j := 0; j <= t; j++ {
 			p[j] = tensor.Dot(qh, kh[j*dh:j*dh+dh]) * scale
 		}
@@ -396,17 +356,4 @@ func (bs *BatchSession) SeedLane(lane int, src *Session) error {
 	copy(bs.logits[lane*v:(lane+1)*v], src.logits)
 	bs.pos[lane] = t
 	return nil
-}
-
-// AppendWeightBytes returns how many parameter bytes one Session.Append
-// streams from memory: every per-token matrix (attention projections, MLP)
-// plus the tied LM head, read in full once per token. The GEMM path reads
-// the same bytes once per token *step*, so a lock-step batch of B lanes
-// streams AppendWeightBytes/B per lane-token — the quantity BENCH reports
-// as bytes/token.
-func (m *Model) AppendWeightBytes() int64 {
-	d := int64(m.Cfg.Dim)
-	f := int64(m.Cfg.ff()) * d
-	perLayer := 4*d*d + 2*d*f // wq,wk,wv,wo + w1,w2
-	return 4 * (int64(m.Cfg.Layers)*perLayer + int64(m.Cfg.Vocab)*d)
 }

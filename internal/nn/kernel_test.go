@@ -254,46 +254,31 @@ func TestGoldenCloneMatchesSeed(t *testing.T) {
 	compareLogitsBits(t, s.Logits(), r.logits, "original after branching")
 }
 
-// checkGemmMatchesSeed runs one random shape through matLinearCols and
-// matLinear3Cols the ways production does — full range and a random column
-// partition, float32 weights and an int8 store with some fallback rows — and
-// requires every output row bit-equal to the seed loop on that row alone.
+// checkGemmMatchesSeed runs one random shape through matLinear and
+// matLinear3 and requires every output row bit-equal to the seed loop on that
+// row alone.
 func checkGemmMatchesSeed(t *testing.T, rng *rand.Rand, fill func(int) []float32, rows int) {
 	t.Helper()
 	in, out := 1+rng.Intn(33), 1+rng.Intn(33)
 	x, b := fill(rows*in), fill(out)
 	w := [3][]float32{fill(in * out), fill(in * out), fill(in * out)}
-	for _, quant := range []bool{false, true} {
-		var qt [3]*quantTensor
-		if quant {
-			for i := range qt {
-				qt[i], _ = quantizeTensor(w[i], in, out, true) // snaps w[i] onto its grid
-				qt[i].ok[rng.Intn(in)] = false                 // a row served from float32
-			}
+	var want [3][]float32
+	for i := range want {
+		want[i] = make([]float32, rows*out)
+		for r := 0; r < rows; r++ {
+			refVecLinear(want[i][r*out:(r+1)*out], x[r*in:(r+1)*in], w[i], b, in, out)
 		}
-		var want [3][]float32
-		for i := range want {
-			want[i] = make([]float32, rows*out)
-			for r := 0; r < rows; r++ {
-				refVecLinear(want[i][r*out:(r+1)*out], x[r*in:(r+1)*in], w[i], b, in, out)
-			}
-		}
-		for _, cuts := range [][]int{{0, out}, {0, rng.Intn(out + 1), out}, {0, out / 3, out / 3, out}} {
-			y := make([]float32, rows*out)
-			q, k, v := make([]float32, rows*out), make([]float32, rows*out), make([]float32, rows*out)
-			dq := make([]float32, 12*out)
-			for c := 0; c+1 < len(cuts); c++ {
-				matLinearCols(y, x, w[0], b, qt[0], in, out, rows, cuts[c], cuts[c+1], dq)
-				matLinear3Cols(q, k, v, x, w[0], w[1], w[2], b, b, b, qt[0], qt[1], qt[2], in, out, rows, cuts[c], cuts[c+1], dq)
-			}
-			for i, got := range [][]float32{y, q, k, v} {
-				ref := want[max(i-1, 0)]
-				for j := range ref {
-					if math.Float32bits(got[j]) != math.Float32bits(ref[j]) {
-						t.Fatalf("rows=%d in=%d out=%d quant=%v cuts=%v output %d [%d]: got %v, seed %v",
-							rows, in, out, quant, cuts, i, j, got[j], ref[j])
-					}
-				}
+	}
+	y := make([]float32, rows*out)
+	q, k, v := make([]float32, rows*out), make([]float32, rows*out), make([]float32, rows*out)
+	matLinear(y, x, w[0], b, in, out, rows)
+	matLinear3(q, k, v, x, w[0], w[1], w[2], b, b, b, in, out, rows)
+	for i, got := range [][]float32{y, q, k, v} {
+		ref := want[max(i-1, 0)]
+		for j := range ref {
+			if math.Float32bits(got[j]) != math.Float32bits(ref[j]) {
+				t.Fatalf("rows=%d in=%d out=%d output %d [%d]: got %v, seed %v",
+					rows, in, out, i, j, got[j], ref[j])
 			}
 		}
 	}
@@ -359,7 +344,7 @@ func BenchmarkVecLinear(b *testing.B) {
 	y := make([]float32, out)
 	b.Run("kernel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			matLinearCols(y, x, w, bias, nil, in, out, 1, 0, out, nil)
+			matLinear(y, x, w, bias, in, out, 1)
 		}
 	})
 	b.Run("seed", func(b *testing.B) {
@@ -385,14 +370,14 @@ func BenchmarkVecLinear3(b *testing.B) {
 	q, k, v := make([]float32, d), make([]float32, d), make([]float32, d)
 	b.Run("fused", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			matLinear3Cols(q, k, v, x, wq, wk, wv, bias, bias, bias, nil, nil, nil, d, d, 1, 0, d, nil)
+			matLinear3(q, k, v, x, wq, wk, wv, bias, bias, bias, d, d, 1)
 		}
 	})
 	b.Run("separate", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			matLinearCols(q, x, wq, bias, nil, d, d, 1, 0, d, nil)
-			matLinearCols(k, x, wk, bias, nil, d, d, 1, 0, d, nil)
-			matLinearCols(v, x, wv, bias, nil, d, d, 1, 0, d, nil)
+			matLinear(q, x, wq, bias, d, d, 1)
+			matLinear(k, x, wk, bias, d, d, 1)
+			matLinear(v, x, wv, bias, d, d, 1)
 		}
 	})
 }
@@ -454,14 +439,12 @@ func BenchmarkAttentionInner(b *testing.B) {
 }
 
 // BenchmarkSessionAppend is a full-context fill: the rewritten Append must
-// beat the seed implementation by ≥1.5x. workers2 is the same fill with the
-// one-row GEMMs above minParallelMadds column-sharded over two kernel
-// workers — the pair DESIGN.md §15 quotes for the dispatch threshold.
+// beat the seed implementation by ≥1.5x.
 func BenchmarkSessionAppend(b *testing.B) {
 	m := goldenModel(b, benchCfg(), 7)
 	rng := rand.New(rand.NewSource(5))
 	seq := randSeq(rng, m.Cfg.Ctx, m.Cfg.Vocab)
-	fill := func(b *testing.B) {
+	b.Run("rewritten", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			s := m.NewSession()
 			for _, tok := range seq {
@@ -470,12 +453,6 @@ func BenchmarkSessionAppend(b *testing.B) {
 				}
 			}
 		}
-	}
-	b.Run("rewritten", fill)
-	b.Run("workers2", func(b *testing.B) {
-		m.SetKernelWorkers(2)
-		defer m.SetKernelWorkers(1)
-		fill(b)
 	})
 	b.Run("seed", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

@@ -16,8 +16,6 @@ import (
 	"io"
 	"math"
 	"math/rand"
-	"sync"
-	"sync/atomic"
 )
 
 // Config describes a model architecture.
@@ -93,20 +91,14 @@ type Model struct {
 
 	params []*Param // registry, fixed order (serialization + optimizer)
 	step   int      // Adam time step
-
-	// Inference runtime state, never serialized: the kernel worker group
-	// (parallel.go) and the int8 weight store (quant.go). Atomic pointers so
-	// sessions read them lock-free per dispatch; the mutexes serialize
-	// reconfiguration only.
-	kern    atomic.Pointer[kernelPool]
-	kernMu  sync.Mutex
-	quant   atomic.Pointer[modelQuant]
-	quantMu sync.Mutex
-	quantOn atomic.Bool
-
-	// Kernel dispatch counters (see KernelOps).
-	parallelOps, serialOps atomic.Uint64
 }
+
+// KernelOps reports how many GEMMs ran sharded across a kernel worker group
+// versus serially. The decode forward has one path — one goroutine per GEMM
+// (DESIGN.md §15) — so both counts are always 0; the method survives only as
+// the benchmark's nn.kernel_parallel_share seam, and goes together with that
+// metric in the next benchmark change.
+func (m *Model) KernelOps() (parallel, serial uint64) { return 0, 0 }
 
 // New initializes a model with GPT-2-style random weights (N(0, 0.02²),
 // residual projections scaled by 1/√(2·Layers), LayerNorm gains at 1).

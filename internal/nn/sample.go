@@ -30,9 +30,6 @@ type Session struct {
 	x, ln, q, k, v, attn, proj, mlp []float32 // [Dim]
 	hbuf, hg                        []float32 // [ff*Dim]
 	p                               []float32 // [Ctx] attention row, used up to pos+1
-	// Kernel-dispatch scratch (dequant staging). Sized at construction, so a
-	// session created before Quantize simply decodes from float32 weights.
-	sc kernelScratch
 }
 
 // NewSession starts an empty decoding session. KV pages are allocated as
@@ -58,12 +55,6 @@ func (s *Session) initScratch() {
 	s.hbuf = make([]float32, f)
 	s.hg = make([]float32, f)
 	s.p = make([]float32, s.m.Cfg.Ctx)
-	if s.m.quant.Load() != nil {
-		s.sc.dq = make([][]float32, s.m.KernelWorkers())
-		for i := range s.sc.dq {
-			s.sc.dq[i] = make([]float32, 12*f)
-		}
-	}
 }
 
 // Len reports the number of tokens consumed.
@@ -107,14 +98,12 @@ func (s *Session) Append(tok int) error {
 
 	ln, q, k, v, attn := s.ln, s.q, s.k, s.v, s.attn
 	hbuf, hg := s.hbuf, s.hg
-	mq := m.activeQuant()
 	for l := range m.layers {
 		ly := &m.layers[l]
 		tensor.LayerNormRow(ln, x, ly.ln1g.W, ly.ln1b.W)
 
 		// Project q/k/v in one fused pass over the layer-norm row.
-		tq, tk, tv, two, tw1, tw2 := mq.layerTensors(l)
-		m.gemm3(q, k, v, ln, ly.wq.W, ly.wk.W, ly.wv.W, ly.bq.W, ly.bk.W, ly.bv.W, tq, tk, tv, d, d, 1, &s.sc)
+		matLinear3(q, k, v, ln, ly.wq.W, ly.wk.W, ly.wv.W, ly.bq.W, ly.bk.W, ly.bv.W, d, d, 1)
 
 		// Scatter this position's k/v into its page, head-major.
 		kp, vp := page.k[l], page.v[l]
@@ -165,25 +154,24 @@ func (s *Session) Append(tok int) error {
 		}
 
 		proj := s.proj
-		m.gemm(proj, attn, ly.wo.W, ly.bo.W, two, d, d, 1, &s.sc)
+		matLinear(proj, attn, ly.wo.W, ly.bo.W, d, d, 1)
 		for j := range x {
 			x[j] += proj[j]
 		}
 
 		tensor.LayerNormRow(ln, x, ly.ln2g.W, ly.ln2b.W)
-		m.gemm(hbuf, ln, ly.w1.W, ly.b1.W, tw1, d, f, 1, &s.sc)
+		matLinear(hbuf, ln, ly.w1.W, ly.b1.W, d, f, 1)
 		tensor.GELU(hg, hbuf)
 		mlp := s.mlp
-		m.gemm(mlp, hg, ly.w2.W, ly.b2.W, tw2, f, d, 1, &s.sc)
+		matLinear(mlp, hg, ly.w2.W, ly.b2.W, f, d, 1)
 		for j := range x {
 			x[j] += mlp[j]
 		}
 	}
 
 	tensor.LayerNormRow(ln, x, m.lnfg.W, m.lnfb.W)
-	// Tied head: logits[v] = ⟨ln, tok_v⟩, vocab-sharded across the worker
-	// group when the dispatch is worth it.
-	m.headLogits(s.logits, ln, nil, 1, &s.sc)
+	// Tied head: logits[v] = ⟨ln, tok_v⟩.
+	m.headLogits(s.logits, ln, nil, 1)
 	s.pos++
 	return nil
 }

@@ -18,7 +18,6 @@ const (
 	maxVectorLen     = 32
 	maxFieldHi       = 1_000_000
 	maxAlphabetLen   = 64
-	maxKernelWorkers = 256
 )
 
 // ParseManifest parses a pack manifest: the schema, decode shape, and
@@ -34,11 +33,8 @@ const (
 //	prompt  NumAcls
 //
 // Fields appear in grammar order; separators are quoted Go strings holding
-// exactly one character. Optional kernel directives tune nn-backed packs:
-// "kernel_workers <n>" shards GEMMs across n goroutines and "quantize
-// exact|snap|off" selects int8 weight quantization (DESIGN.md §15); both
-// override the daemon-level flags. The returned definition has no rule
-// text, LM, or examples — callers fill those in before Compile (see Load).
+// exactly one character. The returned definition has no rule text, LM, or
+// examples — callers fill those in before Compile (see Load).
 func ParseManifest(src string) (*Definition, error) {
 	if len(src) > maxManifestBytes {
 		return nil, fmt.Errorf("pack: manifest is %d bytes (max %d)", len(src), maxManifestBytes)
@@ -99,27 +95,6 @@ func ParseManifest(src string) (*Definition, error) {
 				return nil, errf("want: prompt <field...>")
 			}
 			def.PromptFields = append(def.PromptFields, toks[1:]...)
-		case "kernel_workers":
-			if len(toks) != 2 {
-				return nil, errf("want: kernel_workers <n>")
-			}
-			n, err := strconv.Atoi(toks[1])
-			if err != nil || n < 1 || n > maxKernelWorkers {
-				return nil, errf("kernel_workers %q (want 1..%d)", toks[1], maxKernelWorkers)
-			}
-			def.KernelWorkers = n
-		case "quantize":
-			if len(toks) != 2 {
-				return nil, errf("want: quantize exact|snap|off")
-			}
-			switch toks[1] {
-			case "exact", "snap":
-				def.Quantize = toks[1]
-			case "off":
-				def.Quantize = ""
-			default:
-				return nil, errf("quantize %q (want exact|snap|off)", toks[1])
-			}
 		default:
 			return nil, errf("unknown directive %q", toks[0])
 		}

@@ -53,31 +53,6 @@ func TestLoadManifestPlusRules(t *testing.T) {
 	}
 }
 
-func TestParseManifestKernelDirectives(t *testing.T) {
-	src := routerManifest + "kernel_workers 4\nquantize snap\n"
-	def, err := ParseManifest(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if def.KernelWorkers != 4 || def.Quantize != "snap" {
-		t.Fatalf("kernel directives not applied: workers=%d quantize=%q", def.KernelWorkers, def.Quantize)
-	}
-	def, err = ParseManifest(routerManifest + "quantize off\n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if def.Quantize != "" {
-		t.Fatalf("quantize off parsed as %q, want empty", def.Quantize)
-	}
-	def, err = ParseManifest(routerManifest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if def.KernelWorkers != 0 || def.Quantize != "" {
-		t.Fatalf("directives defaulted to workers=%d quantize=%q, want zero values", def.KernelWorkers, def.Quantize)
-	}
-}
-
 func TestParseManifestErrors(t *testing.T) {
 	cases := []struct{ name, src string }{
 		{"empty", ""},
@@ -98,10 +73,6 @@ func TestParseManifestErrors(t *testing.T) {
 		{"dangling option", "pack p\nalphabet \"0123456789,\\n\"\nscalar X 0 9 sep"},
 		{"unknown option", "pack p\nalphabet \"0123456789,\\n\"\nscalar X 0 9 wat \",\""},
 		{"undeclared prompt", "pack p\nalphabet \"0123456789,\\n\"\nscalar X 0 9\nprompt Y"},
-		{"kernel_workers zero", "pack p\nalphabet \"0123456789,\\n\"\nscalar X 0 9\nkernel_workers 0"},
-		{"kernel_workers huge", "pack p\nalphabet \"0123456789,\\n\"\nscalar X 0 9\nkernel_workers 999"},
-		{"kernel_workers junk", "pack p\nalphabet \"0123456789,\\n\"\nscalar X 0 9\nkernel_workers four"},
-		{"quantize junk", "pack p\nalphabet \"0123456789,\\n\"\nscalar X 0 9\nquantize int4"},
 		{"too many fields", func() string {
 			var b strings.Builder
 			b.WriteString("pack p\nalphabet \"0123456789,\\n\"\n")
@@ -118,6 +89,23 @@ func TestParseManifestErrors(t *testing.T) {
 	for _, tc := range cases {
 		if _, err := ParseManifest(tc.src); err == nil {
 			t.Errorf("%s: ParseManifest accepted %q", tc.name, tc.src)
+		}
+	}
+}
+
+// TestParseManifestKernelDirectives: the kernel_workers and quantize
+// directives went with kernel sharding and the int8 weight store (DESIGN.md
+// §15). A manifest that still names one, in any form it once accepted, must
+// fail as an unknown directive rather than have it silently ignored.
+func TestParseManifestKernelDirectives(t *testing.T) {
+	if _, err := ParseManifest(routerManifest); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range []string{"kernel_workers 4", "quantize snap", "quantize exact", "quantize off"} {
+		_, err := ParseManifest(routerManifest + line + "\n")
+		directive := strings.Fields(line)[0]
+		if err == nil || !strings.Contains(err.Error(), "unknown directive") || !strings.Contains(err.Error(), directive) {
+			t.Errorf("%q: got %v, want an unknown-directive error naming %q", line, err, directive)
 		}
 	}
 }

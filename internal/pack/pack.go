@@ -68,16 +68,6 @@ type Definition struct {
 	// FuzzLoadPack sets them tight so hostile rule files cannot stall.
 	MaxNodes      uint64
 	SolverTimeout time.Duration
-	// KernelWorkers shards the pack model's GEMMs across a worker group of
-	// n goroutines when n > 1 (negative → GOMAXPROCS, 0 → serial). Ignored
-	// for packs whose LM is not nn-backed. Manifest: "kernel_workers <n>".
-	KernelWorkers int
-	// Quantize selects int8 weight quantization for the pack's model:
-	// "exact" keeps weights untouched and uses int8 only for rows that
-	// round-trip bit-exactly; "snap" rewrites weights to their dequantized
-	// values so every row qualifies (DESIGN.md §15). Empty means off.
-	// Manifest: "quantize exact|snap|off".
-	Quantize string
 }
 
 var nameRE = regexp.MustCompile(`^[a-z][a-z0-9_-]{0,31}$`)
@@ -199,7 +189,6 @@ func compile(def Definition, checkExamples bool) (*Compiled, error) {
 		Rules: rs, Slots: slots, Mode: def.Mode,
 		Temperature: def.Temperature,
 		MaxNodes:    def.MaxNodes, SolverTimeout: def.SolverTimeout,
-		KernelWorkers: def.KernelWorkers, QuantizeWeights: def.Quantize,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("pack %s: %w", def.Name, err)

@@ -24,9 +24,8 @@ import (
 type Config struct {
 	// Packs is the domain-pack registry the server decodes under: each
 	// request selects a pack by name ("pack" field, default DefaultPack) and
-	// runs against that pack's engine, rules, and schema. Kernel worker
-	// groups, weight quantization and prefix caches are per-pack state
-	// (pack.Definition, pack.NewRegistry).
+	// runs against that pack's engine, rules, and schema. Prefix caches are
+	// per-pack state (pack.NewRegistry).
 	Packs *pack.Registry
 	// DefaultPack names the pack used by requests that do not select one.
 	DefaultPack string

@@ -171,16 +171,14 @@ func TestGELUMatchesReference(t *testing.T) {
 	}
 }
 
-// BenchmarkAccum4 times the GEMM loop nest of nn.matLinearCols around the
-// kernel, at the decode model's shapes: the MLP up- and down-projection at
-// one row (solo decode) and 32 (a full lock-step batch), and a 32-column
-// range of a 64→64 projection as a two-worker shard sees it. generic is the
-// Go loop, kernel what Accum4 dispatches to on this GOARCH.
+// BenchmarkAccum4 times the GEMM loop nest of nn.matLinear around the kernel,
+// at the decode model's shapes: the MLP up- and down-projection at one row
+// (solo decode) and 32 (a full lock-step batch). generic is the Go loop,
+// kernel what Accum4 dispatches to on this GOARCH.
 func BenchmarkAccum4(b *testing.B) {
-	for _, sh := range []struct{ in, out, rows, j0, j1 int }{
-		{64, 256, 1, 0, 256}, {64, 256, 32, 0, 256},
-		{256, 64, 1, 0, 64}, {256, 64, 32, 0, 64},
-		{64, 64, 32, 32, 64},
+	for _, sh := range []struct{ in, out, rows int }{
+		{64, 256, 1}, {64, 256, 32},
+		{256, 64, 1}, {256, 64, 32},
 	} {
 		rng := rand.New(rand.NewSource(1))
 		x, w, y := make([]float32, sh.rows*sh.in), make([]float32, sh.in*sh.out), make([]float32, sh.rows*sh.out)
@@ -190,21 +188,19 @@ func BenchmarkAccum4(b *testing.B) {
 		for i := range w {
 			w[i] = float32(rng.NormFloat64()) * 0.02
 		}
-		name := fmt.Sprintf("%dx%d_cols%d-%d_rows%d", sh.in, sh.out, sh.j0, sh.j1, sh.rows)
+		name := fmt.Sprintf("%dx%d_rows%d", sh.in, sh.out, sh.rows)
 		for _, k := range []struct {
 			name string
 			fn   func(y, w []float32, stride int, x0, x1, x2, x3 float32)
 		}{{"generic", accum4Generic}, {"kernel", Accum4}} {
 			b.Run(name+"/"+k.name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					for r := 0; r < sh.rows; r++ {
-						clear(y[r*sh.out+sh.j0 : r*sh.out+sh.j1])
-					}
+					clear(y)
 					for p := 0; p+4 <= sh.in; p += 4 {
-						blk := w[p*sh.out+sh.j0:]
+						blk := w[p*sh.out:]
 						for r := 0; r < sh.rows; r++ {
 							xr := x[r*sh.in:]
-							k.fn(y[r*sh.out+sh.j0:r*sh.out+sh.j1], blk, sh.out, xr[p], xr[p+1], xr[p+2], xr[p+3])
+							k.fn(y[r*sh.out:(r+1)*sh.out], blk, sh.out, xr[p], xr[p+1], xr[p+2], xr[p+3])
 						}
 					}
 				}

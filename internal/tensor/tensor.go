@@ -309,9 +309,8 @@ func Scale(x []float32, a float32) {
 // the columns four at a time through SSE2 (accum4_amd64.s), every other
 // GOARCH runs accum4Generic; the float32 results are the same bit for bit
 // (DESIGN.md §7). The extent is len(y) past each row start, not a stride
-// multiple, so a column-range caller (j0 > 0) stays in bounds on the weight
-// matrix's last 4-row block; a shorter w panics here, before any kernel
-// reads through a raw pointer.
+// multiple, so w needs only 3·stride+len(y) floats; a shorter w panics here,
+// before any kernel reads through a raw pointer.
 func Accum4(y, w []float32, stride int, x0, x1, x2, x3 float32) {
 	n := len(y)
 	if n == 0 {
