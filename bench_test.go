@@ -36,7 +36,7 @@ var (
 
 // benchEnv prepares (once) a small trained environment shared by all figure
 // benches: 12 racks, a 1-layer model, mined rule sets.
-func benchEnv(b *testing.B) *experiments.Env {
+func benchEnv(b testing.TB) *experiments.Env {
 	b.Helper()
 	envOnce.Do(func() {
 		sc := experiments.TinyScale()
@@ -59,7 +59,7 @@ func benchEngine(b *testing.B, rs *rules.RuleSet, mode core.Mode) *core.Engine {
 }
 
 // imputePrompts yields cyclic test prompts.
-func imputePrompts(b *testing.B) []rules.Record {
+func imputePrompts(b testing.TB) []rules.Record {
 	env := benchEnv(b)
 	recs := env.TestRecordsN(0)
 	prompts := make([]rules.Record, len(recs))
@@ -221,7 +221,25 @@ func BenchmarkFig5Generators(b *testing.B) {
 // BenchmarkLockStepDecode measures a full lock-step group decode (one
 // BatchSession shared by `lanes` records) at several group sizes, a group of
 // one included; compare ns/op across the sub-benches scaled by lane count.
+// generate32 is the repository benchmark's offline-synth call: 32
+// unconditional records under the synthesis rules in two lane groups.
 func BenchmarkLockStepDecode(b *testing.B) {
+	b.Run("generate32", func(b *testing.B) {
+		eng := benchEngine(b, benchEnv(b).SynthRules, core.LeJIT)
+		reqs := make([]core.BatchRequest, 32)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			out, err := eng.DecodeRequests(nil, reqs, 2, int64(i), nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, r := range out {
+				if r.Err != nil {
+					b.Fatal(r.Err)
+				}
+			}
+		}
+	})
 	eng := benchEngine(b, benchEnv(b).ImputeRules, core.LeJIT)
 	prompts := imputePrompts(b)
 	for _, lanes := range []int{1, 4, 8} {
@@ -293,6 +311,40 @@ func BenchmarkSMTCheckMinedRules(b *testing.B) {
 	}
 }
 
+// oraclePattern is the solver traffic of one imputed record without the LM:
+// a solver holding the mined rules, the fine-grained variables, the test
+// prompts the rules admit (a test record may violate a mined rule), and pin,
+// which asserts one prompt's five coarse fields.
+func oraclePattern(tb testing.TB) (s *smt.Solver, fine []smt.Var, prompts []rules.Record, pin func(rules.Record)) {
+	env := benchEnv(tb)
+	s = smt.NewSolver()
+	bind := rules.Instantiate(s, env.Schema)
+	f, err := env.ImputeRules.CompileAll(bind)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	s.Assert(f)
+	fine, _ = bind.Vars(dataset.FineField)
+	pin = func(rec rules.Record) {
+		for _, name := range dataset.CoarseFields() {
+			vs, _ := bind.Vars(name)
+			s.Assert(smt.Eq(smt.V(vs[0]), smt.C(rec[name][0])))
+		}
+	}
+	for _, rec := range imputePrompts(tb) {
+		s.Push()
+		pin(rec)
+		if s.Check().Status == smt.Sat {
+			prompts = append(prompts, rec)
+		}
+		s.Pop()
+	}
+	if len(prompts) == 0 {
+		tb.Fatal("no feasible prompt")
+	}
+	return s, fine, prompts, pin
+}
+
 // BenchmarkSMTOraclePattern replays the decoder's solver traffic for one
 // imputed record without the LM: the mined rules stay asserted, each
 // iteration pushes a frame, pins a prompt's five coarse fields, and then per
@@ -302,34 +354,7 @@ func BenchmarkSMTCheckMinedRules(b *testing.B) {
 // `go test -bench SMTOraclePattern -cpuprofile cpu.out .` is the way to
 // profile the solver as the serving path exercises it.
 func BenchmarkSMTOraclePattern(b *testing.B) {
-	env := benchEnv(b)
-	s := smt.NewSolver()
-	bind := rules.Instantiate(s, env.Schema)
-	f, err := env.ImputeRules.CompileAll(bind)
-	if err != nil {
-		b.Fatal(err)
-	}
-	s.Assert(f)
-	fine, _ := bind.Vars(dataset.FineField)
-	pin := func(rec rules.Record) {
-		for _, name := range dataset.CoarseFields() {
-			vs, _ := bind.Vars(name)
-			s.Assert(smt.Eq(smt.V(vs[0]), smt.C(rec[name][0])))
-		}
-	}
-	// Keep the prompts the rules admit (a test record may violate a mined rule).
-	var prompts []rules.Record
-	for _, rec := range imputePrompts(b) {
-		s.Push()
-		pin(rec)
-		if s.Check().Status == smt.Sat {
-			prompts = append(prompts, rec)
-		}
-		s.Pop()
-	}
-	if len(prompts) == 0 {
-		b.Fatal("no feasible prompt")
-	}
+	s, fine, prompts, pin := oraclePattern(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Push()

@@ -222,16 +222,15 @@ func (e *Engine) DecodeRequests(ctx context.Context, reqs []BatchRequest, worker
 		if r.Seed != nil {
 			s = *r.Seed
 		}
-		rng := rand.New(rand.NewSource(s))
 		d := r.Decode
 		if d == nil {
 			d = decode
 		}
 		if d == nil {
-			lanes = append(lanes, &lsLane{out: res, ctx: rctx, known: r.Prompt, rng: rng, plan: e.planPrompt(r.Prompt, plans)})
+			lanes = append(lanes, &lsLane{out: res, ctx: rctx, known: r.Prompt, seed: s, plan: e.planPrompt(r.Prompt, plans)})
 			continue
 		}
-		overrides = append(overrides, func() { e.decodeOverride(rctx, d, r.Prompt, rng, res) })
+		overrides = append(overrides, func() { e.decodeOverride(rctx, d, r.Prompt, s, res) })
 	}
 	// The work list: the groups first — they are the long items — then one
 	// item per override record.
@@ -265,18 +264,18 @@ func (e *Engine) DecodeRequests(ctx context.Context, reqs []BatchRequest, worker
 	return out, nil
 }
 
-// decodeOverride runs one record under a decode function on a pooled clone.
-// A panic inside the decode becomes the record's *PanicError and the clone
-// is discarded rather than pooled: the panic unwound through its solver and
-// session state.
-func (e *Engine) decodeOverride(ctx context.Context, decode DecodeCtxFn, known rules.Record, rng *rand.Rand, out *BatchResult) {
+// decodeOverride runs one record under a decode function on a pooled clone,
+// drawing from the clone's RNG seeded with seed. A panic inside the decode
+// becomes the record's *PanicError and the clone is discarded rather than
+// pooled: the panic unwound through its solver and session state.
+func (e *Engine) decodeOverride(ctx context.Context, decode DecodeCtxFn, known rules.Record, seed int64, out *BatchResult) {
 	eng, err := e.acquireClone()
 	if err != nil {
 		out.Err = err
 		return
 	}
 	out.Err = guardLane(func() (derr error) {
-		out.Res, derr = decode(ctx, eng, known, rng)
+		out.Res, derr = decode(ctx, eng, known, eng.seededRNG(seed))
 		return derr
 	})
 	var pe *PanicError

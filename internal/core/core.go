@@ -18,6 +18,7 @@ import (
 	"hash/fnv"
 	"io"
 	"math"
+	"math/rand"
 	"strconv"
 	"strings"
 	"sync"
@@ -27,6 +28,7 @@ import (
 	"repro/internal/prefixcache"
 	"repro/internal/rules"
 	"repro/internal/smt"
+	"repro/internal/transition"
 	"repro/internal/vocab"
 )
 
@@ -296,6 +298,14 @@ type Engine struct {
 	// digitTok[d] is the token id of digit d.
 	digitTok  [10]int
 	maxDigits map[string]int // per field, from the domain's upper bound
+	// tailChars[i] is the most tokens slots i.. can render: each slot's
+	// widest value plus its separator.
+	tailChars []int
+	// domainSys holds, per grammar field, the grammar/width automaton over
+	// the field's declared domain: the structural mirror of every slot and
+	// the whole mask in StructureOnly mode. It is stateless, so one per
+	// field serves every slot.
+	domainSys map[string]*transition.System
 	// lastModel is the most recent model the solver produced, indexed by
 	// smt.Var and valid while the epoch matches lastModelEpoch; it seeds each
 	// slot oracle's witness so a slot's first probe (HasPath) usually costs
@@ -325,6 +335,19 @@ type Engine struct {
 	poolMu     sync.Mutex
 	pool       []*Engine
 	poolDemand int
+	// sessions is a free list of batch sessions, guarded by poolMu, that
+	// decodeLockStep draws from so a lane group does not allocate (and
+	// zero) a fresh KV arena per batch (lockstep.go).
+	sessions []reusableBatchSession
+
+	// Per-lane scratch. An engine decodes one lane at a time, so a pooled
+	// clone carries its lane's sampling buffers (sampleMasked), the RNG a
+	// batch request is drawn from (seeded per request, see seededRNG), and
+	// the oracle's range buffer (FeasibleAny) from record to record.
+	rng       *rand.Rand
+	candBuf   []cand
+	weightBuf []float64
+	rangeBuf  [][2]int64
 }
 
 // NewEngine validates the configuration, compiles the rules, and returns a
@@ -386,6 +409,15 @@ func newEngine(cfg Config, ruleFormula smt.Formula) (*Engine, error) {
 		}
 		seen[s.Field][s.Index] = true
 		e.maxDigits[s.Field] = len(strconv.FormatInt(f.Hi, 10))
+	}
+	e.domainSys = make(map[string]*transition.System, len(e.maxDigits))
+	for name, width := range e.maxDigits {
+		f, _ := cfg.Schema.Field(name)
+		e.domainSys[name] = transition.New(width, func(lo, hi int64) bool { return lo <= f.Hi && f.Lo <= hi })
+	}
+	e.tailChars = make([]int, len(cfg.Slots)+1)
+	for i := len(cfg.Slots) - 1; i >= 0; i-- {
+		e.tailChars[i] = e.tailChars[i+1] + e.maxDigits[cfg.Slots[i].Field] + 1
 	}
 
 	e.solver = smt.NewSolver()
@@ -655,14 +687,11 @@ func (e *Engine) sampleMasked(logits []float32, allowed []int, rng floatSource) 
 	if len(allowed) == 1 {
 		return allowed[0]
 	}
-	type cand struct {
-		id int
-		l  float64
+	cands := e.candBuf[:0]
+	for _, id := range allowed {
+		cands = append(cands, cand{id: id, l: float64(logits[id]) / e.cfg.Temperature})
 	}
-	cands := make([]cand, len(allowed))
-	for i, id := range allowed {
-		cands[i] = cand{id: id, l: float64(logits[id]) / e.cfg.Temperature}
-	}
+	e.candBuf = cands
 	if k := e.cfg.TopK; k > 0 && k < len(cands) {
 		// Partial selection sort of the K largest.
 		for i := 0; i < k; i++ {
@@ -683,11 +712,12 @@ func (e *Engine) sampleMasked(logits []float32, allowed []int, rng floatSource) 
 		}
 	}
 	var sum float64
-	ps := make([]float64, len(cands))
-	for i, c := range cands {
-		ps[i] = math.Exp(c.l - maxL)
-		sum += ps[i]
+	ps := e.weightBuf[:0]
+	for _, c := range cands {
+		ps = append(ps, math.Exp(c.l-maxL))
+		sum += ps[len(ps)-1]
 	}
+	e.weightBuf = ps
 	r := rng.Float64() * sum
 	for i, p := range ps {
 		r -= p
@@ -696,4 +726,23 @@ func (e *Engine) sampleMasked(logits []float32, allowed []int, rng floatSource) 
 		}
 	}
 	return cands[len(cands)-1].id
+}
+
+// cand is one admissible token and its temperature-scaled logit.
+type cand struct {
+	id int
+	l  float64
+}
+
+// seededRNG returns the engine's RNG re-seeded with seed: the stream
+// rand.New(rand.NewSource(seed)) would produce, without the 4.9 KB source
+// such a call allocates. The RNG belongs to the one lane the engine decodes
+// and is re-seeded for the next.
+func (e *Engine) seededRNG(seed int64) *rand.Rand {
+	if e.rng == nil {
+		e.rng = rand.New(rand.NewSource(seed))
+	} else {
+		e.rng.Seed(seed)
+	}
+	return e.rng
 }

@@ -136,6 +136,9 @@ func (e *Engine) newLaneDecoder(ctx context.Context, known rules.Record, rng *ra
 	ld.fromSlot, ld.slot = plan.fromSlot, plan.fromSlot
 	ld.checksBefore = e.solver.Stats().Checks
 	ld.pending = append(append(make([]int, 0, len(plan.ids)+1), vocab.BOS), plan.ids...)
+	// key never outgrows the prompt plus the widest rendering of every slot
+	// left, so advance appends to it without allocating.
+	ld.key = make([]int, 0, len(ld.pending)+e.tailChars[plan.fromSlot])
 
 	// Longest-prefix lookup before any solver or LM work. Only nn-backed
 	// engines participate: a cached snapshot is a frozen nn.Session, which
@@ -185,7 +188,7 @@ func (e *Engine) newLaneDecoder(ctx context.Context, known rules.Record, rng *ra
 			return ld
 		}
 		// The feasibility model doubles as the first slot's witness seed.
-		e.noteModel(denseModel(r.Model))
+		e.noteSolverModel(r.Model)
 	}
 
 	ld.vals = make([]int64, 0, len(e.cfg.Slots)-plan.fromSlot)
@@ -380,12 +383,9 @@ func (ld *laneDecoder) step(logits []float32) (int, error) {
 func (ld *laneDecoder) beginSlot() error {
 	e := ld.e
 	slot := e.cfg.Slots[ld.slot]
-	f, _ := e.cfg.Schema.Field(slot.Field)
 	ld.oracle = nil
 	if e.cfg.Mode == StructureOnly || e.cfg.Rules == nil {
-		lo, hi := f.Lo, f.Hi
-		ld.sys = transition.New(e.maxDigits[slot.Field],
-			func(qlo, qhi int64) bool { return qlo <= hi && lo <= qhi })
+		ld.sys = e.domainSys[slot.Field]
 	} else {
 		// The slot oracle answers probes from per-slot interval state
 		// (oracle.go) and falls back to solver probes; batching lets it
@@ -420,8 +420,7 @@ func (ld *laneDecoder) beginSlot() error {
 	// structural mirrors the grammar/width automaton with a trivially-true
 	// oracle, so Masked/Forced stats count only rule-driven pruning, not
 	// structural necessities like the separator after a max-width value.
-	ld.structural = transition.New(e.maxDigits[slot.Field],
-		func(lo, hi int64) bool { return lo <= f.Hi && f.Lo <= hi })
+	ld.structural = e.domainSys[slot.Field]
 	ld.sepID = e.cfg.Tok.ID(slot.Sep)
 	ld.state = ld.sys.Start()
 	ld.inSlot = true

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"math/bits"
 	"math/rand"
 	"runtime"
 
@@ -50,14 +51,16 @@ func (e *Engine) acquireClone() (*Engine, error) {
 // lanes every batch. Excess clones are dropped for the GC.
 func (e *Engine) releaseClone(c *Engine) {
 	e.poolMu.Lock()
-	limit := 2 * runtime.NumCPU()
-	if e.poolDemand > limit {
-		limit = e.poolDemand
-	}
-	if len(e.pool) < limit {
+	if len(e.pool) < e.poolLimit() {
 		e.pool = append(e.pool, c)
 	}
 	e.poolMu.Unlock()
+}
+
+// poolLimit is the retention cap of the engine's free lists (see
+// releaseClone). Callers hold poolMu.
+func (e *Engine) poolLimit() int {
+	return max(2*runtime.NumCPU(), e.poolDemand)
 }
 
 // notePoolDemand records that n lanes may need clones concurrently, raising
@@ -131,22 +134,72 @@ func (b *sessionBatch) AppendBatch(lanes, toks []int) error {
 func (b *sessionBatch) Logits(lane int) []float32 { return b.sess[lane].Logits() }
 func (b *sessionBatch) Len(lane int) int          { return b.pos[lane] }
 
-// newBatchSession opens an n-lane session on the engine's LM: the model's own
-// batched forward pass when it has one, the Append-looping adapter otherwise.
-func (e *Engine) newBatchSession(n int) BatchSession {
-	if blm, ok := e.cfg.LM.(BatchLM); ok {
-		return blm.NewBatchSession(n)
+// reusableBatchSession is a BatchSession decodeLockStep can keep for the
+// next lane group: Reset must leave it as good as a new session with the
+// same number of lanes. *nn.BatchSession is one.
+type reusableBatchSession interface {
+	BatchSession
+	Lanes() int
+	Reset()
+}
+
+// acquireBatchSession opens a session with at least n lanes for one lane
+// group: the model's own batched forward pass when it has one — the
+// smallest idle session of the engine's free list that fits, reset, or a
+// new one with n rounded up to a power of two, so that it fits the next
+// groups of about that size — and the Append-looping adapter otherwise.
+// Lanes beyond n are never stepped and cost nothing per step.
+func (e *Engine) acquireBatchSession(n int) BatchSession {
+	blm, ok := e.cfg.LM.(BatchLM)
+	if !ok {
+		return newSessionBatch(e.cfg.LM, n)
 	}
-	return newSessionBatch(e.cfg.LM, n)
+	e.poolMu.Lock()
+	best := -1
+	for i, s := range e.sessions {
+		if l := s.Lanes(); l >= n && (best < 0 || l < e.sessions[best].Lanes()) {
+			best = i
+		}
+	}
+	if best >= 0 {
+		s := e.sessions[best]
+		last := len(e.sessions) - 1
+		e.sessions[best], e.sessions[last] = e.sessions[last], nil
+		e.sessions = e.sessions[:last]
+		e.poolMu.Unlock()
+		s.Reset()
+		return s
+	}
+	e.poolMu.Unlock()
+	return blm.NewBatchSession(1 << bits.Len(uint(n-1)))
+}
+
+// releaseBatchSession returns a lane group's session to the free list,
+// which keeps as many sessions as releaseClone keeps clones (poolLimit);
+// excess sessions, and sessions that cannot be reset, are dropped for the
+// GC.
+func (e *Engine) releaseBatchSession(bs BatchSession) {
+	rs, ok := bs.(reusableBatchSession)
+	if !ok {
+		return
+	}
+	e.poolMu.Lock()
+	if len(e.sessions) < e.poolLimit() {
+		e.sessions = append(e.sessions, rs)
+	}
+	e.poolMu.Unlock()
 }
 
 // lsLane is one guided decode, resolved: its context already carries the
-// request's prefix-cache and lookahead overrides, its rng is already seeded.
+// request's prefix-cache and lookahead overrides. rng is the caller's for a
+// direct Impute/Generate; for a batch lane it is nil until the lane starts,
+// and is then the lane engine's own RNG seeded with seed.
 type lsLane struct {
 	out   *BatchResult
 	ctx   context.Context
 	known rules.Record
 	rng   *rand.Rand
+	seed  int64
 	plan  *promptPlan // nil → planned at lane start
 	// eng is the engine dedicated to the lane until it settles: the driving
 	// engine itself for a direct Impute/Generate, otherwise (nil until the
@@ -200,6 +253,9 @@ func (e *Engine) startLane(bs BatchSession, la *lsLane) bool {
 			return false
 		}
 		la.eng = eng
+	}
+	if la.rng == nil {
+		la.rng = la.eng.seededRNG(la.seed)
 	}
 	if perr := guardLane(func() error {
 		la.ld = la.eng.newLaneDecoder(la.ctx, la.known, la.rng, la.plan)
@@ -272,8 +328,13 @@ func (e *Engine) startLane(bs BatchSession, la *lsLane) bool {
 //
 // Seeds, contexts, and all decoding decisions are per-lane, so results do
 // not depend on which records share a group — a group of one included.
+//
+// The group's session comes from the engine's free list and goes back to it
+// when every lane has settled — unless a forward pass panicked, which leaves
+// the session unattributable and suspect, so it is dropped.
 func (e *Engine) decodeLockStep(work []*lsLane) {
-	bs := e.newBatchSession(len(work))
+	bs := e.acquireBatchSession(len(work))
+	reusable := true
 	lanes := make([]*lsLane, 0, len(work))
 	for slot, la := range work {
 		la.slot = slot
@@ -333,6 +394,10 @@ func (e *Engine) decodeLockStep(work []*lsLane) {
 				// Whole-batch failure (or a panic inside the forward pass,
 				// which leaves the shared session unattributable and
 				// suspect): no lane advanced; fail them all.
+				var pe *PanicError
+				if errors.As(err, &pe) {
+					reusable = false
+				}
 				for _, la := range stepRefs {
 					e.failLane(la, err)
 				}
@@ -353,13 +418,12 @@ func (e *Engine) decodeLockStep(work []*lsLane) {
 		// out, the rest keep their BatchSession slot.
 		next := lanes[:0]
 		for _, la := range stepRefs {
-			err := guardLane(func() error { return la.ld.advance(la.tok) })
-			var pe *PanicError
-			if errors.As(err, &pe) {
-				e.failLane(la, err)
-				continue
-			}
-			if err != nil {
+			if err := guardLane(func() error { return la.ld.advance(la.tok) }); err != nil {
+				var pe *PanicError
+				if errors.As(err, &pe) {
+					e.failLane(la, err)
+					continue
+				}
 				la.ld.fail(err)
 			}
 			if la.ld.done() {
@@ -369,5 +433,8 @@ func (e *Engine) decodeLockStep(work []*lsLane) {
 			next = append(next, la)
 		}
 		lanes = next
+	}
+	if reusable {
+		e.releaseBatchSession(bs)
 	}
 }

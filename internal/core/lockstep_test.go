@@ -253,8 +253,9 @@ func TestLockStepLaneFailure(t *testing.T) {
 }
 
 // TestLockStepConcurrentGroups drives several lock-step groups plus fallback
-// lanes at once; its real assertions run under the race detector (make
-// verify runs this package with -race).
+// lanes at once, twice, so the second batch's groups take the first one's
+// pooled sessions and clones concurrently; its real assertions run under the
+// race detector (make verify runs this package with -race).
 func TestLockStepConcurrentGroups(t *testing.T) {
 	e := nnTestEngine(t)
 	reqs := make([]BatchRequest, 12)
@@ -266,14 +267,20 @@ func TestLockStepConcurrentGroups(t *testing.T) {
 		}
 		reqs[i].Prompt = rules.Record{"TotalIngress": {60 + 10*int64(i)}, "Congestion": {int64(i % 3)}}
 	}
-	out, err := e.DecodeRequests(context.Background(), reqs, 4, 13, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range out {
-		if r.Err != nil {
-			t.Errorf("record %d: %v", i, r.Err)
+	var first []BatchResult
+	for round := 0; round < 2; round++ {
+		out, err := e.DecodeRequests(context.Background(), reqs, 4, 13, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
+		for i, r := range out {
+			if r.Err != nil {
+				t.Errorf("round %d record %d: %v", round, i, r.Err)
+			} else if round == 1 && !reflect.DeepEqual(r.Res, first[i].Res) {
+				t.Errorf("record %d on pooled sessions and clones: %+v, first round %+v", i, r.Res, first[i].Res)
+			}
+		}
+		first = out
 	}
 }
 

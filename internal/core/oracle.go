@@ -55,9 +55,12 @@ type slotOracle struct {
 	// noteUnsat accept only certificates.
 	spec *laneSpec
 
-	undecided [][2]int64 // FeasibleAny scratch
-	one       [1][2]int64
+	one [1][2]int64
 }
+
+// wvalsCap sizes a tainted slot's witness list at slot start, so the
+// witnesses its probes and patches collect append without allocating.
+const wvalsCap = 16
 
 // newSlotOracle builds the oracle for slot variable v at the current epoch.
 // Costs zero solver checks: the bounds come from the epoch's propagated base
@@ -71,6 +74,9 @@ func (e *Engine) newSlotOracle(v smt.Var, st *Stats) *slotOracle {
 	}
 	o.kLo, o.kHi = lo, hi
 	o.convex = !e.solver.VarDisjunctionTainted(v)
+	if !o.convex {
+		o.wvals = make([]int64, 0, wvalsCap)
+	}
 	if e.lastModel != nil && e.lastModelEpoch == e.solver.Epoch() {
 		o.addWitness(e.lastModel[v])
 	}
@@ -149,7 +155,7 @@ func (o *slotOracle) probe(qlo, qhi int64) bool {
 	o.st.OracleProbes++
 	sat := r.Status == smt.Sat
 	if sat {
-		e.noteModel(denseModel(r.Model))
+		e.noteSolverModel(r.Model)
 		o.addWitness(r.Model[o.v])
 	} else if r.Status == smt.Unsat {
 		o.noteUnsat(qlo, qhi)
@@ -288,12 +294,9 @@ func (e *Engine) repairConjunct(m []int64, broken smt.Formula, v smt.Var) bool {
 		return false
 	}
 	resid := a.Expr.At(m)
-	for _, u := range a.Expr.Vars() {
+	for i := 0; i < a.Expr.NumTerms(); i++ {
+		u, cu := a.Expr.Term(i)
 		if u == v {
-			continue
-		}
-		cu := a.Expr.Coef(u)
-		if cu == 0 {
 			continue
 		}
 		d, ok := repairShift(a.Op, resid, cu)
@@ -441,7 +444,7 @@ func (o *slotOracle) FeasibleAny(ranges [][2]int64) bool {
 	}
 	// Queries are counted at resolution: ranges skipped by a short-circuit
 	// are not counted, matching the per-range path's early exit.
-	und := o.undecided[:0]
+	und := o.e.rangeBuf[:0]
 	for _, r := range ranges {
 		d := o.answerLocal(r[0], r[1])
 		if d == 0 {
@@ -454,11 +457,11 @@ func (o *slotOracle) FeasibleAny(ranges [][2]int64) bool {
 			o.crossCheck(r[0], r[1], d > 0)
 		}
 		if d > 0 {
-			o.undecided = und
+			o.e.rangeBuf = und
 			return true
 		}
 	}
-	o.undecided = und
+	o.e.rangeBuf = und
 	for j, r := range und {
 		o.st.OracleQueries++
 		// Earlier probes in this loop may have refined the state.
@@ -502,6 +505,23 @@ func (e *Engine) noteModel(m []int64) {
 	}
 	e.lastModel = m
 	e.lastModelEpoch = e.solver.Epoch()
+}
+
+// noteSolverModel is noteModel of denseModel(m), re-indexed into the array
+// lastModel already holds when it is large enough. That array is the
+// engine's own — every reader that keeps a witness past the next probe
+// (speculation checkpoints, prefix-cache captures) keeps a copy — and
+// patching already rewrites it in place.
+func (e *Engine) noteSolverModel(m map[smt.Var]int64) {
+	d := e.lastModel
+	if cap(d) < len(m) {
+		d = make([]int64, len(m))
+	}
+	d = d[:len(m)]
+	for v, x := range m {
+		d[v] = x
+	}
+	e.noteModel(d)
 }
 
 // denseModel re-indexes a solver model by variable. Solver models are

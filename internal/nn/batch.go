@@ -31,8 +31,9 @@ func (e *LaneError) Unwrap() error { return e.Err }
 // Lanes are ragged: each has its own position, and any subset may be
 // advanced per call (records finish at different steps). All buffers — the
 // batch-major KV caches and the per-step activation scratch — are carved
-// from one tensor.Arena at construction, so a batch costs O(1) allocations
-// regardless of lane count and AppendBatch allocates nothing.
+// from one tensor.Arena at construction, so a session costs O(1)
+// allocations regardless of lane count, AppendBatch allocates nothing, and a
+// caller that keeps sessions across batches (Reset) allocates none at all.
 //
 // A BatchSession is not safe for concurrent use.
 type BatchSession struct {
@@ -91,6 +92,13 @@ func (m *Model) NewBatchSession(n int) *BatchSession {
 
 // Lanes returns the lane count the session was created with.
 func (bs *BatchSession) Lanes() int { return bs.n }
+
+// Reset empties every lane, making the session as good as a new one of the
+// same size. Only the positions are cleared: a lane never reads KV rows at
+// or past its length, nor logits before its first step (RewindLane relies on
+// the same), and every row it does read it has written since — so the stale
+// floats of a previous batch are never seen and need no zeroing.
+func (bs *BatchSession) Reset() { clear(bs.pos) }
 
 // Len reports the number of tokens lane has consumed.
 func (bs *BatchSession) Len(lane int) int { return bs.pos[lane] }

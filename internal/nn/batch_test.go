@@ -204,7 +204,8 @@ func TestMatLinearMatchesVecLinear(t *testing.T) {
 }
 
 // TestAppendBatchNoAllocs: the per-token hot path must not allocate — the
-// arena provisions the whole working set at construction.
+// arena provisions the whole working set at construction — and neither
+// must reusing the session (Reset also keeps the run inside Ctx).
 func TestAppendBatchNoAllocs(t *testing.T) {
 	m := goldenModel(t, benchCfg(), 81)
 	bs := m.NewBatchSession(4)
@@ -214,12 +215,82 @@ func TestAppendBatchNoAllocs(t *testing.T) {
 		if err := bs.AppendBatch(lanes, toks); err != nil {
 			t.Fatal(err)
 		}
-		for _, l := range lanes {
-			bs.pos[l] = 0 // rewind so the run never overflows Ctx
-		}
+		bs.Reset()
 	})
 	if allocs != 0 {
 		t.Errorf("AppendBatch allocates %.1f objects per call, want 0", allocs)
+	}
+}
+
+// TestResetSessionMatchesFresh: a Reset session decodes bit-identically to a
+// new one. Its first use runs every lane to the full context, so stale KV
+// rows and logits sit at and past every position of the second use, which
+// seeds one lane from a frozen prefix, peels another out mid-decode, and
+// steps all of them raggedly next to a new session fed the same.
+func TestResetSessionMatchesFresh(t *testing.T) {
+	cfg := Config{Vocab: 13, Ctx: 40, Dim: 24, Heads: 4, Layers: 3}
+	m := goldenModel(t, cfg, 91)
+	rng := rand.New(rand.NewSource(92))
+	reused := m.NewBatchSession(3)
+	for i := 0; i < cfg.Ctx; i++ {
+		if err := reused.AppendBatch([]int{0, 1, 2}, randSeq(rng, 3, cfg.Vocab)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reused.Reset()
+	fresh := m.NewBatchSession(3)
+	for lane := 0; lane < 3; lane++ {
+		if reused.Len(lane) != 0 {
+			t.Fatalf("lane %d: length %d after Reset", lane, reused.Len(lane))
+		}
+	}
+
+	frozen := m.NewSession()
+	for _, tok := range randSeq(rng, PageTokens+3, cfg.Vocab) {
+		if err := frozen.Append(tok); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, bs := range []*BatchSession{reused, fresh} {
+		if err := bs.SeedLane(1, frozen); err != nil {
+			t.Fatal(err)
+		}
+	}
+	compareLogitsBits(t, reused.Logits(1), fresh.Logits(1), "seeded lane")
+
+	var peeledR, peeledF *Session
+	for step := 0; step < cfg.Ctx-frozen.Len(); step++ {
+		var lanes, toks []int
+		for lane := 0; lane < 3; lane++ {
+			if lane == 2 && step%3 == 0 {
+				continue // lane 2 lags, so positions stay ragged
+			}
+			lanes = append(lanes, lane)
+			toks = append(toks, rng.Intn(cfg.Vocab))
+		}
+		for _, bs := range []*BatchSession{reused, fresh} {
+			if err := bs.AppendBatch(lanes, toks); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, lane := range lanes {
+			compareLogitsBits(t, reused.Logits(lane), fresh.Logits(lane), "lane "+strconv.Itoa(lane))
+			if reused.Len(lane) != fresh.Len(lane) {
+				t.Fatalf("lane %d: length %d, new session %d", lane, reused.Len(lane), fresh.Len(lane))
+			}
+		}
+		if step == 9 {
+			peeledR, peeledF = reused.CloneLane(0), fresh.CloneLane(0)
+		}
+	}
+	for _, tok := range randSeq(rng, 5, cfg.Vocab) {
+		if err := peeledR.Append(tok); err != nil {
+			t.Fatal(err)
+		}
+		if err := peeledF.Append(tok); err != nil {
+			t.Fatal(err)
+		}
+		compareLogitsBits(t, peeledR.Logits(), peeledF.Logits(), "peeled lane")
 	}
 }
 

@@ -2,6 +2,7 @@ package smt
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -155,24 +156,56 @@ func TestOraclePatternAgainstBruteForce(t *testing.T) {
 }
 
 // TestDerivedBaseMatchesFromScratch walks random assert / Push / Pop /
-// TruncateTo sequences, forcing a base store at every height on the way so
-// that each one is derived from a parent, and compares it with the store a
-// fresh solver builds in one go from the same stack: bounds consistency has
-// a single fixpoint, so domains, conflict and taint must all agree.
+// TruncateTo / CheckWith sequences, forcing a base store at every height on
+// the way so that each one is derived from a parent, and compares it with
+// the store a fresh solver builds in one go from the same stack: bounds
+// consistency has a single fixpoint, so domains, conflict and taint must all
+// agree.
+//
+// Each solver is long-lived — it serves 50 trials, each declaring new
+// variables and emptying the stack at its end — so every Check after the
+// first runs on scratch and every build on recycled stores that held other
+// stacks, over other variables, before. Each CheckWith is replayed on a new
+// solver that declares the same variables and performs the trial's
+// operations (builds included, so every store has the same parent): it
+// must return the same Status, the same Model and search the same number of
+// nodes.
 func TestDerivedBaseMatchesFromScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(2718))
 	const dom = 12
-	conflicts, tainted := 0, 0
+	conflicts, tainted, checks, branched := 0, 0, 0, 0
+	var s *Solver
+	declared := 0
 	for trial := 0; trial < 300; trial++ {
-		s := NewSolver()
+		if trial%50 == 0 {
+			s, declared = NewSolver(), 0
+		}
 		vars := make([]Var, 3+rng.Intn(3))
 		for i := range vars {
 			vars[i] = s.NewVar("v", 0, dom)
 		}
+		declared += len(vars)
+		// log holds the trial's operations; replay performs them on a new
+		// solver with s's variables.
+		var log []func(*Solver)
+		do := func(op func(*Solver)) {
+			op(s)
+			log = append(log, op)
+		}
+		replay := func() *Solver {
+			r := NewSolver()
+			for i := 0; i < declared; i++ {
+				r.NewVar("v", 0, dom)
+			}
+			for _, op := range log {
+				op(r)
+			}
+			return r
+		}
 		var stack []Formula
 		var marks []int
 		for step := 0; step < 14; step++ {
-			switch op := rng.Intn(10); {
+			switch op := rng.Intn(12); {
 			case op < 5:
 				var f Formula
 				switch rng.Intn(3) {
@@ -183,33 +216,61 @@ func TestDerivedBaseMatchesFromScratch(t *testing.T) {
 				default:
 					f = randomFuzzFormula(rng, vars)
 				}
-				s.Assert(f)
+				do(func(r *Solver) { r.Assert(f) })
 				stack = append(stack, f)
 			case op < 7:
-				s.Push()
+				do((*Solver).Push)
 				marks = append(marks, len(stack))
 			case op < 9:
 				if len(marks) > 0 {
-					s.Pop()
+					do((*Solver).Pop)
 					stack = stack[:marks[len(marks)-1]]
 					marks = marks[:len(marks)-1]
 				}
-			default:
+			case op < 10:
 				floor := 0
 				if len(marks) > 0 {
 					floor = marks[len(marks)-1]
 				}
 				if len(stack) > floor {
 					cut := floor + rng.Intn(len(stack)-floor)
-					s.TruncateTo(cut)
+					do(func(r *Solver) { r.TruncateTo(cut) })
 					stack = stack[:cut]
 				}
+			default:
+				var extra []Formula
+				switch rng.Intn(4) {
+				case 0:
+					v, a := vars[rng.Intn(len(vars))], int64(rng.Intn(dom+1))
+					extra = []Formula{Ge(V(v), C(a)), Le(V(v), C(a+int64(rng.Intn(4))))}
+				case 1:
+					extra = []Formula{randRowFormula(rng, vars, dom)}
+				case 2:
+					extra = []Formula{randomFuzzFormula(rng, vars), randomFuzzFormula(rng, vars)}
+				}
+				before := s.Stats().Nodes
+				got := s.CheckWith(extra...)
+				gotNodes := s.Stats().Nodes - before
+				ref := replay()
+				before = ref.Stats().Nodes
+				want := ref.CheckWith(extra...)
+				if wantNodes := ref.Stats().Nodes - before; got.Status != want.Status || gotNodes != wantNodes || !reflect.DeepEqual(got.Model, want.Model) {
+					t.Fatalf("trial %d step %d: long-lived solver %v after %d nodes (model %v), new solver replaying the trial %v after %d nodes (model %v)",
+						trial, step, got.Status, gotNodes, got.Model, want.Status, wantNodes, want.Model)
+				}
+				log = append(log, func(r *Solver) { r.CheckWith(extra...) })
+				checks++
+				if gotNodes > 2 {
+					branched++
+				}
+				continue
 			}
 			if rng.Intn(3) == 0 {
 				continue // leave this height unbuilt: the next one derives across several assertions
 			}
+			do(func(r *Solver) { r.currentBase() })
 			ref := NewSolver()
-			for range vars {
+			for i := 0; i < declared; i++ {
 				ref.NewVar("v", 0, dom)
 			}
 			for _, f := range stack {
@@ -238,8 +299,14 @@ func TestDerivedBaseMatchesFromScratch(t *testing.T) {
 				}
 			}
 		}
+		// Empty the stack for the next trial: the popped stores go to the
+		// free list, the rest to a shadow that the next Assert drops.
+		for range marks {
+			s.Pop()
+		}
+		s.TruncateTo(0)
 	}
-	if conflicts < 20 || tainted < 200 {
-		t.Fatalf("generator too tame: %d conflicting stacks, %d tainted variables", conflicts, tainted)
+	if conflicts < 20 || tainted < 200 || checks < 300 || branched < 50 {
+		t.Fatalf("generator too tame: %d conflicting stacks, %d tainted variables, %d checks (%d branching)", conflicts, tainted, checks, branched)
 	}
 }

@@ -87,6 +87,11 @@ func (e LinExpr) Coef(v Var) int64 {
 // NumTerms returns the number of variable terms.
 func (e LinExpr) NumTerms() int { return len(e.terms) }
 
+// Term returns the i-th variable term (ascending by variable, 0 ≤ i <
+// NumTerms) and its coefficient, which is never 0: Vars and Coef without
+// the slice Vars allocates.
+func (e LinExpr) Term(i int) (Var, int64) { return e.terms[i].V, e.terms[i].C }
+
 // Add returns e + f.
 func (e LinExpr) Add(f LinExpr) LinExpr {
 	out := LinExpr{k: e.k + f.k}

@@ -40,61 +40,69 @@ package smt
 // epoch: probes only conjoin extra constraints, which shrink the bound box,
 // and a formula entailed (resp. refuted) on a box stays entailed (refuted)
 // on any subset.
+//
+// Each round reads a copy of the pending disjunctions (s.pendDisj) and
+// writes the survivors back into b.disj; narrowed alternatives go to b.live
+// and the terms of folded units to b.terms, so a recycled store rebuilds in
+// its own arrays.
 func (b *baseStore) simplifyDisjunctions(s *Solver) {
-	pending := b.disj
-	b.disj = b.disj[:0:0] // fresh backing: pending still reads the old one
+	pending := append(s.pendDisj[:0], b.disj...)
+	defer func() { s.pendDisj = pending[:0] }()
 	for len(pending) > 0 {
-		var next []orF
+		next := b.disj[:0]
 		asserted := false
 		for _, g := range pending {
-			live := make([]Formula, 0, len(g.fs))
+			from := len(b.live)
 			entailed := false
 			for _, alt := range g.fs {
 				switch b.dom.formulaStatus(alt) {
 				case triTrue:
 					entailed = true
 				case triUnknown:
-					live = append(live, alt)
+					b.live = append(b.live, alt)
 				}
 				if entailed {
 					break
 				}
 			}
 			if entailed {
+				b.live = b.live[:from]
 				continue
 			}
-			switch len(live) {
+			alts := b.live[from:len(b.live):len(b.live)]
+			switch len(alts) {
 			case 0:
 				b.conflict = true
 				return
 			case 1:
 				// Unit: the sole surviving alternative must hold; fold it
-				// into the base constraints.
-				ca := compileAssert(live[0])
-				if ca.unsat {
+				// into the base constraints. (Alternatives of an asserted
+				// formula are in NNF already, as Assert compiled it.)
+				if !decompose(alts[0], &s.work, &b.cons, &next, &b.terms) {
 					b.conflict = true
 					return
 				}
-				b.cons = append(b.cons, ca.cons...)
-				next = append(next, ca.disj...)
+				b.live = b.live[:from]
 				asserted = true
 			default:
-				next = append(next, orF{fs: live})
+				next = append(next, orF{fs: alts})
 			}
 		}
 		if asserted {
 			// New base constraints may tighten bounds, which can decide
 			// disjunctions kept earlier in this round: re-examine them all.
-			if !propagate(b.dom, b.cons, &s.stats.Propagations) {
+			if !propagate(&b.dom, b.cons, &s.stats.Propagations) {
 				b.conflict = true
 				return
 			}
-			pending = next
+			pending = append(pending[:0], next...)
+			b.disj = next[:0]
 			continue
 		}
 		b.disj = next
 		return
 	}
+	b.disj = b.disj[:0]
 }
 
 // buildTaint marks every variable whose feasible projection may be
@@ -103,23 +111,44 @@ func (b *baseStore) simplifyDisjunctions(s *Solver) {
 // prefix, including rows the box entails and dropEntailed removed — joined
 // with the rows still in the store, which adds the folded unit alternatives
 // that can still act.
-func (b *baseStore) buildTaint() {
+func (b *baseStore) buildTaint(s *Solver) {
 	if len(b.disj) == 0 {
 		return // no live disjunctions: every projection is an interval
 	}
-	g := append([]int32(nil), b.graph...)
+	g := append(s.taintG[:0], b.graph...)
 	for i := range b.cons {
 		joinVars(g, b.cons[i].terms)
 	}
-	tainted := make(map[int32]bool)
+	tainted := zeroed(s.taintMark, len(g))
 	for _, d := range b.disj {
-		for v := range FormulaVars(d) {
-			tainted[findRoot(g, int32(v))] = true
-		}
+		markRoots(d, g, tainted)
 	}
-	b.disjTaint = make([]bool, len(g))
-	for v := range b.disjTaint {
-		b.disjTaint[v] = tainted[findRoot(g, int32(v))]
+	b.taint = zeroed(b.taint, len(g))
+	for v := range b.taint {
+		b.taint[v] = tainted[findRoot(g, int32(v))]
+	}
+	b.disjTaint = b.taint
+	s.taintG, s.taintMark = g, tainted
+}
+
+// markRoots sets tainted[r] for the component root r of every variable f
+// mentions.
+func markRoots(f Formula, g []int32, tainted []bool) {
+	switch h := f.(type) {
+	case atomF:
+		for _, t := range h.a.Expr.terms {
+			tainted[findRoot(g, int32(t.V))] = true
+		}
+	case notF:
+		markRoots(h.f, g, tainted)
+	case andF:
+		for _, sub := range h.fs {
+			markRoots(sub, g, tainted)
+		}
+	case orF:
+		for _, sub := range h.fs {
+			markRoots(sub, g, tainted)
+		}
 	}
 }
 

@@ -1,5 +1,7 @@
 package smt
 
+import "slices"
+
 // lincon is a normalized linear constraint used by the propagation engine:
 //
 //	Σ terms ≤ rhs        (eq == false)
@@ -29,7 +31,11 @@ const (
 	normSplit                 // NE: caller must branch on (< 0) ∨ (> 0)
 )
 
-func normalizeAtom(a Atom) (lincon, normKind) {
+// normalizeAtom lowers one atom (see normKind). Terms the normalization creates (a negated or gcd-reduced row) are carved
+// from *arena when arena is non-nil — a scratch stack its owner truncates
+// (see newTerms) — and freshly allocated otherwise; terms it does not change
+// alias the atom's own, which are immutable.
+func normalizeAtom(a Atom, arena *[]term) (lincon, normKind) {
 	e := a.Expr
 	if e.IsConst() {
 		sat := false
@@ -54,13 +60,13 @@ func normalizeAtom(a Atom) (lincon, normKind) {
 	}
 	switch a.Op {
 	case OpLE: // e ≤ 0  →  terms ≤ -k
-		return reduceCon(lincon{terms: e.terms, rhs: -e.k}), normCon
+		return reduceCon(lincon{terms: e.terms, rhs: -e.k}, arena), normCon
 	case OpLT: // e < 0  →  terms ≤ -k - 1
-		return reduceCon(lincon{terms: e.terms, rhs: -e.k - 1}), normCon
+		return reduceCon(lincon{terms: e.terms, rhs: -e.k - 1}, arena), normCon
 	case OpGE: // e ≥ 0  →  -terms ≤ k
-		return reduceCon(lincon{terms: negTerms(e.terms), rhs: e.k}), normCon
+		return reduceCon(lincon{terms: negTerms(e.terms, arena), rhs: e.k}, arena), normCon
 	case OpGT: // e > 0  →  -terms ≤ k - 1
-		return reduceCon(lincon{terms: negTerms(e.terms), rhs: e.k - 1}), normCon
+		return reduceCon(lincon{terms: negTerms(e.terms, arena), rhs: e.k - 1}, arena), normCon
 	case OpEQ:
 		c := lincon{terms: e.terms, rhs: -e.k, eq: true}
 		// Divisibility check: if gcd(coefs) does not divide rhs, the
@@ -73,7 +79,7 @@ func normalizeAtom(a Atom) (lincon, normKind) {
 			if c.rhs%g != 0 {
 				return lincon{}, normFalse
 			}
-			ts := make([]term, len(c.terms))
+			ts := newTerms(arena, len(c.terms))
 			for i, t := range c.terms {
 				ts[i] = term{V: t.V, C: t.C / g}
 			}
@@ -86,8 +92,21 @@ func normalizeAtom(a Atom) (lincon, normKind) {
 	panic("smt: bad atom op")
 }
 
-func negTerms(ts []term) []term {
-	out := make([]term, len(ts))
+// newTerms returns storage for n terms: the next n of *arena when arena is
+// non-nil, a new array otherwise. The arena only grows here; its owner
+// truncates it once no row points above the cut. Growing may move the
+// arena, which rows carved earlier never notice — they keep the old array.
+func newTerms(arena *[]term, n int) []term {
+	if arena == nil {
+		return make([]term, n)
+	}
+	a := slices.Grow(*arena, n)
+	*arena = a[:len(a)+n]
+	return a[len(a) : len(a)+n : len(a)+n]
+}
+
+func negTerms(ts []term, arena *[]term) []term {
+	out := newTerms(arena, len(ts))
 	for i, t := range ts {
 		out[i] = term{V: t.V, C: -t.C}
 	}
@@ -96,7 +115,7 @@ func negTerms(ts []term) []term {
 
 // reduceCon divides an inequality through by the gcd of its coefficients,
 // rounding the right-hand side down (sound and tightening for integers).
-func reduceCon(c lincon) lincon {
+func reduceCon(c lincon, arena *[]term) lincon {
 	g := int64(0)
 	for _, t := range c.terms {
 		g = gcd64(g, abs64(t.C))
@@ -104,7 +123,7 @@ func reduceCon(c lincon) lincon {
 	if g <= 1 {
 		return c
 	}
-	ts := make([]term, len(c.terms))
+	ts := newTerms(arena, len(c.terms))
 	for i, t := range c.terms {
 		ts[i] = term{V: t.V, C: t.C / g}
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -133,6 +134,20 @@ type Solver struct {
 	workQ []int32
 	inQ   []bool
 	moved []bound
+
+	// srch is the scratch every Check searches on (see searchState): once
+	// warm, a Check allocates nothing but a Sat result's Model map.
+	srch searchState
+	// Base-store recycling (see baseAt and Pop): freeBases holds stores Pop
+	// dropped, whose arrays the next builds refill; declared is the parent of
+	// a store built from the declared domains alone. work, pendDisj, taintG
+	// and taintMark are base-build scratch.
+	freeBases []*baseStore
+	declared  baseStore
+	work      []Formula
+	pendDisj  []orF
+	taintG    []int32
+	taintMark []bool
 }
 
 // compiledAssert is an asserted formula lowered once at Assert time: NNF
@@ -160,43 +175,61 @@ type shadowEntry struct {
 	gen   uint64
 }
 
-// compileAssert lowers f for the propagation engine. The decomposition
-// mirrors the search's pending-formula loop, but runs once per Assert
-// instead of once per Check.
-func compileAssert(f Formula) compiledAssert {
+// compileAssert lowers f for the propagation engine, once per Assert instead
+// of once per Check. Its rows own their terms: they outlive every scratch.
+func (s *Solver) compileAssert(f Formula) compiledAssert {
 	var ca compiledAssert
-	pending := []Formula{nnf(f)}
+	if !decompose(nnf(f), &s.work, &ca.cons, &ca.disj, nil) {
+		return compiledAssert{unsat: true}
+	}
+	return ca
+}
+
+// decompose breaks the NNF formula f into linear rows, appended to *cons,
+// and disjunctions, appended to *disj, using *work as its worklist. Terms a
+// row needs of its own are carved from arena (see normalizeAtom). It
+// reports false when f has a trivially false conjunct; what it appended
+// before finding it is then meaningless. Every lowering — an Assert, a
+// probe's extras, a unit the base store folds in, a branch the search takes
+// — goes through this one loop, so each yields its rows in the same order.
+func decompose(f Formula, work *[]Formula, cons *[]lincon, disj *[]orF, arena *[]term) bool {
+	pending := append((*work)[:0], f)
+	ok := true
+loop:
 	for len(pending) > 0 {
 		g := pending[len(pending)-1]
 		pending = pending[:len(pending)-1]
 		switch h := g.(type) {
 		case boolF:
 			if !h.v {
-				return compiledAssert{unsat: true}
+				ok = false
+				break loop
 			}
 		case atomF:
-			c, kind := normalizeAtom(h.a)
+			c, kind := normalizeAtom(h.a, arena)
 			switch kind {
 			case normTrue:
 			case normFalse:
-				return compiledAssert{unsat: true}
+				ok = false
+				break loop
 			case normCon:
-				ca.cons = append(ca.cons, c)
+				*cons = append(*cons, c)
 			case normSplit:
 				lt := atomF{Atom{Expr: h.a.Expr, Op: OpLT}}
 				gt := atomF{Atom{Expr: h.a.Expr, Op: OpGT}}
-				ca.disj = append(ca.disj, orF{fs: []Formula{lt, gt}})
+				*disj = append(*disj, orF{fs: []Formula{lt, gt}})
 			}
 		case andF:
 			pending = append(pending, h.fs...)
 		case orF:
-			ca.disj = append(ca.disj, h)
+			*disj = append(*disj, h)
 		case notF:
 			// nnf leaves no notF nodes; defensive.
 			pending = append(pending, nnf(h))
 		}
 	}
-	return ca
+	*work = pending[:0]
+	return ok
 }
 
 // baseStore memoizes the assertion-stack-dependent part of a Check: the
@@ -204,23 +237,50 @@ func compileAssert(f Formula) compiledAssert {
 // constraints of that prefix that can still act on a smaller box. CheckWith
 // warm-starts every probe of the same stack from here instead of
 // recompiling and re-propagating it.
+//
+// Every field is a flat array the store owns, so a store Pop drops is
+// refilled by a later build instead of reallocated. A derived store copies
+// its parent's rows and disjunctions by value, and those values point into
+// the parent's term and alternative arrays (terms, live): a store may
+// therefore only be recycled together with every store derived from it,
+// which Pop guarantees — a derived store sits higher on the stack than its
+// parent — except for stores a TruncateTo shadow retains, which are never
+// recycled (shadowed).
 type baseStore struct {
 	gen      uint64 // variable generation built under; stale once it differs
 	conflict bool   // the assertions alone are Unsat
-	dom      *domains
+	dom      domains
 	cons     []lincon
 	disj     []orF
 	// graph is a union-find forest over the variables, joined by every row
 	// asserted in the prefix, entailed or not; a derived store copies its
 	// parent's and adds its own rows (see buildTaint).
 	graph []int32
-	// watch[b] lists the indices of the cons that read bound b (see bound),
-	// so a probe that moves it wakes only the constraints that can react.
-	watch [][]int32
+	// watch lists, per bound b (see bound), the indices of the cons that
+	// read it, so a probe that moves it wakes only the constraints that can
+	// react.
+	watch csr
 	// disjTaint[v] marks variables connected to a live disjunction (nil when
-	// no disjunction survived simplification); see interval.go.
+	// no disjunction survived simplification); see interval.go. taint backs
+	// it across rebuilds.
 	disjTaint []bool
+	taint     []bool
+	// live backs the alternatives of the disjunctions this store narrowed,
+	// terms the normalized terms of the unit rows it folded in.
+	live  []Formula
+	terms []term
+	// shadowed marks a store a TruncateTo shadow has held: it may be
+	// replayed into the stack at any later point, so it goes to the GC
+	// rather than back to freeBases.
+	shadowed bool
 }
+
+// csr is a compressed row index over bounds: the entries of bound b are
+// idx[off[b]:off[b+1]], in ascending row order — the order the per-bound
+// appends of a slice-of-slices index would have produced.
+type csr struct{ off, idx []int32 }
+
+func (w *csr) at(b bound) []int32 { return w.idx[w.off[b]:w.off[b+1]] }
 
 // NewSolver returns an empty solver.
 func NewSolver() *Solver {
@@ -284,7 +344,7 @@ func (s *Solver) Assert(f Formula) {
 		s.shadow, s.shadowBase = nil, 0
 	}
 	s.asserted = append(s.asserted, f)
-	s.compiled = append(s.compiled, compileAssert(f))
+	s.compiled = append(s.compiled, s.compileAssert(f))
 	s.bumpEpoch()
 	s.posEpoch = append(s.posEpoch, s.epoch)
 	s.posGen = append(s.posGen, s.gen)
@@ -303,6 +363,15 @@ func (s *Solver) Pop() {
 	}
 	mark := s.frames[len(s.frames)-1]
 	s.frames = s.frames[:len(s.frames)-1]
+	// The stores of the popped prefixes go back to freeBases. Every store
+	// derived from one of them sits higher still, so it is dropped here too;
+	// stores a shadow held may live on in it until now and go to the GC.
+	for i := mark; i < len(s.compiled); i++ {
+		if b := s.compiled[i].base; b != nil && !b.shadowed {
+			s.freeBases = append(s.freeBases, b)
+		}
+		s.compiled[i] = compiledAssert{}
+	}
 	s.asserted = s.asserted[:mark]
 	s.compiled = s.compiled[:mark]
 	s.posEpoch = s.posEpoch[:mark]
@@ -367,6 +436,9 @@ func (s *Solver) TruncateTo(mark int) {
 	}
 	ns := make([]shadowEntry, 0, (top-mark)+len(above))
 	for i := mark; i < top; i++ {
+		if b := s.compiled[i].base; b != nil {
+			b.shadowed = true
+		}
 		ns = append(ns, shadowEntry{f: s.asserted[i], ca: s.compiled[i], epoch: s.posEpoch[i], gen: s.posGen[i]})
 	}
 	ns = append(ns, above...)
@@ -427,23 +499,22 @@ func (s *Solver) CheckWith(extra ...Formula) Result {
 		s.stats.Conflicts++
 		return Result{Status: Unsat}
 	}
-	cons := capCons(base.cons)
-	disj := capDisj(base.disj)
+	st := &s.srch
+	st.solv = s
+	st.cons = append(st.cons[:0], base.cons...)
+	st.terms = st.terms[:0]
+	root := st.frame(0)
+	root.disj = append(root.disj[:0], base.disj...)
 	for _, f := range extra {
-		ca := compileAssert(f)
-		if ca.unsat {
+		if !decompose(nnf(f), &st.pending, &st.cons, &root.disj, &st.terms) {
 			s.stats.Conflicts++
 			return Result{Status: Unsat}
 		}
-		cons = append(cons, ca.cons...)
-		disj = append(disj, ca.disj...)
 	}
-	st := &searchState{
-		dom:     base.dom.clone(),
-		solv:    s,
-		limit:   s.MaxNodes,
-		propsIn: s.stats.Propagations,
-	}
+	st.dom.lo = append(st.dom.lo[:0], base.dom.lo...)
+	st.dom.hi = append(st.dom.hi[:0], base.dom.hi...)
+	st.nodes, st.limit, st.propsIn = 0, s.MaxNodes, s.stats.Propagations
+	st.deadline, st.stopErr, st.hasDirty = time.Time{}, nil, false
 	if s.Timeout > 0 {
 		st.deadline = time.Now().Add(s.Timeout)
 	}
@@ -452,14 +523,14 @@ func (s *Solver) CheckWith(extra ...Formula) Result {
 	// own first full propagation pass is then redundant and skipped.
 	st.watch = base.watch
 	st.watchN = len(base.cons)
-	if len(cons) > len(base.cons) {
-		if !s.propagateWakeup(st.dom, cons, base.watch, len(base.cons), len(base.cons), nil) {
+	if len(st.cons) > len(base.cons) {
+		if !s.propagateWakeup(&st.dom, st.cons, &base.watch, len(base.cons), len(base.cons), nil) {
 			s.stats.Conflicts++
 			return Result{Status: Unsat}
 		}
 	}
 	st.skipProp = true
-	status, model := st.search(nil, cons, disj)
+	status, model := st.search(0, nil)
 	res := Result{Status: status, Model: model}
 	if status == Unknown {
 		s.stats.BudgetStops++
@@ -502,6 +573,10 @@ func (s *Solver) builtBase(n int) *baseStore {
 // the stack. Bounds consistency has one greatest fixpoint, whatever the
 // order it is reached in, so a derived store has the domains, the conflict
 // flag and the taint a from-scratch build of the same prefix would have.
+//
+// The store is built into the arrays of one Pop recycled when there is one,
+// so a decoder that pushes, pins a record's values and pops allocates no
+// stores once warm.
 func (s *Solver) baseAt(n int) *baseStore {
 	if b := s.builtBase(n); b != nil {
 		return b
@@ -517,17 +592,19 @@ func (s *Solver) baseAt(n int) *baseStore {
 		}
 	}
 	if parent == nil {
-		parent = &baseStore{dom: newDomains(s.lo, s.hi), graph: make([]int32, len(s.lo))}
-		for v := range parent.graph {
-			parent.graph[v] = int32(v)
-		}
+		parent = s.declaredBase()
 	}
 
 	s.stats.BaseBuilds++
-	b := &baseStore{gen: s.gen, conflict: parent.conflict, dom: parent.dom.clone()}
-	b.graph = append([]int32(nil), parent.graph...)
-	b.cons = append([]lincon(nil), parent.cons...) // its own array: dropEntailed filters in place
-	b.disj = capDisj(parent.disj)
+	b := s.newBase()
+	b.gen, b.conflict = s.gen, parent.conflict
+	b.dom.lo = append(b.dom.lo[:0], parent.dom.lo...)
+	b.dom.hi = append(b.dom.hi[:0], parent.dom.hi...)
+	b.graph = append(b.graph[:0], parent.graph...)
+	b.cons = append(b.cons[:0], parent.cons...) // its own array: dropEntailed filters in place
+	b.disj = append(b.disj[:0], parent.disj...)
+	b.live, b.terms = b.live[:0], b.terms[:0]
+	b.watch.off, b.watch.idx, b.disjTaint = b.watch.off[:0], b.watch.idx[:0], nil
 	for i := p; i < n; i++ {
 		ca := &s.compiled[i]
 		if ca.unsat {
@@ -544,9 +621,9 @@ func (s *Solver) baseAt(n int) *baseStore {
 		// with no parent rows to index, plain round-robin is the cheaper way
 		// to bring a whole stack to fixpoint.
 		if w := len(parent.cons); w == 0 {
-			b.conflict = !propagate(b.dom, b.cons, &s.stats.Propagations)
+			b.conflict = !propagate(&b.dom, b.cons, &s.stats.Propagations)
 		} else {
-			b.conflict = !s.propagateWakeup(b.dom, b.cons, parent.watch, w, w, nil)
+			b.conflict = !s.propagateWakeup(&b.dom, b.cons, &parent.watch, w, w, nil)
 		}
 	}
 	if !b.conflict {
@@ -554,19 +631,8 @@ func (s *Solver) baseAt(n int) *baseStore {
 	}
 	if !b.conflict {
 		b.dropEntailed()
-		b.buildTaint()
-		b.watch = make([][]int32, 2*len(s.lo))
-		for i := range b.cons {
-			c := &b.cons[i]
-			for _, t := range c.terms {
-				if lo := loOf(t.V); c.eq || t.C > 0 {
-					b.watch[lo] = append(b.watch[lo], int32(i))
-				}
-				if hi := hiOf(t.V); c.eq || t.C < 0 {
-					b.watch[hi] = append(b.watch[hi], int32(i))
-				}
-			}
-		}
+		b.buildTaint(s)
+		b.buildWatch(len(s.lo))
 	}
 	if n == 0 {
 		s.base0 = b
@@ -574,6 +640,33 @@ func (s *Solver) baseAt(n int) *baseStore {
 		s.compiled[n-1].base = b
 	}
 	return b
+}
+
+// newBase hands out a store to build into: one Pop recycled, or a new one.
+func (s *Solver) newBase() *baseStore {
+	n := len(s.freeBases)
+	if n == 0 {
+		return &baseStore{}
+	}
+	b := s.freeBases[n-1]
+	s.freeBases[n-1] = nil
+	s.freeBases = s.freeBases[:n-1]
+	return b
+}
+
+// declaredBase returns the parent of a store built from scratch: the
+// declared domains, no rows, every variable its own component. It lives in
+// the solver and is refilled on each use; a store derived from it copies
+// everything it reads.
+func (s *Solver) declaredBase() *baseStore {
+	d := &s.declared
+	d.dom.lo = append(d.dom.lo[:0], s.lo...)
+	d.dom.hi = append(d.dom.hi[:0], s.hi...)
+	d.graph = d.graph[:0]
+	for v := range s.lo {
+		d.graph = append(d.graph, int32(v))
+	}
+	return d
 }
 
 // dropEntailed removes from the store every row the propagated box already
@@ -596,6 +689,52 @@ func (b *baseStore) dropEntailed() {
 	b.cons = kept
 }
 
+// buildWatch indexes the store's rows by the bounds they read (see reads):
+// an inequality the lower bound of each positive term and the upper bound
+// of each negative one, an equality both bounds of every term. A counting
+// sort over the 2·nvars bounds, rows ascending within each.
+func (b *baseStore) buildWatch(nvars int) {
+	nb := 2 * nvars
+	off := zeroed(b.watch.off, nb+1)
+	b.eachWatch(func(bd bound, _ int32) { off[bd+1]++ })
+	for i := 1; i <= nb; i++ {
+		off[i] += off[i-1]
+	}
+	idx := zeroed(b.watch.idx, int(off[nb]))
+	b.eachWatch(func(bd bound, i int32) {
+		idx[off[bd]] = i
+		off[bd]++
+	})
+	// Each cursor now sits at its bound's end, which is the next bound's
+	// start: shift them back one place.
+	copy(off[1:], off[:nb])
+	off[0] = 0
+	b.watch = csr{off: off, idx: idx}
+}
+
+// zeroed returns s resized to n zero elements, reusing its array when it
+// is large enough.
+func zeroed[T any](s []T, n int) []T {
+	s = slices.Grow(s[:0], n)[:n]
+	clear(s)
+	return s
+}
+
+// eachWatch calls fn(bound, row) for every watch entry, rows ascending.
+func (b *baseStore) eachWatch(fn func(bound, int32)) {
+	for i := range b.cons {
+		c := &b.cons[i]
+		for _, t := range c.terms {
+			if c.eq || t.C > 0 {
+				fn(loOf(t.V), int32(i))
+			}
+			if c.eq || t.C < 0 {
+				fn(hiOf(t.V), int32(i))
+			}
+		}
+	}
+}
+
 // propagateWakeup runs worklist propagation over cons, assuming d is already
 // at fixpoint with respect to cons[:newFrom] except for the bounds listed in
 // dirty (moved directly by a domain split). Seeds are the new constraints
@@ -606,7 +745,7 @@ func (b *baseStore) dropEntailed() {
 // at fixpoint and stays there until a bound it reads moves, so the rows left
 // asleep would have done nothing; the cost of a node is proportional to the
 // constraints it actually disturbs instead of the whole assertion stack.
-func (s *Solver) propagateWakeup(d *domains, cons []lincon, watch [][]int32, watchN, newFrom int, dirty []bound) bool {
+func (s *Solver) propagateWakeup(d *domains, cons []lincon, watch *csr, watchN, newFrom int, dirty []bound) bool {
 	if cap(s.inQ) < len(cons) {
 		s.inQ = make([]bool, len(cons))
 	}
@@ -614,7 +753,7 @@ func (s *Solver) propagateWakeup(d *domains, cons []lincon, watch [][]int32, wat
 	clear(inQ)
 	q := s.workQ[:0]
 	wake := func(b bound) {
-		for _, j := range watch[b] {
+		for _, j := range watch.at(b) {
 			if !inQ[j] {
 				inQ[j] = true
 				q = append(q, j)
@@ -661,22 +800,48 @@ func (s *Solver) propagateWakeup(d *domains, cons []lincon, watch [][]int32, wat
 // work, rare enough that time.Now never shows up in profiles.
 const budgetPollMask = 63
 
-// searchState carries per-Check search bookkeeping shared across branches.
+// searchState is the scratch a Check searches on. The Solver owns one and
+// every Check reuses it, so the search allocates nothing once warm — a Sat
+// result's Model map is the one fresh object. In place of the per-node
+// copies a recursive DPLL makes, three kinds of storage follow the DFS:
+//
+//   - cons is the row stack: the base store's rows and the probe's extras at
+//     the bottom, above them the rows each node on the current path
+//     decomposed. A child appends to it and its parent truncates it back
+//     before the next child, so at every node it holds exactly the rows a
+//     per-node copy would, in the same order. terms backs the normalized
+//     terms of those rows and is truncated with it.
+//   - frames[k] belongs to the node at depth k: its disjunctions (its input,
+//     then each simplification round filtered in place), the live
+//     alternatives its kept disjunctions point into, and the box it saves
+//     before a child and restores after one that failed. While the node
+//     waits on a child only deeper frames are written, so everything it
+//     reads afterwards is as it left it.
+//   - dom is the working box and pending the decomposition worklist.
+//
+// Nothing here changes what a node computes or the order children are
+// visited in: every node sees the rows, disjunctions and box a copying
+// search would hand it, so node counts, propagation counts and models are
+// identical.
 type searchState struct {
-	dom   *domains
-	solv  *Solver
-	nodes uint64
-	limit uint64
+	dom     domains
+	solv    *Solver
+	cons    []lincon
+	terms   []term
+	frames  []*searchFrame
+	pending []Formula
+	nodes   uint64
+	limit   uint64
 	// propsIn snapshots cumulative propagations at Check entry; deadline is
 	// the per-Check wall-clock cutoff (zero = none). stopErr records why the
 	// search gave up, reported as Result.Err alongside Unknown.
 	propsIn  uint64
 	deadline time.Time
 	stopErr  error
-	// watch is the epoch's var→constraint index covering cons[:watchN]
+	// watch is the epoch's bound→constraint index covering cons[:watchN]
 	// (the warm-started base); constraints beyond watchN were added during
 	// this Check and are found by scan.
-	watch  [][]int32
+	watch  csr
 	watchN int
 	// skipProp marks the domains already at fixpoint with the constraints
 	// handed to the next search call (warm-started probes); consumed once.
@@ -685,6 +850,33 @@ type searchState struct {
 	// seeds propagation from its readers. Consumed once.
 	dirty    bound
 	hasDirty bool
+}
+
+// searchFrame is one DFS depth's scratch (see searchState).
+type searchFrame struct {
+	disj   []orF
+	live   []Formula
+	lo, hi []int64
+}
+
+// frame returns depth k's frame, creating it on first use. Frames are held
+// by pointer, so growing the list never moves a frame an ancestor holds.
+func (st *searchState) frame(k int) *searchFrame {
+	for len(st.frames) <= k {
+		st.frames = append(st.frames, &searchFrame{})
+	}
+	return st.frames[k]
+}
+
+// save copies d into the frame; restore copies it back.
+func (fr *searchFrame) save(d *domains) {
+	fr.lo = append(fr.lo[:0], d.lo...)
+	fr.hi = append(fr.hi[:0], d.hi...)
+}
+
+func (fr *searchFrame) restore(d *domains) {
+	copy(d.lo, fr.lo)
+	copy(d.hi, fr.hi)
 }
 
 // overBudget reports why the search must stop, or nil to continue. Node and
@@ -712,53 +904,28 @@ func (st *searchState) overBudget() error {
 	return nil
 }
 
-// search is the DPLL core. pending holds formulas not yet decomposed; cons
-// holds normalized linear constraints already in the store; disj holds
-// unresolved disjunctions. The domains in st.dom reflect the current branch.
-// On Sat it returns a complete model.
-func (st *searchState) search(pending []Formula, cons []lincon, disj []orF) (Status, map[Var]int64) {
+// search is the DPLL core, at DFS depth k. f, when non-nil, is the formula
+// the node adds (a branch's alternative or a unit); its disjunctions are
+// frames[k].disj, filled by the parent, and its rows are cons as the parent
+// left it plus whatever f decomposes into. The domains in st.dom reflect
+// the current branch. On Sat it returns a complete model.
+func (st *searchState) search(k int, f Formula) (Status, map[Var]int64) {
+	s := st.solv
 	st.nodes++
-	st.solv.stats.Nodes++
+	s.stats.Nodes++
 	if err := st.overBudget(); err != nil {
 		st.stopErr = err
 		return Unknown, nil
 	}
 
-	d := st.dom
-	consIn := len(cons)
+	d := &st.dom
+	fr := st.frame(k)
+	consIn := len(st.cons)
 
-	// Decompose pending formulas into constraints and disjunctions.
-	for len(pending) > 0 {
-		f := pending[len(pending)-1]
-		pending = pending[:len(pending)-1]
-		switch g := f.(type) {
-		case boolF:
-			if !g.v {
-				st.solv.stats.Conflicts++
-				return Unsat, nil
-			}
-		case atomF:
-			c, kind := normalizeAtom(g.a)
-			switch kind {
-			case normTrue:
-			case normFalse:
-				st.solv.stats.Conflicts++
-				return Unsat, nil
-			case normCon:
-				cons = append(cons, c)
-			case normSplit:
-				lt := atomF{Atom{Expr: g.a.Expr, Op: OpLT}}
-				gt := atomF{Atom{Expr: g.a.Expr, Op: OpGT}}
-				disj = append(disj, orF{fs: []Formula{lt, gt}})
-			}
-		case andF:
-			pending = append(pending, g.fs...)
-		case orF:
-			disj = append(disj, g)
-		case notF:
-			// nnf leaves no notF nodes; defensive.
-			pending = append(pending, nnf(g))
-		}
+	// Decompose the node's formula into constraints and disjunctions.
+	if f != nil && !decompose(f, &st.pending, &st.cons, &fr.disj, &st.terms) {
+		s.stats.Conflicts++
+		return Unsat, nil
 	}
 
 	// Propagate to fixpoint (unless the caller already did). The incoming
@@ -768,28 +935,30 @@ func (st *searchState) search(pending []Formula, cons []lincon, disj []orF) (Sta
 	if st.skipProp {
 		st.skipProp = false
 	} else {
-		var dirty []bound
 		var dbuf [1]bound
+		dirty := dbuf[:0]
 		if st.hasDirty {
-			dbuf[0] = st.dirty
-			dirty = dbuf[:]
+			dirty = append(dirty, st.dirty)
 			st.hasDirty = false
 		}
-		if len(cons) > consIn || dirty != nil {
-			if !st.solv.propagateWakeup(d, cons, st.watch, st.watchN, consIn, dirty) {
-				st.solv.stats.Conflicts++
+		if len(st.cons) > consIn || len(dirty) > 0 {
+			if !s.propagateWakeup(d, st.cons, &st.watch, st.watchN, consIn, dirty) {
+				s.stats.Conflicts++
 				return Unsat, nil
 			}
 		}
 	}
 
 	// Simplify disjunctions under the tightened bounds: drop entailed
-	// ones, prune refuted disjuncts, unit-propagate single survivors.
+	// ones, prune refuted disjuncts, unit-propagate single survivors. Each
+	// round filters disj in place; the survivors' alternatives go to live.
+	disj, live := fr.disj, fr.live[:0]
 	for {
 		progressed := false
-		kept := disj[:0:0] // fresh backing to avoid aliasing across branches
-		for _, g := range disj {
-			live := make([]Formula, 0, len(g.fs))
+		kept := disj[:0]
+		for i := 0; i < len(disj); i++ {
+			g := disj[i]
+			from := len(live)
 			entailed := false
 			for _, alt := range g.fs {
 				switch d.formulaStatus(alt) {
@@ -803,22 +972,28 @@ func (st *searchState) search(pending []Formula, cons []lincon, disj []orF) (Sta
 				}
 			}
 			if entailed {
+				live = live[:from]
 				progressed = true
 				continue
 			}
-			switch len(live) {
+			alts := live[from:len(live):len(live)]
+			switch len(alts) {
 			case 0:
-				st.solv.stats.Conflicts++
+				fr.disj, fr.live = disj, live
+				s.stats.Conflicts++
 				return Unsat, nil
 			case 1:
-				// Unit: assert the sole survivor now.
-				status, model := st.searchUnit(live[0], cons, append(kept, disj[indexAfter(disj, g):]...))
-				return status, model
+				// Unit: assert the sole survivor now, alongside the
+				// disjunctions kept so far and those not yet examined.
+				ch := st.frame(k + 1)
+				ch.disj = append(append(ch.disj[:0], kept...), disj[i+1:]...)
+				fr.disj, fr.live = disj, live
+				return st.search(k+1, alts[0])
 			default:
-				if len(live) != len(g.fs) {
+				if len(alts) != len(g.fs) {
 					progressed = true
 				}
-				kept = append(kept, orF{fs: live})
+				kept = append(kept, orF{fs: alts})
 			}
 		}
 		disj = kept
@@ -826,6 +1001,10 @@ func (st *searchState) search(pending []Formula, cons []lincon, disj []orF) (Sta
 			break
 		}
 	}
+	fr.disj, fr.live = disj, live
+
+	nCons, nTerms := len(st.cons), len(st.terms)
+	ch := st.frame(k + 1)
 
 	// Decide: branch on a disjunction first (fewest alternatives first —
 	// the most constrained choice point); otherwise split a domain.
@@ -837,18 +1016,17 @@ func (st *searchState) search(pending []Formula, cons []lincon, disj []orF) (Sta
 			}
 		}
 		g := disj[pick]
-		rest := make([]orF, 0, len(disj)-1)
-		rest = append(rest, disj[:pick]...)
-		rest = append(rest, disj[pick+1:]...)
+		fr.save(d)
 		for _, alt := range g.fs {
-			saved := d.clone()
-			status, model := st.search([]Formula{alt}, capCons(cons), capDisj(rest))
+			ch.disj = append(append(ch.disj[:0], disj[:pick]...), disj[pick+1:]...)
+			status, model := st.search(k+1, alt)
 			if status == Sat || status == Unknown {
 				return status, model
 			}
-			*st.dom = *saved
+			fr.restore(d)
+			st.cons, st.terms = st.cons[:nCons], st.terms[:nTerms]
 		}
-		st.solv.stats.Conflicts++
+		s.stats.Conflicts++
 		return Unsat, nil
 	}
 
@@ -856,12 +1034,12 @@ func (st *searchState) search(pending []Formula, cons []lincon, disj []orF) (Sta
 	// constraint; if none, the store is bounds-consistent and every
 	// constraint will be verified on the all-lower-bound assignment or
 	// needs a split.
-	v := pickBranchVar(d, cons)
+	v := pickBranchVar(d, st.cons)
 	if v == InvalidVar {
 		// All constrained variables fixed: verify and build the model.
-		for i := range cons {
-			if !conSatisfiedFixed(d, &cons[i]) {
-				st.solv.stats.Conflicts++
+		for i := range st.cons {
+			if !conSatisfiedFixed(d, &st.cons[i]) {
+				s.stats.Conflicts++
 				return Unsat, nil
 			}
 		}
@@ -875,49 +1053,24 @@ func (st *searchState) search(pending []Formula, cons []lincon, disj []orF) (Sta
 	// Domain split: [lo, mid] then [mid+1, hi].
 	lo, hi := d.lo[v], d.hi[v]
 	mid := lo + (hi-lo)/2
+	fr.save(d)
 	for _, half := range [2]struct {
 		lo, hi int64
 		moved  bound
 	}{{lo, mid, hiOf(v)}, {mid + 1, hi, loOf(v)}} {
-		saved := d.clone()
 		d.lo[v], d.hi[v] = half.lo, half.hi
 		st.dirty, st.hasDirty = half.moved, true
-		status, model := st.search(nil, capCons(cons), nil)
+		ch.disj = ch.disj[:0]
+		status, model := st.search(k+1, nil)
 		if status == Sat || status == Unknown {
 			return status, model
 		}
-		*st.dom = *saved
+		fr.restore(d)
+		st.cons, st.terms = st.cons[:nCons], st.terms[:nTerms]
 	}
-	st.solv.stats.Conflicts++
+	s.stats.Conflicts++
 	return Unsat, nil
 }
-
-// searchUnit asserts a unit-propagated disjunct and continues.
-func (st *searchState) searchUnit(f Formula, cons []lincon, disj []orF) (Status, map[Var]int64) {
-	return st.search([]Formula{f}, capCons(cons), capDisj(disj))
-}
-
-// indexAfter finds g in disj (by slice position identity of fs) and returns
-// the index after it; used to pass the remaining disjunctions onward when
-// unit-propagating mid-scan.
-func indexAfter(disj []orF, g orF) int {
-	for i := range disj {
-		if len(disj[i].fs) == len(g.fs) && (len(g.fs) == 0 || &disj[i].fs[0] == &g.fs[0]) {
-			return i + 1
-		}
-	}
-	return len(disj)
-}
-
-// capCons and capDisj cap a slice's capacity at its length, so sibling
-// branches that receive the same store share the parent's backing array
-// read-only and reallocate only when they append (copy-on-write). Elements
-// are never mutated in place during search, which makes the sharing safe —
-// and it replaces a full store copy per branch with a three-word slice
-// header.
-func capCons(cons []lincon) []lincon { return cons[:len(cons):len(cons)] }
-
-func capDisj(disj []orF) []orF { return disj[:len(disj):len(disj)] }
 
 // pickBranchVar selects the unfixed constrained variable with the smallest
 // domain (first-fail heuristic), or InvalidVar if all are fixed.

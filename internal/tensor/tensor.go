@@ -357,8 +357,9 @@ func NewArena(n int) *Arena {
 	return &Arena{buf: make([]float32, n)}
 }
 
-// Alloc returns the next n float32s of the slab (zeroed, since the slab is
-// freshly allocated and handed out exactly once). Panics if the arena was
+// Alloc returns the next n float32s of the slab, handed out exactly once;
+// they are zero when the arena is new, but an owner that keeps them across
+// uses (a reused BatchSession) must not assume so. Panics if the arena was
 // sized too small — that is a programming error, not a runtime condition.
 func (a *Arena) Alloc(n int) []float32 {
 	if n < 0 || a.off+n > len(a.buf) {
