@@ -23,10 +23,10 @@ func (e *LaneError) Unwrap() error { return e.Err }
 // BatchSession steps up to n independent decoding sessions ("lanes") through
 // the model in lock-step. Where Session.Append is a chain of matrix-vector
 // products that stream every weight matrix from memory once per token per
-// record, AppendBatch runs the active lanes through the same GEMM kernels
-// (matLinear/matLinear3) with more rows, streaming each weight block once per
-// token step for the whole batch — the per-lane arithmetic (and therefore
-// the float32 result) is bit-identical to the one-row call.
+// record, AppendBatch runs the active lanes through the same GEMM (matLinear)
+// with more rows, so the kernel's register tiles reuse each weight load across
+// two lanes — the per-lane arithmetic (and therefore the float32 result) is
+// bit-identical to the one-row call.
 //
 // Lanes are ragged: each has its own position, and any subset may be
 // advanced per call (records finish at different steps). All buffers — the
@@ -40,9 +40,11 @@ type BatchSession struct {
 	m   *Model
 	n   int
 	pos []int // per-lane tokens consumed
-	// Per-layer KV caches, batch-major then head-major: lane b's cache block
-	// is kc[l][b*Ctx*Dim : (b+1)*Ctx*Dim] with the same head-major layout as
-	// Session, so attention and CloneLane reuse the single-row code shape.
+	// Per-layer KV caches, batch-major: lane b's block is
+	// kc[l][b*Ctx*Dim : (b+1)*Ctx*Dim], laid out as a kvPage with position
+	// stride Ctx — keys transposed (element e = hd*dh+i of position t at
+	// e*Ctx+t), values head-major ((hd*Ctx+t)*dh+i) — so CloneLane and
+	// SeedLane are straight copies between the two.
 	kc, vc [][]float32
 	logits []float32 // [n*Vocab], row lane*Vocab.. persists until the lane's next step
 	// Compacted per-step activations: row r of each buffer belongs to the
@@ -168,17 +170,20 @@ func (bs *BatchSession) AppendBatch(lanes, toks []int) error {
 			tensor.LayerNormRow(ln[r*d:(r+1)*d], x[r*d:(r+1)*d], ly.ln1g.W, ly.ln1b.W)
 		}
 
-		// One GEMM for all lanes' q/k/v: each weight block is read once.
-		matLinear3(q, k, v, ln, ly.wq.W, ly.wk.W, ly.wv.W, ly.bq.W, ly.bk.W, ly.bv.W, d, d, rows)
+		matLinear(q, ln, ly.wq.W, ly.bq.W, d, d, rows)
+		matLinear(k, ln, ly.wk.W, ly.bk.W, d, d, rows)
+		matLinear(v, ln, ly.wv.W, ly.bv.W, d, d, rows)
 
-		// Scatter k/v into each lane's head-major cache block.
+		// Scatter k (transposed) and v (head-major) into each lane's block.
 		kcl, vcl := bs.kc[l], bs.vc[l]
 		for r, lane := range lanes {
 			t := bs.pos[lane]
 			base := lane * ctx * d
+			for e, kv := range k[r*d : (r+1)*d] {
+				kcl[base+e*ctx+t] = kv
+			}
 			for hd := 0; hd < h; hd++ {
 				dst := base + (hd*ctx+t)*dh
-				copy(kcl[dst:dst+dh], k[r*d+hd*dh:r*d+(hd+1)*dh])
 				copy(vcl[dst:dst+dh], v[r*d+hd*dh:r*d+(hd+1)*dh])
 			}
 		}
@@ -218,33 +223,25 @@ func (bs *BatchSession) AppendBatch(lanes, toks []int) error {
 }
 
 // attendLane runs one lane's causal attention over its cache block into the
-// compacted attn row r, using bs.p as the score row.
+// compacted attn row r, using bs.p as the score row. Per head both products
+// are one MatAccum: the scores ⟨q, k_j⟩ for j ≤ t start at +0 and add q_i·k_ji
+// in ascending i, as Dot does, and the value sum adds p_j·v_j in ascending j.
 func (bs *BatchSession) attendLane(kcl, vcl, q, attn []float32, r, lane int, scale float32) {
 	m := bs.m
 	d := m.Cfg.Dim
-	h := m.Cfg.Heads
-	dh := d / h
+	dh := d / m.Cfg.Heads
 	ctx := m.Cfg.Ctx
 	t := bs.pos[lane]
 	base := lane * ctx * d
 	ar := attn[r*d : (r+1)*d]
-	for i := range ar {
-		ar[i] = 0
-	}
-	for hd := 0; hd < h; hd++ {
-		off := hd * dh
-		qh := q[r*d+off : r*d+off+dh]
-		kh := kcl[base+hd*ctx*dh:]
-		vh := vcl[base+hd*ctx*dh:]
-		p := bs.p[:t+1]
-		for j := 0; j <= t; j++ {
-			p[j] = tensor.Dot(qh, kh[j*dh:j*dh+dh]) * scale
-		}
+	clear(ar)
+	p := bs.p[:t+1]
+	for off := 0; off < d; off += dh {
+		clear(p)
+		tensor.MatAccum(p, q[r*d+off:], kcl[base+off*ctx:], 1, dh, t+1, ctx)
+		tensor.Scale(p, scale)
 		tensor.SoftmaxRow(p)
-		out := ar[off : off+dh]
-		for j := 0; j <= t; j++ {
-			tensor.Axpy(out, p[j], vh[j*dh:j*dh+dh])
-		}
+		tensor.MatAccum(ar[off:off+dh], p, vcl[base+off*ctx:], 1, t+1, dh, dh)
 	}
 }
 
@@ -291,25 +288,19 @@ func (bs *BatchSession) CloneLane(lane int) *Session {
 	v := m.Cfg.Vocab
 	c := &Session{m: m, pos: bs.pos[lane],
 		logits: append([]float32(nil), bs.logits[lane*v:(lane+1)*v]...)}
-	d := m.Cfg.Dim
-	dh := d / m.Cfg.Heads
+	d, h := m.Cfg.Dim, m.Cfg.Heads
+	dh := d / h
 	ctx := m.Cfg.Ctx
 	base := lane * ctx * d
 	t := bs.pos[lane]
 	c.pages = make([]*kvPage, (t+PageTokens-1)/PageTokens)
 	for pi := range c.pages {
 		pg := newKVPage(m)
-		n := t - pi*PageTokens
-		if n > PageTokens {
-			n = PageTokens
-		}
+		j := pi * PageTokens
+		n := min(t-j, PageTokens)
 		for l := range bs.kc {
-			for hd := 0; hd < m.Cfg.Heads; hd++ {
-				src := base + hd*ctx*dh + pi*PageTokens*dh
-				dst := hd * PageTokens * dh
-				copy(pg.k[l][dst:dst+n*dh], bs.kc[l][src:src+n*dh])
-				copy(pg.v[l][dst:dst+n*dh], bs.vc[l][src:src+n*dh])
-			}
+			copyRuns(pg.k[l], bs.kc[l][base+j:], d, PageTokens, ctx, n)
+			copyRuns(pg.v[l], bs.vc[l][base+j*dh:], h, PageTokens*dh, ctx*dh, n*dh)
 		}
 		c.pages[pi] = pg
 	}
@@ -338,26 +329,16 @@ func (bs *BatchSession) SeedLane(lane int, src *Session) error {
 	if t == 0 {
 		return nil
 	}
-	d := m.Cfg.Dim
-	dh := d / m.Cfg.Heads
+	d, h := m.Cfg.Dim, m.Cfg.Heads
+	dh := d / h
 	ctx := m.Cfg.Ctx
 	base := lane * ctx * d
-	for l := range bs.kc {
-		for hd := 0; hd < m.Cfg.Heads; hd++ {
-			dst := base + hd*ctx*dh
-			hoff := hd * PageTokens * dh
-			j := 0
-			for pi := 0; j < t; pi++ {
-				n := t - pi*PageTokens
-				if n > PageTokens {
-					n = PageTokens
-				}
-				kp := src.pages[pi].k[l][hoff:]
-				vp := src.pages[pi].v[l][hoff:]
-				copy(bs.kc[l][dst+j*dh:dst+(j+n)*dh], kp[:n*dh])
-				copy(bs.vc[l][dst+j*dh:dst+(j+n)*dh], vp[:n*dh])
-				j += n
-			}
+	for pi, j := 0, 0; j < t; pi, j = pi+1, j+PageTokens {
+		n := min(t-j, PageTokens)
+		pg := src.pages[pi]
+		for l := range bs.kc {
+			copyRuns(bs.kc[l][base+j:], pg.k[l], d, ctx, PageTokens, n)
+			copyRuns(bs.vc[l][base+j*dh:], pg.v[l], h, ctx*dh, PageTokens*dh, n*dh)
 		}
 	}
 	v := m.Cfg.Vocab

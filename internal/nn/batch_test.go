@@ -76,20 +76,69 @@ func runLockStepVsSolo(t *testing.T, m *Model, seqs [][]int, rng *rand.Rand) {
 }
 
 // TestBatchSessionMatchesSingle is the tentpole's golden contract across
-// several shapes (including dims not divisible by the 4-wide unroll) and
-// ragged schedules where lanes start, skip, and finish at different steps.
+// several shapes (including dims not divisible by the 4-wide unroll, and the
+// served geometry at a full 32-lane batch, where every row pair takes 2×16
+// tiles) and ragged schedules where lanes start, skip, and finish at
+// different steps.
 func TestBatchSessionMatchesSingle(t *testing.T) {
-	cfgs := []Config{
-		{Vocab: 11, Ctx: 8, Dim: 8, Heads: 2, Layers: 2},
-		{Vocab: 13, Ctx: 16, Dim: 24, Heads: 4, Layers: 3},
-		{Vocab: 11, Ctx: 12, Dim: 6, Heads: 3, Layers: 2}, // dh=2, tail-heavy
+	cases := []struct {
+		cfg   Config
+		lanes []int
+	}{
+		{Config{Vocab: 11, Ctx: 8, Dim: 8, Heads: 2, Layers: 2}, []int{1, 3, 5}},
+		{Config{Vocab: 13, Ctx: 16, Dim: 24, Heads: 4, Layers: 3}, []int{1, 3, 5}},
+		{Config{Vocab: 11, Ctx: 12, Dim: 6, Heads: 3, Layers: 2}, []int{1, 3, 5}}, // dh=2, tail-heavy
+		{servedCfg(), []int{1, 3, 32}},
 	}
-	for ci, cfg := range cfgs {
-		m := goldenModel(t, cfg, int64(200+ci))
+	for ci, tc := range cases {
+		m := goldenModel(t, tc.cfg, int64(200+ci))
 		rng := rand.New(rand.NewSource(int64(31 + ci)))
-		for _, lanes := range []int{1, 3, 5} {
-			seqs := laneSchedule(rng, lanes, 1, cfg.Ctx, cfg.Vocab)
+		for _, lanes := range tc.lanes {
+			seqs := laneSchedule(rng, lanes, 1, tc.cfg.Ctx, tc.cfg.Vocab)
 			runLockStepVsSolo(t, m, seqs, rng)
+		}
+	}
+}
+
+// TestCloneSeedRoundTrip moves a lane out of one batch and into another at
+// lengths around the page boundaries (15, 16, 17) and one short of the
+// served context (47): CloneLane copies the key-transposed lane block into
+// pages, SeedLane copies the pages back. The peeled Session, the reseeded
+// lane and the original lane must then decode the rest of the context
+// bit-identically.
+func TestCloneSeedRoundTrip(t *testing.T) {
+	cfg := servedCfg()
+	m := goldenModel(t, cfg, 231)
+	rng := rand.New(rand.NewSource(232))
+	for _, n := range []int{15, 16, 17, 47} {
+		src := m.NewBatchSession(3)
+		dst := m.NewBatchSession(2)
+		// Lanes 0 and 2 hold other histories, so a copy that strays outside
+		// lane 1's block shows up in its logits.
+		for _, tok := range randSeq(rng, n, cfg.Vocab) {
+			if err := src.AppendBatch([]int{0, 1, 2}, []int{rng.Intn(cfg.Vocab), tok, rng.Intn(cfg.Vocab)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		peeled := src.CloneLane(1)
+		if err := dst.SeedLane(1, peeled); err != nil {
+			t.Fatal(err)
+		}
+		label := "len " + strconv.Itoa(n)
+		compareLogitsBits(t, dst.Logits(1), src.Logits(1), label+" seeded")
+		compareLogitsBits(t, peeled.Logits(), src.Logits(1), label+" peeled")
+		for _, tok := range randSeq(rng, cfg.Ctx-n, cfg.Vocab) {
+			if err := src.AppendBatch([]int{1}, []int{tok}); err != nil {
+				t.Fatal(err)
+			}
+			if err := dst.AppendBatch([]int{1}, []int{tok}); err != nil {
+				t.Fatal(err)
+			}
+			if err := peeled.Append(tok); err != nil {
+				t.Fatal(err)
+			}
+			compareLogitsBits(t, dst.Logits(1), src.Logits(1), label+" seeded suffix")
+			compareLogitsBits(t, peeled.Logits(), src.Logits(1), label+" peeled suffix")
 		}
 	}
 }

@@ -3,17 +3,19 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"repro/internal/tensor"
 )
 
-// This file pins the per-token kernels (fused q/k/v projection, the 4-row
-// tensor.Accum4 GEMM kernel, 4-wide Dot, table-driven GELU, head-major KV
-// cache, partial Clone) to the seed implementation: refSession.Append below
-// is the seed's Session.Append copied verbatim (over [Ctx, D] row-major
-// caches, the zero-skipping scalar vecLinear and the math.Tanh GELU), and the
-// golden tests require bit-identical logits, not just close ones. The
+// This file pins the per-token kernels (the tensor.MatAccum register tiles
+// for projections and attention, 4-wide Dot, table-driven GELU, the
+// key-transposed paged KV cache, partial Clone) to the seed implementation:
+// refSession.Append below is the seed's Session.Append copied verbatim (over
+// [Ctx, D] row-major caches, the zero-skipping scalar vecLinear and the
+// math.Tanh GELU), and the golden tests require bit-identical logits, not
+// just close ones. The
 // kernels keep one accumulator per output and add terms in ascending input
 // order, so identical floats are the contract, not an accident.
 
@@ -185,6 +187,11 @@ func compareLogitsBits(t *testing.T, got, want []float32, ctx string) {
 	}
 }
 
+// servedCfg is the geometry of the served decode model (dim 64, 4 heads, Ctx
+// 48) at fewer layers: the only golden shape that runs full 16-column tiles
+// at out 64 and 256 and attends across more than one KV page.
+func servedCfg() Config { return Config{Vocab: 17, Ctx: 48, Dim: 64, Heads: 4, Layers: 2} }
+
 // TestGoldenLogitsMatchSeed is the kernel rewrite's contract: logits after
 // every Append must be bit-identical to the seed implementation — same
 // floats, same bits — across several shapes (including dims not divisible
@@ -194,6 +201,7 @@ func TestGoldenLogitsMatchSeed(t *testing.T) {
 		{Vocab: 11, Ctx: 8, Dim: 8, Heads: 2, Layers: 2},
 		{Vocab: 13, Ctx: 16, Dim: 24, Heads: 4, Layers: 3},
 		{Vocab: 11, Ctx: 12, Dim: 6, Heads: 3, Layers: 2}, // dh=2, tail-heavy
+		servedCfg(),
 	}
 	for ci, cfg := range cfgs {
 		m := goldenModel(t, cfg, int64(100+ci))
@@ -254,32 +262,21 @@ func TestGoldenCloneMatchesSeed(t *testing.T) {
 	compareLogitsBits(t, s.Logits(), r.logits, "original after branching")
 }
 
-// checkGemmMatchesSeed runs one random shape through matLinear and
-// matLinear3 and requires every output row bit-equal to the seed loop on that
-// row alone.
+// checkGemmMatchesSeed runs one random shape through matLinear and requires
+// every output row bit-equal to the seed loop on that row alone.
 func checkGemmMatchesSeed(t *testing.T, rng *rand.Rand, fill func(int) []float32, rows int) {
 	t.Helper()
 	in, out := 1+rng.Intn(33), 1+rng.Intn(33)
-	x, b := fill(rows*in), fill(out)
-	w := [3][]float32{fill(in * out), fill(in * out), fill(in * out)}
-	var want [3][]float32
-	for i := range want {
-		want[i] = make([]float32, rows*out)
-		for r := 0; r < rows; r++ {
-			refVecLinear(want[i][r*out:(r+1)*out], x[r*in:(r+1)*in], w[i], b, in, out)
-		}
+	x, w, b := fill(rows*in), fill(in*out), fill(out)
+	want := make([]float32, rows*out)
+	for r := 0; r < rows; r++ {
+		refVecLinear(want[r*out:(r+1)*out], x[r*in:(r+1)*in], w, b, in, out)
 	}
 	y := make([]float32, rows*out)
-	q, k, v := make([]float32, rows*out), make([]float32, rows*out), make([]float32, rows*out)
-	matLinear(y, x, w[0], b, in, out, rows)
-	matLinear3(q, k, v, x, w[0], w[1], w[2], b, b, b, in, out, rows)
-	for i, got := range [][]float32{y, q, k, v} {
-		ref := want[max(i-1, 0)]
-		for j := range ref {
-			if math.Float32bits(got[j]) != math.Float32bits(ref[j]) {
-				t.Fatalf("rows=%d in=%d out=%d output %d [%d]: got %v, seed %v",
-					rows, in, out, i, j, got[j], ref[j])
-			}
+	matLinear(y, x, w, b, in, out, rows)
+	for j := range want {
+		if math.Float32bits(y[j]) != math.Float32bits(want[j]) {
+			t.Fatalf("rows=%d in=%d out=%d [%d]: got %v, seed %v", rows, in, out, j, y[j], want[j])
 		}
 	}
 }
@@ -354,34 +351,6 @@ func BenchmarkVecLinear(b *testing.B) {
 	})
 }
 
-func BenchmarkVecLinear3(b *testing.B) {
-	const d = 64
-	rng := rand.New(rand.NewSource(2))
-	x, bias := make([]float32, d), make([]float32, d)
-	wq, wk, wv := make([]float32, d*d), make([]float32, d*d), make([]float32, d*d)
-	for i := range wq {
-		wq[i] = float32(rng.NormFloat64())
-		wk[i] = float32(rng.NormFloat64())
-		wv[i] = float32(rng.NormFloat64())
-	}
-	for i := range x {
-		x[i] = float32(rng.NormFloat64())
-	}
-	q, k, v := make([]float32, d), make([]float32, d), make([]float32, d)
-	b.Run("fused", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			matLinear3(q, k, v, x, wq, wk, wv, bias, bias, bias, d, d, 1)
-		}
-	})
-	b.Run("separate", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			matLinear(q, x, wq, bias, d, d, 1)
-			matLinear(k, x, wk, bias, d, d, 1)
-			matLinear(v, x, wv, bias, d, d, 1)
-		}
-	})
-}
-
 func BenchmarkDot(b *testing.B) {
 	const n = 256
 	rng := rand.New(rand.NewSource(3))
@@ -404,38 +373,53 @@ func BenchmarkDot(b *testing.B) {
 	_ = sink
 }
 
-// BenchmarkAttentionInner isolates the per-head score loop: head-major
-// contiguous cache rows versus the seed's [Ctx, D]-strided rows.
+// BenchmarkAttentionInner times one lane's per-head score and value loops at
+// the served geometry, for histories of 1, 16 and 47 positions, leaving out
+// the softmax both share: matacc is attendLane's two MatAccum calls over the
+// key-transposed cache, dotaxpy the per-position Dot and Axpy loop over a
+// head-major key cache that it replaced.
 func BenchmarkAttentionInner(b *testing.B) {
-	const ctx, d, heads = 64, 64, 4
-	const dh = d / heads
+	cfg := servedCfg()
+	ctx, d := cfg.Ctx, cfg.Dim
+	dh := d / cfg.Heads
+	const scale = 0.25
 	rng := rand.New(rand.NewSource(4))
-	q := make([]float32, dh)
-	for i := range q {
-		q[i] = float32(rng.NormFloat64())
-	}
-	headMajor := make([]float32, ctx*dh)
-	strided := tensor.NewMat(ctx, d)
-	for i := range headMajor {
-		headMajor[i] = float32(rng.NormFloat64())
-	}
-	strided.Randn(rng, 1)
-	p := make([]float32, ctx)
-	b.Run("headmajor", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for j := 0; j < ctx; j++ {
-				p[j] = tensor.Dot(q, headMajor[j*dh:j*dh+dh])
-			}
+	fill := func(n int) []float32 {
+		s := make([]float32, n)
+		for i := range s {
+			s[i] = float32(rng.NormFloat64())
 		}
-	})
-	b.Run("strided", func(b *testing.B) {
-		const off = dh // head 1 of the seed layout
-		for i := 0; i < b.N; i++ {
-			for j := 0; j < ctx; j++ {
-				p[j] = refDot(q, strided.Row(j)[off:off+dh])
+		return s
+	}
+	q, keysT, keysHead, vals := fill(d), fill(ctx*d), fill(ctx*d), fill(ctx*d)
+	p, attn := make([]float32, ctx), make([]float32, d)
+	for _, n := range []int{1, 16, 47} {
+		b.Run("len"+strconv.Itoa(n)+"/matacc", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				clear(attn)
+				for off := 0; off < d; off += dh {
+					clear(p[:n])
+					tensor.MatAccum(p[:n], q[off:], keysT[off*ctx:], 1, dh, n, ctx)
+					tensor.Scale(p[:n], scale)
+					tensor.MatAccum(attn[off:off+dh], p[:n], vals[off*ctx:], 1, n, dh, dh)
+				}
 			}
-		}
-	})
+		})
+		b.Run("len"+strconv.Itoa(n)+"/dotaxpy", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				clear(attn)
+				for off := 0; off < d; off += dh {
+					kh, vh := keysHead[off*ctx:], vals[off*ctx:]
+					for j := 0; j < n; j++ {
+						p[j] = tensor.Dot(q[off:off+dh], kh[j*dh:j*dh+dh]) * scale
+					}
+					for j := 0; j < n; j++ {
+						tensor.Axpy(attn[off:off+dh], p[j], vh[j*dh:j*dh+dh])
+					}
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkSessionAppend is a full-context fill: the rewritten Append must

@@ -9,8 +9,11 @@ import "sync/atomic"
 const PageTokens = 16
 
 // kvPage is one refcounted block of KV cache: PageTokens positions for every
-// layer, head-major within the page (head hd's entry for local position u is
-// k[l][(hd*PageTokens+u)*dh : +dh]). Pages are shared between sessions by
+// layer. Keys are transposed — element i of head hd at local position u is
+// k[l][(hd*dh+i)*PageTokens+u], so one head's scores are a MatAccum over dh
+// rows of stride PageTokens — and values are head-major, v[l][(hd*PageTokens+
+// u)*dh : +dh]; BatchSession's lane blocks use the same layouts with stride
+// Ctx (DESIGN.md §7). Pages are shared between sessions by
 // Clone and by the cross-request prefix cache; a page with refs > 1 is
 // immutable — a session that needs to write into a shared partial page first
 // replaces it with a private copy (copy-on-write in Session.Append).
@@ -40,23 +43,26 @@ func newKVPage(m *Model) *kvPage {
 }
 
 // copyPrefix returns a private copy of the page's first `used` positions
-// (per head, per layer). The remainder of the fresh page is zero and never
-// read before Append overwrites it.
+// (per layer). The remainder of the fresh page is zero and never read before
+// Append overwrites it.
 func (p *kvPage) copyPrefix(m *Model, used int) *kvPage {
 	c := newKVPage(m)
-	if used == 0 {
-		return c
-	}
-	dh := m.Cfg.Dim / m.Cfg.Heads
-	n := used * dh
+	d, h := m.Cfg.Dim, m.Cfg.Heads
+	dh := d / h
 	for l := range p.k {
-		for hd := 0; hd < m.Cfg.Heads; hd++ {
-			base := hd * PageTokens * dh
-			copy(c.k[l][base:base+n], p.k[l][base:base+n])
-			copy(c.v[l][base:base+n], p.v[l][base:base+n])
-		}
+		copyRuns(c.k[l], p.k[l], d, PageTokens, PageTokens, used)
+		copyRuns(c.v[l], p.v[l], h, PageTokens*dh, PageTokens*dh, used*dh)
 	}
 	return c
+}
+
+// copyRuns copies runs blocks of n floats from src to dst, block b starting
+// at b·ss in src and at b·ds in dst: the first n positions of every key row
+// or head's value block, between two caches whose position strides differ.
+func copyRuns(dst, src []float32, runs, ds, ss, n int) {
+	for b := 0; b < runs; b++ {
+		copy(dst[b*ds:b*ds+n], src[b*ss:b*ss+n])
+	}
 }
 
 func (p *kvPage) retain()  { p.refs.Add(1) }

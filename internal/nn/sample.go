@@ -15,8 +15,9 @@ type Session struct {
 	m   *Model
 	pos int
 	// KV cache as a sequence of refcounted pages, PageTokens positions each
-	// (head-major within a page; see kvPage). Pages are allocated on demand,
-	// so a short record touches ceil(pos/PageTokens) pages, not Ctx rows.
+	// (keys transposed, values head-major; see kvPage). Pages are allocated
+	// on demand, so a short record touches ceil(pos/PageTokens) pages, not
+	// Ctx rows.
 	// Clone shares pages instead of copying them; Append copies a shared
 	// partial page before writing into it (copy-on-write). A frozen session
 	// (e.g. a prefix-cache snapshot) may be Cloned concurrently — the page
@@ -102,54 +103,38 @@ func (s *Session) Append(tok int) error {
 		ly := &m.layers[l]
 		tensor.LayerNormRow(ln, x, ly.ln1g.W, ly.ln1b.W)
 
-		// Project q/k/v in one fused pass over the layer-norm row.
-		matLinear3(q, k, v, ln, ly.wq.W, ly.wk.W, ly.wv.W, ly.bq.W, ly.bk.W, ly.bv.W, d, d, 1)
+		matLinear(q, ln, ly.wq.W, ly.bq.W, d, d, 1)
+		matLinear(k, ln, ly.wk.W, ly.bk.W, d, d, 1)
+		matLinear(v, ln, ly.wv.W, ly.bv.W, d, d, 1)
 
-		// Scatter this position's k/v into its page, head-major.
+		// Scatter this position's k (transposed) and v (head-major) into
+		// its page.
 		kp, vp := page.k[l], page.v[l]
+		for e, kv := range k {
+			kp[e*PageTokens+u] = kv
+		}
 		for hd := 0; hd < h; hd++ {
 			dst := (hd*PageTokens + u) * dh
-			copy(kp[dst:dst+dh], k[hd*dh:(hd+1)*dh])
 			copy(vp[dst:dst+dh], v[hd*dh:(hd+1)*dh])
 		}
 
-		// Attend over the cache (positions 0..t); per head, the history is
-		// walked page by page in position order, so the score row (and the
-		// softmax and value accumulation after it) sees the exact FP sequence
-		// of the old contiguous layout.
-		for i := range attn {
-			attn[i] = 0
-		}
-		for hd := 0; hd < h; hd++ {
-			off := hd * dh
-			qh := q[off : off+dh]
-			hoff := hd * PageTokens * dh
-			p := s.p[:t+1]
-			j := 0
-			for pi := 0; j <= t; pi++ {
-				kh := s.pages[pi].k[l][hoff:]
-				n := t + 1 - pi*PageTokens
-				if n > PageTokens {
-					n = PageTokens
-				}
-				for w := 0; w < n; w++ {
-					p[j] = tensor.Dot(qh, kh[w*dh:w*dh+dh]) * scale
-					j++
-				}
+		// Attend over the cache (positions 0..t) page by page, as
+		// BatchSession.attendLane does over its contiguous block: each score
+		// is computed whole within its page, and the value sums continue the
+		// same accumulators page after page in position order.
+		clear(attn)
+		p := s.p[:t+1]
+		for off := 0; off < d; off += dh {
+			clear(p)
+			for pi, j := 0, 0; j <= t; pi, j = pi+1, j+PageTokens {
+				n := min(t+1-j, PageTokens)
+				tensor.MatAccum(p[j:j+n], q[off:], s.pages[pi].k[l][off*PageTokens:], 1, dh, n, PageTokens)
 			}
+			tensor.Scale(p, scale)
 			tensor.SoftmaxRow(p)
-			out := attn[off : off+dh]
-			j = 0
-			for pi := 0; j <= t; pi++ {
-				vh := s.pages[pi].v[l][hoff:]
-				n := t + 1 - pi*PageTokens
-				if n > PageTokens {
-					n = PageTokens
-				}
-				for w := 0; w < n; w++ {
-					tensor.Axpy(out, p[j], vh[w*dh:w*dh+dh])
-					j++
-				}
+			for pi, j := 0, 0; j <= t; pi, j = pi+1, j+PageTokens {
+				n := min(t+1-j, PageTokens)
+				tensor.MatAccum(attn[off:off+dh], p[j:j+n], s.pages[pi].v[l][off*PageTokens:], 1, n, dh, dh)
 			}
 		}
 

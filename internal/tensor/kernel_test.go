@@ -11,17 +11,17 @@ import (
 )
 
 // This file holds the two hot kernels to their definitions bit for bit:
-// Accum4 to the Go loop accum4Generic, GELU to the float64 tanh expression
-// geluRef. Neither comparison has a tolerance.
+// MatAccum to the Go loop matAccumGeneric, GELU to the float64 tanh
+// expression geluRef. Neither comparison has a tolerance.
 
-// accum4Operands draws floats that stress the arithmetic, not just the
+// wildOperands draws floats that stress the arithmetic, not just the
 // indexing: signed zeros, denormals, infinities and magnitudes whose products
 // and sums overflow or cancel.
-func accum4Operands(rng *rand.Rand, s []float32) {
+func wildOperands(rng *rand.Rand, s []float32) {
 	special := []float32{
 		0, float32(math.Copysign(0, -1)),
 		math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32, 1e-40, -3e-39,
-		float32(math.Inf(1)), float32(math.Inf(-1)),
+		float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()),
 		math.MaxFloat32, -math.MaxFloat32, 3e38, 1e30, -1e30, 1e-30,
 	}
 	for i := range s {
@@ -36,54 +36,127 @@ func accum4Operands(rng *rand.Rand, s []float32) {
 	}
 }
 
-func TestAccum4MatchesGeneric(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	for trial := 0; trial < 4000; trial++ {
-		n := rng.Intn(301)
-		if trial <= 300 {
-			n = trial // every length, so every tail residue, at least once
+// tameOperands draws normals with an occasional signed zero or denormal: a
+// long sum of wild operands is almost always Inf or NaN, so most outputs
+// would check nothing about rounding.
+func tameOperands(rng *rand.Rand, s []float32) {
+	for i := range s {
+		switch rng.Intn(32) {
+		case 0:
+			s[i] = float32(math.Copysign(0, -rng.NormFloat64()))
+		case 1:
+			s[i] = float32(rng.NormFloat64() * 1e-39)
+		default:
+			s[i] = float32(rng.NormFloat64())
 		}
-		stride := n + rng.Intn(9)
-		yOff, wOff := trial%8, trial/8%8 // unaligned starts, all 64 pairs
-		ybuf := make([]float32, yOff+n)
-		wbuf := make([]float32, wOff+3*stride+n)
-		accum4Operands(rng, ybuf)
-		accum4Operands(rng, wbuf)
-		var xs [4]float32
-		accum4Operands(rng, xs[:])
-		y, w := ybuf[yOff:], wbuf[wOff:]
+	}
+}
 
-		want := append([]float32(nil), y...)
-		accum4Generic(want, w, stride, xs[0], xs[1], xs[2], xs[3])
-		Accum4(y, w, stride, xs[0], xs[1], xs[2], xs[3])
-		for j := range want {
-			g, r := y[j], want[j]
-			if r != r {
-				if g == g {
-					t.Fatalf("n=%d stride=%d off=%d/%d j=%d: got %v, generic NaN", n, stride, yOff, wOff, j, g)
+// sameFloats reports whether got and want agree bit for bit, except that a
+// NaN matches any NaN: SSE and Go may propagate different NaN payloads.
+func sameFloats(got, want float32) bool {
+	if want != want {
+		return got != got
+	}
+	return math.Float32bits(got) == math.Float32bits(want)
+}
+
+// TestMatAccumMatchesGeneric holds the amd64 kernel to the Go loop on every
+// tile path: rows 0–5 (pairs and the odd row), in 0–70, out 0–70 (every
+// 16-, 4- and scalar-column residue) plus the served 192 and 256, weight
+// strides equal to and past out, and start offsets of 0–3 floats on each
+// operand. The whole y buffer, guard floats on both sides included, must
+// match, so a write outside the tile fails too.
+func TestMatAccumMatchesGeneric(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	const poolLen = 1 << 16
+	var pools [2][]float32 // tame, wild
+	for i, fill := range []func(*rand.Rand, []float32){tameOperands, wildOperands} {
+		pools[i] = make([]float32, poolLen)
+		fill(rng, pools[i])
+	}
+	// draw returns n floats starting off floats past a 4-float boundary of a
+	// pool: the tame one two times in three.
+	draw := func(n, off int) []float32 {
+		pool := pools[0]
+		if rng.Intn(3) == 0 {
+			pool = pools[1]
+		}
+		at := rng.Intn((poolLen-n-4)/4)*4 + off
+		return pool[at : at+n]
+	}
+	outs := []int{192, 256}
+	for out := 0; out <= 70; out++ {
+		outs = append(outs, out)
+	}
+	const guard = 4
+	trial := 0
+	for rows := 0; rows <= 5; rows++ {
+		for in := 0; in <= 70; in++ {
+			for _, out := range outs {
+				trial++
+				wstride := out
+				if trial%3 != 0 {
+					wstride += 1 + rng.Intn(9)
 				}
-			} else if math.Float32bits(g) != math.Float32bits(r) {
-				t.Fatalf("n=%d stride=%d off=%d/%d j=%d: got %v (%#08x), generic %v (%#08x)",
-					n, stride, yOff, wOff, j, g, math.Float32bits(g), r, math.Float32bits(r))
+				yOff, xOff, wOff := trial%4, trial/4%4, trial/16%4
+				wlen := 0
+				if in > 0 {
+					wlen = (in-1)*wstride + out
+				}
+				x, w := draw(rows*in, xOff), draw(wlen, wOff)
+				ybuf := draw(guard+yOff+rows*out+guard, 0)
+				want := append([]float32(nil), ybuf...)
+				got := append([]float32(nil), ybuf...)
+				matAccumGeneric(want[guard+yOff:], x, w, rows, in, out, wstride)
+				MatAccum(got[guard+yOff:guard+yOff+rows*out], x, w, rows, in, out, wstride)
+				for i := range want {
+					if !sameFloats(got[i], want[i]) {
+						t.Fatalf("rows=%d in=%d out=%d wstride=%d off=%d/%d/%d: y buffer [%d] = %v (%#08x), generic %v (%#08x)",
+							rows, in, out, wstride, yOff, xOff, wOff, i,
+							got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+					}
+				}
 			}
 		}
 	}
 }
 
-func TestAccum4ShortWeightsPanic(t *testing.T) {
-	for _, tc := range []struct{ n, stride, wlen int }{
-		{8, 8, 31}, {5, 7, 25}, {1, 0, 0}, {4, -1, 64}, {4, 1 << 62, 64},
+// TestMatAccumShortOperandsPanic: every operand too short for its dims, every
+// negative argument and every size product that would overflow panics in
+// the wrapper, before the kernel reads through a raw pointer.
+func TestMatAccumShortOperandsPanic(t *testing.T) {
+	for _, tc := range []struct{ ylen, xlen, wlen, rows, in, out, wstride int }{
+		{9, 6, 19, 2, 3, 5, 7},  // y one short of rows·out
+		{10, 5, 19, 2, 3, 5, 7}, // x one short of rows·in
+		{10, 6, 18, 2, 3, 5, 7}, // w one short of (in−1)·wstride + out
+		{10, 2, 4, 2, 1, 5, 0},  // in = 1: w shorter than out
+		{10, 6, 19, -1, 3, 5, 7},
+		{10, 6, 19, 2, -1, 5, 7},
+		{10, 6, 19, 2, 3, -1, 7},
+		{10, 6, 19, 2, 3, 5, -1},
+		{10, 6, 64, 2, 3, 5, 1 << 62}, // (in−1)·wstride overflows
+		{10, 6, 19, 1 << 62, 3, 4, 7}, // rows·out overflows
+		{10, 6, 19, 2, 1 << 62, 5, 7}, // rows·in overflows
 	} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("Accum4(n=%d, stride=%d, len(w)=%d) did not panic", tc.n, tc.stride, tc.wlen)
+					t.Errorf("MatAccum%+v did not panic", tc)
 				}
 			}()
-			Accum4(make([]float32, tc.n), make([]float32, tc.wlen), tc.stride, 1, 1, 1, 1)
+			MatAccum(make([]float32, tc.ylen), make([]float32, tc.xlen), make([]float32, tc.wlen),
+				tc.rows, tc.in, tc.out, tc.wstride)
 		}()
 	}
-	Accum4(nil, nil, 8, 1, 1, 1, 1) // nothing to do, nothing to read
+	// Nothing to do, nothing to read: no operand is needed.
+	MatAccum(nil, nil, nil, 0, 0, 0, 0)
+	MatAccum(nil, make([]float32, 6), nil, 2, 3, 0, 9)
+	y := []float32{1, 2}
+	MatAccum(y, nil, nil, 1, 0, 2, 5)
+	if y[0] != 1 || y[1] != 2 {
+		t.Errorf("in = 0 changed y to %v", y)
+	}
 }
 
 var geluFull = flag.Bool("gelufull", false, "TestGELUMatchesReference sweeps all 2^32 float32 bit patterns (≈ 80 s on 2 cores)")
@@ -171,38 +244,49 @@ func TestGELUMatchesReference(t *testing.T) {
 	}
 }
 
-// BenchmarkAccum4 times the GEMM loop nest of nn.matLinear around the kernel,
-// at the decode model's shapes: the MLP up- and down-projection at one row
-// (solo decode) and 32 (a full lock-step batch). generic is the Go loop,
-// kernel what Accum4 dispatches to on this GOARCH.
-func BenchmarkAccum4(b *testing.B) {
-	for _, sh := range []struct{ in, out, rows int }{
-		{64, 256, 1}, {64, 256, 32},
-		{256, 64, 1}, {256, 64, 32},
-	} {
+// BenchmarkMatAccum times one kernel call at the decode model's shapes (dim
+// 64, 4 heads, Ctx 48): the q/k/v/output projections (64→64), the MLP up-
+// (64→256) and down-projection (256→64) at 1 row (solo decode), 2 (the
+// smallest pair tile) and 32 (a full lock-step batch); then one head's
+// attention scores over the key-transposed cache (in 16, out t+1, weight
+// stride Ctx) and its value sum (in t+1, out 16). generic is the Go loop,
+// kernel what MatAccum dispatches to on this GOARCH.
+func BenchmarkMatAccum(b *testing.B) {
+	const dh, ctx = 16, 48
+	type shape struct {
+		name                   string
+		rows, in, out, wstride int
+	}
+	var shapes []shape
+	for _, io := range [][2]int{{64, 64}, {64, 256}, {256, 64}} {
+		for _, rows := range []int{1, 2, 32} {
+			shapes = append(shapes, shape{fmt.Sprintf("%dx%d_rows%d", io[0], io[1], rows), rows, io[0], io[1], io[1]})
+		}
+	}
+	for _, n := range []int{1, 16, 47} {
+		shapes = append(shapes,
+			shape{fmt.Sprintf("score_t%d", n), 1, dh, n, ctx},
+			shape{fmt.Sprintf("value_t%d", n), 1, n, dh, dh})
+	}
+	for _, sh := range shapes {
 		rng := rand.New(rand.NewSource(1))
-		x, w, y := make([]float32, sh.rows*sh.in), make([]float32, sh.in*sh.out), make([]float32, sh.rows*sh.out)
+		x := make([]float32, sh.rows*sh.in)
+		w := make([]float32, (sh.in-1)*sh.wstride+sh.out)
+		y := make([]float32, sh.rows*sh.out)
 		for i := range x {
 			x[i] = float32(rng.NormFloat64())
 		}
 		for i := range w {
 			w[i] = float32(rng.NormFloat64()) * 0.02
 		}
-		name := fmt.Sprintf("%dx%d_rows%d", sh.in, sh.out, sh.rows)
 		for _, k := range []struct {
 			name string
-			fn   func(y, w []float32, stride int, x0, x1, x2, x3 float32)
-		}{{"generic", accum4Generic}, {"kernel", Accum4}} {
-			b.Run(name+"/"+k.name, func(b *testing.B) {
+			fn   func(y, x, w []float32, rows, in, out, wstride int)
+		}{{"generic", matAccumGeneric}, {"kernel", MatAccum}} {
+			b.Run(sh.name+"/"+k.name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					clear(y)
-					for p := 0; p+4 <= sh.in; p += 4 {
-						blk := w[p*sh.out:]
-						for r := 0; r < sh.rows; r++ {
-							xr := x[r*sh.in:]
-							k.fn(y[r*sh.out:(r+1)*sh.out], blk, sh.out, xr[p], xr[p+1], xr[p+2], xr[p+3])
-						}
-					}
+					k.fn(y, x, w, sh.rows, sh.in, sh.out, sh.wstride)
 				}
 			})
 		}

@@ -4,9 +4,10 @@
 // layer-norm and GELU forward/backward, and seeded Gaussian initialization.
 //
 // Everything is scalar Go with cache-friendly loop ordering, except one
-// loop: Accum4, the GEMM inner kernel of the decode path, has an SSE2 body
-// on amd64 (accum4_amd64.s) that performs the Go loop's float32 operations
-// four columns at a time. No dependency, no cgo — fast enough for the
+// kernel: MatAccum, which computes the decode forward's projections and
+// attention products, has an SSE2 body on amd64 (matacc_amd64.s) that keeps output tiles in registers
+// and performs the Go loop's float32 operations on each element in the Go
+// loop's order. No dependency, no cgo — fast enough for the
 // paper-scale models LeJIT uses (the paper deliberately picks a small,
 // generic LM; see DESIGN.md).
 package tensor
@@ -298,45 +299,6 @@ func Dot(x, y []float32) float32 {
 func Scale(x []float32, a float32) {
 	for i := range x {
 		x[i] *= a
-	}
-}
-
-// Accum4 is the GEMM inner kernel: it folds four input rows (w, a 4-row
-// block at the given row stride) into y — y[j] += x0·w[j], then
-// x1·w[stride+j], x2·w[2·stride+j], x3·w[3·stride+j] — with one accumulator
-// per element, adds in ascending input order and every multiply rounded
-// before its add: the FP operation sequence of four scalar passes. amd64 runs
-// the columns four at a time through SSE2 (accum4_amd64.s), every other
-// GOARCH runs accum4Generic; the float32 results are the same bit for bit
-// (DESIGN.md §7). The extent is len(y) past each row start, not a stride
-// multiple, so w needs only 3·stride+len(y) floats; a shorter w panics here,
-// before any kernel reads through a raw pointer.
-func Accum4(y, w []float32, stride int, x0, x1, x2, x3 float32) {
-	n := len(y)
-	if n == 0 {
-		return
-	}
-	if uint(stride) > uint(len(w)) || 3*stride+n > len(w) {
-		panic("tensor: Accum4 weight block shorter than 3*stride+len(y)")
-	}
-	accum4(y, w, stride, x0, x1, x2, x3)
-}
-
-// accum4Generic is Accum4 as a Go loop: the body on every GOARCH without an
-// assembly kernel, and the reference the tests hold the assembly to.
-func accum4Generic(y, w []float32, stride int, x0, x1, x2, x3 float32) {
-	n := len(y)
-	r0 := w[:n]
-	r1 := w[stride : stride+n]
-	r2 := w[2*stride : 2*stride+n]
-	r3 := w[3*stride : 3*stride+n]
-	for j := range y {
-		a := y[j]
-		a += x0 * r0[j]
-		a += x1 * r1[j]
-		a += x2 * r2[j]
-		a += x3 * r3[j]
-		y[j] = a
 	}
 }
 
