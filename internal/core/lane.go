@@ -46,7 +46,8 @@ type laneDecoder struct {
 	// they name the radix-tree position of the lane's current prefix. warm
 	// holds a pending cache hit until the driver claims it via applyWarm;
 	// capture is the driver-installed hook that freezes the LM state at a
-	// boundary (nil when the batch session cannot clone a lane out).
+	// boundary into a snapshot (nil when the batch session cannot clone a
+	// lane out).
 	useCache bool
 	warm     *prefixcache.Hit
 	key      []int
@@ -197,9 +198,10 @@ func (e *Engine) newLaneDecoder(ctx context.Context, known rules.Record, rng *ra
 }
 
 // applyWarm consumes the lane's pending cache hit: the already-consumed
-// prefix is dropped from the LM feed queue and the caller takes ownership of
-// the restored session (the driver copies it into its lane and releases
-// it). Returns nil on a cold lane. Must be called before the first next().
+// prefix is dropped from the LM feed queue and the restored snapshot is
+// returned for the driver to copy into its lane (it is shared with the cache
+// and other hits, so only read). Returns nil on a cold lane. Must be called
+// before the first next().
 func (ld *laneDecoder) applyWarm() *nn.Session {
 	if ld.warm == nil || ld.finished {
 		return nil
@@ -232,16 +234,10 @@ func (ld *laneDecoder) finish() {
 		return
 	}
 	ld.finished = true
-	if ld.warm != nil {
-		// A hit the driver never claimed: drop its page references.
-		ld.warm.Sess.Release()
-		ld.warm = nil
-	}
 	if ld.spec != nil {
 		// Captures still staged belong to a window that never validated
 		// (the lane failed mid-window); its journaled asserts sit above the
 		// lane's Push frame, so the Pop below discards them.
-		dropCaps(ld.spec.caps)
 		ld.spec.caps = ld.spec.caps[:0]
 		ld.spec.open = false
 	}

@@ -74,9 +74,9 @@ func (e *Engine) notePoolDemand(n int) {
 }
 
 // prefixBatchSession is the optional BatchSession extension the prefix cache
-// needs: seeding a fresh lane from a frozen solo session and freezing a lane
+// needs: seeding a fresh lane from a frozen snapshot and freezing a lane
 // back out as one. *nn.BatchSession implements it; a BatchLM whose sessions
-// do not simply decodes cold (any unclaimed hit is released by finish).
+// do not simply decodes cold (an unclaimed hit is just never read).
 type prefixBatchSession interface {
 	SeedLane(lane int, src *nn.Session) error
 	CloneLane(lane int) *nn.Session
@@ -272,14 +272,12 @@ func (e *Engine) startLane(bs BatchSession, la *lsLane) bool {
 		if !ok {
 			return nil
 		}
-		// A prefix-cache hit seeds the lane's KV block and position
-		// directly; the laneDecoder has already dropped the restored
-		// tokens from its feed queue. Snapshot capture copies the lane
-		// back out of the batch at slot boundaries.
+		// A prefix-cache hit seeds the lane's KV block and position by
+		// copying out of the shared snapshot; the laneDecoder has already
+		// dropped the restored tokens from its feed queue. Snapshot capture
+		// freezes the lane back out of the batch at slot boundaries.
 		if ws := la.ld.applyWarm(); ws != nil {
-			err := pbs.SeedLane(la.slot, ws)
-			ws.Release()
-			if err != nil {
+			if err := pbs.SeedLane(la.slot, ws); err != nil {
 				return err
 			}
 			// The restored slots are complete: stream them now, as a cold

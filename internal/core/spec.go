@@ -87,7 +87,7 @@ type specProbe struct {
 // an open window. Inserting it eagerly would publish state other requests
 // could warm-start from before the window validates, so captures are staged
 // and only inserted once their boundary is proven exact (commit, or the
-// committed prefix of a rollback); the rest release their sessions.
+// committed prefix of a rollback); the rest are dropped.
 type specCapture struct {
 	key  []int
 	snap *prefixcache.Snapshot
@@ -688,7 +688,7 @@ func (ld *laneDecoder) rollbackTo(q int, vo *slotOracle, voN int) error {
 	ld.specStackTo(cp.nAsserts)
 	if err := sp.lmRewind(cp.lmPos, cp.logits); err != nil {
 		// The LM refused a rewind over tokens it accepted: the lane is
-		// unrecoverable. finish() releases the staged captures.
+		// unrecoverable. finish() drops the staged captures.
 		sp.open = false
 		return fmt.Errorf("core: speculation rollback: %w", err)
 	}
@@ -735,7 +735,6 @@ func (ld *laneDecoder) rollbackTo(q int, vo *slotOracle, voN int) error {
 	}
 
 	ld.insertCaps(sp.caps[:cp.nCaps])
-	dropCaps(sp.caps[cp.nCaps:])
 	sp.caps = sp.caps[:0]
 
 	sp.open = false
@@ -751,24 +750,15 @@ func (ld *laneDecoder) rollbackTo(q int, vo *slotOracle, voN int) error {
 }
 
 // insertCaps inserts staged captures whose boundaries are proven exact.
-// Insert takes ownership of each snapshot's session either way.
 func (ld *laneDecoder) insertCaps(caps []specCapture) {
 	cache := ld.e.cfg.PrefixCache
+	if cache == nil {
+		return
+	}
 	for i := range caps {
-		if cache == nil {
-			caps[i].snap.Sess.Release()
-			continue
-		}
 		if cache.Insert(caps[i].key, caps[i].snap) {
 			ld.res.Stats.PrefixCaptures++
 		}
-	}
-}
-
-// dropCaps releases staged captures from an erased speculative future.
-func dropCaps(caps []specCapture) {
-	for i := range caps {
-		caps[i].snap.Sess.Release()
 	}
 }
 

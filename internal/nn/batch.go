@@ -21,12 +21,12 @@ func (e *LaneError) Error() string { return fmt.Sprintf("nn: lane %d: %v", e.Lan
 func (e *LaneError) Unwrap() error { return e.Err }
 
 // BatchSession steps up to n independent decoding sessions ("lanes") through
-// the model in lock-step. Where Session.Append is a chain of matrix-vector
-// products that stream every weight matrix from memory once per token per
-// record, AppendBatch runs the active lanes through the same GEMM (matLinear)
-// with more rows, so the kernel's register tiles reuse each weight load across
-// two lanes — the per-lane arithmetic (and therefore the float32 result) is
-// bit-identical to the one-row call.
+// the model in lock-step. AppendBatch is the model's one decode forward: it
+// runs the active lanes through one GEMM (matLinear) per projection, so the
+// kernel's register tiles reuse each weight load across two lanes — and,
+// since the per-lane arithmetic does not depend on the row count, each
+// lane's float32 result is bit-identical to a one-lane call. A Session is
+// the one-lane case.
 //
 // Lanes are ragged: each has its own position, and any subset may be
 // advanced per call (records finish at different steps). All buffers — the
@@ -39,19 +39,21 @@ func (e *LaneError) Unwrap() error { return e.Err }
 type BatchSession struct {
 	m   *Model
 	n   int
+	cap int   // positions per lane block: Ctx, or a frozen snapshot's length
 	pos []int // per-lane tokens consumed
 	// Per-layer KV caches, batch-major: lane b's block is
-	// kc[l][b*Ctx*Dim : (b+1)*Ctx*Dim], laid out as a kvPage with position
-	// stride Ctx — keys transposed (element e = hd*dh+i of position t at
-	// e*Ctx+t), values head-major ((hd*Ctx+t)*dh+i) — so CloneLane and
-	// SeedLane are straight copies between the two.
+	// kc[l][b*cap*Dim : (b+1)*cap*Dim] — keys transposed (element e = hd*dh+i
+	// of position t at e*cap+t), values head-major ((hd*cap+t)*dh+i) — so one
+	// head's attention is two MatAccum calls (DESIGN.md §7) and copyLane moves
+	// a lane between caches of different capacities as straight runs.
 	kc, vc [][]float32
 	logits []float32 // [n*Vocab], row lane*Vocab.. persists until the lane's next step
 	// Compacted per-step activations: row r of each buffer belongs to the
-	// r-th lane passed to the current AppendBatch call.
+	// r-th lane passed to the current AppendBatch call. All nil in a frozen
+	// snapshot, which AppendBatch refuses before touching any of them.
 	x, ln, q, k, v, attn, proj, mlp []float32 // [n*Dim]
 	hbuf, hg                        []float32 // [n*F]
-	p                               []float32 // [Ctx] attention score row, reused lane by lane
+	p                               []float32 // [cap] attention score row, reused lane by lane
 	inStep                          []bool    // [n] duplicate-lane check scratch
 }
 
@@ -60,14 +62,27 @@ func (m *Model) NewBatchSession(n int) *BatchSession {
 	if n < 1 {
 		panic(fmt.Sprintf("nn: NewBatchSession(%d)", n))
 	}
+	bs := &BatchSession{}
+	bs.init(m, n, m.Cfg.Ctx, true)
+	return bs
+}
+
+// init carves an n-lane session whose lane blocks hold positions tokens from
+// one arena. Without scratch the session is a frozen snapshot: KV blocks and
+// logits only, never stepped again.
+func (bs *BatchSession) init(m *Model, n, positions int, scratch bool) {
 	d := m.Cfg.Dim
 	f := m.Cfg.ff() * d
-	ctx := m.Cfg.Ctx
-	cache := ctx * d
-	a := tensor.NewArena(2*m.Cfg.Layers*n*cache + n*m.Cfg.Vocab + 8*n*d + 2*n*f + ctx)
-	bs := &BatchSession{
+	cache := positions * d
+	size := 2*m.Cfg.Layers*n*cache + n*m.Cfg.Vocab
+	if scratch {
+		size += 8*n*d + 2*n*f + positions
+	}
+	a := tensor.NewArena(size)
+	*bs = BatchSession{
 		m:      m,
 		n:      n,
+		cap:    positions,
 		pos:    make([]int, n),
 		kc:     make([][]float32, m.Cfg.Layers),
 		vc:     make([][]float32, m.Cfg.Layers),
@@ -78,6 +93,9 @@ func (m *Model) NewBatchSession(n int) *BatchSession {
 		bs.vc[l] = a.Alloc(n * cache)
 	}
 	bs.logits = a.Alloc(n * m.Cfg.Vocab)
+	if !scratch {
+		return
+	}
 	bs.x = a.Alloc(n * d)
 	bs.ln = a.Alloc(n * d)
 	bs.q = a.Alloc(n * d)
@@ -88,8 +106,7 @@ func (m *Model) NewBatchSession(n int) *BatchSession {
 	bs.mlp = a.Alloc(n * d)
 	bs.hbuf = a.Alloc(n * f)
 	bs.hg = a.Alloc(n * f)
-	bs.p = a.Alloc(ctx)
-	return bs
+	bs.p = a.Alloc(positions)
 }
 
 // Lanes returns the lane count the session was created with.
@@ -123,12 +140,16 @@ func (bs *BatchSession) AppendBatch(lanes, toks []int) error {
 		switch {
 		case lane < 0 || lane >= bs.n:
 			err = fmt.Errorf("nn: lane outside batch of %d", bs.n)
+		case bs.x == nil:
+			// Checked before inStep is written: a frozen snapshot is shared
+			// read-only, so even a refused Append must not store into it.
+			err = fmt.Errorf("nn: frozen %d-token snapshot; Clone it to append", bs.cap)
 		case bs.inStep[lane]:
 			err = fmt.Errorf("nn: lane appears twice in one step")
 		case toks[i] < 0 || toks[i] >= m.Cfg.Vocab:
 			err = fmt.Errorf("nn: token %d outside vocab %d", toks[i], m.Cfg.Vocab)
-		case bs.pos[lane] >= m.Cfg.Ctx:
-			err = fmt.Errorf("nn: context length %d exceeded", m.Cfg.Ctx)
+		case bs.pos[lane] >= bs.cap:
+			err = fmt.Errorf("nn: context length %d exceeded", bs.cap)
 		}
 		if err != nil {
 			for _, l := range lanes[:i] {
@@ -146,7 +167,7 @@ func (bs *BatchSession) AppendBatch(lanes, toks []int) error {
 	f := m.Cfg.ff() * d
 	h := m.Cfg.Heads
 	dh := d / h
-	ctx := m.Cfg.Ctx
+	stride := bs.cap
 	scale := float32(1 / math.Sqrt(float64(dh)))
 
 	// Embed each lane's token at its own position into the compacted rows.
@@ -178,12 +199,12 @@ func (bs *BatchSession) AppendBatch(lanes, toks []int) error {
 		kcl, vcl := bs.kc[l], bs.vc[l]
 		for r, lane := range lanes {
 			t := bs.pos[lane]
-			base := lane * ctx * d
+			base := lane * stride * d
 			for e, kv := range k[r*d : (r+1)*d] {
-				kcl[base+e*ctx+t] = kv
+				kcl[base+e*stride+t] = kv
 			}
 			for hd := 0; hd < h; hd++ {
-				dst := base + (hd*ctx+t)*dh
+				dst := base + (hd*stride+t)*dh
 				copy(vcl[dst:dst+dh], v[r*d+hd*dh:r*d+(hd+1)*dh])
 			}
 		}
@@ -213,9 +234,7 @@ func (bs *BatchSession) AppendBatch(lanes, toks []int) error {
 	for r := 0; r < rows; r++ {
 		tensor.LayerNormRow(ln[r*d:(r+1)*d], x[r*d:(r+1)*d], m.lnfg.W, m.lnfb.W)
 	}
-	// Tied head as a GEMM: vocab-outer so each embedding row is streamed once
-	// for all lanes; per lane this is the same ⟨ln, tok_v⟩ as Session.
-	m.headLogits(bs.logits, ln, lanes, rows)
+	m.headLogits(bs.logits, ln, lanes)
 	for _, lane := range lanes {
 		bs.pos[lane]++
 	}
@@ -230,18 +249,18 @@ func (bs *BatchSession) attendLane(kcl, vcl, q, attn []float32, r, lane int, sca
 	m := bs.m
 	d := m.Cfg.Dim
 	dh := d / m.Cfg.Heads
-	ctx := m.Cfg.Ctx
+	stride := bs.cap
 	t := bs.pos[lane]
-	base := lane * ctx * d
+	base := lane * stride * d
 	ar := attn[r*d : (r+1)*d]
 	clear(ar)
 	p := bs.p[:t+1]
 	for off := 0; off < d; off += dh {
 		clear(p)
-		tensor.MatAccum(p, q[r*d+off:], kcl[base+off*ctx:], 1, dh, t+1, ctx)
+		tensor.MatAccum(p, q[r*d+off:], kcl[base+off*stride:], 1, dh, t+1, stride)
 		tensor.Scale(p, scale)
 		tensor.SoftmaxRow(p)
-		tensor.MatAccum(ar[off:off+dh], p, vcl[base+off*ctx:], 1, t+1, dh, dh)
+		tensor.MatAccum(ar[off:off+dh], p, vcl[base+off*stride:], 1, t+1, dh, dh)
 	}
 }
 
@@ -278,71 +297,60 @@ func (bs *BatchSession) RewindLane(lane, pos int, logits []float32) error {
 	return nil
 }
 
-// CloneLane extracts lane as an independent single-row Session — same
-// consumed prefix, same pending logits, its own KV cache — so a lane can
-// leave the lock-step batch as a frozen single-row session (a prefix-cache
-// snapshot) without re-decoding its prefix. The lane's contiguous cache block is re-sliced into private pages;
-// only the filled positions are copied.
+// CloneLane freezes lane into a snapshot Session: same consumed prefix, same
+// pending logits, its own KV block sized to exactly that prefix — how a lane
+// leaves the lock-step batch as a prefix-cache entry without re-decoding.
+// The snapshot is read-only: Append on it fails, and Clone or SeedLane copy
+// it out to continue.
 func (bs *BatchSession) CloneLane(lane int) *Session {
-	m := bs.m
-	v := m.Cfg.Vocab
-	c := &Session{m: m, pos: bs.pos[lane],
-		logits: append([]float32(nil), bs.logits[lane*v:(lane+1)*v]...)}
-	d, h := m.Cfg.Dim, m.Cfg.Heads
-	dh := d / h
-	ctx := m.Cfg.Ctx
-	base := lane * ctx * d
-	t := bs.pos[lane]
-	c.pages = make([]*kvPage, (t+PageTokens-1)/PageTokens)
-	for pi := range c.pages {
-		pg := newKVPage(m)
-		j := pi * PageTokens
-		n := min(t-j, PageTokens)
-		for l := range bs.kc {
-			copyRuns(pg.k[l], bs.kc[l][base+j:], d, PageTokens, ctx, n)
-			copyRuns(pg.v[l], bs.vc[l][base+j*dh:], h, PageTokens*dh, ctx*dh, n*dh)
-		}
-		c.pages[pi] = pg
-	}
-	c.initScratch()
-	return c
+	s := &Session{}
+	s.bs.init(bs.m, 1, bs.pos[lane], false)
+	copyLane(&s.bs, 0, bs, lane)
+	return s
 }
 
 // SeedLane initializes an empty lane from a single-row Session: the lane's
 // KV block, position, and pending logits become copies of src's, so the
 // lock-step batch resumes exactly where src left off. src is only read —
 // it may be a shared prefix-cache snapshot, and many lanes may be seeded
-// from the same source (each lane gets its own copy of the floats; the
-// batch's contiguous cache layout cannot alias pages). Fails if the lane
-// has already consumed tokens or src belongs to a different model.
+// from the same source. Fails if the lane has already consumed tokens or
+// src belongs to a different model.
 func (bs *BatchSession) SeedLane(lane int, src *Session) error {
-	m := bs.m
 	switch {
 	case lane < 0 || lane >= bs.n:
 		return fmt.Errorf("nn: SeedLane lane %d outside batch of %d", lane, bs.n)
 	case bs.pos[lane] != 0:
 		return fmt.Errorf("nn: SeedLane on a lane with %d tokens consumed", bs.pos[lane])
-	case src.m != m:
+	case src.bs.m != bs.m:
 		return fmt.Errorf("nn: SeedLane from a session of a different model")
 	}
-	t := src.pos
-	if t == 0 {
-		return nil
-	}
+	copyLane(bs, lane, &src.bs, 0)
+	return nil
+}
+
+// copyLane copies lane sl of src — its filled KV positions, pending logits
+// and position — into lane dl of dst, whose capacity must hold them. Only
+// src is read.
+func copyLane(dst *BatchSession, dl int, src *BatchSession, sl int) {
+	m := src.m
 	d, h := m.Cfg.Dim, m.Cfg.Heads
 	dh := d / h
-	ctx := m.Cfg.Ctx
-	base := lane * ctx * d
-	for pi, j := 0, 0; j < t; pi, j = pi+1, j+PageTokens {
-		n := min(t-j, PageTokens)
-		pg := src.pages[pi]
-		for l := range bs.kc {
-			copyRuns(bs.kc[l][base+j:], pg.k[l], d, ctx, PageTokens, n)
-			copyRuns(bs.vc[l][base+j*dh:], pg.v[l], h, ctx*dh, PageTokens*dh, n*dh)
-		}
+	t := src.pos[sl]
+	db, sb := dl*dst.cap*d, sl*src.cap*d
+	for l := range src.kc {
+		copyRuns(dst.kc[l][db:], src.kc[l][sb:], d, dst.cap, src.cap, t)
+		copyRuns(dst.vc[l][db:], src.vc[l][sb:], h, dst.cap*dh, src.cap*dh, t*dh)
 	}
 	v := m.Cfg.Vocab
-	copy(bs.logits[lane*v:(lane+1)*v], src.logits)
-	bs.pos[lane] = t
-	return nil
+	copy(dst.logits[dl*v:(dl+1)*v], src.logits[sl*v:(sl+1)*v])
+	dst.pos[dl] = t
+}
+
+// copyRuns copies runs blocks of n floats from src to dst, block b starting
+// at b·ss in src and at b·ds in dst: the first n positions of every key row
+// or head's value block, between two caches whose position strides differ.
+func copyRuns(dst, src []float32, runs, ds, ss, n int) {
+	for b := 0; b < runs; b++ {
+		copy(dst[b*ds:b*ds+n], src[b*ss:b*ss+n])
+	}
 }

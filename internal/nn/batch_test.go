@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -101,11 +102,11 @@ func TestBatchSessionMatchesSingle(t *testing.T) {
 }
 
 // TestCloneSeedRoundTrip moves a lane out of one batch and into another at
-// lengths around the page boundaries (15, 16, 17) and one short of the
-// served context (47): CloneLane copies the key-transposed lane block into
-// pages, SeedLane copies the pages back. The peeled Session, the reseeded
-// lane and the original lane must then decode the rest of the context
-// bit-identically.
+// lengths 15, 16, 17 and one short of the served context (47): CloneLane
+// copies the key-transposed lane block into a snapshot of stride n, SeedLane
+// copies it back at stride Ctx. The continued peel (a Clone of the frozen
+// snapshot), the reseeded lane and the original lane must then decode the
+// rest of the context bit-identically.
 func TestCloneSeedRoundTrip(t *testing.T) {
 	cfg := servedCfg()
 	m := goldenModel(t, cfg, 231)
@@ -120,10 +121,11 @@ func TestCloneSeedRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		peeled := src.CloneLane(1)
-		if err := dst.SeedLane(1, peeled); err != nil {
+		frozen := src.CloneLane(1)
+		if err := dst.SeedLane(1, frozen); err != nil {
 			t.Fatal(err)
 		}
+		peeled := frozen.Clone()
 		label := "len " + strconv.Itoa(n)
 		compareLogitsBits(t, dst.Logits(1), src.Logits(1), label+" seeded")
 		compareLogitsBits(t, peeled.Logits(), src.Logits(1), label+" peeled")
@@ -166,7 +168,7 @@ func TestCloneLaneMatchesSingle(t *testing.T) {
 			}
 		}
 	}
-	peeled := bs.CloneLane(1)
+	peeled := bs.CloneLane(1).Clone()
 	soloFork := solo[1].Clone()
 	compareLogitsBits(t, peeled.Logits(), soloFork.Logits(), "peeled logits at fork")
 	for _, tok := range randSeq(rng, cfg.Ctx-len(prefix), cfg.Vocab) {
@@ -187,6 +189,51 @@ func TestCloneLaneMatchesSingle(t *testing.T) {
 			t.Fatal(err)
 		}
 		compareLogitsBits(t, bs.Logits(i), s.Logits(), "batch after peel")
+	}
+}
+
+// TestCloneLaneIsExactSnapshot: a lane frozen by CloneLane holds exactly its
+// prefix — KVBytes is length × 2·Layers·Dim float32s, not a rounded-up
+// block — refuses Append with an error naming the snapshot and without
+// moving its length or logits, and continues through Clone bit-identically
+// to the lane it was taken from, up to the full context.
+func TestCloneLaneIsExactSnapshot(t *testing.T) {
+	cfg := servedCfg()
+	m := goldenModel(t, cfg, 241)
+	rng := rand.New(rand.NewSource(242))
+	for _, n := range []int{1, 15, 16, 17, 47} {
+		label := "len " + strconv.Itoa(n)
+		bs := m.NewBatchSession(2)
+		for _, tok := range randSeq(rng, n, cfg.Vocab) {
+			if err := bs.AppendBatch([]int{0, 1}, []int{rng.Intn(cfg.Vocab), tok}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		snap := bs.CloneLane(1)
+		if got, want := snap.KVBytes(), int64(n*2*cfg.Layers*cfg.Dim*4); got != want {
+			t.Fatalf("%s: KVBytes %d, want %d", label, got, want)
+		}
+		want := append([]float32(nil), snap.Logits()...)
+		err := snap.Append(1)
+		if err == nil || !strings.Contains(err.Error(), "frozen") {
+			t.Fatalf("%s: Append on the snapshot: err = %v, want one naming the frozen snapshot", label, err)
+		}
+		if snap.Len() != n {
+			t.Fatalf("%s: refused Append moved Len to %d", label, snap.Len())
+		}
+		compareLogitsBits(t, snap.Logits(), want, label+" logits after refused Append")
+
+		cont := snap.Clone()
+		for _, tok := range randSeq(rng, cfg.Ctx-n, cfg.Vocab) {
+			if err := bs.AppendBatch([]int{1}, []int{tok}); err != nil {
+				t.Fatal(err)
+			}
+			if err := cont.Append(tok); err != nil {
+				t.Fatal(err)
+			}
+			compareLogitsBits(t, cont.Logits(), bs.Logits(1), label+" continued")
+		}
+		compareLogitsBits(t, snap.Logits(), want, label+" snapshot after its clone advanced")
 	}
 }
 
@@ -269,6 +316,15 @@ func TestAppendBatchNoAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("AppendBatch allocates %.1f objects per call, want 0", allocs)
 	}
+	// Session.Append is the same forward over one lane (17 runs fit in Ctx).
+	s := m.NewSession()
+	if allocs := testing.AllocsPerRun(16, func() {
+		if err := s.Append(1); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("Session.Append allocates %.1f objects per call, want 0", allocs)
+	}
 }
 
 // TestResetSessionMatchesFresh: a Reset session decodes bit-identically to a
@@ -295,7 +351,7 @@ func TestResetSessionMatchesFresh(t *testing.T) {
 	}
 
 	frozen := m.NewSession()
-	for _, tok := range randSeq(rng, PageTokens+3, cfg.Vocab) {
+	for _, tok := range randSeq(rng, 19, cfg.Vocab) {
 		if err := frozen.Append(tok); err != nil {
 			t.Fatal(err)
 		}
@@ -329,7 +385,7 @@ func TestResetSessionMatchesFresh(t *testing.T) {
 			}
 		}
 		if step == 9 {
-			peeledR, peeledF = reused.CloneLane(0), fresh.CloneLane(0)
+			peeledR, peeledF = reused.CloneLane(0).Clone(), fresh.CloneLane(0).Clone()
 		}
 	}
 	for _, tok := range randSeq(rng, 5, cfg.Vocab) {
@@ -390,14 +446,13 @@ func BenchmarkBatchAppend(b *testing.B) {
 // TestSeedLaneMatchesSolo seeds lock-step lanes from a frozen prefix session
 // (the prefix-cache hit path) and requires every subsequent step to stay
 // bit-identical to a solo Session that consumed the full sequence cold.
-// Two lanes share one source to prove seeding never aliases its pages.
+// Two lanes share one source to prove seeding never aliases it.
 func TestSeedLaneMatchesSolo(t *testing.T) {
 	cfg := Config{Vocab: 13, Ctx: 40, Dim: 24, Heads: 4, Layers: 3}
 	m := goldenModel(t, cfg, 61)
 	rng := rand.New(rand.NewSource(62))
 
-	// Prefix longer than one page so SeedLane walks multiple pages.
-	prefix := randSeq(rng, PageTokens+5, cfg.Vocab)
+	prefix := randSeq(rng, 21, cfg.Vocab)
 	frozen := m.NewSession()
 	for _, tok := range prefix {
 		if err := frozen.Append(tok); err != nil {

@@ -11,7 +11,7 @@ import (
 
 // This file pins the per-token kernels (the tensor.MatAccum register tiles
 // for projections and attention, 4-wide Dot, table-driven GELU, the
-// key-transposed paged KV cache, partial Clone) to the seed implementation:
+// key-transposed KV cache, Clone's filled-prefix copy) to the seed implementation:
 // refSession.Append below is the seed's Session.Append copied verbatim (over
 // [Ctx, D] row-major caches, the zero-skipping scalar vecLinear and the
 // math.Tanh GELU), and the golden tests require bit-identical logits, not
@@ -189,7 +189,7 @@ func compareLogitsBits(t *testing.T, got, want []float32, ctx string) {
 
 // servedCfg is the geometry of the served decode model (dim 64, 4 heads, Ctx
 // 48) at fewer layers: the only golden shape that runs full 16-column tiles
-// at out 64 and 256 and attends across more than one KV page.
+// at out 64 and 256.
 func servedCfg() Config { return Config{Vocab: 17, Ctx: 48, Dim: 64, Heads: 4, Layers: 2} }
 
 // TestGoldenLogitsMatchSeed is the kernel rewrite's contract: logits after
@@ -457,26 +457,12 @@ func BenchmarkSessionClone(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	// share: the clone itself, which only retains page references — no KV
-	// floats move, regardless of how full the session is.
-	b.Run("share", func(b *testing.B) {
+	// copy: a full-context session whose filled positions are copied in —
+	// the whole cost of peeling a beam off a live prefix.
+	b.Run("copy", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			c := s.Clone()
-			c.Release()
-		}
-	})
-	// fork: clone plus one divergent Append, which pays the copy-on-write
-	// duplication of the shared partial page — the full cost of peeling a
-	// beam (or a prefix-cache hit) off a live prefix.
-	b.Run("fork", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			c := s.Clone()
-			if err := c.Append(1); err != nil {
-				b.Fatal(err)
-			}
-			c.Release()
+			s.Clone()
 		}
 	})
 }

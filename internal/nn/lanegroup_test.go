@@ -119,19 +119,19 @@ func TestParallelSeedLaneMatchesSerial(t *testing.T) {
 	cfg := Config{Vocab: 13, Ctx: 40, Dim: 24, Heads: 4, Layers: 2}
 	m := goldenModel(t, cfg, 720)
 	rng := rand.New(rand.NewSource(47))
-	// Longer than one page, and ending mid-page, so seeding walks a full
-	// page and a partial one.
-	prefix := randSeq(rng, PageTokens+6, cfg.Vocab)
+	prefix := randSeq(rng, 22, cfg.Vocab)
 	tails := make([][]int, laneGroups)
 	for g := range tails {
 		tails[g] = randSeq(rng, 5, cfg.Vocab)
 	}
-	src := m.NewSession()
+	// The source is a CloneLane snapshot, as a prefix-cache hit is.
+	lane := m.NewBatchSession(1)
 	for _, tok := range prefix {
-		if err := src.Append(tok); err != nil {
+		if err := lane.AppendBatch([]int{0}, []int{tok}); err != nil {
 			t.Fatal(err)
 		}
 	}
+	src := lane.CloneLane(0)
 	srcLogits := append([]float32(nil), src.Logits()...)
 
 	// Each group seeds two sibling lanes and feeds them its own tail.
@@ -170,7 +170,8 @@ func TestParallelSeedLaneMatchesSerial(t *testing.T) {
 
 	// The shared source still decodes as if no lane had been seeded from it.
 	compareLogitsBits(t, src.Logits(), srcLogits, "frozen source logits")
-	if err := src.Append(1); err != nil {
+	cont := src.Clone()
+	if err := cont.Append(1); err != nil {
 		t.Fatal(err)
 	}
 	ref := m.NewSession()
@@ -179,5 +180,5 @@ func TestParallelSeedLaneMatchesSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	compareLogitsBits(t, src.Logits(), ref.Logits(), "frozen source after seeding")
+	compareLogitsBits(t, cont.Logits(), ref.Logits(), "frozen source after seeding")
 }

@@ -50,7 +50,6 @@ func TestRewindLaneReDecodesBitIdentical(t *testing.T) {
 	// Rebuild the reference for the rewound lane and continue all lanes in
 	// lock-step: the rewound lane replays seq[3:5] while the others advance
 	// raggedly past it, so the batch stays desync-free by construction.
-	ref[rewindLane].Release()
 	ref[rewindLane] = m.NewSession()
 	for _, tok := range seqs[rewindLane][:rewindPos] {
 		if err := ref[rewindLane].Append(tok); err != nil {

@@ -12,9 +12,11 @@
 // captured under. Every entry therefore carries the engine's rule-epoch
 // fingerprint; Lookup skips — and drops — entries whose epoch differs, so a
 // stale snapshot can never be served. The cache is safe for concurrent use
-// and bounded by a byte budget with LRU eviction; session memory is
-// refcounted at the KV-page level (see nn), so a hit shares pages with the
-// cached snapshot instead of copying them. See DESIGN.md §11.
+// and bounded by a byte budget with LRU eviction. Snapshots are immutable
+// and garbage-collected: a hit hands out the cached session itself, which
+// its reader copies out of (nn.BatchSession.SeedLane, nn.Session.Clone), so
+// eviction only drops the entry — even while a lane is still copying out of
+// it. See DESIGN.md §11.
 package prefixcache
 
 import (
@@ -24,11 +26,10 @@ import (
 )
 
 // Snapshot is the paired mid-record state stored at one radix node. The
-// cache takes ownership of Sess on Insert (it is released on eviction);
-// Model is retained as given and copied on every hit.
+// cache keeps Sess and Model as given; Model is copied on every hit.
 type Snapshot struct {
-	// Sess is the frozen transformer session: it has consumed exactly the
-	// key's tokens and must never be advanced again.
+	// Sess is the frozen transformer session (nn.BatchSession.CloneLane): it
+	// has consumed exactly the key's tokens and is never advanced again.
 	Sess *nn.Session
 	// Model is the solver's witness model at the boundary — a satisfying
 	// assignment for the rule set plus every value pinned by the key. Nil
@@ -43,9 +44,10 @@ type Snapshot struct {
 	Slots int
 }
 
-// Hit is an owned warm-start handed to one request: Sess is a private clone
-// (page-sharing, copy-on-write) the caller must drive or Release, and Model
-// is a private copy the caller may mutate.
+// Hit is a warm-start handed to one request. Sess is the cached snapshot
+// itself, shared with every other hit on the entry: it is read-only, and the
+// caller copies it out (SeedLane, or Clone to continue it) rather than
+// advancing it. Model is a private copy the caller may mutate.
 type Hit struct {
 	Sess   *nn.Session
 	Model  []int64
@@ -95,7 +97,7 @@ type Cache struct {
 }
 
 // entryOverhead approximates per-entry bookkeeping bytes beyond the KV
-// pages: tree node, labels, LRU links, map headers.
+// floats: tree node, labels, LRU links, map headers.
 const entryOverhead = 256
 
 // New creates a cache bounded to maxBytes of resident snapshot state.
@@ -104,7 +106,7 @@ func New(maxBytes int64) *Cache {
 }
 
 // Lookup returns the deepest cached snapshot whose key is a prefix of key
-// and whose rule epoch matches, as an owned Hit, or nil. Entries found on
+// and whose rule epoch matches, as a Hit, or nil. Entries found on
 // the path with a different epoch are stale — they are dropped on sight
 // (counted as evictions) and can never be served.
 func (c *Cache) Lookup(key []int, epoch uint64) *Hit {
@@ -139,7 +141,7 @@ func (c *Cache) Lookup(key []int, epoch uint64) *Hit {
 	c.hits++
 	c.touch(best)
 	h := &Hit{
-		Sess:   best.snap.Sess.Clone(),
+		Sess:   best.snap.Sess,
 		Tokens: best.keyLen,
 		Slots:  best.snap.Slots,
 	}
@@ -151,7 +153,7 @@ func (c *Cache) Lookup(key []int, epoch uint64) *Hit {
 
 // NeedsInsert reports whether Insert(key, …) at this epoch would store a new
 // snapshot — false when an epoch-current entry already sits at exactly key.
-// Capture sites use it to skip the session clone for already-cached
+// Capture sites use it to skip the lane copy for already-cached
 // boundaries.
 func (c *Cache) NeedsInsert(key []int, epoch uint64) bool {
 	c.mu.Lock()
@@ -160,24 +162,22 @@ func (c *Cache) NeedsInsert(key []int, epoch uint64) bool {
 	return !(exact && n.ent != nil && n.ent.snap.RuleEpoch == epoch)
 }
 
-// Insert stores snap at key, taking ownership of snap.Sess. It returns
-// false — releasing the session — when the snapshot is a duplicate of an
-// epoch-current entry or is larger than the whole budget. A same-key entry
-// from another epoch is replaced; least-recently-used entries are evicted
-// until the new total fits.
+// Insert stores snap at key, charging it snap.Sess.KVBytes() plus its
+// model, key and bookkeeping. It returns false when the snapshot is a
+// duplicate of an epoch-current entry or is larger than the whole budget.
+// A same-key entry from another epoch is replaced; least-recently-used
+// entries are evicted until the new total fits.
 func (c *Cache) Insert(key []int, snap *Snapshot) bool {
 	bytes := snap.Sess.KVBytes() + int64(len(snap.Model))*8 + int64(len(key))*8 + entryOverhead
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if len(key) < 2 || bytes > c.maxBytes {
-		snap.Sess.Release()
 		return false
 	}
 	n := c.insertNode(key)
 	if n.ent != nil {
 		if n.ent.snap.RuleEpoch == snap.RuleEpoch {
 			c.touch(n.ent)
-			snap.Sess.Release()
 			return false
 		}
 		c.detach(n.ent)
@@ -261,8 +261,8 @@ func (c *Cache) insertNode(key []int) *node {
 	return n
 }
 
-// detach removes e from the cache bookkeeping (LRU, bytes, session refs)
-// but leaves its tree node in place — used when the node is about to be
+// detach removes e from the cache bookkeeping (LRU, bytes) but leaves its
+// tree node in place — used when the node is about to be
 // reused by a replacement entry. Counted as an eviction. Caller holds c.mu.
 func (c *Cache) detach(e *entry) {
 	c.unlink(e)
@@ -270,7 +270,6 @@ func (c *Cache) detach(e *entry) {
 	c.entries--
 	c.evictions++
 	e.node.ent = nil
-	e.snap.Sess.Release()
 }
 
 // drop is detach plus pruning of now-empty tree nodes, so the tree doesn't

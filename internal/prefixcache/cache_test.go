@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/nn"
+	"repro/internal/race"
 )
 
 var (
@@ -24,15 +25,37 @@ func model(t testing.TB) *nn.Model {
 	return testModel
 }
 
-// sessFor builds a frozen session that has consumed exactly key.
+// sessFor builds a frozen snapshot that has consumed exactly key, the way
+// the decode loop captures one: a lane frozen out by CloneLane.
 func sessFor(t testing.TB, key []int) *nn.Session {
-	s := model(t).NewSession()
+	bs := model(t).NewBatchSession(1)
 	for _, tok := range key {
-		if err := s.Append(tok); err != nil {
+		if err := bs.AppendBatch([]int{0}, []int{tok}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return s
+	return bs.CloneLane(0)
+}
+
+// sameLogits reports whether a and b hold the same floats.
+func sameLogits(a, b []float32) bool {
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return len(a) == len(b)
+}
+
+// advanceClone continues a hit's snapshot privately, as a reader may, and
+// reports whether the snapshot itself came through untouched.
+func advanceClone(h *Hit) (untouched bool, err error) {
+	n, want := h.Sess.Len(), append([]float32(nil), h.Sess.Logits()...)
+	c := h.Sess.Clone()
+	if err := c.Append(2); err != nil {
+		return false, err
+	}
+	return h.Sess.Len() == n && sameLogits(h.Sess.Logits(), want), nil
 }
 
 func snapFor(t testing.TB, key []int, epoch uint64, slots int) *Snapshot {
@@ -88,12 +111,14 @@ func TestLongestPrefixLookup(t *testing.T) {
 		if h.Model[1] != 42 {
 			t.Fatalf("case %d: model not restored", i)
 		}
-		// The hit is owned: mutating it must not corrupt the cached copy.
+		// The hit's Model is private; its Sess is the snapshot, read-only:
+		// a Clone advances privately and the cached entry stays untouched.
 		h.Model[1] = -1
-		if err := h.Sess.Append(2); err != nil {
+		if untouched, err := advanceClone(h); err != nil {
 			t.Fatal(err)
+		} else if !untouched {
+			t.Fatalf("case %d: advancing a Clone of the hit moved the snapshot", i)
 		}
-		h.Sess.Release()
 	}
 
 	st := c.Stats()
@@ -133,8 +158,6 @@ func TestStaleEpochMissesAndDrops(t *testing.T) {
 	}
 	if h := c.Lookup(key, 8); h == nil {
 		t.Fatal("replacement not served")
-	} else {
-		h.Sess.Release()
 	}
 }
 
@@ -162,11 +185,11 @@ func TestDuplicateInsertRejected(t *testing.T) {
 }
 
 func TestLRUEvictionByBytes(t *testing.T) {
-	one := snapFor(t, []int{1, 2}, 1, 1)
-	per := one.Sess.KVBytes() + 16 + 2*8 + entryOverhead
-	one.Sess.Release()
+	// Every key is two tokens long, so every entry is charged the same: the
+	// snapshot's KVBytes, its two-value model, its key and the overhead.
+	per := sessFor(t, []int{1, 2}).KVBytes() + 16 + 2*8 + entryOverhead
 
-	// Budget for exactly three single-page entries.
+	// Budget for exactly three entries.
 	c := New(3 * per)
 	keys := [][]int{{1, 2}, {2, 3}, {3, 4}, {4, 5}}
 	for _, k := range keys[:3] {
@@ -177,8 +200,6 @@ func TestLRUEvictionByBytes(t *testing.T) {
 	// Touch {1,2} so {2,3} becomes least recently used.
 	if h := c.Lookup(keys[0], 1); h == nil {
 		t.Fatal("expected hit")
-	} else {
-		h.Sess.Release()
 	}
 	if !c.Insert(keys[3], snapFor(t, keys[3], 1, 1)) {
 		t.Fatal("insert over budget rejected instead of evicting")
@@ -189,8 +210,6 @@ func TestLRUEvictionByBytes(t *testing.T) {
 	for _, k := range [][]int{keys[0], keys[2], keys[3]} {
 		if h := c.Lookup(k, 1); h == nil {
 			t.Fatalf("entry %v wrongly evicted", k)
-		} else {
-			h.Sess.Release()
 		}
 	}
 	st := c.Stats()
@@ -207,13 +226,12 @@ func TestLRUEvictionByBytes(t *testing.T) {
 
 // TestConcurrentHitEvictInsert is the race-detector workout: writers insert
 // snapshots into a deliberately tiny budget (forcing constant eviction)
-// while readers hit, miss, extend restored sessions, and probe with a stale
-// epoch. Run under -race via make verify.
+// while readers hit, miss, continue clones of the shared snapshots they hit
+// (even after eviction drops them), and probe with a stale epoch. Run under
+// -race via make verify.
 func TestConcurrentHitEvictInsert(t *testing.T) {
-	one := snapFor(t, []int{1, 2, 3}, 1, 1)
-	per := one.Sess.KVBytes() + entryOverhead + 64
-	one.Sess.Release()
-	c := New(4 * per) // ~4 entries resident → every insert evicts
+	per := sessFor(t, []int{1, 2, 3, 4}).KVBytes() + 16 + 4*8 + entryOverhead
+	c := New(4 * per) // 4 entries resident → every insert evicts
 
 	keys := make([][]int, 12)
 	for i := range keys {
@@ -234,12 +252,11 @@ func TestConcurrentHitEvictInsert(t *testing.T) {
 					}
 				case 1:
 					if h := c.Lookup(k, 1); h != nil {
-						// Drive the restored session to force COW against
-						// concurrent holders of the same pages.
-						if err := h.Sess.Append(5); err != nil {
+						if untouched, err := advanceClone(h); err != nil {
 							t.Error(err)
+						} else if !untouched {
+							t.Error("advancing a Clone of a shared hit moved the snapshot")
 						}
-						h.Sess.Release()
 					}
 				case 2:
 					c.Lookup(k, 99) // stale probe: must miss, may drop
@@ -251,5 +268,43 @@ func TestConcurrentHitEvictInsert(t *testing.T) {
 	st := c.Stats()
 	if st.BytesResident > 4*per {
 		t.Fatalf("resident %d bytes exceeds budget %d", st.BytesResident, 4*per)
+	}
+}
+
+// TestHitIsSnapshot: a hit hands out the cached snapshot itself — no copy,
+// so a lookup allocates only the Hit and its Model copy — and a reader that
+// Clones it and advances the clone leaves the cached entry unchanged.
+func TestHitIsSnapshot(t *testing.T) {
+	c := New(64 << 20)
+	key := []int{1, 5, 6, 7}
+	snap := snapFor(t, key, 3, 2)
+	want := append([]float32(nil), snap.Sess.Logits()...)
+	if !c.Insert(key, snap) {
+		t.Fatal("insert rejected")
+	}
+	h := c.Lookup(key, 3)
+	if h == nil {
+		t.Fatal("inserted snapshot missed")
+	}
+	if h.Sess != snap.Sess {
+		t.Fatal("hit's Sess is not the inserted snapshot")
+	}
+	if !race.Enabled {
+		if allocs := testing.AllocsPerRun(20, func() { c.Lookup(key, 3) }); allocs > 2 {
+			t.Errorf("a hit allocates %.0f objects, want <= 2 (the Hit and its Model copy)", allocs)
+		}
+	}
+	cl := h.Sess.Clone()
+	for _, tok := range []int{2, 3, 4} {
+		if err := cl.Append(tok); err != nil {
+			t.Fatal(err)
+		}
+	}
+	again := c.Lookup(key, 3)
+	if again == nil || again.Sess != snap.Sess {
+		t.Fatal("the entry changed after its hit was cloned and advanced")
+	}
+	if again.Sess.Len() != len(key) || !sameLogits(again.Sess.Logits(), want) {
+		t.Fatalf("cached snapshot moved: %d tokens, logits equal %v", again.Sess.Len(), sameLogits(again.Sess.Logits(), want))
 	}
 }

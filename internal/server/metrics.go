@@ -77,15 +77,11 @@ type Metrics struct {
 	batchSize *histogram // records per batch
 	latency   *histogram // end-to-end request seconds (enqueue → reply)
 
-	tokens       uint64 // decoded tokens (from core.Stats)
-	solverChecks uint64 // SMT checks attributable to served decodes
-
-	// Speculative-decoding counters (DESIGN.md §13): tokens committed via an
+	// perPack holds the decode counters, by domain pack: decoded tokens (from
+	// core.Stats), SMT checks attributable to served decodes, and the
+	// speculative-decoding counters (DESIGN.md §13) — tokens committed via an
 	// accepted lookahead window, and windows rolled back after validation.
-	specAccepted  uint64
-	specRollbacks uint64
-
-	// perPack splits the decode counters above by domain pack.
+	// Snapshot's totals are their sums.
 	perPack map[string]*packCounters
 
 	// Fault-isolation counters (DESIGN.md §10): every failed record of a
@@ -241,10 +237,6 @@ func (m *Metrics) countShardDrain() {
 
 func (m *Metrics) countDecode(pk string, tokens int, solverChecks uint64, specAccepted, specRollbacks int) {
 	m.mu.Lock()
-	m.tokens += uint64(tokens)
-	m.solverChecks += solverChecks
-	m.specAccepted += uint64(specAccepted)
-	m.specRollbacks += uint64(specRollbacks)
 	pc := m.perPack[pk]
 	if pc == nil {
 		pc = &packCounters{}
@@ -359,11 +351,6 @@ func (m *Metrics) snapshotLocked() Snapshot {
 		// is total records batched and the mean is records per batch.
 		BatchedRecs:   uint64(m.batchSize.sum),
 		MeanBatchSize: m.batchSize.mean(),
-		Tokens:        m.tokens,
-		SolverChecks:  m.solverChecks,
-
-		SpecAcceptedTokens: m.specAccepted,
-		SpecRollbacks:      m.specRollbacks,
 
 		BudgetExhausted: m.budgetExhausted,
 		PanicsRecovered: m.panicsRecovered,
@@ -404,6 +391,11 @@ func (m *Metrics) snapshotLocked() Snapshot {
 		ps.SpecAcceptedTokens = pc.specAccepted
 		ps.SpecRollbacks = pc.specRollbacks
 		s.Packs[pk] = ps
+
+		s.Tokens += pc.tokens
+		s.SolverChecks += pc.solverChecks
+		s.SpecAcceptedTokens += pc.specAccepted
+		s.SpecRollbacks += pc.specRollbacks
 	}
 	if m.load != nil {
 		s.QueueDepth, s.Inflight = m.load()
