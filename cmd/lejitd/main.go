@@ -73,7 +73,6 @@ func run() error {
 	timeout := flag.Duration("timeout", 30*time.Second, "default per-request deadline")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown bound after SIGTERM")
 	seed := flag.Int64("seed", 1, "base seed for requests that do not pin their own")
-	lookahead := flag.Int("lookahead", 0, "speculative decoding window: decode up to k tokens on the oracle fast path, then validate the suffix with one batched solver settle; 0 = exact per-token path (output is bit-identical either way)")
 	solverBudget := flag.Uint64("solver-budget", 0, "max solver search nodes per SMT check; an exhausted check fails only its own request with 503 (0 = solver default)")
 	solverTimeout := flag.Duration("solver-timeout", 0, "wall-clock budget per SMT check (0 = none)")
 	degradedThreshold := flag.Int("degraded-threshold", 0, "report /healthz status \"degraded\" once this many requests exhausted their solver budget (0 = disabled)")
@@ -86,16 +85,13 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	// Budgets and the speculative window are engine state, so they apply per
-	// registered pack — and ride along across hot reloads, which rebuild
-	// engines from the current configuration.
+	// Budgets are engine state, so they apply per registered pack — and ride
+	// along across hot reloads, which rebuild engines from the current
+	// configuration.
 	for _, name := range reg.Names() {
 		pk, _ := reg.Get(name)
 		if *solverBudget > 0 || *solverTimeout > 0 {
 			pk.Engine.SetSolverBudget(*solverBudget, *solverTimeout)
-		}
-		if *lookahead > 0 {
-			pk.Engine.SetLookahead(*lookahead)
 		}
 	}
 	srv, err := server.New(server.Config{

@@ -46,10 +46,6 @@ type BatchRequest struct {
 	// exists for isolation — e.g. keeping a tenant's prompts out of shared
 	// cache state — and for cold-path measurement.
 	NoPrefixCache bool
-	// Lookahead, when non-nil, overrides the engine's speculative-decoding
-	// window (Config.Lookahead) for this record; 0 forces the exact path.
-	// Output is bit-identical for every value (DESIGN.md §13).
-	Lookahead *int
 }
 
 // prefixCacheOffKey marks a context whose decodes must skip the prefix
@@ -73,17 +69,15 @@ func prefixCacheDisabled(ctx context.Context) bool {
 type emitKey struct{}
 
 // EmitFn receives one completed slot's rendered text (digits plus trailing
-// separator) as soon as the decode has proven it exact. Chunks arrive in slot
+// separator) as soon as its separator is decoded. Chunks arrive in slot
 // order and their concatenation equals the full rendered line byte for byte.
 // Implementations run on the decoding goroutine and must not block.
 type EmitFn func(slot int, text string)
 
 // WithEmit returns a context under which guided decodes stream each
-// completed slot to fn at the moment it becomes exact: immediately on the
-// non-speculative path, and at window commit on the speculative one — a slot
-// inside an open lookahead window is never emitted, so a rollback can never
-// retract streamed bytes (DESIGN.md §16). The serving layer uses it for SSE
-// responses; callers invoking ImputeCtx/GenerateCtx directly can too.
+// completed slot to fn; a streamed chunk is final (DESIGN.md §16). The
+// serving layer uses it for SSE responses; callers invoking
+// ImputeCtx/GenerateCtx directly can too.
 func WithEmit(ctx context.Context, fn EmitFn) context.Context {
 	return context.WithValue(ctx, emitKey{}, fn)
 }
@@ -94,24 +88,12 @@ func emitFor(ctx context.Context) EmitFn {
 	return fn
 }
 
-// lookaheadKey carries a per-request speculation-window override.
-type lookaheadKey struct{}
-
-// WithLookahead returns a context under which guided decodes use a
-// speculation window of k tokens instead of the engine's Config.Lookahead
-// (0 forces the exact path). The serving layer uses it for per-request
-// overrides; callers invoking ImputeCtx/GenerateCtx directly can too.
-func WithLookahead(ctx context.Context, k int) context.Context {
-	return context.WithValue(ctx, lookaheadKey{}, k)
-}
-
-// lookaheadFor resolves the effective speculation window for a decode.
-func lookaheadFor(ctx context.Context, def int) int {
-	if k, ok := ctx.Value(lookaheadKey{}).(int); ok {
-		return k
-	}
-	return def
-}
+// WithLookahead returns ctx unchanged. Speculative decoding was removed
+// (DESIGN.md §13): every guided decode runs the exact per-token path. The
+// function stays only for the repository benchmark's core.spec_* probes,
+// which now time that path; like Stats.SpecAcceptedTokens, it is due to go
+// with the benchmark's next change.
+func WithLookahead(ctx context.Context, k int) context.Context { return ctx }
 
 // BatchResult pairs one prompt's decode outcome with its index.
 type BatchResult struct {
@@ -214,9 +196,6 @@ func (e *Engine) DecodeRequests(ctx context.Context, reqs []BatchRequest, worker
 		}
 		if r.NoPrefixCache {
 			rctx = DisablePrefixCache(rctx)
-		}
-		if r.Lookahead != nil {
-			rctx = WithLookahead(rctx, *r.Lookahead)
 		}
 		s := MixSeed(seed, i)
 		if r.Seed != nil {

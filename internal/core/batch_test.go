@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -260,5 +261,40 @@ func TestImputeCtxCancelMidDecode(t *testing.T) {
 	_, err := e.ImputeCtx(ctx, rules.Record{"TotalIngress": {120}, "Congestion": {10}}, rand.New(rand.NewSource(1)))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+}
+
+// TestWithLookaheadIsIdentity pins the benchmark seam left by the removal of
+// speculative decoding (DESIGN.md §13): a decode under WithLookahead(ctx, 8)
+// returns the same record and the same Stats, field for field, as one
+// without it, and SpecAcceptedTokens stays 0 — every lane decodes on the one
+// exact per-token path.
+func TestWithLookaheadIsIdentity(t *testing.T) {
+	e := nnTestEngine(t)
+	for _, p := range []rules.Record{{"TotalIngress": {120}, "Congestion": {10}}, nil} {
+		for _, seed := range []int64{1, 7, 42} {
+			decode := func(ctx context.Context) (Result, error) {
+				eng, err := e.Clone()
+				if err != nil {
+					t.Fatal(err)
+				}
+				rng := rand.New(rand.NewSource(seed))
+				if p == nil {
+					return eng.GenerateCtx(ctx, rng)
+				}
+				return eng.ImputeCtx(ctx, p, rng)
+			}
+			want, werr := decode(context.Background())
+			got, gerr := decode(WithLookahead(context.Background(), 8))
+			if werr != nil || gerr != nil {
+				t.Fatalf("prompt %v seed %d: errors %v / %v", p, seed, werr, gerr)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("prompt %v seed %d: under WithLookahead %+v, without %+v", p, seed, got, want)
+			}
+			if got.Stats.SpecAcceptedTokens != 0 {
+				t.Errorf("prompt %v seed %d: SpecAcceptedTokens = %d, want 0", p, seed, got.Stats.SpecAcceptedTokens)
+			}
+		}
 	}
 }

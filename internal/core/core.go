@@ -177,21 +177,8 @@ type Config struct {
 	// ValidateFastPath cross-checks every fast-path answer against a real
 	// solver probe, counting disagreements in Stats.FastPathMismatches.
 	// Debugging/verification mode: it defeats the fast path's purpose and
-	// inflates SolverChecks. With Lookahead set it also cross-checks the
-	// speculative suffix validation: every deferred probe is re-checked
-	// exactly even when the batched model already certified it, and any
-	// disagreement lands in FastPathMismatches too.
+	// inflates SolverChecks.
 	ValidateFastPath bool
-	// Lookahead enables speculative constrained decoding (DESIGN.md §13):
-	// decode up to Lookahead sampled tokens per window on the interval fast
-	// path and grammar masks alone — feasibility probes neither can decide
-	// are journaled and assumed true — then settle the whole window against
-	// the solver at once, rolling back to the first optimistically-admitted
-	// position when validation refutes one. 0 disables speculation: the
-	// exact token-at-a-time oracle path, unchanged. Output is bit-identical
-	// either way; only LeJIT-mode lanes on rewindable (nn-backed) LMs
-	// speculate. Per-request override: BatchRequest.Lookahead.
-	Lookahead int
 	// TraceHook, when set, receives one TraceStep per guided decoding
 	// step — the observability channel for debugging rule interactions
 	// and for demonstrating minimal invasiveness. Not invoked by the
@@ -244,16 +231,10 @@ type Stats struct {
 	// snapshots this decode inserted into the cache.
 	PrefixHitTokens int
 	PrefixCaptures  int
-	// SpecAcceptedTokens counts sampled tokens decoded inside a speculation
-	// window (Config.Lookahead) that survived suffix validation;
-	// SpecRollbacks counts windows that failed it and re-decoded from the
-	// first refuted position. Both zero when speculation is off. Note that
-	// speculation shifts work between the Oracle* mechanism counters (a
-	// deferred probe is neither fast path nor solver probe at ask time) —
-	// only the output and the mask-derived counters (Tokens, MaskedSteps,
-	// ForcedSteps) are invariant across Lookahead settings.
+	// SpecAcceptedTokens is always 0. Speculative decoding was removed
+	// (DESIGN.md §13); the field stays only for the repository benchmark's
+	// core.spec_accept_share probe, like WithLookahead.
 	SpecAcceptedTokens int
-	SpecRollbacks      int
 }
 
 // Result is one decoded record plus its statistics.
@@ -516,12 +497,6 @@ func (e *Engine) SetSolverBudget(maxNodes uint64, timeout time.Duration) {
 	})
 }
 
-// SetLookahead sets the speculative-decoding window (Config.Lookahead)
-// after construction (see configure).
-func (e *Engine) SetLookahead(k int) {
-	e.configure(func(c *Engine) { c.cfg.Lookahead = k })
-}
-
 // Clone returns an independent engine with the same configuration (for
 // parallel decoding). The compiled rule formula is shared — it is an
 // immutable tree and both solvers bind identical Var ids — so cloning does
@@ -676,11 +651,9 @@ func (e *Engine) newPromptedSession(prompt string) (Session, error) {
 // sampleMasked samples a token among allowed ids using the engine's
 // temperature and top-K, renormalizing the remaining mass so the model's
 // relative preferences among admissible tokens are preserved (the
-// minimal-invasiveness property, §3). rng is consumed through floatSource
-// so speculative lanes can substitute a replaying buffer (spec.go); the
-// draw discipline — exactly one Float64, and none for a forced mask — is
-// what keeps RNG streams aligned across rollbacks.
-func (e *Engine) sampleMasked(logits []float32, allowed []int, rng floatSource) int {
+// minimal-invasiveness property, §3). It draws exactly one Float64 from rng,
+// and none for a forced mask.
+func (e *Engine) sampleMasked(logits []float32, allowed []int, rng *rand.Rand) int {
 	if len(allowed) == 0 {
 		panic("core: sampleMasked with empty candidate set")
 	}

@@ -134,43 +134,6 @@ func TestEmitMatchesLineLockStep(t *testing.T) {
 	}
 }
 
-// TestEmitSpeculativeNeverRetracts: under speculative decoding, chunks are
-// withheld while a window is open and flushed at commit, so even runs that
-// roll back stream exactly the final line — never a retracted prefix. The
-// fixture engine forces rollbacks (including across slot boundaries); the
-// scanned seed range must actually exhibit one for the test to mean anything.
-func TestEmitSpeculativeNeverRetracts(t *testing.T) {
-	e := rollbackTestEngine(t, nil, false)
-	rolledBack := false
-	for seed := int64(0); seed < 10; seed++ {
-		label := fmt.Sprintf("seed %d", seed)
-		var c chunkCollector
-		eng, err := e.Clone()
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx := WithEmit(WithLookahead(context.Background(), 8), c.fn)
-		res, err := eng.GenerateCtx(ctx, rand.New(rand.NewSource(seed)))
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		if res.Stats.SpecRollbacks > 0 {
-			rolledBack = true
-		}
-		exact, err := specLookahead(t, e, nil, seed, 0)
-		if err != nil {
-			t.Fatalf("%s: exact path: %v", label, err)
-		}
-		if !reflect.DeepEqual(res.Rec, exact.Rec) {
-			t.Errorf("%s: speculative+emit record %v != exact %v", label, res.Rec, exact.Rec)
-		}
-		checkChunks(t, label, e, res.Rec, &c)
-	}
-	if !rolledBack {
-		t.Fatal("no seed triggered a rollback; the retraction edge was not exercised")
-	}
-}
-
 // TestEmitWarmPromptPrecedesFirstStep: a lane restored from a full-prompt
 // cache hit streams its prompt slots when it starts, before the first guided
 // step (the first slot's base build and probes), as a cold lane streams each

@@ -66,23 +66,8 @@ type laneDecoder struct {
 	sampled    bool // whether the last token from next was sampled (vs prompt)
 	allowed    []int
 
-	// Speculative decoding (spec.go, DESIGN.md §13). spec is non-nil only
-	// when a driver installed a rewind hook and the effective lookahead is
-	// positive; draw is the lane's sampling RNG surface — rng itself on the
-	// exact path, the replaying specRNG when speculating.
-	spec *laneSpec
-	draw floatSource
-	// mergeO carries the violated run's validation replica from a rollback
-	// to the re-decide's beginSlot: interval knowledge proven at mergeMark's
-	// stack that the fresh oracle may start from (see rollbackTo).
-	mergeO    *slotOracle
-	mergeMark int
-
 	// Streaming state (WithEmit, DESIGN.md §16). emitTok/emitSlots mark how
-	// far along key the hook has been fed; flushEmit only ever runs outside
-	// an open speculation window, so everything at or before emitTok is
-	// committed and a rollback (which truncates to a checkpoint taken after
-	// the last flush) can never cut below it.
+	// far along key the hook has been fed.
 	emit      EmitFn
 	emitTok   int // tokens of key already rendered to the hook
 	emitSlots int // slots already rendered to the hook
@@ -126,7 +111,7 @@ func (e *Engine) newLaneDecoder(ctx context.Context, known rules.Record, rng *ra
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	ld := &laneDecoder{e: e, ctx: ctx, rng: rng, draw: rng, known: known, emit: emitFor(ctx)}
+	ld := &laneDecoder{e: e, ctx: ctx, rng: rng, known: known, emit: emitFor(ctx)}
 	if plan == nil {
 		plan = e.planPrompt(known, nil)
 	}
@@ -234,13 +219,6 @@ func (ld *laneDecoder) finish() {
 		return
 	}
 	ld.finished = true
-	if ld.spec != nil {
-		// Captures still staged belong to a window that never validated
-		// (the lane failed mid-window); its journaled asserts sit above the
-		// lane's Push frame, so the Pop below discards them.
-		ld.spec.caps = ld.spec.caps[:0]
-		ld.spec.open = false
-	}
 	ld.res.Stats.SolverChecks = ld.e.solver.Stats().Checks - ld.checksBefore
 	if ld.pushed {
 		ld.e.solver.Pop()
@@ -257,30 +235,7 @@ func (ld *laneDecoder) finish() {
 // has drained (BOS always precedes the first sampled token, so the first
 // call may pass nil). The caller must feed the token to the LM and then call
 // advance with it.
-//
-// With speculation armed, a step error inside an open window first settles
-// the window: if the committed prefix is exact the error is real and
-// propagates; if a rollback erased the erroring position, the loop retries
-// it on the exact path — the rollback restored the LM's logits buffer in
-// place, so the caller's logits slice already shows the retried position.
 func (ld *laneDecoder) next(logits []float32) (int, error) {
-	for {
-		tok, err := ld.step(logits)
-		if err == nil {
-			return tok, nil
-		}
-		if sp := ld.spec; sp == nil || !sp.open {
-			return 0, err
-		}
-		rolledBack, rerr := ld.resolveWindow(err)
-		if !rolledBack {
-			return 0, rerr
-		}
-	}
-}
-
-// step decides one token (see next, its driver-facing wrapper).
-func (ld *laneDecoder) step(logits []float32) (int, error) {
 	if ld.finished {
 		return 0, fmt.Errorf("core: laneDecoder.next after finish")
 	}
@@ -291,21 +246,6 @@ func (ld *laneDecoder) step(logits []float32) (int, error) {
 		return tok, nil
 	}
 	e := ld.e
-	// Every call past the prompt samples, so each one is a speculative
-	// position: checkpoint it (opening a window if none is open) — unless a
-	// rollback just landed here, in which case this position re-decides on
-	// the exact path.
-	if sp := ld.spec; sp != nil {
-		if sp.exactNext {
-			sp.exactNext = false
-		} else if sp.warm > 0 {
-			sp.warm--
-		} else if sp.cool > 0 {
-			sp.cool--
-		} else {
-			ld.specCheckpoint(logits)
-		}
-	}
 	if !ld.inSlot {
 		if err := ld.beginSlot(); err != nil {
 			return 0, err
@@ -361,7 +301,7 @@ func (ld *laneDecoder) step(logits []float32) (int, error) {
 			ld.res.Stats.ForcedSteps++
 		}
 	}
-	tok := e.sampleMasked(logits, ld.allowed, ld.draw)
+	tok := e.sampleMasked(logits, ld.allowed, ld.rng)
 	if e.cfg.TraceHook != nil {
 		e.cfg.TraceHook(TraceStep{
 			Field: slot.Field, Index: slot.Index, Prefix: ld.state.String(),
@@ -388,19 +328,6 @@ func (ld *laneDecoder) beginSlot() error {
 		// drain a candidate's whole completion union locally before any
 		// solver work.
 		ld.oracle = e.newSlotOracle(e.slotVar(slot), &ld.res.Stats)
-		ld.oracle.spec = ld.spec
-		if ld.mergeO != nil {
-			// A rollback stashed the violated run's validation replica: its
-			// witnesses and envelope tightenings were proven at exactly this
-			// variable and assertion stack, so the re-decide starts with
-			// everything suffix validation already paid for — including the
-			// refutation that forced the rollback, when the envelope can
-			// express it.
-			if ld.mergeO.v == ld.oracle.v && e.solver.AssertionMark() == ld.mergeMark {
-				mergeOracle(ld.oracle, ld.mergeO)
-			}
-			ld.mergeO = nil
-		}
 		ld.sys = transition.NewBatch(e.maxDigits[slot.Field], ld.oracle.Feasible, ld.oracle.FeasibleAny)
 	}
 	if !ld.sys.HasPath() {
@@ -446,23 +373,14 @@ func (ld *laneDecoder) advance(tok int) error {
 			v := ld.state.Value()
 			ld.vals = append(ld.vals, v)
 			slot := e.cfg.Slots[ld.slot]
-			f := smt.Eq(smt.V(e.slotVar(slot)), smt.C(v))
 			wasValid := e.lastModel != nil && e.lastModelEpoch == e.solver.Epoch()
-			e.solver.Assert(f)
-			if sp := ld.spec; sp != nil && sp.open {
-				// Journaled so suffix validation can rebuild any probe-time
-				// stack; the assert itself lands as usual, above the
-				// window's base mark.
-				sp.asserts = append(sp.asserts, f)
-			}
+			e.solver.Assert(smt.Eq(smt.V(e.slotVar(slot)), smt.C(v)))
 			// Carry the witness model across the assert when possible: if it
 			// already assigned the pinned value it remains a model of the
 			// extended stack as-is; otherwise try patching it to the value
 			// (shifting the residual of at most one coupling conjunct, see
 			// patchValue). Keeping the model alive here is what keeps the
-			// patch fast path productive for the following slots — during an
-			// open speculation window there are no solver probes to refresh
-			// it, so this repair is the only witness source until the settle.
+			// patch fast path productive for the following slots.
 			if wasValid && (e.lastModel[e.slotVar(slot)] == v || e.patchValue(e.slotVar(slot), v)) {
 				e.lastModelEpoch = e.solver.Epoch()
 			}
@@ -473,9 +391,6 @@ func (ld *laneDecoder) advance(tok int) error {
 			if err != nil {
 				return fmt.Errorf("core: stepping transition system: %w", err)
 			}
-			// Digits fall through: boundary is false for them and completion
-			// is false while inSlot, so only the window-full check below can
-			// act — exactly what a full window mid-value needs.
 			ld.state = st
 		}
 	}
@@ -484,35 +399,19 @@ func (ld *laneDecoder) advance(tok int) error {
 		// value and a restored one re-arms the next slot's oracle.
 		ld.maybeCapture()
 	}
-	if sp := ld.spec; sp != nil && sp.open && ld.sampled {
-		if ld.complete() || len(sp.cps) >= sp.curK {
-			// Window full or record complete: settle it. On rollback the
-			// restored state fails the completion re-check below and the
-			// driver's next call retries the rolled-back position (its
-			// logits buffer was restored in place).
-			if _, err := ld.resolveWindow(nil); err != nil {
-				return err
-			}
-		}
-	}
 	if ld.complete() {
 		ld.res.Rec = e.assemble(ld.known, ld.fromSlot, ld.vals)
 		ld.finish()
 	}
-	// Stream newly completed slots, but never from inside an open lookahead
-	// window: a rollback may still erase them. resolveWindow above has
-	// already settled full/complete windows, so commits flush here too.
-	if ld.emit != nil && (ld.spec == nil || !ld.spec.open) {
+	if ld.emit != nil {
 		ld.flushEmit()
 	}
 	return nil
 }
 
 // flushEmit renders every completed-but-unstreamed slot of key to the emit
-// hook. Must only be called outside an open speculation window (advance
-// guards this), which is what makes streamed chunks irrevocable: the first
-// checkpoint of any later window sits at or past emitTok, so no rollback
-// truncates below it.
+// hook. A completed slot is final — every token is decided exactly once —
+// so streamed chunks are never retracted.
 func (ld *laneDecoder) flushEmit() {
 	e := ld.e
 	for ld.emitSlots < ld.keySlots {
@@ -587,17 +486,6 @@ func (ld *laneDecoder) maybeCapture() {
 	key := append([]int(nil), ld.key...)
 	snap := &prefixcache.Snapshot{
 		Sess: sess, Model: model, RuleEpoch: e.fingerprint, Slots: ld.keySlots,
-	}
-	if sp := ld.spec; sp != nil && sp.open {
-		// Mid-window boundaries stage their snapshots instead of publishing
-		// them: other requests must never warm-start from a prefix that has
-		// not validated. genCaps advances now so the cap applies within the
-		// window; a rollback restores it from the checkpoint.
-		sp.caps = append(sp.caps, specCapture{key: key, snap: snap, gen: gen})
-		if gen {
-			ld.genCaps++
-		}
-		return
 	}
 	if cache.Insert(key, snap) {
 		ld.res.Stats.PrefixCaptures++

@@ -82,21 +82,9 @@ type prefixBatchSession interface {
 	CloneLane(lane int) *nn.Session
 }
 
-// rewindBatchSession is the optional BatchSession extension speculative
-// decoding needs: rewinding one lane to an earlier position and restoring
-// its logits row in place. *nn.BatchSession implements it; lanes of a
-// BatchLM whose sessions do not simply decode on the exact path. Lanes
-// speculate privately between shared AppendBatch steps — a rollback only
-// moves the lane's own ragged position, which the batched forward already
-// handles, so batch-mates never desync.
-type rewindBatchSession interface {
-	RewindLane(lane, pos int, logits []float32) error
-}
-
 // sessionBatch implements BatchSession over n plain Sessions by looping
 // Append, for LMs that have no batched forward pass (pack.UniformLM, test
-// LMs). It implements neither prefixBatchSession nor rewindBatchSession, so
-// its lanes decode cold and exact.
+// LMs). It does not implement prefixBatchSession, so its lanes decode cold.
 type sessionBatch struct {
 	sess []Session
 	pos  []int
@@ -191,9 +179,9 @@ func (e *Engine) releaseBatchSession(bs BatchSession) {
 }
 
 // lsLane is one guided decode, resolved: its context already carries the
-// request's prefix-cache and lookahead overrides. rng is the caller's for a
-// direct Impute/Generate; for a batch lane it is nil until the lane starts,
-// and is then the lane engine's own RNG seeded with seed.
+// request's prefix-cache override. rng is the caller's for a direct
+// Impute/Generate; for a batch lane it is nil until the lane starts, and is
+// then the lane engine's own RNG seeded with seed.
 type lsLane struct {
 	out   *BatchResult
 	ctx   context.Context
@@ -241,8 +229,8 @@ func (e *Engine) failLane(la *lsLane, err error) {
 }
 
 // startLane builds la's decoder on its engine and wires it to lane la.slot
-// of bs: speculation when the session can rewind a lane, prefix-cache warm
-// start and snapshot capture when it can seed and clone one. It reports
+// of bs: prefix-cache warm start and snapshot capture when the session can
+// seed and clone a lane. It reports
 // whether the lane has tokens to decode; a lane that failed or finished
 // during set-up has its outcome recorded already.
 func (e *Engine) startLane(bs BatchSession, la *lsLane) bool {
@@ -261,12 +249,6 @@ func (e *Engine) startLane(bs BatchSession, la *lsLane) bool {
 		la.ld = la.eng.newLaneDecoder(la.ctx, la.known, la.rng, la.plan)
 		if la.ld.done() {
 			return nil
-		}
-		if rbs, ok := bs.(rewindBatchSession); ok {
-			la.ld.installRewind(
-				func() int { return bs.Len(la.slot) },
-				func(pos int, logits []float32) error { return rbs.RewindLane(la.slot, pos, logits) },
-			)
 		}
 		pbs, ok := bs.(prefixBatchSession)
 		if !ok {

@@ -46,16 +46,6 @@ type slotOracle struct {
 	hasW     bool
 	wLo, wHi int64   // extreme witnessed-feasible values
 	wvals    []int64 // individual witnesses (tainted slots only)
-
-	// spec, when non-nil with an open window, redirects probes the fast
-	// path cannot decide into the lane's speculation journal instead of the
-	// solver: the probe is answered true optimistically and settled by the
-	// window's batched suffix validation (spec.go, DESIGN.md §13).
-	// Optimistic answers never feed the interval state — addWitness and
-	// noteUnsat accept only certificates.
-	spec *laneSpec
-
-	one [1][2]int64
 }
 
 // wvalsCap sizes a tainted slot's witness list at slot start, so the
@@ -233,23 +223,15 @@ func (o *slotOracle) tryPatch(x int64) bool {
 	return false
 }
 
-// patchValue attempts to keep lastModel a full model under M[v] = x.
-// Callers must ensure lastModel is valid for the current stack minus any
-// constraint on v itself (the oracle fast path and the separator-assert
-// repair in advance() both do).
+// patchValue attempts to keep lastModel a full model of the current stack
+// under M[v] = x: it evaluates every rule conjunct mentioning v under the
+// patched model (smt.Holds: the model is indexed by variable, so a conjunct
+// costs a slice read per term), keeping the patch on success and rolling it
+// back on any failure. Callers must ensure lastModel is valid for the
+// current stack minus any constraint on v itself (the oracle fast path and
+// the separator-assert repair in advance() both do).
 func (e *Engine) patchValue(v smt.Var, x int64) bool {
-	return e.patchModel(e.lastModel, v, x)
-}
-
-// patchModel attempts to keep m a full model of the current stack under
-// M[v] = x: it evaluates every rule conjunct mentioning v under the patched
-// model (smt.Holds: m is indexed by variable, so a conjunct costs a slice
-// read per term), keeping the patch on success and rolling it back on any
-// failure. m must be a model of the current stack minus any constraint on v
-// itself — speculative suffix validation runs this against a scratch copy
-// of the window's settle model at a replayed probe-time stack, where that
-// holds because the stack is a prefix of the settled one.
-func (e *Engine) patchModel(m []int64, v smt.Var, x int64) bool {
+	m := e.lastModel
 	old := m[v]
 	if x == old {
 		// m already satisfies the stack with this value.
@@ -420,11 +402,6 @@ func (o *slotOracle) Feasible(lo, hi int64) bool {
 			return true
 		}
 	}
-	if sp := o.spec; sp != nil && sp.open {
-		o.one[0] = [2]int64{lo, hi}
-		sp.deferProbe(o.v, o.one[:])
-		return true
-	}
 	return o.probe(lo, hi)
 }
 
@@ -462,7 +439,7 @@ func (o *slotOracle) FeasibleAny(ranges [][2]int64) bool {
 		}
 	}
 	o.e.rangeBuf = und
-	for j, r := range und {
+	for _, r := range und {
 		o.st.OracleQueries++
 		// Earlier probes in this loop may have refined the state.
 		if d := o.answerLocal(r[0], r[1]); d != 0 {
@@ -477,14 +454,6 @@ func (o *slotOracle) FeasibleAny(ranges [][2]int64) bool {
 			if o.e.cfg.ValidateFastPath {
 				o.crossCheck(r[0], r[1], true)
 			}
-			return true
-		}
-		if sp := o.spec; sp != nil && sp.open {
-			// Defer the whole undecided remainder as one disjunctive probe:
-			// its exact answer is precisely this loop's residual answer
-			// (every earlier range was proven infeasible), so validation
-			// decides the batch query itself, not a single range of it.
-			sp.deferProbe(o.v, und[j:])
 			return true
 		}
 		if o.probe(r[0], r[1]) {
@@ -507,10 +476,11 @@ func (e *Engine) noteModel(m []int64) {
 	e.lastModelEpoch = e.solver.Epoch()
 }
 
-// noteSolverModel is noteModel of denseModel(m), re-indexed into the array
-// lastModel already holds when it is large enough. That array is the
-// engine's own — every reader that keeps a witness past the next probe
-// (speculation checkpoints, prefix-cache captures) keeps a copy — and
+// noteSolverModel is noteModel of m re-indexed by variable (solver models
+// are complete — one entry per declared variable — so the slice has no
+// gaps), written into the array lastModel already holds when it is large
+// enough. That array is the engine's own — a prefix-cache capture, the one
+// reader that keeps a witness past the next probe, keeps a copy — and
 // patching already rewrites it in place.
 func (e *Engine) noteSolverModel(m map[smt.Var]int64) {
 	d := e.lastModel
@@ -522,19 +492,6 @@ func (e *Engine) noteSolverModel(m map[smt.Var]int64) {
 		d[v] = x
 	}
 	e.noteModel(d)
-}
-
-// denseModel re-indexes a solver model by variable. Solver models are
-// complete — one entry per declared variable — so the slice has no gaps.
-func denseModel(m map[smt.Var]int64) []int64 {
-	if m == nil {
-		return nil
-	}
-	d := make([]int64, len(m))
-	for v, x := range m {
-		d[v] = x
-	}
-	return d
 }
 
 // conjunctsOn returns the rule formula's top-level conjuncts that mention v,

@@ -114,9 +114,9 @@ func (bs *BatchSession) Lanes() int { return bs.n }
 
 // Reset empties every lane, making the session as good as a new one of the
 // same size. Only the positions are cleared: a lane never reads KV rows at
-// or past its length, nor logits before its first step (RewindLane relies on
-// the same), and every row it does read it has written since — so the stale
-// floats of a previous batch are never seen and need no zeroing.
+// or past its length, nor logits before its first step, and every row it
+// does read it has written since — so the stale floats of a previous batch
+// are never seen and need no zeroing.
 func (bs *BatchSession) Reset() { clear(bs.pos) }
 
 // Len reports the number of tokens lane has consumed.
@@ -272,29 +272,6 @@ func (bs *BatchSession) Logits(lane int) []float32 {
 	}
 	v := bs.m.Cfg.Vocab
 	return bs.logits[lane*v : (lane+1)*v]
-}
-
-// RewindLane truncates one lane back to pos consumed tokens and restores its
-// pending logits row from the caller-supplied snapshot. The lane's KV cache
-// block needs no clearing: attention reads only positions ≤ the lane's
-// current length, and re-decoding overwrites the stale tail in place. The
-// logits are copied into the lane's fixed row, so a caller holding the
-// Logits(lane) slice sees the restored values. Other lanes are untouched —
-// this is how a speculating lock-step lane rolls back without desyncing the
-// batch (DESIGN.md §13).
-func (bs *BatchSession) RewindLane(lane, pos int, logits []float32) error {
-	v := bs.m.Cfg.Vocab
-	switch {
-	case lane < 0 || lane >= bs.n:
-		return fmt.Errorf("nn: RewindLane lane %d outside batch of %d", lane, bs.n)
-	case pos < 0 || pos > bs.pos[lane]:
-		return fmt.Errorf("nn: RewindLane(%d) outside [0,%d]", pos, bs.pos[lane])
-	case len(logits) != v:
-		return fmt.Errorf("nn: RewindLane logits length %d, want %d", len(logits), v)
-	}
-	bs.pos[lane] = pos
-	copy(bs.logits[lane*v:(lane+1)*v], logits)
-	return nil
 }
 
 // CloneLane freezes lane into a snapshot Session: same consumed prefix, same

@@ -50,67 +50,6 @@ func compareRows(t *testing.T, got, want [][]float32, ctx string) {
 	}
 }
 
-// TestParallelRewindMatchesSerial rolls a speculating lane back mid-window in
-// every lane group at once, over one shared model, and requires each group's
-// post-rollback decode to be bit-identical to the same schedule run serially
-// and to a solo session that never speculated.
-func TestParallelRewindMatchesSerial(t *testing.T) {
-	cfg := Config{Vocab: 13, Ctx: 20, Dim: 24, Heads: 4, Layers: 2}
-	m := goldenModel(t, cfg, 710)
-	rng := rand.New(rand.NewSource(43))
-	prefix := randSeq(rng, 5, cfg.Vocab)
-	spec := randSeq(rng, 4, cfg.Vocab)
-	real := randSeq(rng, 6, cfg.Vocab)
-
-	// Batch lane 0 speculates and rolls back; lane 1 rides along so the batch
-	// stays ragged. Rows alternate rewound lane, solo reference.
-	run := func(int) ([][]float32, error) {
-		bs := m.NewBatchSession(2)
-		s := m.NewSession()
-		for _, tok := range prefix {
-			if err := bs.AppendBatch([]int{0, 1}, []int{tok, tok}); err != nil {
-				return nil, err
-			}
-			if err := s.Append(tok); err != nil {
-				return nil, err
-			}
-		}
-		mark := bs.Len(0)
-		snap := append([]float32(nil), bs.Logits(0)...)
-		for _, tok := range spec {
-			if err := bs.AppendBatch([]int{0}, []int{tok}); err != nil {
-				return nil, err
-			}
-		}
-		if err := bs.RewindLane(0, mark, snap); err != nil {
-			return nil, err
-		}
-		var rows [][]float32
-		for _, tok := range real {
-			if err := bs.AppendBatch([]int{0, 1}, []int{tok, tok}); err != nil {
-				return nil, err
-			}
-			if err := s.Append(tok); err != nil {
-				return nil, err
-			}
-			rows = append(rows, append([]float32(nil), bs.Logits(0)...))
-			rows = append(rows, append([]float32(nil), s.Logits()...))
-		}
-		return rows, nil
-	}
-
-	base, err := run(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < len(base); i += 2 {
-		compareLogitsBits(t, base[i], base[i+1], "serial rewound lane vs solo")
-	}
-	for g, rows := range inLaneGroups(t, run) {
-		compareRows(t, rows, base, fmt.Sprintf("lane group %d", g))
-	}
-}
-
 // TestParallelSeedLaneMatchesSerial warm-starts lanes in every lane group at
 // once from one frozen prefix session (the cross-request prefix cache hit
 // path, whose source the groups share) and requires each group to match the

@@ -14,8 +14,8 @@ import (
 )
 
 // testLM returns a tiny untrained transformer: deterministic, cheap to
-// build, and — unlike UniformLM — a BatchLM, so the lock-step and
-// speculative paths are exercised too.
+// build, and — unlike UniformLM — a BatchLM, so the lock-step path is
+// exercised too.
 func testLM(t *testing.T, vocabSize int) core.LM {
 	t.Helper()
 	m, err := nn.New(nn.Config{Vocab: vocabSize, Ctx: 64, Dim: 16, Heads: 2, Layers: 1}, 7)
@@ -58,7 +58,7 @@ func TestTelemetrySlotsMatchDirectGrammar(t *testing.T) {
 
 // TestTelemetryPackMatchesDirect is the bit-exactness golden: the telemetry
 // pack must decode byte-identically to the pre-pack construction path on the
-// solo guided path, the lock-step GEMM path, and the speculative path.
+// solo guided path and the lock-step GEMM path.
 func TestTelemetryPackMatchesDirect(t *testing.T) {
 	schema := dataset.Schema()
 	rs, err := rules.ParseRuleSet(`
@@ -125,25 +125,6 @@ rule c6: Congestion > 0 -> max(I) >= BW/2
 			for i := range res {
 				if res[i].Err != nil {
 					t.Fatalf("lockstep decode %d: %v", i, res[i].Err)
-				}
-				out[i] = res[i].Res.Rec
-			}
-			return out
-		}},
-		{"speculative", func(e *core.Engine) []rules.Record {
-			k := 8
-			reqs := make([]core.BatchRequest, len(prompts))
-			for i, p := range prompts {
-				reqs[i] = core.BatchRequest{Prompt: p, Lookahead: &k}
-			}
-			res, err := e.DecodeRequests(context.Background(), reqs, 2, 42, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out := make([]rules.Record, len(prompts))
-			for i := range res {
-				if res[i].Err != nil {
-					t.Fatalf("speculative decode %d: %v", i, res[i].Err)
 				}
 				out[i] = res[i].Res.Rec
 			}

@@ -44,7 +44,6 @@ type Job struct {
 	Seed          int64
 	Decode        core.DecodeCtxFn // nil → engine-default guided decode
 	NoPrefixCache bool
-	Lookahead     *int
 	Start         time.Time
 	// Resp must be buffered (cap ≥ 1): shards never block delivering to a
 	// caller that already gave up on its deadline.
@@ -367,7 +366,7 @@ func (r *Router) runGroup(sh *shard, eng *core.Engine, group []*Job) {
 		seed := j.Seed
 		reqs[i] = core.BatchRequest{
 			Prompt: j.Prompt, Ctx: j.Ctx, Seed: &seed, Decode: j.Decode,
-			NoPrefixCache: j.NoPrefixCache, Lookahead: j.Lookahead,
+			NoPrefixCache: j.NoPrefixCache,
 		}
 	}
 	out, err := eng.DecodeRequests(context.Background(), reqs, r.cfg.Workers, 0, nil)

@@ -44,11 +44,6 @@ type DecodeRequest struct {
 	// state nor leaves snapshots behind. The response is unchanged either
 	// way (warm decodes are bit-identical); this is an isolation knob.
 	NoPrefixCache bool `json:"no_prefix_cache,omitempty"`
-	// Lookahead, when set, overrides the daemon's speculative-decoding
-	// window (the -lookahead flag) for this request; 0 forces the exact
-	// path. The response is bit-identical for every value (DESIGN.md §13) —
-	// this is a latency knob, not a quality one.
-	Lookahead *int `json:"lookahead,omitempty"`
 	// Stream switches the response to Server-Sent Events: one "slot" event
 	// per completed grammar slot as the decode proves it exact, then a
 	// terminal "done" event carrying the full DecodeResponse (or an "error"
@@ -74,9 +69,6 @@ type StatsJSON struct {
 	ForcedSteps  int    `json:"forced_steps"`
 	SolverChecks uint64 `json:"solver_checks"`
 	Attempts     int    `json:"attempts,omitempty"`
-	// Speculative-decoding counters (zero unless a lookahead was in effect).
-	SpecAcceptedTokens int `json:"spec_accepted_tokens,omitempty"`
-	SpecRollbacks      int `json:"spec_rollbacks,omitempty"`
 }
 
 // DecodeResponse is the body of a successful impute/generate response.
@@ -181,9 +173,6 @@ func ParseDecodeRequest(r io.Reader, schema *rules.Schema, allowKnown bool) (*De
 	}
 	if req.TimeoutMs < 0 {
 		return nil, badRequestf("timeout_ms must be non-negative")
-	}
-	if req.Lookahead != nil && *req.Lookahead < 0 {
-		return nil, badRequestf("lookahead must be non-negative")
 	}
 	if !allowKnown && len(req.Known) > 0 {
 		return nil, badRequestf("generate takes no known fields; use /v1/impute")

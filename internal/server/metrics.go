@@ -55,10 +55,8 @@ func (h *histogram) write(w io.Writer, name string) {
 
 // packCounters are the decode counters kept per domain pack.
 type packCounters struct {
-	tokens        uint64
-	solverChecks  uint64
-	specAccepted  uint64
-	specRollbacks uint64
+	tokens       uint64
+	solverChecks uint64
 }
 
 // Metrics is the daemon's hand-rolled Prometheus registry: a handful of
@@ -78,10 +76,8 @@ type Metrics struct {
 	latency   *histogram // end-to-end request seconds (enqueue → reply)
 
 	// perPack holds the decode counters, by domain pack: decoded tokens (from
-	// core.Stats), SMT checks attributable to served decodes, and the
-	// speculative-decoding counters (DESIGN.md §13) — tokens committed via an
-	// accepted lookahead window, and windows rolled back after validation.
-	// Snapshot's totals are their sums.
+	// core.Stats) and SMT checks attributable to served decodes. Snapshot's
+	// totals are their sums.
 	perPack map[string]*packCounters
 
 	// Fault-isolation counters (DESIGN.md §10): every failed record of a
@@ -235,7 +231,7 @@ func (m *Metrics) countShardDrain() {
 	m.mu.Unlock()
 }
 
-func (m *Metrics) countDecode(pk string, tokens int, solverChecks uint64, specAccepted, specRollbacks int) {
+func (m *Metrics) countDecode(pk string, tokens int, solverChecks uint64) {
 	m.mu.Lock()
 	pc := m.perPack[pk]
 	if pc == nil {
@@ -244,8 +240,6 @@ func (m *Metrics) countDecode(pk string, tokens int, solverChecks uint64, specAc
 	}
 	pc.tokens += uint64(tokens)
 	pc.solverChecks += solverChecks
-	pc.specAccepted += uint64(specAccepted)
-	pc.specRollbacks += uint64(specRollbacks)
 	m.mu.Unlock()
 }
 
@@ -281,10 +275,8 @@ func (m *Metrics) budgetTrips() uint64 {
 type PackSnapshot struct {
 	Requests map[string]map[int]uint64 // route → code
 
-	Tokens             uint64
-	SolverChecks       uint64
-	SpecAcceptedTokens uint64
-	SpecRollbacks      uint64
+	Tokens       uint64
+	SolverChecks uint64
 
 	// Prefix and the reload counters are sampled from the pack registry.
 	Prefix       prefixcache.Stats
@@ -309,9 +301,6 @@ type Snapshot struct {
 	// decoding. A full in-flight batch with an empty queue shows up here,
 	// which the queue gauge alone would report as zero load.
 	Inflight int
-
-	SpecAcceptedTokens uint64
-	SpecRollbacks      uint64
 
 	BudgetExhausted uint64
 	PanicsRecovered uint64
@@ -388,14 +377,10 @@ func (m *Metrics) snapshotLocked() Snapshot {
 		ps := packSnap(pk)
 		ps.Tokens = pc.tokens
 		ps.SolverChecks = pc.solverChecks
-		ps.SpecAcceptedTokens = pc.specAccepted
-		ps.SpecRollbacks = pc.specRollbacks
 		s.Packs[pk] = ps
 
 		s.Tokens += pc.tokens
 		s.SolverChecks += pc.solverChecks
-		s.SpecAcceptedTokens += pc.specAccepted
-		s.SpecRollbacks += pc.specRollbacks
 	}
 	if m.load != nil {
 		s.QueueDepth, s.Inflight = m.load()
@@ -529,18 +514,6 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 	fmt.Fprintln(w, "# TYPE lejitd_solver_checks_total counter")
 	for _, pk := range packNames {
 		fmt.Fprintf(w, "lejitd_solver_checks_total{pack=%q} %d\n", pk, m.perPack[pk].solverChecks)
-	}
-
-	fmt.Fprintln(w, "# HELP lejitd_speculation_accepted_tokens_total Tokens committed through accepted speculative lookahead windows, by domain pack.")
-	fmt.Fprintln(w, "# TYPE lejitd_speculation_accepted_tokens_total counter")
-	for _, pk := range packNames {
-		fmt.Fprintf(w, "lejitd_speculation_accepted_tokens_total{pack=%q} %d\n", pk, m.perPack[pk].specAccepted)
-	}
-
-	fmt.Fprintln(w, "# HELP lejitd_speculation_rollbacks_total Speculative windows rolled back after suffix validation failed, by domain pack.")
-	fmt.Fprintln(w, "# TYPE lejitd_speculation_rollbacks_total counter")
-	for _, pk := range packNames {
-		fmt.Fprintf(w, "lejitd_speculation_rollbacks_total{pack=%q} %d\n", pk, m.perPack[pk].specRollbacks)
 	}
 
 	if m.packStats != nil {

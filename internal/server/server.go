@@ -344,7 +344,6 @@ func (s *Server) serveDecode(w http.ResponseWriter, r *http.Request, route strin
 		Seed:          seed,
 		Decode:        decode,
 		NoPrefixCache: req.NoPrefixCache,
-		Lookahead:     req.Lookahead,
 		Start:         time.Now(),
 		Resp:          make(chan router.Result, 1),
 	}
@@ -418,7 +417,7 @@ func (s *Server) buildDecodeOutcome(pk *pack.Compiled, res router.Result) decode
 		}
 	}
 	st := res.Res.Stats
-	s.metrics.countDecode(pk.Def.Name, st.Tokens, st.SolverChecks, st.SpecAcceptedTokens, st.SpecRollbacks)
+	s.metrics.countDecode(pk.Def.Name, st.Tokens, st.SolverChecks)
 	line, err := pk.FormatRecord(res.Res.Rec)
 	if err != nil {
 		return decodeOutcome{code: http.StatusInternalServerError, errMsg: err.Error()}
@@ -433,7 +432,6 @@ func (s *Server) buildDecodeOutcome(pk *pack.Compiled, res router.Result) decode
 		Stats: StatsJSON{
 			Tokens: st.Tokens, MaskedSteps: st.MaskedSteps, ForcedSteps: st.ForcedSteps,
 			SolverChecks: st.SolverChecks, Attempts: st.Attempts,
-			SpecAcceptedTokens: st.SpecAcceptedTokens, SpecRollbacks: st.SpecRollbacks,
 		},
 	}
 	if pk.Rules != nil {

@@ -208,6 +208,26 @@ func TestHandlerUnknownField(t *testing.T) {
 	}
 }
 
+// TestParseRejectsLookahead: the request schema has no lookahead field
+// (there is one decode path, DESIGN.md §13), so a body that sends one is a
+// client error that names the field, not a silently ignored knob.
+func TestParseRejectsLookahead(t *testing.T) {
+	s := newTestServer(t, nil)
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	resp, data := postJSON(t, ts, "/v1/impute", `{"known": {"TotalIngress": [10]}, "lookahead": 4}`)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400 (body %s)", resp.StatusCode, data)
+	}
+	var e ErrorResponse
+	if err := json.Unmarshal(data, &e); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(e.Error, "lookahead") {
+		t.Errorf("error %q does not name the lookahead field", e.Error)
+	}
+}
+
 func TestGenerateRejectsKnown(t *testing.T) {
 	s := newTestServer(t, nil)
 	ts := httptest.NewServer(s)

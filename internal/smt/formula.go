@@ -370,52 +370,3 @@ func FormulaString(f Formula) string {
 	f.fString(&b)
 	return b.String()
 }
-
-// formulaEqual reports structural equality of two formulas. Assert uses it
-// to detect that a formula exactly replays one discarded by TruncateTo —
-// the undo case that restores the stack's previous epoch — so it must never
-// report a false positive; a false negative merely costs a recompile.
-func formulaEqual(a, b Formula) bool {
-	switch x := a.(type) {
-	case boolF:
-		y, ok := b.(boolF)
-		return ok && x.v == y.v
-	case atomF:
-		y, ok := b.(atomF)
-		return ok && x.a.Op == y.a.Op && linExprEqual(x.a.Expr, y.a.Expr)
-	case notF:
-		y, ok := b.(notF)
-		return ok && formulaEqual(x.f, y.f)
-	case andF:
-		y, ok := b.(andF)
-		return ok && formulasEqual(x.fs, y.fs)
-	case orF:
-		y, ok := b.(orF)
-		return ok && formulasEqual(x.fs, y.fs)
-	}
-	return false
-}
-
-func formulasEqual(a, b []Formula) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !formulaEqual(a[i], b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-func linExprEqual(a, b LinExpr) bool {
-	if a.k != b.k || len(a.terms) != len(b.terms) {
-		return false
-	}
-	for i := range a.terms {
-		if a.terms[i] != b.terms[i] {
-			return false
-		}
-	}
-	return true
-}

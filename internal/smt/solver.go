@@ -70,40 +70,21 @@ type Solver struct {
 
 	asserted []Formula
 	compiled []compiledAssert // parallel to asserted: lowered once at Assert
-	frames   []int            // assertion-stack frame marks for Push/Pop
+	frames   []frame          // one per open Push
 
 	// epoch identifies the solver's logical state: two moments with equal
 	// epochs have identical declared variables and identical assertion
 	// stacks. Anything a caller memoizes against an epoch (the decoder's
 	// witness model) is valid exactly when the epoch matches again. Fresh
-	// epochs come from epochSrc; returning to a previous state — TruncateTo,
-	// or an Assert that replays the formula a TruncateTo discarded —
-	// restores that state's old epoch, which is what keeps the memos warm
-	// across speculative stack rewinds.
+	// epochs come from epochSrc; a Pop returns the solver to the state its
+	// Push saw and restores that state's epoch, which is what keeps such
+	// memos warm across records.
 	epoch    uint64
 	epochSrc uint64 // monotone source of never-reused fresh epoch values
 	// gen guards epoch restoration: it advances when the variable set
-	// changes (NewVar), so a recorded epoch is only restored if the
-	// variables are still exactly those it was recorded under.
-	gen    uint64
-	epoch0 uint64 // epoch of the empty assertion stack, valid while gen0 == gen
-	gen0   uint64
-	// posEpoch[i] and posGen[i] record the epoch right after position i was
-	// asserted (equivalently: the epoch of the stack prefix of length i+1)
-	// and the variable generation it was recorded under. TruncateTo uses
-	// them to restore the shortened stack's epoch, re-recording at the
-	// current generation when the old one no longer applies.
-	posEpoch []uint64
-	posGen   []uint64
-	// shadow retains the tail most recently discarded by TruncateTo,
-	// starting at stack position shadowBase. An Assert that exactly matches
-	// the next shadowed formula is an undo: it reuses the retained compiled
-	// form and restores the retained epoch instead of recompiling and
-	// invalidating every memo. The first mismatching Assert drops the
-	// shadow. This is what makes a speculation journal replay (truncate to
-	// a checkpoint, re-assert the same suffix) free for the base stores.
-	shadow     []shadowEntry
-	shadowBase int
+	// changes (NewVar), so a saved epoch is only restored if the variables
+	// are still exactly those it was saved under.
+	gen uint64
 
 	// base0 memoizes the propagated store of the empty assertion stack; the
 	// store of every other stack prefix lives on the assertion that
@@ -154,10 +135,8 @@ type Solver struct {
 // applied, atoms normalized into linear constraints, disjunctions collected.
 // unsat marks a formula with a trivially-false conjunct. base memoizes the
 // propagated store of the stack prefix this assertion completes (nil until
-// a Check needs it); living here, it is dropped by Pop, retained by
-// TruncateTo and restored by a replaying Assert together with the compiled
-// form, so a caller ping-ponging between stack heights builds each height
-// once.
+// a Check needs it); living here, it is dropped by Pop together with the
+// compiled form.
 type compiledAssert struct {
 	cons  []lincon
 	disj  []orF
@@ -165,14 +144,11 @@ type compiledAssert struct {
 	base  *baseStore
 }
 
-// shadowEntry is one assertion retained across a TruncateTo for undo
-// detection: the formula, its compiled form, and the epoch the stack had
-// right after it was originally asserted.
-type shadowEntry struct {
-	f     Formula
-	ca    compiledAssert
-	epoch uint64
-	gen   uint64
+// frame is one open Push: the stack height Pop truncates back to, and the
+// epoch and variable generation the solver had when it was pushed.
+type frame struct {
+	mark       int
+	epoch, gen uint64
 }
 
 // compileAssert lowers f for the propagation engine, once per Assert instead
@@ -244,8 +220,7 @@ loop:
 // the parent's term and alternative arrays (terms, live): a store may
 // therefore only be recycled together with every store derived from it,
 // which Pop guarantees — a derived store sits higher on the stack than its
-// parent — except for stores a TruncateTo shadow retains, which are never
-// recycled (shadowed).
+// parent.
 type baseStore struct {
 	gen      uint64 // variable generation built under; stale once it differs
 	conflict bool   // the assertions alone are Unsat
@@ -269,10 +244,6 @@ type baseStore struct {
 	// terms the normalized terms of the unit rows it folded in.
 	live  []Formula
 	terms []term
-	// shadowed marks a store a TruncateTo shadow has held: it may be
-	// replayed into the stack at any later point, so it goes to the GC
-	// rather than back to freeBases.
-	shadowed bool
 }
 
 // csr is a compressed row index over bounds: the entries of bound b are
@@ -319,135 +290,43 @@ func (s *Solver) VarName(v Var) string { return s.names[v] }
 func (s *Solver) Bounds(v Var) (lo, hi int64) { return s.lo[v], s.hi[v] }
 
 // Assert adds f to the current assertion frame. The formula is compiled
-// (NNF + atom normalization) once, here, not on every Check — and when f
-// exactly replays the formula a TruncateTo discarded at this position, not
-// even that: the retained compiled form is reused and the stack's previous
-// epoch is restored, so every memo keyed on it becomes valid again.
+// (NNF + atom normalization) once, here, not on every Check.
 func (s *Solver) Assert(f Formula) {
-	pos := len(s.asserted)
-	if i := pos - s.shadowBase; len(s.shadow) > 0 && i >= 0 && i < len(s.shadow) && formulaEqual(s.shadow[i].f, f) {
-		se := &s.shadow[i]
-		s.asserted = append(s.asserted, se.f)
-		s.compiled = append(s.compiled, se.ca)
-		if se.gen == s.gen {
-			s.epoch = se.epoch
-		} else {
-			s.bumpEpoch()
-			se.epoch, se.gen = s.epoch, s.gen
-		}
-		s.posEpoch = append(s.posEpoch, s.epoch)
-		s.posGen = append(s.posGen, s.gen)
-		return
-	}
-	if i := pos - s.shadowBase; len(s.shadow) > 0 && i >= 0 && i < len(s.shadow) {
-		// Diverged from the retained tail: it can never match again.
-		s.shadow, s.shadowBase = nil, 0
-	}
 	s.asserted = append(s.asserted, f)
 	s.compiled = append(s.compiled, s.compileAssert(f))
 	s.bumpEpoch()
-	s.posEpoch = append(s.posEpoch, s.epoch)
-	s.posGen = append(s.posGen, s.gen)
 }
 
 // Push opens a new assertion frame.
 func (s *Solver) Push() {
-	s.frames = append(s.frames, len(s.asserted))
+	s.frames = append(s.frames, frame{mark: len(s.asserted), epoch: s.epoch, gen: s.gen})
 }
 
-// Pop discards every assertion added since the matching Push.
-// It panics if no frame is open.
+// Pop discards every assertion added since the matching Push and restores
+// the epoch the solver had at that Push — unless a NewVar inside the frame
+// changed the variable set, in which case the state is new and so is its
+// epoch. It panics if no frame is open.
 func (s *Solver) Pop() {
 	if len(s.frames) == 0 {
 		panic("smt: Pop without Push")
 	}
-	mark := s.frames[len(s.frames)-1]
+	fr := s.frames[len(s.frames)-1]
 	s.frames = s.frames[:len(s.frames)-1]
 	// The stores of the popped prefixes go back to freeBases. Every store
-	// derived from one of them sits higher still, so it is dropped here too;
-	// stores a shadow held may live on in it until now and go to the GC.
-	for i := mark; i < len(s.compiled); i++ {
-		if b := s.compiled[i].base; b != nil && !b.shadowed {
+	// derived from one of them sits higher still, so it is dropped here too.
+	for i := fr.mark; i < len(s.compiled); i++ {
+		if b := s.compiled[i].base; b != nil {
 			s.freeBases = append(s.freeBases, b)
 		}
 		s.compiled[i] = compiledAssert{}
 	}
-	s.asserted = s.asserted[:mark]
-	s.compiled = s.compiled[:mark]
-	s.posEpoch = s.posEpoch[:mark]
-	s.posGen = s.posGen[:mark]
-	s.shadow, s.shadowBase = nil, 0
-	s.restorePrefixEpoch(mark)
-}
-
-// restorePrefixEpoch sets the epoch for the stack prefix of length mark:
-// the recorded epoch when the variable set is unchanged since it was
-// recorded, a fresh one (re-recorded for next time) otherwise.
-func (s *Solver) restorePrefixEpoch(mark int) {
-	if mark == 0 {
-		if s.gen0 == s.gen {
-			s.epoch = s.epoch0
-		} else {
-			s.bumpEpoch()
-			s.epoch0, s.gen0 = s.epoch, s.gen
-		}
-		return
-	}
-	if s.posGen[mark-1] == s.gen {
-		s.epoch = s.posEpoch[mark-1]
+	s.asserted = s.asserted[:fr.mark]
+	s.compiled = s.compiled[:fr.mark]
+	if fr.gen == s.gen {
+		s.epoch = fr.epoch
 	} else {
 		s.bumpEpoch()
-		s.posEpoch[mark-1], s.posGen[mark-1] = s.epoch, s.gen
 	}
-}
-
-// AssertionMark returns a cursor into the assertion stack for TruncateTo.
-// Unlike Push, a mark is a plain integer with no frame bookkeeping: callers
-// that interleave speculative Asserts with an enclosing Push/Pop frame can
-// rewind to the mark any number of times without unbalancing the frames.
-func (s *Solver) AssertionMark() int { return len(s.asserted) }
-
-// TruncateTo discards every assertion added after the given AssertionMark.
-// It panics if mark is out of range or would cut into an enclosing Push
-// frame (Pop owns those assertions). Truncating to the current length is a
-// no-op. The epoch returns to the value the shortened stack had before, and
-// the discarded tail is retained: re-asserting the identical formulas walks
-// back up through their old epochs (see Assert), so a speculative
-// truncate-and-replay cycle leaves every epoch-keyed memo warm.
-func (s *Solver) TruncateTo(mark int) {
-	if mark < 0 || mark > len(s.asserted) {
-		panic(fmt.Sprintf("smt: TruncateTo(%d) outside [0,%d]", mark, len(s.asserted)))
-	}
-	if n := len(s.frames); n > 0 && mark < s.frames[n-1] {
-		panic(fmt.Sprintf("smt: TruncateTo(%d) below open frame at %d", mark, s.frames[n-1]))
-	}
-	top := len(s.asserted)
-	if mark == top {
-		return
-	}
-	// Retain [mark, top) for undo detection, then any previously retained
-	// entries above top (the live stack up to top matched them, or the
-	// shadow would already have been dropped).
-	var above []shadowEntry
-	if len(s.shadow) > 0 && s.shadowBase <= top {
-		if off := top - s.shadowBase; off < len(s.shadow) {
-			above = s.shadow[off:]
-		}
-	}
-	ns := make([]shadowEntry, 0, (top-mark)+len(above))
-	for i := mark; i < top; i++ {
-		if b := s.compiled[i].base; b != nil {
-			b.shadowed = true
-		}
-		ns = append(ns, shadowEntry{f: s.asserted[i], ca: s.compiled[i], epoch: s.posEpoch[i], gen: s.posGen[i]})
-	}
-	ns = append(ns, above...)
-	s.shadow, s.shadowBase = ns, mark
-	s.asserted = s.asserted[:mark]
-	s.compiled = s.compiled[:mark]
-	s.posEpoch = s.posEpoch[:mark]
-	s.posGen = s.posGen[:mark]
-	s.restorePrefixEpoch(mark)
 }
 
 // SetContext attaches ctx to subsequent Checks: once it is cancelled or its
@@ -459,12 +338,10 @@ func (s *Solver) SetContext(ctx context.Context) { s.ctx = ctx }
 
 // Epoch identifies the solver's logical state: equal epochs mean identical
 // declared variables and identical assertion stacks. It changes on NewVar,
-// Assert, Pop, and TruncateTo, and is stable across Check/CheckWith — but
-// it is not monotone: an operation that returns the solver to a previous
-// state (TruncateTo, or an Assert replaying a truncated formula) restores
-// that state's epoch. Callers may key memoized query results by it (LeJIT's
-// range-feasibility oracle cache does); restoration deliberately revalidates
-// such memos.
+// Assert and Pop, and is stable across Check/CheckWith — but it is not
+// monotone: a Pop returns the solver to the state of its Push and restores
+// that state's epoch. Callers may key memoized results by it (LeJIT's
+// witness model is); restoration deliberately revalidates such memos.
 func (s *Solver) Epoch() uint64 { return s.epoch }
 
 // NumAssertions reports the number of currently active assertions.
@@ -587,7 +464,7 @@ func (s *Solver) baseAt(n int) *baseStore {
 		parent = s.builtBase(p)
 	}
 	for i := len(s.frames) - 1; i >= 0 && parent == nil; i-- {
-		if f := s.frames[i]; 0 < f && f < n {
+		if f := s.frames[i].mark; 0 < f && f < n {
 			p, parent = f, s.baseAt(f)
 		}
 	}

@@ -6,9 +6,9 @@ import (
 )
 
 // TestEpochAdvances pins the epoch contract: NewVar, Assert, and Pop each
-// advance the epoch; Check and CheckWith never do. The oracle cache in
-// internal/core keys on this, so a silent change here would make stale
-// feasibility answers look fresh.
+// move the epoch off the current one; Check and CheckWith never do. The
+// witness model in internal/core keys on this, so a silent change here would
+// make a stale model look fresh.
 func TestEpochAdvances(t *testing.T) {
 	s := NewSolver()
 	e0 := s.Epoch()
@@ -33,6 +33,53 @@ func TestEpochAdvances(t *testing.T) {
 	s.Pop()
 	if s.Epoch() == e3 {
 		t.Error("Pop did not advance the epoch")
+	}
+}
+
+// TestPopRestoresPushEpoch pins what keeps internal/core's witness model
+// warm across records: after nested Push/Assert/Pop, each level's Pop
+// returns exactly the epoch the solver had before its Push, while a NewVar
+// inside a frame makes that frame's Pop yield an epoch never seen before
+// (the variable set differs, so no memo keyed on an old epoch may match).
+func TestPopRestoresPushEpoch(t *testing.T) {
+	s := NewSolver()
+	x := s.NewVar("x", 0, 100)
+	s.Assert(Ge(V(x), C(10)))
+	seen := map[uint64]bool{s.Epoch(): true}
+	var before []uint64
+	for depth := 0; depth < 3; depth++ {
+		before = append(before, s.Epoch())
+		s.Push()
+		s.Assert(Le(V(x), C(int64(90-depth))))
+		seen[s.Epoch()] = true
+		s.Check()
+	}
+	for depth := 2; depth >= 0; depth-- {
+		s.Pop()
+		if got := s.Epoch(); got != before[depth] {
+			t.Fatalf("Pop of level %d: epoch %d, want the pre-Push epoch %d", depth, got, before[depth])
+		}
+	}
+	if r := s.CheckWith(Eq(V(x), C(100))); r.Status != Sat {
+		t.Fatalf("CheckWith(x=100) after the pops = %v, want sat", r.Status)
+	}
+
+	// A NewVar inside a frame: the popped state has a variable the pushed
+	// one lacked, so its epoch is fresh — and so is the next such Pop's.
+	for i := 0; i < 2; i++ {
+		s.Push()
+		y := s.NewVar("y", 0, 5)
+		seen[s.Epoch()] = true
+		s.Assert(Ge(V(y), C(1)))
+		seen[s.Epoch()] = true
+		s.Pop()
+		if got := s.Epoch(); seen[got] {
+			t.Fatalf("Pop of a frame with a NewVar reused epoch %d", got)
+		}
+		seen[s.Epoch()] = true
+		if lo, hi, ok := s.BaseBounds(y); !ok || lo != 0 || hi != 5 {
+			t.Fatalf("BaseBounds(y) = [%d,%d] ok=%v, want [0,5] true", lo, hi, ok)
+		}
 	}
 }
 
