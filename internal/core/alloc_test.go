@@ -17,29 +17,61 @@ import (
 // crosses no slot boundary allocates nothing. Each such step of generated
 // and imputed records is replayed from a snapshot of the lane (with the
 // RNG re-seeded, so it samples the same token) under testing.AllocsPerRun.
+// The replayed steps must include model repairs that move two or more
+// variables besides the patched one — the last record's extra coupling makes
+// a patched Congestion move I[0] or I[1] and then a third I to restore the
+// sum — and the repair log lives on the engine.
 func TestFastPathStepAllocsNothing(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	e := nnTestEngine(t)
 	m := nnTestModel(t)
-	measured := 0
-	for i, known := range []rules.Record{nil, {"TotalIngress": {120}, "Congestion": {10}}, nil, {"TotalIngress": {200}, "Congestion": {2}}} {
+	plain := nnTestEngine(t)
+	chained := nnEngineWith(t, m, testRules+"rule r4: I[0] + I[1] == Congestion\n")
+	measured, multi := 0, 0
+	for i, c := range []struct {
+		e     *Engine
+		known rules.Record
+	}{
+		{plain, nil}, {plain, rules.Record{"TotalIngress": {120}, "Congestion": {10}}},
+		{plain, nil}, {plain, rules.Record{"TotalIngress": {200}, "Congestion": {2}}},
+		{chained, nil}, {chained, nil},
+	} {
+		e, known := c.e, c.known
 		rng := rand.New(rand.NewSource(int64(i)))
 		ld := e.newLaneDecoder(context.Background(), known, rng, nil)
 		sess := m.NewSession()
 		var logits []float32
 		for step := int64(0); !ld.done(); step++ {
 			warmStep := len(ld.pending) == 0 && ld.inSlot
+			// A replay restores the lane, its slot oracle and the witness
+			// model, so it repeats the first run's patches and repairs.
 			saved, checks := *ld, e.solver.Stats().Checks
+			savedModel := append([]int64(nil), e.lastModel...)
+			var savedOracle slotOracle
+			var savedW []int64
+			if ld.oracle != nil {
+				savedOracle, savedW = *ld.oracle, append(savedW, ld.oracle.wvals...)
+			}
 			rng.Seed(step)
+			e.nMoves = 0
 			tok, err := ld.next(logits)
 			if err != nil {
 				t.Fatal(err)
 			}
+			// The log holds the step's last patch; its moves stuck (the
+			// repair succeeded) unless they were rolled back to the old values.
+			repaired := func() bool { return e.nMoves >= 3 && e.lastModel[e.moves[1].v] != e.moves[1].old }
 			if warmStep && tok != ld.sepID && e.solver.Stats().Checks == checks {
+				multiStep := repaired()
 				allocs := testing.AllocsPerRun(20, func() {
 					*ld = saved
+					copy(e.lastModel, savedModel)
+					if o := saved.oracle; o != nil {
+						w := o.wvals[:0] // the list's grown array, as a rerun meets it
+						*o = savedOracle
+						o.wvals = append(w, savedW...)
+					}
 					rng.Seed(step)
 					if again, err := ld.next(logits); err != nil || again != tok {
 						t.Fatalf("replayed step sampled %d (%v), first run %d", again, err, tok)
@@ -54,6 +86,12 @@ func TestFastPathStepAllocsNothing(t *testing.T) {
 				if e.solver.Stats().Checks != checks {
 					t.Fatalf("record %v step %d: a replayed fast-path step reached the solver", known, step)
 				}
+				if multiStep {
+					if !repaired() {
+						t.Fatalf("record %v step %d: the replay did not repeat the first run's repair", known, step)
+					}
+					multi++
+				}
 				measured++
 			} else if err := ld.advance(tok); err != nil {
 				t.Fatal(err)
@@ -67,10 +105,10 @@ func TestFastPathStepAllocsNothing(t *testing.T) {
 			t.Fatal(ld.err)
 		}
 	}
-	if measured < 4 {
-		t.Fatalf("only %d fast-path steps measured: the gate checks too little", measured)
+	if measured < 4 || multi == 0 {
+		t.Fatalf("only %d fast-path steps measured, %d of them with a repair of ≥ 2 moves: the gate checks too little", measured, multi)
 	}
-	t.Logf("%d fast-path steps replayed", measured)
+	t.Logf("%d fast-path steps replayed, %d with a repair of ≥ 2 moves", measured, multi)
 }
 
 // TestReusedBatchSessionAllocsNothing: once a lane group's session is back

@@ -222,11 +222,11 @@ func (e *Engine) beamAdmissible(vals []int64, base []smt.Formula, slot Slot, st 
 		lo, hi := f.Lo, f.Hi
 		oracle = func(qlo, qhi int64) bool { return qlo <= hi && lo <= qhi }
 	} else {
-		oracle = transition.CachedOracle(func(qlo, qhi int64) bool {
+		oracle = func(qlo, qhi int64) bool {
 			probe := append(append([]smt.Formula(nil), side...),
 				smt.Ge(smt.V(v), smt.C(qlo)), smt.Le(smt.V(v), smt.C(qhi)))
 			return e.solver.CheckWith(probe...).Status == smt.Sat
-		})
+		}
 	}
 	sys := transition.New(e.maxDigits[slot.Field], oracle)
 	digits, canEnd := sys.Admissible(st)

@@ -293,6 +293,17 @@ type Engine struct {
 	// no solver check.
 	lastModel      []int64
 	lastModelEpoch uint64
+	// rulesModel is the model of the root engine's construction-time
+	// rules-only Check, indexed by smt.Var and shared read-only by every
+	// clone: a lane whose prompt pins nothing copies it as its first
+	// witness instead of re-running that Check (newLaneDecoder). Nil when
+	// the engine enforces no rules.
+	rulesModel []int64
+	// moves is patchValue's repair log (oracle.go): the variables the
+	// current patch moved, in order, and their old values, so a failed
+	// repair rolls back without allocating.
+	moves  [1 + maxRepairMoves]patchMove
+	nMoves int
 	// varConjuncts[v] lists the rule formula's top-level conjuncts that
 	// mention v, built lazily on the first model-patching attempt
 	// (oracle.go). Shared across records: the rule formula never changes
@@ -323,24 +334,27 @@ type Engine struct {
 
 	// Per-lane scratch. An engine decodes one lane at a time, so a pooled
 	// clone carries its lane's sampling buffers (sampleMasked), the RNG a
-	// batch request is drawn from (seeded per request, see seededRNG), and
-	// the oracle's range buffer (FeasibleAny) from record to record.
+	// batch request is drawn from (seeded per request, see seededRNG), the
+	// oracle's range buffer (FeasibleAny) and the witness list of its
+	// tainted slots (one slot oracle is live at a time) from record to record.
 	rng       *rand.Rand
 	candBuf   []cand
 	weightBuf []float64
 	rangeBuf  [][2]int64
+	wvalBuf   []int64
 }
 
 // NewEngine validates the configuration, compiles the rules, and returns a
 // ready engine.
 func NewEngine(cfg Config) (*Engine, error) {
-	return newEngine(cfg, nil)
+	return newEngine(cfg, nil, nil)
 }
 
 // newEngine builds an engine; when ruleFormula is non-nil it is asserted
 // as-is (the clone path), skipping rule compilation and the initial
-// satisfiability pre-check, which the originating engine already did.
-func newEngine(cfg Config, ruleFormula smt.Formula) (*Engine, error) {
+// satisfiability pre-check, which the originating engine already did and
+// whose model it passes as rulesModel.
+func newEngine(cfg Config, ruleFormula smt.Formula, rulesModel []int64) (*Engine, error) {
 	if cfg.LM == nil || cfg.Tok == nil || cfg.Schema == nil {
 		return nil, fmt.Errorf("core: LM, Tok, and Schema are required")
 	}
@@ -409,7 +423,7 @@ func newEngine(cfg Config, ruleFormula smt.Formula) (*Engine, error) {
 	e.binding = rules.Instantiate(e.solver, cfg.Schema)
 	if cfg.Rules != nil && cfg.Mode == LeJIT {
 		if ruleFormula != nil {
-			e.ruleFormula = ruleFormula
+			e.ruleFormula, e.rulesModel = ruleFormula, rulesModel
 			e.solver.Assert(ruleFormula)
 		} else {
 			f, err := cfg.Rules.CompileAll(e.binding)
@@ -418,8 +432,13 @@ func newEngine(cfg Config, ruleFormula smt.Formula) (*Engine, error) {
 			}
 			e.ruleFormula = f
 			e.solver.Assert(f)
-			if r := e.solver.Check(); r.Status != smt.Sat {
+			r := e.solver.Check()
+			if r.Status != smt.Sat {
 				return nil, fmt.Errorf("core: rule set is unsatisfiable on its own (%v)", r.Status)
+			}
+			e.rulesModel = make([]int64, len(r.Model))
+			for v, x := range r.Model {
+				e.rulesModel[v] = x
 			}
 		}
 	}
@@ -498,10 +517,10 @@ func (e *Engine) SetSolverBudget(maxNodes uint64, timeout time.Duration) {
 }
 
 // Clone returns an independent engine with the same configuration (for
-// parallel decoding). The compiled rule formula is shared — it is an
-// immutable tree and both solvers bind identical Var ids — so cloning does
-// no rule recompilation and zero solver checks.
-func (e *Engine) Clone() (*Engine, error) { return newEngine(e.cfg, e.ruleFormula) }
+// parallel decoding). The compiled rule formula and the rules-only model are
+// shared — both are immutable and both solvers bind identical Var ids — so
+// cloning does no rule recompilation and zero solver checks.
+func (e *Engine) Clone() (*Engine, error) { return newEngine(e.cfg, e.ruleFormula, e.rulesModel) }
 
 // Rules returns the engine's rule set (may be nil).
 func (e *Engine) Rules() *rules.RuleSet { return e.cfg.Rules }

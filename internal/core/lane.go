@@ -103,7 +103,8 @@ func (e *Engine) planPrompt(known rules.Record, byText map[string]*promptPlan) *
 }
 
 // newLaneDecoder starts one record's guided decode on e: it asserts the
-// known prefix under a Push frame, runs the feasibility pre-check, and
+// known prefix under a Push frame, proves it feasible (by a Check, unless a
+// witness for exactly this stack is already in hand), and
 // queues BOS plus the rendered prompt for the LM (plan is the prompt already
 // planned, nil → plan here). On any setup failure the returned decoder is
 // already finished with the error recorded.
@@ -143,6 +144,7 @@ func (e *Engine) newLaneDecoder(ctx context.Context, known rules.Record, rng *ra
 	e.solver.SetContext(ctx)
 	e.solver.Push()
 	ld.pushed = true
+	pinned := false
 	for f, vs := range known {
 		bv, ok := e.binding.Vars(f)
 		if !ok {
@@ -151,6 +153,7 @@ func (e *Engine) newLaneDecoder(ctx context.Context, known rules.Record, rng *ra
 		}
 		for i, v := range vs {
 			e.solver.Assert(smt.Eq(smt.V(bv[i]), smt.C(v)))
+			pinned = true
 		}
 	}
 	if ld.warm != nil && ld.warm.Tokens == len(ld.pending) && ld.warm.Model != nil {
@@ -162,6 +165,12 @@ func (e *Engine) newLaneDecoder(ctx context.Context, known rules.Record, rng *ra
 		// feasibility Check is skipped and the witness seeds the first
 		// slot's oracle directly.
 		e.noteModel(ld.warm.Model)
+	} else if !pinned && e.rulesModel != nil {
+		// Nothing pinned: the stack is the rules under an empty frame, which
+		// the root engine's construction-time Check already proved Sat. Its
+		// model seeds the first slot's oracle; the copy is the engine's own,
+		// since patching rewrites lastModel in place.
+		e.noteModel(append(e.lastModel[:0], e.rulesModel...))
 	} else {
 		r := e.solver.Check()
 		if r.Status == smt.Unknown {
@@ -378,10 +387,10 @@ func (ld *laneDecoder) advance(tok int) error {
 			// Carry the witness model across the assert when possible: if it
 			// already assigned the pinned value it remains a model of the
 			// extended stack as-is; otherwise try patching it to the value
-			// (shifting the residual of at most one coupling conjunct, see
+			// (a bounded repair of the conjuncts the patch breaks, see
 			// patchValue). Keeping the model alive here is what keeps the
 			// patch fast path productive for the following slots.
-			if wasValid && (e.lastModel[e.slotVar(slot)] == v || e.patchValue(e.slotVar(slot), v)) {
+			if wasValid && e.patchValue(e.slotVar(slot), v) {
 				e.lastModelEpoch = e.solver.Epoch()
 			}
 			ld.inSlot = false

@@ -52,12 +52,18 @@ func nnTestEngine(tb testing.TB) *Engine {
 // nnEngineOver builds the LeJIT telemetry engine of nnTestEngine over m.
 func nnEngineOver(tb testing.TB, m *nn.Model) *Engine {
 	tb.Helper()
+	return nnEngineWith(tb, m, testRules)
+}
+
+// nnEngineWith is nnEngineOver under the rule text ruleText.
+func nnEngineWith(tb testing.TB, m *nn.Model, ruleText string) *Engine {
+	tb.Helper()
 	schema := rules.MustSchema(
 		rules.Field{Name: "TotalIngress", Kind: rules.Scalar, Lo: 0, Hi: 300},
 		rules.Field{Name: "Congestion", Kind: rules.Scalar, Lo: 0, Hi: 100},
 		rules.Field{Name: "I", Kind: rules.Vector, Len: 5, Lo: 0, Hi: 60},
 	)
-	rs, err := rules.ParseRuleSet(testRules, schema)
+	rs, err := rules.ParseRuleSet(ruleText, schema)
 	if err != nil {
 		tb.Fatal(err)
 	}

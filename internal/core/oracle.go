@@ -23,11 +23,11 @@ import (
 //     values count.
 //
 // Probes the intervals cannot decide first try model patching
-// (patchFeasible): certifying a value by ground-evaluating the affected
-// rule conjuncts against the engine's current model. Everything else falls
-// back to a real CheckWith probe, whose outcome (model or refutation) feeds
-// the state above, so the fallback rate decays as the slot's digits are
-// generated.
+// (patchFeasible): certifying a value by moving the engine's current model
+// to it and repairing the rule conjuncts the move breaks (patchValue).
+// Everything else falls back to a real CheckWith probe, whose outcome (model
+// or refutation) feeds the state above, so the fallback rate decays as the
+// slot's digits are generated.
 type slotOracle struct {
 	e  *Engine
 	st *Stats
@@ -45,12 +45,8 @@ type slotOracle struct {
 	kLo, kHi int64 // no feasible value lies outside [kLo, kHi]
 	hasW     bool
 	wLo, wHi int64   // extreme witnessed-feasible values
-	wvals    []int64 // individual witnesses (tainted slots only)
+	wvals    []int64 // individual witnesses (tainted slots only), in e.wvalBuf
 }
-
-// wvalsCap sizes a tainted slot's witness list at slot start, so the
-// witnesses its probes and patches collect append without allocating.
-const wvalsCap = 16
 
 // newSlotOracle builds the oracle for slot variable v at the current epoch.
 // Costs zero solver checks: the bounds come from the epoch's propagated base
@@ -65,7 +61,7 @@ func (e *Engine) newSlotOracle(v smt.Var, st *Stats) *slotOracle {
 	o.kLo, o.kHi = lo, hi
 	o.convex = !e.solver.VarDisjunctionTainted(v)
 	if !o.convex {
-		o.wvals = make([]int64, 0, wvalsCap)
+		o.wvals = e.wvalBuf[:0]
 	}
 	if e.lastModel != nil && e.lastModelEpoch == e.solver.Epoch() {
 		o.addWitness(e.lastModel[v])
@@ -92,6 +88,7 @@ func (o *slotOracle) addWitness(x int64) {
 			}
 		}
 		o.wvals = append(o.wvals, x)
+		o.e.wvalBuf = o.wvals
 	}
 }
 
@@ -170,9 +167,9 @@ func (o *slotOracle) budgetErr() error { return o.err }
 // values are asserted as equalities over other, already-fixed variables).
 // So: clamp a candidate x into the probe range intersected with the known
 // envelope (which keeps x inside v's declared domain — BaseBounds only ever
-// tightens it), patch M[v] = x, and ground-evaluate the v-mentioning rule
-// conjuncts. If all hold, the patched M is again a full model: x is
-// feasible, the patch is kept (refreshing the witness chain for later
+// tightens it), patch M[v] = x, and repair the rule conjuncts the patch
+// breaks (patchValue). If the repair succeeds, the patched M is again a full model:
+// x is feasible, the patch is kept (refreshing the witness chain for later
 // slots), and the probe is answered with zero solver work.
 //
 // Only a positive answer is possible here; refutation still needs the
@@ -223,89 +220,125 @@ func (o *slotOracle) tryPatch(x int64) bool {
 	return false
 }
 
+// maxRepairMoves caps how many variables one patch may move besides the
+// patched one. On the benchmark's impute and synthesis rules no successful
+// repair moved more than four and no failed one failed on the cap (DESIGN.md
+// §6), so the cap only bounds the work a hopeless patch does before the
+// solver takes over.
+const maxRepairMoves = 4
+
+// patchMove is one entry of the engine's repair log: a variable the current
+// patch moved and the value it held before.
+type patchMove struct {
+	v   smt.Var
+	old int64
+}
+
 // patchValue attempts to keep lastModel a full model of the current stack
-// under M[v] = x: it evaluates every rule conjunct mentioning v under the
-// patched model (smt.Holds: the model is indexed by variable, so a conjunct
-// costs a slice read per term), keeping the patch on success and rolling it
-// back on any failure. Callers must ensure lastModel is valid for the
-// current stack minus any constraint on v itself (the oracle fast path and
-// the separator-assert repair in advance() both do).
+// under M[v] = x, by bounded greedy repair. While some rule conjunct that
+// mentions a moved variable is false, one more variable moves to make it
+// true (repair). A success is a certificate:
+//
+//   - every rule conjunct that mentions a moved variable has been
+//     re-evaluated true (smt.Holds) after the last move of its variables, and
+//     the others kept the truth value they had under the satisfying model;
+//   - a repair moves only variables whose propagated base bounds leave slack
+//     and contain the new value, so pinned and propagation-fixed variables —
+//     and with them every per-record equality — never move, and no value
+//     leaves its declared domain.
+//
+// On failure every move is rolled back, leaving lastModel as it was. Callers
+// must ensure lastModel is valid for the current stack minus any constraint
+// on v itself, and x inside v's envelope (the oracle fast path and the
+// separator-assert repair in advance() both do).
 func (e *Engine) patchValue(v smt.Var, x int64) bool {
 	m := e.lastModel
-	old := m[v]
-	if x == old {
+	if m[v] == x {
 		// m already satisfies the stack with this value.
 		return true
 	}
+	e.moves[0] = patchMove{v: v, old: m[v]}
+	e.nMoves = 1
 	m[v] = x
-	var broken smt.Formula
-	for _, c := range e.conjunctsOn(v) {
-		if smt.Holds(c, m) {
+	// A conjunct is last checked after the last move of any of its
+	// variables: a repair appends the variable it moves, whose conjuncts
+	// are then checked in turn.
+	for i := 0; i < e.nMoves; i++ {
+		for _, c := range e.conjunctsOn(e.moves[i].v) {
+			if !smt.Holds(c, m) && !e.repair(m, c) {
+				for j := e.nMoves - 1; j >= 0; j-- {
+					m[e.moves[j].v] = e.moves[j].old
+				}
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// repair makes the broken rule conjunct c true by the minimal repairShift
+// move of one variable that has not moved yet in this patch: an atom through
+// one of its terms, a disjunction through a term of any one of its atomic
+// alternatives. A move that leaves every conjunct on the moved variable true
+// is preferred; otherwise the first admissible move is taken and what it
+// breaks is left to patchValue's loop.
+func (e *Engine) repair(m []int64, c smt.Formula) bool {
+	if e.nMoves > maxRepairMoves {
+		return false
+	}
+	for _, clean := range [2]bool{true, false} {
+		if a, ok := smt.AtomOf(c); ok {
+			if e.repairAtom(m, a, clean) {
+				return true
+			}
 			continue
 		}
-		if broken != nil {
-			// Two independent conjuncts broken: repair would need to move
-			// two more variables. Leave it to the solver.
-			m[v] = old
-			return false
+		for _, alt := range smt.Disjuncts(c) {
+			if a, ok := smt.AtomOf(alt); ok && e.repairAtom(m, a, clean) {
+				return true
+			}
 		}
-		broken = c
 	}
-	if broken == nil || e.repairConjunct(m, broken, v) {
-		return true
-	}
-	m[v] = old
 	return false
 }
 
-// repairConjunct restores a single broken atomic conjunct — typically a
-// coupling constraint like TotalIngress = sum(I) — by shifting the patch's
-// residual onto one other adjustable variable in the same atom, then
-// re-validating every conjunct that variable appears in. The shift is the
-// minimal integer move of that variable that satisfies the atom again: an
-// exact cancellation for an equality, the nearest boundary crossing for an
-// inequality or disequality. A variable is adjustable when its propagated
-// base bounds leave slack (pinned and propagation-fixed variables have
-// lo == hi and are skipped), which also keeps the shifted value inside its
-// declared domain. On success the model differs from a known-satisfying one
-// in exactly {v, u}, and every conjunct mentioning either has been
-// re-evaluated true: the patched model is again a full model.
-func (e *Engine) repairConjunct(m []int64, broken smt.Formula, v smt.Var) bool {
-	a, isAtom := smt.AtomOf(broken)
-	if !isAtom {
-		return false
-	}
+// repairAtom moves one unmoved variable of atom a by the minimal integer
+// shift that makes a hold: an exact cancellation for an equality, the
+// nearest boundary crossing for an inequality or disequality. A variable is
+// adjustable when its propagated base bounds leave slack (lo < hi) and
+// contain the shifted value. With clean set, a move is taken only if every
+// conjunct mentioning the variable holds after it.
+func (e *Engine) repairAtom(m []int64, a smt.Atom, clean bool) bool {
 	resid := a.Expr.At(m)
+next:
 	for i := 0; i < a.Expr.NumTerms(); i++ {
 		u, cu := a.Expr.Term(i)
-		if u == v {
-			continue
+		for _, mv := range e.moves[:e.nMoves] {
+			if mv.v == u {
+				continue next
+			}
 		}
 		d, ok := repairShift(a.Op, resid, cu)
 		if !ok {
 			continue
 		}
 		lo, hi, okB := e.solver.BaseBounds(u)
-		if !okB || lo == hi {
+		old := m[u]
+		if !okB || lo == hi || old+d < lo || old+d > hi {
 			continue
 		}
-		oldU := m[u]
-		newU := oldU + d
-		if newU < lo || newU > hi {
-			continue
-		}
-		m[u] = newU
-		good := true
-		for _, c := range e.conjunctsOn(u) {
-			if !smt.Holds(c, m) {
-				good = false
-				break
+		m[u] = old + d
+		if clean {
+			for _, c := range e.conjunctsOn(u) {
+				if !smt.Holds(c, m) {
+					m[u] = old
+					continue next
+				}
 			}
 		}
-		if good {
-			return true
-		}
-		m[u] = oldU
+		e.moves[e.nMoves] = patchMove{v: u, old: old}
+		e.nMoves++
+		return true
 	}
 	return false
 }

@@ -109,9 +109,9 @@ func TestValidateFastPath(t *testing.T) {
 // TestModelPatchRepair pins the model-patching fast path on the workload it
 // was built for: a sum-coupled (disjunction-tainted) series slot, where
 // per-digit probes ask for exact values away from the current model's
-// assignment. Patching plus single-variable repair must resolve the bulk of
-// those without solver probes, and — under ValidateFastPath — every patched
-// answer must agree with the solver.
+// assignment. Patching plus bounded repair must resolve the bulk of those
+// without solver probes, and — under ValidateFastPath — every patched answer
+// must agree with the solver.
 func TestModelPatchRepair(t *testing.T) {
 	e := fastPathEngine(t, func(c *Config) { c.ValidateFastPath = true })
 	res, err := e.Impute(rules.Record{"TotalIngress": {150}, "Congestion": {20}},

@@ -1,0 +1,165 @@
+package core
+
+import (
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"repro/internal/smt"
+)
+
+// repairTrial is one draw of the model-repair soundness gate: a random small
+// stack of rules — sum equalities, pairwise inequalities, disequalities and
+// implications, some with a conjunctive antecedent — plus per-record
+// equalities that pin variables, a satisfying lastModel, and one patchValue
+// of a non-pinned variable to a value inside its envelope. Half the trials
+// first assert the patched value, as advance() does at a separator.
+//
+// On success the patched model must satisfy the whole stack under the
+// map-based reference evaluator and keep every variable in its declared
+// domain; on failure lastModel must be unchanged, bit for bit. The returned
+// moves is the number of variables the repair moved besides the patched one
+// (-1 when the draw made no patch, 0 on failure).
+func repairTrial(t *testing.T, rng *rand.Rand) (ok bool, moves int) {
+	t.Helper()
+	s := smt.NewSolver()
+	n := 3 + rng.Intn(5)
+	vars := make([]smt.Var, n)
+	for i := range vars {
+		lo := int64(rng.Intn(3))
+		vars[i] = s.NewVar("x", lo, lo+4+int64(rng.Intn(25)))
+	}
+	pick := func() smt.Var { return vars[rng.Intn(n)] }
+	term := func() smt.LinExpr { return smt.CV(1+int64(rng.Intn(3)), pick()) }
+	atom := func() smt.Formula {
+		a, b := smt.V(pick()), smt.C(int64(rng.Intn(20)))
+		switch rng.Intn(5) {
+		case 0:
+			return smt.Le(a, b)
+		case 1:
+			return smt.Ge(a, b)
+		case 2:
+			return smt.Lt(a, b)
+		case 3:
+			return smt.Ne(a, b)
+		}
+		return smt.Gt(a, b)
+	}
+	var rs []smt.Formula
+	for k := 2 + rng.Intn(5); k > 0; k-- {
+		switch rng.Intn(6) {
+		case 0, 1, 2: // a coupling: total = sum of parts
+			parts := []smt.LinExpr{term(), smt.V(pick())}
+			if rng.Intn(2) == 0 {
+				parts = append(parts, smt.V(pick()))
+			}
+			rs = append(rs, smt.Eq(smt.Sum(parts...), smt.V(pick())))
+		case 3:
+			rs = append(rs, smt.Le(term(), term().AddConst(int64(rng.Intn(7)-3))))
+		case 4:
+			rs = append(rs, smt.Ne(smt.V(pick()), smt.V(pick())))
+		default:
+			ante := atom()
+			if rng.Intn(3) == 0 {
+				ante = smt.And(ante, atom())
+			}
+			rs = append(rs, smt.Implies(ante, atom()))
+		}
+	}
+	rules := smt.And(rs...)
+	s.Assert(rules)
+	s.Push()
+	stack := []smt.Formula{rules}
+	pinned := map[smt.Var]bool{}
+	for k := rng.Intn(3); k > 0; k-- {
+		v := pick()
+		lo, hi := s.Bounds(v)
+		eq := smt.Eq(smt.V(v), smt.C(lo+rng.Int63n(hi-lo+1)))
+		s.Assert(eq)
+		stack = append(stack, eq)
+		pinned[v] = true
+	}
+	r := s.Check()
+	if r.Status != smt.Sat {
+		return false, -1
+	}
+	e := &Engine{solver: s, ruleFormula: rules, lastModel: make([]int64, n)}
+	for v, x := range r.Model {
+		e.lastModel[v] = x
+	}
+
+	var free []smt.Var
+	for _, v := range vars {
+		if lo, hi, _ := s.BaseBounds(v); !pinned[v] && lo < hi {
+			free = append(free, v)
+		}
+	}
+	if len(free) == 0 {
+		return false, -1
+	}
+	v := free[rng.Intn(len(free))]
+	lo, hi, _ := s.BaseBounds(v)
+	x := lo + rng.Int63n(hi-lo+1)
+	if x == e.lastModel[v] {
+		return false, -1
+	}
+	if rng.Intn(2) == 0 {
+		eq := smt.Eq(smt.V(v), smt.C(x))
+		s.Assert(eq)
+		stack = append(stack, eq)
+	}
+	before := append([]int64(nil), e.lastModel...)
+	if !e.patchValue(v, x) {
+		if !reflect.DeepEqual(e.lastModel, before) {
+			t.Fatalf("failed patch %v := %d left the model changed: %v, was %v\nrules %s",
+				v, x, e.lastModel, before, smt.FormulaString(rules))
+		}
+		return false, 0
+	}
+	m := map[smt.Var]int64{}
+	for u, val := range e.lastModel {
+		m[smt.Var(u)] = val
+		if dlo, dhi := s.Bounds(smt.Var(u)); val < dlo || val > dhi {
+			t.Fatalf("patch %v := %d moved %v to %d, outside its domain [%d,%d]", v, x, u, val, dlo, dhi)
+		}
+	}
+	if holds, err := smt.EvalFormula(smt.And(stack...), m); err != nil || !holds || m[v] != x {
+		t.Fatalf("patch %v := %d accepted model %v (was %v), which breaks the stack\nstack %s",
+			v, x, e.lastModel, before, smt.FormulaString(smt.And(stack...)))
+	}
+	return true, e.nMoves - 1
+}
+
+// TestPatchValueSound is the model-repair soundness gate (DESIGN.md §6): a
+// patch the repair accepts is a model of the whole stack, a patch it
+// refuses leaves the model untouched. It also checks the draws reach
+// multi-move repairs, so the gate covers the chains the decoder relies on.
+func TestPatchValueSound(t *testing.T) {
+	var ok, fail, multi int
+	for seed := int64(0); seed < 20000; seed++ {
+		good, moves := repairTrial(t, rand.New(rand.NewSource(seed)))
+		switch {
+		case good && moves >= 2:
+			multi++
+			fallthrough
+		case good:
+			ok++
+		case moves == 0:
+			fail++
+		}
+	}
+	t.Logf("%d accepted (%d moving ≥ 2 variables), %d refused", ok, multi, fail)
+	if ok < 1000 || fail < 200 || multi < 100 {
+		t.Errorf("draws too one-sided to gate the repair: %d accepted, %d with ≥ 2 moves, %d refused", ok, multi, fail)
+	}
+}
+
+// FuzzPatchValueSound runs the soundness gate's trial on fuzzed seeds.
+func FuzzPatchValueSound(f *testing.F) {
+	for _, seed := range []int64{1, 7, 42, -3} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		repairTrial(t, rand.New(rand.NewSource(seed)))
+	})
+}

@@ -1,62 +1,9 @@
 package smt
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 )
-
-// EvalFormula evaluates f under a complete assignment given as a map: the
-// evaluator Holds replaced in PR 18, kept as the tests' independent reference.
-func EvalFormula(f Formula, assign map[Var]int64) (bool, error) {
-	switch g := f.(type) {
-	case boolF:
-		return g.v, nil
-	case atomF:
-		v, err := g.a.Expr.Eval(assign)
-		if err != nil {
-			return false, err
-		}
-		switch g.a.Op {
-		case OpLE:
-			return v <= 0, nil
-		case OpLT:
-			return v < 0, nil
-		case OpGE:
-			return v >= 0, nil
-		case OpGT:
-			return v > 0, nil
-		case OpEQ:
-			return v == 0, nil
-		case OpNE:
-			return v != 0, nil
-		}
-		return false, fmt.Errorf("smt: bad atom op %v", g.a.Op)
-	case notF:
-		v, err := EvalFormula(g.f, assign)
-		return !v, err
-	case andF:
-		for _, sub := range g.fs {
-			v, err := EvalFormula(sub, assign)
-			if err != nil || !v {
-				return false, err
-			}
-		}
-		return true, nil
-	case orF:
-		for _, sub := range g.fs {
-			v, err := EvalFormula(sub, assign)
-			if err != nil {
-				return false, err
-			}
-			if v {
-				return true, nil
-			}
-		}
-		return false, nil
-	}
-	return false, fmt.Errorf("smt: unknown formula node %T", f)
-}
 
 // TestHoldsMatchesEvalFormula checks the slice-indexed evaluator against the
 // map-based reference on random formulas at every point of a small box.

@@ -282,6 +282,60 @@ func Holds(f Formula, m []int64) bool {
 	panic(fmt.Sprintf("smt: unknown formula node %T", f))
 }
 
+// EvalFormula evaluates f under a complete assignment given as a map. It is
+// the independent reference the tests hold the decoder's evaluators to: Holds
+// (the slice-indexed evaluator of the hot path) and the model repair of
+// internal/core, whose every accepted model must satisfy the whole stack.
+func EvalFormula(f Formula, assign map[Var]int64) (bool, error) {
+	switch g := f.(type) {
+	case boolF:
+		return g.v, nil
+	case atomF:
+		v, err := g.a.Expr.Eval(assign)
+		if err != nil {
+			return false, err
+		}
+		switch g.a.Op {
+		case OpLE:
+			return v <= 0, nil
+		case OpLT:
+			return v < 0, nil
+		case OpGE:
+			return v >= 0, nil
+		case OpGT:
+			return v > 0, nil
+		case OpEQ:
+			return v == 0, nil
+		case OpNE:
+			return v != 0, nil
+		}
+		return false, fmt.Errorf("smt: bad atom op %v", g.a.Op)
+	case notF:
+		v, err := EvalFormula(g.f, assign)
+		return !v, err
+	case andF:
+		for _, sub := range g.fs {
+			v, err := EvalFormula(sub, assign)
+			if err != nil || !v {
+				return false, err
+			}
+		}
+		return true, nil
+	case orF:
+		for _, sub := range g.fs {
+			v, err := EvalFormula(sub, assign)
+			if err != nil {
+				return false, err
+			}
+			if v {
+				return true, nil
+			}
+		}
+		return false, nil
+	}
+	return false, fmt.Errorf("smt: unknown formula node %T", f)
+}
+
 // Conjuncts splits f into its top-level conjuncts. And flattens nested
 // conjunctions at construction time, so one level of splitting is complete:
 // no element of the result is itself a conjunction.
@@ -293,6 +347,17 @@ func Conjuncts(f Formula) []Formula {
 		return g.fs
 	}
 	return []Formula{f}
+}
+
+// Disjuncts returns the alternatives of a top-level disjunction, or nil when
+// f is not one. Or flattens nested disjunctions at construction time, so no
+// element is itself a disjunction. It does not allocate: model repair calls
+// it on the decode step's hot path.
+func Disjuncts(f Formula) []Formula {
+	if g, ok := f.(orF); ok {
+		return g.fs
+	}
+	return nil
 }
 
 // FormulaVars returns the set of variables referenced by f.

@@ -207,21 +207,3 @@ func IntervalSetOracle(intervals [][2]int64) Oracle {
 		return false
 	}
 }
-
-// CachedOracle memoizes an Oracle. LeJIT re-queries identical ranges when the
-// underlying constraint state has not changed between characters of the same
-// value; the cache must be discarded (by building a new one) whenever the
-// constraint state advances.
-func CachedOracle(o Oracle) Oracle {
-	type key struct{ lo, hi int64 }
-	cache := make(map[key]bool)
-	return func(lo, hi int64) bool {
-		k := key{lo, hi}
-		if v, ok := cache[k]; ok {
-			return v
-		}
-		v := o(lo, hi)
-		cache[k] = v
-		return v
-	}
-}

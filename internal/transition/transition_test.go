@@ -219,26 +219,6 @@ func keys(m map[string]bool) []string {
 	return out
 }
 
-func TestCachedOracle(t *testing.T) {
-	calls := 0
-	base := func(lo, hi int64) bool {
-		calls++
-		return lo <= 5 && 5 <= hi
-	}
-	o := CachedOracle(base)
-	for i := 0; i < 3; i++ {
-		if !o(0, 10) {
-			t.Error("5 in [0,10]")
-		}
-		if o(6, 10) {
-			t.Error("5 not in [6,10]")
-		}
-	}
-	if calls != 2 {
-		t.Errorf("base called %d times, want 2 (cached)", calls)
-	}
-}
-
 func TestNewPanics(t *testing.T) {
 	for _, bad := range []int{0, 19, -1} {
 		func() {
