@@ -66,7 +66,7 @@ func run() error {
 	defaultPack := flag.String("default-pack", pack.TelemetryName, "pack used by requests that do not select one")
 	replicas := flag.Int("replicas", 1, "engine shards behind the load-aware router; each runs its own micro-batcher and engine clones, prefix caches stay shared")
 	shardFailures := flag.Int("shard-failure-threshold", 8, "drain a shard (fresh engine clones, queued jobs redistributed) after this many budget/panic lane failures; <0 disables")
-	batchWindow := flag.Duration("batch-window", 2*time.Millisecond, "how long each shard holds the micro-batch open after the first request")
+	batchWindow := flag.Duration("batch-window", 2*time.Millisecond, "how long each shard holds the micro-batch open after its first request's admission (a request that queued longer dispatches at once)")
 	maxBatch := flag.Int("max-batch", 32, "max records coalesced per decode batch")
 	queueDepth := flag.Int("queue", 256, "total admission queue depth across shards (full queues answer 429)")
 	workers := flag.Int("workers", 0, "decode workers per batch (0 = GOMAXPROCS)")

@@ -20,7 +20,8 @@ import (
 // The replayed steps must include model repairs that move two or more
 // variables besides the patched one — the last record's extra coupling makes
 // a patched Congestion move I[0] or I[1] and then a third I to restore the
-// sum — and the repair log lives on the engine.
+// sum — and the repair log and the clause state, rebuilt on every replay,
+// live on the engine.
 func TestFastPathStepAllocsNothing(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -28,7 +29,7 @@ func TestFastPathStepAllocsNothing(t *testing.T) {
 	m := nnTestModel(t)
 	plain := nnTestEngine(t)
 	chained := nnEngineWith(t, m, testRules+"rule r4: I[0] + I[1] == Congestion\n")
-	measured, multi := 0, 0
+	measured, multi, rebuilt := 0, 0, 0
 	for i, c := range []struct {
 		e     *Engine
 		known rules.Record
@@ -45,9 +46,12 @@ func TestFastPathStepAllocsNothing(t *testing.T) {
 		for step := int64(0); !ld.done(); step++ {
 			warmStep := len(ld.pending) == 0 && ld.inSlot
 			// A replay restores the lane, its slot oracle and the witness
-			// model, so it repeats the first run's patches and repairs.
+			// model, so it repeats the first run's patches and repairs. The
+			// model is restored through noteModel, which invalidates its
+			// clause state: each replay's first patch rebuilds it, so the
+			// rebuild is measured too.
 			saved, checks := *ld, e.solver.Stats().Checks
-			savedModel := append([]int64(nil), e.lastModel...)
+			savedModel, savedEpoch := append([]int64(nil), e.lastModel...), e.lastModelEpoch
 			var savedOracle slotOracle
 			var savedW []int64
 			if ld.oracle != nil {
@@ -66,7 +70,8 @@ func TestFastPathStepAllocsNothing(t *testing.T) {
 				multiStep := repaired()
 				allocs := testing.AllocsPerRun(20, func() {
 					*ld = saved
-					copy(e.lastModel, savedModel)
+					e.noteModel(append(e.lastModel[:0], savedModel...))
+					e.lastModelEpoch = savedEpoch
 					if o := saved.oracle; o != nil {
 						w := o.wvals[:0] // the list's grown array, as a rerun meets it
 						*o = savedOracle
@@ -85,6 +90,9 @@ func TestFastPathStepAllocsNothing(t *testing.T) {
 				}
 				if e.solver.Stats().Checks != checks {
 					t.Fatalf("record %v step %d: a replayed fast-path step reached the solver", known, step)
+				}
+				if e.repairState.valid {
+					rebuilt++ // the replay's patch rebuilt what noteModel invalidated
 				}
 				if multiStep {
 					if !repaired() {
@@ -105,10 +113,10 @@ func TestFastPathStepAllocsNothing(t *testing.T) {
 			t.Fatal(ld.err)
 		}
 	}
-	if measured < 4 || multi == 0 {
-		t.Fatalf("only %d fast-path steps measured, %d of them with a repair of ≥ 2 moves: the gate checks too little", measured, multi)
+	if measured < 4 || multi == 0 || rebuilt == 0 {
+		t.Fatalf("only %d fast-path steps measured, %d of them with a repair of ≥ 2 moves and %d rebuilding the clause state: the gate checks too little", measured, multi, rebuilt)
 	}
-	t.Logf("%d fast-path steps replayed, %d with a repair of ≥ 2 moves", measured, multi)
+	t.Logf("%d fast-path steps replayed, %d with a repair of ≥ 2 moves, %d rebuilding the clause state", measured, multi, rebuilt)
 }
 
 // TestReusedBatchSessionAllocsNothing: once a lane group's session is back

@@ -304,11 +304,12 @@ type Engine struct {
 	// repair rolls back without allocating.
 	moves  [1 + maxRepairMoves]patchMove
 	nMoves int
-	// varConjuncts[v] lists the rule formula's top-level conjuncts that
-	// mention v, built lazily on the first model-patching attempt
-	// (oracle.go). Shared across records: the rule formula never changes
-	// after construction.
-	varConjuncts [][]smt.Formula
+	// clauses is the rule formula flattened for model repair (oracle.go),
+	// built by the root engine and shared read-only by every clone, and
+	// repairState is lastModel's clause state over it: kept current by
+	// patchValue, invalidated by noteModel.
+	clauses     *clauseIndex
+	repairState clauseState
 	// fingerprint is the rule-epoch fingerprint stamped on prefix-cache
 	// snapshots: a hash of everything that decides whether a cached
 	// (KV state, witness model) pair is still valid — the rule set, schema,
@@ -347,14 +348,14 @@ type Engine struct {
 // NewEngine validates the configuration, compiles the rules, and returns a
 // ready engine.
 func NewEngine(cfg Config) (*Engine, error) {
-	return newEngine(cfg, nil, nil)
+	return newEngine(cfg, nil)
 }
 
-// newEngine builds an engine; when ruleFormula is non-nil it is asserted
-// as-is (the clone path), skipping rule compilation and the initial
-// satisfiability pre-check, which the originating engine already did and
-// whose model it passes as rulesModel.
-func newEngine(cfg Config, ruleFormula smt.Formula, rulesModel []int64) (*Engine, error) {
+// newEngine builds an engine; when parent is non-nil (the clone path) its
+// compiled rule formula is asserted as-is, skipping rule compilation and the
+// initial satisfiability pre-check, and its rules-only model and clause
+// index are shared.
+func newEngine(cfg Config, parent *Engine) (*Engine, error) {
 	if cfg.LM == nil || cfg.Tok == nil || cfg.Schema == nil {
 		return nil, fmt.Errorf("core: LM, Tok, and Schema are required")
 	}
@@ -422,9 +423,9 @@ func newEngine(cfg Config, ruleFormula smt.Formula, rulesModel []int64) (*Engine
 	e.solver.Timeout = cfg.SolverTimeout
 	e.binding = rules.Instantiate(e.solver, cfg.Schema)
 	if cfg.Rules != nil && cfg.Mode == LeJIT {
-		if ruleFormula != nil {
-			e.ruleFormula, e.rulesModel = ruleFormula, rulesModel
-			e.solver.Assert(ruleFormula)
+		if parent != nil && parent.ruleFormula != nil {
+			e.ruleFormula, e.rulesModel = parent.ruleFormula, parent.rulesModel
+			e.solver.Assert(e.ruleFormula)
 		} else {
 			f, err := cfg.Rules.CompileAll(e.binding)
 			if err != nil {
@@ -441,6 +442,11 @@ func newEngine(cfg Config, ruleFormula smt.Formula, rulesModel []int64) (*Engine
 				e.rulesModel[v] = x
 			}
 		}
+	}
+	if parent != nil {
+		e.clauses = parent.clauses
+	} else {
+		e.clauses = newClauseIndex(e.ruleFormula, e.solver.NumVars())
 	}
 	e.fingerprint = ruleFingerprint(cfg)
 	return e, nil
@@ -517,10 +523,10 @@ func (e *Engine) SetSolverBudget(maxNodes uint64, timeout time.Duration) {
 }
 
 // Clone returns an independent engine with the same configuration (for
-// parallel decoding). The compiled rule formula and the rules-only model are
-// shared — both are immutable and both solvers bind identical Var ids — so
-// cloning does no rule recompilation and zero solver checks.
-func (e *Engine) Clone() (*Engine, error) { return newEngine(e.cfg, e.ruleFormula, e.rulesModel) }
+// parallel decoding). The compiled rule formula, the rules-only model and the
+// clause index are shared — all immutable, and both solvers bind identical
+// Var ids — so cloning does no rule recompilation and zero solver checks.
+func (e *Engine) Clone() (*Engine, error) { return newEngine(e.cfg, e) }
 
 // Rules returns the engine's rule set (may be nil).
 func (e *Engine) Rules() *rules.RuleSet { return e.cfg.Rules }

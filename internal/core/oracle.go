@@ -240,34 +240,43 @@ type patchMove struct {
 // true (repair). A success is a certificate:
 //
 //   - every rule conjunct that mentions a moved variable has been
-//     re-evaluated true (smt.Holds) after the last move of its variables, and
-//     the others kept the truth value they had under the satisfying model;
+//     re-evaluated true after the last move of its variables (through the
+//     clause state, see clauseIndex), and the others kept the truth value
+//     they had under the satisfying model;
 //   - a repair moves only variables whose propagated base bounds leave slack
 //     and contain the new value, so pinned and propagation-fixed variables —
 //     and with them every per-record equality — never move, and no value
 //     leaves its declared domain.
 //
-// On failure every move is rolled back, leaving lastModel as it was. Callers
-// must ensure lastModel is valid for the current stack minus any constraint
-// on v itself, and x inside v's envelope (the oracle fast path and the
-// separator-assert repair in advance() both do).
+// On failure every move is rolled back, leaving lastModel and its clause
+// state as they were. Callers must ensure lastModel is valid for the current
+// stack minus any constraint on v itself, and x inside v's envelope (the
+// oracle fast path and the separator-assert repair in advance() both do).
 func (e *Engine) patchValue(v smt.Var, x int64) bool {
 	m := e.lastModel
 	if m[v] == x {
 		// m already satisfies the stack with this value.
 		return true
 	}
+	rs := &e.repairState
+	if !rs.valid {
+		rs.rebuild(e.clauses, m)
+	}
 	e.moves[0] = patchMove{v: v, old: m[v]}
 	e.nMoves = 1
-	m[v] = x
+	e.setVar(v, x)
 	// A conjunct is last checked after the last move of any of its
 	// variables: a repair appends the variable it moves, whose conjuncts
-	// are then checked in turn.
+	// are then checked in turn. Once no conjunct is broken the rest of the
+	// scan would find nothing to repair.
 	for i := 0; i < e.nMoves; i++ {
-		for _, c := range e.conjunctsOn(e.moves[i].v) {
-			if !smt.Holds(c, m) && !e.repair(m, c) {
+		for _, c := range e.clauses.vars[e.moves[i].v].conj {
+			if rs.broken == 0 {
+				return true
+			}
+			if rs.nTrue[c] == 0 && !e.repair(c) {
 				for j := e.nMoves - 1; j >= 0; j-- {
-					m[e.moves[j].v] = e.moves[j].old
+					e.setVar(e.moves[j].v, e.moves[j].old)
 				}
 				return false
 			}
@@ -282,19 +291,13 @@ func (e *Engine) patchValue(v smt.Var, x int64) bool {
 // alternatives. A move that leaves every conjunct on the moved variable true
 // is preferred; otherwise the first admissible move is taken and what it
 // breaks is left to patchValue's loop.
-func (e *Engine) repair(m []int64, c smt.Formula) bool {
+func (e *Engine) repair(c int32) bool {
 	if e.nMoves > maxRepairMoves {
 		return false
 	}
 	for _, clean := range [2]bool{true, false} {
-		if a, ok := smt.AtomOf(c); ok {
-			if e.repairAtom(m, a, clean) {
-				return true
-			}
-			continue
-		}
-		for _, alt := range smt.Disjuncts(c) {
-			if a, ok := smt.AtomOf(alt); ok && e.repairAtom(m, a, clean) {
+		for _, a := range e.clauses.conj[c].atoms {
+			if e.repairAtom(a, clean) {
 				return true
 			}
 		}
@@ -308,8 +311,10 @@ func (e *Engine) repair(m []int64, c smt.Formula) bool {
 // adjustable when its propagated base bounds leave slack (lo < hi) and
 // contain the shifted value. With clean set, a move is taken only if every
 // conjunct mentioning the variable holds after it.
-func (e *Engine) repairAtom(m []int64, a smt.Atom, clean bool) bool {
-	resid := a.Expr.At(m)
+func (e *Engine) repairAtom(ai int32, clean bool) bool {
+	a := &e.clauses.atoms[ai]
+	m, rs := e.lastModel, &e.repairState
+	resid := rs.resid[ai]
 next:
 	for i := 0; i < a.Expr.NumTerms(); i++ {
 		u, cu := a.Expr.Term(i)
@@ -327,11 +332,11 @@ next:
 		if !okB || lo == hi || old+d < lo || old+d > hi {
 			continue
 		}
-		m[u] = old + d
+		e.setVar(u, old+d)
 		if clean {
-			for _, c := range e.conjunctsOn(u) {
-				if !smt.Holds(c, m) {
-					m[u] = old
+			for _, c := range e.clauses.vars[u].conj {
+				if rs.nTrue[c] == 0 {
+					e.setVar(u, old)
 					continue next
 				}
 			}
@@ -341,6 +346,28 @@ next:
 		return true
 	}
 	return false
+}
+
+// setVar moves M[u] to x and brings the clause state along: only u's
+// occurrences change residual, only their conjuncts can change truth.
+func (e *Engine) setVar(u smt.Var, x int64) {
+	m, rs, ix := e.lastModel, &e.repairState, e.clauses
+	d := x - m[u]
+	m[u] = x
+	for _, o := range ix.vars[u].occ {
+		r := rs.resid[o.atom]
+		was := o.op.Holds(r)
+		r += o.c * d
+		rs.resid[o.atom] = r
+		if now := o.op.Holds(r); now != was && o.conj >= 0 {
+			rs.count(o.conj, now)
+		}
+	}
+	for _, c := range ix.vars[u].opaque {
+		if now := smt.Holds(ix.conj[c].opaque, m); now != (rs.nTrue[c] > 0) {
+			rs.count(c, now)
+		}
+	}
 }
 
 // repairShift computes the minimal integer move d of a variable with
@@ -507,6 +534,7 @@ func (e *Engine) noteModel(m []int64) {
 	}
 	e.lastModel = m
 	e.lastModelEpoch = e.solver.Epoch()
+	e.repairState.valid = false
 }
 
 // noteSolverModel is noteModel of m re-indexed by variable (solver models
@@ -527,21 +555,146 @@ func (e *Engine) noteSolverModel(m map[smt.Var]int64) {
 	e.noteModel(d)
 }
 
-// conjunctsOn returns the rule formula's top-level conjuncts that mention v,
-// building the index lazily on first use. The index is shared across records:
-// the rule formula is fixed at engine construction, and per-record state
-// (known/pinned values) is asserted separately as equalities that never
-// mention an in-flight slot variable.
-func (e *Engine) conjunctsOn(v smt.Var) []smt.Formula {
-	if e.varConjuncts == nil {
-		e.varConjuncts = make([][]smt.Formula, e.solver.NumVars())
-		if e.ruleFormula != nil {
-			for _, c := range smt.Conjuncts(e.ruleFormula) {
-				for u := range smt.FormulaVars(c) {
-					e.varConjuncts[u] = append(e.varConjuncts[u], c)
-				}
+// clauseIndex is the rule formula flattened for model repair. The formula
+// is fixed at engine construction and per-record state (known and pinned
+// values) is asserted separately as equalities that never mention an
+// in-flight slot variable, so the root engine builds the index once and its
+// clones share it read-only, as they share rulesModel.
+//
+// A top-level conjunct is a clause when it is an atom or a disjunction of
+// atoms. A clause holds exactly when one of its atoms does, so under a model
+// M its truth is a count of true atoms, and an atom's truth is its residual
+// (Expr at M, the value smt.Holds compares with 0) against its operator. A
+// move of one variable changes only the residuals of that variable's
+// occurrences, by coefficient × shift. Conjuncts that are not clauses stay
+// opaque: their truth is smt.Holds, re-evaluated when one of their
+// variables moves.
+type clauseIndex struct {
+	atoms []smt.Atom // every conjunct's atomic alternatives
+	conj  []clauseConj
+	vars  []clauseVar // indexed by smt.Var
+}
+
+// clauseConj lists a conjunct's atomic alternatives in formula order — the
+// atoms repair may fix it through. opaque is the conjunct itself when it is
+// not a clause, nil otherwise.
+type clauseConj struct {
+	atoms  []int32
+	opaque smt.Formula
+}
+
+// clauseVar is one variable's view of the index: the conjuncts mentioning
+// it in formula order, its occurrences, and the opaque conjuncts among them.
+type clauseVar struct {
+	conj   []int32
+	occ    []clauseOcc
+	opaque []int32
+}
+
+// clauseOcc is one term c·v of an atom, with what a move of v needs to
+// update the atom's conjunct: the atom's operator, and the conjunct (-1 when
+// it is opaque: the atom's residual is kept, for repair, but counts
+// nothing).
+type clauseOcc struct {
+	atom, conj int32
+	c          int64
+	op         smt.AtomOp
+}
+
+// newClauseIndex flattens f (nil: no rules) over a solver with nvars
+// variables.
+func newClauseIndex(f smt.Formula, nvars int) *clauseIndex {
+	ix := &clauseIndex{vars: make([]clauseVar, nvars)}
+	for ci, c := range smt.Conjuncts(f) {
+		cid := int32(ci)
+		alts := smt.Disjuncts(c)
+		if alts == nil {
+			alts = []smt.Formula{c}
+		}
+		cc, counted := clauseConj{}, cid
+		for _, alt := range alts {
+			if _, ok := smt.AtomOf(alt); !ok {
+				cc.opaque, counted = c, -1
+			}
+		}
+		for _, alt := range alts {
+			a, ok := smt.AtomOf(alt)
+			if !ok {
+				continue
+			}
+			ai := int32(len(ix.atoms))
+			for i := 0; i < a.Expr.NumTerms(); i++ {
+				u, cu := a.Expr.Term(i)
+				ix.vars[u].occ = append(ix.vars[u].occ, clauseOcc{atom: ai, conj: counted, c: cu, op: a.Op})
+			}
+			ix.atoms = append(ix.atoms, a)
+			cc.atoms = append(cc.atoms, ai)
+		}
+		ix.conj = append(ix.conj, cc)
+		for u := range smt.FormulaVars(c) {
+			ix.vars[u].conj = append(ix.vars[u].conj, cid)
+			if cc.opaque != nil {
+				ix.vars[u].opaque = append(ix.vars[u].opaque, cid)
 			}
 		}
 	}
-	return e.varConjuncts[v]
+	return ix
+}
+
+// clauseState is one engine's clause state for its lastModel: every atom's
+// residual, every conjunct's count of true atoms (an opaque conjunct counts
+// 1 when it holds), and how many conjuncts count 0. noteModel invalidates
+// it; patchValue rebuilds it on first use and keeps it current through
+// setVar, including across a rollback.
+type clauseState struct {
+	valid  bool
+	resid  []int64
+	nTrue  []int32
+	broken int
+}
+
+// rebuild recomputes the state from scratch under m. Once the engine has
+// rebuilt it, the slices are reused and a rebuild allocates nothing.
+func (rs *clauseState) rebuild(ix *clauseIndex, m []int64) {
+	rs.resid = rs.resid[:0]
+	for _, a := range ix.atoms {
+		rs.resid = append(rs.resid, a.Expr.At(m))
+	}
+	rs.nTrue = rs.nTrue[:0]
+	rs.broken = 0
+	for _, c := range ix.conj {
+		var n int32
+		if c.opaque != nil {
+			if smt.Holds(c.opaque, m) {
+				n = 1
+			}
+		} else {
+			for _, ai := range c.atoms {
+				if ix.atoms[ai].Op.Holds(rs.resid[ai]) {
+					n++
+				}
+			}
+		}
+		if n == 0 {
+			rs.broken++
+		}
+		rs.nTrue = append(rs.nTrue, n)
+	}
+	rs.valid = true
+}
+
+// count records that one atom of conjunct c (or opaque conjunct c itself)
+// became true (now) or false.
+func (rs *clauseState) count(c int32, now bool) {
+	if now {
+		if rs.nTrue[c] == 0 {
+			rs.broken--
+		}
+		rs.nTrue[c]++
+		return
+	}
+	rs.nTrue[c]--
+	if rs.nTrue[c] == 0 {
+		rs.broken++
+	}
 }

@@ -11,16 +11,21 @@ import (
 // repairTrial is one draw of the model-repair soundness gate: a random small
 // stack of rules — sum equalities, pairwise inequalities, disequalities and
 // implications, some with a conjunctive antecedent — plus per-record
-// equalities that pin variables, a satisfying lastModel, and one patchValue
-// of a non-pinned variable to a value inside its envelope. Half the trials
-// first assert the patched value, as advance() does at a separator.
+// equalities that pin variables, a satisfying lastModel, and then a sequence
+// of steps on that one engine. A step is either a patchValue of a non-pinned
+// variable to a value inside its envelope (half of them first assert the
+// patched value, as advance() does at a separator) or a replacement of the
+// model by a fresh solver model (noteSolverModel, as a probe does).
 //
-// On success the patched model must satisfy the whole stack under the
+// On success a patched model must satisfy the whole stack under the
 // map-based reference evaluator and keep every variable in its declared
-// domain; on failure lastModel must be unchanged, bit for bit. The returned
-// moves is the number of variables the repair moved besides the patched one
-// (-1 when the draw made no patch, 0 on failure).
-func repairTrial(t *testing.T, rng *rand.Rand) (ok bool, moves int) {
+// domain; on failure lastModel must be unchanged, bit for bit, and a patch
+// that asserted its value is followed by a replacement, as the decoder's
+// next probe would bring. After every step the engine's clause state, when
+// valid, must equal a rebuild from scratch. It returns the number of
+// accepted patches, of those moving ≥ 2 variables besides the patched one,
+// and of refused patches.
+func repairTrial(t *testing.T, rng *rand.Rand) (accepted, multi, refused int) {
 	t.Helper()
 	s := smt.NewSolver()
 	n := 3 + rng.Intn(5)
@@ -79,74 +84,116 @@ func repairTrial(t *testing.T, rng *rand.Rand) (ok bool, moves int) {
 		stack = append(stack, eq)
 		pinned[v] = true
 	}
-	r := s.Check()
-	if r.Status != smt.Sat {
-		return false, -1
+	e := &Engine{solver: s, ruleFormula: rules, clauses: newClauseIndex(rules, s.NumVars())}
+	// replace installs a fresh model of the stack, steered by a random range
+	// on one variable so that it differs from the last one; false when the
+	// stack has none.
+	replace := func() bool {
+		v := pick()
+		lo, hi := s.Bounds(v)
+		r := s.CheckWith(smt.Ge(smt.V(v), smt.C(lo+rng.Int63n(hi-lo+1))))
+		if r.Status != smt.Sat {
+			if r = s.Check(); r.Status != smt.Sat {
+				return false
+			}
+		}
+		e.noteSolverModel(r.Model)
+		return true
 	}
-	e := &Engine{solver: s, ruleFormula: rules, lastModel: make([]int64, n)}
-	for v, x := range r.Model {
-		e.lastModel[v] = x
+	if !replace() {
+		return
 	}
+	for step := 1 + rng.Intn(8); step > 0; step-- {
+		if rng.Intn(4) == 0 {
+			if !replace() {
+				return
+			}
+			checkClauseState(t, e)
+			continue
+		}
+		var free []smt.Var
+		for _, v := range vars {
+			if lo, hi, _ := s.BaseBounds(v); !pinned[v] && lo < hi {
+				free = append(free, v)
+			}
+		}
+		if len(free) == 0 {
+			return
+		}
+		v := free[rng.Intn(len(free))]
+		lo, hi, _ := s.BaseBounds(v)
+		x := lo + rng.Int63n(hi-lo+1)
+		if x == e.lastModel[v] {
+			continue
+		}
+		asserted := rng.Intn(2) == 0
+		if asserted {
+			eq := smt.Eq(smt.V(v), smt.C(x))
+			s.Assert(eq)
+			stack = append(stack, eq)
+			pinned[v] = true
+		}
+		before := append([]int64(nil), e.lastModel...)
+		if !e.patchValue(v, x) {
+			if !reflect.DeepEqual(e.lastModel, before) {
+				t.Fatalf("failed patch %v := %d left the model changed: %v, was %v\nrules %s",
+					v, x, e.lastModel, before, smt.FormulaString(rules))
+			}
+			checkClauseState(t, e)
+			refused++
+			if asserted && !replace() {
+				return
+			}
+			checkClauseState(t, e)
+			continue
+		}
+		m := map[smt.Var]int64{}
+		for u, val := range e.lastModel {
+			m[smt.Var(u)] = val
+			if dlo, dhi := s.Bounds(smt.Var(u)); val < dlo || val > dhi {
+				t.Fatalf("patch %v := %d moved %v to %d, outside its domain [%d,%d]", v, x, u, val, dlo, dhi)
+			}
+		}
+		if holds, err := smt.EvalFormula(smt.And(stack...), m); err != nil || !holds || m[v] != x {
+			t.Fatalf("patch %v := %d accepted model %v (was %v), which breaks the stack\nstack %s",
+				v, x, e.lastModel, before, smt.FormulaString(smt.And(stack...)))
+		}
+		checkClauseState(t, e)
+		accepted++
+		if e.nMoves-1 >= 2 {
+			multi++
+		}
+	}
+	return
+}
 
-	var free []smt.Var
-	for _, v := range vars {
-		if lo, hi, _ := s.BaseBounds(v); !pinned[v] && lo < hi {
-			free = append(free, v)
-		}
+// checkClauseState fails t unless e's clause state, when valid, equals a
+// rebuild from scratch under lastModel: every residual, every conjunct's
+// true count and the broken count.
+func checkClauseState(t *testing.T, e *Engine) {
+	t.Helper()
+	got := &e.repairState
+	if !got.valid {
+		return
 	}
-	if len(free) == 0 {
-		return false, -1
+	var want clauseState
+	want.rebuild(e.clauses, e.lastModel)
+	if !reflect.DeepEqual(got.resid, want.resid) || !reflect.DeepEqual(got.nTrue, want.nTrue) || got.broken != want.broken {
+		t.Fatalf("clause state drifted from its model %v:\nresiduals %v, true counts %v, %d broken\nrebuilt   %v, true counts %v, %d broken",
+			e.lastModel, got.resid, got.nTrue, got.broken, want.resid, want.nTrue, want.broken)
 	}
-	v := free[rng.Intn(len(free))]
-	lo, hi, _ := s.BaseBounds(v)
-	x := lo + rng.Int63n(hi-lo+1)
-	if x == e.lastModel[v] {
-		return false, -1
-	}
-	if rng.Intn(2) == 0 {
-		eq := smt.Eq(smt.V(v), smt.C(x))
-		s.Assert(eq)
-		stack = append(stack, eq)
-	}
-	before := append([]int64(nil), e.lastModel...)
-	if !e.patchValue(v, x) {
-		if !reflect.DeepEqual(e.lastModel, before) {
-			t.Fatalf("failed patch %v := %d left the model changed: %v, was %v\nrules %s",
-				v, x, e.lastModel, before, smt.FormulaString(rules))
-		}
-		return false, 0
-	}
-	m := map[smt.Var]int64{}
-	for u, val := range e.lastModel {
-		m[smt.Var(u)] = val
-		if dlo, dhi := s.Bounds(smt.Var(u)); val < dlo || val > dhi {
-			t.Fatalf("patch %v := %d moved %v to %d, outside its domain [%d,%d]", v, x, u, val, dlo, dhi)
-		}
-	}
-	if holds, err := smt.EvalFormula(smt.And(stack...), m); err != nil || !holds || m[v] != x {
-		t.Fatalf("patch %v := %d accepted model %v (was %v), which breaks the stack\nstack %s",
-			v, x, e.lastModel, before, smt.FormulaString(smt.And(stack...)))
-	}
-	return true, e.nMoves - 1
 }
 
 // TestPatchValueSound is the model-repair soundness gate (DESIGN.md §6): a
 // patch the repair accepts is a model of the whole stack, a patch it
-// refuses leaves the model untouched. It also checks the draws reach
-// multi-move repairs, so the gate covers the chains the decoder relies on.
+// refuses leaves the model untouched, and the incremental clause state
+// always equals a rebuild. It also checks the draws reach multi-move
+// repairs, so the gate covers the chains the decoder relies on.
 func TestPatchValueSound(t *testing.T) {
 	var ok, fail, multi int
 	for seed := int64(0); seed < 20000; seed++ {
-		good, moves := repairTrial(t, rand.New(rand.NewSource(seed)))
-		switch {
-		case good && moves >= 2:
-			multi++
-			fallthrough
-		case good:
-			ok++
-		case moves == 0:
-			fail++
-		}
+		a, m, r := repairTrial(t, rand.New(rand.NewSource(seed)))
+		ok, multi, fail = ok+a, multi+m, fail+r
 	}
 	t.Logf("%d accepted (%d moving ≥ 2 variables), %d refused", ok, multi, fail)
 	if ok < 1000 || fail < 200 || multi < 100 {
@@ -154,7 +201,8 @@ func TestPatchValueSound(t *testing.T) {
 	}
 }
 
-// FuzzPatchValueSound runs the soundness gate's trial on fuzzed seeds.
+// FuzzPatchValueSound runs the soundness gate's trial — one engine's
+// sequence of patches and model replacements — on fuzzed seeds.
 func FuzzPatchValueSound(f *testing.F) {
 	for _, seed := range []int64{1, 7, 42, -3} {
 		f.Add(seed)

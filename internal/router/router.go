@@ -44,7 +44,9 @@ type Job struct {
 	Seed          int64
 	Decode        core.DecodeCtxFn // nil → engine-default guided decode
 	NoPrefixCache bool
-	Start         time.Time
+	// Start is the admission stamp: the batch window of the batch this job
+	// opens runs from it. Submit stamps it when the caller left it zero.
+	Start time.Time
 	// Resp must be buffered (cap ≥ 1): shards never block delivering to a
 	// caller that already gave up on its deadline.
 	Resp chan Result
@@ -62,7 +64,10 @@ type Result struct {
 type Config struct {
 	// Replicas is the shard count (default 1).
 	Replicas int
-	// BatchWindow is each shard's coalescing window (default 2ms).
+	// BatchWindow is each shard's coalescing window (default 2ms), timed
+	// from the admission (Job.Start) of the batch's first job: a job that
+	// already waited that long in the queue dispatches at once, with
+	// whatever is queued behind it.
 	BatchWindow time.Duration
 	// MaxBatch caps records per shard micro-batch (default 32).
 	MaxBatch int
@@ -126,8 +131,9 @@ type shard struct {
 	inflight atomic.Int64
 	failures atomic.Int64 // budget/panic lane retirements since last drain
 	draining atomic.Bool
-	batches  atomic.Uint64
+	batches  atomic.Uint64 // settled batches
 	drains   atomic.Uint64
+	batchNs  atomic.Int64 // their summed wall time, dispatch to settle
 }
 
 // ShardStats is one shard's live dispatch state.
@@ -135,10 +141,13 @@ type ShardStats struct {
 	Shard    int    `json:"shard"`
 	Queued   int    `json:"queued"`
 	Inflight int    `json:"inflight"` // includes Queued
-	Batches  uint64 `json:"batches"`
+	Batches  uint64 `json:"batches"`  // settled micro-batches
 	Failures uint64 `json:"failures"`
 	Drains   uint64 `json:"drains"`
 	Draining bool   `json:"draining"`
+	// BatchSeconds is the summed wall time of the shard's batches, from
+	// dispatch to the last result; over Batches it is the mean batch cost.
+	BatchSeconds float64 `json:"batch_seconds"`
 }
 
 // Router fans jobs out across shards.
@@ -192,6 +201,7 @@ func (r *Router) Stats() []ShardStats {
 			Shard: sh.id, Queued: len(sh.queue), Inflight: int(sh.inflight.Load()),
 			Batches: sh.batches.Load(), Failures: uint64(sh.failures.Load()),
 			Drains: sh.drains.Load(), Draining: sh.draining.Load(),
+			BatchSeconds: time.Duration(sh.batchNs.Load()).Seconds(),
 		}
 	}
 	return out
@@ -199,8 +209,11 @@ func (r *Router) Stats() []ShardStats {
 
 // Submit places j on the least-loaded healthy shard, returning the shard id.
 // ok is false when every candidate queue is full (the caller should answer
-// 429): admission never blocks.
+// 429): admission never blocks. A zero j.Start is stamped now.
 func (r *Router) Submit(j *Job) (shard int, ok bool) {
+	if j.Start.IsZero() {
+		j.Start = time.Now()
+	}
 	return r.submitExcept(j, -1)
 }
 
@@ -250,9 +263,14 @@ func (r *Router) batcher(sh *shard) {
 	}
 }
 
-// batcherLoop consumes sh.queue: first job, then the window stays open for
-// BatchWindow (or until MaxBatch), then the batch dispatches. Returns true
-// on clean stop; a recovered panic returns false for the supervisor.
+// batcherLoop consumes sh.queue: it takes the first job and everything
+// already queued behind it, then keeps the window open until BatchWindow
+// after the first job's admission (or until MaxBatch), then the batch
+// dispatches. Under load the first job has spent much or all of its window
+// in the queue during the previous batch's decode, so the batch waits only
+// for the rest, if any; a lone job on an idle shard waits the whole window.
+// Returns true on clean stop; a recovered panic returns false for the
+// supervisor.
 func (r *Router) batcherLoop(sh *shard) (stopped bool) {
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -267,17 +285,30 @@ func (r *Router) batcherLoop(sh *shard) (stopped bool) {
 			return true
 		}
 		batch := append(make([]*Job, 0, r.cfg.MaxBatch), first)
-		timer := time.NewTimer(r.cfg.BatchWindow)
-	collect:
+		// Queued jobs first, without blocking: an expired window must not
+		// win a select against a job that is already waiting.
+	queued:
 		for len(batch) < r.cfg.MaxBatch {
 			select {
 			case j := <-sh.queue:
 				batch = append(batch, j)
-			case <-timer.C:
-				break collect
+			default:
+				break queued
 			}
 		}
-		timer.Stop()
+		if wait := r.cfg.BatchWindow - time.Since(first.Start); wait > 0 && len(batch) < r.cfg.MaxBatch {
+			timer := time.NewTimer(wait)
+		collect:
+			for len(batch) < r.cfg.MaxBatch {
+				select {
+				case j := <-sh.queue:
+					batch = append(batch, j)
+				case <-timer.C:
+					break collect
+				}
+			}
+			timer.Stop()
+		}
 		r.runBatch(sh, batch)
 		if t := r.cfg.FailureThreshold; t > 0 && sh.failures.Load() >= int64(t) {
 			r.drainShard(sh)
@@ -292,7 +323,10 @@ func (r *Router) batcherLoop(sh *shard) (stopped bool) {
 // restart semantics hold; the deferred inflight settle still runs.
 func (r *Router) runBatch(sh *shard, batch []*Job) {
 	defer sh.inflight.Add(-int64(len(batch)))
-	sh.batches.Add(1)
+	defer func(t0 time.Time) {
+		sh.batchNs.Add(int64(time.Since(t0)))
+		sh.batches.Add(1)
+	}(time.Now())
 	order := make([]*pack.Compiled, 0, 1)
 	groups := make(map[*pack.Compiled][]*Job, 1)
 	for _, j := range batch {

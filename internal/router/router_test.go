@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -228,5 +229,132 @@ func TestDrainAfterFailures(t *testing.T) {
 		if res := <-j.Resp; res.Err != nil {
 			t.Fatalf("post-drain job %d: %v", i, res.Err)
 		}
+	}
+}
+
+// windowTestWindow is the batch window of the window tests: wide, so that
+// scheduling noise under -race stays far inside every margin.
+const windowTestWindow = 200 * time.Millisecond
+
+// dispatchClock is an ObserveBatch hook that records each batch's size and
+// dispatch time.
+type dispatchClock chan struct {
+	size int
+	at   time.Time
+}
+
+func (c dispatchClock) observe(shard, size int) {
+	c <- struct {
+		size int
+		at   time.Time
+	}{size, time.Now()}
+}
+
+func (c dispatchClock) next(t *testing.T) (size int, at time.Time) {
+	t.Helper()
+	select {
+	case d := <-c:
+		return d.size, d.at
+	case <-time.After(10 * time.Second):
+		t.Fatal("no batch dispatched")
+	}
+	return 0, time.Time{}
+}
+
+// TestBatchWindowFromAdmission: a batch's window runs from its first job's
+// admission, not from when the batcher dequeued it. A job that waited longer
+// than the window in the queue (behind a gated batch) dispatches as soon as
+// the batcher is free, together with every job queued behind it.
+func TestBatchWindowFromAdmission(t *testing.T) {
+	gate := make(chan struct{})
+	pk := testPack(t, gateLM{vocab: vocab.Telemetry().Size(), gate: gate}, nil)
+	clock := make(dispatchClock, 2) // one per batch: the hook must not block the batcher
+	r := New(Config{BatchWindow: windowTestWindow, Workers: 1, ObserveBatch: clock.observe})
+	defer r.Close()
+	var release sync.Once
+	open := func() { release.Do(func() { close(gate) }) }
+	defer open() // LIFO: unblock a gated decode before Close waits on the batcher
+
+	held := newJob(pk, 100, 1)
+	if _, ok := r.Submit(held); !ok {
+		t.Fatal("gating job refused")
+	}
+	clock.next(t) // the batcher is now blocked on the gate
+	jobs := []*Job{newJob(pk, 110, 2), newJob(pk, 120, 3), newJob(pk, 130, 4)}
+	jobs[0].Start = time.Now().Add(-2 * windowTestWindow)
+	for i, j := range jobs {
+		if _, ok := r.Submit(j); !ok {
+			t.Fatalf("job %d refused", i)
+		}
+	}
+	open()
+	if res := <-held.Resp; res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	settled := time.Now()
+	size, at := clock.next(t)
+	if size != len(jobs) {
+		t.Errorf("the stale job dispatched in a batch of %d, want all %d queued jobs", size, len(jobs))
+	}
+	if wait := at.Sub(settled); wait > windowTestWindow/2 {
+		t.Errorf("the stale job dispatched %v after the batcher freed up; its window had expired in the queue", wait)
+	}
+	for i, j := range jobs {
+		if res := <-j.Resp; res.Err != nil || res.BatchSize != len(jobs) {
+			t.Errorf("job %d: batch size %d, err %v", i, res.BatchSize, res.Err)
+		}
+	}
+}
+
+// TestBatchWindowIdleWaitsFullWindow: a fresh job on an idle batcher still
+// waits one whole window for company before it dispatches.
+func TestBatchWindowIdleWaitsFullWindow(t *testing.T) {
+	pk := testPack(t, uniformLM{vocab: vocab.Telemetry().Size()}, nil)
+	clock := make(dispatchClock, 1)
+	r := New(Config{BatchWindow: windowTestWindow, Workers: 1, ObserveBatch: clock.observe})
+	defer r.Close()
+
+	j := newJob(pk, 100, 1)
+	if _, ok := r.Submit(j); !ok {
+		t.Fatal("job refused")
+	}
+	_, at := clock.next(t)
+	if wait := at.Sub(j.Start); wait < windowTestWindow || wait > 3*windowTestWindow {
+		t.Errorf("a lone job dispatched %v after admission, want about one window (%v)", wait, windowTestWindow)
+	}
+	if res := <-j.Resp; res.Err != nil {
+		t.Fatal(res.Err)
+	}
+}
+
+// TestBatchWindowBoundsClosedLoop: when every job is admitted after the
+// previous dispatch, consecutive dispatches are at least one window apart.
+// So a closed-loop client — next request only after the last answer — gets
+// at most one request per window: the per-client rate the mixed-reload
+// benchmark sizes its prompt pool from.
+func TestBatchWindowBoundsClosedLoop(t *testing.T) {
+	pk := testPack(t, uniformLM{vocab: vocab.Telemetry().Size()}, nil)
+	clock := make(dispatchClock, 4) // one per batch: the hook must not block the batcher
+	r := New(Config{BatchWindow: windowTestWindow, Workers: 1, ObserveBatch: clock.observe})
+	defer r.Close()
+
+	var prev time.Time
+	for i := 0; i < 4; i++ {
+		j := newJob(pk, 100+int64(i), int64(i))
+		if _, ok := r.Submit(j); !ok {
+			t.Fatalf("job %d refused", i)
+		}
+		if res := <-j.Resp; res.Err != nil {
+			t.Fatalf("job %d: %v", i, res.Err)
+		}
+		_, at := clock.next(t)
+		if i > 0 && at.Sub(prev) < windowTestWindow {
+			t.Errorf("dispatches %d and %d are %v apart, under the %v window", i-1, i, at.Sub(prev), windowTestWindow)
+		}
+		prev = at
+	}
+	r.Close() // waits for the last batch to settle
+	if st := r.Stats()[0]; st.Batches != 4 || st.BatchSeconds <= 0 {
+		t.Errorf("shard stats after 4 settled batches: %d batches, %gs", st.Batches, st.BatchSeconds)
 	}
 }

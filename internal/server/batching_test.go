@@ -9,11 +9,14 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/router"
 	"repro/internal/vocab"
 )
 
@@ -128,6 +131,100 @@ func TestBackpressure(t *testing.T) {
 	}
 	if got := s.Metrics().Snapshot().Rejected; got != 1 {
 		t.Errorf("rejected counter %d, want 1", got)
+	}
+}
+
+// sleepLM sleeps on every Logits call: a decode whose cost the test sets.
+type sleepLM struct {
+	vocab int
+	d     time.Duration
+}
+
+func (l sleepLM) VocabSize() int { return l.vocab }
+func (l sleepLM) NewSession() core.Session {
+	return &sleepSession{d: l.d, logits: make([]float32, l.vocab)}
+}
+
+type sleepSession struct {
+	d      time.Duration
+	logits []float32
+}
+
+func (s *sleepSession) Append(tok int) error { return nil }
+func (s *sleepSession) Logits() []float32    { time.Sleep(s.d); return s.logits }
+
+// TestRetryAfterFromBatchCost: the 429's Retry-After is computed from the
+// shard's measured batch wall time, so a slow backlog yields a header above
+// the 1 s floor.
+func TestRetryAfterFromBatchCost(t *testing.T) {
+	eng, rs, schema := testEngine(t, sleepLM{vocab: vocab.Telemetry().Size(), d: 40 * time.Millisecond})
+	s, err := New(Config{
+		Packs: testPacks(t, eng, rs, schema, 0), DefaultPack: "default",
+		BatchWindow: time.Millisecond, MaxBatch: 1, QueueDepth: 1, Workers: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	body := `{"known": {"TotalIngress": [100], "Congestion": [0]}}`
+	// One settled batch gives the shard its mean batch cost.
+	if resp, data := postJSON(t, ts, "/v1/impute", body); resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d (%s)", resp.StatusCode, data)
+	}
+	codes := make(chan int, 2) // one per background request
+	post := func() {
+		resp, err := http.Post(ts.URL+"/v1/impute", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Error(err)
+			codes <- 0
+			return
+		}
+		resp.Body.Close()
+		codes <- resp.StatusCode
+	}
+	go post() // decoding
+	waitFor(t, s, func(sn Snapshot) bool { return sn.Batches == 2 })
+	go post() // queued: the depth-1 queue is full
+	waitFor(t, s, func(sn Snapshot) bool { return sn.QueueDepth == 1 })
+
+	resp, data := postJSON(t, ts, "/v1/impute", body)
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("status %d, want 429 (body %s)", resp.StatusCode, data)
+	}
+	st := s.Router().Stats()[0]
+	got, err := strconv.Atoi(resp.Header.Get("Retry-After"))
+	if err != nil || got <= 1 {
+		t.Errorf("Retry-After %q behind %d in flight at %.2fs per batch, want above 1", resp.Header.Get("Retry-After"), st.Inflight, st.BatchSeconds/float64(st.Batches))
+	}
+	for i := 0; i < 2; i++ {
+		if code := <-codes; code != http.StatusOK {
+			t.Errorf("held request finished with %d, want 200", code)
+		}
+	}
+}
+
+// TestRetryAfterSecs pins the estimate: per shard, batches to drain its
+// backlog times its mean settled batch (the batch window before any has
+// settled), the soonest shard answering, clamped to [1, 30] seconds.
+func TestRetryAfterSecs(t *testing.T) {
+	cold := router.ShardStats{Inflight: 256}
+	slow := router.ShardStats{Inflight: 200, Batches: 10, BatchSeconds: 4} // 7 batches × 0.4 s
+	slower := router.ShardStats{Inflight: 200, Batches: 10, BatchSeconds: 100}
+	for _, c := range []struct {
+		shards []router.ShardStats
+		want   int64
+	}{
+		{[]router.ShardStats{cold}, 1},
+		{[]router.ShardStats{slow}, 3},
+		{[]router.ShardStats{slower, slow}, 3},
+		{[]router.ShardStats{slower}, 30},
+	} {
+		if got := retryAfterSecs(c.shards, 32, 2*time.Millisecond); got != c.want {
+			t.Errorf("retryAfterSecs(%+v) = %d, want %d", c.shards, got, c.want)
+		}
 	}
 }
 

@@ -476,6 +476,11 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 		for _, sh := range st {
 			fmt.Fprintf(w, "lejitd_shard_drains_total{shard=\"%d\"} %d\n", sh.Shard, sh.Drains)
 		}
+		fmt.Fprintln(w, "# HELP lejitd_shard_batch_seconds_total Wall time of an engine shard's micro-batches, dispatch to last result; Retry-After divides it by the shard's batch count.")
+		fmt.Fprintln(w, "# TYPE lejitd_shard_batch_seconds_total counter")
+		for _, sh := range st {
+			fmt.Fprintf(w, "lejitd_shard_batch_seconds_total{shard=\"%d\"} %g\n", sh.Shard, sh.BatchSeconds)
+		}
 	}
 
 	fmt.Fprintln(w, "# HELP lejitd_admitted_total Requests admitted past backpressure (includes in-flight).")

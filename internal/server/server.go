@@ -40,7 +40,8 @@ type Config struct {
 	// negative disables self-draining.
 	ShardFailureThreshold int
 	// BatchWindow is how long each shard's batcher waits after the first
-	// request for more to coalesce (default 2ms).
+	// request for more to coalesce (default 2ms), timed from that request's
+	// admission: a request that already queued that long dispatches at once.
 	BatchWindow time.Duration
 	// MaxBatch caps records per micro-batch (default 32).
 	MaxBatch int
@@ -221,15 +222,28 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
-// retryAfter estimates when capacity frees up, from live backlog: the
-// admitted-but-unfinished count divided into micro-batches, each taking about
-// one batch window to dispatch. Clamped to [1s, 30s] — the old hardcoded "1"
-// told a client staring at a 200-deep queue to hammer the daemon once a
-// second.
+// retryAfter estimates when capacity frees up, from live backlog: for each
+// shard, its admitted-but-unfinished jobs divided into micro-batches, each
+// costing the shard's measured mean batch wall time (dispatch to settle; the
+// batch window before any batch has settled). The soonest shard answers.
+// Clamped to [1s, 30s] — the old hardcoded "1" told a client staring at a
+// 200-deep queue to hammer the daemon once a second.
 func (s *Server) retryAfter() string {
-	_, inflight := s.router.Load()
-	batches := inflight/s.cfg.MaxBatch + 1
-	est := time.Duration(batches) * s.cfg.BatchWindow
+	return strconv.FormatInt(retryAfterSecs(s.router.Stats(), s.cfg.MaxBatch, s.cfg.BatchWindow), 10)
+}
+
+// retryAfterSecs is retryAfter's estimate over a snapshot of shard stats.
+func retryAfterSecs(shards []router.ShardStats, maxBatch int, window time.Duration) int64 {
+	var est time.Duration
+	for i, sh := range shards {
+		per := window
+		if sh.Batches > 0 {
+			per = time.Duration(sh.BatchSeconds / float64(sh.Batches) * float64(time.Second))
+		}
+		if d := time.Duration(sh.Inflight/maxBatch+1) * per; i == 0 || d < est {
+			est = d
+		}
+	}
 	secs := int64((est + time.Second - 1) / time.Second)
 	if secs < 1 {
 		secs = 1
@@ -237,7 +251,7 @@ func (s *Server) retryAfter() string {
 	if secs > 30 {
 		secs = 30
 	}
-	return strconv.FormatInt(secs, 10)
+	return secs
 }
 
 // decodeFnFor maps a request mode to its decode function. The baselines are

@@ -403,6 +403,7 @@ func TestMetricsEndpointRenders(t *testing.T) {
 		"lejitd_panics_recovered_total 0",
 		"lejitd_lanes_retired_total 0",
 		"lejitd_batcher_restarts_total 0",
+		`lejitd_shard_batch_seconds_total{shard="0"} `,
 	} {
 		if !strings.Contains(string(data), want) {
 			t.Errorf("metrics missing %q:\n%s", want, data)

@@ -38,6 +38,27 @@ func (op AtomOp) String() string {
 	return "?"
 }
 
+// Holds reports whether v OP 0: the truth of an atom whose expression
+// evaluates to v. Holds and the model repair of internal/core both decide
+// atoms through it.
+func (op AtomOp) Holds(v int64) bool {
+	switch op {
+	case OpLE:
+		return v <= 0
+	case OpLT:
+		return v < 0
+	case OpGE:
+		return v >= 0
+	case OpGT:
+		return v > 0
+	case OpEQ:
+		return v == 0
+	case OpNE:
+		return v != 0
+	}
+	panic("smt: bad AtomOp")
+}
+
 // negate returns the operator of the negated atom.
 func (op AtomOp) negate() AtomOp {
 	switch op {
@@ -247,21 +268,7 @@ func Holds(f Formula, m []int64) bool {
 	case boolF:
 		return g.v
 	case atomF:
-		v := g.a.Expr.At(m)
-		switch g.a.Op {
-		case OpLE:
-			return v <= 0
-		case OpLT:
-			return v < 0
-		case OpGE:
-			return v >= 0
-		case OpGT:
-			return v > 0
-		case OpEQ:
-			return v == 0
-		case OpNE:
-			return v != 0
-		}
+		return g.a.Op.Holds(g.a.Expr.At(m))
 	case notF:
 		return !Holds(g.f, m)
 	case andF:
