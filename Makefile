@@ -13,6 +13,8 @@ tier1:
 # frame-layout check of internal/tensor/matacc_amd64.s), the race detector over
 # the concurrent packages (the solver, the decode loop — DecodeRequests' lane
 # groups share one *nn.Model across goroutines — and the serving daemon), GELU against its reference on all 2^32 inputs (≈ 80 s on 2 cores),
+# a default-scale retrain at GOMAXPROCS=4 that must write the committed
+# artifact byte for byte (≈ 20 s on 2 cores),
 # a cross-build so the non-amd64 kernel body cannot rot, the no-FMA gate,
 # then vet + test of bench/ — a nested module, so ./... above never compiles
 # it although it imports internal/.
@@ -28,6 +30,7 @@ verify: tier1
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; fi
 	GOMAXPROCS=4 $(GO) test -race ./internal/core/... ./internal/smt/... ./internal/nn/... ./internal/server/... ./internal/router/... ./internal/prefixcache/... ./internal/pack/...
 	$(GO) test -count=1 -v -run 'TestGELUMatchesReference' ./internal/tensor/ -gelufull
+	$(GO) test -count=1 -v -run 'TestCommittedArtifactsReproduce' ./internal/experiments/ -retrain
 	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./internal/tensor/ ./internal/nn/
 	@asm=$$(GOARCH=arm64 $(GO) build -gcflags=-S ./internal/tensor ./internal/nn 2>&1 | grep '/internal/tensor/matacc\.go:'); \
 	if echo "$$asm" | grep -E 'FMADD|FMSUB|FNMADD|FNMSUB'; then echo "no-FMA gate: arm64 fuses a multiply-add in matacc.go"; exit 1; fi; \

@@ -1,10 +1,14 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"flag"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -273,6 +277,39 @@ func TestCommittedArtifactsLoad(t *testing.T) {
 	}
 	if !defaultSeen {
 		t.Errorf("no artifact for the default scale (key %s)", sc.cacheKey())
+	}
+}
+
+var retrain = flag.Bool("retrain", false, "TestCommittedArtifactsReproduce also retrains the default scale (≈ 20 s on 2 cores)")
+
+// TestCommittedArtifactsReproduce: training is deterministic and independent
+// of GOMAXPROCS, so retraining a scale at GOMAXPROCS 4 writes the committed
+// artifact byte for byte — the tiny scale always, the default scale with
+// -retrain (make verify, CI). A cached run and a retraining run of
+// lejit-bench therefore decode the same model.
+func TestCommittedArtifactsReproduce(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	scales := []ScaleConfig{TinyScale()}
+	if *retrain {
+		scales = append(scales, DefaultScale())
+	}
+	for _, sc := range scales {
+		sc.CacheDir, sc.Quiet = t.TempDir(), true
+		if _, err := Prepare(sc); err != nil {
+			t.Fatal(err)
+		}
+		name := "gpt2mini_" + sc.cacheKey() + ".gob"
+		got, err := os.ReadFile(filepath.Join(sc.CacheDir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(filepath.Join("../../artifacts", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("retrained %s (sha256 %x) differs from the committed artifact (sha256 %x)", name, sha256.Sum256(got), sha256.Sum256(want))
+		}
 	}
 }
 

@@ -18,11 +18,11 @@ func TestCausalMask(t *testing.T) {
 	mut := append([]int(nil), base...)
 	mut[4] = 9 // change a late token
 
-	cb, err := m.forward(base)
+	cb, err := m.newPass(nil).forward(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cm, err := m.forward(mut)
+	cm, err := m.newPass(nil).forward(mut)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,20 +35,20 @@ func TestForwardShapesAndErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := m.forward([]int{1, 2, 3})
+	c, err := m.newPass(nil).forward([]int{1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if c.logits.R != 3 || c.logits.C != 11 {
 		t.Errorf("logits %dx%d", c.logits.R, c.logits.C)
 	}
-	if _, err := m.forward(nil); err == nil {
+	if _, err := m.newPass(nil).forward(nil); err == nil {
 		t.Error("empty input should error")
 	}
-	if _, err := m.forward(make([]int, 9)); err == nil {
+	if _, err := m.newPass(nil).forward(make([]int, 9)); err == nil {
 		t.Error("over-context input should error")
 	}
-	if _, err := m.forward([]int{99}); err == nil {
+	if _, err := m.newPass(nil).forward([]int{99}); err == nil {
 		t.Error("out-of-vocab token should error")
 	}
 }
@@ -62,7 +62,7 @@ func TestBackwardNumericGradient(t *testing.T) {
 	}
 	seq := []int{1, 4, 2, 6, 3, 5}
 	g := m.newGrads()
-	if _, err := m.backward(seq, g); err != nil {
+	if _, err := m.newPass(nil).backward(seq, g); err != nil {
 		t.Fatal(err)
 	}
 
@@ -149,7 +149,7 @@ func TestSessionMatchesForward(t *testing.T) {
 		t.Fatal(err)
 	}
 	seq := []int{1, 5, 3, 7, 2, 9, 4, 6}
-	c, err := m.forward(seq)
+	c, err := m.newPass(nil).forward(seq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,5 +291,62 @@ func TestLRSchedule(t *testing.T) {
 	mid := lrAt(tc, 55, 100)
 	if mid <= 0.1 || mid >= 1.0 {
 		t.Errorf("mid lr = %v out of range", mid)
+	}
+}
+
+// trainCorpus returns n random sequences of 30–47 tokens over vocab ids
+// 1..vocab-1: a pack example corpus's size and shape.
+func trainCorpus(n, vocab int) [][]int {
+	rng := rand.New(rand.NewSource(4))
+	seqs := make([][]int, n)
+	for i := range seqs {
+		seqs[i] = make([]int, 30+rng.Intn(18))
+		for j := range seqs[i] {
+			seqs[i][j] = 1 + rng.Intn(vocab-1)
+		}
+	}
+	return seqs
+}
+
+// TestTrainBytesIndependentOfWorkers: a batch's two halves are summed in a
+// fixed order, so any Workers — and any goroutine schedule — trains the same
+// model bytes. The batch of 7 leaves a last batch of 2, split 1 + 1.
+func TestTrainBytesIndependentOfWorkers(t *testing.T) {
+	cfg := Config{Vocab: 13, Ctx: 48, Dim: 16, Heads: 2, Layers: 2}
+	seqs := trainCorpus(30, cfg.Vocab)
+	var want []byte
+	for _, workers := range []int{1, 2, 4, 4} {
+		m, err := New(cfg, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Train(seqs, TrainConfig{Batch: 7, Epochs: 2, Seed: 1, Workers: workers}); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := m.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = buf.Bytes()
+		} else if !bytes.Equal(buf.Bytes(), want) {
+			t.Fatalf("Workers %d trained different bytes than Workers 1", workers)
+		}
+	}
+}
+
+// BenchmarkTrain times one epoch of a pack-sized model (pack.TrainLM's
+// defaults: dim 32, one layer, two heads, context 48) on 200 sequences.
+func BenchmarkTrain(b *testing.B) {
+	cfg := Config{Vocab: 40, Ctx: 48, Dim: 32, Heads: 2, Layers: 1}
+	seqs := trainCorpus(200, cfg.Vocab)
+	for i := 0; i < b.N; i++ {
+		m, err := New(cfg, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := m.Train(seqs, TrainConfig{Seed: 1}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

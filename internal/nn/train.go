@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -16,7 +17,7 @@ type TrainConfig struct {
 	ClipNorm    float64 // global gradient-norm clip (0 → 1.0)
 	Warmup      int     // warmup steps (0 → 20)
 	Seed        int64   // shuffling seed
-	Workers     int     // parallel gradient workers (0 → GOMAXPROCS)
+	Workers     int     // goroutines running a batch's two halves: 1 runs them in turn, 0 → GOMAXPROCS; the trained bytes do not depend on it
 	LogEvery    int     // steps between Logf calls (0 → never)
 	Logf        func(format string, args ...any)
 	WeightDecay float64 // decoupled weight decay (AdamW style; 0 → none)
@@ -65,12 +66,15 @@ func (m *Model) Train(seqs [][]int, tc TrainConfig) ([]float64, error) {
 		order[i] = i
 	}
 
-	nWorkers := tc.Workers
-	workerGrads := make([]*grads, nWorkers)
-	for i := range workerGrads {
-		workerGrads[i] = m.newGrads()
+	// Each batch splits into two fixed contiguous halves, each with its own
+	// pass and gradient buffers, summed in index order after both finish: the
+	// sums — and so the trained bytes — are the same at any Workers.
+	wt := m.transposeWeights(nil)
+	var passes [2]*pass
+	var halves [2]*grads
+	for i := range passes {
+		passes[i], halves[i] = m.newPass(wt), m.newGrads()
 	}
-	total := m.newGrads()
 
 	totalSteps := tc.Epochs * ((len(seqs) + tc.Batch - 1) / tc.Batch)
 	var history []float64
@@ -84,49 +88,39 @@ func (m *Model) Train(seqs [][]int, tc TrainConfig) ([]float64, error) {
 			}
 			batch := order[start:end]
 
-			total.zero()
-			var mu sync.Mutex
-			var batchLoss float64
-			var batchErr error
-			var wg sync.WaitGroup
-			chunk := (len(batch) + nWorkers - 1) / nWorkers
-			for w := 0; w < nWorkers; w++ {
-				lo := w * chunk
-				if lo >= len(batch) {
-					break
-				}
-				hi := lo + chunk
-				if hi > len(batch) {
-					hi = len(batch)
-				}
-				wg.Add(1)
-				go func(w, lo, hi int) {
-					defer wg.Done()
-					g := workerGrads[w]
-					g.zero()
-					var local float64
-					for _, idx := range batch[lo:hi] {
-						loss, err := m.backward(seqs[idx], g)
-						if err != nil {
-							mu.Lock()
-							if batchErr == nil {
-								batchErr = err
-							}
-							mu.Unlock()
-							return
-						}
-						local += loss
+			mid := (len(batch) + 1) / 2
+			parts := [2][]int{batch[:mid], batch[mid:]}
+			var losses [2]float64
+			var errs [2]error
+			half := func(i int) {
+				halves[i].zero()
+				for _, idx := range parts[i] {
+					loss, err := passes[i].backward(seqs[idx], halves[i])
+					if err != nil {
+						errs[i] = err
+						return
 					}
-					mu.Lock()
-					batchLoss += local
-					total.add(g)
-					mu.Unlock()
-				}(w, lo, hi)
+					losses[i] += loss
+				}
 			}
-			wg.Wait()
-			if batchErr != nil {
-				return history, batchErr
+			if tc.Workers > 1 {
+				var wg sync.WaitGroup
+				wg.Add(1)
+				go func() { defer wg.Done(); half(1) }()
+				half(0)
+				wg.Wait()
+			} else {
+				half(0)
+				half(1)
 			}
+			if err := cmp.Or(errs[0], errs[1]); err != nil {
+				return history, err
+			}
+			// No gradient sum is −0 (each starts at +0), so halves[0] +
+			// halves[1] is also +0 + halves[0] + halves[1] in either order.
+			total := halves[0]
+			total.add(halves[1])
+			batchLoss := losses[0] + losses[1]
 
 			// Average gradients over the batch.
 			inv := float32(1 / float64(len(batch)))
@@ -138,6 +132,7 @@ func (m *Model) Train(seqs [][]int, tc TrainConfig) ([]float64, error) {
 
 			lr := lrAt(tc, step, totalSteps)
 			m.adamStep(total, lr, tc.ClipNorm, tc.WeightDecay)
+			m.transposeWeights(wt)
 			step++
 			history = append(history, batchLoss/float64(len(batch)))
 			if tc.LogEvery > 0 && tc.Logf != nil && step%tc.LogEvery == 0 {
@@ -206,8 +201,9 @@ func (m *Model) EvalLoss(seqs [][]int) (float64, error) {
 		return 0, fmt.Errorf("nn: no sequences")
 	}
 	var total float64
+	p := m.newPass(nil)
 	for _, s := range seqs {
-		l, err := m.Loss(s)
+		l, err := p.loss(s)
 		if err != nil {
 			return 0, err
 		}

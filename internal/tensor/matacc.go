@@ -2,15 +2,16 @@ package tensor
 
 import "fmt"
 
-// MatAccum is the inner kernel of the decode forward: for r < rows and j < out
-// it computes
+// MatAccum is the one matmul kernel, of the decode forward and of training:
+// for r < rows and j < out it computes
 //
 //	y[r·out+j] += Σ_p x[r·in+p] · w[p·wstride+j]
 //
 // with p ascending, one accumulator per output element and every product
 // rounded to float32 before its add — the float32 operation sequence of the
 // scalar loop. Every projection is a call with wstride = out; attention's
-// scores and value sums are rows = 1 calls over the KV cache (DESIGN.md §7).
+// scores and value sums are rows = 1 calls over the KV cache; MatMul,
+// MatMulAddTransA and MatMulAddTransB are one call each (DESIGN.md §7).
 // amd64 runs register tiles in SSE2 (matacc_amd64.s), every other GOARCH runs
 // matAccumGeneric; the float32 results are the same bit for bit (NaN
 // payloads aside).

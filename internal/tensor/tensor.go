@@ -4,10 +4,11 @@
 // layer-norm and GELU forward/backward, and seeded Gaussian initialization.
 //
 // Everything is scalar Go with cache-friendly loop ordering, except one
-// kernel: MatAccum, which computes the decode forward's projections and
-// attention products, has an SSE2 body on amd64 (matacc_amd64.s) that keeps output tiles in registers
-// and performs the Go loop's float32 operations on each element in the Go
-// loop's order. No dependency, no cgo — fast enough for the
+// kernel: MatAccum, which computes every matmul — the decode forward's
+// projections and attention products and the three training products —
+// has an SSE2 body on amd64 (matacc_amd64.s) that keeps output tiles in
+// registers and performs the Go loop's float32 operations on each element in
+// the Go loop's order. No dependency, no cgo — fast enough for the
 // paper-scale models LeJIT uses (the paper deliberately picks a small,
 // generic LM; see DESIGN.md).
 package tensor
@@ -70,73 +71,63 @@ func (m *Mat) Randn(rng *rand.Rand, std float64) {
 	}
 }
 
+// Transpose writes Aᵀ into dst, which must be A.C×A.R.
+func Transpose(dst, a *Mat) {
+	if dst.R != a.C || dst.C != a.R {
+		panic(fmt.Sprintf("tensor: Transpose %dx%d -> %dx%d", a.R, a.C, dst.R, dst.C))
+	}
+	for i := 0; i < a.R; i++ {
+		for j, v := range a.W[i*a.C : (i+1)*a.C] {
+			dst.W[j*a.R+i] = v
+		}
+	}
+}
+
+// The three products below are the training forward and backward's only
+// matmuls, and each is one MatAccum call: per output element one
+// accumulator, p ascending, every product rounded before its add. MatAccum
+// adds a zero A element's ±0 product where a scalar loop may skip it; the
+// bits agree provided every operand is finite and no accumulator holds −0.
+// A sum that starts at +0 never becomes −0, so a zeroed dst qualifies
+// (DESIGN.md §7).
+
 // MatMul computes dst = A·B for A (n×k) and B (k×m); dst must be n×m and is
-// overwritten. The k-outer loop order keeps B rows hot in cache.
+// overwritten.
 func MatMul(dst, a, b *Mat) {
 	if a.C != b.R || dst.R != a.R || dst.C != b.C {
 		panic(fmt.Sprintf("tensor: MatMul dims %dx%d · %dx%d -> %dx%d", a.R, a.C, b.R, b.C, dst.R, dst.C))
 	}
 	dst.Zero()
-	n, k, m := a.R, a.C, b.C
-	for i := 0; i < n; i++ {
-		arow := a.W[i*k : (i+1)*k]
-		drow := dst.W[i*m : (i+1)*m]
-		for p := 0; p < k; p++ {
-			av := arow[p]
-			if av == 0 {
-				continue
-			}
-			brow := b.W[p*m : (p+1)*m]
-			for j := 0; j < m; j++ {
-				drow[j] += av * brow[j]
-			}
-		}
-	}
+	MatAccum(dst.W, a.W, b.W, a.R, a.C, b.C, b.C)
 }
 
-// MatMulAddTransB computes dst += A·Bᵀ for A (n×k), B (m×k); dst is n×m.
-// This is the "weights stored output-major" product used by linear layers'
-// backward-through-weights.
-func MatMulAddTransB(dst, a, b *Mat) {
-	if a.C != b.C || dst.R != a.R || dst.C != b.R {
-		panic(fmt.Sprintf("tensor: MatMulAddTransB dims %dx%d · (%dx%d)ᵀ -> %dx%d", a.R, a.C, b.R, b.C, dst.R, dst.C))
+// MatMulAddTransB computes dst += A·Bᵀ for A (n×k) and B (m×k), given as its
+// transpose bt (k×m); dst is n×m. This is the "weights stored output-major"
+// product used by linear layers' backward-through-weights. Each sum is formed
+// in tmp (≥ n·m floats, overwritten) and then added to dst once, so a dst
+// that accumulates several products gets one add per product.
+func MatMulAddTransB(dst, a, bt *Mat, tmp []float32) {
+	if a.C != bt.R || dst.R != a.R || dst.C != bt.C || len(tmp) < dst.R*dst.C {
+		panic(fmt.Sprintf("tensor: MatMulAddTransB dims %dx%d · %dx%d -> %dx%d (tmp %d)", a.R, a.C, bt.R, bt.C, dst.R, dst.C, len(tmp)))
 	}
-	n, k, m := a.R, a.C, b.R
-	for i := 0; i < n; i++ {
-		arow := a.W[i*k : (i+1)*k]
-		drow := dst.W[i*m : (i+1)*m]
-		for j := 0; j < m; j++ {
-			brow := b.W[j*k : (j+1)*k]
-			var s float32
-			for p := 0; p < k; p++ {
-				s += arow[p] * brow[p]
-			}
-			drow[j] += s
-		}
+	tmp = tmp[:dst.R*dst.C]
+	clear(tmp)
+	MatAccum(tmp, a.W, bt.W, a.R, a.C, bt.C, bt.C)
+	for i, v := range tmp {
+		dst.W[i] += v
 	}
 }
 
 // MatMulAddTransA computes dst += Aᵀ·B for A (k×n), B (k×m); dst is n×m.
-// This accumulates weight gradients (activationsᵀ · upstream).
-func MatMulAddTransA(dst, a, b *Mat) {
-	if a.R != b.R || dst.R != a.C || dst.C != b.C {
-		panic(fmt.Sprintf("tensor: MatMulAddTransA dims (%dx%d)ᵀ · %dx%d -> %dx%d", a.R, a.C, b.R, b.C, dst.R, dst.C))
+// This accumulates weight gradients (activationsᵀ · upstream) into dst
+// itself. at (≥ k·n floats) receives Aᵀ.
+func MatMulAddTransA(dst, a, b *Mat, at []float32) {
+	if a.R != b.R || dst.R != a.C || dst.C != b.C || len(at) < a.R*a.C {
+		panic(fmt.Sprintf("tensor: MatMulAddTransA dims (%dx%d)ᵀ · %dx%d -> %dx%d (at %d)", a.R, a.C, b.R, b.C, dst.R, dst.C, len(at)))
 	}
-	k, n, m := a.R, a.C, b.C
-	for p := 0; p < k; p++ {
-		arow := a.W[p*n : (p+1)*n]
-		brow := b.W[p*m : (p+1)*m]
-		for i := 0; i < n; i++ {
-			av := arow[i]
-			if av == 0 {
-				continue
-			}
-			drow := dst.W[i*m : (i+1)*m]
-			for j := 0; j < m; j++ {
-				drow[j] += av * brow[j]
-			}
-		}
-	}
+	t := FromSlice(a.C, a.R, at[:a.R*a.C])
+	Transpose(t, a)
+	MatAccum(dst.W, t.W, b.W, a.C, a.R, b.C, b.C)
 }
 
 // AddRow adds vector v to every row of m (broadcast bias add).

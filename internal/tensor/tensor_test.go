@@ -30,19 +30,61 @@ func TestMatMulDimsPanic(t *testing.T) {
 	MatMul(NewMat(2, 2), NewMat(2, 3), NewMat(2, 2))
 }
 
-// naive reference implementations for cross-checks.
-func refMatMul(a, b *Mat) *Mat {
-	c := NewMat(a.R, b.C)
-	for i := 0; i < a.R; i++ {
-		for j := 0; j < b.C; j++ {
-			var s float32
-			for k := 0; k < a.C; k++ {
-				s += a.At(i, k) * b.At(k, j)
+// The scalar loops MatMul, MatMulAddTransB and MatMulAddTransA were before
+// they became MatAccum calls, kept verbatim as the references the kernel
+// versions must match bit for bit.
+
+func refMatMul(dst, a, b *Mat) {
+	dst.Zero()
+	n, k, m := a.R, a.C, b.C
+	for i := 0; i < n; i++ {
+		arow := a.W[i*k : (i+1)*k]
+		drow := dst.W[i*m : (i+1)*m]
+		for p := 0; p < k; p++ {
+			av := arow[p]
+			if av == 0 {
+				continue
 			}
-			c.Set(i, j, s)
+			brow := b.W[p*m : (p+1)*m]
+			for j := 0; j < m; j++ {
+				drow[j] += av * brow[j]
+			}
 		}
 	}
-	return c
+}
+
+func refMatMulAddTransB(dst, a, b *Mat) {
+	n, k, m := a.R, a.C, b.R
+	for i := 0; i < n; i++ {
+		arow := a.W[i*k : (i+1)*k]
+		drow := dst.W[i*m : (i+1)*m]
+		for j := 0; j < m; j++ {
+			brow := b.W[j*k : (j+1)*k]
+			var s float32
+			for p := 0; p < k; p++ {
+				s += arow[p] * brow[p]
+			}
+			drow[j] += s
+		}
+	}
+}
+
+func refMatMulAddTransA(dst, a, b *Mat) {
+	k, n, m := a.R, a.C, b.C
+	for p := 0; p < k; p++ {
+		arow := a.W[p*n : (p+1)*n]
+		brow := b.W[p*m : (p+1)*m]
+		for i := 0; i < n; i++ {
+			av := arow[i]
+			if av == 0 {
+				continue
+			}
+			drow := dst.W[i*m : (i+1)*m]
+			for j := 0; j < m; j++ {
+				drow[j] += av * brow[j]
+			}
+		}
+	}
 }
 
 func transpose(m *Mat) *Mat {
@@ -55,47 +97,59 @@ func transpose(m *Mat) *Mat {
 	return out
 }
 
+// TestMatMulVariantsAgainstReference holds the three training products to
+// their scalar loops bit for bit, across MatAccum's tile edges (row pairs and
+// the odd row, 16-, 4- and scalar-column residues, k = 0). A carries +0, −0
+// and denormals, which the references skip or multiply and the kernel always
+// multiplies; B is finite and the accumulating products start from a
+// non-zero dst — the preconditions under which skipping and adding the ±0
+// product agree.
 func TestMatMulVariantsAgainstReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 20; trial++ {
-		n, k, m := 1+rng.Intn(6), 1+rng.Intn(6), 1+rng.Intn(6)
-		a := NewMat(n, k)
-		a.Randn(rng, 1)
-		b := NewMat(k, m)
-		b.Randn(rng, 1)
-
-		c := NewMat(n, m)
-		MatMul(c, a, b)
-		want := refMatMul(a, b)
-		for i := range c.W {
-			if !approxEq(float64(c.W[i]), float64(want.W[i]), 1e-4) {
-				t.Fatalf("MatMul mismatch at %d: %v vs %v", i, c.W[i], want.W[i])
+	mat := func(r, c int) *Mat {
+		x := NewMat(r, c)
+		tameOperands(rng, x.W)
+		return x
+	}
+	start := func(r, c int) *Mat { // normals: never −0
+		x := NewMat(r, c)
+		x.Randn(rng, 1)
+		return x
+	}
+	check := func(name string, n, k, m int, got, want *Mat) {
+		t.Helper()
+		for i := range want.W {
+			if math.Float32bits(got.W[i]) != math.Float32bits(want.W[i]) {
+				t.Fatalf("%s n=%d k=%d m=%d: [%d] = %v (%#08x), reference %v (%#08x)", name, n, k, m, i,
+					got.W[i], math.Float32bits(got.W[i]), want.W[i], math.Float32bits(want.W[i]))
 			}
 		}
+	}
+	for _, n := range []int{1, 2, 3, 4, 5, 33} {
+		for _, k := range []int{0, 1, 2, 3, 48} {
+			for _, m := range []int{1, 2, 3, 4, 15, 16, 17, 65} {
+				// dst = A·B
+				a, b := mat(n, k), mat(k, m)
+				got, want := start(n, m), NewMat(n, m)
+				MatMul(got, a, b)
+				refMatMul(want, a, b)
+				check("MatMul", n, k, m, got, want)
 
-		// dst += A·Bᵀ
-		bt := NewMat(m, k)
-		bt.Randn(rng, 1)
-		c2 := NewMat(n, m)
-		MatMulAddTransB(c2, a, bt)
-		want2 := refMatMul(a, transpose(bt))
-		for i := range c2.W {
-			if !approxEq(float64(c2.W[i]), float64(want2.W[i]), 1e-4) {
-				t.Fatalf("MatMulAddTransB mismatch at %d", i)
-			}
-		}
+				// dst += A·Bᵀ, B passed as Bᵀ
+				b = mat(m, k)
+				want = start(n, m)
+				got = want.Clone()
+				MatMulAddTransB(got, a, transpose(b), make([]float32, n*m))
+				refMatMulAddTransB(want, a, b)
+				check("MatMulAddTransB", n, k, m, got, want)
 
-		// dst += Aᵀ·B
-		at := NewMat(k, n)
-		at.Randn(rng, 1)
-		c3 := NewMat(n, m)
-		b3 := NewMat(k, m)
-		b3.Randn(rng, 1)
-		MatMulAddTransA(c3, at, b3)
-		want3 := refMatMul(transpose(at), b3)
-		for i := range c3.W {
-			if !approxEq(float64(c3.W[i]), float64(want3.W[i]), 1e-4) {
-				t.Fatalf("MatMulAddTransA mismatch at %d", i)
+				// dst += Aᵀ·B for A (k×n)
+				a, b = mat(k, n), mat(k, m)
+				want = start(n, m)
+				got = want.Clone()
+				MatMulAddTransA(got, a, b, make([]float32, k*n))
+				refMatMulAddTransA(want, a, b)
+				check("MatMulAddTransA", n, k, m, got, want)
 			}
 		}
 	}
