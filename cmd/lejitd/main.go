@@ -64,11 +64,9 @@ func run() error {
 	var extraPacks packFlags
 	flag.Var(&extraPacks, "pack", "extra domain pack as MANIFEST:RULES[:MODEL] file paths (repeatable); without MODEL the pack decodes under a uniform LM")
 	defaultPack := flag.String("default-pack", pack.TelemetryName, "pack used by requests that do not select one")
-	replicas := flag.Int("replicas", 1, "engine shards behind the load-aware router; each runs its own micro-batcher and engine clones, prefix caches stay shared")
-	shardFailures := flag.Int("shard-failure-threshold", 8, "drain a shard (fresh engine clones, queued jobs redistributed) after this many budget/panic lane failures; <0 disables")
-	batchWindow := flag.Duration("batch-window", 2*time.Millisecond, "how long each shard holds the micro-batch open after its first request's admission (a request that queued longer dispatches at once)")
+	batchWindow := flag.Duration("batch-window", 2*time.Millisecond, "how long the batcher holds the micro-batch open after its first request's admission (a request that queued longer dispatches at once)")
 	maxBatch := flag.Int("max-batch", 32, "max records coalesced per decode batch")
-	queueDepth := flag.Int("queue", 256, "total admission queue depth across shards (full queues answer 429)")
+	queueDepth := flag.Int("queue", 256, "admission queue depth (a full queue answers 429)")
 	workers := flag.Int("workers", 0, "decode workers per batch (0 = GOMAXPROCS)")
 	timeout := flag.Duration("timeout", 30*time.Second, "default per-request deadline")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown bound after SIGTERM")
@@ -96,7 +94,6 @@ func run() error {
 	}
 	srv, err := server.New(server.Config{
 		Packs: reg, DefaultPack: *defaultPack,
-		Replicas: *replicas, ShardFailureThreshold: *shardFailures,
 		BatchWindow: *batchWindow, MaxBatch: *maxBatch, QueueDepth: *queueDepth,
 		Workers: *workers, Timeout: *timeout, DrainTimeout: *drainTimeout,
 		Seed: *seed, DegradedThreshold: *degradedThreshold,
@@ -134,8 +131,8 @@ func run() error {
 		defer psrv.Close()
 		logf("lejitd: pprof on %s", pl.Addr())
 	}
-	logf("lejitd: serving packs %v on %s (default %s, replicas %d, batch window %v, max batch %d, queue %d)",
-		reg.Names(), l.Addr(), *defaultPack, *replicas, *batchWindow, *maxBatch, *queueDepth)
+	logf("lejitd: serving packs %v on %s (default %s, batch window %v, max batch %d, queue %d)",
+		reg.Names(), l.Addr(), *defaultPack, *batchWindow, *maxBatch, *queueDepth)
 	return srv.Serve(ctx, l)
 }
 

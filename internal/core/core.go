@@ -443,12 +443,16 @@ func newEngine(cfg Config, parent *Engine) (*Engine, error) {
 			}
 		}
 	}
+	// A clone's cfg is its parent's (the Set* methods write cfg fields no
+	// fingerprint reads), so it inherits the fingerprint instead of printing
+	// the whole rule set again.
 	if parent != nil {
 		e.clauses = parent.clauses
+		e.fingerprint = parent.fingerprint
 	} else {
 		e.clauses = newClauseIndex(e.ruleFormula, e.solver.NumVars())
+		e.fingerprint = ruleFingerprint(cfg)
 	}
-	e.fingerprint = ruleFingerprint(cfg)
 	return e, nil
 }
 
@@ -499,7 +503,6 @@ func (e *Engine) configure(set func(*Engine)) {
 func (e *Engine) SetPrefixCache(cache *prefixcache.Cache) {
 	e.configure(func(c *Engine) {
 		c.cfg.PrefixCache = cache
-		c.fingerprint = e.fingerprint
 	})
 }
 

@@ -13,3 +13,6 @@ func (e *Engine) EmptyPromptCheck() smt.Result {
 	defer e.solver.Pop()
 	return e.solver.Check()
 }
+
+// RuleFingerprint is ruleFingerprint, for the clone-fingerprint gate.
+func RuleFingerprint(cfg Config) uint64 { return ruleFingerprint(cfg) }

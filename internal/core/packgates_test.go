@@ -5,11 +5,13 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/mining"
 	"repro/internal/pack"
+	"repro/internal/prefixcache"
 	"repro/internal/rules"
 )
 
@@ -73,6 +75,35 @@ func TestSharedRulesModelMatchesLaneCheck(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestCloneInheritsFingerprint: a clone takes its parent's fingerprint
+// instead of hashing the rule set again, which is sound only while that is
+// what ruleFingerprint computes from the clone's own config. The Set*
+// methods write config fields the fingerprint does not read, so it still is
+// after both.
+func TestCloneInheritsFingerprint(t *testing.T) {
+	defs, _ := shippedRuleSets(t)
+	for _, def := range defs {
+		c, err := pack.Compile(def)
+		if err != nil {
+			t.Fatalf("%s: %v", def.Name, err)
+		}
+		check := func(when string) {
+			clone, err := c.Engine.Clone()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := core.RuleFingerprint(clone.Configuration())
+			if got := clone.Fingerprint(); got != want || got != c.Engine.Fingerprint() {
+				t.Errorf("%s %s: clone fingerprint %016x, parent %016x, recomputed %016x", def.Name, when, got, c.Engine.Fingerprint(), want)
+			}
+		}
+		check("fresh")
+		c.Engine.SetPrefixCache(prefixcache.New(1 << 20))
+		c.Engine.SetSolverBudget(1000, time.Second)
+		check("after SetPrefixCache and SetSolverBudget")
 	}
 }
 

@@ -1,25 +1,18 @@
-// Package router fronts N engine shards with load-aware dispatch. Each shard
-// owns a micro-batcher goroutine and its own engine clones (one per domain
-// pack, cloned lazily from the pack's compiled bundle — rule compilation
-// happens once and the formula is shared read-only; see pack.Compiled). The
-// per-pack prefix caches stay registry-owned: a clone shares its parent's
-// cache pointer, so snapshots captured on one shard warm decodes on every
-// other and hit rates survive sharding.
+// Package router is the daemon's micro-batcher: one bounded admission queue,
+// one supervised batcher goroutine, and that goroutine's engine clones (one
+// per domain pack, cloned lazily from the pack's compiled bundle — rule
+// compilation happens once and the formula is shared read-only; see
+// pack.Compiled). The per-pack prefix caches stay registry-owned: a clone
+// shares its parent's cache pointer.
 //
-// Dispatch is load-aware and health-aware: Submit sends a job to the
-// non-draining shard with the fewest admitted-but-unfinished jobs whose
-// bounded queue has room. A shard whose decodes keep tripping the budget or
-// panic barriers (FailureThreshold) drains itself: queued jobs are
-// resubmitted to its siblings, its engine clones are discarded, and it
-// rejoins with fresh state. Determinism makes this safe — output is a
-// function of (prompt, seed) only, never of shard placement (DESIGN.md §16).
+// Parallelism lives below the batcher: each micro-batch goes to
+// core.DecodeRequests, which cuts its lanes into at most Workers lock-step
+// groups on pooled clones (DESIGN.md §16). Output is a function of
+// (prompt, seed) only, never of batching or timing.
 package router
 
 import (
 	"context"
-	"errors"
-	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,11 +21,6 @@ import (
 	"repro/internal/pack"
 	"repro/internal/rules"
 )
-
-// ErrOverloaded fails a job that was admitted but could not be placed: its
-// shard drained and no sibling had queue room. Callers should surface it as
-// backpressure (HTTP 503 + Retry-After), not as a decode failure.
-var ErrOverloaded = errors.New("router: all shards at capacity")
 
 // Job is one admitted decode request. The pack is pinned at admission time: a
 // hot reload never retargets a queued job, it decodes on the epoch it was
@@ -47,200 +35,133 @@ type Job struct {
 	// Start is the admission stamp: the batch window of the batch this job
 	// opens runs from it. Submit stamps it when the caller left it zero.
 	Start time.Time
-	// Resp must be buffered (cap ≥ 1): shards never block delivering to a
-	// caller that already gave up on its deadline.
+	// Resp must be buffered (cap ≥ 1): the batcher never blocks delivering to
+	// a caller that already gave up on its deadline.
 	Resp chan Result
 }
 
-// Result is one job's outcome, tagged with the shard that decoded it.
+// Result is one job's outcome.
 type Result struct {
 	Res       core.Result
 	Err       error
 	BatchSize int
-	Shard     int
 }
 
-// Config assembles a Router.
+// Config assembles a Router. New takes the values as given; the serving
+// defaults live in internal/server.
 type Config struct {
-	// Replicas is the shard count (default 1).
-	Replicas int
-	// BatchWindow is each shard's coalescing window (default 2ms), timed
-	// from the admission (Job.Start) of the batch's first job: a job that
-	// already waited that long in the queue dispatches at once, with
-	// whatever is queued behind it.
+	// BatchWindow is the coalescing window, timed from the admission
+	// (Job.Start) of the batch's first job: a job that already waited that
+	// long in the queue dispatches at once, with whatever is queued behind
+	// it.
 	BatchWindow time.Duration
-	// MaxBatch caps records per shard micro-batch (default 32).
+	// MaxBatch caps records per micro-batch.
 	MaxBatch int
-	// QueueDepth bounds each shard's admission queue (default 32).
+	// QueueDepth bounds the admission queue.
 	QueueDepth int
-	// Workers is each shard's decode pool size (default GOMAXPROCS).
+	// Workers is the decode pool size per micro-batch (< 1: GOMAXPROCS).
 	Workers int
-	// FailureThreshold drains a shard once this many of its lanes have been
-	// retired by budget exhaustion or recovered panics since its last drain.
-	// 0 disables self-draining.
-	FailureThreshold int
 	// Logf receives router log lines. May be nil.
 	Logf func(format string, args ...any)
 
-	// ObserveBatch, OnLaneError, OnRestart, and OnDrain are metrics hooks;
-	// any may be nil. OnLaneError fires once per failed record with the
-	// decoding shard and the record's error; OnDrain fires after a shard
-	// drained with the number of jobs moved to siblings.
-	ObserveBatch func(shard, size int)
-	OnLaneError  func(shard int, err error)
-	OnRestart    func(shard int)
-	OnDrain      func(shard, moved int)
+	// ObserveBatch, OnLaneError and OnRestart are metrics hooks; any may be
+	// nil. ObserveBatch fires once per same-pack group a batch decodes,
+	// OnLaneError once per failed record with the record's error.
+	ObserveBatch func(size int)
+	OnLaneError  func(err error)
+	OnRestart    func()
 }
 
-func (c *Config) fill() {
-	if c.Replicas <= 0 {
-		c.Replicas = 1
-	}
-	if c.BatchWindow <= 0 {
-		c.BatchWindow = 2 * time.Millisecond
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 32
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 32
-	}
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
-}
-
-// shardEngine pairs a shard's engine clone with the compiled bundle it was
+// packEngine pairs the batcher's engine clone with the compiled bundle it was
 // cloned from, so a hot reload (new *pack.Compiled) forces a fresh clone.
-type shardEngine struct {
+type packEngine struct {
 	pk  *pack.Compiled
 	eng *core.Engine
 }
 
-// shard is one replica: a bounded queue, a batcher goroutine, and its
-// private engine clones. engines is owned by the batcher goroutine.
-type shard struct {
-	id      int
-	queue   chan *Job
-	engines map[string]shardEngine
+// Stats is the router's live dispatch state.
+type Stats struct {
+	Queued   int
+	Inflight int    // includes Queued
+	Batches  uint64 // settled micro-batches
+	// BatchSeconds is the summed wall time of the settled batches, from
+	// dispatch to the last result; over Batches it is the mean batch cost.
+	BatchSeconds float64
+}
+
+// Router is a bounded queue in front of one micro-batcher.
+type Router struct {
+	cfg   Config
+	queue chan *Job
+	// engines is owned by the batcher goroutine.
+	engines map[string]packEngine
 
 	// inflight counts admitted-but-unfinished jobs: incremented at Submit,
-	// decremented when the job's batch settles. This is the load signal
-	// dispatch sorts on — unlike len(queue) it still sees a full batch that
-	// has been dequeued but is mid-decode.
+	// decremented when the job's batch settles. Unlike len(queue) it still
+	// sees a full batch that has been dequeued but is mid-decode.
 	inflight atomic.Int64
-	failures atomic.Int64 // budget/panic lane retirements since last drain
-	draining atomic.Bool
 	batches  atomic.Uint64 // settled batches
-	drains   atomic.Uint64
-	batchNs  atomic.Int64 // their summed wall time, dispatch to settle
+	batchNs  atomic.Int64  // their summed wall time, dispatch to settle
+
+	stop chan struct{}
+	done chan struct{}
+	once sync.Once
 }
 
-// ShardStats is one shard's live dispatch state.
-type ShardStats struct {
-	Shard    int    `json:"shard"`
-	Queued   int    `json:"queued"`
-	Inflight int    `json:"inflight"` // includes Queued
-	Batches  uint64 `json:"batches"`  // settled micro-batches
-	Failures uint64 `json:"failures"`
-	Drains   uint64 `json:"drains"`
-	Draining bool   `json:"draining"`
-	// BatchSeconds is the summed wall time of the shard's batches, from
-	// dispatch to the last result; over Batches it is the mean batch cost.
-	BatchSeconds float64 `json:"batch_seconds"`
-}
-
-// Router fans jobs out across shards.
-type Router struct {
-	cfg    Config
-	shards []*shard
-	stop   chan struct{}
-	wg     sync.WaitGroup
-	once   sync.Once
-}
-
-// New builds a Router and starts one batcher goroutine per shard. Callers
-// must Close it.
+// New builds a Router and starts its batcher goroutine. Callers must Close
+// it.
 func New(cfg Config) *Router {
-	cfg.fill()
-	r := &Router{cfg: cfg, stop: make(chan struct{})}
-	for i := 0; i < cfg.Replicas; i++ {
-		sh := &shard{id: i, queue: make(chan *Job, cfg.QueueDepth), engines: map[string]shardEngine{}}
-		r.shards = append(r.shards, sh)
-		r.wg.Add(1)
-		go r.batcher(sh)
+	r := &Router{
+		cfg:     cfg,
+		queue:   make(chan *Job, cfg.QueueDepth),
+		engines: map[string]packEngine{},
+		stop:    make(chan struct{}),
+		done:    make(chan struct{}),
 	}
+	go r.batcher()
 	return r
 }
 
-// Close stops every shard batcher. Jobs still queued are abandoned (their
-// contexts expire); call only once callers are drained.
+// Close stops the batcher. Jobs still queued are abandoned (their contexts
+// expire); call only once callers are drained.
 func (r *Router) Close() {
 	r.once.Do(func() { close(r.stop) })
-	r.wg.Wait()
+	<-r.done
 }
 
-// Replicas returns the shard count.
-func (r *Router) Replicas() int { return len(r.shards) }
-
-// Load returns the jobs waiting in shard queues and the total
-// admitted-but-unfinished count (which includes the queued ones).
+// Load returns the jobs waiting in the queue and the admitted-but-unfinished
+// count (which includes the queued ones).
 func (r *Router) Load() (queued, inflight int) {
-	for _, sh := range r.shards {
-		queued += len(sh.queue)
-		inflight += int(sh.inflight.Load())
-	}
-	return queued, inflight
+	return len(r.queue), int(r.inflight.Load())
 }
 
-// Stats snapshots per-shard dispatch state, ordered by shard id.
-func (r *Router) Stats() []ShardStats {
-	out := make([]ShardStats, len(r.shards))
-	for i, sh := range r.shards {
-		out[i] = ShardStats{
-			Shard: sh.id, Queued: len(sh.queue), Inflight: int(sh.inflight.Load()),
-			Batches: sh.batches.Load(), Failures: uint64(sh.failures.Load()),
-			Drains: sh.drains.Load(), Draining: sh.draining.Load(),
-			BatchSeconds: time.Duration(sh.batchNs.Load()).Seconds(),
-		}
+// Stats snapshots the dispatch state.
+func (r *Router) Stats() Stats {
+	return Stats{
+		Queued:       len(r.queue),
+		Inflight:     int(r.inflight.Load()),
+		Batches:      r.batches.Load(),
+		BatchSeconds: time.Duration(r.batchNs.Load()).Seconds(),
 	}
-	return out
 }
 
-// Submit places j on the least-loaded healthy shard, returning the shard id.
-// ok is false when every candidate queue is full (the caller should answer
-// 429): admission never blocks. A zero j.Start is stamped now.
-func (r *Router) Submit(j *Job) (shard int, ok bool) {
+// Submit enqueues j. ok is false when the queue is full (the caller should
+// answer 429): admission never blocks. A zero j.Start is stamped now. The
+// int result is always 0. It stays only so the repository benchmark's
+// router.submit_to_result_idle_ms probe compiles, and is due to go with the
+// benchmark's next change, like core.WithLookahead.
+func (r *Router) Submit(j *Job) (int, bool) {
 	if j.Start.IsZero() {
 		j.Start = time.Now()
 	}
-	return r.submitExcept(j, -1)
-}
-
-// submitExcept is Submit skipping one shard id (drain redistribution).
-func (r *Router) submitExcept(j *Job, except int) (int, bool) {
-	cands := make([]*shard, 0, len(r.shards))
-	for _, sh := range r.shards {
-		if sh.id == except || sh.draining.Load() {
-			continue
-		}
-		cands = append(cands, sh)
+	r.inflight.Add(1)
+	select {
+	case r.queue <- j:
+		return 0, true
+	default:
+		r.inflight.Add(-1)
+		return 0, false
 	}
-	// Least-inflight first; stable sort keeps shard order as the tiebreak so
-	// an idle fleet fills round-robin as each admission bumps the count.
-	sort.SliceStable(cands, func(a, b int) bool {
-		return cands[a].inflight.Load() < cands[b].inflight.Load()
-	})
-	for _, sh := range cands {
-		sh.inflight.Add(1)
-		select {
-		case sh.queue <- j:
-			return sh.id, true
-		default:
-			sh.inflight.Add(-1)
-		}
-	}
-	return -1, false
 }
 
 func (r *Router) logf(format string, args ...any) {
@@ -249,38 +170,38 @@ func (r *Router) logf(format string, args ...any) {
 	}
 }
 
-// batcher supervises one shard's queue consumer, mirroring the single-engine
-// daemon's restart semantics: a panic that escapes a batch restarts the loop
-// with the shard's engine clones discarded (the panic unwound through one).
-func (r *Router) batcher(sh *shard) {
-	defer r.wg.Done()
-	for !r.batcherLoop(sh) {
-		sh.engines = map[string]shardEngine{}
+// batcher supervises the queue consumer: a panic that escapes a batch
+// restarts the loop with the engine clones discarded (the panic unwound
+// through one).
+func (r *Router) batcher() {
+	defer close(r.done)
+	for !r.batcherLoop() {
+		r.engines = map[string]packEngine{}
 		if r.cfg.OnRestart != nil {
-			r.cfg.OnRestart(sh.id)
+			r.cfg.OnRestart()
 		}
-		r.logf("router: shard %d batcher restarted after panic", sh.id)
+		r.logf("router: batcher restarted after panic")
 	}
 }
 
-// batcherLoop consumes sh.queue: it takes the first job and everything
+// batcherLoop consumes the queue: it takes the first job and everything
 // already queued behind it, then keeps the window open until BatchWindow
 // after the first job's admission (or until MaxBatch), then the batch
 // dispatches. Under load the first job has spent much or all of its window
 // in the queue during the previous batch's decode, so the batch waits only
-// for the rest, if any; a lone job on an idle shard waits the whole window.
+// for the rest, if any; a lone job on an idle batcher waits the whole window.
 // Returns true on clean stop; a recovered panic returns false for the
 // supervisor.
-func (r *Router) batcherLoop(sh *shard) (stopped bool) {
+func (r *Router) batcherLoop() (stopped bool) {
 	defer func() {
 		if rec := recover(); rec != nil {
-			r.logf("router: shard %d batcher panicked: %v", sh.id, rec)
+			r.logf("router: batcher panicked: %v", rec)
 		}
 	}()
 	for {
 		var first *Job
 		select {
-		case first = <-sh.queue:
+		case first = <-r.queue:
 		case <-r.stop:
 			return true
 		}
@@ -290,7 +211,7 @@ func (r *Router) batcherLoop(sh *shard) (stopped bool) {
 	queued:
 		for len(batch) < r.cfg.MaxBatch {
 			select {
-			case j := <-sh.queue:
+			case j := <-r.queue:
 				batch = append(batch, j)
 			default:
 				break queued
@@ -301,7 +222,7 @@ func (r *Router) batcherLoop(sh *shard) (stopped bool) {
 		collect:
 			for len(batch) < r.cfg.MaxBatch {
 				select {
-				case j := <-sh.queue:
+				case j := <-r.queue:
 					batch = append(batch, j)
 				case <-timer.C:
 					break collect
@@ -309,23 +230,20 @@ func (r *Router) batcherLoop(sh *shard) (stopped bool) {
 			}
 			timer.Stop()
 		}
-		r.runBatch(sh, batch)
-		if t := r.cfg.FailureThreshold; t > 0 && sh.failures.Load() >= int64(t) {
-			r.drainShard(sh)
-		}
+		r.runBatch(batch)
 	}
 }
 
 // runBatch splits one micro-batch by compiled pack and decodes the groups
-// concurrently, each on the shard's clone of that pack's engine. Engines are
-// resolved before the goroutines spawn (sh.engines belongs to the batcher
+// concurrently, each on the batcher's clone of that pack's engine. Engines
+// are resolved before the goroutines spawn (r.engines belongs to the batcher
 // goroutine). A panic escaping a group is re-raised here so the supervisor's
 // restart semantics hold; the deferred inflight settle still runs.
-func (r *Router) runBatch(sh *shard, batch []*Job) {
-	defer sh.inflight.Add(-int64(len(batch)))
+func (r *Router) runBatch(batch []*Job) {
+	defer r.inflight.Add(-int64(len(batch)))
 	defer func(t0 time.Time) {
-		sh.batchNs.Add(int64(time.Since(t0)))
-		sh.batches.Add(1)
+		r.batchNs.Add(int64(time.Since(t0)))
+		r.batches.Add(1)
 	}(time.Now())
 	order := make([]*pack.Compiled, 0, 1)
 	groups := make(map[*pack.Compiled][]*Job, 1)
@@ -337,10 +255,10 @@ func (r *Router) runBatch(sh *shard, batch []*Job) {
 	}
 	engines := make(map[*pack.Compiled]*core.Engine, len(order))
 	for _, pk := range order {
-		eng, err := sh.engineFor(pk)
+		eng, err := r.engineFor(pk)
 		if err != nil {
 			for _, j := range groups[pk] {
-				j.Resp <- Result{Err: err, BatchSize: len(groups[pk]), Shard: sh.id}
+				j.Resp <- Result{Err: err, BatchSize: len(groups[pk])}
 			}
 			continue
 		}
@@ -354,15 +272,15 @@ func (r *Router) runBatch(sh *shard, batch []*Job) {
 			continue
 		}
 		wg.Add(1)
-		go func(pk *pack.Compiled, eng *core.Engine, group []*Job) {
+		go func(eng *core.Engine, group []*Job) {
 			defer wg.Done()
 			defer func() {
 				if rec := recover(); rec != nil {
 					panics <- rec
 				}
 			}()
-			r.runGroup(sh, eng, group)
-		}(pk, eng, groups[pk])
+			r.runGroup(eng, group)
+		}(eng, groups[pk])
 	}
 	wg.Wait()
 	select {
@@ -372,28 +290,27 @@ func (r *Router) runBatch(sh *shard, batch []*Job) {
 	}
 }
 
-// engineFor returns the shard's engine clone for pk, cloning afresh when the
-// shard has none for the pack or holds one from a superseded reload epoch.
-// Only the batcher goroutine calls this.
-func (sh *shard) engineFor(pk *pack.Compiled) (*core.Engine, error) {
+// engineFor returns the batcher's engine clone for pk, cloning afresh when it
+// has none for the pack or holds one from a superseded reload epoch. Only the
+// batcher goroutine calls this.
+func (r *Router) engineFor(pk *pack.Compiled) (*core.Engine, error) {
 	name := pk.Def.Name
-	if se, ok := sh.engines[name]; ok && se.pk == pk {
-		return se.eng, nil
+	if pe, ok := r.engines[name]; ok && pe.pk == pk {
+		return pe.eng, nil
 	}
 	eng, err := pk.Engine.Clone()
 	if err != nil {
 		return nil, err
 	}
-	sh.engines[name] = shardEngine{pk: pk, eng: eng}
+	r.engines[name] = packEngine{pk: pk, eng: eng}
 	return eng, nil
 }
 
 // runGroup decodes one same-pack slice of a micro-batch on eng and delivers
-// each job's result, counting budget/panic retirements toward the shard's
-// failure score.
-func (r *Router) runGroup(sh *shard, eng *core.Engine, group []*Job) {
+// each job's result.
+func (r *Router) runGroup(eng *core.Engine, group []*Job) {
 	if r.cfg.ObserveBatch != nil {
-		r.cfg.ObserveBatch(sh.id, len(group))
+		r.cfg.ObserveBatch(len(group))
 	}
 	reqs := make([]core.BatchRequest, len(group))
 	for i, j := range group {
@@ -406,54 +323,14 @@ func (r *Router) runGroup(sh *shard, eng *core.Engine, group []*Job) {
 	out, err := eng.DecodeRequests(context.Background(), reqs, r.cfg.Workers, 0, nil)
 	if err != nil {
 		for _, j := range group {
-			j.Resp <- Result{Err: err, BatchSize: len(group), Shard: sh.id}
+			j.Resp <- Result{Err: err, BatchSize: len(group)}
 		}
 		return
 	}
 	for i, j := range group {
-		if out[i].Err != nil {
-			var pe *core.PanicError
-			if errors.Is(out[i].Err, core.ErrBudget) || errors.As(out[i].Err, &pe) {
-				sh.failures.Add(1)
-			}
-			if r.cfg.OnLaneError != nil {
-				r.cfg.OnLaneError(sh.id, out[i].Err)
-			}
+		if out[i].Err != nil && r.cfg.OnLaneError != nil {
+			r.cfg.OnLaneError(out[i].Err)
 		}
-		j.Resp <- Result{Res: out[i].Res, Err: out[i].Err, BatchSize: len(group), Shard: sh.id}
+		j.Resp <- Result{Res: out[i].Res, Err: out[i].Err, BatchSize: len(group)}
 	}
-}
-
-// drainShard takes sh out of dispatch, moves its queued jobs to siblings
-// (failing them with ErrOverloaded only when nowhere has room), discards its
-// engine clones, and rejoins it with a clean failure score. Runs on the
-// shard's own batcher goroutine, so touching sh.engines is safe.
-func (r *Router) drainShard(sh *shard) {
-	sh.draining.Store(true)
-	moved, failed := 0, 0
-	if len(r.shards) > 1 {
-	redistribute:
-		for {
-			select {
-			case j := <-sh.queue:
-				sh.inflight.Add(-1)
-				if _, ok := r.submitExcept(j, sh.id); ok {
-					moved++
-				} else {
-					failed++
-					j.Resp <- Result{Err: ErrOverloaded, Shard: sh.id}
-				}
-			default:
-				break redistribute
-			}
-		}
-	}
-	sh.engines = map[string]shardEngine{}
-	sh.failures.Store(0)
-	sh.drains.Add(1)
-	sh.draining.Store(false)
-	if r.cfg.OnDrain != nil {
-		r.cfg.OnDrain(sh.id, moved)
-	}
-	r.logf("router: shard %d drained (moved %d, refused %d) and rejoined", sh.id, moved, failed)
 }

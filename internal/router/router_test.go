@@ -2,8 +2,6 @@ package router
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -95,140 +93,38 @@ func newJob(pk *pack.Compiled, ingress int64, seed int64) *Job {
 	}
 }
 
-// TestSubmitSpreadsLoad: with an idle fleet, consecutive admissions fill
-// shards round-robin (each Submit bumps the chosen shard's inflight count),
-// and every job decodes on the shard it was admitted to.
-func TestSubmitSpreadsLoad(t *testing.T) {
-	gate := make(chan struct{})
-	pk := testPack(t, gateLM{vocab: vocab.Telemetry().Size(), gate: gate}, nil)
-	r := New(Config{Replicas: 4, BatchWindow: time.Millisecond, QueueDepth: 4, Workers: 1})
-	defer r.Close()
-
-	const n = 8
-	jobs := make([]*Job, n)
-	admitted := make([]int, n)
-	for i := range jobs {
-		jobs[i] = newJob(pk, 60+10*int64(i), int64(i))
-		sh, ok := r.Submit(jobs[i])
-		if !ok {
-			t.Fatalf("job %d refused with capacity to spare", i)
-		}
-		admitted[i] = sh
-	}
-	for i, sh := range admitted {
-		if want := i % 4; sh != want {
-			t.Errorf("job %d admitted to shard %d, want %d (round-robin fill)", i, sh, want)
-		}
-	}
-	close(gate)
-	for i, j := range jobs {
-		res := <-j.Resp
-		if res.Err != nil {
-			t.Fatalf("job %d: %v", i, res.Err)
-		}
-		if res.Shard != admitted[i] {
-			t.Errorf("job %d decoded on shard %d, admitted to %d", i, res.Shard, admitted[i])
-		}
-	}
-	// A batch settles its inflight count after it has answered its jobs;
-	// Close waits for the batchers, so the count is final once it returns.
-	r.Close()
-	if q, inflight := r.Load(); q != 0 || inflight != 0 {
-		t.Errorf("idle router reports queued=%d inflight=%d", q, inflight)
-	}
-}
-
-// TestSubmitRejectsWhenFull: once every shard holds a decoding batch and a
-// full queue, Submit refuses instead of blocking.
+// TestSubmitRejectsWhenFull: once the batcher holds a decoding batch and the
+// queue is full, Submit refuses instead of blocking.
 func TestSubmitRejectsWhenFull(t *testing.T) {
 	gate := make(chan struct{})
 	pk := testPack(t, gateLM{vocab: vocab.Telemetry().Size(), gate: gate}, nil)
-	dispatched := make(chan int, 8)
+	dispatched := make(chan int, 2) // one per batch: the hook must not block the batcher
 	r := New(Config{
-		Replicas: 2, BatchWindow: time.Millisecond, MaxBatch: 1, QueueDepth: 1, Workers: 1,
-		ObserveBatch: func(shard, size int) { dispatched <- shard },
+		BatchWindow: time.Millisecond, MaxBatch: 1, QueueDepth: 1, Workers: 1,
+		ObserveBatch: func(size int) { dispatched <- size },
 	})
 	defer r.Close()
-	defer close(gate) // LIFO: unblock the gated decodes before Close waits on the batchers
+	defer close(gate) // LIFO: unblock the gated decode before Close waits on the batcher
 
-	// Two jobs occupy the two batchers (each held on the gate)...
-	for i := 0; i < 2; i++ {
-		if _, ok := r.Submit(newJob(pk, 100, int64(i))); !ok {
-			t.Fatalf("job %d refused", i)
-		}
+	// One job occupies the batcher (held on the gate)...
+	if _, ok := r.Submit(newJob(pk, 100, 0)); !ok {
+		t.Fatal("job 0 refused")
 	}
-	for i := 0; i < 2; i++ {
-		select {
-		case <-dispatched:
-		case <-time.After(5 * time.Second):
-			t.Fatal("batchers never picked up the gating jobs")
-		}
-	}
-	// ...two more fill the depth-1 queues...
-	for i := 2; i < 4; i++ {
-		if _, ok := r.Submit(newJob(pk, 100, int64(i))); !ok {
-			t.Fatalf("job %d refused with queue room left", i)
-		}
-	}
-	// ...and the fifth must bounce.
-	if sh, ok := r.Submit(newJob(pk, 100, 4)); ok {
-		t.Fatalf("job admitted to shard %d past full capacity", sh)
-	}
-}
-
-// TestDrainAfterFailures: a shard whose decode trips the budget barrier
-// crosses FailureThreshold, drains itself (fresh engine clones, failure score
-// reset), rejoins dispatch, and keeps serving clean traffic.
-func TestDrainAfterFailures(t *testing.T) {
-	const poisoned = 250
-	hook := func(fs core.FaultSite) error {
-		if fs.Known["TotalIngress"][0] == poisoned && fs.Tokens >= 2 {
-			return fmt.Errorf("injected fault: %w", core.ErrBudget)
-		}
-		return nil
-	}
-	pk := testPack(t, uniformLM{vocab: vocab.Telemetry().Size()}, hook)
-	drained := make(chan int, 4)
-	r := New(Config{
-		Replicas: 2, BatchWindow: time.Millisecond, Workers: 1, FailureThreshold: 1,
-		OnDrain: func(shard, moved int) { drained <- shard },
-	})
-	defer r.Close()
-
-	bad := newJob(pk, poisoned, 1)
-	if _, ok := r.Submit(bad); !ok {
-		t.Fatal("poisoned job refused")
-	}
-	res := <-bad.Resp
-	if !errors.Is(res.Err, core.ErrBudget) {
-		t.Fatalf("poisoned job err = %v, want ErrBudget", res.Err)
-	}
-	var sick int
 	select {
-	case sick = <-drained:
+	case <-dispatched:
 	case <-time.After(5 * time.Second):
-		t.Fatal("no shard drained after crossing the failure threshold")
+		t.Fatal("the batcher never picked up the gating job")
 	}
-	st := r.Stats()
-	if st[sick].Drains != 1 {
-		t.Errorf("shard %d drains = %d, want 1", sick, st[sick].Drains)
+	// ...one more fills the depth-1 queue...
+	if _, ok := r.Submit(newJob(pk, 100, 1)); !ok {
+		t.Fatal("job 1 refused with queue room left")
 	}
-	if st[sick].Failures != 0 {
-		t.Errorf("shard %d failure score %d not reset by drain", sick, st[sick].Failures)
+	// ...and the third must bounce.
+	if _, ok := r.Submit(newJob(pk, 100, 2)); ok {
+		t.Fatal("job admitted past full capacity")
 	}
-
-	// The fleet — including the rejoined shard — keeps serving.
-	jobs := make([]*Job, 4)
-	for i := range jobs {
-		jobs[i] = newJob(pk, 100+int64(i), int64(i))
-		if _, ok := r.Submit(jobs[i]); !ok {
-			t.Fatalf("post-drain job %d refused", i)
-		}
-	}
-	for i, j := range jobs {
-		if res := <-j.Resp; res.Err != nil {
-			t.Fatalf("post-drain job %d: %v", i, res.Err)
-		}
+	if q, inflight := r.Load(); q != 1 || inflight != 2 {
+		t.Errorf("full router reports queued=%d inflight=%d, want 1 and 2", q, inflight)
 	}
 }
 
@@ -243,7 +139,7 @@ type dispatchClock chan struct {
 	at   time.Time
 }
 
-func (c dispatchClock) observe(shard, size int) {
+func (c dispatchClock) observe(size int) {
 	c <- struct {
 		size int
 		at   time.Time
@@ -269,7 +165,7 @@ func TestBatchWindowFromAdmission(t *testing.T) {
 	gate := make(chan struct{})
 	pk := testPack(t, gateLM{vocab: vocab.Telemetry().Size(), gate: gate}, nil)
 	clock := make(dispatchClock, 2) // one per batch: the hook must not block the batcher
-	r := New(Config{BatchWindow: windowTestWindow, Workers: 1, ObserveBatch: clock.observe})
+	r := New(Config{BatchWindow: windowTestWindow, MaxBatch: 32, QueueDepth: 32, Workers: 1, ObserveBatch: clock.observe})
 	defer r.Close()
 	var release sync.Once
 	open := func() { release.Do(func() { close(gate) }) }
@@ -311,7 +207,7 @@ func TestBatchWindowFromAdmission(t *testing.T) {
 func TestBatchWindowIdleWaitsFullWindow(t *testing.T) {
 	pk := testPack(t, uniformLM{vocab: vocab.Telemetry().Size()}, nil)
 	clock := make(dispatchClock, 1)
-	r := New(Config{BatchWindow: windowTestWindow, Workers: 1, ObserveBatch: clock.observe})
+	r := New(Config{BatchWindow: windowTestWindow, MaxBatch: 32, QueueDepth: 32, Workers: 1, ObserveBatch: clock.observe})
 	defer r.Close()
 
 	j := newJob(pk, 100, 1)
@@ -335,7 +231,7 @@ func TestBatchWindowIdleWaitsFullWindow(t *testing.T) {
 func TestBatchWindowBoundsClosedLoop(t *testing.T) {
 	pk := testPack(t, uniformLM{vocab: vocab.Telemetry().Size()}, nil)
 	clock := make(dispatchClock, 4) // one per batch: the hook must not block the batcher
-	r := New(Config{BatchWindow: windowTestWindow, Workers: 1, ObserveBatch: clock.observe})
+	r := New(Config{BatchWindow: windowTestWindow, MaxBatch: 32, QueueDepth: 32, Workers: 1, ObserveBatch: clock.observe})
 	defer r.Close()
 
 	var prev time.Time
@@ -354,7 +250,7 @@ func TestBatchWindowBoundsClosedLoop(t *testing.T) {
 		prev = at
 	}
 	r.Close() // waits for the last batch to settle
-	if st := r.Stats()[0]; st.Batches != 4 || st.BatchSeconds <= 0 {
-		t.Errorf("shard stats after 4 settled batches: %d batches, %gs", st.Batches, st.BatchSeconds)
+	if st := r.Stats(); st.Batches != 4 || st.BatchSeconds <= 0 || st.Queued != 0 || st.Inflight != 0 {
+		t.Errorf("router stats after 4 settled batches: %+v", st)
 	}
 }

@@ -154,8 +154,8 @@ func (s *sleepSession) Append(tok int) error { return nil }
 func (s *sleepSession) Logits() []float32    { time.Sleep(s.d); return s.logits }
 
 // TestRetryAfterFromBatchCost: the 429's Retry-After is computed from the
-// shard's measured batch wall time, so a slow backlog yields a header above
-// the 1 s floor.
+// measured batch wall time, so a slow backlog yields a header above the 1 s
+// floor.
 func TestRetryAfterFromBatchCost(t *testing.T) {
 	eng, rs, schema := testEngine(t, sleepLM{vocab: vocab.Telemetry().Size(), d: 40 * time.Millisecond})
 	s, err := New(Config{
@@ -170,7 +170,7 @@ func TestRetryAfterFromBatchCost(t *testing.T) {
 	defer ts.Close()
 
 	body := `{"known": {"TotalIngress": [100], "Congestion": [0]}}`
-	// One settled batch gives the shard its mean batch cost.
+	// One settled batch gives the router its mean batch cost.
 	if resp, data := postJSON(t, ts, "/v1/impute", body); resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d (%s)", resp.StatusCode, data)
 	}
@@ -194,7 +194,7 @@ func TestRetryAfterFromBatchCost(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status %d, want 429 (body %s)", resp.StatusCode, data)
 	}
-	st := s.Router().Stats()[0]
+	st := s.Router().Stats()
 	got, err := strconv.Atoi(resp.Header.Get("Retry-After"))
 	if err != nil || got <= 1 {
 		t.Errorf("Retry-After %q behind %d in flight at %.2fs per batch, want above 1", resp.Header.Get("Retry-After"), st.Inflight, st.BatchSeconds/float64(st.Batches))
@@ -206,24 +206,20 @@ func TestRetryAfterFromBatchCost(t *testing.T) {
 	}
 }
 
-// TestRetryAfterSecs pins the estimate: per shard, batches to drain its
-// backlog times its mean settled batch (the batch window before any has
-// settled), the soonest shard answering, clamped to [1, 30] seconds.
+// TestRetryAfterSecs pins the estimate: batches to drain the backlog times
+// the mean settled batch (the batch window before any has settled), clamped
+// to [1, 30] seconds.
 func TestRetryAfterSecs(t *testing.T) {
-	cold := router.ShardStats{Inflight: 256}
-	slow := router.ShardStats{Inflight: 200, Batches: 10, BatchSeconds: 4} // 7 batches × 0.4 s
-	slower := router.ShardStats{Inflight: 200, Batches: 10, BatchSeconds: 100}
 	for _, c := range []struct {
-		shards []router.ShardStats
-		want   int64
+		st   router.Stats
+		want int64
 	}{
-		{[]router.ShardStats{cold}, 1},
-		{[]router.ShardStats{slow}, 3},
-		{[]router.ShardStats{slower, slow}, 3},
-		{[]router.ShardStats{slower}, 30},
+		{router.Stats{Inflight: 256}, 1},
+		{router.Stats{Inflight: 200, Batches: 10, BatchSeconds: 4}, 3}, // 7 batches × 0.4 s
+		{router.Stats{Inflight: 200, Batches: 10, BatchSeconds: 100}, 30},
 	} {
-		if got := retryAfterSecs(c.shards, 32, 2*time.Millisecond); got != c.want {
-			t.Errorf("retryAfterSecs(%+v) = %d, want %d", c.shards, got, c.want)
+		if got := retryAfterSecs(c.st, 32, 2*time.Millisecond); got != c.want {
+			t.Errorf("retryAfterSecs(%+v) = %d, want %d", c.st, got, c.want)
 		}
 	}
 }

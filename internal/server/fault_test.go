@@ -7,8 +7,10 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -227,8 +229,8 @@ func TestFaultInjectionE2E(t *testing.T) {
 	}
 }
 
-// TestExpiredDeadlineJob: a job whose deadline has already passed when its
-// shard picks it up is not decoded; its lane is retired with the context
+// TestExpiredDeadlineJob: a job whose deadline has already passed when the
+// batcher picks it up is not decoded; its lane is retired with the context
 // error and counted.
 func TestExpiredDeadlineJob(t *testing.T) {
 	s := newTestServer(t, nil)
@@ -330,7 +332,6 @@ func TestWriteDecodeResultMapping(t *testing.T) {
 		{"panic", &core.PanicError{Value: "boom"}, http.StatusInternalServerError, "panic"},
 		{"lane-wrapped", &nn.LaneError{Lane: 3, Err: fmt.Errorf("context length exceeded")}, http.StatusInternalServerError, ""},
 		{"lane-wrapped-budget", fmt.Errorf("retired: %w", &nn.LaneError{Lane: 1, Err: core.ErrBudget}), http.StatusServiceUnavailable, "budget"},
-		{"drain-overloaded", router.ErrOverloaded, http.StatusServiceUnavailable, "overloaded"},
 	}
 	for _, tc := range cases {
 		rec := httptest.NewRecorder()
@@ -393,6 +394,17 @@ func TestBatcherRestartsAfterPanic(t *testing.T) {
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
+	restartBatcher(t, s)
+	resp, data := postJSON(t, ts, "/v1/impute", `{"known": {"TotalIngress": [90], "Congestion": [0]}, "seed": 2}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("post-restart request: %d (%s)", resp.StatusCode, data)
+	}
+}
+
+// restartBatcher submits a job whose result delivery panics (send on a closed
+// channel) and waits for the supervisor to restart the batcher.
+func restartBatcher(t *testing.T, s *Server) {
+	t.Helper()
 	poisoned := make(chan router.Result, 1)
 	close(poisoned)
 	pk, _ := s.packs.Get(s.defaultPack)
@@ -402,14 +414,124 @@ func TestBatcherRestartsAfterPanic(t *testing.T) {
 		Pack:   pk,
 		Seed:   1,
 		Start:  time.Now(),
-		Resp:   poisoned, // delivery panics: send on closed channel
+		Resp:   poisoned,
 	}); !ok {
 		t.Fatal("poisoned job refused admission")
 	}
 	waitFor(t, s, func(sn Snapshot) bool { return sn.BatcherRestarts >= 1 })
+}
 
-	resp, data := postJSON(t, ts, "/v1/impute", `{"known": {"TotalIngress": [90], "Congestion": [0]}, "seed": 2}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("post-restart request: %d (%s)", resp.StatusCode, data)
+// TestBudgetStormLeavesPoolClean: a solver-budget failure retires its lane
+// and nothing else, so a failed decode leaves nothing behind to clean up.
+// With Workers 1 a wave of 16 requests is one lock-step group on 16 lane
+// clones from the pack engine's pool. The request that exhausts its budget
+// answers 503/budget, the other 15 are bit-identical to an uninjected
+// server's, and its clone goes back to the pool like the others (a budget
+// stop is a clean failure; only a panicked lane's clone is discarded). The
+// pool keeps all 16 (its cap is the largest batch seen), so a second, clean
+// wave decodes on the clones the first one used, the faulted lane's
+// included, and every request — the faulted one too — must come out
+// bit-identical.
+func TestBudgetStormLeavesPoolClean(t *testing.T) {
+	const budgetTarget = int64(60 + 10*9) // request 9 "stalls"
+
+	clean := newFaultServer(t, nil, nil)
+	cleanTS := httptest.NewServer(clean)
+	defer cleanTS.Close()
+	cleanCodes, cleanLines, _, _ := faultBatch(t, cleanTS)
+	for i, code := range cleanCodes {
+		if code != http.StatusOK {
+			t.Fatalf("uninjected run: request %d got %d", i, code)
+		}
+	}
+
+	var armed atomic.Bool
+	armed.Store(true)
+	hook := func(fs core.FaultSite) error {
+		if !armed.Load() || fs.Known == nil || len(fs.Known["TotalIngress"]) == 0 || fs.Tokens < 2 {
+			return nil
+		}
+		if fs.Known["TotalIngress"][0] == budgetTarget {
+			return fmt.Errorf("injected fault: %w", core.ErrBudget)
+		}
+		return nil
+	}
+	faulty := newFaultServer(t, hook, nil)
+	ts := httptest.NewServer(faulty)
+	defer ts.Close()
+
+	codes, lines, statuses, _ := faultBatch(t, ts)
+	for i := range codes {
+		if i == 9 {
+			if codes[i] != http.StatusServiceUnavailable || statuses[i] != "budget" {
+				t.Errorf("faulted request: code %d status %q, want 503/budget", codes[i], statuses[i])
+			}
+			continue
+		}
+		if codes[i] != http.StatusOK {
+			t.Errorf("clean request %d got %d alongside the fault", i, codes[i])
+			continue
+		}
+		if lines[i] != cleanLines[i] {
+			t.Errorf("request %d changed by the faulted lane:\n got %q\nwant %q", i, lines[i], cleanLines[i])
+		}
+	}
+
+	armed.Store(false)
+	codes, lines, _, _ = faultBatch(t, ts)
+	for i := range codes {
+		if codes[i] != http.StatusOK {
+			t.Errorf("second wave: request %d got %d", i, codes[i])
+			continue
+		}
+		if lines[i] != cleanLines[i] {
+			t.Errorf("second wave: request %d differs on the pooled clones:\n got %q\nwant %q", i, lines[i], cleanLines[i])
+		}
+	}
+	sn := faulty.Metrics().Snapshot()
+	if sn.BudgetExhausted != 1 || sn.LanesRetired != 1 || sn.BatcherRestarts != 0 {
+		t.Errorf("budget %d, lanes retired %d, restarts %d; want 1, 1, 0", sn.BudgetExhausted, sn.LanesRetired, sn.BatcherRestarts)
+	}
+}
+
+// TestCloseLeavesNoGoroutines: once the listener, the client's idle
+// connections and the server are closed, the goroutine count falls back to
+// where it was before the server was built — after ordinary traffic (unary
+// and streamed, several lane groups) and after a batcher restart.
+func TestCloseLeavesNoGoroutines(t *testing.T) {
+	for _, restart := range []bool{false, true} {
+		t.Run(fmt.Sprintf("restart=%v", restart), func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			s := newTestServer(t, nil)
+			ts := httptest.NewServer(s)
+			if restart {
+				restartBatcher(t, s)
+			}
+			var wg sync.WaitGroup
+			for i := 0; i < 8; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					body := fmt.Sprintf(`{"known": {"TotalIngress": [%d], "Congestion": [0]}, "seed": %d, "stream": %v}`, 60+10*i, i, i%2 == 1)
+					if resp, data := postJSON(t, ts, "/v1/impute", body); resp.StatusCode != http.StatusOK {
+						t.Errorf("request %d: %d (%s)", i, resp.StatusCode, data)
+					}
+				}(i)
+			}
+			wg.Wait()
+			ts.Close()
+			s.Close()
+			http.DefaultTransport.(*http.Transport).CloseIdleConnections()
+
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > base {
+				if time.Now().After(deadline) {
+					buf := make([]byte, 1<<16)
+					t.Fatalf("%d goroutines after Close, %d before the server:\n%s",
+						runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+		})
 	}
 }

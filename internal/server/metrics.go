@@ -90,13 +90,11 @@ type Metrics struct {
 	lanesRetired    uint64
 	batcherRestarts uint64
 
-	// Scale-out counters: requests admitted past backpressure (a request
-	// still decoding has been admitted but not yet counted in requests, so
-	// this is the honest "accepted work" number), SSE streaming responses,
-	// and router shards drained after crossing their failure threshold.
-	admitted    uint64
-	streams     uint64
-	shardDrains uint64
+	// Requests admitted past backpressure (a request still decoding has been
+	// admitted but not yet counted in requests, so this is the honest
+	// "accepted work" number) and SSE streaming responses.
+	admitted uint64
+	streams  uint64
 
 	ttft *histogram // streaming time-to-first-chunk seconds (admission → first slot event)
 
@@ -104,27 +102,25 @@ type Metrics struct {
 	// state changes instead of polling.
 	cond *sync.Cond
 
-	// load samples router state — (queued, admitted-but-unfinished) — at
-	// scrape time. The second gauge is the backpressure-honest one: a full
-	// in-flight batch with an empty queue still reports its jobs here.
-	load func() (queued, inflight int)
-	// shardStats samples per-shard router state at scrape time. May be nil.
-	shardStats func() []router.ShardStats
+	// router samples the batcher's state at scrape time: queued and
+	// admitted-but-unfinished jobs, and the summed batch wall time. The
+	// inflight gauge is the backpressure-honest one: a full in-flight batch
+	// with an empty queue still reports its jobs there.
+	router func() router.Stats
 	// packStats samples per-pack runtime state (prefix-cache counters,
 	// reload counters) from the pack registry at scrape time. May be nil.
 	packStats func() map[string]pack.RuntimeStats
 }
 
-func newMetrics(load func() (int, int), shardStats func() []router.ShardStats, packStats func() map[string]pack.RuntimeStats) *Metrics {
+func newMetrics(routerStats func() router.Stats, packStats func() map[string]pack.RuntimeStats) *Metrics {
 	m := &Metrics{
-		requests:   map[string]map[string]map[int]uint64{},
-		perPack:    map[string]*packCounters{},
-		batchSize:  newHistogram([]float64{1, 2, 4, 8, 16, 32, 64}),
-		latency:    newHistogram([]float64{0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}),
-		ttft:       newHistogram([]float64{0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}),
-		load:       load,
-		shardStats: shardStats,
-		packStats:  packStats,
+		requests:  map[string]map[string]map[int]uint64{},
+		perPack:   map[string]*packCounters{},
+		batchSize: newHistogram([]float64{1, 2, 4, 8, 16, 32, 64}),
+		latency:   newHistogram([]float64{0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}),
+		ttft:      newHistogram([]float64{0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}),
+		router:    routerStats,
+		packStats: packStats,
 	}
 	m.cond = sync.NewCond(&m.mu)
 	return m
@@ -224,13 +220,6 @@ func (m *Metrics) observeTTFT(seconds float64) {
 	m.mu.Unlock()
 }
 
-func (m *Metrics) countShardDrain() {
-	m.mu.Lock()
-	m.shardDrains++
-	m.cond.Broadcast()
-	m.mu.Unlock()
-}
-
 func (m *Metrics) countDecode(pk string, tokens int, solverChecks uint64) {
 	m.mu.Lock()
 	pc := m.perPack[pk]
@@ -307,12 +296,9 @@ type Snapshot struct {
 	LanesRetired    uint64
 	BatcherRestarts uint64
 
-	// Scale-out state: cumulative admissions, SSE streaming responses,
-	// router shard drains, and the per-shard gauge sample.
-	Admitted    uint64
-	Streams     uint64
-	ShardDrains uint64
-	Shards      []router.ShardStats
+	// Cumulative admissions and SSE streaming responses.
+	Admitted uint64
+	Streams  uint64
 
 	// Prefix sums the per-pack prefix-cache counters at snapshot time; the
 	// zero value when no pack has a cache.
@@ -346,9 +332,8 @@ func (m *Metrics) snapshotLocked() Snapshot {
 		LanesRetired:    m.lanesRetired,
 		BatcherRestarts: m.batcherRestarts,
 
-		Admitted:    m.admitted,
-		Streams:     m.streams,
-		ShardDrains: m.shardDrains,
+		Admitted: m.admitted,
+		Streams:  m.streams,
 
 		Packs: map[string]PackSnapshot{},
 	}
@@ -382,12 +367,8 @@ func (m *Metrics) snapshotLocked() Snapshot {
 		s.Tokens += pc.tokens
 		s.SolverChecks += pc.solverChecks
 	}
-	if m.load != nil {
-		s.QueueDepth, s.Inflight = m.load()
-	}
-	if m.shardStats != nil {
-		s.Shards = m.shardStats()
-	}
+	rs := m.router()
+	s.QueueDepth, s.Inflight = rs.Queued, rs.Inflight
 	if m.packStats != nil {
 		for pk, rt := range m.packStats() {
 			ps := packSnap(pk)
@@ -450,38 +431,16 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 	fmt.Fprintln(w, "# TYPE lejitd_batches_total counter")
 	fmt.Fprintf(w, "lejitd_batches_total %d\n", m.batches)
 
-	if m.load != nil {
-		queued, inflight := m.load()
-		fmt.Fprintln(w, "# HELP lejitd_queue_depth Requests waiting in shard admission queues.")
-		fmt.Fprintln(w, "# TYPE lejitd_queue_depth gauge")
-		fmt.Fprintf(w, "lejitd_queue_depth %d\n", queued)
-		fmt.Fprintln(w, "# HELP lejitd_inflight Requests admitted but not yet answered (queued plus decoding).")
-		fmt.Fprintln(w, "# TYPE lejitd_inflight gauge")
-		fmt.Fprintf(w, "lejitd_inflight %d\n", inflight)
-	}
-	if m.shardStats != nil {
-		st := m.shardStats()
-		fmt.Fprintln(w, "# HELP lejitd_shard_queue_depth Requests waiting per engine shard.")
-		fmt.Fprintln(w, "# TYPE lejitd_shard_queue_depth gauge")
-		for _, sh := range st {
-			fmt.Fprintf(w, "lejitd_shard_queue_depth{shard=\"%d\"} %d\n", sh.Shard, sh.Queued)
-		}
-		fmt.Fprintln(w, "# HELP lejitd_shard_inflight Requests admitted to an engine shard and not yet answered.")
-		fmt.Fprintln(w, "# TYPE lejitd_shard_inflight gauge")
-		for _, sh := range st {
-			fmt.Fprintf(w, "lejitd_shard_inflight{shard=\"%d\"} %d\n", sh.Shard, sh.Inflight)
-		}
-		fmt.Fprintln(w, "# HELP lejitd_shard_drains_total Shard self-drains after crossing the failure threshold.")
-		fmt.Fprintln(w, "# TYPE lejitd_shard_drains_total counter")
-		for _, sh := range st {
-			fmt.Fprintf(w, "lejitd_shard_drains_total{shard=\"%d\"} %d\n", sh.Shard, sh.Drains)
-		}
-		fmt.Fprintln(w, "# HELP lejitd_shard_batch_seconds_total Wall time of an engine shard's micro-batches, dispatch to last result; Retry-After divides it by the shard's batch count.")
-		fmt.Fprintln(w, "# TYPE lejitd_shard_batch_seconds_total counter")
-		for _, sh := range st {
-			fmt.Fprintf(w, "lejitd_shard_batch_seconds_total{shard=\"%d\"} %g\n", sh.Shard, sh.BatchSeconds)
-		}
-	}
+	rs := m.router()
+	fmt.Fprintln(w, "# HELP lejitd_queue_depth Requests waiting in the admission queue.")
+	fmt.Fprintln(w, "# TYPE lejitd_queue_depth gauge")
+	fmt.Fprintf(w, "lejitd_queue_depth %d\n", rs.Queued)
+	fmt.Fprintln(w, "# HELP lejitd_inflight Requests admitted but not yet answered (queued plus decoding).")
+	fmt.Fprintln(w, "# TYPE lejitd_inflight gauge")
+	fmt.Fprintf(w, "lejitd_inflight %d\n", rs.Inflight)
+	fmt.Fprintln(w, "# HELP lejitd_batch_seconds_total Wall time of the micro-batches, dispatch to last result; Retry-After divides it by the batch count.")
+	fmt.Fprintln(w, "# TYPE lejitd_batch_seconds_total counter")
+	fmt.Fprintf(w, "lejitd_batch_seconds_total %g\n", rs.BatchSeconds)
 
 	fmt.Fprintln(w, "# HELP lejitd_admitted_total Requests admitted past backpressure (includes in-flight).")
 	fmt.Fprintln(w, "# TYPE lejitd_admitted_total counter")
@@ -587,8 +546,4 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 	fmt.Fprintln(w, "# HELP lejitd_batcher_restarts_total Batcher goroutine restarts after an escaped panic.")
 	fmt.Fprintln(w, "# TYPE lejitd_batcher_restarts_total counter")
 	fmt.Fprintf(w, "lejitd_batcher_restarts_total %d\n", m.batcherRestarts)
-
-	fmt.Fprintln(w, "# HELP lejitd_router_drains_total Engine shards drained and re-cloned after repeated failures.")
-	fmt.Fprintln(w, "# TYPE lejitd_router_drains_total counter")
-	fmt.Fprintf(w, "lejitd_router_drains_total %d\n", m.shardDrains)
 }

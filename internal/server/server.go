@@ -30,23 +30,14 @@ type Config struct {
 	// DefaultPack names the pack used by requests that do not select one.
 	DefaultPack string
 
-	// Replicas is the engine shard count (default 1). Each shard runs its
-	// own micro-batcher and engine clones behind a load-aware router; rule
-	// compilation and per-pack prefix caches are shared across shards.
-	Replicas int
-	// ShardFailureThreshold drains a shard (fresh engine clones, queued jobs
-	// redistributed) once that many of its lanes were retired by budget
-	// exhaustion or recovered panics since its last drain. Default 8;
-	// negative disables self-draining.
-	ShardFailureThreshold int
-	// BatchWindow is how long each shard's batcher waits after the first
-	// request for more to coalesce (default 2ms), timed from that request's
-	// admission: a request that already queued that long dispatches at once.
+	// BatchWindow is how long the batcher waits after the first request for
+	// more to coalesce (default 2ms), timed from that request's admission: a
+	// request that already queued that long dispatches at once.
 	BatchWindow time.Duration
 	// MaxBatch caps records per micro-batch (default 32).
 	MaxBatch int
-	// QueueDepth bounds total queued admissions across shards; full queues
-	// answer 429 with Retry-After (default 256, split evenly per shard).
+	// QueueDepth bounds queued admissions; a full queue answers 429 with
+	// Retry-After (default 256).
 	QueueDepth int
 	// Workers is the goroutine budget per micro-batch (default GOMAXPROCS):
 	// a batch's lanes are cut into at most that many lock-step groups.
@@ -70,14 +61,6 @@ type Config struct {
 }
 
 func (c *Config) fill() {
-	if c.Replicas <= 0 {
-		c.Replicas = 1
-	}
-	if c.ShardFailureThreshold == 0 {
-		c.ShardFailureThreshold = 8
-	} else if c.ShardFailureThreshold < 0 {
-		c.ShardFailureThreshold = 0 // router treats 0 as disabled
-	}
 	if c.BatchWindow <= 0 {
 		c.BatchWindow = 2 * time.Millisecond
 	}
@@ -101,9 +84,9 @@ func (c *Config) fill() {
 	}
 }
 
-// Server is the lejitd HTTP handler plus its sharded micro-batching pipeline:
-// admission control and response writing live here, dispatch and decoding live
-// in the router (one micro-batcher per engine shard).
+// Server is the lejitd HTTP handler plus its micro-batching pipeline:
+// admission control and response writing live here, batching and decoding
+// live in the router.
 type Server struct {
 	cfg         Config
 	packs       *pack.Registry
@@ -117,7 +100,7 @@ type Server struct {
 	seedSeq  atomic.Int64
 }
 
-// New builds a Server and starts its shard batcher goroutines. Callers must
+// New builds a Server and starts its batcher goroutine. Callers must
 // Close it (Serve does so on return).
 func New(cfg Config) (*Server, error) {
 	if cfg.Packs == nil {
@@ -134,30 +117,23 @@ func New(cfg Config) (*Server, error) {
 	if _, ok := s.packs.Get(s.defaultPack); !ok {
 		return nil, fmt.Errorf("server: default pack %q is not registered (have %v)", s.defaultPack, s.packs.Names())
 	}
-	perShardQueue := cfg.QueueDepth / cfg.Replicas
-	if perShardQueue < 1 {
-		perShardQueue = 1
-	}
 	s.router = router.New(router.Config{
-		Replicas:         cfg.Replicas,
-		BatchWindow:      cfg.BatchWindow,
-		MaxBatch:         cfg.MaxBatch,
-		QueueDepth:       perShardQueue,
-		Workers:          cfg.Workers,
-		FailureThreshold: cfg.ShardFailureThreshold,
-		Logf:             cfg.Logf,
-		ObserveBatch:     func(shard, size int) { s.metrics.observeBatch(size) },
-		OnLaneError: func(shard int, err error) {
+		BatchWindow:  cfg.BatchWindow,
+		MaxBatch:     cfg.MaxBatch,
+		QueueDepth:   cfg.QueueDepth,
+		Workers:      cfg.Workers,
+		Logf:         cfg.Logf,
+		ObserveBatch: func(size int) { s.metrics.observeBatch(size) },
+		OnLaneError: func(err error) {
 			// Classify the retired lane here, not in the response writer: a
 			// handler that already gave up on its deadline never reads Resp,
 			// but the failure still happened and must be counted.
 			var pe *core.PanicError
 			s.metrics.countLaneRetired(errors.Is(err, core.ErrBudget), errors.As(err, &pe))
 		},
-		OnRestart: func(shard int) { s.metrics.countBatcherRestart() },
-		OnDrain:   func(shard, moved int) { s.metrics.countShardDrain() },
+		OnRestart: func() { s.metrics.countBatcherRestart() },
 	})
-	s.metrics = newMetrics(s.router.Load, s.router.Stats, s.packs.Stats)
+	s.metrics = newMetrics(s.router.Stats, s.packs.Stats)
 	s.mux.HandleFunc("/v1/impute", func(w http.ResponseWriter, r *http.Request) { s.handleDecode(w, r, "impute") })
 	s.mux.HandleFunc("/v1/generate", func(w http.ResponseWriter, r *http.Request) { s.handleDecode(w, r, "generate") })
 	s.mux.HandleFunc("/v1/check", s.handleCheck)
@@ -177,10 +153,10 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 // Metrics exposes the server's counters (tests, benchmarks).
 func (s *Server) Metrics() *Metrics { return s.metrics }
 
-// Router exposes the engine-shard router (tests, cmd/lejitd logging).
+// Router exposes the micro-batcher (tests, the repository benchmark's probes).
 func (s *Server) Router() *router.Router { return s.router }
 
-// Close stops the shard batchers. Safe to call more than once. Requests
+// Close stops the batcher. Safe to call more than once. Requests
 // admitted after Close time out rather than decode; call only once handlers
 // are drained (Serve sequences this correctly).
 func (s *Server) Close() { s.router.Close() }
@@ -222,28 +198,22 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
-// retryAfter estimates when capacity frees up, from live backlog: for each
-// shard, its admitted-but-unfinished jobs divided into micro-batches, each
-// costing the shard's measured mean batch wall time (dispatch to settle; the
-// batch window before any batch has settled). The soonest shard answers.
-// Clamped to [1s, 30s] — the old hardcoded "1" told a client staring at a
-// 200-deep queue to hammer the daemon once a second.
+// retryAfter estimates when capacity frees up, from live backlog: the
+// admitted-but-unfinished jobs divided into micro-batches, each costing the
+// measured mean batch wall time (dispatch to settle; the batch window before
+// any batch has settled). Clamped to [1s, 30s] — the old hardcoded "1" told a
+// client staring at a 200-deep queue to hammer the daemon once a second.
 func (s *Server) retryAfter() string {
 	return strconv.FormatInt(retryAfterSecs(s.router.Stats(), s.cfg.MaxBatch, s.cfg.BatchWindow), 10)
 }
 
-// retryAfterSecs is retryAfter's estimate over a snapshot of shard stats.
-func retryAfterSecs(shards []router.ShardStats, maxBatch int, window time.Duration) int64 {
-	var est time.Duration
-	for i, sh := range shards {
-		per := window
-		if sh.Batches > 0 {
-			per = time.Duration(sh.BatchSeconds / float64(sh.Batches) * float64(time.Second))
-		}
-		if d := time.Duration(sh.Inflight/maxBatch+1) * per; i == 0 || d < est {
-			est = d
-		}
+// retryAfterSecs is retryAfter's estimate over a snapshot of router stats.
+func retryAfterSecs(st router.Stats, maxBatch int, window time.Duration) int64 {
+	per := window
+	if st.Batches > 0 {
+		per = time.Duration(st.BatchSeconds / float64(st.Batches) * float64(time.Second))
 	}
+	est := time.Duration(st.Inflight/maxBatch+1) * per
 	secs := int64((est + time.Second - 1) / time.Second)
 	if secs < 1 {
 		secs = 1
@@ -387,7 +357,7 @@ func (s *Server) serveDecode(w http.ResponseWriter, r *http.Request, route strin
 		return s.writeDecodeResult(w, pk, res), packName
 	case <-ctx.Done():
 		// The job may still be queued or decoding; its context is cancelled,
-		// so its shard will abandon it and nobody reads Resp (buffered).
+		// so the batcher will abandon it and nobody reads Resp (buffered).
 		s.metrics.observeLatency(time.Since(j.Start).Seconds())
 		s.metrics.countTimeout()
 		return writeError(w, http.StatusGatewayTimeout, "deadline exceeded", "timeout"), packName
@@ -417,9 +387,6 @@ func (s *Server) buildDecodeOutcome(pk *pack.Compiled, res router.Result) decode
 			// The solver gave up inside its budget, not a proof the request
 			// is bad: the caller may retry (ideally elsewhere or later).
 			return decodeOutcome{code: http.StatusServiceUnavailable, status: "budget", errMsg: res.Err.Error(), retryAfter: true}
-		case errors.Is(res.Err, router.ErrOverloaded):
-			// Admitted, then orphaned by a shard drain with no sibling room.
-			return decodeOutcome{code: http.StatusServiceUnavailable, status: "overloaded", errMsg: res.Err.Error(), retryAfter: true}
 		case isInfeasible(res.Err):
 			return decodeOutcome{code: http.StatusUnprocessableEntity, status: "infeasible", errMsg: res.Err.Error()}
 		case errors.As(res.Err, &pe):
@@ -599,7 +566,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"status":           status,
 		"uptime_s":         time.Since(s.started).Seconds(),
 		"max_batch":        s.cfg.MaxBatch,
-		"replicas":         s.router.Replicas(),
 		"budget_exhausted": trips,
 	})
 }

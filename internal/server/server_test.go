@@ -403,10 +403,15 @@ func TestMetricsEndpointRenders(t *testing.T) {
 		"lejitd_panics_recovered_total 0",
 		"lejitd_lanes_retired_total 0",
 		"lejitd_batcher_restarts_total 0",
-		`lejitd_shard_batch_seconds_total{shard="0"} `,
+		"lejitd_batch_seconds_total ",
 	} {
 		if !strings.Contains(string(data), want) {
 			t.Errorf("metrics missing %q:\n%s", want, data)
+		}
+	}
+	for _, gone := range []string{"lejitd_shard_", "lejitd_router_drains_total"} {
+		if strings.Contains(string(data), gone) {
+			t.Errorf("metrics still export %q:\n%s", gone, data)
 		}
 	}
 }

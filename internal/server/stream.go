@@ -93,7 +93,7 @@ func (s *Server) streamDecodeResponse(w http.ResponseWriter, ctx context.Context
 			return finish(res)
 		case <-ctx.Done():
 			// The job may still be queued or decoding; its context is
-			// cancelled, so its shard abandons it and nobody reads Resp.
+			// cancelled, so the batcher abandons it and nobody reads Resp.
 			s.metrics.observeLatency(time.Since(j.Start).Seconds())
 			s.metrics.countTimeout()
 			event("error", StreamError{Code: http.StatusGatewayTimeout, Error: "deadline exceeded", Status: "timeout"})

@@ -141,18 +141,19 @@ func TestStreamMatchesUnarySolo(t *testing.T) {
 
 // TestStreamMatchesUnaryLockStep: streamed and unary requests coalesced into
 // lock-step batches (nn-backed engine, wide batch window) stay bit-identical
-// per (prompt, seed) — chunks from concurrently decoding lanes never mix, on
-// one shard and when the router spreads each wave over a fleet of four.
+// per (prompt, seed) — chunks from concurrently decoding lanes never mix, in
+// one lock-step group and when each wave is cut into four groups that stream
+// at once.
 func TestStreamMatchesUnaryLockStep(t *testing.T) {
-	for _, replicas := range []int{1, 4} {
-		t.Run(fmt.Sprintf("replicas=%d", replicas), func(t *testing.T) {
-			testStreamMatchesUnaryLockStep(t, replicas)
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			testStreamMatchesUnaryLockStep(t, workers)
 		})
 	}
 }
 
-func testStreamMatchesUnaryLockStep(t *testing.T, replicas int) {
-	s := newFaultServer(t, nil, func(c *Config) { c.Replicas = replicas })
+func testStreamMatchesUnaryLockStep(t *testing.T, workers int) {
+	s := newFaultServer(t, nil, func(c *Config) { c.Workers = workers })
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
