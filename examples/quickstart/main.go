@@ -6,17 +6,28 @@
 // Run with:
 //
 //	go run ./examples/quickstart
+//
+// Its output is pinned byte for byte by testdata/transcript.txt (main_test.go).
 package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
+	"os"
 
 	"repro/lejit"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the whole walkthrough, printing to w.
+func run(w io.Writer) error {
 	// 1. Declare the record shape: one coarse window (TotalIngress,
 	// Congestion) plus the fine-grained ingress vector I[0..4].
 	schema := lejit.MustSchema(
@@ -34,7 +45,7 @@ rule r2: sum(I) == TotalIngress
 rule r3: Congestion > 0 -> max(I) >= BW/2
 `, schema)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// 3. Synthesize a toy training corpus that obeys the rules, and train
@@ -45,46 +56,47 @@ rule r3: Congestion > 0 -> max(I) >= BW/2
 		Vocab: lejit.TelemetryTokenizer().Size(), Ctx: 40, Dim: 32, Heads: 2, Layers: 2,
 	}, 1)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("training a", model.NumParams(), "parameter model from scratch...")
+	fmt.Fprintln(w, "training a", model.NumParams(), "parameter model from scratch...")
 	if _, err := lejit.TrainOnRecords(model, corpus, schema, lejit.TrainConfig{Epochs: 2, Seed: 1}); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// 4. Build two pipelines over the SAME model: one decodes freely, one
 	// enforces the rules Just-In-Time.
 	pipe, err := lejit.NewPipeline(model, schema, rs, lejit.WithTemperature(0.9))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// 5. Impute the paper's running example: TotalIngress=100, Congestion=8.
 	known := lejit.Record{"TotalIngress": {100}, "Congestion": {8}}
-	fmt.Println("\nimputing I[0..4] for TotalIngress=100, Congestion=8")
+	fmt.Fprintln(w, "\nimputing I[0..4] for TotalIngress=100, Congestion=8")
 
-	fmt.Println("\n-- vanilla (free sampling) --")
+	fmt.Fprintln(w, "\n-- vanilla (free sampling) --")
 	for i := 0; i < 3; i++ {
 		rec, _, err := pipe.Sample(known, rng)
 		if err != nil {
-			fmt.Println("  (malformed output)")
+			fmt.Fprintln(w, "  (malformed output)")
 			continue
 		}
 		vs, _ := pipe.Violations(rec)
-		fmt.Printf("  I = %v  violations: %v\n", rec["I"], vs)
+		fmt.Fprintf(w, "  I = %v  violations: %v\n", rec["I"], vs)
 	}
 
-	fmt.Println("\n-- LeJIT (solver-guided) --")
+	fmt.Fprintln(w, "\n-- LeJIT (solver-guided) --")
 	for i := 0; i < 3; i++ {
 		rec, stats, err := pipe.Impute(known, rng)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		vs, _ := pipe.Violations(rec)
-		fmt.Printf("  I = %v  violations: %v  (masked %d steps, %d solver checks)\n",
+		fmt.Fprintf(w, "  I = %v  violations: %v  (masked %d steps, %d solver checks)\n",
 			rec["I"], vs, stats.MaskedSteps, stats.SolverChecks)
 	}
-	fmt.Println("\nLeJIT output always satisfies R1-R3; vanilla output usually does not.")
+	fmt.Fprintln(w, "\nLeJIT output always satisfies R1-R3; vanilla output usually does not.")
+	return nil
 }
 
 // makeCorpus draws rule-compliant training records: bursty ingress vectors

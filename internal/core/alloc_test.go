@@ -135,9 +135,8 @@ func TestReusedBatchSessionAllocsNothing(t *testing.T) {
 	}
 }
 
-// TestBatchSessionPool pins the free list's policy: sessions are created at
-// a power-of-two lane count, the smallest idle one that fits is reused, and
-// the list keeps at most poolLimit sessions, dropping the excess.
+// TestBatchSessionPool pins the free list's fit: sessions are created at a
+// power-of-two lane count, and the smallest idle one that fits is reused.
 func TestBatchSessionPool(t *testing.T) {
 	e := nnTestEngine(t)
 	lanes := func(bs BatchSession) int { return bs.(reusableBatchSession).Lanes() }
@@ -153,32 +152,6 @@ func TestBatchSessionPool(t *testing.T) {
 	}
 	if got := e.acquireBatchSession(5); got != s9 {
 		t.Error("a 5-lane group did not reuse the idle 16-lane session")
-	}
-
-	e.poolMu.Lock()
-	limit := e.poolLimit()
-	e.poolMu.Unlock()
-	held := make([]BatchSession, limit+2)
-	for i := range held {
-		held[i] = e.acquireBatchSession(8)
-	}
-	for _, bs := range held {
-		e.releaseBatchSession(bs)
-	}
-	e.poolMu.Lock()
-	idle := append([]reusableBatchSession(nil), e.sessions...)
-	e.poolMu.Unlock()
-	if len(idle) != limit {
-		t.Fatalf("free list holds %d sessions, want its limit %d", len(idle), limit)
-	}
-	for i, bs := range held {
-		kept := false
-		for _, s := range idle {
-			kept = kept || s == bs
-		}
-		if want := i < limit; kept != want {
-			t.Errorf("session released %d-th kept=%v, want %v (a full list drops the excess)", i, kept, want)
-		}
 	}
 }
 

@@ -40,12 +40,6 @@ type BatchRequest struct {
 	// Decode, when non-nil, overrides the batch-level decode function for
 	// this record (e.g. a per-request baseline mode).
 	Decode DecodeCtxFn
-	// NoPrefixCache opts this record out of the engine's cross-request
-	// prefix cache: no warm start and no snapshot capture. Output is
-	// unaffected either way (warm decodes are bit-identical); the knob
-	// exists for isolation — e.g. keeping a tenant's prompts out of shared
-	// cache state — and for cold-path measurement.
-	NoPrefixCache bool
 }
 
 // prefixCacheOffKey marks a context whose decodes must skip the prefix
@@ -53,9 +47,12 @@ type BatchRequest struct {
 type prefixCacheOffKey struct{}
 
 // DisablePrefixCache returns a context under which guided decodes neither
-// consult nor populate the engine's prefix cache. Used by the serving layer
-// for per-request opt-out; callers invoking ImputeCtx/GenerateCtx directly
-// can use it too.
+// consult nor populate the engine's prefix cache: no warm start and no
+// snapshot capture. Output is unaffected either way (warm decodes are
+// bit-identical); the opt-out exists for isolation — e.g. keeping a tenant's
+// prompts out of shared cache state — and for cold-path measurement. The
+// serving layer sets it on a request's context (BatchRequest.Ctx); callers
+// invoking ImputeCtx/GenerateCtx directly can use it too.
 func DisablePrefixCache(ctx context.Context) context.Context {
 	return context.WithValue(ctx, prefixCacheOffKey{}, true)
 }
@@ -136,18 +133,11 @@ func (e *Engine) DecodeBatch(prompts []rules.Record, workers int, seed int64, de
 			return decode(eng, known, rng)
 		}
 	}
-	return e.DecodeBatchCtx(context.Background(), prompts, workers, seed, dc)
-}
-
-// DecodeBatchCtx is DecodeBatch under a context: cancelling ctx stops
-// in-flight decodes at the next token boundary and skips records not yet
-// started (their BatchResult.Err is the context error).
-func (e *Engine) DecodeBatchCtx(ctx context.Context, prompts []rules.Record, workers int, seed int64, decode DecodeCtxFn) ([]BatchResult, error) {
 	reqs := make([]BatchRequest, len(prompts))
 	for i, p := range prompts {
 		reqs[i].Prompt = p
 	}
-	return e.DecodeRequests(ctx, reqs, workers, seed, decode)
+	return e.DecodeRequests(context.Background(), reqs, workers, seed, dc)
 }
 
 // DecodeRequests is the most general batch entry point: each request may
@@ -175,7 +165,6 @@ func (e *Engine) DecodeRequests(ctx context.Context, reqs []BatchRequest, worker
 		workers = runtime.GOMAXPROCS(0)
 	}
 	out := make([]BatchResult, len(reqs))
-	e.notePoolDemand(len(reqs))
 
 	// Resolve every request once: its context with the per-request overrides
 	// applied, its seeded RNG, and which decoder runs it.
@@ -193,9 +182,6 @@ func (e *Engine) DecodeRequests(ctx context.Context, reqs []BatchRequest, worker
 		if err := rctx.Err(); err != nil {
 			res.Err = err
 			continue
-		}
-		if r.NoPrefixCache {
-			rctx = DisablePrefixCache(rctx)
 		}
 		s := MixSeed(seed, i)
 		if r.Seed != nil {

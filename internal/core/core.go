@@ -322,12 +322,8 @@ type Engine struct {
 	// poolMu guards pool, a free list of idle clones DecodeRequests draws its
 	// per-record engines from (lockstep.go), so they are cloned once and then
 	// recycled across batches. Only the root engine of a clone family pools.
-	// poolDemand is the largest concurrent-lane demand seen so far; it lifts
-	// the pool's retention cap above 2×NumCPU so large micro-batches on
-	// small hosts keep their clones across steady-state batches.
-	poolMu     sync.Mutex
-	pool       []*Engine
-	poolDemand int
+	poolMu sync.Mutex
+	pool   []*Engine
 	// sessions is a free list of batch sessions, guarded by poolMu, that
 	// decodeLockStep draws from so a lane group does not allocate (and
 	// zero) a fresh KV arena per batch (lockstep.go).
@@ -434,6 +430,9 @@ func newEngine(cfg Config, parent *Engine) (*Engine, error) {
 			e.ruleFormula = f
 			e.solver.Assert(f)
 			r := e.solver.Check()
+			if r.Status == smt.Unknown && r.Err != nil {
+				return nil, fmt.Errorf("core: rules-only pre-check: %w", r.Err)
+			}
 			if r.Status != smt.Sat {
 				return nil, fmt.Errorf("core: rule set is unsatisfiable on its own (%v)", r.Status)
 			}

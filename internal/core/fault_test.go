@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"testing"
 	"time"
 
@@ -180,26 +179,6 @@ func TestSolverTimeoutStopsMidCheck(t *testing.T) {
 	}
 	if time.Since(start) > 10*time.Second {
 		t.Fatalf("timeout took %v to fire", time.Since(start))
-	}
-}
-
-// TestClonePoolBounded: releasing a burst of clones retains at most
-// 2×NumCPU of them.
-func TestClonePoolBounded(t *testing.T) {
-	e := nnTestEngine(t)
-	cap := 2 * runtime.NumCPU()
-	for i := 0; i < cap+8; i++ {
-		c, err := e.Clone()
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.releaseClone(c)
-	}
-	e.poolMu.Lock()
-	n := len(e.pool)
-	e.poolMu.Unlock()
-	if n > cap {
-		t.Fatalf("pool retained %d clones, cap %d", n, cap)
 	}
 }
 

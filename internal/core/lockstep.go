@@ -5,7 +5,6 @@ import (
 	"errors"
 	"math/bits"
 	"math/rand"
-	"runtime"
 
 	"repro/internal/nn"
 	"repro/internal/rules"
@@ -43,33 +42,12 @@ func (e *Engine) acquireClone() (*Engine, error) {
 }
 
 // releaseClone returns a lane engine to the pool for the next batch. The
-// pool is bounded at max(2×NumCPU, observed batch demand): the CPU term
-// keeps a one-time burst of unrelated lanes from permanently retaining every
-// clone and its KV-cache scratch, while the demand term — the largest batch
-// size DecodeRequests has actually seen (notePoolDemand) — stops a steady
-// stream of large micro-batches on a small host from re-cloning most of its
-// lanes every batch. Excess clones are dropped for the GC.
+// pool keeps every clone it is given: it holds at most the peak number of
+// lanes ever in flight on the engine at once, which on the served path is at
+// most the router's MaxBatch per pack epoch (DESIGN.md §9).
 func (e *Engine) releaseClone(c *Engine) {
 	e.poolMu.Lock()
-	if len(e.pool) < e.poolLimit() {
-		e.pool = append(e.pool, c)
-	}
-	e.poolMu.Unlock()
-}
-
-// poolLimit is the retention cap of the engine's free lists (see
-// releaseClone). Callers hold poolMu.
-func (e *Engine) poolLimit() int {
-	return max(2*runtime.NumCPU(), e.poolDemand)
-}
-
-// notePoolDemand records that n lanes may need clones concurrently, raising
-// the pool's retention cap (never lowering it — demand is a high-water mark).
-func (e *Engine) notePoolDemand(n int) {
-	e.poolMu.Lock()
-	if n > e.poolDemand {
-		e.poolDemand = n
-	}
+	e.pool = append(e.pool, c)
 	e.poolMu.Unlock()
 }
 
@@ -162,19 +140,19 @@ func (e *Engine) acquireBatchSession(n int) BatchSession {
 	return blm.NewBatchSession(1 << bits.Len(uint(n-1)))
 }
 
-// releaseBatchSession returns a lane group's session to the free list,
-// which keeps as many sessions as releaseClone keeps clones (poolLimit);
-// excess sessions, and sessions that cannot be reset, are dropped for the
-// GC.
+// releaseBatchSession returns a lane group's session to the free list, which
+// keeps every session it is given; sessions that cannot be reset are dropped
+// for the GC. A new session is made only when no idle one fits, that is when
+// every session of its power-of-two size or larger is checked out, so with
+// one DecodeRequests at a time the list holds at most workers sessions per
+// size (DESIGN.md §9).
 func (e *Engine) releaseBatchSession(bs BatchSession) {
 	rs, ok := bs.(reusableBatchSession)
 	if !ok {
 		return
 	}
 	e.poolMu.Lock()
-	if len(e.sessions) < e.poolLimit() {
-		e.sessions = append(e.sessions, rs)
-	}
+	e.sessions = append(e.sessions, rs)
 	e.poolMu.Unlock()
 }
 

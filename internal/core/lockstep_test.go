@@ -9,7 +9,6 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -494,51 +493,46 @@ func TestLockStepShardedQuantizedMatchesSolo(t *testing.T) {
 	}
 }
 
-// TestReleaseClonePoolCap: the pool retains up to max(2×NumCPU, observed
-// batch demand) clones — the demand high-water mark lifts the CPU-derived
-// cap so a large micro-batch on a small host keeps its lane engines.
-func TestReleaseClonePoolCap(t *testing.T) {
-	e := nnTestEngine(t)
-	drain := func() {
-		e.poolMu.Lock()
-		e.pool = nil
-		e.poolDemand = 0
-		e.poolMu.Unlock()
+// TestPoolBoundedByUse: the free lists keep everything released to them, and
+// use alone bounds them. After a run of DecodeRequests calls of 1 to 32 lanes,
+// the clone pool holds no more clones than the largest call had lanes, and
+// the session list no more than workers sessions per power-of-two size (six
+// sizes cover 1..32 lanes).
+func TestPoolBoundedByUse(t *testing.T) {
+	prompts := []rules.Record{
+		{"TotalIngress": {120}, "Congestion": {10}},
+		{"TotalIngress": {60}, "Congestion": {0}},
+		nil,
 	}
-	drain()
-	defer drain()
-
-	baseCap := 2 * runtime.NumCPU()
-	want := baseCap + 3
-	clones := make([]*Engine, want+2)
-	for i := range clones {
-		c, err := e.Clone()
-		if err != nil {
-			t.Fatal(err)
-		}
-		clones[i] = c
-	}
-
-	for _, c := range clones {
-		e.releaseClone(c)
-	}
-	e.poolMu.Lock()
-	got := len(e.pool)
-	e.poolMu.Unlock()
-	if got != baseCap {
-		t.Fatalf("pool retained %d clones with no recorded demand, want %d", got, baseCap)
-	}
-
-	drain()
-	e.notePoolDemand(want)
-	e.notePoolDemand(1) // a smaller batch must not lower the high-water mark
-	for _, c := range clones {
-		e.releaseClone(c)
-	}
-	e.poolMu.Lock()
-	got = len(e.pool)
-	e.poolMu.Unlock()
-	if got != want {
-		t.Fatalf("pool retained %d clones with demand %d, want %d", got, want, want)
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			e := nnTestEngine(t)
+			rng := rand.New(rand.NewSource(int64(workers)))
+			largest := 0
+			for call := 0; call < 50; call++ {
+				n := 1 + rng.Intn(32)
+				largest = max(largest, n)
+				reqs := make([]BatchRequest, n)
+				for i := range reqs {
+					reqs[i].Prompt = prompts[(call+i)%len(prompts)]
+				}
+				out, _ := e.DecodeRequests(context.Background(), reqs, workers, int64(call), nil)
+				for i := range out {
+					if out[i].Err != nil {
+						t.Fatalf("call %d record %d: %v", call, i, out[i].Err)
+					}
+				}
+			}
+			e.poolMu.Lock()
+			clones, sessions := len(e.pool), len(e.sessions)
+			e.poolMu.Unlock()
+			if clones > largest {
+				t.Errorf("pool holds %d clones, more than the largest call's %d lanes", clones, largest)
+			}
+			if sessions > workers*6 {
+				t.Errorf("free list holds %d sessions, more than workers×6 = %d", sessions, workers*6)
+			}
+			t.Logf("largest call %d lanes: %d clones, %d sessions pooled", largest, clones, sessions)
+		})
 	}
 }

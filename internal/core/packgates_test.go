@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -153,5 +154,96 @@ func TestValidateFastPathShippedPacks(t *testing.T) {
 			fast += int(r.Res.Stats.OracleFastPath)
 		}
 		t.Logf("%s: %d answers validated, %d solver probes", def.Name, fast, probes)
+	}
+}
+
+// TestBudgetNeverChangesARecord is the solver budget's metamorphic property:
+// a node budget may fail a decode, but never change what it decodes. For
+// every shipped rule set and a sweep of Config.MaxNodes, fixed (prompt, seed)
+// pairs decoded solo and as one DecodeRequests batch each come back either
+// as an error unwrapping to ErrBudget or as exactly the unbudgeted record.
+// The sweep as a whole must show both outcomes, or it tested nothing.
+func TestBudgetNeverChangesARecord(t *testing.T) {
+	const n = 7
+	defs, recs := shippedRuleSets(t)
+	var budgeted, exact int
+	for _, def := range defs {
+		c, err := pack.Compile(def)
+		if err != nil {
+			t.Fatalf("%s: %v", def.Name, err)
+		}
+		examples := def.Examples
+		if len(examples) == 0 {
+			examples = recs
+		}
+		reqs := make([]core.BatchRequest, n)
+		for i := range reqs {
+			s := int64(i)
+			reqs[i].Seed = &s
+			if i%3 != 0 {
+				reqs[i].Prompt = def.PromptOf(examples[i*len(examples)/n])
+			}
+		}
+		solo := func(e *core.Engine, req core.BatchRequest) (core.Result, error) {
+			clone, err := e.Clone()
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(*req.Seed))
+			if req.Prompt == nil {
+				return clone.GenerateCtx(context.Background(), rng)
+			}
+			return clone.ImputeCtx(context.Background(), req.Prompt, rng)
+		}
+		want := make([]rules.Record, n)
+		for i, req := range reqs {
+			res, err := solo(c.Engine, req)
+			if err != nil {
+				t.Fatalf("%s record %d unbudgeted: %v", def.Name, i, err)
+			}
+			want[i] = res.Rec
+		}
+		judge := func(how string, maxNodes uint64, i int, rec rules.Record, err error) {
+			switch {
+			case errors.Is(err, core.ErrBudget):
+				budgeted++
+			case err != nil:
+				t.Errorf("%s MaxNodes %d record %d %s: %v, want ErrBudget or the unbudgeted record", def.Name, maxNodes, i, how, err)
+			case !reflect.DeepEqual(rec, want[i]):
+				t.Errorf("%s MaxNodes %d record %d %s: %v, unbudgeted %v", def.Name, maxNodes, i, how, rec, want[i])
+			default:
+				exact++
+			}
+		}
+		for _, maxNodes := range []uint64{1, 4, 16, 64, 256, 1024, 4096} {
+			cfg := c.Engine.Configuration()
+			cfg.MaxNodes = maxNodes
+			e, err := core.NewEngine(cfg)
+			if err != nil {
+				// The root engine's rules-only pre-check runs under the
+				// budget too, and may only stop on it. The decodes still
+				// run under it: on an engine built without the budget,
+				// which SetSolverBudget then writes into its Config.
+				if !errors.Is(err, core.ErrBudget) {
+					t.Errorf("%s MaxNodes %d: NewEngine: %v, want ErrBudget", def.Name, maxNodes, err)
+				}
+				if e, err = c.Engine.Clone(); err != nil {
+					t.Fatal(err)
+				}
+				e.SetSolverBudget(maxNodes, 0)
+			}
+			for i, req := range reqs {
+				res, err := solo(e, req)
+				judge("solo", maxNodes, i, res.Rec, err)
+			}
+			out, _ := e.DecodeRequests(context.Background(), reqs, 2, 0, nil)
+			for i, r := range out {
+				judge("batched", maxNodes, i, r.Res.Rec, r.Err)
+			}
+		}
+	}
+	t.Logf("%d decodes stopped on the budget, %d returned the unbudgeted record", budgeted, exact)
+	if budgeted == 0 || exact == 0 {
+		t.Errorf("the sweep shows %d budget stops and %d exact records; it must show both", budgeted, exact)
 	}
 }

@@ -183,8 +183,9 @@ rule q2: sum(I) == TotalIngress
 	}
 }
 
-// TestPrefixNoCacheOptOut: a request with NoPrefixCache neither reads nor
-// writes the cache, and its output is unchanged.
+// TestPrefixNoCacheOptOut: a request whose context carries
+// DisablePrefixCache neither reads nor writes the cache, and its output is
+// unchanged.
 func TestPrefixNoCacheOptOut(t *testing.T) {
 	e := nnPrefixEngine(t, prefixcache.New(16<<20), "")
 	prompt := rules.Record{"TotalIngress": {120}, "Congestion": {10}}
@@ -198,7 +199,7 @@ func TestPrefixNoCacheOptOut(t *testing.T) {
 	before := e.PrefixCache().Stats()
 
 	reqs := []BatchRequest{
-		{Prompt: prompt, NoPrefixCache: true},
+		{Prompt: prompt, Ctx: DisablePrefixCache(context.Background())},
 		{Prompt: prompt},
 	}
 	out, err := e.DecodeRequests(context.Background(), reqs, 1, seed, nil)

@@ -1,9 +1,7 @@
-// Package router is the daemon's micro-batcher: one bounded admission queue,
-// one supervised batcher goroutine, and that goroutine's engine clones (one
-// per domain pack, cloned lazily from the pack's compiled bundle — rule
-// compilation happens once and the formula is shared read-only; see
-// pack.Compiled). The per-pack prefix caches stay registry-owned: a clone
-// shares its parent's cache pointer.
+// Package router is the daemon's micro-batcher: one bounded admission queue
+// and one supervised batcher goroutine. The batcher holds queue state only:
+// each same-pack group of a micro-batch decodes on the pack's own compiled
+// engine (pack.Compiled.Engine), whose clone pool serves its lanes.
 //
 // Parallelism lives below the batcher: each micro-batch goes to
 // core.DecodeRequests, which cuts its lanes into at most Workers lock-step
@@ -26,12 +24,11 @@ import (
 // hot reload never retargets a queued job, it decodes on the epoch it was
 // admitted under.
 type Job struct {
-	Ctx           context.Context
-	Prompt        rules.Record // nil → unconditional generation
-	Pack          *pack.Compiled
-	Seed          int64
-	Decode        core.DecodeCtxFn // nil → engine-default guided decode
-	NoPrefixCache bool
+	Ctx    context.Context
+	Prompt rules.Record // nil → unconditional generation
+	Pack   *pack.Compiled
+	Seed   int64
+	Decode core.DecodeCtxFn // nil → engine-default guided decode
 	// Start is the admission stamp: the batch window of the batch this job
 	// opens runs from it. Submit stamps it when the caller left it zero.
 	Start time.Time
@@ -72,13 +69,6 @@ type Config struct {
 	OnRestart    func()
 }
 
-// packEngine pairs the batcher's engine clone with the compiled bundle it was
-// cloned from, so a hot reload (new *pack.Compiled) forces a fresh clone.
-type packEngine struct {
-	pk  *pack.Compiled
-	eng *core.Engine
-}
-
 // Stats is the router's live dispatch state.
 type Stats struct {
 	Queued   int
@@ -93,8 +83,6 @@ type Stats struct {
 type Router struct {
 	cfg   Config
 	queue chan *Job
-	// engines is owned by the batcher goroutine.
-	engines map[string]packEngine
 
 	// inflight counts admitted-but-unfinished jobs: incremented at Submit,
 	// decremented when the job's batch settles. Unlike len(queue) it still
@@ -112,11 +100,10 @@ type Router struct {
 // it.
 func New(cfg Config) *Router {
 	r := &Router{
-		cfg:     cfg,
-		queue:   make(chan *Job, cfg.QueueDepth),
-		engines: map[string]packEngine{},
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
+		cfg:   cfg,
+		queue: make(chan *Job, cfg.QueueDepth),
+		stop:  make(chan struct{}),
+		done:  make(chan struct{}),
 	}
 	go r.batcher()
 	return r
@@ -171,12 +158,12 @@ func (r *Router) logf(format string, args ...any) {
 }
 
 // batcher supervises the queue consumer: a panic that escapes a batch
-// restarts the loop with the engine clones discarded (the panic unwound
-// through one).
+// restarts the loop. The restart has nothing to discard: the batcher holds no
+// engines, and DecodeRequests never pools a clone or session a panic unwound
+// through.
 func (r *Router) batcher() {
 	defer close(r.done)
 	for !r.batcherLoop() {
-		r.engines = map[string]packEngine{}
 		if r.cfg.OnRestart != nil {
 			r.cfg.OnRestart()
 		}
@@ -235,10 +222,9 @@ func (r *Router) batcherLoop() (stopped bool) {
 }
 
 // runBatch splits one micro-batch by compiled pack and decodes the groups
-// concurrently, each on the batcher's clone of that pack's engine. Engines
-// are resolved before the goroutines spawn (r.engines belongs to the batcher
-// goroutine). A panic escaping a group is re-raised here so the supervisor's
-// restart semantics hold; the deferred inflight settle still runs.
+// concurrently, each on its pack's engine. A panic escaping a group is
+// re-raised here so the supervisor's restart semantics hold; the deferred
+// inflight settle still runs.
 func (r *Router) runBatch(batch []*Job) {
 	defer r.inflight.Add(-int64(len(batch)))
 	defer func(t0 time.Time) {
@@ -253,24 +239,9 @@ func (r *Router) runBatch(batch []*Job) {
 		}
 		groups[j.Pack] = append(groups[j.Pack], j)
 	}
-	engines := make(map[*pack.Compiled]*core.Engine, len(order))
-	for _, pk := range order {
-		eng, err := r.engineFor(pk)
-		if err != nil {
-			for _, j := range groups[pk] {
-				j.Resp <- Result{Err: err, BatchSize: len(groups[pk])}
-			}
-			continue
-		}
-		engines[pk] = eng
-	}
 	var wg sync.WaitGroup
 	panics := make(chan any, len(order))
 	for _, pk := range order {
-		eng := engines[pk]
-		if eng == nil {
-			continue
-		}
 		wg.Add(1)
 		go func(eng *core.Engine, group []*Job) {
 			defer wg.Done()
@@ -280,7 +251,7 @@ func (r *Router) runBatch(batch []*Job) {
 				}
 			}()
 			r.runGroup(eng, group)
-		}(eng, groups[pk])
+		}(pk.Engine, groups[pk])
 	}
 	wg.Wait()
 	select {
@@ -288,22 +259,6 @@ func (r *Router) runBatch(batch []*Job) {
 		panic(rec)
 	default:
 	}
-}
-
-// engineFor returns the batcher's engine clone for pk, cloning afresh when it
-// has none for the pack or holds one from a superseded reload epoch. Only the
-// batcher goroutine calls this.
-func (r *Router) engineFor(pk *pack.Compiled) (*core.Engine, error) {
-	name := pk.Def.Name
-	if pe, ok := r.engines[name]; ok && pe.pk == pk {
-		return pe.eng, nil
-	}
-	eng, err := pk.Engine.Clone()
-	if err != nil {
-		return nil, err
-	}
-	r.engines[name] = packEngine{pk: pk, eng: eng}
-	return eng, nil
 }
 
 // runGroup decodes one same-pack slice of a micro-batch on eng and delivers
@@ -315,10 +270,7 @@ func (r *Router) runGroup(eng *core.Engine, group []*Job) {
 	reqs := make([]core.BatchRequest, len(group))
 	for i, j := range group {
 		seed := j.Seed
-		reqs[i] = core.BatchRequest{
-			Prompt: j.Prompt, Ctx: j.Ctx, Seed: &seed, Decode: j.Decode,
-			NoPrefixCache: j.NoPrefixCache,
-		}
+		reqs[i] = core.BatchRequest{Prompt: j.Prompt, Ctx: j.Ctx, Seed: &seed, Decode: j.Decode}
 	}
 	out, err := eng.DecodeRequests(context.Background(), reqs, r.cfg.Workers, 0, nil)
 	if err != nil {

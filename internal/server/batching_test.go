@@ -350,13 +350,12 @@ func TestServeEndToEnd(t *testing.T) {
 		resp.Body.Close()
 		late <- resp.StatusCode
 	}()
-	// Wait until the late request has actually reached the server — still
-	// queued or already answered — before cancelling. A fixed sleep flakes
-	// when the host is oversubscribed (e.g. the -race suite) and the POST
-	// has not yet connected when the listener closes.
-	waitFor(t, s, func(sn Snapshot) bool {
-		return sn.QueueDepth > 0 || sn.Inflight > 0 || sn.Requests["impute"][http.StatusOK] > uint64(n)
-	})
+	// Wait until the late request has been admitted before cancelling. A
+	// fixed sleep flakes when the host is oversubscribed (e.g. the -race
+	// suite) and the POST has not yet connected when the listener closes;
+	// so does waiting on the inflight gauge, which the first wave's batch
+	// still holds for a moment after its last response is written.
+	waitFor(t, s, func(sn Snapshot) bool { return sn.Admitted > uint64(n) })
 	cancel()
 	if err := <-serveErr; err != nil {
 		t.Fatalf("Serve returned %v", err)

@@ -388,16 +388,27 @@ func TestTimeoutMsClampedToServerMax(t *testing.T) {
 
 // TestBatcherRestartsAfterPanic: a panic that escapes a batch (here: result
 // delivery to a closed channel) kills the batcher loop once; the supervisor
-// restarts it, the restart is counted, and the server keeps serving.
+// restarts it, the restart is counted, and the server keeps serving. The
+// restart discards nothing: the pack engine keeps its clone pool, and a
+// request decoded on it after the restart answers byte for byte as the same
+// (prompt, seed) did before.
 func TestBatcherRestartsAfterPanic(t *testing.T) {
 	s := newTestServer(t, nil)
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
-	restartBatcher(t, s)
-	resp, data := postJSON(t, ts, "/v1/impute", `{"known": {"TotalIngress": [90], "Congestion": [0]}, "seed": 2}`)
+	const body = `{"known": {"TotalIngress": [90], "Congestion": [0]}, "seed": 2}`
+	resp, before := postJSON(t, ts, "/v1/impute", body)
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("post-restart request: %d (%s)", resp.StatusCode, data)
+		t.Fatalf("pre-restart request: %d (%s)", resp.StatusCode, before)
+	}
+	restartBatcher(t, s)
+	resp, after := postJSON(t, ts, "/v1/impute", body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("post-restart request: %d (%s)", resp.StatusCode, after)
+	}
+	if string(after) != string(before) {
+		t.Errorf("post-restart decode differs:\n got %s\nwant %s", after, before)
 	}
 }
 
@@ -421,6 +432,33 @@ func restartBatcher(t *testing.T, s *Server) {
 	waitFor(t, s, func(sn Snapshot) bool { return sn.BatcherRestarts >= 1 })
 }
 
+// TestPackEngineCountsServedChecks: the batcher decodes on the pack's own
+// engine, so that engine's clone pool is the one that serves, and after a
+// clean wave its SolverStats is the construction-time count plus every
+// response's solver_checks (which the server sums into
+// Snapshot.SolverChecks). Two waves: the second runs on the clones the first
+// one pooled.
+func TestPackEngineCountsServedChecks(t *testing.T) {
+	s := newFaultServer(t, nil, nil)
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	pk, _ := s.packs.Get(s.defaultPack)
+
+	built := pk.Engine.SolverStats().Checks
+	for wave := 0; wave < 2; wave++ {
+		codes, _, _, _ := faultBatch(t, ts)
+		for i, code := range codes {
+			if code != http.StatusOK {
+				t.Fatalf("wave %d request %d: %d", wave, i, code)
+			}
+		}
+		served := s.Metrics().Snapshot().SolverChecks
+		if got := pk.Engine.SolverStats().Checks; got != built+served {
+			t.Fatalf("after wave %d the pack engine counts %d solver checks, want %d (construction %d plus the responses' %d)", wave, got, built+served, built, served)
+		}
+	}
+}
+
 // TestBudgetStormLeavesPoolClean: a solver-budget failure retires its lane
 // and nothing else, so a failed decode leaves nothing behind to clean up.
 // With Workers 1 a wave of 16 requests is one lock-step group on 16 lane
@@ -428,7 +466,7 @@ func restartBatcher(t *testing.T, s *Server) {
 // answers 503/budget, the other 15 are bit-identical to an uninjected
 // server's, and its clone goes back to the pool like the others (a budget
 // stop is a clean failure; only a panicked lane's clone is discarded). The
-// pool keeps all 16 (its cap is the largest batch seen), so a second, clean
+// pool keeps every clone released to it, so a second, clean
 // wave decodes on the clones the first one used, the faulted lane's
 // included, and every request — the faulted one too — must come out
 // bit-identical.

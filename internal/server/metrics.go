@@ -229,6 +229,7 @@ func (m *Metrics) countDecode(pk string, tokens int, solverChecks uint64) {
 	}
 	pc.tokens += uint64(tokens)
 	pc.solverChecks += solverChecks
+	m.cond.Broadcast()
 	m.mu.Unlock()
 }
 

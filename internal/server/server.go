@@ -322,18 +322,21 @@ func (s *Server) serveDecode(w http.ResponseWriter, r *http.Request, route strin
 		seed = *req.Seed
 	}
 	j := &router.Job{
-		Ctx:           ctx,
-		Prompt:        req.Known,
-		Pack:          pk,
-		Seed:          seed,
-		Decode:        decode,
-		NoPrefixCache: req.NoPrefixCache,
-		Start:         time.Now(),
-		Resp:          make(chan router.Result, 1),
+		Ctx:    ctx,
+		Prompt: req.Known,
+		Pack:   pk,
+		Seed:   seed,
+		Decode: decode,
+		Start:  time.Now(),
+		Resp:   make(chan router.Result, 1),
 	}
-	// Streaming requests thread an emit hook through the job context. The
-	// channel holds every slot (each emits exactly once), so the decoding
-	// goroutine never blocks on a slow client — the send always has room.
+	// Per-request decode options travel on the job context: the prefix-cache
+	// opt-out, and for streaming requests an emit hook. The chunk channel
+	// holds every slot (each emits exactly once), so the decoding goroutine
+	// never blocks on a slow client — the send always has room.
+	if req.NoPrefixCache {
+		j.Ctx = core.DisablePrefixCache(j.Ctx)
+	}
 	var chunks chan StreamChunk
 	if req.Stream {
 		chunks = make(chan StreamChunk, len(pk.Engine.Slots()))

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/pack"
+	"repro/internal/router"
 	"repro/internal/rules"
 	"repro/internal/vocab"
 )
@@ -413,5 +414,35 @@ func TestMetricsEndpointRenders(t *testing.T) {
 		if strings.Contains(string(data), gone) {
 			t.Errorf("metrics still export %q:\n%s", gone, data)
 		}
+	}
+}
+
+// TestWaitUntilWakesOnCountDecode: countDecode broadcasts like every other
+// mutator, so a WaitUntil on the token counter that is already asleep wakes
+// on it alone, not on its timeout or a later, unrelated mutation.
+func TestWaitUntilWakesOnCountDecode(t *testing.T) {
+	m := newMetrics(func() router.Stats { return router.Stats{} }, nil)
+	asleep := make(chan struct{})
+	woke := make(chan bool, 1)
+	var once sync.Once
+	go func() {
+		woke <- m.WaitUntil(time.Minute, func(sn Snapshot) bool {
+			// The first evaluation runs under the metrics lock, which
+			// WaitUntil holds until it sleeps; countDecode cannot run first.
+			once.Do(func() { close(asleep) })
+			return sn.Tokens >= 7
+		})
+	}()
+	<-asleep
+	m.countDecode("default", 7, 1)
+	select {
+	case ok := <-woke:
+		if !ok {
+			t.Fatal("WaitUntil reported its predicate false")
+		}
+	case <-time.After(5 * time.Second):
+		m.countTimeout() // release the waiter
+		<-woke
+		t.Fatal("a waiter on Tokens did not wake on countDecode")
 	}
 }
