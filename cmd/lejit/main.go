@@ -252,20 +252,20 @@ func cmdDecode(args []string, impute bool) error {
 		prompts = make([]rules.Record, *n)
 	}
 
-	var decode core.DecodeFn
+	var method core.Method
 	switch *mode {
 	case "lejit", "structure":
-		// nil → Impute for prompts, Generate for nil prompts.
+		// Guided: Impute for prompts, Generate for nil prompts.
 	case "vanilla":
-		decode = (*core.Engine).Vanilla
+		method = core.MethodFree
 	case "rejection":
-		decode = (*core.Engine).Rejection
+		method = core.MethodRejection
 	case "posthoc":
-		decode = (*core.Engine).PostHoc
+		method = core.MethodPostHoc
 	default:
 		return fmt.Errorf("unknown mode %q", *mode)
 	}
-	batch, err := eng.DecodeBatch(prompts, *workers, *seed, decode)
+	batch, err := eng.DecodeBatch(prompts, *workers, *seed, method)
 	if err != nil {
 		return err
 	}

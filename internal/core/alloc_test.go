@@ -40,7 +40,7 @@ func TestFastPathStepAllocsNothing(t *testing.T) {
 	} {
 		e, known := c.e, c.known
 		rng := rand.New(rand.NewSource(int64(i)))
-		ld := e.newLaneDecoder(context.Background(), known, rng, nil)
+		ld := e.newLaneDecoder(context.Background(), MethodGuided, known, rng, nil)
 		sess := m.NewSession()
 		var logits []float32
 		for step := int64(0); !ld.done(); step++ {

@@ -2,29 +2,37 @@ package core
 
 import (
 	"context"
-	"errors"
-	"math/rand"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/rules"
 )
 
-// DecodeFn decodes one prompt on an engine. DecodeBatch calls it with an
-// engine dedicated to the call and a per-prompt RNG; implementations must
-// not retain either across calls. Method expressions over *Engine fit
-// directly, e.g. (*Engine).Vanilla.
-type DecodeFn func(e *Engine, known rules.Record, rng *rand.Rand) (Result, error)
+// Method selects how a lane decodes its record. The zero value is the
+// guided decoder, so a zero BatchRequest decodes as Impute/Generate do. The
+// other three are the paper's free-sampling baselines; every method decodes
+// as a lane of the same lock-step loop (lockstep.go).
+type Method int
 
-// DecodeCtxFn is the context-aware form of DecodeFn. The context is the
-// per-record one (see BatchRequest.Ctx); implementations should abandon the
-// decode promptly once it is cancelled.
-type DecodeCtxFn func(ctx context.Context, e *Engine, known rules.Record, rng *rand.Rand) (Result, error)
+const (
+	// MethodGuided masks every step by the engine's Mode: LeJIT's solver
+	// lookahead, or StructureOnly's grammar (Impute/Generate).
+	MethodGuided Method = iota
+	// MethodFree samples every character and EOS freely and parses the
+	// sample, restarting from the prompt while it is malformed, up to
+	// MaxRetries (Vanilla).
+	MethodFree
+	// MethodRejection restarts a free sample that violates a rule, up to
+	// MaxAttempts (Rejection).
+	MethodRejection
+	// MethodPostHoc repairs a violating free sample to the nearest compliant
+	// record (PostHoc).
+	MethodPostHoc
+)
 
 // BatchRequest is one record's worth of work for DecodeRequests. The zero
 // value (plus a Prompt) behaves exactly like an entry of DecodeBatch's
-// prompt slice.
+// prompt slice under MethodGuided.
 type BatchRequest struct {
 	// Prompt is the known prefix; nil means unconditional generation.
 	Prompt rules.Record
@@ -37,9 +45,8 @@ type BatchRequest struct {
 	// one batch while keeping each caller's output a deterministic function
 	// of its own seed, not of batch composition (DESIGN.md §8).
 	Seed *int64
-	// Decode, when non-nil, overrides the batch-level decode function for
-	// this record (e.g. a per-request baseline mode).
-	Decode DecodeCtxFn
+	// Method is how this record decodes (e.g. a per-request baseline mode).
+	Method Method
 }
 
 // prefixCacheOffKey marks a context whose decodes must skip the prefix
@@ -115,10 +122,9 @@ func MixSeed(seed int64, i int) int64 {
 	return int64(z)
 }
 
-// DecodeBatch decodes prompts[i] for every i and returns results in prompt
-// order. A nil prompt means unconditional generation; a nil decode selects
-// the guided decoder (Generate/Impute). workers < 1 means
-// runtime.GOMAXPROCS(0).
+// DecodeBatch decodes prompts[i] under method for every i and returns
+// results in prompt order. A nil prompt means unconditional generation.
+// workers < 1 means runtime.GOMAXPROCS(0).
 //
 // Determinism contract: prompt i is decoded with
 // rand.NewSource(MixSeed(seed, i)) on a clone of the receiver, so for a
@@ -126,38 +132,37 @@ func MixSeed(seed int64, i int) int64 {
 // Engines are single-threaded; each record in flight has a pooled clone to
 // itself, while the LM weights and the compiled rule formula are shared
 // read-only.
-func (e *Engine) DecodeBatch(prompts []rules.Record, workers int, seed int64, decode DecodeFn) ([]BatchResult, error) {
-	var dc DecodeCtxFn
-	if decode != nil {
-		dc = func(_ context.Context, eng *Engine, known rules.Record, rng *rand.Rand) (Result, error) {
-			return decode(eng, known, rng)
-		}
-	}
+func (e *Engine) DecodeBatch(prompts []rules.Record, workers int, seed int64, method Method) ([]BatchResult, error) {
 	reqs := make([]BatchRequest, len(prompts))
 	for i, p := range prompts {
-		reqs[i].Prompt = p
+		reqs[i] = BatchRequest{Prompt: p, Method: method}
 	}
-	return e.DecodeRequests(context.Background(), reqs, workers, seed, dc)
+	return e.DecodeRequests(context.Background(), reqs, workers, seed, nil)
 }
 
+// decodeSeam is the type of DecodeRequests' last parameter, which only nil
+// can fill outside the package.
+type decodeSeam struct{}
+
 // DecodeRequests is the most general batch entry point: each request may
-// carry its own context, seed, and decode function (see BatchRequest). It
-// preserves DecodeBatch's determinism contract — request i without an
-// explicit seed uses rand.NewSource(MixSeed(seed, i)) — while letting a
-// serving layer cancel or time out individual records without aborting the
-// batch. Per-record failures, including context cancellation and recovered
-// panics (*PanicError), land in BatchResult.Err; the returned error is
-// always nil and is kept for the callers that check it.
+// carry its own context, seed, and method (see BatchRequest). It preserves
+// DecodeBatch's determinism contract — request i without an explicit seed
+// uses rand.NewSource(MixSeed(seed, i)) — while letting a serving layer
+// cancel or time out individual records without aborting the batch.
+// Per-record failures, including context cancellation and recovered panics
+// (*PanicError), land in BatchResult.Err; the returned error is always nil
+// and is kept for the callers that check it.
 //
-// Requests decoded by the guided decoder (no Decode override, nil decode)
-// become lanes of the lock-step loop (lockstep.go), cut into at most workers
-// contiguous groups, each stepping through one shared BatchSession.
-// Requests under a decode function (the baselines) run one record at a time
-// on a pooled clone. Groups and override records drain from one work list on
-// at most workers goroutines, the caller's included. Neither the grouping
-// nor the worker count affects output: every record's seed, engine, and
-// decoder are its own.
-func (e *Engine) DecodeRequests(ctx context.Context, reqs []BatchRequest, workers int, seed int64, decode DecodeCtxFn) ([]BatchResult, error) {
+// Every request becomes a lane of the lock-step loop (lockstep.go); the
+// lanes are cut into at most workers contiguous groups, each stepping
+// through one shared BatchSession on its own goroutine, the caller's for the
+// first. Neither the grouping nor the worker count affects output: every
+// record's seed, engine, and decoder are its own.
+//
+// The last parameter is ignored and only nil fits it: it stays only because
+// the repository benchmark passes nil there, and goes with the benchmark's
+// next change, like WithLookahead.
+func (e *Engine) DecodeRequests(ctx context.Context, reqs []BatchRequest, workers int, seed int64, _ *decodeSeam) ([]BatchResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -167,9 +172,8 @@ func (e *Engine) DecodeRequests(ctx context.Context, reqs []BatchRequest, worker
 	out := make([]BatchResult, len(reqs))
 
 	// Resolve every request once: its context with the per-request overrides
-	// applied, its seeded RNG, and which decoder runs it.
-	var lanes []*lsLane
-	var overrides []func()
+	// applied, its seed, and its planned prompt.
+	lanes := make([]*lsLane, 0, len(reqs))
 	plans := make(map[string]*promptPlan)
 	for i := range reqs {
 		r, res := &reqs[i], &out[i]
@@ -187,64 +191,21 @@ func (e *Engine) DecodeRequests(ctx context.Context, reqs []BatchRequest, worker
 		if r.Seed != nil {
 			s = *r.Seed
 		}
-		d := r.Decode
-		if d == nil {
-			d = decode
-		}
-		if d == nil {
-			lanes = append(lanes, &lsLane{out: res, ctx: rctx, known: r.Prompt, seed: s, plan: e.planPrompt(r.Prompt, plans)})
-			continue
-		}
-		overrides = append(overrides, func() { e.decodeOverride(rctx, d, r.Prompt, s, res) })
+		lanes = append(lanes, &lsLane{out: res, ctx: rctx, method: r.Method, known: r.Prompt, seed: s, plan: e.planPrompt(r.Prompt, plans)})
 	}
-	// The work list: the groups first — they are the long items — then one
-	// item per override record.
-	groups := workers
-	if groups > len(lanes) {
-		groups = len(lanes)
-	}
-	work := make([]func(), 0, groups+len(overrides))
-	for g := 0; g < groups; g++ {
-		group := lanes[g*len(lanes)/groups : (g+1)*len(lanes)/groups]
-		work = append(work, func() { e.decodeLockStep(group) })
-	}
-	work = append(work, overrides...)
-
-	var next atomic.Int64
-	drain := func() {
-		for i := next.Add(1) - 1; i < int64(len(work)); i = next.Add(1) - 1 {
-			work[i]()
-		}
-	}
+	groups := min(workers, len(lanes))
 	var wg sync.WaitGroup
-	for w := 1; w < workers && w < len(work); w++ {
+	for g := 1; g < groups; g++ {
+		group := lanes[g*len(lanes)/groups : (g+1)*len(lanes)/groups]
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			drain()
+			e.decodeLockStep(group)
 		}()
 	}
-	drain()
+	if groups > 0 {
+		e.decodeLockStep(lanes[:len(lanes)/groups])
+	}
 	wg.Wait()
 	return out, nil
-}
-
-// decodeOverride runs one record under a decode function on a pooled clone,
-// drawing from the clone's RNG seeded with seed. A panic inside the decode
-// becomes the record's *PanicError and the clone is discarded rather than
-// pooled: the panic unwound through its solver and session state.
-func (e *Engine) decodeOverride(ctx context.Context, decode DecodeCtxFn, known rules.Record, seed int64, out *BatchResult) {
-	eng, err := e.acquireClone()
-	if err != nil {
-		out.Err = err
-		return
-	}
-	out.Err = guardLane(func() (derr error) {
-		out.Res, derr = decode(ctx, eng, known, eng.seededRNG(seed))
-		return derr
-	})
-	var pe *PanicError
-	if !errors.As(out.Err, &pe) {
-		e.releaseClone(eng)
-	}
 }

@@ -55,7 +55,7 @@ func TestDecodeBatchDeterministic(t *testing.T) {
 
 	var want []string
 	for _, workers := range []int{1, 4, 8} {
-		out, err := e.DecodeBatch(prompts, workers, 42, nil)
+		out, err := e.DecodeBatch(prompts, workers, 42, MethodGuided)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -88,7 +88,7 @@ func TestDecodeBatchDeterministic(t *testing.T) {
 // path and rule compliance of its output.
 func TestDecodeBatchGenerate(t *testing.T) {
 	e := testEngine(t, uniformLM{vocab: vocab.Telemetry().Size()}, LeJIT)
-	out, err := e.DecodeBatch(make([]rules.Record, 6), 3, 5, nil)
+	out, err := e.DecodeBatch(make([]rules.Record, 6), 3, 5, MethodGuided)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,15 +106,16 @@ func TestDecodeBatchGenerate(t *testing.T) {
 	}
 }
 
-// TestDecodeBatchCustomFn routes a baseline through the pool via a method
-// expression.
-func TestDecodeBatchCustomFn(t *testing.T) {
+// TestDecodeBatchMethod routes a baseline through DecodeBatch by its Method:
+// every record equals the same baseline decoded alone with the record's
+// seed, and the format-aware model parses at least once.
+func TestDecodeBatchMethod(t *testing.T) {
 	schema := testSchema(t)
 	slots := testGrammar(t, schema)
 	tok := vocab.Telemetry()
 	e := testEngine(t, formatAwareLM{tok: tok, slots: slots}, LeJIT)
 	prompts := testPrompts(4)
-	out, err := e.DecodeBatch(prompts, 2, 9, (*Engine).Vanilla)
+	out, err := e.DecodeBatch(prompts, 2, 9, MethodFree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,11 @@ func TestDecodeBatchCustomFn(t *testing.T) {
 		t.Fatalf("got %d results, want %d", len(out), len(prompts))
 	}
 	n := 0
-	for _, b := range out {
+	for i, b := range out {
+		res, err := e.Vanilla(prompts[i], rand.New(rand.NewSource(MixSeed(9, i))))
+		if !reflect.DeepEqual(b.Res, res) || fmt.Sprint(b.Err) != fmt.Sprint(err) {
+			t.Errorf("record %d: batched %+v (%v), alone %+v (%v)", i, b.Res, b.Err, res, err)
+		}
 		if b.Err == nil {
 			n++
 		}
@@ -139,7 +144,7 @@ func TestDecodeBatchRace(t *testing.T) {
 	e := testEngine(t, uniformLM{vocab: vocab.Telemetry().Size()}, LeJIT)
 	prompts := testPrompts(24)
 	for round := 0; round < 3; round++ {
-		if _, err := e.DecodeBatch(prompts, 8, int64(round), nil); err != nil {
+		if _, err := e.DecodeBatch(prompts, 8, int64(round), MethodGuided); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -261,6 +266,52 @@ func TestImputeCtxCancelMidDecode(t *testing.T) {
 	_, err := e.ImputeCtx(ctx, rules.Record{"TotalIngress": {120}, "Congestion": {10}}, rand.New(rand.NewSource(1)))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+}
+
+// cancelAtLM counts the tokens fed to any of its sessions and cancels a
+// context once at tokens have gone in.
+type cancelAtLM struct {
+	LM
+	fed    *int
+	at     int
+	cancel context.CancelFunc
+}
+
+func (l cancelAtLM) NewSession() Session { return cancelAtSession{l.LM.NewSession(), l} }
+
+type cancelAtSession struct {
+	Session
+	lm cancelAtLM
+}
+
+func (s cancelAtSession) Append(tok int) error {
+	if *s.lm.fed++; *s.lm.fed == s.lm.at {
+		s.lm.cancel()
+	}
+	return s.Session.Append(tok)
+}
+
+// TestRejectionCancelMidDecode: a rejection lane whose every sample violates
+// would restart for 500 attempts; cancelled mid-way through its third
+// attempt, it returns the context's error before the LM takes one more
+// token.
+func TestRejectionCancelMidDecode(t *testing.T) {
+	const at = 50 // an attempt feeds BOS, the 6-character prompt and 14 sampled characters
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	fed := 0
+	lm := cancelAtLM{LM: scriptedLM{tok: vocab.Telemetry(), text: "100,8|20,15,25,70,8\n"}, fed: &fed, at: at, cancel: cancel}
+	e := testEngine(t, lm, LeJIT)
+	res, err := e.decodeOne(ctx, MethodRejection, rules.Record{"TotalIngress": {100}, "Congestion": {8}}, rand.New(rand.NewSource(1)))
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if fed != at {
+		t.Errorf("the LM took %d tokens, %d after the cancelling one", fed, fed-at)
+	}
+	if res.Stats.Attempts != 3 {
+		t.Errorf("cancelled in attempt %d, want 3", res.Stats.Attempts)
 	}
 }
 

@@ -10,7 +10,8 @@
 // sampling), Rejection (resample until compliant), PostHoc (L1-minimal SMT
 // repair of the free sample — the Zoom2Net-CEM strategy), and a
 // StructureOnly mode (grammar/width masking without the solver — the
-// constrained-decoding strawman of §2.2).
+// constrained-decoding strawman of §2.2). Every method decodes a record as a
+// lane of the same lock-step loop (lockstep.go); Method selects which.
 package core
 
 import (
@@ -65,6 +66,10 @@ type BatchSession interface {
 	Logits(lane int) []float32
 	// Len reports the number of tokens lane has consumed.
 	Len(lane int) int
+	// ResetLane empties lane, leaving the others as they are; its next
+	// AppendBatch starts it again from the first position. A free-sampling
+	// lane restarts from its prompt through it.
+	ResetLane(lane int)
 }
 
 // BatchLM is an LM whose sessions can be stepped in lock-step. When the
@@ -655,24 +660,6 @@ func (e *Engine) assemble(known rules.Record, fromSlot int, vals []int64) rules.
 		rec[s.Field][s.Index] = vals[i]
 	}
 	return rec
-}
-
-// newPromptedSession starts an LM session primed with BOS and the prompt.
-func (e *Engine) newPromptedSession(prompt string) (Session, error) {
-	sess := e.cfg.LM.NewSession()
-	if err := sess.Append(vocab.BOS); err != nil {
-		return nil, err
-	}
-	ids, err := e.cfg.Tok.Encode(prompt)
-	if err != nil {
-		return nil, err
-	}
-	for _, id := range ids {
-		if err := sess.Append(id); err != nil {
-			return nil, err
-		}
-	}
-	return sess, nil
 }
 
 // sampleMasked samples a token among allowed ids using the engine's

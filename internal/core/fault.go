@@ -16,11 +16,11 @@ import (
 var ErrBudget = smt.ErrBudget
 
 // PanicError wraps a panic recovered from one record's decode. The decode
-// loop and DecodeRequests' override records convert a panic (e.g. an
-// invariant breach in sampling or an LM session misuse) into a per-record
-// *PanicError instead of crashing the process; a pooled engine clone the
-// record ran on is discarded rather than recycled, since its solver stack
-// may have been mid-mutation when the panic unwound.
+// loop converts a panic in a lane (e.g. an invariant breach in sampling or
+// an LM session misuse) into that record's *PanicError instead of crashing
+// the process; a pooled engine clone the record ran on is discarded rather
+// than recycled, since its solver stack may have been mid-mutation when the
+// panic unwound.
 type PanicError struct {
 	Value any    // the recovered panic value
 	Stack []byte // stack at recovery, for logs

@@ -209,25 +209,32 @@ func TestImputeCtxPanicIsError(t *testing.T) {
 	}
 }
 
-// TestOverridePanicRecovered: a request with a Decode override that panics
-// gets that record's *PanicError while the rest of the batch decodes.
-func TestOverridePanicRecovered(t *testing.T) {
-	e := nnTestEngine(t)
-	reqs := faultReqs(3)
-	reqs[1].Decode = func(ctx context.Context, eng *Engine, known rules.Record, rng *rand.Rand) (Result, error) {
-		panic("injected override panic")
+// TestMixedMethodsPanicIsolated: in one lock-step group holding lanes of
+// every method, a guided lane that panics mid-decode gets its *PanicError
+// and is retired alone: every other lane's outcome equals its solo decode.
+func TestMixedMethodsPanicIsolated(t *testing.T) {
+	reqs := faultReqs(8)
+	for i := range reqs {
+		reqs[i].Method = Method(i % 4)
 	}
-	out, err := e.DecodeRequests(context.Background(), reqs, 2, 17, nil)
+	bad := reqs[4].Prompt["TotalIngress"][0]
+	e := nnFaultEngine(t, poison(bad, func() error { panic("injected lane panic") }))
+	out, err := e.DecodeRequests(context.Background(), reqs, 1, 17, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var pe *PanicError
-	if !errors.As(out[1].Err, &pe) {
-		t.Fatalf("override lane err %v, want *PanicError", out[1].Err)
+	if !errors.As(out[4].Err, &pe) {
+		t.Fatalf("panicking lane err %v, want *PanicError", out[4].Err)
 	}
-	for _, i := range []int{0, 2} {
-		if out[i].Err != nil {
-			t.Errorf("record %d failed alongside panicking override: %v", i, out[i].Err)
+	clean := nnTestEngine(t)
+	for i := range reqs {
+		if i == 4 {
+			continue
+		}
+		res, err := soloDecode(t, clean, reqs[i], 17, i)
+		if !reflect.DeepEqual(out[i].Res, res) || fmt.Sprint(out[i].Err) != fmt.Sprint(err) {
+			t.Errorf("record %d (method %d) beside a panicking lane: %+v (%v), alone %+v (%v)", i, reqs[i].Method, out[i].Res, out[i].Err, res, err)
 		}
 	}
 }

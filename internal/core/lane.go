@@ -13,23 +13,25 @@ import (
 	"repro/internal/vocab"
 )
 
-// laneDecoder is the guided (LeJIT) decoding loop turned inside out: instead
-// of driving an LM session itself, it hands its driver one token at a time
+// laneDecoder is one record's decoding loop turned inside out: instead of
+// driving an LM session itself, it hands its driver one token at a time
 // (next) and is told when the LM has consumed it (advance). Its one driver is
 // the lock-step loop (lockstep.go), which steps one laneDecoder per batch
-// lane between shared forward passes; a direct Impute/Generate is a batch of
-// one lane. A record's solver probes, RNG draws, and token decisions are all
-// made here, per lane, so its output does not depend on which records share
-// its batch.
+// lane between shared forward passes; a direct Impute/Generate/Vanilla/... is
+// a batch of one lane. A record's solver probes, RNG draws, and token
+// decisions are all made here, per lane, so its output does not depend on
+// which records share its batch.
 //
-// All solver work happens on the decoder's engine, which must be dedicated
-// to this lane until finish: the known prefix is asserted under a Push frame
-// that finish pops.
+// method picks the loop: the guided (LeJIT) one below, or free sampling for
+// the baselines (baselines.go). All guided solver work happens on the
+// decoder's engine, which must be dedicated to this lane until finish: the
+// known prefix is asserted under a Push frame that finish pops.
 type laneDecoder struct {
-	e     *Engine
-	ctx   context.Context
-	rng   *rand.Rand
-	known rules.Record
+	e      *Engine
+	ctx    context.Context
+	method Method
+	rng    *rand.Rand
+	known  rules.Record
 
 	res          Result
 	err          error
@@ -63,8 +65,17 @@ type laneDecoder struct {
 	structural *transition.System
 	state      transition.State
 	sepID      int
-	sampled    bool // whether the last token from next was sampled (vs prompt)
-	allowed    []int
+	sampled    bool  // whether the last token from next was sampled (vs prompt)
+	allowed    []int // the step's admissible tokens; a free lane's fixed mask
+
+	// Free-sampling state (baselines.go). prompt is BOS plus the prompt,
+	// re-queued on every restart; sample is the current sample's text; cur
+	// the current attempt's Tokens and Malformed. reset asks the driver to
+	// empty the lane's LM state before its next token.
+	prompt []int
+	sample []byte
+	cur    Stats
+	reset  bool
 
 	// Streaming state (WithEmit, DESIGN.md §16). emitTok/emitSlots mark how
 	// far along key the hook has been fed.
@@ -102,19 +113,24 @@ func (e *Engine) planPrompt(known rules.Record, byText map[string]*promptPlan) *
 	return p
 }
 
-// newLaneDecoder starts one record's guided decode on e: it asserts the
+// newLaneDecoder starts one record's decode under method on e (plan is the
+// prompt already planned, nil → plan here). A guided decode asserts the
 // known prefix under a Push frame, proves it feasible (by a Check, unless a
-// witness for exactly this stack is already in hand), and
-// queues BOS plus the rendered prompt for the LM (plan is the prompt already
-// planned, nil → plan here). On any setup failure the returned decoder is
-// already finished with the error recorded.
-func (e *Engine) newLaneDecoder(ctx context.Context, known rules.Record, rng *rand.Rand, plan *promptPlan) *laneDecoder {
+// witness for exactly this stack is already in hand), and queues BOS plus
+// the rendered prompt for the LM; a free-sampling one only queues them. On
+// any setup failure the returned decoder is already finished with the error
+// recorded.
+func (e *Engine) newLaneDecoder(ctx context.Context, method Method, known rules.Record, rng *rand.Rand, plan *promptPlan) *laneDecoder {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	ld := &laneDecoder{e: e, ctx: ctx, rng: rng, known: known, emit: emitFor(ctx)}
+	ld := &laneDecoder{e: e, ctx: ctx, method: method, rng: rng, known: known, emit: emitFor(ctx)}
 	if plan == nil {
 		plan = e.planPrompt(known, nil)
+	}
+	if method != MethodGuided {
+		ld.startFree(plan)
+		return ld
 	}
 	if plan.err != nil {
 		ld.fail(plan.err)
@@ -222,14 +238,15 @@ func (ld *laneDecoder) fail(err error) {
 	ld.finish()
 }
 
-// finish settles the stats and pops the lane's solver frame. Idempotent.
+// finish settles the stats and pops the lane's solver frame, if it pushed
+// one (a free-sampling lane never does). Idempotent.
 func (ld *laneDecoder) finish() {
 	if ld.finished {
 		return
 	}
 	ld.finished = true
-	ld.res.Stats.SolverChecks = ld.e.solver.Stats().Checks - ld.checksBefore
 	if ld.pushed {
+		ld.res.Stats.SolverChecks = ld.e.solver.Stats().Checks - ld.checksBefore
 		ld.e.solver.Pop()
 		ld.pushed = false
 	}
@@ -242,11 +259,15 @@ func (ld *laneDecoder) finish() {
 // sampled from logits under the slot's admissible mask. logits are the LM's
 // logits after the lane's previous token and are only read once the prompt
 // has drained (BOS always precedes the first sampled token, so the first
-// call may pass nil). The caller must feed the token to the LM and then call
-// advance with it.
+// call may pass nil). Unless the lane is done — a free lane whose sample
+// ended on EOS may finish here — the caller must feed the token to the LM
+// and then call advance with it.
 func (ld *laneDecoder) next(logits []float32) (int, error) {
 	if ld.finished {
 		return 0, fmt.Errorf("core: laneDecoder.next after finish")
+	}
+	if ld.method != MethodGuided {
+		return ld.nextFree(logits)
 	}
 	if len(ld.pending) > 0 {
 		tok := ld.pending[0]
@@ -366,6 +387,9 @@ func (ld *laneDecoder) beginSlot() error {
 // prefix-cache snapshot capture at slot boundaries, and record assembly
 // after the last slot.
 func (ld *laneDecoder) advance(tok int) error {
+	if ld.method != MethodGuided {
+		return ld.advanceFree(tok)
+	}
 	e := ld.e
 	ld.key = append(ld.key, tok)
 	// A slot boundary is the separator that completes slot keySlots —

@@ -11,7 +11,7 @@ import (
 // prefix (the paper's telemetry-imputation task: coarse counters in, fine
 // series out), enforcing the rule set Just-In-Time.
 func (e *Engine) Impute(known rules.Record, rng *rand.Rand) (Result, error) {
-	return e.guided(context.Background(), known, rng)
+	return e.decodeOne(context.Background(), MethodGuided, known, rng)
 }
 
 // ImputeCtx is Impute under a context: a cancelled or expired context stops
@@ -22,24 +22,25 @@ func (e *Engine) Impute(known rules.Record, rng *rand.Rand) (Result, error) {
 // record's solver frame has been popped, so the engine can decode the next
 // record.
 func (e *Engine) ImputeCtx(ctx context.Context, known rules.Record, rng *rand.Rand) (Result, error) {
-	return e.guided(ctx, known, rng)
+	return e.decodeOne(ctx, MethodGuided, known, rng)
 }
 
 // Generate produces a full record unconditionally (the synthetic-data task),
 // enforcing the rule set Just-In-Time.
 func (e *Engine) Generate(rng *rand.Rand) (Result, error) {
-	return e.guided(context.Background(), nil, rng)
+	return e.decodeOne(context.Background(), MethodGuided, nil, rng)
 }
 
 // GenerateCtx is Generate under a context (see ImputeCtx).
 func (e *Engine) GenerateCtx(ctx context.Context, rng *rand.Rand) (Result, error) {
-	return e.guided(ctx, nil, rng)
+	return e.decodeOne(ctx, MethodGuided, nil, rng)
 }
 
-// guided decodes one record as a batch of one: a single lane on the receiver,
-// stepped by the same lock-step loop that decodes every batch (lockstep.go).
-func (e *Engine) guided(ctx context.Context, known rules.Record, rng *rand.Rand) (Result, error) {
+// decodeOne decodes one record under method as a batch of one: a single
+// lane on the receiver, stepped by the same lock-step loop that decodes
+// every batch (lockstep.go).
+func (e *Engine) decodeOne(ctx context.Context, method Method, known rules.Record, rng *rand.Rand) (Result, error) {
 	var out BatchResult
-	e.decodeLockStep([]*lsLane{{out: &out, ctx: ctx, known: known, rng: rng, eng: e}})
+	e.decodeLockStep([]*lsLane{{out: &out, ctx: ctx, method: method, known: known, rng: rng, eng: e}})
 	return out.Res, out.Err
 }

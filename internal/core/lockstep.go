@@ -10,20 +10,20 @@ import (
 	"repro/internal/rules"
 )
 
-// This file implements the decode driver: every guided decode — a
-// DecodeRequests batch, or a direct Impute/Generate as its one-lane case —
-// steps through one shared BatchSession, so each transformer weight block is
-// streamed from memory once per token step (a GEMM) instead of once per
-// record. The solver side stays strictly per-lane — each lane drives its own
-// laneDecoder on an engine dedicated to it — so a record's sequence of
-// solver probes and RNG draws, and therefore its output, does not depend on
-// which records share its batch (enforced by tests).
+// This file implements the decode driver: every decode, of every method — a
+// DecodeRequests batch, or a direct Impute/Generate/Vanilla/Rejection/PostHoc
+// as its one-lane case — steps through one shared BatchSession, so each
+// transformer weight block is streamed from memory once per token step (a
+// GEMM) instead of once per record. The solver side stays strictly per-lane
+// — each lane drives its own laneDecoder on an engine dedicated to it — so a
+// record's sequence of solver probes and RNG draws, and therefore its
+// output, does not depend on which records share its batch (enforced by
+// tests).
 //
-// Records that carry a Decode override (the baselines) are not guided
-// decodes and never enter this loop; DecodeRequests runs them per record
-// (batch.go). Within a group, a lane that fails mid-flight (context
-// cancelled, NN context length exceeded, ...) is retired alone; its
-// batch-mates keep stepping.
+// Within a group, a lane that fails mid-flight (context cancelled, NN
+// context length exceeded, ...) is retired alone; its batch-mates keep
+// stepping. A free-sampling lane whose sample ends is restarted in place
+// from its prompt (ResetLane) when its method asks for another sample.
 
 // acquireClone hands out an engine dedicated to one lane, reusing a pooled
 // clone when one is idle. Clones share the compiled rule formula and the LM
@@ -64,6 +64,7 @@ type prefixBatchSession interface {
 // Append, for LMs that have no batched forward pass (pack.UniformLM, test
 // LMs). It does not implement prefixBatchSession, so its lanes decode cold.
 type sessionBatch struct {
+	lm   LM
 	sess []Session
 	pos  []int
 	// ahead[l] marks a lane that consumed its token in a call a later lane
@@ -73,7 +74,7 @@ type sessionBatch struct {
 }
 
 func newSessionBatch(lm LM, n int) *sessionBatch {
-	b := &sessionBatch{sess: make([]Session, n), pos: make([]int, n), ahead: make([]bool, n)}
+	b := &sessionBatch{lm: lm, sess: make([]Session, n), pos: make([]int, n), ahead: make([]bool, n)}
 	for i := range b.sess {
 		b.sess[i] = lm.NewSession()
 	}
@@ -99,6 +100,11 @@ func (b *sessionBatch) AppendBatch(lanes, toks []int) error {
 
 func (b *sessionBatch) Logits(lane int) []float32 { return b.sess[lane].Logits() }
 func (b *sessionBatch) Len(lane int) int          { return b.pos[lane] }
+
+// ResetLane gives lane a fresh Session.
+func (b *sessionBatch) ResetLane(lane int) {
+	b.sess[lane], b.pos[lane], b.ahead[lane] = b.lm.NewSession(), 0, false
+}
 
 // reusableBatchSession is a BatchSession decodeLockStep can keep for the
 // next lane group: Reset must leave it as good as a new session with the
@@ -156,17 +162,18 @@ func (e *Engine) releaseBatchSession(bs BatchSession) {
 	e.poolMu.Unlock()
 }
 
-// lsLane is one guided decode, resolved: its context already carries the
+// lsLane is one decode, resolved: its context already carries the
 // request's prefix-cache override. rng is the caller's for a direct
-// Impute/Generate; for a batch lane it is nil until the lane starts, and is
-// then the lane engine's own RNG seeded with seed.
+// Impute/Generate/...; for a batch lane it is nil until the lane starts, and
+// is then the lane engine's own RNG seeded with seed.
 type lsLane struct {
-	out   *BatchResult
-	ctx   context.Context
-	known rules.Record
-	rng   *rand.Rand
-	seed  int64
-	plan  *promptPlan // nil → planned at lane start
+	out    *BatchResult
+	ctx    context.Context
+	method Method
+	known  rules.Record
+	rng    *rand.Rand
+	seed   int64
+	plan   *promptPlan // nil → planned at lane start
 	// eng is the engine dedicated to the lane until it settles: the driving
 	// engine itself for a direct Impute/Generate, otherwise (nil until the
 	// lane starts) a clone from the driving engine's pool.
@@ -174,7 +181,7 @@ type lsLane struct {
 
 	ld   *laneDecoder
 	slot int // lane index in the group's BatchSession
-	tok  int // token pending in the current step
+	tok  int // token pending in the current step, -1 once the LM refused it
 }
 
 // settle records the lane's outcome and recycles its engine.
@@ -224,7 +231,7 @@ func (e *Engine) startLane(bs BatchSession, la *lsLane) bool {
 		la.rng = la.eng.seededRNG(la.seed)
 	}
 	if perr := guardLane(func() error {
-		la.ld = la.eng.newLaneDecoder(la.ctx, la.known, la.rng, la.plan)
+		la.ld = la.eng.newLaneDecoder(la.ctx, la.method, la.known, la.rng, la.plan)
 		if la.ld.done() {
 			return nil
 		}
@@ -268,21 +275,24 @@ func (e *Engine) startLane(bs BatchSession, la *lsLane) bool {
 	return true
 }
 
-// decodeLockStep is the LeJIT decoding loop (paper Fig 1b) for a group of
-// lanes sharing one BatchSession, writing each lane's outcome through its
-// out pointer. Per token step:
+// decodeLockStep is the decoding loop (paper Fig 1b) for a group of lanes
+// sharing one BatchSession, writing each lane's outcome through its out
+// pointer. Per token step:
 //
-//  1. Per lane, a character-level transition system (internal/transition,
-//     paper Fig 2) asks the solver range-feasibility queries — "does a
-//     rule-compliant completion exist in which this variable's value starts
-//     with these digits?" — which perform the lookahead over unfixed suffix
-//     variables for free, because the solver treats them as existentially
-//     quantified. Admissible tokens keep their model logits; everything else
-//     is masked, the remainder renormalized, and one token sampled.
+//  1. Per lane, its method decides the next token. A guided lane's
+//     character-level transition system (internal/transition, paper Fig 2)
+//     asks the solver range-feasibility queries — "does a rule-compliant
+//     completion exist in which this variable's value starts with these
+//     digits?" — which perform the lookahead over unfixed suffix variables
+//     for free, because the solver treats them as existentially quantified.
+//     Admissible tokens keep their model logits; everything else is masked,
+//     the remainder renormalized, and one token sampled. A free-sampling
+//     lane samples among every character and EOS.
 //  2. One forward pass feeds every lane its token.
-//  3. Per lane, a value that terminated has its equality asserted,
+//  3. Per lane, a guided value that terminated has its equality asserted,
 //     activating/deactivating rules for later slots (dynamic partial
-//     instantiation, §3 step ①–②).
+//     instantiation, §3 step ①–②); a free sample that ended is parsed and
+//     judged, which finishes or restarts the lane.
 //
 // Seeds, contexts, and all decoding decisions are per-lane, so results do
 // not depend on which records share a group — a group of one included.
@@ -305,9 +315,9 @@ func (e *Engine) decodeLockStep(work []*lsLane) {
 	stepToks := make([]int, 0, len(lanes))
 	stepRefs := make([]*lsLane, 0, len(lanes))
 	for len(lanes) > 0 {
-		// Phase 1, per lane: solver probes + masked sampling decide the
-		// lane's next token (prompt tokens need no logits; the BOS is always
-		// fed before the first sampled token).
+		// Phase 1, per lane: the lane's next token (prompt tokens need no
+		// logits; the BOS is always fed before the first sampled token). A
+		// free lane may finish here, or restart and need its LM lane emptied.
 		stepLanes, stepToks, stepRefs = stepLanes[:0], stepToks[:0], stepRefs[:0]
 		for _, la := range lanes {
 			var logits []float32
@@ -324,6 +334,14 @@ func (e *Engine) decodeLockStep(work []*lsLane) {
 				e.failLane(la, err)
 				continue
 			}
+			if la.ld.done() {
+				e.settle(la)
+				continue
+			}
+			if la.ld.reset {
+				la.ld.reset = false
+				bs.ResetLane(la.slot)
+			}
 			la.tok = tok
 			stepLanes = append(stepLanes, la.slot)
 			stepToks = append(stepToks, tok)
@@ -332,7 +350,8 @@ func (e *Engine) decodeLockStep(work []*lsLane) {
 
 		// Phase 2: one forward pass for every surviving lane. A *LaneError
 		// means AppendBatch refused one lane and left the others as they
-		// were: retire that lane and retry the rest.
+		// were: retire that lane — a free lane instead ends its sample — and
+		// retry the rest.
 		for len(stepLanes) > 0 {
 			err := guardLane(func() error { return bs.AppendBatch(stepLanes, stepToks) })
 			if err == nil {
@@ -364,29 +383,40 @@ func (e *Engine) decodeLockStep(work []*lsLane) {
 				break
 			}
 			la := stepRefs[bad]
-			la.ld.fail(err)
-			e.settle(la)
+			if perr := guardLane(func() error { la.ld.refuse(le); return nil }); perr != nil {
+				e.failLane(la, perr)
+			} else if la.ld.done() {
+				e.settle(la)
+			}
+			la.tok = -1
 			stepLanes = append(stepLanes[:bad], stepLanes[bad+1:]...)
 			stepToks = append(stepToks[:bad], stepToks[bad+1:]...)
 			stepRefs = append(stepRefs[:bad], stepRefs[bad+1:]...)
 		}
 
 		// Phase 3, per lane: post-append bookkeeping (value pinning, record
-		// assembly). Lanes compact without reordering: finished ones drop
-		// out, the rest keep their BatchSession slot.
+		// assembly, judging an ended free sample). Lanes compact without
+		// reordering: finished ones drop out, the rest keep their
+		// BatchSession slot — a free lane whose refused token ended its
+		// sample included.
 		next := lanes[:0]
-		for _, la := range stepRefs {
-			if err := guardLane(func() error { return la.ld.advance(la.tok) }); err != nil {
-				var pe *PanicError
-				if errors.As(err, &pe) {
-					e.failLane(la, err)
+		for _, la := range lanes {
+			if la.ld.done() {
+				continue // settled during this step
+			}
+			if la.tok >= 0 {
+				if err := guardLane(func() error { return la.ld.advance(la.tok) }); err != nil {
+					var pe *PanicError
+					if errors.As(err, &pe) {
+						e.failLane(la, err)
+						continue
+					}
+					la.ld.fail(err)
+				}
+				if la.ld.done() {
+					e.settle(la)
 					continue
 				}
-				la.ld.fail(err)
-			}
-			if la.ld.done() {
-				e.settle(la)
-				continue
 			}
 			next = append(next, la)
 		}

@@ -80,9 +80,10 @@ func nnEngineWith(tb testing.TB, m *nn.Model, ruleText string) *Engine {
 	return e
 }
 
-// soloDecode runs reqs[i] alone through ImputeCtx/GenerateCtx — a batch of
-// one lane — on a fresh clone, so the comparison engine carries no state
-// from other records.
+// soloDecode runs reqs[i] alone through its method's direct entry point —
+// ImputeCtx/GenerateCtx, Vanilla, Rejection or PostHoc, each a batch of one
+// lane — on a fresh clone, so the comparison engine carries no state from
+// other records.
 func soloDecode(tb testing.TB, e *Engine, req BatchRequest, seed int64, i int) (Result, error) {
 	tb.Helper()
 	eng, err := e.Clone()
@@ -98,7 +99,14 @@ func soloDecode(tb testing.TB, e *Engine, req BatchRequest, seed int64, i int) (
 		rctx = context.Background()
 	}
 	rng := rand.New(rand.NewSource(s))
-	if req.Prompt == nil {
+	switch {
+	case req.Method == MethodFree:
+		return eng.Vanilla(req.Prompt, rng)
+	case req.Method == MethodRejection:
+		return eng.Rejection(req.Prompt, rng)
+	case req.Method == MethodPostHoc:
+		return eng.PostHoc(req.Prompt, rng)
+	case req.Prompt == nil:
 		return eng.GenerateCtx(rctx, rng)
 	}
 	return eng.ImputeCtx(rctx, req.Prompt, rng)
@@ -197,29 +205,25 @@ func TestLockStepGroupingInvariance(t *testing.T) {
 	}
 }
 
-// TestLockStepMixedOverrides: per-request Decode overrides run per record
-// while their batch-mates stay lock-step and a pre-cancelled request is not
-// decoded at all — one call, each outcome at its own index.
-func TestLockStepMixedOverrides(t *testing.T) {
+// TestLockStepMixedMethods: lanes of every method share one lock-step group
+// (on the transformer, so every free-sampling restart empties a lane of the
+// shared BatchSession) and a pre-cancelled request is not decoded at all —
+// one call, each outcome at its own index and equal to its solo decode.
+func TestLockStepMixedMethods(t *testing.T) {
 	e := nnTestEngine(t)
-	calls := 0
 	dead, cancel := context.WithCancel(context.Background())
 	cancel()
 	reqs := []BatchRequest{
 		{Prompt: rules.Record{"TotalIngress": {75}, "Congestion": {3}}, Ctx: dead},
 		{Prompt: rules.Record{"TotalIngress": {120}, "Congestion": {10}}},
-		{Prompt: rules.Record{"TotalIngress": {90}, "Congestion": {0}}, Decode: func(ctx context.Context, eng *Engine, known rules.Record, rng *rand.Rand) (Result, error) {
-			calls++
-			return eng.ImputeCtx(ctx, known, rng)
-		}},
-		{Prompt: rules.Record{"TotalIngress": {150}, "Congestion": {20}}},
+		{Prompt: rules.Record{"TotalIngress": {90}, "Congestion": {0}}, Method: MethodRejection},
+		{Prompt: rules.Record{"TotalIngress": {150}, "Congestion": {20}}, Method: MethodFree},
+		{Method: MethodPostHoc},
+		{},
 	}
 	out, err := e.DecodeRequests(context.Background(), reqs, 1, 11, nil)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if calls != 1 {
-		t.Errorf("override decode called %d times, want 1", calls)
 	}
 	if out[0].Err != context.Canceled {
 		t.Errorf("pre-cancelled request err %v, want context.Canceled", out[0].Err)
@@ -257,18 +261,17 @@ func TestLockStepLaneFailure(t *testing.T) {
 	}
 }
 
-// TestLockStepConcurrentGroups drives several lock-step groups plus fallback
-// lanes at once, twice, so the second batch's groups take the first one's
-// pooled sessions and clones concurrently; its real assertions run under the
-// race detector (make verify runs this package with -race).
+// TestLockStepConcurrentGroups drives several lock-step groups, each mixing
+// guided and free-sampling lanes, at once, twice, so the second batch's
+// groups take the first one's pooled sessions and clones concurrently; its
+// real assertions run under the race detector (make verify runs this
+// package with -race).
 func TestLockStepConcurrentGroups(t *testing.T) {
 	e := nnTestEngine(t)
 	reqs := make([]BatchRequest, 12)
 	for i := range reqs {
 		if i%4 == 3 {
-			reqs[i].Decode = func(ctx context.Context, eng *Engine, known rules.Record, rng *rand.Rand) (Result, error) {
-				return eng.ImputeCtx(ctx, known, rng)
-			}
+			reqs[i].Method = Method(1 + i/4) // free, rejection, post-hoc
 		}
 		reqs[i].Prompt = rules.Record{"TotalIngress": {60 + 10*int64(i)}, "Congestion": {int64(i % 3)}}
 	}
@@ -279,10 +282,10 @@ func TestLockStepConcurrentGroups(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, r := range out {
-			if r.Err != nil {
+			if r.Err != nil && reqs[i].Method == MethodGuided {
 				t.Errorf("round %d record %d: %v", round, i, r.Err)
-			} else if round == 1 && !reflect.DeepEqual(r.Res, first[i].Res) {
-				t.Errorf("record %d on pooled sessions and clones: %+v, first round %+v", i, r.Res, first[i].Res)
+			} else if round == 1 && (!reflect.DeepEqual(r.Res, first[i].Res) || fmt.Sprint(r.Err) != fmt.Sprint(first[i].Err)) {
+				t.Errorf("record %d on pooled sessions and clones: %+v (%v), first round %+v (%v)", i, r.Res, r.Err, first[i].Res, first[i].Err)
 			}
 		}
 		first = out

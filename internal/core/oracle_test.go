@@ -39,11 +39,11 @@ func TestIntervalFastPathEquivalence(t *testing.T) {
 	prompts := testPrompts(16)
 
 	for _, workers := range []int{1, 3} {
-		outFast, err := fast.DecodeBatch(prompts, workers, 42, nil)
+		outFast, err := fast.DecodeBatch(prompts, workers, 42, MethodGuided)
 		if err != nil {
 			t.Fatal(err)
 		}
-		outSlow, err := slow.DecodeBatch(prompts, workers, 42, nil)
+		outSlow, err := slow.DecodeBatch(prompts, workers, 42, MethodGuided)
 		if err != nil {
 			t.Fatal(err)
 		}

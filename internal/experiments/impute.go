@@ -16,16 +16,16 @@ import (
 type ImputeMethod struct {
 	Name string
 	Run  func(known rules.Record, rng *rand.Rand) (rules.Record, error)
-	// Batch, when non-nil, decodes all prompts through core.DecodeBatch
-	// (engine-backed methods set it); serial-only methods — stateful
-	// generators like Zoom2Net — leave it nil and fall back to Run.
+	// Batch, when non-nil, decodes all prompts as lanes of one
+	// core.DecodeBatch (engine-backed methods set it); serial-only methods —
+	// stateful generators like Zoom2Net — leave it nil and fall back to Run.
 	Batch func(prompts []rules.Record, workers int, seed int64) ([]core.BatchResult, error)
 }
 
-// batcher adapts an engine + decode function to the ImputeMethod.Batch shape.
-func batcher(eng *core.Engine, fn core.DecodeFn) func([]rules.Record, int, int64) ([]core.BatchResult, error) {
+// batcher adapts an engine + decode method to the ImputeMethod.Batch shape.
+func batcher(eng *core.Engine, method core.Method) func([]rules.Record, int, int64) ([]core.BatchResult, error) {
 	return func(prompts []rules.Record, workers int, seed int64) ([]core.BatchResult, error) {
-		return eng.DecodeBatch(prompts, workers, seed, fn)
+		return eng.DecodeBatch(prompts, workers, seed, method)
 	}
 }
 
@@ -90,15 +90,15 @@ func (e *Env) ImputeMethods() ([]ImputeMethod, error) {
 		}
 	}
 	return []ImputeMethod{
-		{Name: "Vanilla GPT-2", Run: wrap(engMined.Vanilla), Batch: batcher(engMined, (*core.Engine).Vanilla)},
-		{Name: "Rejection Sampling", Run: wrap(engMined.Rejection), Batch: batcher(engMined, (*core.Engine).Rejection)},
-		{Name: "Post-hoc SMT Repair", Run: wrap(engMined.PostHoc), Batch: batcher(engMined, (*core.Engine).PostHoc)},
-		{Name: "Constrained Decoding", Run: wrap(engStruct.Impute), Batch: batcher(engStruct, (*core.Engine).Impute)},
+		{Name: "Vanilla GPT-2", Run: wrap(engMined.Vanilla), Batch: batcher(engMined, core.MethodFree)},
+		{Name: "Rejection Sampling", Run: wrap(engMined.Rejection), Batch: batcher(engMined, core.MethodRejection)},
+		{Name: "Post-hoc SMT Repair", Run: wrap(engMined.PostHoc), Batch: batcher(engMined, core.MethodPostHoc)},
+		{Name: "Constrained Decoding", Run: wrap(engStruct.Impute), Batch: batcher(engStruct, core.MethodGuided)},
 		{Name: "Zoom2Net", Run: func(known rules.Record, _ *rand.Rand) (rules.Record, error) {
 			return z2n.Impute(known)
 		}},
-		{Name: "LeJIT (manual rules)", Run: wrap(engManual.Impute), Batch: batcher(engManual, (*core.Engine).Impute)},
-		{Name: "LeJIT", Run: wrap(engMined.Impute), Batch: batcher(engMined, (*core.Engine).Impute)},
+		{Name: "LeJIT (manual rules)", Run: wrap(engManual.Impute), Batch: batcher(engManual, core.MethodGuided)},
+		{Name: "LeJIT", Run: wrap(engMined.Impute), Batch: batcher(engMined, core.MethodGuided)},
 	}, nil
 }
 

@@ -16,17 +16,17 @@ import (
 type SynthMethod struct {
 	Name string
 	Run  func(rng *rand.Rand) (rules.Record, error)
-	// Batch, when non-nil, draws all samples through core.DecodeBatch
+	// Batch, when non-nil, draws all samples as lanes of one core.DecodeBatch
 	// (the GPT-2-backed generators); the fitted statistical generators
 	// stay serial via Run.
 	Batch func(n, workers int, seed int64) ([]core.BatchResult, error)
 }
 
-// genBatcher adapts an engine + decode function to SynthMethod.Batch:
+// genBatcher adapts an engine + decode method to SynthMethod.Batch:
 // n nil prompts mean n unconditional generations.
-func genBatcher(eng *core.Engine, fn core.DecodeFn) func(int, int, int64) ([]core.BatchResult, error) {
+func genBatcher(eng *core.Engine, method core.Method) func(int, int, int64) ([]core.BatchResult, error) {
 	return func(n, workers int, seed int64) ([]core.BatchResult, error) {
-		return eng.DecodeBatch(make([]rules.Record, n), workers, seed, fn)
+		return eng.DecodeBatch(make([]rules.Record, n), workers, seed, method)
 	}
 }
 
@@ -67,15 +67,15 @@ func (e *Env) SynthMethods() ([]SynthMethod, error) {
 		{Name: "Vanilla GPT-2", Run: func(rng *rand.Rand) (rules.Record, error) {
 			res, err := engSynth.Vanilla(nil, rng)
 			return res.Rec, err
-		}, Batch: genBatcher(engSynth, (*core.Engine).Vanilla)},
+		}, Batch: genBatcher(engSynth, core.MethodFree)},
 		{Name: "Rejection Sampling", Run: func(rng *rand.Rand) (rules.Record, error) {
 			res, err := engSynth.Rejection(nil, rng)
 			return res.Rec, err
-		}, Batch: genBatcher(engSynth, (*core.Engine).Rejection)},
+		}, Batch: genBatcher(engSynth, core.MethodRejection)},
 		{Name: "REaLTabFormer", Run: func(rng *rand.Rand) (rules.Record, error) {
 			res, err := engStruct.Generate(rng)
 			return res.Rec, err
-		}, Batch: genBatcher(engStruct, nil)},
+		}, Batch: genBatcher(engStruct, core.MethodGuided)},
 	}
 
 	gens := []baselines.Generator{
@@ -99,7 +99,7 @@ func (e *Env) SynthMethods() ([]SynthMethod, error) {
 	methods = append(methods, SynthMethod{Name: "LeJIT", Run: func(rng *rand.Rand) (rules.Record, error) {
 		res, err := engSynth.Generate(rng)
 		return res.Rec, err
-	}, Batch: genBatcher(engSynth, nil)})
+	}, Batch: genBatcher(engSynth, core.MethodGuided)})
 	return methods, nil
 }
 

@@ -156,6 +156,10 @@ func TestMineUnknownFieldFilter(t *testing.T) {
 
 // TestMinedRulesGeneralize checks that rules mined on train racks mostly
 // hold on unseen test racks — mined hard rules encode physics, not noise.
+// Both rates are gated: the share of (rule, record) pairs violated, and the
+// share of held-out records that violate at least one rule, which is the
+// share of real data the enforced rules could never let LeJIT emit (1.50 %
+// of these 600 records at seed 77).
 func TestMinedRulesGeneralize(t *testing.T) {
 	ws := dataset.Generate(dataset.Config{Racks: 30, WindowsPerRack: 120, Seed: 77})
 	train, test := dataset.Split(ws, 25, 5)
@@ -163,12 +167,16 @@ func TestMinedRulesGeneralize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pair, _, err := rs.ViolationRate(dataset.Records(test))
+	pair, record, err := rs.ViolationRate(dataset.Records(test))
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Logf("held-out violation rates: %.3f%% of pairs, %.2f%% of records", pair*100, record*100)
 	if pair > 0.01 {
 		t.Errorf("mined rules violated on %.2f%% of test (rule,record) pairs; want < 1%%", pair*100)
+	}
+	if record >= 0.03 {
+		t.Errorf("%.2f%% of test records violate a mined rule; want < 3%%", record*100)
 	}
 }
 

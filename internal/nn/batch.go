@@ -119,6 +119,11 @@ func (bs *BatchSession) Lanes() int { return bs.n }
 // are never seen and need no zeroing.
 func (bs *BatchSession) Reset() { clear(bs.pos) }
 
+// ResetLane empties one lane, as Reset empties all of them, leaving the
+// others as they are: the lane's next AppendBatch starts it again at
+// position 0.
+func (bs *BatchSession) ResetLane(lane int) { bs.pos[lane] = 0 }
+
 // Len reports the number of tokens lane has consumed.
 func (bs *BatchSession) Len(lane int) int { return bs.pos[lane] }
 

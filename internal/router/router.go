@@ -28,7 +28,7 @@ type Job struct {
 	Prompt rules.Record // nil → unconditional generation
 	Pack   *pack.Compiled
 	Seed   int64
-	Decode core.DecodeCtxFn // nil → engine-default guided decode
+	Method core.Method // the zero value is the guided decoder
 	// Start is the admission stamp: the batch window of the batch this job
 	// opens runs from it. Submit stamps it when the caller left it zero.
 	Start time.Time
@@ -270,7 +270,7 @@ func (r *Router) runGroup(eng *core.Engine, group []*Job) {
 	reqs := make([]core.BatchRequest, len(group))
 	for i, j := range group {
 		seed := j.Seed
-		reqs[i] = core.BatchRequest{Prompt: j.Prompt, Ctx: j.Ctx, Seed: &seed, Decode: j.Decode}
+		reqs[i] = core.BatchRequest{Prompt: j.Prompt, Ctx: j.Ctx, Seed: &seed, Method: j.Method}
 	}
 	out, err := eng.DecodeRequests(context.Background(), reqs, r.cfg.Workers, 0, nil)
 	if err != nil {

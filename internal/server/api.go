@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/core"
 	"repro/internal/rules"
 )
 
@@ -20,6 +21,15 @@ const (
 	ModeRejection = "rejection"
 	ModePostHoc   = "posthoc"
 )
+
+// modeMethods maps each decode mode to the core method its lanes decode
+// with; every method is a lane of the same lock-step batch.
+var modeMethods = map[string]core.Method{
+	ModeLeJIT:     core.MethodGuided,
+	ModeVanilla:   core.MethodFree,
+	ModeRejection: core.MethodRejection,
+	ModePostHoc:   core.MethodPostHoc,
+}
 
 // DecodeRequest is the body of POST /v1/impute and POST /v1/generate.
 type DecodeRequest struct {
@@ -163,13 +173,11 @@ func ParseDecodeRequest(r io.Reader, schema *rules.Schema, allowKnown bool) (*De
 	if err := dec.Decode(&struct{}{}); err != io.EOF {
 		return nil, badRequestf("trailing content after JSON body")
 	}
-	switch req.Mode {
-	case "", ModeLeJIT, ModeVanilla, ModeRejection, ModePostHoc:
-	default:
-		return nil, badRequestf("unknown mode %q", req.Mode)
-	}
 	if req.Mode == "" {
 		req.Mode = ModeLeJIT
+	}
+	if _, ok := modeMethods[req.Mode]; !ok {
+		return nil, badRequestf("unknown mode %q", req.Mode)
 	}
 	if req.TimeoutMs < 0 {
 		return nil, badRequestf("timeout_ms must be non-negative")

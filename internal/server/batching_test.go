@@ -153,6 +153,86 @@ type sleepSession struct {
 func (s *sleepSession) Append(tok int) error { return nil }
 func (s *sleepSession) Logits() []float32    { time.Sleep(s.d); return s.logits }
 
+// violatingLM free-samples the fine vector "1,1,1,1,1\n" after any
+// impute prompt — well-formed, and with a sum of 5 it breaks rule r2 for
+// every TotalIngress but 5 — and sleeps d on every Logits call.
+type violatingLM struct {
+	tok *vocab.Tokenizer
+	d   time.Duration
+}
+
+func (l violatingLM) VocabSize() int { return l.tok.Size() }
+func (l violatingLM) NewSession() core.Session {
+	return &violatingSession{lm: l, logits: make([]float32, l.tok.Size())}
+}
+
+type violatingSession struct {
+	lm     violatingLM
+	logits []float32
+	fine   int // 1 + characters consumed after '|'; 0 before it
+}
+
+func (s *violatingSession) Append(tok int) error {
+	if s.fine > 0 || (s.lm.tok.IsChar(tok) && s.lm.tok.Char(tok) == '|') {
+		s.fine++
+	}
+	return nil
+}
+
+func (s *violatingSession) Logits() []float32 {
+	time.Sleep(s.lm.d)
+	const fine = "1,1,1,1,1\n"
+	clear(s.logits)
+	if n := s.fine - 1; n >= 0 && n < len(fine) {
+		s.logits[s.lm.tok.ID(fine[n])] = 30
+	} else if n >= len(fine) {
+		s.logits[vocab.EOS] = 30
+	}
+	return s.logits
+}
+
+// TestRejectionDeadlineFreesBatcher: a served rejection request whose every
+// sample violates would hold its batch for all 500 attempts. Its 50 ms
+// deadline must end its lane within a token step, so a lejit request queued
+// right behind it — in the next micro-batch of the one batcher — is served
+// in well under one full rejection run (about 8 s here).
+func TestRejectionDeadlineFreesBatcher(t *testing.T) {
+	eng, rs, schema := testEngine(t, violatingLM{tok: vocab.Telemetry(), d: time.Millisecond})
+	s, err := New(Config{
+		Packs: testPacks(t, eng, rs, schema, 0), DefaultPack: "default",
+		BatchWindow: time.Millisecond, MaxBatch: 1, Workers: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	rejection := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/impute", "application/json", strings.NewReader(
+			`{"known": {"TotalIngress": [100], "Congestion": [0]}, "mode": "rejection", "timeout_ms": 50}`))
+		if err != nil {
+			t.Error(err)
+			rejection <- 0
+			return
+		}
+		resp.Body.Close()
+		rejection <- resp.StatusCode
+	}()
+	waitFor(t, s, func(sn Snapshot) bool { return sn.Batches == 1 }) // the rejection lane is decoding
+
+	start := time.Now()
+	resp, data := postJSON(t, ts, "/v1/impute", `{"known": {"TotalIngress": [100], "Congestion": [0]}, "timeout_ms": 3000}`)
+	if elapsed := time.Since(start); resp.StatusCode != http.StatusOK || elapsed > time.Second {
+		t.Errorf("lejit request behind a timed-out rejection one: status %d after %v, want 200 within 1s (body %s)", resp.StatusCode, elapsed, data)
+	}
+	if code := <-rejection; code != http.StatusGatewayTimeout {
+		t.Errorf("rejection request: status %d, want 504", code)
+	}
+}
+
 // TestRetryAfterFromBatchCost: the 429's Retry-After is computed from the
 // measured batch wall time, so a slow backlog yields a header above the 1 s
 // floor.

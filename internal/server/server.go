@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net"
 	"net/http"
 	"runtime"
@@ -16,7 +15,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/pack"
 	"repro/internal/router"
-	"repro/internal/rules"
 )
 
 // Config assembles a Server. Packs and DefaultPack are required; everything
@@ -224,30 +222,6 @@ func retryAfterSecs(st router.Stats, maxBatch int, window time.Duration) int64 {
 	return secs
 }
 
-// decodeFnFor maps a request mode to its decode function. The baselines are
-// not token-interruptible, so they only honor cancellation between attempts.
-func (s *Server) decodeFnFor(mode string) (core.DecodeCtxFn, error) {
-	var base core.DecodeFn
-	switch mode {
-	case ModeLeJIT:
-		return nil, nil // engine default: ctx-aware guided decoding
-	case ModeVanilla:
-		base = (*core.Engine).Vanilla
-	case ModeRejection:
-		base = (*core.Engine).Rejection
-	case ModePostHoc:
-		base = (*core.Engine).PostHoc
-	default:
-		return nil, badRequestf("unknown mode %q", mode)
-	}
-	return func(ctx context.Context, e *core.Engine, known rules.Record, rng *rand.Rand) (core.Result, error) {
-		if err := ctx.Err(); err != nil {
-			return core.Result{}, err
-		}
-		return base(e, known, rng)
-	}, nil
-}
-
 // handleDecode serves /v1/impute and /v1/generate.
 func (s *Server) handleDecode(w http.ResponseWriter, r *http.Request, route string) {
 	code, pk := s.serveDecode(w, r, route)
@@ -297,11 +271,6 @@ func (s *Server) serveDecode(w http.ResponseWriter, r *http.Request, route strin
 			return writeError(w, http.StatusBadRequest, err.Error(), ""), packName
 		}
 	}
-	decode, err := s.decodeFnFor(req.Mode)
-	if err != nil {
-		return writeError(w, http.StatusBadRequest, err.Error(), ""), packName
-	}
-
 	// Clients may shorten their deadline but never extend it past the
 	// server's: an uncapped timeout_ms would let one caller pin a batcher
 	// lane (and its engine clone) for arbitrarily long.
@@ -326,7 +295,7 @@ func (s *Server) serveDecode(w http.ResponseWriter, r *http.Request, route strin
 		Prompt: req.Known,
 		Pack:   pk,
 		Seed:   seed,
-		Decode: decode,
+		Method: modeMethods[req.Mode],
 		Start:  time.Now(),
 		Resp:   make(chan router.Result, 1),
 	}

@@ -29,38 +29,50 @@ type StreamError struct {
 	Status string `json:"status,omitempty"`
 }
 
+// streamWriteTimeout bounds each SSE write and its flush: a client that
+// stops reading fails the write once its socket buffers fill, which ends the
+// stream and frees the handler goroutine and its connection instead of
+// pinning them forever. A var only so the stalled-reader test can shorten
+// it.
+var streamWriteTimeout = 10 * time.Second
+
+// statusStreamAbandoned is the logical status of a stream whose client stopped
+// reading: the request timed out on the client's side of the connection.
+const statusStreamAbandoned = http.StatusRequestTimeout
+
 // streamDecodeResponse writes one decode as Server-Sent Events: a "slot"
 // event per completed slot while the decode runs, then a terminal "done"
 // event with the full DecodeResponse (or an "error" event). Returns the
-// logical status code — what the unary path would have answered — for the
-// request counter; the wire status is 200 as soon as the stream opens.
+// logical status code — what the unary path would have answered, or 408 when
+// a write failed — for the request counter; the wire status is 200 as soon
+// as the stream opens.
 func (s *Server) streamDecodeResponse(w http.ResponseWriter, ctx context.Context, pk *pack.Compiled, j *router.Job, chunks <-chan StreamChunk) int {
 	h := w.Header()
 	h.Set("Content-Type", "text/event-stream")
 	h.Set("Cache-Control", "no-cache")
 	h.Set("X-Accel-Buffering", "no")
 	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	flush := func() {
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	flush()
+	rc := http.NewResponseController(w)
+	_ = rc.Flush() // if the connection is gone, the first event's write fails too
 	s.metrics.countStream()
 
 	first := true
-	event := func(name string, data any) {
+	// event writes and flushes one event under a fresh write deadline. A
+	// writer that takes no deadlines (a test recorder) writes without one.
+	event := func(name string, data any) error {
 		buf, _ := json.Marshal(data)
-		fmt.Fprintf(w, "event: %s\ndata: %s\n\n", name, buf)
-		flush()
+		_ = rc.SetWriteDeadline(time.Now().Add(streamWriteTimeout))
+		if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", name, buf); err != nil {
+			return err
+		}
+		return rc.Flush()
 	}
-	slot := func(c StreamChunk) {
+	slot := func(c StreamChunk) error {
 		if first {
 			first = false
 			s.metrics.observeTTFT(time.Since(j.Start).Seconds())
 		}
-		event("slot", c)
+		return event("slot", c)
 	}
 	finish := func(res router.Result) int {
 		// Every emit happened before the result was delivered (same decoding
@@ -69,7 +81,9 @@ func (s *Server) streamDecodeResponse(w http.ResponseWriter, ctx context.Context
 		for {
 			select {
 			case c := <-chunks:
-				slot(c)
+				if slot(c) != nil {
+					return statusStreamAbandoned
+				}
 				continue
 			default:
 			}
@@ -88,7 +102,9 @@ func (s *Server) streamDecodeResponse(w http.ResponseWriter, ctx context.Context
 	for {
 		select {
 		case c := <-chunks:
-			slot(c)
+			if slot(c) != nil {
+				return statusStreamAbandoned
+			}
 		case res := <-j.Resp:
 			return finish(res)
 		case <-ctx.Done():

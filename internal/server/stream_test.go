@@ -3,11 +3,17 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/rules"
+	"repro/internal/vocab"
 )
 
 // sseEvent is one parsed Server-Sent Event.
@@ -253,6 +259,68 @@ func TestStreamErrorEvent(t *testing.T) {
 	waitFor(t, s, func(sn Snapshot) bool {
 		return sn.Requests["impute"][http.StatusUnprocessableEntity] == 2
 	})
+}
+
+// smallSendBufListener pins every accepted connection's send buffer at a few
+// kilobytes, so a handler writing to a client that stops reading blocks
+// after that much instead of after the megabyte loopback autotuning allows.
+type smallSendBufListener struct{ net.Listener }
+
+func (l smallSendBufListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if tc, ok := c.(*net.TCPConn); ok {
+		tc.SetWriteBuffer(4096)
+	}
+	return c, err
+}
+
+// TestStreamStalledReaderReleasesHandler: a raw TCP client sends a streaming
+// request and never reads the response. Once both sockets' buffers fill, the
+// next event's write must fail by streamWriteTimeout, which ends the stream:
+// the handler returns (counted as 408) instead of holding its goroutine and
+// connection for as long as the client stays connected.
+func TestStreamStalledReaderReleasesHandler(t *testing.T) {
+	old := streamWriteTimeout
+	streamWriteTimeout = 200 * time.Millisecond
+	t.Cleanup(func() { streamWriteTimeout = old })
+
+	// 4000 slots stream about 200 KB of events, far past both buffers.
+	schema := rules.MustSchema(
+		rules.Field{Name: "A", Kind: rules.Scalar, Lo: 0, Hi: 9},
+		rules.Field{Name: "V", Kind: rules.Vector, Len: 4000, Lo: 0, Hi: 99},
+	)
+	slots, err := core.TelemetryGrammar(schema, []string{"A"}, "V")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tok := vocab.Telemetry()
+	eng, err := core.NewEngine(core.Config{LM: uniformLM{vocab: tok.Size()}, Tok: tok, Schema: schema, Slots: slots})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{Packs: testPacks(t, eng, nil, schema, 0), DefaultPack: "default"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ts := httptest.NewUnstartedServer(s)
+	ts.Listener = smallSendBufListener{ts.Listener}
+	ts.Start()
+	defer ts.Close()
+
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.(*net.TCPConn).SetReadBuffer(4096)
+	body := `{"known": {"A": [3]}, "seed": 1, "stream": true}`
+	fmt.Fprintf(conn, "POST /v1/impute HTTP/1.1\r\nHost: lejitd\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s", len(body), body)
+
+	start := time.Now()
+	if !s.Metrics().WaitUntil(5*time.Second, func(sn Snapshot) bool { return sn.Requests["impute"][statusStreamAbandoned] == 1 }) {
+		t.Fatalf("the handler of a client that never reads is still writing after %v (requests %v)", time.Since(start), s.Metrics().Snapshot().Requests)
+	}
 }
 
 // TestStreamTTFTRecorded: the TTFT histogram counts streamed requests only.

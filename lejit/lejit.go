@@ -276,7 +276,7 @@ func (p *Pipeline) ImputeBeam(known Record, width int) (Record, Stats, error) {
 // The pipeline's engine is reused: each record decodes on a pooled clone
 // sharing its compiled rule formula, so spin-up is cheap.
 func (p *Pipeline) ImputeBatch(prompts []Record, workers int, seed int64) ([]Record, []error, error) {
-	out, err := p.eng.DecodeBatch(prompts, workers, seed, nil)
+	out, err := p.eng.DecodeBatch(prompts, workers, seed, core.MethodGuided)
 	if err != nil {
 		return nil, nil, err
 	}
