@@ -265,11 +265,7 @@ func cmdDecode(args []string, impute bool) error {
 	default:
 		return fmt.Errorf("unknown mode %q", *mode)
 	}
-	batch, err := eng.DecodeBatch(prompts, *workers, *seed, method)
-	if err != nil {
-		return err
-	}
-	for i, b := range batch {
+	for i, b := range eng.DecodeBatch(prompts, *workers, *seed, method) {
 		if b.Err != nil {
 			fmt.Printf("# record %d: error: %v\n", i, b.Err)
 			continue

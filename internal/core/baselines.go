@@ -107,13 +107,19 @@ func (ld *laneDecoder) advanceFree(tok int) error {
 	if !ld.sampled {
 		return nil
 	}
-	e := ld.e
-	c := e.cfg.Tok.Char(tok)
+	c := ld.e.cfg.Tok.Char(tok)
+	ends := ld.sampleEnds(c)
 	ld.sample = append(ld.sample, c)
-	if c == e.cfg.Slots[len(e.cfg.Slots)-1].Sep || len(ld.sample) >= 2*e.tailChars[0]+8 {
+	if ends {
 		ld.endSample()
 	}
 	return nil
+}
+
+// sampleEnds reports whether appending c ends the current free sample.
+func (ld *laneDecoder) sampleEnds(c byte) bool {
+	e := ld.e
+	return c == e.cfg.Slots[len(e.cfg.Slots)-1].Sep || len(ld.sample)+1 >= 2*e.tailChars[0]+8
 }
 
 // refuse tells the lane that the LM refused the token next returned (e.g.

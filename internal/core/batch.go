@@ -132,12 +132,13 @@ func MixSeed(seed int64, i int) int64 {
 // Engines are single-threaded; each record in flight has a pooled clone to
 // itself, while the LM weights and the compiled rule formula are shared
 // read-only.
-func (e *Engine) DecodeBatch(prompts []rules.Record, workers int, seed int64, method Method) ([]BatchResult, error) {
+func (e *Engine) DecodeBatch(prompts []rules.Record, workers int, seed int64, method Method) []BatchResult {
 	reqs := make([]BatchRequest, len(prompts))
 	for i, p := range prompts {
 		reqs[i] = BatchRequest{Prompt: p, Method: method}
 	}
-	return e.DecodeRequests(context.Background(), reqs, workers, seed, nil)
+	out, _ := e.DecodeRequests(context.Background(), reqs, workers, seed, nil) // always a nil error
+	return out
 }
 
 // decodeSeam is the type of DecodeRequests' last parameter, which only nil
@@ -151,7 +152,7 @@ type decodeSeam struct{}
 // cancel or time out individual records without aborting the batch.
 // Per-record failures, including context cancellation and recovered panics
 // (*PanicError), land in BatchResult.Err; the returned error is always nil
-// and is kept for the callers that check it.
+// and is kept only because the repository benchmark reads it.
 //
 // Every request becomes a lane of the lock-step loop (lockstep.go); the
 // lanes are cut into at most workers contiguous groups, each stepping

@@ -55,10 +55,7 @@ func TestDecodeBatchDeterministic(t *testing.T) {
 
 	var want []string
 	for _, workers := range []int{1, 4, 8} {
-		out, err := e.DecodeBatch(prompts, workers, 42, MethodGuided)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
+		out := e.DecodeBatch(prompts, workers, 42, MethodGuided)
 		if len(out) != len(prompts) {
 			t.Fatalf("workers=%d: got %d results, want %d", workers, len(out), len(prompts))
 		}
@@ -88,10 +85,7 @@ func TestDecodeBatchDeterministic(t *testing.T) {
 // path and rule compliance of its output.
 func TestDecodeBatchGenerate(t *testing.T) {
 	e := testEngine(t, uniformLM{vocab: vocab.Telemetry().Size()}, LeJIT)
-	out, err := e.DecodeBatch(make([]rules.Record, 6), 3, 5, MethodGuided)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := e.DecodeBatch(make([]rules.Record, 6), 3, 5, MethodGuided)
 	for i, b := range out {
 		if b.Err != nil {
 			t.Fatalf("record %d: %v", i, b.Err)
@@ -115,10 +109,7 @@ func TestDecodeBatchMethod(t *testing.T) {
 	tok := vocab.Telemetry()
 	e := testEngine(t, formatAwareLM{tok: tok, slots: slots}, LeJIT)
 	prompts := testPrompts(4)
-	out, err := e.DecodeBatch(prompts, 2, 9, MethodFree)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := e.DecodeBatch(prompts, 2, 9, MethodFree)
 	if len(out) != len(prompts) {
 		t.Fatalf("got %d results, want %d", len(out), len(prompts))
 	}
@@ -144,9 +135,7 @@ func TestDecodeBatchRace(t *testing.T) {
 	e := testEngine(t, uniformLM{vocab: vocab.Telemetry().Size()}, LeJIT)
 	prompts := testPrompts(24)
 	for round := 0; round < 3; round++ {
-		if _, err := e.DecodeBatch(prompts, 8, int64(round), MethodGuided); err != nil {
-			t.Fatal(err)
-		}
+		e.DecodeBatch(prompts, 8, int64(round), MethodGuided)
 	}
 }
 

@@ -61,6 +61,12 @@ type BatchSession interface {
 	// to *nn.LaneError, leaving the batch untouched so the caller can retire
 	// the lane and retry the rest.
 	AppendBatch(lanes, toks []int) error
+	// Consume feeds toks[i] to lanes[i] like AppendBatch, refusing exactly
+	// what it refuses, but need not compute the lanes' next logits: the
+	// driver calls it for a token that closes its lane's record, whose
+	// logits are never read. A consumed lane is stepped again only after
+	// ResetLane.
+	Consume(lanes, toks []int) error
 	// Logits returns lane's next-token logits after its last step; the
 	// engine reads but does not retain the returned slice.
 	Logits(lane int) []float32

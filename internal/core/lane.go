@@ -343,6 +343,21 @@ func (ld *laneDecoder) next(logits []float32) (int, error) {
 	return tok, nil
 }
 
+// closes reports whether tok, which next just returned, closes the lane's
+// record: the last slot's sampled separator, or the token that ends a free
+// sample. advance(tok) then completes the record, or restarts the lane from
+// its prompt, so the LM's logits after tok are never read and the driver
+// only consumes it (BatchSession.Consume).
+func (ld *laneDecoder) closes(tok int) bool {
+	switch {
+	case !ld.sampled:
+		return false
+	case ld.method != MethodGuided:
+		return ld.sampleEnds(ld.e.cfg.Tok.Char(tok))
+	}
+	return tok == ld.sepID && ld.slot == len(ld.e.cfg.Slots)-1
+}
+
 // beginSlot builds the transition system for the slot about to decode:
 // solver-backed lookahead in LeJIT mode, grammar/domain masking otherwise,
 // plus the purely structural mirror used for Masked/Forced accounting.

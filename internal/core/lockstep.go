@@ -98,6 +98,10 @@ func (b *sessionBatch) AppendBatch(lanes, toks []int) error {
 	return nil
 }
 
+// Consume is AppendBatch: a Session has no way to take a token without
+// computing its logits.
+func (b *sessionBatch) Consume(lanes, toks []int) error { return b.AppendBatch(lanes, toks) }
+
 func (b *sessionBatch) Logits(lane int) []float32 { return b.sess[lane].Logits() }
 func (b *sessionBatch) Len(lane int) int          { return b.pos[lane] }
 
@@ -314,11 +318,14 @@ func (e *Engine) decodeLockStep(work []*lsLane) {
 	stepLanes := make([]int, 0, len(lanes))
 	stepToks := make([]int, 0, len(lanes))
 	stepRefs := make([]*lsLane, 0, len(lanes))
+	closing := make([]*lsLane, 0, len(lanes))
 	for len(lanes) > 0 {
 		// Phase 1, per lane: the lane's next token (prompt tokens need no
 		// logits; the BOS is always fed before the first sampled token). A
 		// free lane may finish here, or restart and need its LM lane emptied.
-		stepLanes, stepToks, stepRefs = stepLanes[:0], stepToks[:0], stepRefs[:0]
+		// A token that closes its lane's record is queued apart: nothing
+		// reads the logits after it.
+		stepLanes, stepToks, stepRefs, closing = stepLanes[:0], stepToks[:0], stepRefs[:0], closing[:0]
 		for _, la := range lanes {
 			var logits []float32
 			if bs.Len(la.slot) > 0 {
@@ -343,17 +350,37 @@ func (e *Engine) decodeLockStep(work []*lsLane) {
 				bs.ResetLane(la.slot)
 			}
 			la.tok = tok
+			if la.ld.closes(tok) {
+				closing = append(closing, la)
+				continue
+			}
 			stepLanes = append(stepLanes, la.slot)
 			stepToks = append(stepToks, tok)
 			stepRefs = append(stepRefs, la)
 		}
+		nc := len(stepRefs)
+		for _, la := range closing {
+			stepLanes = append(stepLanes, la.slot)
+			stepToks = append(stepToks, la.tok)
+			stepRefs = append(stepRefs, la)
+		}
 
-		// Phase 2: one forward pass for every surviving lane. A *LaneError
-		// means AppendBatch refused one lane and left the others as they
-		// were: retire that lane — a free lane instead ends its sample — and
-		// retry the rest.
+		// Phase 2: one forward pass for the first nc lanes, and Consume for
+		// the closing tokens after them. A *LaneError means the session
+		// refused one lane and left the others as they were: retire that
+		// lane — a free lane instead ends its sample — and retry the rest,
+		// without the forward pass if it has already run.
+		computed := false
 		for len(stepLanes) > 0 {
-			err := guardLane(func() error { return bs.AppendBatch(stepLanes, stepToks) })
+			err := guardLane(func() error {
+				if !computed {
+					if err := bs.AppendBatch(stepLanes[:nc], stepToks[:nc]); err != nil {
+						return err
+					}
+					computed = true
+				}
+				return bs.Consume(stepLanes[nc:], stepToks[nc:])
+			})
 			if err == nil {
 				break
 			}
@@ -389,6 +416,9 @@ func (e *Engine) decodeLockStep(work []*lsLane) {
 				e.settle(la)
 			}
 			la.tok = -1
+			if bad < nc {
+				nc--
+			}
 			stepLanes = append(stepLanes[:bad], stepLanes[bad+1:]...)
 			stepToks = append(stepToks[:bad], stepToks[bad+1:]...)
 			stepRefs = append(stepRefs[:bad], stepRefs[bad+1:]...)

@@ -294,12 +294,18 @@ func TestLockStepConcurrentGroups(t *testing.T) {
 
 // FuzzLockStepMatchesSolo randomizes batch composition and seeds and asserts
 // every record's lock-step outcome (including infeasible-prompt errors)
-// matches its solo decode.
+// matches its solo decode. twins makes lanes copy the lane before them, two
+// bits per lane: 1 copies its prompt, so the two share LM rows until their
+// samples part mid-record; 2 copies prompt and seed, a full twin whose
+// every row is shared; 3 copies both but decodes by free sampling, so the
+// two share only the prompt's rows.
 func FuzzLockStepMatchesSolo(f *testing.F) {
-	f.Add(int64(1), uint8(2), uint8(0))
-	f.Add(int64(42), uint8(5), uint8(0xA5))
-	f.Add(int64(-9), uint8(3), uint8(0xFF))
-	f.Fuzz(func(t *testing.T, seed int64, n, mix uint8) {
+	f.Add(int64(1), uint8(2), uint8(0), uint8(0))
+	f.Add(int64(42), uint8(5), uint8(0xA5), uint8(0))
+	f.Add(int64(-9), uint8(3), uint8(0xFF), uint8(0))
+	f.Add(int64(7), uint8(4), uint8(0x10), uint8(0b11_10_01_10))
+	f.Add(int64(3), uint8(5), uint8(0xFF), uint8(0b10_10_01_10))
+	f.Fuzz(func(t *testing.T, seed int64, n, mix, twins uint8) {
 		e := nnTestEngine(t)
 		lanes := int(n)%6 + 2
 		reqs := make([]BatchRequest, lanes)
@@ -312,6 +318,22 @@ func FuzzLockStepMatchesSolo(f *testing.F) {
 				}
 			default:
 				reqs[i].Prompt = nil
+			}
+			if i == 0 {
+				continue
+			}
+			prev := &reqs[i-1]
+			s := MixSeed(seed, i-1)
+			if prev.Seed != nil {
+				s = *prev.Seed
+			}
+			switch twins >> (2 * ((i - 1) % 4)) & 3 {
+			case 1:
+				reqs[i].Prompt = prev.Prompt
+			case 2:
+				reqs[i].Prompt, reqs[i].Seed, reqs[i].Method = prev.Prompt, &s, prev.Method
+			case 3:
+				reqs[i].Prompt, reqs[i].Seed, reqs[i].Method = prev.Prompt, &s, MethodFree
 			}
 		}
 		out, err := e.DecodeRequests(context.Background(), reqs, 1+int(mix)%3, seed, nil)
@@ -537,5 +559,34 @@ func TestPoolBoundedByUse(t *testing.T) {
 			}
 			t.Logf("largest call %d lanes: %d clones, %d sessions pooled", largest, clones, sessions)
 		})
+	}
+}
+
+// TestClosingSeparatorKeepsContextLimit: the token that closes a guided
+// record is consumed without a forward pass, but the LM still refuses it
+// when it does not fit the context, and the lane fails as it would had the
+// forward run. Under testRules the prompt TotalIngress=0, Congestion=0
+// forces every I[t] to 0, so the record is BOS + "0,0|0,0,0,0,0\n": 15
+// tokens, the last of them the closing separator. A 15-position model
+// decodes it; at 14 positions only the separator overflows.
+func TestClosingSeparatorKeepsContextLimit(t *testing.T) {
+	prompt := rules.Record{"TotalIngress": {0}, "Congestion": {0}}
+	for _, ctxLen := range []int{15, 14} {
+		m, err := nn.New(nn.Config{Vocab: vocab.Telemetry().Size(), Ctx: ctxLen, Dim: 8, Heads: 2, Layers: 1}, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := nnEngineOver(t, m)
+		res, err := e.ImputeCtx(context.Background(), prompt, rand.New(rand.NewSource(1)))
+		if ctxLen == 15 {
+			if err != nil || fmt.Sprint(res.Rec["I"]) != "[0 0 0 0 0]" || res.Stats.Tokens != 10 {
+				t.Fatalf("ctx 15: %v (%d tokens), err %v; want I = 0 in 10 sampled tokens", res.Rec, res.Stats.Tokens, err)
+			}
+			continue
+		}
+		var le *nn.LaneError
+		if !errors.As(err, &le) || le.Err.Error() != "nn: context length 14 exceeded" {
+			t.Fatalf("ctx 14: err %v, want the LM's *LaneError for the closing separator", err)
+		}
 	}
 }

@@ -172,11 +172,7 @@ func writeTranscript(t *testing.T, b *bytes.Buffer, c *pack.Compiled, prompts []
 		}
 		for _, workers := range []int{1, 4} {
 			tr.take()
-			out, err := batchDecode(eng, prompts, workers, m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, r := range out {
+			for i, r := range eng.DecodeBatch(prompts, workers, transcriptSeed, m.batch) {
 				fmt.Fprintf(b, "batch/w%d %s %d: %s\n", workers, m.name, i, outcomeLine(c, r.Res, r.Err))
 			}
 			if steps := tr.take(); m.name == "guided" {
@@ -197,11 +193,6 @@ func tracedEngine(t *testing.T, c *pack.Compiled) (*core.Engine, *stepTracer) {
 		t.Fatal(err)
 	}
 	return eng, tr
-}
-
-// batchDecode is DecodeBatch under method m.
-func batchDecode(e *core.Engine, prompts []rules.Record, workers int, m transcriptMethod) ([]core.BatchResult, error) {
-	return e.DecodeBatch(prompts, workers, transcriptSeed, m.batch)
 }
 
 // transcriptNN builds an untrained transformer for a pack's vocabulary: the
@@ -424,22 +415,25 @@ func guidedLines(t *testing.T, c *pack.Compiled, prompts []rules.Record) []strin
 }
 
 // TestRuleOrderLeavesMasks is a metamorphic property of the mask: the order
-// in which a rule set lists its rules is not part of its meaning, so for
-// every shipped rule set, on the uniform LM and the seeded transformer, the
-// rules reversed and in a fixed shuffle must give the transcripts' prompts
+// in which a rule set lists its rules, or a rule its conjuncts, is not part
+// of its meaning, so for every shipped rule set, on the uniform LM and the
+// seeded transformer, the rules reversed, the rules in a fixed shuffle, and
+// every conjunction's operands reversed must give the transcripts' prompts
 // and seeds the same admissible sets, forced flags and bytes at every step.
 func TestRuleOrderLeavesMasks(t *testing.T) {
 	defs, recs := shippedRuleSets(t)
+	ands := 0
 	for k, def := range defs {
 		rs, err := rules.ParseRuleSet(def.RuleText, def.Schema)
 		if err != nil {
 			t.Fatal(err)
 		}
 		n := len(rs.Rules)
-		orders := map[string][]rules.Rule{"reversed": make([]rules.Rule, n), "shuffled": make([]rules.Rule, n)}
+		orders := map[string][]rules.Rule{"reversed": make([]rules.Rule, n), "shuffled": make([]rules.Rule, n), "conjuncts reversed": make([]rules.Rule, n)}
 		for i, j := range rand.New(rand.NewSource(5)).Perm(n) {
 			orders["reversed"][i] = rs.Rules[n-1-i]
 			orders["shuffled"][i] = rs.Rules[j]
+			orders["conjuncts reversed"][i] = rules.Rule{Name: rs.Rules[i].Name, Body: reverseConjuncts(rs.Rules[i].Body, &ands)}
 		}
 		tok, err := def.Tokenizer()
 		if err != nil {
@@ -457,6 +451,87 @@ func TestRuleOrderLeavesMasks(t *testing.T) {
 						t.Errorf("%s, %T, rules %s, record %d:\n got  %s\n want %s", transcriptSetNames[k], lm, name, i, got[i], want[i])
 					}
 				}
+			}
+		}
+	}
+	if ands == 0 {
+		t.Fatal("no shipped rule has a conjunction of two or more operands to reverse")
+	}
+}
+
+// reverseConjuncts returns a copy of n in which every conjunction lists its
+// operands in reverse order, counting in *ands those with two or more.
+func reverseConjuncts(n rules.Node, ands *int) rules.Node {
+	switch n := n.(type) {
+	case *rules.AndNode:
+		kids := make([]rules.Node, len(n.Kids))
+		for i, kid := range n.Kids {
+			kids[len(kids)-1-i] = reverseConjuncts(kid, ands)
+		}
+		if len(kids) > 1 {
+			*ands++
+		}
+		return &rules.AndNode{Kids: kids}
+	case *rules.OrNode:
+		kids := make([]rules.Node, len(n.Kids))
+		for i, kid := range n.Kids {
+			kids[i] = reverseConjuncts(kid, ands)
+		}
+		return &rules.OrNode{Kids: kids}
+	case *rules.NotNode:
+		return &rules.NotNode{Kid: reverseConjuncts(n.Kid, ands)}
+	case *rules.ImpliesNode:
+		return &rules.ImpliesNode{A: reverseConjuncts(n.A, ands), B: reverseConjuncts(n.B, ands)}
+	case *rules.QuantNode:
+		q := *n
+		q.Body = reverseConjuncts(n.Body, ands)
+		return &q
+	}
+	return n
+}
+
+// TestIdenticalReloadLeavesOutput is a metamorphic property of reload: for
+// every shipped rule set on the seeded transformer, reloading a registered
+// pack with the rule text it already serves keeps its epoch and takes the
+// next generation, and the transcripts' prompts then decode, with every
+// method, to the same lines — bytes, errors and every Stats field. (The
+// registry has no prefix cache: a warm cache captures new snapshots pass
+// after pass, so its Stats would move without any reload.)
+func TestIdenticalReloadLeavesOutput(t *testing.T) {
+	defs, recs := shippedRuleSets(t)
+	for k, def := range defs {
+		tok, err := def.Tokenizer()
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := compileWith(t, def, core.WrapNN(transcriptNN(t, tok.Size(), 96)))
+		reg := pack.NewRegistry(0)
+		if err := reg.Register(c); err != nil {
+			t.Fatal(err)
+		}
+		prompts := transcriptPrompts(def, recs)
+		decode := func() []string {
+			cur, _ := reg.Get(def.Name)
+			var lines []string
+			for _, m := range transcriptMethods {
+				for i, r := range cur.Engine.DecodeBatch(prompts, 1, transcriptSeed, m.batch) {
+					lines = append(lines, fmt.Sprintf("%s %d: %s", m.name, i, outcomeLine(cur, r.Res, r.Err)))
+				}
+			}
+			return lines
+		}
+		want := decode()
+		next, err := reg.Reload(def.Name, def.RuleText)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if next.Epoch != c.Epoch || next.Generation != c.Generation+1 {
+			t.Fatalf("%s: reload gave epoch %x generation %d, want epoch %x generation %d",
+				transcriptSetNames[k], next.Epoch, next.Generation, c.Epoch, c.Generation+1)
+		}
+		for i, got := range decode() {
+			if got != want[i] {
+				t.Errorf("%s after an identical reload:\n got  %s\n want %s", transcriptSetNames[k], got, want[i])
 			}
 		}
 	}

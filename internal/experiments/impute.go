@@ -19,12 +19,12 @@ type ImputeMethod struct {
 	// Batch, when non-nil, decodes all prompts as lanes of one
 	// core.DecodeBatch (engine-backed methods set it); serial-only methods —
 	// stateful generators like Zoom2Net — leave it nil and fall back to Run.
-	Batch func(prompts []rules.Record, workers int, seed int64) ([]core.BatchResult, error)
+	Batch func(prompts []rules.Record, workers int, seed int64) []core.BatchResult
 }
 
 // batcher adapts an engine + decode method to the ImputeMethod.Batch shape.
-func batcher(eng *core.Engine, method core.Method) func([]rules.Record, int, int64) ([]core.BatchResult, error) {
-	return func(prompts []rules.Record, workers int, seed int64) ([]core.BatchResult, error) {
+func batcher(eng *core.Engine, method core.Method) func([]rules.Record, int, int64) []core.BatchResult {
+	return func(prompts []rules.Record, workers int, seed int64) []core.BatchResult {
 		return eng.DecodeBatch(prompts, workers, seed, method)
 	}
 }
@@ -133,10 +133,7 @@ func runOneImputation(env *Env, m ImputeMethod, test []rules.Record) (ImputeResu
 		for i, rec := range test {
 			prompts[i] = CoarseOf(rec)
 		}
-		batch, err := m.Batch(prompts, env.Scale.Workers, env.Scale.Seed+1000)
-		if err != nil {
-			return res, err
-		}
+		batch := m.Batch(prompts, env.Scale.Workers, env.Scale.Seed+1000)
 		res.Total = time.Since(start)
 		for i, b := range batch {
 			if b.Err != nil {

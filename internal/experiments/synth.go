@@ -19,13 +19,13 @@ type SynthMethod struct {
 	// Batch, when non-nil, draws all samples as lanes of one core.DecodeBatch
 	// (the GPT-2-backed generators); the fitted statistical generators
 	// stay serial via Run.
-	Batch func(n, workers int, seed int64) ([]core.BatchResult, error)
+	Batch func(n, workers int, seed int64) []core.BatchResult
 }
 
 // genBatcher adapts an engine + decode method to SynthMethod.Batch:
 // n nil prompts mean n unconditional generations.
-func genBatcher(eng *core.Engine, method core.Method) func(int, int, int64) ([]core.BatchResult, error) {
-	return func(n, workers int, seed int64) ([]core.BatchResult, error) {
+func genBatcher(eng *core.Engine, method core.Method) func(int, int, int64) []core.BatchResult {
+	return func(n, workers int, seed int64) []core.BatchResult {
 		return eng.DecodeBatch(make([]rules.Record, n), workers, seed, method)
 	}
 }
@@ -137,10 +137,7 @@ func runOneSynthesis(env *Env, m SynthMethod, ref map[string][]float64) (SynthRe
 	var recs []rules.Record
 	start := time.Now()
 	if m.Batch != nil {
-		batch, err := m.Batch(env.Scale.SampleN, env.Scale.Workers, env.Scale.Seed+2000)
-		if err != nil {
-			return res, err
-		}
+		batch := m.Batch(env.Scale.SampleN, env.Scale.Workers, env.Scale.Seed+2000)
 		res.Total = time.Since(start)
 		for _, b := range batch {
 			if b.Err != nil {

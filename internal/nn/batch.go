@@ -55,6 +55,21 @@ type BatchSession struct {
 	hbuf, hg                        []float32 // [n*F]
 	p                               []float32 // [cap] attention score row, reused lane by lane
 	inStep                          []bool    // [n] duplicate-lane check scratch
+
+	// Row sharing. cls[lane] is the lane's history class: lanes of one class
+	// hold the same tokens at the same positions, so bit-identical KV blocks
+	// and logits (DESIGN.md §7), and AppendBatch computes a (class, token)
+	// row once for all of them. Class 0 is every empty lane's; any other is
+	// drawn from classes, which only grows, so no two histories share one.
+	cls     []uint64 // [n]
+	classes uint64
+	// closed marks a lane whose last token was consumed without its forward
+	// (Consume): its KV row there and its logits were never written, so it
+	// may not be stepped again until it is emptied.
+	closed []bool // [n]
+	// AppendBatch scratch: the lanes and tokens of the step's distinct rows,
+	// and each row's index among them.
+	uLanes, uToks, rep []int // [n]
 }
 
 // NewBatchSession creates a lock-step session with n lanes, all empty.
@@ -87,6 +102,8 @@ func (bs *BatchSession) init(m *Model, n, positions int, scratch bool) {
 		kc:     make([][]float32, m.Cfg.Layers),
 		vc:     make([][]float32, m.Cfg.Layers),
 		inStep: make([]bool, n),
+		cls:    make([]uint64, n),
+		closed: make([]bool, n),
 	}
 	for l := range bs.kc {
 		bs.kc[l] = a.Alloc(n * cache)
@@ -107,22 +124,30 @@ func (bs *BatchSession) init(m *Model, n, positions int, scratch bool) {
 	bs.hbuf = a.Alloc(n * f)
 	bs.hg = a.Alloc(n * f)
 	bs.p = a.Alloc(positions)
+	rows := make([]int, 3*n)
+	bs.uLanes, bs.uToks, bs.rep = rows[:0:n], rows[n:n:2*n], rows[2*n:]
 }
 
 // Lanes returns the lane count the session was created with.
 func (bs *BatchSession) Lanes() int { return bs.n }
 
 // Reset empties every lane, making the session as good as a new one of the
-// same size. Only the positions are cleared: a lane never reads KV rows at
-// or past its length, nor logits before its first step, and every row it
-// does read it has written since — so the stale floats of a previous batch
-// are never seen and need no zeroing.
-func (bs *BatchSession) Reset() { clear(bs.pos) }
+// same size. Only the positions, classes and closed marks are cleared: a
+// lane never reads KV rows at or past its length, nor logits before its
+// first step, and every row it does read it has written since — so the
+// stale floats of a previous batch are never seen and need no zeroing.
+func (bs *BatchSession) Reset() {
+	clear(bs.pos)
+	clear(bs.cls)
+	clear(bs.closed)
+}
 
 // ResetLane empties one lane, as Reset empties all of them, leaving the
 // others as they are: the lane's next AppendBatch starts it again at
 // position 0.
-func (bs *BatchSession) ResetLane(lane int) { bs.pos[lane] = 0 }
+func (bs *BatchSession) ResetLane(lane int) {
+	bs.pos[lane], bs.cls[lane], bs.closed[lane] = 0, 0, false
+}
 
 // Len reports the number of tokens lane has consumed.
 func (bs *BatchSession) Len(lane int) int { return bs.pos[lane] }
@@ -131,14 +156,69 @@ func (bs *BatchSession) Len(lane int) int { return bs.pos[lane] }
 // advanced lane's next-position logits. Every lane is validated before any
 // state is mutated; an invalid lane aborts the whole call with a *LaneError
 // and no side effects, so the caller can retire that lane and retry.
+//
+// Rows whose lanes share a history class and receive the same token are
+// computed once: the forward runs over the first of them, and each twin
+// then copies its new K and V rows and its logits (copyStep). Since a row's
+// floats do not depend on the rows beside it, the twin's are the bits it
+// would have computed itself.
 func (bs *BatchSession) AppendBatch(lanes, toks []int) error {
-	m := bs.m
-	if len(lanes) != len(toks) {
-		return fmt.Errorf("nn: AppendBatch with %d lanes, %d tokens", len(lanes), len(toks))
+	if err := bs.validate(lanes, toks); err != nil {
+		return err
 	}
-	rows := len(lanes)
-	if rows == 0 {
+	if len(lanes) == 0 {
 		return nil
+	}
+	ul, ut := bs.uLanes[:0], bs.uToks[:0]
+	for i, lane := range lanes {
+		j := 0
+		for j < len(ul) && (bs.cls[ul[j]] != bs.cls[lane] || ut[j] != toks[i]) {
+			j++
+		}
+		if j == len(ul) {
+			ul, ut = append(ul, lane), append(ut, toks[i])
+		}
+		bs.rep[i] = j
+	}
+	bs.forward(ul, ut)
+	// Each distinct row opens one new class, which its twins join.
+	base := bs.classes
+	bs.classes += uint64(len(ul))
+	for i, lane := range lanes {
+		j := bs.rep[i]
+		if ul[j] != lane {
+			bs.copyStep(lane, ul[j])
+		}
+		bs.cls[lane] = base + 1 + uint64(j)
+		bs.pos[lane]++
+	}
+	return nil
+}
+
+// Consume feeds toks[i] to lanes[i] for every i without computing anything:
+// it validates exactly as AppendBatch does, then only advances the
+// positions. It is for a token whose forward nobody reads — the one that
+// closes a record. The lane's KV row at that position and its logits are
+// left unwritten, so the lane is closed: AppendBatch and Consume refuse it
+// until ResetLane or Reset empties it.
+func (bs *BatchSession) Consume(lanes, toks []int) error {
+	if err := bs.validate(lanes, toks); err != nil {
+		return err
+	}
+	for _, lane := range lanes {
+		bs.classes++
+		bs.cls[lane] = bs.classes
+		bs.closed[lane] = true
+		bs.pos[lane]++
+	}
+	return nil
+}
+
+// validate checks every lane of a step before either step method mutates
+// anything, returning the first invalid lane's *LaneError.
+func (bs *BatchSession) validate(lanes, toks []int) error {
+	if len(lanes) != len(toks) {
+		return fmt.Errorf("nn: step with %d lanes, %d tokens", len(lanes), len(toks))
 	}
 	for i, lane := range lanes {
 		var err error
@@ -151,10 +231,12 @@ func (bs *BatchSession) AppendBatch(lanes, toks []int) error {
 			err = fmt.Errorf("nn: frozen %d-token snapshot; Clone it to append", bs.cap)
 		case bs.inStep[lane]:
 			err = fmt.Errorf("nn: lane appears twice in one step")
-		case toks[i] < 0 || toks[i] >= m.Cfg.Vocab:
-			err = fmt.Errorf("nn: token %d outside vocab %d", toks[i], m.Cfg.Vocab)
+		case toks[i] < 0 || toks[i] >= bs.m.Cfg.Vocab:
+			err = fmt.Errorf("nn: token %d outside vocab %d", toks[i], bs.m.Cfg.Vocab)
 		case bs.pos[lane] >= bs.cap:
 			err = fmt.Errorf("nn: context length %d exceeded", bs.cap)
+		case bs.closed[lane]:
+			err = fmt.Errorf("nn: lane closed by Consume; reset it to append")
 		}
 		if err != nil {
 			for _, l := range lanes[:i] {
@@ -167,7 +249,15 @@ func (bs *BatchSession) AppendBatch(lanes, toks []int) error {
 	for _, lane := range lanes {
 		bs.inStep[lane] = false
 	}
+	return nil
+}
 
+// forward runs the decode forward for toks[r] at lanes[r]'s position, every
+// row distinct: it writes each lane's K and V rows at that position and its
+// logits row, and leaves positions and classes to the caller.
+func (bs *BatchSession) forward(lanes, toks []int) {
+	m := bs.m
+	rows := len(lanes)
 	d := m.Cfg.Dim
 	f := m.Cfg.ff() * d
 	h := m.Cfg.Heads
@@ -240,10 +330,28 @@ func (bs *BatchSession) AppendBatch(lanes, toks []int) error {
 		tensor.LayerNormRow(ln[r*d:(r+1)*d], x[r*d:(r+1)*d], m.lnfg.W, m.lnfb.W)
 	}
 	m.headLogits(bs.logits, ln, lanes)
-	for _, lane := range lanes {
-		bs.pos[lane]++
+}
+
+// copyStep gives lane dst the step its twin src just computed: src's K and
+// V rows at dst's position, in every layer, and src's logits. The two lanes
+// shared a class, so their blocks agree at every earlier position.
+func (bs *BatchSession) copyStep(dst, src int) {
+	d, h := bs.m.Cfg.Dim, bs.m.Cfg.Heads
+	dh := d / h
+	stride, t := bs.cap, bs.pos[dst]
+	db, sb := dst*stride*d, src*stride*d
+	for l := range bs.kc {
+		kcl, vcl := bs.kc[l], bs.vc[l]
+		for e := 0; e < d; e++ {
+			kcl[db+e*stride+t] = kcl[sb+e*stride+t]
+		}
+		for hd := 0; hd < h; hd++ {
+			off := (hd*stride + t) * dh
+			copy(vcl[db+off:db+off+dh], vcl[sb+off:sb+off+dh])
+		}
 	}
-	return nil
+	v := bs.m.Cfg.Vocab
+	copy(bs.logits[dst*v:(dst+1)*v], bs.logits[src*v:(src+1)*v])
 }
 
 // attendLane runs one lane's causal attention over its cache block into the
@@ -326,6 +434,8 @@ func copyLane(dst *BatchSession, dl int, src *BatchSession, sl int) {
 	v := m.Cfg.Vocab
 	copy(dst.logits[dl*v:(dl+1)*v], src.logits[sl*v:(sl+1)*v])
 	dst.pos[dl] = t
+	dst.classes++
+	dst.cls[dl] = dst.classes
 }
 
 // copyRuns copies runs blocks of n floats from src to dst, block b starting

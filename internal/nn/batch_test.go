@@ -399,46 +399,62 @@ func TestResetSessionMatchesFresh(t *testing.T) {
 	}
 }
 
-// BenchmarkBatchAppend measures the GEMM win directly: B lanes stepped in
-// lock-step versus B solo sessions appending the same tokens. The batched
-// path reads each weight block once per step instead of once per lane.
+// BenchmarkBatchAppend times AppendBatch through a whole context at the
+// served model's shape (dim 64, 2 layers, 4 heads, Ctx 48), W lanes wide.
+// lockstep/W gives every lane its own random sequence, so rows are distinct
+// past the first steps; shared/W feeds every lane the same token, so each
+// step's W rows collapse onto one; solo/W appends the distinct sequences
+// through W Sessions. ns/lane-token is the cost of one lane's token: flat
+// in W for distinct rows at this size, since the GEMM's weight reuse buys
+// little when the weights sit in cache.
 func BenchmarkBatchAppend(b *testing.B) {
-	m := goldenModel(b, benchCfg(), 9)
+	m := goldenModel(b, servedCfg(), 9)
+	ctx := m.Cfg.Ctx
 	rng := rand.New(rand.NewSource(10))
-	seq := randSeq(rng, m.Cfg.Ctx, m.Cfg.Vocab)
-	for _, lanes := range []int{4, 16, 32} {
-		laneIDs := make([]int, lanes)
-		toks := make([]int, lanes)
+	for _, w := range []int{1, 2, 4, 8, 16, 32} {
+		laneIDs := make([]int, w)
+		seqs := make([][]int, w)
 		for i := range laneIDs {
 			laneIDs[i] = i
+			seqs[i] = randSeq(rng, ctx, m.Cfg.Vocab)
 		}
-		b.Run("lockstep/"+strconv.Itoa(lanes), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				bs := m.NewBatchSession(lanes)
-				for _, tok := range seq {
-					for j := range toks {
-						toks[j] = tok
-					}
-					if err := bs.AppendBatch(laneIDs, toks); err != nil {
-						b.Fatal(err)
+		step := make([]int, w)
+		perLaneToken := func(b *testing.B) {
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*ctx*w), "ns/lane-token")
+		}
+		lockstep := func(lane func(i int) int) func(*testing.B) {
+			return func(b *testing.B) {
+				bs := m.NewBatchSession(w)
+				b.ResetTimer()
+				for n := 0; n < b.N; n++ {
+					bs.Reset()
+					for t := 0; t < ctx; t++ {
+						for i := range step {
+							step[i] = seqs[lane(i)][t]
+						}
+						if err := bs.AppendBatch(laneIDs, step); err != nil {
+							b.Fatal(err)
+						}
 					}
 				}
+				perLaneToken(b)
 			}
-		})
-		b.Run("solo/"+strconv.Itoa(lanes), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				ss := make([]*Session, lanes)
-				for j := range ss {
-					ss[j] = m.NewSession()
-				}
-				for _, tok := range seq {
-					for _, s := range ss {
+		}
+		width := strconv.Itoa(w)
+		b.Run("lockstep/"+width, lockstep(func(i int) int { return i }))
+		b.Run("shared/"+width, lockstep(func(int) int { return 0 }))
+		b.Run("solo/"+width, func(b *testing.B) {
+			for n := 0; n < b.N; n++ {
+				for _, seq := range seqs {
+					s := m.NewSession()
+					for _, tok := range seq {
 						if err := s.Append(tok); err != nil {
 							b.Fatal(err)
 						}
 					}
 				}
 			}
+			perLaneToken(b)
 		})
 	}
 }
@@ -543,4 +559,220 @@ func TestSeedLaneErrors(t *testing.T) {
 	if err := bs.SeedLane(1, m2.NewSession()); err == nil {
 		t.Fatal("cross-model seed accepted")
 	}
+}
+
+// sharedRowsCfg is the model the row-sharing tests step: 12 positions, so
+// lanes run into the context limit, and tokens drawn from {1, 2}, so rows
+// often coincide.
+func sharedRowsCfg() Config { return Config{Vocab: 7, Ctx: 12, Dim: 8, Heads: 2, Layers: 2} }
+
+// runSharedRows interprets prog as a program over a 5-lane BatchSession and
+// one solo Session per lane fed the same tokens, and after every operation
+// requires each lane that holds logits to equal its solo session bit for
+// bit. Each operation is three bytes: op, a lane mask and a token mask
+// (lane i is given token 1 + bit i); an operation on one lane takes lane
+// mask%5. By op%8:
+//
+//	0-2  AppendBatch over the masked lanes: twins when two lanes of one
+//	     class get one token, a split when they get two;
+//	3    ResetLane;
+//	4    SeedLane from the last snapshot (refused unless the lane is empty);
+//	5    CloneLane into the snapshot, unless the lane is empty or closed;
+//	6    Consume over the masked lanes, which closes them;
+//	7    AppendBatch over the masked lanes, the last of them given an
+//	     out-of-vocab token.
+//
+// A step that reaches a full or closed lane, or the bad token, must fail
+// with a *LaneError naming the first such lane and leave every lane as it
+// was; the step is then retried without that lane, as the decode driver
+// does.
+func runSharedRows(t *testing.T, m *Model, prog []byte) {
+	t.Helper()
+	const n = 5
+	bs := m.NewBatchSession(n)
+	solo := make([]*Session, n)
+	closed := make([]bool, n)
+	for i := range solo {
+		solo[i] = m.NewSession()
+	}
+	var snap, soloSnap *Session
+	check := func(what string) {
+		t.Helper()
+		for i := range solo {
+			if bs.Len(i) != solo[i].Len() {
+				t.Fatalf("%s: lane %d length %d, solo %d", what, i, bs.Len(i), solo[i].Len())
+			}
+			if bs.Len(i) > 0 && !closed[i] {
+				compareLogitsBits(t, bs.Logits(i), solo[i].Logits(), what+" lane "+strconv.Itoa(i))
+			}
+		}
+	}
+	// step feeds lanes through call, retrying without each lane refused;
+	// bad is the lane given an out-of-vocab token, or -1.
+	step := func(call func(lanes, toks []int) error, lanes, toks []int, bad int, consume bool) {
+		t.Helper()
+		for len(lanes) > 0 {
+			want := -1
+			for i, l := range lanes {
+				if l == bad || bs.Len(l) >= m.Cfg.Ctx || closed[l] {
+					want = i
+					break
+				}
+			}
+			err := call(lanes, toks)
+			if want < 0 {
+				if err != nil {
+					t.Fatalf("step %v %v: %v", lanes, toks, err)
+				}
+				break
+			}
+			var le *LaneError
+			if !errors.As(err, &le) || le.Lane != lanes[want] {
+				t.Fatalf("step %v %v: err %v, want a *LaneError on lane %d", lanes, toks, err, lanes[want])
+			}
+			check("after a refused step")
+			lanes = append(lanes[:want:want], lanes[want+1:]...)
+			toks = append(toks[:want:want], toks[want+1:]...)
+		}
+		for i, l := range lanes {
+			if err := solo[l].Append(toks[i]); err != nil {
+				t.Fatal(err)
+			}
+			closed[l] = consume
+		}
+	}
+	for len(prog) >= 3 {
+		op, mask, tokMask := prog[0], prog[1], prog[2]
+		prog = prog[3:]
+		lane := int(mask) % n
+		var lanes, toks []int
+		for i := 0; i < n; i++ {
+			if mask>>i&1 != 0 {
+				lanes = append(lanes, i)
+				toks = append(toks, 1+int(tokMask>>i&1))
+			}
+		}
+		switch op % 8 {
+		case 0, 1, 2:
+			step(bs.AppendBatch, lanes, toks, -1, false)
+		case 3:
+			bs.ResetLane(lane)
+			solo[lane], closed[lane] = m.NewSession(), false
+		case 4:
+			if snap == nil {
+				continue
+			}
+			err := bs.SeedLane(lane, snap)
+			if (err == nil) != (bs.Len(lane) == snap.Len() && solo[lane].Len() == 0) {
+				t.Fatalf("SeedLane on a lane of length %d: %v", solo[lane].Len(), err)
+			}
+			if err == nil {
+				solo[lane] = soloSnap.Clone()
+			}
+		case 5:
+			if bs.Len(lane) > 0 && !closed[lane] {
+				snap, soloSnap = bs.CloneLane(lane), solo[lane].Clone()
+			}
+		case 6:
+			step(bs.Consume, lanes, toks, -1, true)
+		case 7:
+			if len(lanes) == 0 {
+				continue
+			}
+			toks[len(toks)-1] = m.Cfg.Vocab
+			step(bs.AppendBatch, lanes, toks, lanes[len(lanes)-1], false)
+		}
+		check("after op " + strconv.Itoa(int(op%8)))
+	}
+}
+
+// TestAppendBatchSharesRows: lanes with one history that take one token
+// share one class — the forward ran once for them — and still match solo
+// sessions bit for bit; lanes that split take classes of their own, and
+// ResetLane returns a lane to the empty class. A shared step allocates
+// nothing. Then fixed and random programs run through runSharedRows.
+func TestAppendBatchSharesRows(t *testing.T) {
+	m := goldenModel(t, sharedRowsCfg(), 301)
+	bs := m.NewBatchSession(4)
+	all := []int{0, 1, 2, 3}
+	if err := bs.AppendBatch(all, []int{1, 1, 1, 2}); err != nil {
+		t.Fatal(err)
+	}
+	if err := bs.AppendBatch(all, []int{3, 3, 4, 3}); err != nil {
+		t.Fatal(err)
+	}
+	c := bs.cls
+	if c[0] == 0 || c[0] != c[1] || c[2] == c[0] || c[3] == c[0] || c[3] == c[2] {
+		t.Fatalf("classes %v: want lanes 0 and 1 shared, 2 and 3 apart", c)
+	}
+	for lane, seq := range [][]int{{1, 3}, {1, 3}, {1, 4}, {2, 3}} {
+		s := m.NewSession()
+		for _, tok := range seq {
+			if err := s.Append(tok); err != nil {
+				t.Fatal(err)
+			}
+		}
+		compareLogitsBits(t, bs.Logits(lane), s.Logits(), "lane "+strconv.Itoa(lane))
+	}
+	bs.ResetLane(2)
+	if bs.cls[2] != 0 {
+		t.Fatalf("ResetLane left class %d", bs.cls[2])
+	}
+	bs.Reset()
+	toks := []int{5, 5, 5, 5}
+	if allocs := testing.AllocsPerRun(8, func() {
+		if err := bs.AppendBatch(all, toks); err != nil {
+			t.Fatal(err)
+		}
+		if bs.cls[0] != bs.cls[3] {
+			t.Fatal("four lanes fed one token from empty do not share a class")
+		}
+	}); allocs != 0 {
+		t.Errorf("a shared step allocates %.1f objects, want 0", allocs)
+	}
+
+	for _, prog := range sharedRowsProgs() {
+		runSharedRows(t, m, prog)
+	}
+	rng := rand.New(rand.NewSource(302))
+	for i := 0; i < 40; i++ {
+		prog := make([]byte, 3*(10+rng.Intn(30)))
+		rng.Read(prog)
+		runSharedRows(t, m, prog)
+	}
+}
+
+// sharedRowsProgs are runSharedRows programs that reach each case on
+// purpose: twins from empty lanes that later split, twins past the context
+// limit, a reset twin rejoining, a seeded lane beside a cold one fed the
+// same tokens, a Consume followed by a refused step, and a bad token.
+func sharedRowsProgs() [][]byte {
+	twins := []byte{0, 0x1F, 0x00} // all five lanes, token 1
+	split := []byte{0, 0x1F, 0x0A} // lanes 1 and 3 take token 2
+	var full []byte
+	for i := 0; i < 13; i++ {
+		full = append(full, twins...)
+	}
+	return [][]byte{
+		append(append(append([]byte{}, twins...), split...), twins...),
+		full,
+		append(append(append([]byte{}, twins...), 3, 2, 0), 0, 0x1F, 0),
+		{0, 0x01, 0, 0, 0x01, 0, 5, 0x00, 0, 4, 0x01, 0, 0, 0x06, 0, 0, 0x06, 0, 0, 0x07, 0x02},
+		{0, 0x1F, 0, 6, 0x03, 0, 0, 0x1F, 0, 6, 0x01, 0, 3, 0x00, 0, 0, 0x1F, 0},
+		{0, 0x1F, 0, 7, 0x1F, 0, 7, 0x07, 0x02},
+	}
+}
+
+// FuzzAppendBatchSharedRows runs runSharedRows on arbitrary programs.
+func FuzzAppendBatchSharedRows(f *testing.F) {
+	for _, prog := range sharedRowsProgs() {
+		f.Add(prog)
+	}
+	m := goldenModel(f, sharedRowsCfg(), 301)
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		if len(prog) > 300 {
+			prog = prog[:300]
+		}
+		runSharedRows(t, m, prog)
+	})
 }

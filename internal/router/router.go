@@ -272,13 +272,8 @@ func (r *Router) runGroup(eng *core.Engine, group []*Job) {
 		seed := j.Seed
 		reqs[i] = core.BatchRequest{Prompt: j.Prompt, Ctx: j.Ctx, Seed: &seed, Method: j.Method}
 	}
-	out, err := eng.DecodeRequests(context.Background(), reqs, r.cfg.Workers, 0, nil)
-	if err != nil {
-		for _, j := range group {
-			j.Resp <- Result{Err: err, BatchSize: len(group)}
-		}
-		return
-	}
+	// Failures are per job, in out[i].Err; the returned error is always nil.
+	out, _ := eng.DecodeRequests(context.Background(), reqs, r.cfg.Workers, 0, nil)
 	for i, j := range group {
 		if out[i].Err != nil && r.cfg.OnLaneError != nil {
 			r.cfg.OnLaneError(out[i].Err)

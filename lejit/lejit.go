@@ -275,17 +275,14 @@ func (p *Pipeline) ImputeBeam(known Record, width int) (Record, Stats, error) {
 // errors in prompt order. Deterministic in seed regardless of worker count.
 // The pipeline's engine is reused: each record decodes on a pooled clone
 // sharing its compiled rule formula, so spin-up is cheap.
-func (p *Pipeline) ImputeBatch(prompts []Record, workers int, seed int64) ([]Record, []error, error) {
-	out, err := p.eng.DecodeBatch(prompts, workers, seed, core.MethodGuided)
-	if err != nil {
-		return nil, nil, err
-	}
+func (p *Pipeline) ImputeBatch(prompts []Record, workers int, seed int64) ([]Record, []error) {
+	out := p.eng.DecodeBatch(prompts, workers, seed, core.MethodGuided)
 	recs := make([]Record, len(out))
 	errs := make([]error, len(out))
 	for i, r := range out {
 		recs[i], errs[i] = r.Res.Rec, r.Err
 	}
-	return recs, errs, nil
+	return recs, errs
 }
 
 // Diagnose explains an infeasible prompt: it returns a minimal set of rule

@@ -297,10 +297,7 @@ func TestPipelineBeamAndBatch(t *testing.T) {
 
 	// Batch decode: all compliant, order preserved.
 	prompts := []Record{{"Total": {5}}, {"Total": {23}}, {"Total": {40}}, {"Total": {0}}}
-	recs, errs, err := pipe.ImputeBatch(prompts, 2, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs, errs := pipe.ImputeBatch(prompts, 2, 7)
 	for i := range prompts {
 		if errs[i] != nil {
 			t.Fatalf("prompt %d: %v", i, errs[i])
