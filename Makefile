@@ -10,9 +10,12 @@ tier1:
 	$(GO) test ./...
 
 # Full verify path: tier-1 plus static checks (vet's asmdecl pass is the
-# frame-layout check of internal/tensor/matacc_amd64.s), the race detector over
+# frame-layout check of internal/tensor's two kernels, matacc_amd64.s and
+# gelu_amd64.s), the race detector over
 # the concurrent packages (the solver, the decode loop — DecodeRequests' lane
-# groups share one *nn.Model across goroutines — and the serving daemon), GELU against its reference on all 2^32 inputs (≈ 80 s on 2 cores),
+# groups share one *nn.Model across goroutines — and the serving daemon), GELU against its reference on all 2^32 inputs (≈ 100 s on 2 cores),
+# SoftmaxRow's exponential against math.Exp on all 2^31 non-positive float32s
+# (≈ 35 s on 2 cores),
 # a default-scale retrain at GOMAXPROCS=4 that must write the committed
 # artifact byte for byte (≈ 20 s on 2 cores),
 # a cross-build so the non-amd64 kernel body cannot rot, the no-FMA gate,
@@ -30,6 +33,7 @@ verify: tier1
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; fi
 	GOMAXPROCS=4 $(GO) test -race ./internal/core/... ./internal/smt/... ./internal/nn/... ./internal/server/... ./internal/router/... ./internal/prefixcache/... ./internal/pack/...
 	$(GO) test -count=1 -v -run 'TestGELUMatchesReference' ./internal/tensor/ -gelufull
+	$(GO) test -count=1 -v -run 'TestExpMatchesMathExp' ./internal/tensor/ -expfull
 	$(GO) test -count=1 -v -run 'TestCommittedArtifactsReproduce' ./internal/experiments/ -retrain
 	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./internal/tensor/ ./internal/nn/
 	@asm=$$(GOARCH=arm64 $(GO) build -gcflags=-S ./internal/tensor ./internal/nn 2>&1 | grep '/internal/tensor/matacc\.go:'); \

@@ -496,10 +496,11 @@ func lookaheadGaveUp(slot Slot, err error) error {
 }
 
 // maxGenCaptures bounds how many sampled-region boundaries one lane may
-// snapshot. Prompt-region boundaries (where clustering lives) are not
-// counted against it; sampled-region snapshots mostly pay off when a later
-// request's longer prompt extends into this record's generated values, so a
-// couple per record buys that without cloning at every separator.
+// snapshot or find already cached. Prompt-region boundaries (where
+// clustering lives) are not counted against it; sampled-region snapshots
+// mostly pay off when a later request's longer prompt extends into this
+// record's generated values, so a couple per record buys that without
+// cloning at every separator.
 const maxGenCaptures = 2
 
 // maybeCapture freezes the lane's paired (LM, solver) state at the current
@@ -517,6 +518,12 @@ func (ld *laneDecoder) maybeCapture() {
 	}
 	cache := e.cfg.PrefixCache
 	if !cache.NeedsInsert(ld.key, e.fingerprint) {
+		// A generated boundary already cached spends the budget as an
+		// insert would: a lane that walked past it would insert deeper
+		// boundaries on every repeat of its request, and never settle.
+		if gen {
+			ld.genCaps++
+		}
 		return
 	}
 	sess := ld.capture()

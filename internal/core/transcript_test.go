@@ -16,6 +16,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/nn"
 	"repro/internal/pack"
+	"repro/internal/prefixcache"
 	"repro/internal/race"
 	"repro/internal/rules"
 	"repro/internal/vocab"
@@ -494,10 +495,64 @@ func reverseConjuncts(n rules.Node, ands *int) rules.Node {
 // every shipped rule set on the seeded transformer, reloading a registered
 // pack with the rule text it already serves keeps its epoch and takes the
 // next generation, and the transcripts' prompts then decode, with every
-// method, to the same lines — bytes, errors and every Stats field. (The
-// registry has no prefix cache: a warm cache captures new snapshots pass
-// after pass, so its Stats would move without any reload.)
+// method, to the same lines — bytes, errors and every Stats field. It runs
+// on a registry without a prefix cache, and on one with a cache after a
+// warming pass: a warm cache is at its fixed point (see
+// TestRepeatedBatchSettlesCache), and the same epoch keeps its entries.
 func TestIdenticalReloadLeavesOutput(t *testing.T) {
+	defs, recs := shippedRuleSets(t)
+	for _, cacheBytes := range []int64{0, 8 << 20} {
+		for k, def := range defs {
+			tok, err := def.Tokenizer()
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := compileWith(t, def, core.WrapNN(transcriptNN(t, tok.Size(), 96)))
+			reg := pack.NewRegistry(cacheBytes)
+			if err := reg.Register(c); err != nil {
+				t.Fatal(err)
+			}
+			prompts := transcriptPrompts(def, recs)
+			decode := func() []string {
+				cur, _ := reg.Get(def.Name)
+				var lines []string
+				for _, m := range transcriptMethods {
+					for i, r := range cur.Engine.DecodeBatch(prompts, 1, transcriptSeed, m.batch) {
+						lines = append(lines, fmt.Sprintf("%s %d: %s", m.name, i, outcomeLine(cur, r.Res, r.Err)))
+					}
+				}
+				return lines
+			}
+			if cacheBytes > 0 {
+				decode()
+			}
+			want := decode()
+			next, err := reg.Reload(def.Name, def.RuleText)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if next.Epoch != c.Epoch || next.Generation != c.Generation+1 {
+				t.Fatalf("%s: reload gave epoch %x generation %d, want epoch %x generation %d",
+					transcriptSetNames[k], next.Epoch, next.Generation, c.Epoch, c.Generation+1)
+			}
+			for i, got := range decode() {
+				if got != want[i] {
+					t.Errorf("%s (cache %d B) after an identical reload:\n got  %s\n want %s", transcriptSetNames[k], cacheBytes, got, want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestRepeatedBatchSettlesCache: decoding one batch again and again on an
+// engine with a prefix cache reaches its fixed point after one pass. For
+// every shipped rule set on the seeded transformer and every method, the
+// second pass captures no snapshot, and the third decodes to the second's
+// lines — bytes, errors and every Stats field, hits and captures included.
+// A lane that meets a boundary already cached spends its capture budget on
+// it, as if it had inserted it; otherwise it walks past it and inserts
+// deeper ones on every later pass.
+func TestRepeatedBatchSettlesCache(t *testing.T) {
 	defs, recs := shippedRuleSets(t)
 	for k, def := range defs {
 		tok, err := def.Tokenizer()
@@ -505,33 +560,26 @@ func TestIdenticalReloadLeavesOutput(t *testing.T) {
 			t.Fatal(err)
 		}
 		c := compileWith(t, def, core.WrapNN(transcriptNN(t, tok.Size(), 96)))
-		reg := pack.NewRegistry(0)
-		if err := reg.Register(c); err != nil {
-			t.Fatal(err)
-		}
+		c.Engine.SetPrefixCache(prefixcache.New(8 << 20))
 		prompts := transcriptPrompts(def, recs)
-		decode := func() []string {
-			cur, _ := reg.Get(def.Name)
-			var lines []string
+		pass := func() (lines []string, captures int) {
 			for _, m := range transcriptMethods {
-				for i, r := range cur.Engine.DecodeBatch(prompts, 1, transcriptSeed, m.batch) {
-					lines = append(lines, fmt.Sprintf("%s %d: %s", m.name, i, outcomeLine(cur, r.Res, r.Err)))
+				for i, r := range c.Engine.DecodeBatch(prompts, 1, transcriptSeed, m.batch) {
+					lines = append(lines, fmt.Sprintf("%s %d: %s", m.name, i, outcomeLine(c, r.Res, r.Err)))
+					captures += r.Res.Stats.PrefixCaptures
 				}
 			}
-			return lines
+			return lines, captures
 		}
-		want := decode()
-		next, err := reg.Reload(def.Name, def.RuleText)
-		if err != nil {
-			t.Fatal(err)
+		pass()
+		second, captures := pass()
+		if captures != 0 {
+			t.Errorf("%s: the second pass of an identical batch captured %d snapshots", transcriptSetNames[k], captures)
 		}
-		if next.Epoch != c.Epoch || next.Generation != c.Generation+1 {
-			t.Fatalf("%s: reload gave epoch %x generation %d, want epoch %x generation %d",
-				transcriptSetNames[k], next.Epoch, next.Generation, c.Epoch, c.Generation+1)
-		}
-		for i, got := range decode() {
-			if got != want[i] {
-				t.Errorf("%s after an identical reload:\n got  %s\n want %s", transcriptSetNames[k], got, want[i])
+		third, _ := pass()
+		for i := range third {
+			if third[i] != second[i] {
+				t.Errorf("%s: third pass differs from the second:\n got  %s\n want %s", transcriptSetNames[k], third[i], second[i])
 			}
 		}
 	}

@@ -2,12 +2,12 @@ package nn
 
 import "repro/internal/tensor"
 
-// This file holds the decode GEMM. Every product of the decode forward but
-// the tied head — the projections below, and attention's scores and value
-// sums in batch.go — is one call of tensor.MatAccum, which keeps one
-// accumulator per output element fed in ascending input order whatever the
-// row count, so any batch size produces bit-identical float32 results; a
-// Session is the rows=1 case.
+// This file holds the decode GEMM. Every product of the decode forward — the
+// projections below, attention's scores and value sums in batch.go, and the
+// tied head — is one call of tensor.MatAccum, which keeps one accumulator
+// per output element fed in ascending input order whatever the row count,
+// so any batch size produces bit-identical float32 results; a Session is the
+// rows=1 case.
 
 // matLinear computes Y = X·W + b for X [rows, in], Y [rows, out], both
 // compacted row-major. Per element the accumulation is the scalar loop's:
@@ -20,16 +20,27 @@ func matLinear(y, x, w, b []float32, in, out, rows int) {
 }
 
 // headLogits computes the tied-head logits of the final layer-norm rows, one
-// per lane: compacted row r goes to logits row lanes[r]. Vocab-outer, so
-// each embedding row is streamed once for all lanes; per (lane, v) the value
-// is the ⟨ln_r, tok_v⟩ Dot.
+// per lane: compacted row r goes to logits row lanes[r], as one MatAccum
+// over the [Dim, Vocab] transpose of the embedding. Each logit starts at +0
+// and adds ln_r[i]·tok_v[i] in ascending i — the float32 sequence of the
+// scalar dot product ⟨ln_r, tok_v⟩.
 func (m *Model) headLogits(logits, ln []float32, lanes []int) {
 	d := m.Cfg.Dim
 	vocab := m.Cfg.Vocab
-	for vv := 0; vv < vocab; vv++ {
-		wv := m.tok.W[vv*d : (vv+1)*d]
-		for r, lane := range lanes {
-			logits[lane*vocab+vv] = tensor.Dot(ln[r*d:(r+1)*d], wv)
-		}
+	for r, lane := range lanes {
+		row := logits[lane*vocab : (lane+1)*vocab]
+		clear(row)
+		tensor.MatAccum(row, ln[r*d:(r+1)*d], m.tokT, 1, d, vocab, vocab)
 	}
+}
+
+// transposeHead rewrites m.tokT from the embedding. Every place that sets
+// weights calls it — New, Load and each Adam step — so the head never reads
+// a stale copy.
+func (m *Model) transposeHead() {
+	d := m.Cfg.Dim
+	if m.tokT == nil {
+		m.tokT = make([]float32, d*m.Cfg.Vocab)
+	}
+	tensor.Transpose(tensor.FromSlice(d, m.Cfg.Vocab, m.tokT), tensor.FromSlice(m.Cfg.Vocab, d, m.tok.W))
 }

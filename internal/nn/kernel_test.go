@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"strconv"
@@ -10,7 +11,7 @@ import (
 )
 
 // This file pins the per-token kernels (the tensor.MatAccum register tiles
-// for projections and attention, 4-wide Dot, table-driven GELU, the
+// for projections, attention and the tied head, table-driven GELU, the
 // key-transposed KV cache, Clone's filled-prefix copy) to the seed implementation:
 // refSession.Append below is the seed's Session.Append copied verbatim (over
 // [Ctx, D] row-major caches, the zero-skipping scalar vecLinear and the
@@ -305,10 +306,7 @@ func TestVecLinearMatchesSeed(t *testing.T) {
 		checkGemmMatchesSeed(t, rng, fill, 1)
 
 		in := 1 + rng.Intn(33)
-		x, y := fill(in), fill(in)
-		if g, w := tensor.Dot(x, y), refDot(x, y); math.Float32bits(g) != math.Float32bits(w) {
-			t.Fatalf("Dot len=%d: got %v, seed %v", in, g, w)
-		}
+		x := fill(in)
 		ya, yb := fill(in), make([]float32, in)
 		copy(yb, ya)
 		a := float32(rng.NormFloat64())
@@ -321,6 +319,98 @@ func TestVecLinearMatchesSeed(t *testing.T) {
 				t.Fatalf("Axpy len=%d i=%d: got %v, seed %v", in, i, ya[i], yb[i])
 			}
 		}
+	}
+}
+
+// TestHeadMatchesDot holds the tied head — one MatAccum per lane over the
+// transposed embedding — to the scalar dot product it replaced, by
+// Float32bits, at 1, 2, 7 and 32 rows written to scattered lanes, with zeros
+// and denormals among the layer-norm values. Logits rows of lanes not in
+// the step must stay untouched.
+func TestHeadMatchesDot(t *testing.T) {
+	cfg := servedCfg()
+	m := goldenModel(t, cfg, 5)
+	d, vocab := cfg.Dim, cfg.Vocab
+	rng := rand.New(rand.NewSource(6))
+	const lanes = 40
+	for _, rows := range []int{1, 2, 7, 32} {
+		ln := make([]float32, rows*d)
+		for i := range ln {
+			switch rng.Intn(16) {
+			case 0:
+				ln[i] = 0
+			case 1:
+				ln[i] = float32(rng.NormFloat64() * 1e-39)
+			default:
+				ln[i] = float32(rng.NormFloat64())
+			}
+		}
+		ids := rng.Perm(lanes)[:rows]
+		logits := make([]float32, lanes*vocab)
+		for i := range logits {
+			logits[i] = -3
+		}
+		m.headLogits(logits, ln, ids)
+		want := make([]float32, lanes*vocab)
+		for i := range want {
+			want[i] = -3
+		}
+		for r, lane := range ids {
+			for v := 0; v < vocab; v++ {
+				want[lane*vocab+v] = refDot(ln[r*d:(r+1)*d], m.tok.W[v*d:(v+1)*d])
+			}
+		}
+		compareLogitsBits(t, logits, want, "rows "+strconv.Itoa(rows))
+	}
+}
+
+// TestHeadFollowsTraining decodes on a model, trains it, and requires its
+// sessions to give the logits of the same weights freshly loaded, by
+// Float32bits: the head's transposed embedding must be the trained one, not
+// a copy taken before training.
+func TestHeadFollowsTraining(t *testing.T) {
+	cfg := Config{Vocab: 13, Ctx: 16, Dim: 24, Heads: 4, Layers: 2}
+	m := goldenModel(t, cfg, 12)
+	rng := rand.New(rand.NewSource(13))
+	seq := randSeq(rng, cfg.Ctx, cfg.Vocab)
+	s := m.NewSession()
+	for _, tok := range seq {
+		if err := s.Append(tok); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := append([]float32(nil), s.Logits()...)
+	var seqs [][]int
+	for i := 0; i < 16; i++ {
+		seqs = append(seqs, randSeq(rng, cfg.Ctx+1, cfg.Vocab))
+	}
+	if _, err := m.Train(seqs, TrainConfig{Epochs: 2, Batch: 8, LR: 1e-2, Seed: 1, Workers: 1}); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := m.NewSession(), fresh.NewSession()
+	for _, tok := range seq {
+		if err := got.Append(tok); err != nil {
+			t.Fatal(err)
+		}
+		if err := want.Append(tok); err != nil {
+			t.Fatal(err)
+		}
+		compareLogitsBits(t, got.Logits(), want.Logits(), "trained model vs reloaded")
+	}
+	same := true
+	for v, x := range got.Logits() {
+		same = same && math.Float32bits(x) == math.Float32bits(before[v])
+	}
+	if same {
+		t.Fatal("training left the logits unchanged; the test checks nothing")
 	}
 }
 
@@ -351,33 +441,47 @@ func BenchmarkVecLinear(b *testing.B) {
 	})
 }
 
-func BenchmarkDot(b *testing.B) {
-	const n = 256
+// BenchmarkHeadLogits times the tied head of one decode step at the served
+// geometry (dim 64, vocabulary 17) for 1 and 32 lanes: matacc is headLogits
+// (one MatAccum per lane over the transposed embedding), dot the seed's
+// per-logit refDot over the embedding rows.
+func BenchmarkHeadLogits(b *testing.B) {
+	cfg := servedCfg()
+	m := goldenModel(b, cfg, 3)
+	d, vocab := cfg.Dim, cfg.Vocab
 	rng := rand.New(rand.NewSource(3))
-	x, y := make([]float32, n), make([]float32, n)
-	for i := range x {
-		x[i] = float32(rng.NormFloat64())
-		y[i] = float32(rng.NormFloat64())
+	for _, rows := range []int{1, 32} {
+		ln, logits := make([]float32, rows*d), make([]float32, rows*vocab)
+		for i := range ln {
+			ln[i] = float32(rng.NormFloat64())
+		}
+		lanes := make([]int, rows)
+		for i := range lanes {
+			lanes[i] = i
+		}
+		b.Run("rows"+strconv.Itoa(rows)+"/matacc", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				m.headLogits(logits, ln, lanes)
+			}
+		})
+		b.Run("rows"+strconv.Itoa(rows)+"/dot", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for v := 0; v < vocab; v++ {
+					wv := m.tok.W[v*d : (v+1)*d]
+					for r := range lanes {
+						logits[r*vocab+v] = refDot(ln[r*d:(r+1)*d], wv)
+					}
+				}
+			}
+		})
 	}
-	var sink float32
-	b.Run("unrolled", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sink += tensor.Dot(x, y)
-		}
-	})
-	b.Run("seed", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sink += refDot(x, y)
-		}
-	})
-	_ = sink
 }
 
 // BenchmarkAttentionInner times one lane's per-head score and value loops at
 // the served geometry, for histories of 1, 16 and 47 positions, leaving out
 // the softmax both share: matacc is attendLane's two MatAccum calls over the
-// key-transposed cache, dotaxpy the per-position Dot and Axpy loop over a
-// head-major key cache that it replaced.
+// key-transposed cache, dotaxpy the per-position dot product (refDot) and
+// Axpy loop over a head-major key cache that it replaced.
 func BenchmarkAttentionInner(b *testing.B) {
 	cfg := servedCfg()
 	ctx, d := cfg.Ctx, cfg.Dim
@@ -411,7 +515,7 @@ func BenchmarkAttentionInner(b *testing.B) {
 				for off := 0; off < d; off += dh {
 					kh, vh := keysHead[off*ctx:], vals[off*ctx:]
 					for j := 0; j < n; j++ {
-						p[j] = tensor.Dot(q[off:off+dh], kh[j*dh:j*dh+dh]) * scale
+						p[j] = refDot(q[off:off+dh], kh[j*dh:j*dh+dh]) * scale
 					}
 					for j := 0; j < n; j++ {
 						tensor.Axpy(attn[off:off+dh], p[j], vh[j*dh:j*dh+dh])

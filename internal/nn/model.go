@@ -83,8 +83,9 @@ type layerParams struct {
 // Load a serialized one. The LM head is weight-tied to the token embedding.
 type Model struct {
 	Cfg    Config
-	tok    *Param // [V, D]
-	pos    *Param // [Ctx, D]
+	tok    *Param    // [V, D]
+	tokT   []float32 // [D, V]: tok transposed, the decode head's operand
+	pos    *Param    // [Ctx, D]
 	layers []layerParams
 	lnfg   *Param // [D]
 	lnfb   *Param // [D]
@@ -163,6 +164,7 @@ func New(cfg Config, seed int64) (*Model, error) {
 	m.lnfg = reg(d)
 	ones(m.lnfg)
 	m.lnfb = reg(d)
+	m.transposeHead()
 	return m, nil
 }
 
@@ -252,6 +254,7 @@ func Load(r io.Reader) (*Model, error) {
 		}
 		copy(p.W, g.Weights[i])
 	}
+	m.transposeHead()
 	m.step = g.Step
 	return m, nil
 }

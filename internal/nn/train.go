@@ -193,6 +193,7 @@ func (m *Model) adamStep(g *grads, lr, clipNorm, weightDecay float64) {
 			p.W[i] -= float32(upd)
 		}
 	}
+	m.transposeHead()
 }
 
 // EvalLoss computes the mean per-sequence loss over a held-out set.

@@ -73,8 +73,17 @@ func init() {
 }
 
 // GELU applies the tanh-approximation GELU elementwise: out[i] = gelu(x[i]),
-// bit for bit the float32 geluRef returns.
+// bit for bit the float32 geluRef returns. out must be at least as long as
+// x, and may be x itself. amd64 runs the fast path on two inputs per SSE2
+// instruction (gelu_amd64.s); every other GOARCH runs geluGeneric.
 func GELU(out, x []float32) {
+	gelu(out[:len(x)], x)
+}
+
+// geluGeneric is GELU as a Go loop: the body on every GOARCH without an
+// assembly kernel, the kernel's fallback for an input it does not take, and
+// the reference the tests hold the kernel to.
+func geluGeneric(out, x []float32) {
 	for i, v := range x {
 		u := float64(v)
 		if a := math.Abs(u); a >= geluMin && a < geluMax {

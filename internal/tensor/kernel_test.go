@@ -10,9 +10,10 @@ import (
 	"testing"
 )
 
-// This file holds the two hot kernels to their definitions bit for bit:
+// This file holds the hot kernels to their definitions bit for bit:
 // MatAccum to the Go loop matAccumGeneric, GELU to the float64 tanh
-// expression geluRef. Neither comparison has a tolerance.
+// expression geluRef and its SSE2 pairs to the Go loop geluGeneric, and
+// SoftmaxRow's expFast to math.Exp. No comparison has a tolerance.
 
 // wildOperands draws floats that stress the arithmetic, not just the
 // indexing: signed zeros, denormals, infinities and magnitudes whose products
@@ -244,6 +245,167 @@ func TestGELUMatchesReference(t *testing.T) {
 	}
 }
 
+// TestGELUPairsMatchScalar holds GELU — on amd64 the SSE2 pair kernel with
+// geluGeneric taking the pairs it refuses — to geluGeneric itself, at every
+// length 0–9 and start offsets of 0–3 floats, on inputs that mix in-range
+// values with NaN, ±Inf, ±0, subnormals, ±geluMin, ±geluMax and their
+// neighbours, so that pairs with only one element in range occur in both
+// orders. Guard floats around out must stay untouched, and a call in place
+// (out = x) must write what a call out of place does.
+func TestGELUPairsMatchScalar(t *testing.T) {
+	edge := []float32{
+		float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)),
+		0, float32(math.Copysign(0, -1)), math.SmallestNonzeroFloat32, -1e-40,
+		geluMin, -geluMin, math.Nextafter32(geluMin, 0), -math.Nextafter32(geluMin, 1),
+		geluMax, -geluMax, math.Nextafter32(geluMax, 0), -math.Nextafter32(geluMax, 0),
+	}
+	rng := rand.New(rand.NewSource(23))
+	draw := func() float32 {
+		if rng.Intn(3) == 0 {
+			return edge[rng.Intn(len(edge))]
+		}
+		return float32(rng.NormFloat64() * 2)
+	}
+	const guard = 2
+	check := func(x []float32) {
+		t.Helper()
+		n := len(x)
+		want := make([]float32, n)
+		geluGeneric(want, x)
+		for off := 0; off < 4; off++ {
+			buf := make([]float32, guard+off+n+guard)
+			for i := range buf {
+				buf[i] = -7
+			}
+			GELU(buf[guard+off:guard+off+n], x)
+			inPlace := make([]float32, off+n)
+			copy(inPlace[off:], x)
+			GELU(inPlace[off:], inPlace[off:])
+			for i := range buf {
+				w := float32(-7)
+				if i >= guard+off && i < guard+off+n {
+					w = want[i-guard-off]
+				}
+				if math.Float32bits(buf[i]) != math.Float32bits(w) {
+					t.Fatalf("x=%v off=%d: out buffer [%d] = %#08x, scalar %#08x", x, off, i, math.Float32bits(buf[i]), math.Float32bits(w))
+				}
+			}
+			for i, w := range want {
+				if math.Float32bits(inPlace[off+i]) != math.Float32bits(w) {
+					t.Fatalf("x=%v off=%d: in place [%d] = %#08x, scalar %#08x", x, off, i, math.Float32bits(inPlace[off+i]), math.Float32bits(w))
+				}
+			}
+		}
+	}
+	// Every edge value beside an in-range one, in both orders, at an even
+	// and an odd position.
+	for _, e := range edge {
+		for _, x := range [][]float32{{e, 0.75}, {0.75, e}, {1.5, e, -0.25}, {1.5, -0.25, e}} {
+			check(x)
+		}
+	}
+	for trial := 0; trial < 300; trial++ {
+		for n := 0; n <= 9; n++ {
+			x := make([]float32, n)
+			for i := range x {
+				x[i] = draw()
+			}
+			check(x)
+		}
+	}
+}
+
+var expFull = flag.Bool("expfull", false, "TestExpMatchesMathExp sweeps all 2^31 non-positive float32s (≈ 30 s on 2 cores)")
+
+// expMismatches runs expFast over the given bit patterns and counts the
+// inputs in its range [expMin, 0], those it takes and those whose result is
+// not bit-equal to float32(math.Exp(float64(x))). The inputs it refuses go
+// to math.Exp itself, so they need no check.
+func expMismatches(t *testing.T, bits []uint32) (inRange, fast, bad uint64) {
+	for _, b := range bits {
+		x := math.Float32frombits(b)
+		if x >= expMin && x <= 0 {
+			inRange++
+		}
+		got, ok := expFast(x)
+		if !ok {
+			continue
+		}
+		fast++
+		if want := float32(math.Exp(float64(x))); math.Float32bits(got) != math.Float32bits(want) {
+			if bad++; !t.Failed() {
+				t.Errorf("expFast(%#08x = %g) = %#08x, math.Exp %#08x", b, x, math.Float32bits(got), math.Float32bits(want))
+			}
+		}
+	}
+	return inRange, fast, bad
+}
+
+// TestExpMatchesMathExp is the proof that SoftmaxRow's exponential is
+// exact: with -expfull (make verify, CI) on all 2³¹ float32s whose sign bit
+// is set — every argument SoftmaxRow can pass but +0 — and in tier-1 on
+// every 251st of them plus every pattern within 2 ulp of a place where the
+// evaluation changes branch or table entry. It logs the share of the
+// inputs in [expMin, 0] that the fast path takes; the rest go to math.Exp.
+func TestExpMatchesMathExp(t *testing.T) {
+	const batch = 1 << 12
+	stride := uint64(251)
+	if *expFull {
+		stride = 1
+	}
+	workers := runtime.GOMAXPROCS(0)
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	var patterns, inRange, fast, mismatches uint64
+	span := (uint64(1)<<31 + uint64(workers) - 1) / uint64(workers)
+	for w := 0; w < workers; w++ {
+		lo, hi := uint64(w)*span, min(uint64(w+1)*span, 1<<31)
+		lo = (lo + stride - 1) / stride * stride
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			bits := make([]uint32, 0, batch)
+			var n, in, f, bad uint64
+			for b := lo; b < hi; {
+				bits = bits[:0]
+				for ; b < hi && len(bits) < batch; b += stride {
+					bits = append(bits, uint32(b)|0x80000000)
+				}
+				n += uint64(len(bits))
+				bi, bf, bb := expMismatches(t, bits)
+				in, f, bad = in+bi, f+bf, bad+bb
+			}
+			mu.Lock()
+			patterns, inRange, fast, mismatches = patterns+n, inRange+in, fast+f, mismatches+bad
+			mu.Unlock()
+		}()
+	}
+	wg.Wait()
+
+	if !*expFull {
+		// The seams: expMin, the points where the nearest k changes
+		// (u·32/ln2 = j + ½), 0, the smallest subnormal, −Inf and NaN; +0 too.
+		edges := []float32{expMin, 0, math.SmallestNonzeroFloat32, float32(math.Inf(1)), float32(math.NaN())}
+		for j := 0; j < 32*128; j++ {
+			edges = append(edges, float32((float64(j)+0.5)*math.Ln2/32))
+		}
+		var bits []uint32
+		for _, e := range edges {
+			for d := -2; d <= 2; d++ {
+				bits = append(bits, (math.Float32bits(e)+uint32(d))|0x80000000)
+			}
+		}
+		bits = append(bits, 0)
+		in, f, bad := expMismatches(t, bits)
+		patterns, inRange, fast, mismatches = patterns+uint64(len(bits)), inRange+in, fast+f, mismatches+bad
+	}
+	t.Logf("%d patterns, %d in [expMin, 0], fast path %d of them (%.4f %%), %d mismatches",
+		patterns, inRange, fast, 100*float64(fast)/float64(inRange), mismatches)
+	if mismatches > 0 {
+		t.Fail()
+	}
+}
+
 // BenchmarkMatAccum times one kernel call at the decode model's shapes (dim
 // 64, 4 heads, Ctx 48): the q/k/v/output projections (64→64), the MLP up-
 // (64→256) and down-projection (256→64) at 1 row (solo decode), 2 (the
@@ -294,7 +456,9 @@ func BenchmarkMatAccum(b *testing.B) {
 }
 
 // BenchmarkGELU times one lock-step step's worth of MLP activations (32 lanes
-// × 256) at roughly the spread the trained model's pre-activations have.
+// × 256) at roughly the spread the trained model's pre-activations have:
+// reference is geluRef per element, scalar the Go loop geluGeneric, GELU what
+// this GOARCH dispatches to.
 func BenchmarkGELU(b *testing.B) {
 	const n = 8192
 	rng := rand.New(rand.NewSource(2))
@@ -313,10 +477,62 @@ func BenchmarkGELU(b *testing.B) {
 		}
 		perElement(b)
 	})
+	b.Run("scalar", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			geluGeneric(out, x)
+		}
+		perElement(b)
+	})
 	b.Run("GELU", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			GELU(out, x)
 		}
 		perElement(b)
 	})
+}
+
+// softmaxRowMathExp is SoftmaxRow with math.Exp, as it was before exp32.
+func softmaxRowMathExp(x []float32) {
+	maxV := x[0]
+	for _, v := range x[1:] {
+		if v > maxV {
+			maxV = v
+		}
+	}
+	var sum float32
+	for i, v := range x {
+		e := float32(math.Exp(float64(v - maxV)))
+		x[i] = e
+		sum += e
+	}
+	inv := 1 / sum
+	for i := range x {
+		x[i] *= inv
+	}
+}
+
+// BenchmarkSoftmaxRow times the attention softmax over score rows of the
+// lengths a served lane sees (1, 16 and 47 positions, scores of the spread
+// a trained model's have): mathexp is the row with math.Exp, SoftmaxRow the
+// one with exp32.
+func BenchmarkSoftmaxRow(b *testing.B) {
+	rng := rand.New(rand.NewSource(3))
+	src := make([]float32, 48)
+	for i := range src {
+		src[i] = float32(rng.NormFloat64() * 2)
+	}
+	x := make([]float32, len(src))
+	for _, n := range []int{1, 16, 47} {
+		for _, k := range []struct {
+			name string
+			fn   func([]float32)
+		}{{"mathexp", softmaxRowMathExp}, {"SoftmaxRow", SoftmaxRow}} {
+			b.Run(fmt.Sprintf("len%d/%s", n, k.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					copy(x, src[:n])
+					k.fn(x[:n])
+				}
+			})
+		}
+	}
 }

@@ -3,14 +3,15 @@
 // the transposed forms needed by manual backpropagation), softmax,
 // layer-norm and GELU forward/backward, and seeded Gaussian initialization.
 //
-// Everything is scalar Go with cache-friendly loop ordering, except one
-// kernel: MatAccum, which computes every matmul — the decode forward's
-// projections and attention products and the three training products —
-// has an SSE2 body on amd64 (matacc_amd64.s) that keeps output tiles in
-// registers and performs the Go loop's float32 operations on each element in
-// the Go loop's order. No dependency, no cgo — fast enough for the
-// paper-scale models LeJIT uses (the paper deliberately picks a small,
-// generic LM; see DESIGN.md).
+// Everything is scalar Go with cache-friendly loop ordering, except two
+// kernels with SSE2 bodies on amd64. MatAccum, which computes every matmul —
+// the decode forward's projections, attention products and tied head, and
+// the three training products — keeps output tiles in registers
+// (matacc_amd64.s); GELU evaluates its table two inputs per instruction
+// (gelu_amd64.s). Both perform the Go loop's float64/float32 operations on
+// each element in the Go loop's order. No dependency, no cgo — fast enough
+// for the paper-scale models LeJIT uses (the paper deliberately picks a
+// small, generic LM; see DESIGN.md).
 package tensor
 
 import (
@@ -156,7 +157,9 @@ func SumRowsInto(v []float32, m *Mat) {
 	}
 }
 
-// SoftmaxRow computes a numerically stable softmax of x in place.
+// SoftmaxRow computes a numerically stable softmax of x in place. Each
+// exponential is float32(math.Exp(float64(v − max))), through expFast when
+// it settles the rounding.
 func SoftmaxRow(x []float32) {
 	if len(x) == 0 {
 		return
@@ -169,7 +172,10 @@ func SoftmaxRow(x []float32) {
 	}
 	var sum float32
 	for i, v := range x {
-		e := float32(math.Exp(float64(v - maxV)))
+		e, ok := expFast(v - maxV)
+		if !ok {
+			e = float32(math.Exp(float64(v - maxV)))
+		}
 		x[i] = e
 		sum += e
 	}
@@ -263,27 +269,6 @@ func Axpy(y []float32, a float32, x []float32) {
 	for ; i < len(y); i++ {
 		y[i] += a * x[i]
 	}
-}
-
-// Dot returns ⟨x, y⟩. Unrolled 4-wide into a single accumulator with the
-// adds kept as separate sequential statements, so the summation order — and
-// therefore the float32 result — is bit-identical to the scalar loop.
-func Dot(x, y []float32) float32 {
-	if len(x) != len(y) {
-		panic("tensor: Dot length mismatch")
-	}
-	var s float32
-	i := 0
-	for ; i+4 <= len(x); i += 4 {
-		s += x[i] * y[i]
-		s += x[i+1] * y[i+1]
-		s += x[i+2] * y[i+2]
-		s += x[i+3] * y[i+3]
-	}
-	for ; i < len(x); i++ {
-		s += x[i] * y[i]
-	}
-	return s
 }
 
 // Scale multiplies x by a elementwise.

@@ -319,14 +319,11 @@ func TestGELUValues(t *testing.T) {
 	}
 }
 
-func TestAxpyDotScale(t *testing.T) {
+func TestAxpyScale(t *testing.T) {
 	y := []float32{1, 2}
 	Axpy(y, 2, []float32{3, 4})
 	if y[0] != 7 || y[1] != 10 {
 		t.Errorf("Axpy = %v", y)
-	}
-	if d := Dot([]float32{1, 2, 3}, []float32{4, 5, 6}); d != 32 {
-		t.Errorf("Dot = %v", d)
 	}
 	x := []float32{2, 4}
 	Scale(x, 0.5)
