@@ -264,6 +264,29 @@ func BenchmarkLockStepDecode(b *testing.B) {
 	}
 }
 
+// BenchmarkLaneAcquire measures what a lane costs on a clone-pool miss —
+// at start-up, after every reload, and for a batch wider than any before
+// it: one Engine.Clone of an engine under the mined impute rules and under
+// the synthesis rules.
+func BenchmarkLaneAcquire(b *testing.B) {
+	env := benchEnv(b)
+	for _, set := range []struct {
+		name string
+		rs   *rules.RuleSet
+	}{{"impute", env.ImputeRules}, {"synth", env.SynthRules}} {
+		b.Run(set.name, func(b *testing.B) {
+			eng := benchEngine(b, set.rs, core.LeJIT)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := eng.Clone(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkAblationStructureOnly(b *testing.B) {
 	eng := benchEngine(b, benchEnv(b).ImputeRules, core.StructureOnly)
 	benchImputeMethod(b, eng.Impute)

@@ -129,8 +129,8 @@ func TestDecodeBatchMethod(t *testing.T) {
 }
 
 // TestDecodeBatchRace hammers the pool so `go test -race` can prove engine
-// isolation: shared LM weights and the shared compiled rule formula are
-// read-only; everything mutable is per-clone.
+// isolation: shared LM weights, the shared program and the compiled rules a
+// clone's solver forks are read-only; everything mutable is per-clone.
 func TestDecodeBatchRace(t *testing.T) {
 	e := testEngine(t, uniformLM{vocab: vocab.Telemetry().Size()}, LeJIT)
 	prompts := testPrompts(24)
@@ -150,8 +150,8 @@ func TestCloneSharesCompiledRules(t *testing.T) {
 	if got := c.SolverStats().Checks; got != 0 {
 		t.Errorf("clone performed %d solver checks at construction, want 0", got)
 	}
-	if c.ruleFormula == nil {
-		t.Error("clone did not inherit the compiled rule formula")
+	if c.program != e.program || c.solver.NumAssertions() != 1 {
+		t.Errorf("clone shares program %v (want its parent's) and holds %d assertions (want the forked rules)", c.program == e.program, c.solver.NumAssertions())
 	}
 	// The clone must still enforce: decode and check compliance.
 	res, err := c.Impute(rules.Record{"TotalIngress": {120}, "Congestion": {10}}, rand.New(rand.NewSource(1)))

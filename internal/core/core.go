@@ -275,61 +275,30 @@ func (e ErrInfeasible) Error() string {
 	return "core: no rule-compliant completion exists: " + e.Detail
 }
 
-// Engine decodes records from a language model. It owns a solver with the
-// rule set compiled once; per-record state is pushed and popped, so an
-// Engine is not safe for concurrent use — Clone one per goroutine.
+// Engine decodes records from a language model. It is a program — the rule
+// set compiled once per NewEngine, shared read-only — plus one solver and the
+// per-record state a decode mutates; per-record state is pushed and popped,
+// so an Engine is not safe for concurrent use — Clone one per goroutine.
 type Engine struct {
-	cfg     Config
-	solver  *smt.Solver
-	binding *rules.Binding
-	// ruleFormula is the rule set compiled once against the binding's
-	// variables; clones re-assert it instead of recompiling. Sharing is
-	// sound because rules.Instantiate declares variables in schema order,
-	// so every clone's solver assigns the same Var ids.
-	ruleFormula smt.Formula
-	// digitTok[d] is the token id of digit d.
-	digitTok  [10]int
-	maxDigits map[string]int // per field, from the domain's upper bound
-	// tailChars[i] is the most tokens slots i.. can render: each slot's
-	// widest value plus its separator.
-	tailChars []int
-	// domainSys holds, per grammar field, the grammar/width automaton over
-	// the field's declared domain: the structural mirror of every slot and
-	// the whole mask in StructureOnly mode. It is stateless, so one per
-	// field serves every slot.
-	domainSys map[string]*transition.System
+	*program
+	// solver holds the compiled rules: the root engine's asserts them, a
+	// clone's is a Fork of its parent's, sharing the compiled formula and
+	// the rules-only base store.
+	solver *smt.Solver
 	// lastModel is the most recent model the solver produced, indexed by
 	// smt.Var and valid while the epoch matches lastModelEpoch; it seeds each
 	// slot oracle's witness so a slot's first probe (HasPath) usually costs
 	// no solver check.
 	lastModel      []int64
 	lastModelEpoch uint64
-	// rulesModel is the model of the root engine's construction-time
-	// rules-only Check, indexed by smt.Var and shared read-only by every
-	// clone: a lane whose prompt pins nothing copies it as its first
-	// witness instead of re-running that Check (newLaneDecoder). Nil when
-	// the engine enforces no rules.
-	rulesModel []int64
 	// moves is patchValue's repair log (oracle.go): the variables the
 	// current patch moved, in order, and their old values, so a failed
 	// repair rolls back without allocating.
 	moves  [1 + maxRepairMoves]patchMove
 	nMoves int
-	// clauses is the rule formula flattened for model repair (oracle.go),
-	// built by the root engine and shared read-only by every clone, and
-	// repairState is lastModel's clause state over it: kept current by
-	// patchValue, invalidated by noteModel.
-	clauses     *clauseIndex
+	// repairState is lastModel's clause state over the program's clauses:
+	// kept current by patchValue, invalidated by noteModel.
 	repairState clauseState
-	// fingerprint is the rule-epoch fingerprint stamped on prefix-cache
-	// snapshots: a hash of everything that decides whether a cached
-	// (KV state, witness model) pair is still valid — the rule set, schema,
-	// grammar, decode mode, pack identity, and the LM's identity. It doubles
-	// as the pack epoch (internal/pack): a hot reload builds a new engine
-	// whose fingerprint differs exactly when the rule environment changed, so
-	// snapshots from a stale pack are dropped on sight. A cache shared across
-	// engine families with different fingerprints simply never cross-serves.
-	fingerprint uint64
 	// poolMu guards pool, a free list of idle clones DecodeRequests draws its
 	// per-record engines from (lockstep.go), so they are cloned once and then
 	// recycled across batches. Only the root engine of a clone family pools.
@@ -352,17 +321,48 @@ type Engine struct {
 	wvalBuf   []int64
 }
 
-// NewEngine validates the configuration, compiles the rules, and returns a
-// ready engine.
-func NewEngine(cfg Config) (*Engine, error) {
-	return newEngine(cfg, nil)
+// program is what NewEngine compiles from a Config, once per engine family:
+// every clone shares it, and nothing writes to it after NewEngine returns.
+// The Set* methods swap an engine's pointer for a modified copy instead.
+type program struct {
+	cfg Config
+	// binding maps fields to solver variables. A clone's solver forks the
+	// root's, so it declares the same Var ids.
+	binding *rules.Binding
+	// digitTok[d] is the token id of digit d.
+	digitTok  [10]int
+	maxDigits map[string]int // per field, from the domain's upper bound
+	// tailChars[i] is the most tokens slots i.. can render: each slot's
+	// widest value plus its separator.
+	tailChars []int
+	// domainSys holds, per grammar field, the grammar/width automaton over
+	// the field's declared domain: the structural mirror of every slot and
+	// the whole mask in StructureOnly mode. It is stateless, so one per
+	// field serves every slot.
+	domainSys map[string]*transition.System
+	// rulesModel is the model of the root engine's construction-time
+	// rules-only Check, indexed by smt.Var: a lane whose prompt pins nothing
+	// copies it as its first witness instead of re-running that Check
+	// (newLaneDecoder). Nil when the engine enforces no rules.
+	rulesModel []int64
+	// clauses is the rule formula flattened for model repair (oracle.go).
+	clauses *clauseIndex
+	// fingerprint is the rule-epoch fingerprint stamped on prefix-cache
+	// snapshots: a hash of everything that decides whether a cached
+	// (KV state, witness model) pair is still valid — the rule set, schema,
+	// grammar, decode mode, pack identity, and the LM's identity. It doubles
+	// as the pack epoch (internal/pack): a hot reload builds a new engine
+	// whose fingerprint differs exactly when the rule environment changed, so
+	// snapshots from a stale pack are dropped on sight. A cache shared across
+	// engine families with different fingerprints simply never cross-serves.
+	// The Set* methods write only Config fields it does not read.
+	fingerprint uint64
 }
 
-// newEngine builds an engine; when parent is non-nil (the clone path) its
-// compiled rule formula is asserted as-is, skipping rule compilation and the
-// initial satisfiability pre-check, and its rules-only model and clause
-// index are shared.
-func newEngine(cfg Config, parent *Engine) (*Engine, error) {
+// NewEngine validates the configuration, compiles the rules, and returns a
+// ready engine. It is the only place rules are compiled: clones share its
+// program and fork its solver.
+func NewEngine(cfg Config) (*Engine, error) {
 	if cfg.LM == nil || cfg.Tok == nil || cfg.Schema == nil {
 		return nil, fmt.Errorf("core: LM, Tok, and Schema are required")
 	}
@@ -382,9 +382,9 @@ func newEngine(cfg Config, parent *Engine) (*Engine, error) {
 		return nil, fmt.Errorf("core: LM vocab %d != tokenizer %d", cfg.LM.VocabSize(), cfg.Tok.Size())
 	}
 
-	e := &Engine{cfg: cfg, maxDigits: map[string]int{}}
-	e.digitTok = cfg.Tok.DigitIDs()
-	for d, id := range e.digitTok {
+	p := &program{cfg: cfg, maxDigits: map[string]int{}}
+	p.digitTok = cfg.Tok.DigitIDs()
+	for d, id := range p.digitTok {
 		if id == -1 {
 			return nil, fmt.Errorf("core: tokenizer lacks digit %d", d)
 		}
@@ -411,59 +411,49 @@ func newEngine(cfg Config, parent *Engine) (*Engine, error) {
 			return nil, fmt.Errorf("core: slot %s[%d] appears twice", s.Field, s.Index)
 		}
 		seen[s.Field][s.Index] = true
-		e.maxDigits[s.Field] = len(strconv.FormatInt(f.Hi, 10))
+		p.maxDigits[s.Field] = len(strconv.FormatInt(f.Hi, 10))
 	}
-	e.domainSys = make(map[string]*transition.System, len(e.maxDigits))
-	for name, width := range e.maxDigits {
+	p.domainSys = make(map[string]*transition.System, len(p.maxDigits))
+	for name, width := range p.maxDigits {
 		f, _ := cfg.Schema.Field(name)
-		e.domainSys[name] = transition.New(width, func(lo, hi int64) bool { return lo <= f.Hi && f.Lo <= hi })
+		p.domainSys[name] = transition.New(width, func(lo, hi int64) bool { return lo <= f.Hi && f.Lo <= hi })
 	}
-	e.tailChars = make([]int, len(cfg.Slots)+1)
+	p.tailChars = make([]int, len(cfg.Slots)+1)
 	for i := len(cfg.Slots) - 1; i >= 0; i-- {
-		e.tailChars[i] = e.tailChars[i+1] + e.maxDigits[cfg.Slots[i].Field] + 1
+		p.tailChars[i] = p.tailChars[i+1] + p.maxDigits[cfg.Slots[i].Field] + 1
 	}
 
-	e.solver = smt.NewSolver()
+	solver := smt.NewSolver()
 	if cfg.MaxNodes > 0 {
-		e.solver.MaxNodes = cfg.MaxNodes
+		solver.MaxNodes = cfg.MaxNodes
 	}
-	e.solver.Timeout = cfg.SolverTimeout
-	e.binding = rules.Instantiate(e.solver, cfg.Schema)
+	solver.Timeout = cfg.SolverTimeout
+	p.binding = rules.Instantiate(solver, cfg.Schema)
+	var ruleFormula smt.Formula
 	if cfg.Rules != nil && cfg.Mode == LeJIT {
-		if parent != nil && parent.ruleFormula != nil {
-			e.ruleFormula, e.rulesModel = parent.ruleFormula, parent.rulesModel
-			e.solver.Assert(e.ruleFormula)
-		} else {
-			f, err := cfg.Rules.CompileAll(e.binding)
-			if err != nil {
-				return nil, fmt.Errorf("core: compiling rules: %w", err)
-			}
-			e.ruleFormula = f
-			e.solver.Assert(f)
-			r := e.solver.Check()
-			if r.Status == smt.Unknown && r.Err != nil {
-				return nil, fmt.Errorf("core: rules-only pre-check: %w", r.Err)
-			}
-			if r.Status != smt.Sat {
-				return nil, fmt.Errorf("core: rule set is unsatisfiable on its own (%v)", r.Status)
-			}
-			e.rulesModel = make([]int64, len(r.Model))
-			for v, x := range r.Model {
-				e.rulesModel[v] = x
-			}
+		f, err := cfg.Rules.CompileAll(p.binding)
+		if err != nil {
+			return nil, fmt.Errorf("core: compiling rules: %w", err)
+		}
+		ruleFormula = f
+		solver.Assert(f)
+		// The pre-check also builds the rules-only base store that every
+		// clone's forked solver shares.
+		r := solver.Check()
+		if r.Status == smt.Unknown && r.Err != nil {
+			return nil, fmt.Errorf("core: rules-only pre-check: %w", r.Err)
+		}
+		if r.Status != smt.Sat {
+			return nil, fmt.Errorf("core: rule set is unsatisfiable on its own (%v)", r.Status)
+		}
+		p.rulesModel = make([]int64, len(r.Model))
+		for v, x := range r.Model {
+			p.rulesModel[v] = x
 		}
 	}
-	// A clone's cfg is its parent's (the Set* methods write cfg fields no
-	// fingerprint reads), so it inherits the fingerprint instead of printing
-	// the whole rule set again.
-	if parent != nil {
-		e.clauses = parent.clauses
-		e.fingerprint = parent.fingerprint
-	} else {
-		e.clauses = newClauseIndex(e.ruleFormula, e.solver.NumVars())
-		e.fingerprint = ruleFingerprint(cfg)
-	}
-	return e, nil
+	p.clauses = newClauseIndex(ruleFormula, solver.NumVars())
+	p.fingerprint = ruleFingerprint(cfg)
+	return &Engine{program: p, solver: solver}, nil
 }
 
 // ruleFingerprint hashes the rule environment a prefix-cache snapshot is
@@ -494,26 +484,15 @@ func ruleFingerprint(cfg Config) uint64 {
 	return h.Sum64()
 }
 
-// configure applies set to the engine and to every idle clone in its pool.
-// The Set* methods below write their setting into cfg through it, so future
-// clones inherit the setting and pooled ones — the engines lanes actually run
-// on — do not keep a stale one. Call before decoding begins: clones checked
-// out mid-decode are not reached.
-func (e *Engine) configure(set func(*Engine)) {
-	set(e)
-	e.poolMu.Lock()
-	for _, c := range e.pool {
-		set(c)
-	}
-	e.poolMu.Unlock()
-}
-
 // SetPrefixCache installs (or, with nil, removes) the cross-request prefix
-// cache on the engine after construction (see configure).
+// cache on the engine after construction. The engine swaps its program for a
+// copy that carries the cache, so the lanes it hands out afterwards (pooled
+// clones included, see acquireClone) and its future Clones decode with it;
+// other engines of the family keep theirs. Call before decoding begins.
 func (e *Engine) SetPrefixCache(cache *prefixcache.Cache) {
-	e.configure(func(c *Engine) {
-		c.cfg.PrefixCache = cache
-	})
+	p := *e.program
+	p.cfg.PrefixCache = cache
+	e.program = &p
 }
 
 // PrefixCache returns the engine's prefix cache (nil when disabled).
@@ -522,24 +501,30 @@ func (e *Engine) PrefixCache() *prefixcache.Cache { return e.cfg.PrefixCache }
 // SetSolverBudget installs a per-Check solver budget (node limit and
 // wall-clock deadline; a zero leaves that dimension unlimited) on the engine
 // after construction, covering engines built by helpers that take no Config
-// (the experiments harness, -demo). The engine, its idle pooled clones and,
-// through cfg, every future Clone get it (see configure).
+// (the experiments harness, -demo). It sets the engine's own solver and, like
+// SetPrefixCache, a copy of its program, so the lanes it hands out
+// afterwards and its future Clones get the budget too; other engines of the
+// family keep theirs. Call before decoding begins.
 func (e *Engine) SetSolverBudget(maxNodes uint64, timeout time.Duration) {
-	e.configure(func(c *Engine) {
-		if maxNodes > 0 {
-			c.cfg.MaxNodes = maxNodes
-			c.solver.MaxNodes = maxNodes
-		}
-		c.cfg.SolverTimeout = timeout
-		c.solver.Timeout = timeout
-	})
+	p := *e.program
+	if maxNodes > 0 {
+		p.cfg.MaxNodes = maxNodes
+		e.solver.MaxNodes = maxNodes
+	}
+	p.cfg.SolverTimeout = timeout
+	e.solver.Timeout = timeout
+	e.program = &p
 }
 
-// Clone returns an independent engine with the same configuration (for
-// parallel decoding). The compiled rule formula, the rules-only model and the
-// clause index are shared — all immutable, and both solvers bind identical
-// Var ids — so cloning does no rule recompilation and zero solver checks.
-func (e *Engine) Clone() (*Engine, error) { return newEngine(e.cfg, e) }
+// Clone returns an independent engine over the same program (for parallel
+// decoding): it compiles nothing and runs no solver check. Its solver is a
+// Fork of e's — the same variables, the compiled rules and their rules-only
+// base store shared read-only, e's budget — and everything a decode mutates
+// is its own. e must be idle (no decode in flight on it). The error is
+// always nil; the signature stays for the repository benchmark.
+func (e *Engine) Clone() (*Engine, error) { return e.clone(), nil }
+
+func (e *Engine) clone() *Engine { return &Engine{program: e.program, solver: e.solver.Fork()} }
 
 // Rules returns the engine's rule set (may be nil).
 func (e *Engine) Rules() *rules.RuleSet { return e.cfg.Rules }

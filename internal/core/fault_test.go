@@ -162,6 +162,62 @@ func TestSolverBudgetFailsLaneNotProcess(t *testing.T) {
 	}
 }
 
+// TestSetSolverBudgetReachesPooledLanes: a budget set on a root engine after
+// its clone pool is warm reaches the next DecodeRequests' lanes, which run on
+// those pooled clones; a budget set on a clone stays on that clone — its
+// root, a sibling, a later clone and the lanes the root hands out decode
+// unbudgeted.
+func TestSetSolverBudgetReachesPooledLanes(t *testing.T) {
+	ctx := context.Background()
+	prompt := rules.Record{"TotalIngress": {120}, "Congestion": {10}}
+	reqs := []BatchRequest{{Prompt: prompt}, {Prompt: prompt}}
+	decode := func(e *Engine) []BatchResult {
+		out, err := e.DecodeRequests(ctx, reqs, 1, 3, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+
+	root := nnTestEngine(t)
+	for i, r := range decode(root) {
+		if r.Err != nil {
+			t.Fatalf("record %d before the budget: %v", i, r.Err)
+		}
+	}
+	if len(root.pool) != len(reqs) {
+		t.Fatalf("the pool holds %d clones after a %d-lane batch", len(root.pool), len(reqs))
+	}
+	root.SetSolverBudget(1, 0)
+	for i, r := range decode(root) {
+		if !errors.Is(r.Err, ErrBudget) {
+			t.Errorf("record %d after the root's budget: err %v, want ErrBudget", i, r.Err)
+		}
+	}
+	if len(root.pool) != len(reqs) {
+		t.Fatalf("the budgeted batch built clones instead of reusing the pool: it holds %d", len(root.pool))
+	}
+
+	other := nnTestEngine(t)
+	budgeted, _ := other.Clone()
+	sibling, _ := other.Clone()
+	budgeted.SetSolverBudget(1, 0)
+	if _, err := budgeted.ImputeCtx(ctx, prompt, rand.New(rand.NewSource(1))); !errors.Is(err, ErrBudget) {
+		t.Fatalf("the budgeted clone: err %v, want ErrBudget", err)
+	}
+	later, _ := other.Clone()
+	for name, e := range map[string]*Engine{"root": other, "sibling": sibling, "later clone": later} {
+		if _, err := e.ImputeCtx(ctx, prompt, rand.New(rand.NewSource(1))); err != nil {
+			t.Errorf("%s of a budgeted clone: %v", name, err)
+		}
+	}
+	for i, r := range decode(other) {
+		if r.Err != nil {
+			t.Errorf("record %d on the root of a budgeted clone: %v", i, r.Err)
+		}
+	}
+}
+
 // TestSolverTimeoutStopsMidCheck: a 1ns wall-clock budget trips inside the
 // very first Check instead of letting it run to completion.
 func TestSolverTimeoutStopsMidCheck(t *testing.T) {

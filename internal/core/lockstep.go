@@ -25,20 +25,25 @@ import (
 // stepping. A free-sampling lane whose sample ends is restarted in place
 // from its prompt (ResetLane) when its method asks for another sample.
 
-// acquireClone hands out an engine dedicated to one lane, reusing a pooled
-// clone when one is idle. Clones share the compiled rule formula and the LM
-// weights; everything mutable is per-clone, so pooling only skips the
-// construction cost, not any per-record state reset (Push/Pop handles that).
-func (e *Engine) acquireClone() (*Engine, error) {
+// acquireClone hands out an engine dedicated to one lane: a pooled clone
+// when one is idle, else a new Clone. Either way the lane decodes with e's
+// current program and solver budget, so a Set* call on e reaches clones
+// pooled before it. Clones share the program and the LM weights; everything
+// mutable is per-clone, so pooling only skips the fork, not any per-record
+// state reset (Push/Pop handles that).
+func (e *Engine) acquireClone() *Engine {
 	e.poolMu.Lock()
-	if n := len(e.pool); n > 0 {
-		c := e.pool[n-1]
-		e.pool = e.pool[:n-1]
+	n := len(e.pool)
+	if n == 0 {
 		e.poolMu.Unlock()
-		return c, nil
+		return e.clone()
 	}
+	c := e.pool[n-1]
+	e.pool = e.pool[:n-1]
 	e.poolMu.Unlock()
-	return e.Clone()
+	c.program = e.program
+	c.solver.MaxNodes, c.solver.Timeout = e.solver.MaxNodes, e.solver.Timeout
+	return c
 }
 
 // releaseClone returns a lane engine to the pool for the next batch. The
@@ -224,12 +229,7 @@ func (e *Engine) failLane(la *lsLane, err error) {
 // during set-up has its outcome recorded already.
 func (e *Engine) startLane(bs BatchSession, la *lsLane) bool {
 	if la.eng == nil {
-		eng, err := e.acquireClone()
-		if err != nil {
-			la.out.Err = err
-			return false
-		}
-		la.eng = eng
+		la.eng = e.acquireClone()
 	}
 	if la.rng == nil {
 		la.rng = la.eng.seededRNG(la.seed)

@@ -134,6 +134,65 @@ func checkMatchesSolo(t *testing.T, e *Engine, reqs []BatchRequest, out []BatchR
 	}
 }
 
+// TestConcurrentForksMatchSerial: eight goroutines clone one idle root
+// engine at once — each clone's solver forks the root's and shares its
+// compiled rules and rules-only base store — and decode concurrently; every
+// record, error and Stats field is what decoding on clones one after another
+// gives. Under -race it is also the check that nothing a fork shares is
+// written.
+func TestConcurrentForksMatchSerial(t *testing.T) {
+	root := nnTestEngine(t)
+	prompts := []rules.Record{
+		nil,
+		{"TotalIngress": {120}, "Congestion": {10}},
+		{"TotalIngress": {210}, "Congestion": {43}},
+	}
+	decode := func(g int) []string {
+		eng, err := root.Clone()
+		if err != nil {
+			t.Error(err)
+			return nil
+		}
+		lines := make([]string, len(prompts))
+		for i, p := range prompts {
+			rng := rand.New(rand.NewSource(MixSeed(int64(g), i)))
+			var res Result
+			if p == nil {
+				res, err = eng.Generate(rng)
+			} else {
+				res, err = eng.Impute(p, rng)
+			}
+			lines[i] = fmt.Sprintf("%v %v %+v", res.Rec, err, res.Stats)
+		}
+		return lines
+	}
+	const goroutines = 8
+	want := make([][]string, goroutines)
+	for g := range want {
+		want[g] = decode(g)
+	}
+	got := make([][]string, goroutines)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			got[g] = decode(g)
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for g := range got {
+		for i := range prompts {
+			if got[g][i] != want[g][i] {
+				t.Errorf("goroutine %d, record %d:\n concurrent %s\n serial     %s", g, i, got[g][i], want[g][i])
+			}
+		}
+	}
+}
+
 // TestLockStepMatchesSolo: batches of every small size and mixed prompt
 // shapes (imputation, generation, per-request seeds) decode to records
 // byte-identical to the same requests decoded alone. This is the golden

@@ -13,7 +13,9 @@ import (
 	"repro/internal/mining"
 	"repro/internal/pack"
 	"repro/internal/prefixcache"
+	"repro/internal/race"
 	"repro/internal/rules"
+	"repro/internal/smt"
 )
 
 // shippedRuleSets returns the telemetry pack under the benchmark's impute and
@@ -105,6 +107,43 @@ func TestCloneInheritsFingerprint(t *testing.T) {
 		c.Engine.SetPrefixCache(prefixcache.New(1 << 20))
 		c.Engine.SetSolverBudget(1000, time.Second)
 		check("after SetPrefixCache and SetSolverBudget")
+	}
+}
+
+// TestCloneCompilesNothing is the clone's cost gate. On every shipped rule
+// set a fresh clone's first rules-only Check is answered from the root's
+// rules-only base store, building none, and on the telemetry impute rules
+// (428) Engine.Clone allocates at most 20 objects: it shares the root's
+// program and forks its solver, compiling nothing.
+func TestCloneCompilesNothing(t *testing.T) {
+	defs, _ := shippedRuleSets(t)
+	for k, def := range defs {
+		c, err := pack.Compile(def)
+		if err != nil {
+			t.Fatalf("%s: %v", def.Name, err)
+		}
+		clone, err := c.Engine.Clone()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r := clone.EmptyPromptCheck(); r.Status != smt.Sat {
+			t.Fatalf("%s: rules-only Check on a clone: %v", def.Name, r.Status)
+		}
+		if st := clone.SolverStats(); st.BaseBuilds != 0 || st.WarmStarts != 1 {
+			t.Errorf("%s: a fresh clone's first rules-only Check built %d base stores and warm-started %d times, want 0 and 1",
+				def.Name, st.BaseBuilds, st.WarmStarts)
+		}
+		if k != 0 || race.Enabled {
+			continue // the race detector's instrumentation allocates
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := c.Engine.Clone(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 20 {
+			t.Errorf("%s: Engine.Clone allocates %.0f objects, want ≤ 20", def.Name, allocs)
+		}
 	}
 }
 

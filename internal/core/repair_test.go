@@ -84,7 +84,7 @@ func repairTrial(t *testing.T, rng *rand.Rand) (accepted, multi, refused int) {
 		stack = append(stack, eq)
 		pinned[v] = true
 	}
-	e := &Engine{solver: s, ruleFormula: rules, clauses: newClauseIndex(rules, s.NumVars())}
+	e := &Engine{program: &program{clauses: newClauseIndex(rules, s.NumVars())}, solver: s}
 	// replace installs a fresh model of the stack, steered by a random range
 	// on one variable so that it differs from the last one; false when the
 	// stack has none.

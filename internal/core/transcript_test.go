@@ -183,6 +183,20 @@ func writeTranscript(t *testing.T, b *bytes.Buffer, c *pack.Compiled, prompts []
 	}
 }
 
+// transcriptBeamWidth is the beam width of the transcripts' BeamImpute lines.
+const transcriptBeamWidth = 4
+
+// writeBeamTranscript decodes prompts with BeamImpute on c's engine itself —
+// the one decode that runs on the root engine's solver instead of a clone's —
+// and appends the outcomes to b.
+func writeBeamTranscript(t *testing.T, b *bytes.Buffer, c *pack.Compiled, prompts []rules.Record) {
+	t.Helper()
+	for i, p := range prompts {
+		res, err := c.Engine.BeamImpute(p, transcriptBeamWidth)
+		fmt.Fprintf(b, "beam%d %d: %s\n", transcriptBeamWidth, i, outcomeLine(c, res, err))
+	}
+}
+
 // tracedEngine rebuilds c's engine with a tracer installed.
 func tracedEngine(t *testing.T, c *pack.Compiled) (*core.Engine, *stepTracer) {
 	t.Helper()
@@ -266,7 +280,8 @@ var transcriptSetNames = []string{"telemetry-impute", "telemetry-synthesis", "ro
 // a seeded transformer, what each decoding method emits for fixed prompts
 // and seeds — solo and through DecodeBatch at n = 7, workers 1 and 4: the
 // rendered record or error text, every Stats field, and for guided decodes
-// the admissible set and forced flag of every step. A change that moves
+// the admissible set and forced flag of every step; and BeamImpute's bytes,
+// error text and Stats at width 4 on the root engine. A change that moves
 // every path the same way, or that over-prunes a mask at a step whose
 // sampled token survives, fails here. The files are regenerated only by
 // -update.
@@ -282,9 +297,13 @@ func TestTranscripts(t *testing.T) {
 				t.Fatal(err)
 			}
 			fmt.Fprintf(&b, "# %s, uniform LM\n", name)
-			writeTranscript(t, &b, compileWith(t, def, pack.UniformLM(tok.Size())), prompts)
+			uniform := compileWith(t, def, pack.UniformLM(tok.Size()))
+			writeTranscript(t, &b, uniform, prompts)
+			writeBeamTranscript(t, &b, uniform, prompts)
 			fmt.Fprintf(&b, "# %s, seeded transformer (dim 16, 2 layers, Ctx 96)\n", name)
-			writeTranscript(t, &b, compileWith(t, def, core.WrapNN(transcriptNN(t, tok.Size(), 96))), prompts)
+			seeded := compileWith(t, def, core.WrapNN(transcriptNN(t, tok.Size(), 96)))
+			writeTranscript(t, &b, seeded, prompts)
+			writeBeamTranscript(t, &b, seeded, prompts)
 			checkTranscript(t, "transcript_"+name+".txt", b.Bytes())
 		})
 	}

@@ -68,8 +68,7 @@ type Solver struct {
 	lo    []int64
 	hi    []int64
 
-	asserted []Formula
-	compiled []compiledAssert // parallel to asserted: lowered once at Assert
+	compiled []compiledAssert // the assertion stack, each lowered once at Assert
 	frames   []frame          // one per open Push
 
 	// epoch identifies the solver's logical state: two moments with equal
@@ -258,6 +257,43 @@ func NewSolver() *Solver {
 	return &Solver{MaxNodes: 1 << 20}
 }
 
+// Fork returns a solver over s's declared variables and current assertion
+// stack that answers every call as a solver built from scratch with the same
+// declarations and assertions would: same statuses, models, node counts and
+// epochs (it starts at s's epoch, epoch source and variable generation), and
+// the same budget (MaxNodes, MaxProps, Timeout). It compiles nothing: the
+// compiled assertions and every base store s has already built for them are
+// shared read-only — a base store never changes once built (see baseAt) —
+// and the fork builds its own stores only for what it asserts later. The
+// trail, the search scratch, the recycled stores and Stats (zeroed) are its
+// own, and no attached context is carried over.
+//
+// Fork never writes to s, so any number of goroutines may fork one idle
+// solver at once; s must not be mutated meanwhile. It panics if s has an
+// open frame: a fork's Pop must never reach an assertion it shares.
+func (s *Solver) Fork() *Solver {
+	if len(s.frames) > 0 {
+		panic("smt: Fork with an open frame")
+	}
+	return &Solver{
+		// Capacity-clipped, so the fork's first NewVar or Assert copies them
+		// instead of writing into s's arrays.
+		names: slices.Clip(s.names),
+		lo:    slices.Clip(s.lo),
+		hi:    slices.Clip(s.hi),
+		// Its own copy of the headers: the fork memoizes the stores it builds
+		// on them.
+		compiled: slices.Clone(s.compiled),
+		epoch:    s.epoch,
+		epochSrc: s.epochSrc,
+		gen:      s.gen,
+		base0:    s.base0,
+		MaxNodes: s.MaxNodes,
+		MaxProps: s.MaxProps,
+		Timeout:  s.Timeout,
+	}
+}
+
 // NewVar declares an integer variable with inclusive bounds [lo, hi].
 // It panics if lo > hi: every variable must have a non-empty finite domain
 // (see DESIGN.md §4 — bounded counters make the solver complete).
@@ -292,14 +328,13 @@ func (s *Solver) Bounds(v Var) (lo, hi int64) { return s.lo[v], s.hi[v] }
 // Assert adds f to the current assertion frame. The formula is compiled
 // (NNF + atom normalization) once, here, not on every Check.
 func (s *Solver) Assert(f Formula) {
-	s.asserted = append(s.asserted, f)
 	s.compiled = append(s.compiled, s.compileAssert(f))
 	s.bumpEpoch()
 }
 
 // Push opens a new assertion frame.
 func (s *Solver) Push() {
-	s.frames = append(s.frames, frame{mark: len(s.asserted), epoch: s.epoch, gen: s.gen})
+	s.frames = append(s.frames, frame{mark: len(s.compiled), epoch: s.epoch, gen: s.gen})
 }
 
 // Pop discards every assertion added since the matching Push and restores
@@ -320,7 +355,6 @@ func (s *Solver) Pop() {
 		}
 		s.compiled[i] = compiledAssert{}
 	}
-	s.asserted = s.asserted[:fr.mark]
 	s.compiled = s.compiled[:fr.mark]
 	if fr.gen == s.gen {
 		s.epoch = fr.epoch
@@ -345,7 +379,7 @@ func (s *Solver) SetContext(ctx context.Context) { s.ctx = ctx }
 func (s *Solver) Epoch() uint64 { return s.epoch }
 
 // NumAssertions reports the number of currently active assertions.
-func (s *Solver) NumAssertions() int { return len(s.asserted) }
+func (s *Solver) NumAssertions() int { return len(s.compiled) }
 
 // Stats returns a copy of the cumulative statistics.
 func (s *Solver) Stats() Stats { return s.stats }
@@ -368,7 +402,7 @@ func (s *Solver) CheckWith(extra ...Formula) Result {
 			return Result{Status: Unknown, Err: err}
 		}
 	}
-	if s.builtBase(len(s.asserted)) != nil {
+	if s.builtBase(len(s.compiled)) != nil {
 		s.stats.WarmStarts++
 	}
 	base := s.currentBase()
@@ -425,7 +459,7 @@ func (s *Solver) CheckWith(extra ...Formula) Result {
 // values that no model of the assertions can take, and extra formulas only
 // shrink the model set further. The same monotonicity argument covers the
 // disjunction simplification (see interval.go).
-func (s *Solver) currentBase() *baseStore { return s.baseAt(len(s.asserted)) }
+func (s *Solver) currentBase() *baseStore { return s.baseAt(len(s.compiled)) }
 
 // builtBase returns the memoized base store of the stack prefix of length n,
 // or nil when it has not been built for the current set of variables.
