@@ -40,20 +40,20 @@ func (a nnLM) newCloneable() Session { return nnSession{a.m.NewSession()} }
 // public lejit.Pipeline.ImputeBeam wraps it), not a serving path: it drives
 // a Session directly, outside the lock-step loop, and no server route or
 // benchmark workload reaches it.
-func (e *Engine) BeamImpute(known rules.Record, width int) (Result, error) {
+func (e *Engine) BeamImpute(known rules.Record, width int) (res Result, err error) {
 	if width < 1 {
 		return Result{}, fmt.Errorf("core: beam width %d < 1", width)
 	}
-	var res Result
 	prompt, fromSlot, err := e.promptFor(known)
 	if err != nil {
 		return res, err
 	}
+	// The results are named so that this runs after a return has set them.
 	checksBefore := e.solver.Stats().Checks
 	defer func() { res.Stats.SolverChecks = e.solver.Stats().Checks - checksBefore }()
 
 	// Known-prefix assertions shared by every beam.
-	baseAssigns, err := e.knownFormulas(known)
+	baseAssigns, err := knownEqs(e.binding, known)
 	if err != nil {
 		return res, err
 	}
@@ -188,24 +188,6 @@ func (e *Engine) BeamImpute(known rules.Record, width int) (Result, error) {
 	return res, nil
 }
 
-// knownFormulas renders the known prefix as equality formulas.
-func (e *Engine) knownFormulas(known rules.Record) ([]smt.Formula, error) {
-	var fs []smt.Formula
-	for f, vs := range known {
-		bv, ok := e.binding.Vars(f)
-		if !ok {
-			return nil, fmt.Errorf("core: known field %q not bound", f)
-		}
-		for i, v := range vs {
-			if i >= len(bv) {
-				return nil, fmt.Errorf("core: known field %q has too many values", f)
-			}
-			fs = append(fs, smt.Eq(smt.V(bv[i]), smt.C(v)))
-		}
-	}
-	return fs, nil
-}
-
 // beamAdmissible computes the admissible tokens for one beam at one step:
 // the beam's completed values are passed as side constraints instead of
 // being asserted (beams diverge, so the solver stack cannot hold them).
@@ -215,20 +197,17 @@ func (e *Engine) beamAdmissible(vals []int64, base []smt.Formula, slot Slot, st 
 		s := e.cfg.Slots[fromSlot+i]
 		side = append(side, smt.Eq(smt.V(e.slotVar(s)), smt.C(v)))
 	}
-	v := e.slotVar(slot)
-	var oracle transition.Oracle
-	f, _ := e.cfg.Schema.Field(slot.Field)
+	var sys *transition.System
 	if e.cfg.Mode == StructureOnly || e.cfg.Rules == nil {
-		lo, hi := f.Lo, f.Hi
-		oracle = func(qlo, qhi int64) bool { return qlo <= hi && lo <= qhi }
+		sys = e.domainSystem(slot.Field)
 	} else {
-		oracle = func(qlo, qhi int64) bool {
+		v := e.slotVar(slot)
+		sys = transition.New(e.maxDigits[slot.Field], func(qlo, qhi int64) bool {
 			probe := append(append([]smt.Formula(nil), side...),
 				smt.Ge(smt.V(v), smt.C(qlo)), smt.Le(smt.V(v), smt.C(qhi)))
 			return e.solver.CheckWith(probe...).Status == smt.Sat
-		}
+		})
 	}
-	sys := transition.New(e.maxDigits[slot.Field], oracle)
 	digits, canEnd := sys.Admissible(st)
 	allowed := make([]int, 0, 11)
 	for d := 0; d <= 9; d++ {

@@ -145,6 +145,21 @@ func TestBeamBeatsGreedyLogProb(t *testing.T) {
 	}
 }
 
+// TestBeamReportsSolverChecks: BeamImpute runs on the engine's own solver,
+// and the SolverChecks it reports are exactly the Checks that solver ran.
+func TestBeamReportsSolverChecks(t *testing.T) {
+	e := testEngine(t, cloneableUniform{vocab: vocab.Telemetry().Size()}, LeJIT)
+	before := e.solver.Stats().Checks
+	res, err := e.BeamImpute(rules.Record{"TotalIngress": {100}, "Congestion": {8}}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ran := e.solver.Stats().Checks - before
+	if ran == 0 || res.Stats.SolverChecks != ran {
+		t.Errorf("BeamImpute reports %d solver checks; its solver ran %d", res.Stats.SolverChecks, ran)
+	}
+}
+
 func TestBeamInfeasiblePrompt(t *testing.T) {
 	e := testEngine(t, cloneableUniform{vocab: vocab.Telemetry().Size()}, LeJIT)
 	_, err := e.BeamImpute(rules.Record{"TotalIngress": {0}, "Congestion": {50}}, 2)

@@ -180,16 +180,6 @@ type Config struct {
 	SolverTimeout time.Duration
 	MaxAttempts   int // rejection-sampling attempt cap (0 → 500)
 	MaxRetries    int // vanilla parse-retry cap (0 → 8)
-	// NoIntervalFastPath disables the per-slot interval fast path
-	// (DESIGN.md §6), forcing every range probe through the solver as the
-	// seed implementation did. Ablation knob; decoded output is identical
-	// either way.
-	NoIntervalFastPath bool
-	// ValidateFastPath cross-checks every fast-path answer against a real
-	// solver probe, counting disagreements in Stats.FastPathMismatches.
-	// Debugging/verification mode: it defeats the fast path's purpose and
-	// inflates SolverChecks.
-	ValidateFastPath bool
 	// TraceHook, when set, receives one TraceStep per guided decoding
 	// step — the observability channel for debugging rule interactions
 	// and for demonstrating minimal invasiveness. Not invoked by the
@@ -228,11 +218,9 @@ type Stats struct {
 	// reached the solver — the two partition OracleQueries. (An epoch-keyed
 	// probe cache once sat between them; it was removed after
 	// artifacts/history/BENCH_2.json measured a 0.17% hit rate, see
-	// DESIGN.md §6.) FastPathMismatches counts ValidateFastPath
-	// disagreements — nonzero means a soundness bug.
-	OracleFastPath     uint64
-	OracleProbes       uint64
-	FastPathMismatches uint64
+	// DESIGN.md §6.)
+	OracleFastPath uint64
+	OracleProbes   uint64
 	// LogProb is the renormalized log-probability of the returned token
 	// sequence (filled by BeamImpute; 0 for samplers).
 	LogProb float64
@@ -335,11 +323,6 @@ type program struct {
 	// tailChars[i] is the most tokens slots i.. can render: each slot's
 	// widest value plus its separator.
 	tailChars []int
-	// domainSys holds, per grammar field, the grammar/width automaton over
-	// the field's declared domain: the structural mirror of every slot and
-	// the whole mask in StructureOnly mode. It is stateless, so one per
-	// field serves every slot.
-	domainSys map[string]*transition.System
 	// rulesModel is the model of the root engine's construction-time
 	// rules-only Check, indexed by smt.Var: a lane whose prompt pins nothing
 	// copies it as its first witness instead of re-running that Check
@@ -412,11 +395,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 		}
 		seen[s.Field][s.Index] = true
 		p.maxDigits[s.Field] = len(strconv.FormatInt(f.Hi, 10))
-	}
-	p.domainSys = make(map[string]*transition.System, len(p.maxDigits))
-	for name, width := range p.maxDigits {
-		f, _ := cfg.Schema.Field(name)
-		p.domainSys[name] = transition.New(width, func(lo, hi int64) bool { return lo <= f.Hi && f.Lo <= hi })
 	}
 	p.tailChars = make([]int, len(cfg.Slots)+1)
 	for i := len(cfg.Slots) - 1; i >= 0; i-- {
@@ -564,6 +542,34 @@ func (e *Engine) SolverStats() smt.Stats {
 	}
 	e.poolMu.Unlock()
 	return st
+}
+
+// domainSystem builds the grammar/width automaton over field's declared
+// domain: a slot's structural mirror, and its whole mask in StructureOnly
+// mode. A System keeps scratch, so every slot builds its own.
+func (e *Engine) domainSystem(field string) *transition.System {
+	f, _ := e.cfg.Schema.Field(field)
+	return transition.New(e.maxDigits[field], func(lo, hi int64) bool { return lo <= f.Hi && f.Lo <= hi })
+}
+
+// knownEqs renders known values as equalities over b's variables, one per
+// element. A field b does not bind, or one with more values than elements,
+// is an error.
+func knownEqs(b *rules.Binding, known rules.Record) ([]smt.Formula, error) {
+	var fs []smt.Formula
+	for f, vs := range known {
+		bv, ok := b.Vars(f)
+		if !ok {
+			return nil, fmt.Errorf("core: known field %q not in schema", f)
+		}
+		if len(vs) > len(bv) {
+			return nil, fmt.Errorf("core: known field %q has too many values (%d, the schema has %d)", f, len(vs), len(bv))
+		}
+		for i, v := range vs {
+			fs = append(fs, smt.Eq(smt.V(bv[i]), smt.C(v)))
+		}
+	}
+	return fs, nil
 }
 
 // slotVar resolves the solver variable of a slot.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -366,6 +367,28 @@ func TestImputeRejectsNonPrefixKnown(t *testing.T) {
 	// Congestion without TotalIngress is not a grammar prefix.
 	if _, err := e.Impute(rules.Record{"Congestion": {8}}, rng); err == nil {
 		t.Error("non-prefix known set should be rejected")
+	}
+}
+
+// TestOverlongKnownValueFails: a known field with more values than the
+// schema gives it elements fails the decode with a plain error — on the
+// guided path, in BeamImpute and in DiagnoseInfeasible alike, which render
+// known values through one helper — instead of panicking inside the lane.
+func TestOverlongKnownValueFails(t *testing.T) {
+	e := testEngine(t, cloneableUniform{vocab: vocab.Telemetry().Size()}, LeJIT)
+	known := rules.Record{"TotalIngress": {100, 5}, "Congestion": {0}}
+	_, imputeErr := e.Impute(known, rand.New(rand.NewSource(1)))
+	_, beamErr := e.BeamImpute(known, 2)
+	_, diagErr := e.DiagnoseInfeasible(known)
+	for name, err := range map[string]error{"Impute": imputeErr, "BeamImpute": beamErr, "DiagnoseInfeasible": diagErr} {
+		var pe *PanicError
+		if err == nil || errors.As(err, &pe) || !strings.Contains(err.Error(), "too many values") {
+			t.Errorf("%s: err = %v, want a plain too-many-values error", name, err)
+		}
+	}
+	// The engine's solver frame was popped: the next record decodes.
+	if _, err := e.Impute(rules.Record{"TotalIngress": {100}, "Congestion": {0}}, rand.New(rand.NewSource(1))); err != nil {
+		t.Fatal(err)
 	}
 }
 

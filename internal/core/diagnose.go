@@ -25,17 +25,12 @@ func (e *Engine) DiagnoseInfeasible(known rules.Record) ([]string, error) {
 		s.MaxNodes = e.cfg.MaxNodes
 	}
 	b := rules.Instantiate(s, e.cfg.Schema)
-	for f, vs := range known {
-		bv, ok := b.Vars(f)
-		if !ok {
-			return nil, fmt.Errorf("core: known field %q not in schema", f)
-		}
-		for i, v := range vs {
-			if i >= len(bv) {
-				return nil, fmt.Errorf("core: known field %q has too many values", f)
-			}
-			s.Assert(smt.Eq(smt.V(bv[i]), smt.C(v)))
-		}
+	eqs, err := knownEqs(b, known)
+	if err != nil {
+		return nil, err
+	}
+	for _, eq := range eqs {
+		s.Assert(eq)
 	}
 
 	// Compile each rule separately so they can be toggled.

@@ -160,18 +160,15 @@ func (e *Engine) newLaneDecoder(ctx context.Context, method Method, known rules.
 	e.solver.SetContext(ctx)
 	e.solver.Push()
 	ld.pushed = true
-	pinned := false
-	for f, vs := range known {
-		bv, ok := e.binding.Vars(f)
-		if !ok {
-			ld.fail(fmt.Errorf("core: known field %q not bound", f))
-			return ld
-		}
-		for i, v := range vs {
-			e.solver.Assert(smt.Eq(smt.V(bv[i]), smt.C(v)))
-			pinned = true
-		}
+	eqs, err := knownEqs(e.binding, known)
+	if err != nil {
+		ld.fail(err)
+		return ld
 	}
+	for _, eq := range eqs {
+		e.solver.Assert(eq)
+	}
+	pinned := len(eqs) > 0
 	if ld.warm != nil && ld.warm.Tokens == len(ld.pending) && ld.warm.Model != nil {
 		// Full-prompt hit with a witness: the snapshot's model satisfies the
 		// rules plus every value its key pins, and the key is this exact
@@ -365,15 +362,19 @@ func (ld *laneDecoder) beginSlot() error {
 	e := ld.e
 	slot := e.cfg.Slots[ld.slot]
 	ld.oracle = nil
+	// structural mirrors the grammar/width automaton with the domain as its
+	// oracle, so Masked/Forced stats count only rule-driven pruning, not
+	// structural necessities like the separator after a max-width value.
+	ld.structural = e.domainSystem(slot.Field)
 	if e.cfg.Mode == StructureOnly || e.cfg.Rules == nil {
-		ld.sys = e.domainSys[slot.Field]
+		ld.sys = ld.structural
 	} else {
 		// The slot oracle answers probes from per-slot interval state
 		// (oracle.go) and falls back to solver probes; batching lets it
 		// drain a candidate's whole completion union locally before any
 		// solver work.
 		ld.oracle = e.newSlotOracle(e.slotVar(slot), &ld.res.Stats)
-		ld.sys = transition.NewBatch(e.maxDigits[slot.Field], ld.oracle.Feasible, ld.oracle.FeasibleAny)
+		ld.sys = transition.NewBatch(e.maxDigits[slot.Field], ld.oracle.FeasibleAny)
 	}
 	if !ld.sys.HasPath() {
 		// A budget-starved or cancelled probe answers false; surface that as
@@ -385,10 +386,6 @@ func (ld *laneDecoder) beginSlot() error {
 		}
 		return ErrInfeasible{Detail: fmt.Sprintf("no feasible value for %s[%d]", slot.Field, slot.Index)}
 	}
-	// structural mirrors the grammar/width automaton with a trivially-true
-	// oracle, so Masked/Forced stats count only rule-driven pruning, not
-	// structural necessities like the separator after a max-width value.
-	ld.structural = e.domainSys[slot.Field]
 	ld.sepID = e.cfg.Tok.ID(slot.Sep)
 	ld.state = ld.sys.Start()
 	ld.inSlot = true

@@ -429,58 +429,15 @@ func ceilDiv(a, b int64) int64 {
 	return q
 }
 
-// crossCheck verifies a fast-path answer against the solver (the
-// Config.ValidateFastPath debugging mode). Unknown results (budget
-// exhaustion) are skipped: the fast path's answers are certificates, the
-// solver's Unknown is not.
-func (o *slotOracle) crossCheck(lo, hi int64, sat bool) {
-	r := o.e.solver.CheckWith(smt.Ge(smt.V(o.v), smt.C(lo)), smt.Le(smt.V(o.v), smt.C(hi)))
-	if r.Status == smt.Unknown {
-		return
-	}
-	if (r.Status == smt.Sat) != sat {
-		o.st.FastPathMismatches++
-	}
-}
-
-// Feasible is the transition.Oracle: one range probe.
-func (o *slotOracle) Feasible(lo, hi int64) bool {
-	o.st.OracleQueries++
-	if !o.e.cfg.NoIntervalFastPath {
-		if d := o.answerLocal(lo, hi); d != 0 {
-			o.st.OracleFastPath++
-			if o.e.cfg.ValidateFastPath {
-				o.crossCheck(lo, hi, d > 0)
-			}
-			return d > 0
-		}
-		if o.patchFeasible(lo, hi) {
-			o.st.OracleFastPath++
-			if o.e.cfg.ValidateFastPath {
-				o.crossCheck(lo, hi, true)
-			}
-			return true
-		}
-	}
-	return o.probe(lo, hi)
-}
-
 // FeasibleAny is the transition.BatchOracle: does any range contain a
 // feasible value? Local answers are drained first, so the solver only sees
 // ranges the interval state cannot decide — and each solver outcome refines
-// that state, often deciding the remaining ranges for free.
+// that state, often deciding the remaining ranges for free. A one-range call
+// (the terminator, digit 0, HasPath) is answerLocal, then patchFeasible,
+// then probe.
 func (o *slotOracle) FeasibleAny(ranges [][2]int64) bool {
-	if o.e.cfg.NoIntervalFastPath {
-		// Ablation path: identical probe sequence to per-range decoding.
-		for _, r := range ranges {
-			if o.Feasible(r[0], r[1]) {
-				return true
-			}
-		}
-		return false
-	}
 	// Queries are counted at resolution: ranges skipped by a short-circuit
-	// are not counted, matching the per-range path's early exit.
+	// are not counted.
 	und := o.e.rangeBuf[:0]
 	for _, r := range ranges {
 		d := o.answerLocal(r[0], r[1])
@@ -490,9 +447,6 @@ func (o *slotOracle) FeasibleAny(ranges [][2]int64) bool {
 		}
 		o.st.OracleQueries++
 		o.st.OracleFastPath++
-		if o.e.cfg.ValidateFastPath {
-			o.crossCheck(r[0], r[1], d > 0)
-		}
 		if d > 0 {
 			o.e.rangeBuf = und
 			return true
@@ -511,9 +465,6 @@ func (o *slotOracle) FeasibleAny(ranges [][2]int64) bool {
 		}
 		if o.patchFeasible(r[0], r[1]) {
 			o.st.OracleFastPath++
-			if o.e.cfg.ValidateFastPath {
-				o.crossCheck(r[0], r[1], true)
-			}
 			return true
 		}
 		if o.probe(r[0], r[1]) {

@@ -3,8 +3,12 @@ package core_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -147,19 +151,23 @@ func TestCloneCompilesNothing(t *testing.T) {
 	}
 }
 
-// TestValidateFastPathShippedPacks cross-checks every fast-path answer —
-// interval reasoning and model repair — against the solver on prompted and
-// unprompted decodes of each shipped rule set: a single disagreement is a
-// soundness bug.
-func TestValidateFastPathShippedPacks(t *testing.T) {
+// TestShippedPackMasksMatchSolver checks every guided step's mask on each
+// shipped rule set against a reference that shares nothing with the
+// engine's oracle — no slot oracle, witness model or repair: a solver of its
+// own with the pack's rules compiled, the lane's known values and the values
+// it decoded so far asserted, and each candidate's completion ranges probed
+// with CheckWith one at a time. 24 requests per rule set, every third
+// unconditional, decode as one DecodeRequests batch.
+func TestShippedPackMasksMatchSolver(t *testing.T) {
 	defs, recs := shippedRuleSets(t)
-	for _, def := range defs {
+	for k, def := range defs {
 		c, err := pack.Compile(def)
 		if err != nil {
 			t.Fatalf("%s: %v", def.Name, err)
 		}
+		tr := newLaneTracer()
 		cfg := c.Engine.Configuration()
-		cfg.ValidateFastPath = true
+		cfg.TraceHook, cfg.FaultHook = tr.trace, tr.fault
 		e, err := core.NewEngine(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -171,7 +179,7 @@ func TestValidateFastPathShippedPacks(t *testing.T) {
 		var reqs []core.BatchRequest
 		for i := 0; i < 24; i++ {
 			s := int64(i)
-			req := core.BatchRequest{Seed: &s}
+			req := core.BatchRequest{Prompt: rules.Record{}, Seed: &s}
 			if i%3 != 0 {
 				req.Prompt = def.PromptOf(examples[i*len(examples)/24])
 			}
@@ -181,19 +189,111 @@ func TestValidateFastPathShippedPacks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var probes, fast int
+		ref := newSolverRef(t, cfg)
+		steps := 0
 		for i, r := range out {
 			if r.Err != nil {
 				t.Fatalf("%s record %d: %v", def.Name, i, r.Err)
 			}
-			if n := r.Res.Stats.FastPathMismatches; n != 0 {
-				t.Errorf("%s record %d: %d fast-path answers disagreed with the solver", def.Name, i, n)
+			trace := tr.take(reqs[i].Prompt)
+			label := fmt.Sprintf("%s record %d", transcriptSetNames[k], i)
+			text, _ := replaySteps(t, label, cfg.Tok, cfg.Slots, ref.lane(reqs[i].Prompt), "", trace, ref.admissible)
+			if line, _ := c.FormatRecord(r.Res.Rec); !strings.HasSuffix(line, text) {
+				t.Errorf("%s: decoded %q, its steps spelled %q", label, line, text)
 			}
-			probes += int(r.Res.Stats.OracleProbes)
-			fast += int(r.Res.Stats.OracleFastPath)
+			if v, err := cfg.Rules.Violations(r.Res.Rec); err != nil || len(v) > 0 {
+				t.Errorf("%s: %v violates %v (%v)", label, r.Res.Rec, v, err)
+			}
+			steps += len(trace)
 		}
-		t.Logf("%s: %d answers validated, %d solver probes", def.Name, fast, probes)
+		t.Logf("%s: %d guided steps checked", transcriptSetNames[k], steps)
 	}
+}
+
+// solverRef answers a guided step from a solver of its own (see
+// TestShippedPackMasksMatchSolver). It follows one lane at a time: lane
+// pushes a frame with the lane's known values, and admissible asserts each
+// value the lane completes before it probes the next slot.
+type solverRef struct {
+	t        *testing.T
+	cfg      core.Config
+	s        *smt.Solver
+	b        *rules.Binding
+	from     int // slots the lane's prompt covers
+	asserted int // decoded values asserted in the lane's frame
+}
+
+func newSolverRef(t *testing.T, cfg core.Config) *solverRef {
+	s := smt.NewSolver()
+	b := rules.Instantiate(s, cfg.Schema)
+	f, err := cfg.Rules.CompileAll(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Assert(f)
+	s.Push()
+	return &solverRef{t: t, cfg: cfg, s: s, b: b}
+}
+
+// slotVar is the solver variable of slot i.
+func (r *solverRef) slotVar(i int) smt.Var {
+	vs, _ := r.b.Vars(r.cfg.Slots[i].Field)
+	return vs[r.cfg.Slots[i].Index]
+}
+
+// lane starts the reference on a lane with prompt known, in a fresh frame,
+// and returns the number of slots the prompt covers.
+func (r *solverRef) lane(known rules.Record) int {
+	r.s.Pop()
+	r.s.Push()
+	r.from, r.asserted = 0, 0
+	for r.from < len(r.cfg.Slots) && known[r.cfg.Slots[r.from].Field] != nil {
+		sl := r.cfg.Slots[r.from]
+		r.s.Assert(smt.Eq(smt.V(r.slotVar(r.from)), smt.C(known[sl.Field][sl.Index])))
+		r.from++
+	}
+	return r.from
+}
+
+// admissible is replaySteps' reference: the characters that may follow the
+// digit prefix in slot, digits ascending and then the separator.
+func (r *solverRef) admissible(_ string, slot int, vals []int64, prefix string) string {
+	for ; r.asserted < len(vals); r.asserted++ {
+		r.s.Assert(smt.Eq(smt.V(r.slotVar(r.from+r.asserted)), smt.C(vals[r.asserted])))
+	}
+	v := r.slotVar(slot)
+	f, _ := r.cfg.Schema.Field(r.cfg.Slots[slot].Field)
+	width := len(strconv.FormatInt(f.Hi, 10))
+	feasible := func(lo, hi int64) bool {
+		res := r.s.CheckWith(smt.Ge(smt.V(v), smt.C(lo)), smt.Le(smt.V(v), smt.C(hi)))
+		if res.Status == smt.Unknown {
+			r.t.Fatalf("reference probe [%d, %d] gave up: %v", lo, hi, res.Err)
+		}
+		return res.Status == smt.Sat
+	}
+	var out []byte
+	if len(prefix) < width && prefix != "0" {
+		for d := byte('0'); d <= '9'; d++ {
+			q, _ := strconv.ParseInt(prefix+string(d), 10, 64)
+			n := width - len(prefix) - 1 // digits that may still follow q
+			if q == 0 {
+				n = 0 // "0" cannot be extended
+			}
+			for j, scale := 0, int64(1); j <= n; j, scale = j+1, scale*10 {
+				if feasible(q*scale, q*scale+scale-1) {
+					out = append(out, d)
+					break
+				}
+			}
+		}
+	}
+	if prefix != "" {
+		if p, _ := strconv.ParseInt(prefix, 10, 64); feasible(p, p) {
+			out = append(out, r.cfg.Slots[slot].Sep)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return string(out)
 }
 
 // TestBudgetNeverChangesARecord is the solver budget's metamorphic property:

@@ -25,8 +25,9 @@ package smt
 //     compiled rules — single unit-coefficient sum equalities plus pairwise
 //     inequalities whose slack (≥2) exceeds their coefficients minus one —
 //     cannot express such chains. DESIGN.md §6 states the argument; the
-//     decoder's ValidateFastPath mode and the fast-path equivalence tests
-//     check it empirically against the mined rule sets.
+//     decoder's mask tests check it empirically, against brute-force
+//     enumeration on small schemas and against an independent solver
+//     reference on the shipped rule sets.
 //
 // "Live" matters for precision: the telemetry prompt pins the coarse fields
 // before fine-grained decoding starts, which decides most rule disjunctions

@@ -27,25 +27,25 @@ import (
 type Oracle func(lo, hi int64) bool
 
 // BatchOracle answers a whole candidate's completion set in one call: it
-// reports whether any of the inclusive ranges contains a feasible value.
-// Semantically identical to OR-ing Feasible over the ranges, but the oracle
-// sees the full set up front, so an interval-based implementation can answer
-// the easy ranges locally and spend solver work only on the residue. The
-// ranges slice is owned by the caller and reused between calls.
+// reports whether any of the inclusive ranges contains a feasible value. The
+// oracle sees the full set up front, so an interval-based implementation can
+// answer the easy ranges locally and spend solver work only on the residue.
+// The ranges slice is owned by the caller and reused between calls.
 type BatchOracle func(ranges [][2]int64) bool
 
 // System is a character-level transition system over decimal digit strings.
+// It keeps the ranges of the current oracle call in a scratch buffer, so it
+// is not safe for concurrent use.
 type System struct {
 	// MaxDigits caps the number's width. It must cover the variable's
 	// upper bound (a variable bounded by 300 needs MaxDigits ≥ 3).
 	MaxDigits int
-	// Feasible is the range-feasibility oracle.
-	Feasible Oracle
-	// FeasibleAny, when non-nil, answers each digit candidate's completion
-	// union in one batched call instead of MaxDigits-k single-range probes.
+	// FeasibleAny is the oracle. Every question goes to it as a set of
+	// ranges: a digit candidate's completion union, or one range for the
+	// terminator, a leading 0 and HasPath.
 	FeasibleAny BatchOracle
 
-	rbuf [][2]int64 // scratch for the batched Admissible path
+	rbuf [][2]int64 // the ranges of the current call
 }
 
 // State is a digit prefix: the value accumulated so far and the number of
@@ -77,30 +77,35 @@ var (
 	ErrLeadingZero = errors.New("transition: leading zero")
 )
 
-// New constructs a transition system. It panics if maxDigits is not in
+// New constructs a transition system over a single-range oracle, lifted
+// onto the batch form: a set of ranges is asked range by range, narrow to
+// wide, stopping at the first feasible one. It panics if maxDigits is not in
 // [1, 18] (18 keeps all reachable values inside int64).
 func New(maxDigits int, oracle Oracle) *System {
-	if maxDigits < 1 || maxDigits > 18 {
-		panic(fmt.Sprintf("transition: MaxDigits %d out of [1,18]", maxDigits))
-	}
 	if oracle == nil {
 		panic("transition: nil oracle")
 	}
-	return &System{MaxDigits: maxDigits, Feasible: oracle}
+	return NewBatch(maxDigits, func(ranges [][2]int64) bool {
+		for _, r := range ranges {
+			if oracle(r[0], r[1]) {
+				return true
+			}
+		}
+		return false
+	})
 }
 
-// NewBatch constructs a transition system whose Admissible path batches each
-// candidate's completion ranges into one BatchOracle call. The single-range
-// oracle is still required: Step/HasPath and the canEnd probe use it. Both
-// must agree with each other (batch(ranges) ⇔ ∃r∈ranges: oracle(r)).
-func NewBatch(maxDigits int, oracle Oracle, batch BatchOracle) *System {
-	s := New(maxDigits, oracle)
+// NewBatch constructs a transition system whose oracle answers each
+// question — a candidate's completion union, or a single range — in one
+// call. It panics if maxDigits is not in [1, 18].
+func NewBatch(maxDigits int, batch BatchOracle) *System {
+	if maxDigits < 1 || maxDigits > 18 {
+		panic(fmt.Sprintf("transition: MaxDigits %d out of [1,18]", maxDigits))
+	}
 	if batch == nil {
 		panic("transition: nil batch oracle")
 	}
-	s.FeasibleAny = batch
-	s.rbuf = make([][2]int64, 0, maxDigits+1)
-	return s
+	return &System{MaxDigits: maxDigits, FeasibleAny: batch, rbuf: make([][2]int64, 0, maxDigits+1)}
 }
 
 // Start returns the empty-prefix state.
@@ -130,7 +135,7 @@ func (s *System) Step(st State, c byte) (State, error) {
 // i.e. p itself, p followed by one more digit, and so on up to the width cap.
 // The canonical-decimal rule forbids extending the prefix "0".
 func (s *System) Admissible(st State) (digits [10]bool, canEnd bool) {
-	canEnd = st.ndigits > 0 && s.Feasible(st.val, st.val)
+	canEnd = st.ndigits > 0 && s.feasible(st.val, st.val)
 	if st.ndigits >= s.MaxDigits {
 		return digits, canEnd
 	}
@@ -143,7 +148,7 @@ func (s *System) Admissible(st State) (digits [10]bool, canEnd bool) {
 		// First digit: "0" is a complete number on its own, admissible
 		// iff 0 is feasible — checked via the prefix-completion union
 		// which for prefix "0" collapses to the single value 0.
-		digits[0] = s.Feasible(0, 0)
+		digits[0] = s.feasible(0, 0)
 		lo = 1
 	}
 	for d := lo; d <= 9; d++ {
@@ -156,25 +161,21 @@ func (s *System) Admissible(st State) (digits [10]bool, canEnd bool) {
 }
 
 // prefixFeasible reports whether any ≤MaxDigits-digit value whose decimal
-// form starts with the k-digit prefix of value v is feasible. With a batch
-// oracle, the whole completion union goes out as one call; otherwise the
-// widths are probed narrow-to-wide, short-circuiting on the first hit.
+// form starts with the k-digit prefix of value v is feasible: the whole
+// completion union, narrow to wide, goes out as one call.
 func (s *System) prefixFeasible(v int64, k int) bool {
-	if s.FeasibleAny != nil {
-		s.rbuf = s.rbuf[:0]
-		for j := 0; j <= s.MaxDigits-k; j++ {
-			width := pow10(j)
-			s.rbuf = append(s.rbuf, [2]int64{v * width, v*width + width - 1})
-		}
-		return s.FeasibleAny(s.rbuf)
-	}
+	s.rbuf = s.rbuf[:0]
 	for j := 0; j <= s.MaxDigits-k; j++ {
 		width := pow10(j)
-		if s.Feasible(v*width, v*width+width-1) {
-			return true
-		}
+		s.rbuf = append(s.rbuf, [2]int64{v * width, v*width + width - 1})
 	}
-	return false
+	return s.FeasibleAny(s.rbuf)
+}
+
+// feasible asks the oracle about the one range [lo, hi].
+func (s *System) feasible(lo, hi int64) bool {
+	s.rbuf = append(s.rbuf[:0], [2]int64{lo, hi})
+	return s.FeasibleAny(s.rbuf)
 }
 
 // HasPath reports whether any feasible value is reachable from the start
@@ -182,7 +183,7 @@ func (s *System) prefixFeasible(v int64, k int) bool {
 // width cap. LeJIT's lookahead invariant guarantees this is true whenever a
 // value generation begins.
 func (s *System) HasPath() bool {
-	return s.Feasible(0, pow10(s.MaxDigits)-1)
+	return s.feasible(0, pow10(s.MaxDigits)-1)
 }
 
 func pow10(n int) int64 {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -257,24 +258,14 @@ func TestStateString(t *testing.T) {
 	_ = fmt.Sprintf("%v", st)
 }
 
-// batchFromOracle lifts a single-range oracle into a BatchOracle, counting
-// calls; the reference semantics NewBatch implementations must match.
-func batchFromOracle(o Oracle, calls *int) BatchOracle {
-	return func(ranges [][2]int64) bool {
-		*calls++
-		for _, r := range ranges {
-			if o(r[0], r[1]) {
-				return true
-			}
-		}
-		return false
-	}
-}
-
-// TestBatchAdmissibleEquivalence fuzzes the batched path against the
-// per-range path: for random interval sets, every reachable state must get
-// identical admissibility from New and NewBatch.
-func TestBatchAdmissibleEquivalence(t *testing.T) {
+// TestAdmissibleMatchesValueEnumeration checks the mask against the
+// feasible values themselves: for random interval sets, at every reachable
+// state, Admissible must equal the set of next characters — a digit, or the
+// terminator — of the canonical renderings below 10^MaxDigits that lie in the
+// set and extend the state's prefix. Systems built by New (the single-range
+// oracle asked range by range) and by NewBatch (a union oracle answering each
+// call at once) are checked alike.
+func TestAdmissibleMatchesValueEnumeration(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 60; trial++ {
 		maxDigits := 1 + rng.Intn(3)
@@ -285,31 +276,68 @@ func TestBatchAdmissibleEquivalence(t *testing.T) {
 			b := a + rng.Int63n(limit-a+1)
 			ivs = append(ivs, [2]int64{a, b})
 		}
-		oracle := IntervalSetOracle(ivs)
-		plain := New(maxDigits, oracle)
-		calls := 0
-		batched := NewBatch(maxDigits, oracle, batchFromOracle(oracle, &calls))
-
-		var walk func(st State)
-		walk = func(st State) {
-			d1, e1 := plain.Admissible(st)
-			d2, e2 := batched.Admissible(st)
-			if d1 != d2 || e1 != e2 {
-				t.Fatalf("trial %d state %s: plain (%v,%v) != batched (%v,%v)",
-					trial, st, d1, e1, d2, e2)
-			}
-			for d := 0; d <= 9; d++ {
-				if !d1[d] {
-					continue
+		var renderings []string
+		for v := int64(0); v <= limit; v++ {
+			for _, iv := range ivs {
+				if iv[0] <= v && v <= iv[1] {
+					renderings = append(renderings, strconv.FormatInt(v, 10))
+					break
 				}
-				nst, err := plain.Step(st, byte('0'+d))
-				if err != nil {
-					t.Fatal(err)
-				}
-				walk(nst)
 			}
 		}
-		walk(plain.Start())
+		// next returns the reference admissibility after prefix.
+		next := func(prefix string) (digits [10]bool, canEnd bool) {
+			for _, r := range renderings {
+				switch {
+				case r == prefix:
+					canEnd = true
+				case strings.HasPrefix(r, prefix):
+					digits[r[len(prefix)]-'0'] = true
+				}
+			}
+			return digits, canEnd
+		}
+		calls := 0
+		union := IntervalSetOracle(ivs)
+		systems := map[string]*System{
+			"New": New(maxDigits, union),
+			"NewBatch": NewBatch(maxDigits, func(ranges [][2]int64) bool {
+				calls++
+				for _, r := range ranges {
+					if union(r[0], r[1]) {
+						return true
+					}
+				}
+				return false
+			}),
+		}
+		for name, sys := range systems {
+			states := 0
+			var walk func(st State, prefix string)
+			walk = func(st State, prefix string) {
+				states++
+				digits, canEnd := sys.Admissible(st)
+				wantDigits, wantEnd := next(prefix)
+				if digits != wantDigits || canEnd != wantEnd {
+					t.Fatalf("trial %d (ivs %v, w=%d) %s state %q: admissible (%v,%v), the values say (%v,%v)",
+						trial, ivs, maxDigits, name, prefix, digits, canEnd, wantDigits, wantEnd)
+				}
+				for d := 0; d <= 9; d++ {
+					if !digits[d] {
+						continue
+					}
+					nst, err := sys.Step(st, byte('0'+d))
+					if err != nil {
+						t.Fatal(err)
+					}
+					walk(nst, prefix+string(byte('0'+d)))
+				}
+			}
+			walk(sys.Start(), "")
+			if states < 2 {
+				t.Fatalf("trial %d %s: walked %d states", trial, name, states)
+			}
+		}
 		if calls == 0 {
 			t.Fatalf("trial %d: batch oracle never consulted", trial)
 		}
@@ -321,12 +349,11 @@ func TestBatchAdmissibleEquivalence(t *testing.T) {
 // batch call carrying all its completion widths.
 func TestBatchOneCallPerCandidate(t *testing.T) {
 	var got [][][2]int64
-	sys := NewBatch(3, IntervalSetOracle([][2]int64{{0, 999}}),
-		func(ranges [][2]int64) bool {
-			cp := append([][2]int64(nil), ranges...)
-			got = append(got, cp)
-			return true
-		})
+	sys := NewBatch(3, func(ranges [][2]int64) bool {
+		cp := append([][2]int64(nil), ranges...)
+		got = append(got, cp)
+		return true
+	})
 	digits, canEnd := sys.Admissible(sys.Start())
 	if canEnd {
 		t.Error("empty prefix must not end")
@@ -336,10 +363,13 @@ func TestBatchOneCallPerCandidate(t *testing.T) {
 			t.Errorf("digit %d inadmissible under a full-range oracle", d)
 		}
 	}
-	// Digit 0 collapses to the single value 0 and uses the single-range
-	// oracle; digits 1..9 each cost one batch call.
-	if len(got) != 9 {
-		t.Fatalf("%d batch calls, want 9 (one per first digit 1..9)", len(got))
+	// Digit 0 collapses to the single value 0, one call of one range;
+	// digits 1..9 each cost one call of all their widths.
+	if len(got) != 10 {
+		t.Fatalf("%d batch calls, want 10 (one per first digit)", len(got))
+	}
+	if want := [2]int64{0, 0}; len(got[0]) != 1 || got[0][0] != want {
+		t.Errorf("digit 0 asked %v, want [%v]", got[0], want)
 	}
 	// Candidate "7": completions are {7, 70..79, 700..799}.
 	want := [][2]int64{{7, 7}, {70, 79}, {700, 799}}
@@ -363,5 +393,5 @@ func TestNewBatchPanics(t *testing.T) {
 			t.Error("nil batch oracle should panic")
 		}
 	}()
-	NewBatch(2, IntervalSetOracle(nil), nil)
+	NewBatch(2, nil)
 }

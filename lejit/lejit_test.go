@@ -2,9 +2,12 @@ package lejit
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // quickSchema is a small schema trainable in milliseconds.
@@ -196,6 +199,26 @@ func TestInfeasiblePromptDetection(t *testing.T) {
 	// And the benign prompt still works.
 	if _, _, err := pipe.Impute(Record{"Total": {5}}, rng); err != nil {
 		t.Fatalf("benign prompt failed: %v", err)
+	}
+}
+
+// TestOverlongPromptIsAnError: a prompt value with more elements than its
+// field comes back as a plain error, not as a recovered panic.
+func TestOverlongPromptIsAnError(t *testing.T) {
+	schema := quickSchema(t)
+	rng := rand.New(rand.NewSource(10))
+	rs, err := ParseRules("rule conserve: sum(X) == Total", schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipe, err := NewPipeline(quickModel(t, quickCorpus(rng, 60)), schema, rs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = pipe.Impute(Record{"Total": {20, 5}}, rng)
+	var pe *core.PanicError
+	if err == nil || errors.As(err, &pe) {
+		t.Fatalf("err = %v, want a plain error", err)
 	}
 }
 
