@@ -247,19 +247,3 @@ func TestForwardPanicDropsSession(t *testing.T) {
 		}
 	}
 }
-
-// TestSeededRNGMatchesNewSource: re-seeding an engine's RNG yields the stream
-// of a fresh rand.New(rand.NewSource(seed)), whatever it drew before.
-func TestSeededRNGMatchesNewSource(t *testing.T) {
-	e := nnTestEngine(t)
-	for _, seed := range []int64{0, 1, -7, MixSeed(9, 3)} {
-		r := e.seededRNG(seed)
-		ref := rand.New(rand.NewSource(seed))
-		for i := 0; i < 700; i++ { // past the source's 607-word state
-			if a, b := r.Float64(), ref.Float64(); a != b {
-				t.Fatalf("seed %d draw %d: %v, fresh source %v", seed, i, a, b)
-			}
-		}
-		r.Intn(5) // leave the stream mid-way for the next re-seed
-	}
-}

@@ -719,14 +719,13 @@ type cand struct {
 }
 
 // seededRNG returns the engine's RNG re-seeded with seed: the stream
-// rand.New(rand.NewSource(seed)) would produce, without the 4.9 KB source
-// such a call allocates. The RNG belongs to the one lane the engine decodes
-// and is re-seeded for the next.
+// rand.New(rand.NewSource(seed)) would produce, from a laneSource the engine
+// allocates once and whose Seed computes no state word (rng.go). The RNG
+// belongs to the one lane the engine decodes and is re-seeded for the next.
 func (e *Engine) seededRNG(seed int64) *rand.Rand {
 	if e.rng == nil {
-		e.rng = rand.New(rand.NewSource(seed))
-	} else {
-		e.rng.Seed(seed)
+		e.rng = rand.New(new(laneSource))
 	}
+	e.rng.Seed(seed)
 	return e.rng
 }
