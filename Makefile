@@ -19,8 +19,14 @@ tier1:
 # a default-scale retrain at GOMAXPROCS=4 that must write the committed
 # artifact byte for byte (≈ 20 s on 2 cores),
 # a cross-build so the non-amd64 kernel body cannot rot, the no-FMA gate,
-# then vet + test of bench/ — a nested module, so ./... above never compiles
-# it although it imports internal/.
+# the link gate, then vet + test of bench/ — a nested module, so ./... above
+# never compiles it although it imports internal/.
+#
+# The link gate (linkgate_test.go, TestEveryFunctionLinked -linkgate): every
+# non-test function under internal/ and cmd/ is linked into a binary that
+# cmd/..., examples/... or bench/ builds with inlining off, or is on its
+# allowlist with a reason. A function only tests call lives in a _test.go
+# file; one nothing calls is deleted.
 #
 # The no-FMA gate: the Go body of tensor.MatAccum (matacc.go) must compile to
 # a separate multiply and add on arm64, as SSE2 does on amd64, or the two
@@ -40,6 +46,7 @@ verify: tier1
 	if echo "$$asm" | grep -E 'FMADD|FMSUB|FNMADD|FNMSUB'; then echo "no-FMA gate: arm64 fuses a multiply-add in matacc.go"; exit 1; fi; \
 	if ! echo "$$asm" | grep -q FMULS; then echo "no-FMA gate: no FMULS from matacc.go in the arm64 -S output"; exit 1; fi; \
 	echo "no-FMA gate: matacc.go has no fused multiply-add on arm64"
+	$(GO) test -count=1 -v -run 'TestEveryFunctionLinked' . -linkgate
 	(cd bench && $(GO) vet . && $(GO) test .)
 
 # Kernel and engine microbenchmarks (vs seed-copy references). End-to-end

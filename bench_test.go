@@ -407,24 +407,6 @@ func BenchmarkSMTOraclePattern(b *testing.B) {
 	}
 }
 
-func BenchmarkSMTFeasibleRange(b *testing.B) {
-	s := smt.NewSolver()
-	var sum smt.LinExpr
-	var vars []smt.Var
-	for i := 0; i < 5; i++ {
-		v := s.NewVar("I", 0, 60)
-		vars = append(vars, v)
-		sum = sum.Add(smt.V(v))
-	}
-	s.Assert(smt.Eq(sum, smt.C(100)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, st := s.FeasibleRange(smt.V(vars[i%5])); st != smt.Sat {
-			b.Fatal(st)
-		}
-	}
-}
-
 func BenchmarkLMSessionStep(b *testing.B) {
 	env := benchEnv(b)
 	sess := env.Model.NewSession()

@@ -35,14 +35,6 @@ type Generator interface {
 	Sample(rng *rand.Rand) (rules.Record, error)
 }
 
-// Imputer predicts missing fields from known ones.
-type Imputer interface {
-	Name() string
-	Fit(recs []rules.Record) error
-	// Impute fills the fields not present in known.
-	Impute(known rules.Record) (rules.Record, error)
-}
-
 // layout flattens a schema into an ordered list of (field, index) slots so
 // records convert to/from plain vectors.
 type layout struct {

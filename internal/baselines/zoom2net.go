@@ -72,9 +72,6 @@ func NewZoom2Net(schema *rules.Schema, coarse []string, fine string, manual *rul
 	return z, nil
 }
 
-// Name implements Imputer.
-func (z *Zoom2Net) Name() string { return "Zoom2Net" }
-
 // Fit trains the MLP with SGD on normalized inputs/targets.
 func (z *Zoom2Net) Fit(recs []rules.Record) error {
 	if len(recs) == 0 {

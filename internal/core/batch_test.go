@@ -90,7 +90,7 @@ func TestDecodeBatchGenerate(t *testing.T) {
 		if b.Err != nil {
 			t.Fatalf("record %d: %v", i, b.Err)
 		}
-		viol, err := e.Rules().Violations(b.Res.Rec)
+		viol, err := e.cfg.Rules.Violations(b.Res.Rec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,15 +150,15 @@ func TestCloneSharesCompiledRules(t *testing.T) {
 	if got := c.SolverStats().Checks; got != 0 {
 		t.Errorf("clone performed %d solver checks at construction, want 0", got)
 	}
-	if c.program != e.program || c.solver.NumAssertions() != 1 {
-		t.Errorf("clone shares program %v (want its parent's) and holds %d assertions (want the forked rules)", c.program == e.program, c.solver.NumAssertions())
+	if c.program != e.program || c.solver.Epoch() != e.solver.Epoch() {
+		t.Errorf("clone shares program %v (want its parent's) and solver state %v (want the forked rules)", c.program == e.program, c.solver.Epoch() == e.solver.Epoch())
 	}
 	// The clone must still enforce: decode and check compliance.
 	res, err := c.Impute(rules.Record{"TotalIngress": {120}, "Congestion": {10}}, rand.New(rand.NewSource(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	viol, err := c.Rules().Violations(res.Rec)
+	viol, err := c.cfg.Rules.Violations(res.Rec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,7 +52,7 @@ func TestBeamImputeCompliance(t *testing.T) {
 		if err != nil {
 			t.Fatalf("width %d: %v", width, err)
 		}
-		vs, err := e.Rules().Violations(res.Rec)
+		vs, err := e.cfg.Rules.Violations(res.Rec)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -473,9 +473,6 @@ func (e *Engine) SetPrefixCache(cache *prefixcache.Cache) {
 	e.program = &p
 }
 
-// PrefixCache returns the engine's prefix cache (nil when disabled).
-func (e *Engine) PrefixCache() *prefixcache.Cache { return e.cfg.PrefixCache }
-
 // SetSolverBudget installs a per-Check solver budget (node limit and
 // wall-clock deadline; a zero leaves that dimension unlimited) on the engine
 // after construction, covering engines built by helpers that take no Config
@@ -503,9 +500,6 @@ func (e *Engine) SetSolverBudget(maxNodes uint64, timeout time.Duration) {
 func (e *Engine) Clone() (*Engine, error) { return e.clone(), nil }
 
 func (e *Engine) clone() *Engine { return &Engine{program: e.program, solver: e.solver.Fork()} }
-
-// Rules returns the engine's rule set (may be nil).
-func (e *Engine) Rules() *rules.RuleSet { return e.cfg.Rules }
 
 // Fingerprint returns the engine's rule-epoch fingerprint. Two engines share
 // a fingerprint iff their pack name, model identity, vocabulary, schema,
@@ -535,7 +529,6 @@ func (e *Engine) SolverStats() smt.Stats {
 		st.Nodes += cs.Nodes
 		st.Propagations += cs.Propagations
 		st.Conflicts += cs.Conflicts
-		st.OptQueries += cs.OptQueries
 		st.BaseBuilds += cs.BaseBuilds
 		st.WarmStarts += cs.WarmStarts
 		st.BudgetStops += cs.BudgetStops

@@ -225,7 +225,7 @@ func TestLeJITGuaranteesCompliance(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		vs, err := e.Rules().Violations(res.Rec)
+		vs, err := e.cfg.Rules.Violations(res.Rec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -260,7 +260,7 @@ func TestLeJITUnconditionalGenerate(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		vs, err := e.Rules().Violations(res.Rec)
+		vs, err := e.cfg.Rules.Violations(res.Rec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -312,7 +312,7 @@ func TestLeJITRedirectsInvalidIntent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vs, err := e.Rules().Violations(res.Rec)
+	vs, err := e.cfg.Rules.Violations(res.Rec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,7 +432,7 @@ func TestVanillaViolatesOften(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: format-aware model should parse: %v", trial, err)
 		}
-		vs, err := e.Rules().Violations(res.Rec)
+		vs, err := e.cfg.Rules.Violations(res.Rec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -511,7 +511,7 @@ func TestPostHocRepairsToCompliance(t *testing.T) {
 	if !res.Stats.Repaired {
 		t.Error("Repaired flag not set for an invalid sample")
 	}
-	vs, err := e.Rules().Violations(res.Rec)
+	vs, err := e.cfg.Rules.Violations(res.Rec)
 	if err != nil {
 		t.Fatal(err)
 	}

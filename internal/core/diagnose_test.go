@@ -43,7 +43,7 @@ func TestDiagnoseCoreIsActuallyUnsat(t *testing.T) {
 	for _, n := range coreNames {
 		keep[n] = true
 	}
-	sub := e.Rules().Filter(func(r rules.Rule) bool { return keep[r.Name] })
+	sub := e.cfg.Rules.Filter(func(r rules.Rule) bool { return keep[r.Name] })
 	cfg := e.cfg
 	cfg.Rules = sub
 	eSub, err := NewEngine(cfg)
@@ -57,7 +57,7 @@ func TestDiagnoseCoreIsActuallyUnsat(t *testing.T) {
 	// ...and dropping any single core rule must make it feasible
 	// (minimality).
 	for _, drop := range coreNames {
-		sub2 := e.Rules().Filter(func(r rules.Rule) bool { return keep[r.Name] && r.Name != drop })
+		sub2 := e.cfg.Rules.Filter(func(r rules.Rule) bool { return keep[r.Name] && r.Name != drop })
 		cfg := e.cfg
 		cfg.Rules = sub2
 		e2, err := NewEngine(cfg)

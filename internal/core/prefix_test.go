@@ -196,7 +196,7 @@ func TestPrefixNoCacheOptOut(t *testing.T) {
 	if _, err := e.DecodeRequests(context.Background(), warmup, 1, seed, nil); err != nil {
 		t.Fatal(err)
 	}
-	before := e.PrefixCache().Stats()
+	before := e.cfg.PrefixCache.Stats()
 
 	reqs := []BatchRequest{
 		{Prompt: prompt, Ctx: DisablePrefixCache(context.Background())},
@@ -219,7 +219,7 @@ func TestPrefixNoCacheOptOut(t *testing.T) {
 	// The opted-out record and its warm batch-mate decode the same prompt
 	// with index-derived seeds; both must match their solo equivalents.
 	checkMatchesSolo(t, nnTestEngine(t), reqs, out, seed)
-	after := e.PrefixCache().Stats()
+	after := e.cfg.PrefixCache.Stats()
 	if after.Misses != before.Misses {
 		t.Errorf("opted-out request recorded a lookup: misses %d -> %d", before.Misses, after.Misses)
 	}

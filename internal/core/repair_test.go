@@ -35,7 +35,10 @@ func repairTrial(t *testing.T, rng *rand.Rand) (accepted, multi, refused int) {
 		vars[i] = s.NewVar("x", lo, lo+4+int64(rng.Intn(25)))
 	}
 	pick := func() smt.Var { return vars[rng.Intn(n)] }
-	term := func() smt.LinExpr { return smt.CV(1+int64(rng.Intn(3)), pick()) }
+	term := func() smt.LinExpr {
+		c := 1 + int64(rng.Intn(3))
+		return smt.V(pick()).Scale(c)
+	}
 	atom := func() smt.Formula {
 		a, b := smt.V(pick()), smt.C(int64(rng.Intn(20)))
 		switch rng.Intn(5) {
@@ -54,11 +57,11 @@ func repairTrial(t *testing.T, rng *rand.Rand) (accepted, multi, refused int) {
 	for k := 2 + rng.Intn(5); k > 0; k-- {
 		switch rng.Intn(6) {
 		case 0, 1, 2: // a coupling: total = sum of parts
-			parts := []smt.LinExpr{term(), smt.V(pick())}
+			sum := term().Add(smt.V(pick()))
 			if rng.Intn(2) == 0 {
-				parts = append(parts, smt.V(pick()))
+				sum = sum.Add(smt.V(pick()))
 			}
-			rs = append(rs, smt.Eq(smt.Sum(parts...), smt.V(pick())))
+			rs = append(rs, smt.Eq(sum, smt.V(pick())))
 		case 3:
 			rs = append(rs, smt.Le(term(), term().AddConst(int64(rng.Intn(7)-3))))
 		case 4:

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -185,9 +186,12 @@ func TestCorpusRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, seq := range seqs {
-		text := env.Tok.Decode(seq)
-		if text != dataset.Format(env.Train[i].Rec) {
-			t.Errorf("sequence %d decodes to %q, want %q", i, text, dataset.Format(env.Train[i].Rec))
+		want, err := env.Tok.EncodeSeq(dataset.Format(env.Train[i].Rec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(seq, want) {
+			t.Errorf("sequence %d = %v, want the encoding of %q", i, seq, dataset.Format(env.Train[i].Rec))
 		}
 	}
 }

@@ -79,17 +79,6 @@ func Repair(s *smt.Solver, vars []smt.Var, targets []int64) (map[smt.Var]int64, 
 		}
 		return out
 	}
-	objOf := func(model map[smt.Var]int64) int64 {
-		var d int64
-		for i, v := range vars {
-			diff := model[v] - targets[i]
-			if diff < 0 {
-				diff = -diff
-			}
-			d += diff
-		}
-		return d
-	}
 
 	// Exponential ascent: find the first satisfiable distance budget.
 	var best map[smt.Var]int64
@@ -100,7 +89,7 @@ func Repair(s *smt.Solver, vars []smt.Var, targets []int64) (map[smt.Var]int64, 
 		switch r.Status {
 		case smt.Sat:
 			best = r.Model
-			hi = objOf(r.Model)
+			hi = Distance(r.Model, vars, targets)
 		case smt.Unsat:
 			lo = bound + 1
 			if bound == 0 {
@@ -134,7 +123,7 @@ func Repair(s *smt.Solver, vars []smt.Var, targets []int64) (map[smt.Var]int64, 
 		switch r.Status {
 		case smt.Sat:
 			best = r.Model
-			if v := objOf(r.Model); v < hi {
+			if v := Distance(r.Model, vars, targets); v < hi {
 				hi = v
 			} else {
 				hi = mid

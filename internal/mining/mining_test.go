@@ -65,7 +65,7 @@ func TestMineFindsBurstImplication(t *testing.T) {
 	for _, r := range rs.Rules {
 		if strings.HasPrefix(r.Name, "impmax_Congestion_gt0_I") {
 			found = true
-			body := rules.NodeString(r.Body)
+			body := r.String()
 			if !strings.Contains(body, "max(I) >= ") {
 				t.Errorf("unexpected impmax body: %s", body)
 			}
@@ -83,7 +83,7 @@ func TestMineFieldFilter(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range rs.Rules {
-		if strings.Contains(rules.NodeString(r.Body), "I[") || strings.Contains(rules.NodeString(r.Body), "(I)") {
+		if strings.Contains(r.String(), "I[") || strings.Contains(r.String(), "(I)") {
 			t.Errorf("coarse-only mining produced a fine-grained rule: %s", r)
 		}
 	}
@@ -212,8 +212,8 @@ func TestMineFindsCountRules(t *testing.T) {
 	for _, r := range rs.Rules {
 		if strings.HasPrefix(r.Name, "count_I_ge") {
 			found = true
-			if !strings.Contains(rules.NodeString(r.Body), "count(I >= ") {
-				t.Errorf("unexpected count body: %s", rules.NodeString(r.Body))
+			if !strings.Contains(r.String(), "count(I >= ") {
+				t.Errorf("unexpected count body: %s", r.String())
 			}
 		}
 	}

@@ -29,7 +29,7 @@ func TestCausalMask(t *testing.T) {
 	// Positions 0..3 see identical prefixes; logits must match exactly.
 	for pos := 0; pos < 4; pos++ {
 		for v := 0; v < m.Cfg.Vocab; v++ {
-			if cb.logits.At(pos, v) != cm.logits.At(pos, v) {
+			if cb.logits.Row(pos)[v] != cm.logits.Row(pos)[v] {
 				t.Fatalf("position %d logit %d changed when a later token changed", pos, v)
 			}
 		}
@@ -37,7 +37,7 @@ func TestCausalMask(t *testing.T) {
 	// Position 4 consumed the changed token; logits should differ.
 	same := true
 	for v := 0; v < m.Cfg.Vocab; v++ {
-		if cb.logits.At(4, v) != cm.logits.At(4, v) {
+		if cb.logits.Row(4)[v] != cm.logits.Row(4)[v] {
 			same = false
 			break
 		}

@@ -233,22 +233,6 @@ func (p *pass) linear(x *tensor.Mat, w, b *Param, in, out int) *tensor.Mat {
 	return y
 }
 
-// Loss computes the mean next-token cross-entropy of seq (inputs seq[:len-1],
-// targets seq[1:]); targets equal to PadToken are excluded.
-func (m *Model) Loss(seq []int) (float64, error) { return m.newPass(nil).loss(seq) }
-
-func (p *pass) loss(seq []int) (float64, error) {
-	if len(seq) < 2 {
-		return 0, fmt.Errorf("nn: sequence too short (%d)", len(seq))
-	}
-	c, err := p.forward(seq[:len(seq)-1])
-	if err != nil {
-		return 0, err
-	}
-	loss, _ := ceLoss(c, seq[1:])
-	return loss, nil
-}
-
 // ceLoss computes the mean cross-entropy over valid targets and the count.
 func ceLoss(c *fwdCache, targets []int) (float64, int) {
 	var loss float64

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -243,8 +244,8 @@ func TestGoldenCloneMatchesSeed(t *testing.T) {
 		cs := s.Clone()
 		cr := newRefSession(m)
 		for l := range r.ks {
-			cr.ks[l] = r.ks[l].Clone()
-			cr.vs[l] = r.vs[l].Clone()
+			cr.ks[l] = tensor.FromSlice(r.ks[l].R, r.ks[l].C, slices.Clone(r.ks[l].W))
+			cr.vs[l] = tensor.FromSlice(r.vs[l].R, r.vs[l].C, slices.Clone(r.vs[l].W))
 		}
 		cr.pos = r.pos
 		for _, tok := range randSeq(rng, cfg.Ctx-len(prefix), cfg.Vocab) {

@@ -2,10 +2,44 @@ package nn
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 )
+
+// Loss computes the mean next-token cross-entropy of seq (inputs seq[:len-1],
+// targets seq[1:]); targets equal to PadToken are excluded.
+func (m *Model) Loss(seq []int) (float64, error) { return m.newPass(nil).loss(seq) }
+
+func (p *pass) loss(seq []int) (float64, error) {
+	if len(seq) < 2 {
+		return 0, fmt.Errorf("nn: sequence too short (%d)", len(seq))
+	}
+	c, err := p.forward(seq[:len(seq)-1])
+	if err != nil {
+		return 0, err
+	}
+	loss, _ := ceLoss(c, seq[1:])
+	return loss, nil
+}
+
+// EvalLoss computes the mean per-sequence loss over a held-out set.
+func (m *Model) EvalLoss(seqs [][]int) (float64, error) {
+	if len(seqs) == 0 {
+		return 0, fmt.Errorf("nn: no sequences")
+	}
+	var total float64
+	p := m.newPass(nil)
+	for _, s := range seqs {
+		l, err := p.loss(s)
+		if err != nil {
+			return 0, err
+		}
+		total += l
+	}
+	return total / float64(len(seqs)), nil
+}
 
 func tinyConfig() Config {
 	return Config{Vocab: 11, Ctx: 8, Dim: 8, Heads: 2, Layers: 2}

@@ -195,20 +195,3 @@ func (m *Model) adamStep(g *grads, lr, clipNorm, weightDecay float64) {
 	}
 	m.transposeHead()
 }
-
-// EvalLoss computes the mean per-sequence loss over a held-out set.
-func (m *Model) EvalLoss(seqs [][]int) (float64, error) {
-	if len(seqs) == 0 {
-		return 0, fmt.Errorf("nn: no sequences")
-	}
-	var total float64
-	p := m.newPass(nil)
-	for _, s := range seqs {
-		l, err := p.loss(s)
-		if err != nil {
-			return 0, err
-		}
-		total += l
-	}
-	return total / float64(len(seqs)), nil
-}

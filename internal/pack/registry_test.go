@@ -123,10 +123,10 @@ func TestRegistryReloadPreservesBudgets(t *testing.T) {
 	if got := cur.Engine.Configuration().MaxNodes; got != 12345 {
 		t.Fatalf("MaxNodes after reload = %d, want 12345", got)
 	}
-	if cur.Engine.PrefixCache() == nil {
+	if cur.Engine.Configuration().PrefixCache == nil {
 		t.Fatal("reload dropped the per-pack prefix cache")
 	}
-	if cur.Engine.PrefixCache() != pk.Engine.PrefixCache() {
+	if cur.Engine.Configuration().PrefixCache != pk.Engine.Configuration().PrefixCache {
 		t.Fatal("reload created a new prefix cache instead of sharing the pack's")
 	}
 }

@@ -263,10 +263,3 @@ func ExprString(e Expr) string {
 	e.exprString(&b)
 	return b.String()
 }
-
-// NodeString renders a formula node in DSL syntax.
-func NodeString(n Node) string {
-	var b strings.Builder
-	n.nodeString(&b)
-	return b.String()
-}

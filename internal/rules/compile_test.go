@@ -2,6 +2,7 @@ package rules
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/smt"
@@ -139,7 +140,12 @@ func TestCompileMaxMinExpansions(t *testing.T) {
 // pinRecord builds a formula asserting every field equals the record value.
 func pinRecord(b *Binding, rec Record) smt.Formula {
 	var fs []smt.Formula
-	for _, name := range rec.FieldNames() {
+	names := make([]string, 0, len(rec))
+	for name := range rec {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
 		vs, ok := b.Vars(name)
 		if !ok {
 			continue

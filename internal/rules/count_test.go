@@ -142,9 +142,10 @@ func TestCountGuidesGeneration(t *testing.T) {
 	}
 	s.Assert(f)
 	xs, _ := b.Vars("X")
-	lo, hi, st := s.FeasibleRange(smt.V(xs[1]))
-	if st != smt.Sat || lo != 0 || hi != 2 {
-		t.Errorf("X[1] range [%d,%d] (%v), want [0,2]", lo, hi, st)
+	for v, want := range map[int64]smt.Status{0: smt.Sat, 2: smt.Sat, 3: smt.Unsat} {
+		if st := s.CheckWith(smt.Eq(smt.V(xs[1]), smt.C(v))).Status; st != want {
+			t.Errorf("X[1] = %d: %v, want %v (range [0,2])", v, st, want)
+		}
 	}
 }
 

@@ -235,36 +235,15 @@ func TestViolationRate(t *testing.T) {
 	}
 }
 
-func TestMergeAndFilter(t *testing.T) {
+func TestFilter(t *testing.T) {
 	schema := paperSchema(t)
-	a, err := ParseRuleSet("const BW = 60\nrule a1: sum(I) == TotalIngress", schema)
+	rs, err := ParseRuleSet("const BW = 60\nrule a1: sum(I) == TotalIngress\nrule b1: max(I) <= BW", schema)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ParseRuleSet("const BW = 60\nrule b1: max(I) <= BW", schema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := a.Merge(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Len() != 2 {
-		t.Errorf("merged len = %d, want 2", m.Len())
-	}
-	f := m.Filter(func(r Rule) bool { return r.Name == "b1" })
+	f := rs.Filter(func(r Rule) bool { return r.Name == "b1" })
 	if f.Len() != 1 || f.Rules[0].Name != "b1" {
 		t.Errorf("filter: %v", f.Rules)
-	}
-	// Conflicting constants must fail.
-	c, _ := ParseRuleSet("const BW = 99\nrule c1: max(I) <= BW", schema)
-	if _, err := a.Merge(c); err == nil {
-		t.Error("merge with conflicting constant should fail")
-	}
-	// Duplicate rule names must fail.
-	d, _ := ParseRuleSet("rule a1: min(I) >= 0", schema)
-	if _, err := a.Merge(d); err == nil {
-		t.Error("merge with duplicate rule name should fail")
 	}
 }
 

@@ -40,35 +40,5 @@ func (rs *RuleSet) Filter(keep func(Rule) bool) *RuleSet {
 	return out
 }
 
-// Merge returns a rule set combining the receiver's rules with other's.
-// Rule names must not collide; schemas must be the same object.
-func (rs *RuleSet) Merge(other *RuleSet) (*RuleSet, error) {
-	if rs.Schema != other.Schema {
-		return nil, fmt.Errorf("rules: merging rule sets with different schemas")
-	}
-	seen := map[string]bool{}
-	out := &RuleSet{Schema: rs.Schema, Consts: map[string]int64{}}
-	for k, v := range rs.Consts {
-		out.Consts[k] = v
-	}
-	for k, v := range other.Consts {
-		if existing, dup := out.Consts[k]; dup && existing != v {
-			return nil, fmt.Errorf("rules: constant %s has conflicting values %d and %d", k, existing, v)
-		}
-		out.Consts[k] = v
-	}
-	for _, r := range rs.Rules {
-		seen[r.Name] = true
-		out.Rules = append(out.Rules, r)
-	}
-	for _, r := range other.Rules {
-		if seen[r.Name] {
-			return nil, fmt.Errorf("rules: duplicate rule name %s in merge", r.Name)
-		}
-		out.Rules = append(out.Rules, r)
-	}
-	return out, nil
-}
-
 // Len reports the number of rules.
 func (rs *RuleSet) Len() int { return len(rs.Rules) }

@@ -16,10 +16,7 @@
 // its shape (scalar or fixed-length vector), and its finite integer domain.
 package rules
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // FieldKind distinguishes scalar fields (one value per record, e.g.
 // TotalIngress) from vector fields (a fixed-length time series per record,
@@ -97,16 +94,6 @@ func (s *Schema) Field(name string) (Field, bool) {
 // Fields returns the fields in declaration order.
 func (s *Schema) Fields() []Field { return append([]Field(nil), s.fields...) }
 
-// NumValues is the total number of integer values in one record
-// (Σ field lengths).
-func (s *Schema) NumValues() int {
-	n := 0
-	for _, f := range s.fields {
-		n += f.Len
-	}
-	return n
-}
-
 // Record holds one concrete record: field name → values (length 1 for
 // scalars, Field.Len for vectors).
 type Record map[string][]int64
@@ -142,15 +129,4 @@ func (r Record) Clone() Record {
 		out[k] = append([]int64(nil), v...)
 	}
 	return out
-}
-
-// FieldNames returns the record's field names sorted for deterministic
-// iteration.
-func (r Record) FieldNames() []string {
-	names := make([]string, 0, len(r))
-	for k := range r {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
 }

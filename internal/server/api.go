@@ -158,20 +158,28 @@ func badRequestf(format string, args ...any) error {
 	return errBadRequest{fmt.Errorf(format, args...)}
 }
 
+// decodeBody decodes exactly one JSON value from r into v, rejecting unknown
+// fields and anything after the value.
+func decodeBody(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return errBadRequest{fmt.Errorf("invalid JSON: %w", err)}
+	}
+	if err := dec.Decode(&struct{}{}); err != io.EOF {
+		return badRequestf("trailing content after JSON body")
+	}
+	return nil
+}
+
 // ParseDecodeRequest decodes and validates one impute/generate body.
 // allowKnown distinguishes /v1/impute (prompt required to be well-formed if
 // present) from /v1/generate (prompt forbidden). It never panics on
 // malformed input — FuzzImputeRequest holds it to that.
 func ParseDecodeRequest(r io.Reader, schema *rules.Schema, allowKnown bool) (*DecodeRequest, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
 	var req DecodeRequest
-	if err := dec.Decode(&req); err != nil {
-		return nil, errBadRequest{fmt.Errorf("invalid JSON: %w", err)}
-	}
-	// Exactly one JSON value per body.
-	if err := dec.Decode(&struct{}{}); err != io.EOF {
-		return nil, badRequestf("trailing content after JSON body")
+	if err := decodeBody(r, &req); err != nil {
+		return nil, err
 	}
 	if req.Mode == "" {
 		req.Mode = ModeLeJIT
@@ -198,14 +206,9 @@ func ParseDecodeRequest(r io.Reader, schema *rules.Schema, allowKnown bool) (*De
 
 // ParseReloadRequest decodes and validates one /v1/packs/reload body.
 func ParseReloadRequest(r io.Reader) (*ReloadRequest, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
 	var req ReloadRequest
-	if err := dec.Decode(&req); err != nil {
-		return nil, errBadRequest{fmt.Errorf("invalid JSON: %w", err)}
-	}
-	if err := dec.Decode(&struct{}{}); err != io.EOF {
-		return nil, badRequestf("trailing content after JSON body")
+	if err := decodeBody(r, &req); err != nil {
+		return nil, err
 	}
 	if req.Pack == "" {
 		return nil, badRequestf("pack is required")
@@ -215,11 +218,9 @@ func ParseReloadRequest(r io.Reader) (*ReloadRequest, error) {
 
 // ParseCheckRequest decodes and validates one /v1/check body.
 func ParseCheckRequest(r io.Reader, schema *rules.Schema) (*CheckRequest, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
 	var req CheckRequest
-	if err := dec.Decode(&req); err != nil {
-		return nil, errBadRequest{fmt.Errorf("invalid JSON: %w", err)}
+	if err := decodeBody(r, &req); err != nil {
+		return nil, err
 	}
 	if len(req.Record) == 0 {
 		return nil, badRequestf("record is required")

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"time"
 
 	"repro/internal/pack"
 	"repro/internal/prefixcache"
@@ -98,8 +97,8 @@ type Metrics struct {
 
 	ttft *histogram // streaming time-to-first-chunk seconds (admission → first slot event)
 
-	// cond is broadcast on every counter mutation so WaitUntil can sleep on
-	// state changes instead of polling.
+	// cond is broadcast on every counter mutation so the tests' WaitUntil
+	// (server_test.go) can sleep on state changes instead of polling.
 	cond *sync.Cond
 
 	// router samples the batcher's state at scrape time: queued and
@@ -124,34 +123,6 @@ func newMetrics(routerStats func() router.Stats, packStats func() map[string]pac
 	}
 	m.cond = sync.NewCond(&m.mu)
 	return m
-}
-
-// WaitUntil blocks until pred holds of a live snapshot or timeout elapses,
-// returning whether it held. It sleeps on the metrics condition variable —
-// every mutator broadcasts — so callers get wakeups on state changes instead
-// of sleep-polling. Router gauges (queue depth, inflight) are sampled fresh
-// at each wakeup; a mutation that indirectly changes them (an admission, a
-// dispatched batch, a delivered result) triggers re-evaluation.
-func (m *Metrics) WaitUntil(timeout time.Duration, pred func(Snapshot) bool) bool {
-	expired := false
-	timer := time.AfterFunc(timeout, func() {
-		m.mu.Lock()
-		expired = true
-		m.cond.Broadcast()
-		m.mu.Unlock()
-	})
-	defer timer.Stop()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for {
-		if pred(m.snapshotLocked()) {
-			return true
-		}
-		if expired {
-			return false
-		}
-		m.cond.Wait()
-	}
 }
 
 func (m *Metrics) countRequest(route, pk string, code int) {
@@ -198,7 +169,8 @@ func (m *Metrics) observeLatency(seconds float64) {
 
 // noteAdmitted records one request past admission control. Broadcasting here
 // matters beyond the counter itself: admission changes the router's queue and
-// inflight gauges, and this is the wakeup that lets WaitUntil observe them.
+// inflight gauges, and this is the wakeup that lets the tests' WaitUntil
+// observe them.
 func (m *Metrics) noteAdmitted() {
 	m.mu.Lock()
 	m.admitted++

@@ -142,9 +142,6 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Packs exposes the server's pack registry (cmd/lejitd, tests).
-func (s *Server) Packs() *pack.Registry { return s.packs }
-
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 

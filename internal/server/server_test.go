@@ -25,6 +25,34 @@ import (
 // fixture): a clueless model that leaves all steering to the rules.
 type uniformLM struct{ vocab int }
 
+// WaitUntil blocks until pred holds of a live snapshot or timeout elapses,
+// returning whether it held. It sleeps on the metrics condition variable —
+// every mutator broadcasts — so callers get wakeups on state changes instead
+// of sleep-polling. Router gauges (queue depth, inflight) are sampled fresh
+// at each wakeup; a mutation that indirectly changes them (an admission, a
+// dispatched batch, a delivered result) triggers re-evaluation.
+func (m *Metrics) WaitUntil(timeout time.Duration, pred func(Snapshot) bool) bool {
+	expired := false
+	timer := time.AfterFunc(timeout, func() {
+		m.mu.Lock()
+		expired = true
+		m.cond.Broadcast()
+		m.mu.Unlock()
+	})
+	defer timer.Stop()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for {
+		if pred(m.snapshotLocked()) {
+			return true
+		}
+		if expired {
+			return false
+		}
+		m.cond.Wait()
+	}
+}
+
 func (u uniformLM) VocabSize() int { return u.vocab }
 func (u uniformLM) NewSession() core.Session {
 	return &uniformSession{logits: make([]float32, u.vocab)}
@@ -159,10 +187,17 @@ func TestHandlerBadJSON(t *testing.T) {
 	s := newTestServer(t, nil)
 	ts := httptest.NewServer(s)
 	defer ts.Close()
-	for _, body := range []string{"", "{", `"just a string"`, `{"known": 12}`, `{"known": {}} trailing`} {
-		resp, _ := postJSON(t, ts, "/v1/impute", body)
+	for _, c := range []struct{ path, body string }{
+		{"/v1/impute", ""},
+		{"/v1/impute", "{"},
+		{"/v1/impute", `"just a string"`},
+		{"/v1/impute", `{"known": 12}`},
+		{"/v1/impute", `{"known": {}} trailing`},
+		{"/v1/check", `{"record": {"TotalIngress": [100], "Congestion": [10], "I": [30, 20, 10, 20, 20]}} {"record": {}}`},
+	} {
+		resp, _ := postJSON(t, ts, c.path, c.body)
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("body %q: status %d, want 400", body, resp.StatusCode)
+			t.Errorf("%s body %q: status %d, want 400", c.path, c.body, resp.StatusCode)
 		}
 	}
 }

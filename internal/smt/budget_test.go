@@ -114,11 +114,10 @@ func TestSetContextAbandonsCheck(t *testing.T) {
 	}
 }
 
-func TestMinimizeHonorsBudget(t *testing.T) {
+func TestCheckWithHonorsBudget(t *testing.T) {
 	s := hardSolver()
 	s.MaxNodes = 2
-	vs := V(Var(0))
-	if _, st := s.Minimize(vs); st != Unknown {
-		t.Fatalf("Minimize under exhausted budget: %v, want unknown", st)
+	if r := s.CheckWith(Le(V(Var(0)), C(40))); r.Status != Unknown || !errors.Is(r.Err, ErrBudget) {
+		t.Fatalf("CheckWith under exhausted budget: %v err %v, want unknown/ErrBudget", r.Status, r.Err)
 	}
 }

@@ -32,26 +32,32 @@ func Example() {
 	s.Assert(smt.Eq(smt.V(is[1]), smt.C(15)))
 	s.Assert(smt.Eq(smt.V(is[2]), smt.C(25)))
 
-	lo, hi, st := s.FeasibleRange(smt.V(is[3]))
-	fmt.Println(st, lo, hi)
-
-	// 70 — the model's intent in Fig 1a — is infeasible.
-	r := s.CheckWith(smt.Eq(smt.V(is[3]), smt.C(39)))
-	fmt.Println("I3=39:", r.Status)
+	// I3 may still take 0 through 40; 70 — the model's intent in Fig 1a —
+	// and anything past 40 are infeasible.
+	for _, v := range []int64{0, 40, 41, 70} {
+		r := s.CheckWith(smt.Eq(smt.V(is[3]), smt.C(v)))
+		fmt.Printf("I3=%d: %v\n", v, r.Status)
+	}
 	// Output:
-	// sat 0 40
-	// I3=39: sat
+	// I3=0: sat
+	// I3=40: sat
+	// I3=41: unsat
+	// I3=70: unsat
 }
 
-// Minimize finds tight bounds under the assertions.
-func ExampleSolver_Minimize() {
+// CheckWith asks about one candidate value without changing the assertions:
+// the question the enforcer puts to the solver at every token.
+func ExampleSolver_CheckWith() {
 	s := smt.NewSolver()
 	x := s.NewVar("x", 0, 100)
 	y := s.NewVar("y", 0, 100)
 	s.Assert(smt.Ge(smt.V(x).Add(smt.V(y)), smt.C(10)))
-	min, st := s.Minimize(smt.Sum(smt.V(x), smt.CV(2, y)))
-	fmt.Println(st, min)
-	// Output: sat 10
+	s.Assert(smt.Le(smt.V(y), smt.C(4)))
+	fmt.Println(s.CheckWith(smt.Eq(smt.V(x), smt.C(5))).Status)
+	fmt.Println(s.CheckWith(smt.Eq(smt.V(x), smt.C(6))).Status)
+	// Output:
+	// unsat
+	// sat
 }
 
 // Push/Pop scope assertions per decoded record.

@@ -17,7 +17,6 @@ package smt
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -51,14 +50,6 @@ func C(c int64) LinExpr { return LinExpr{k: c} }
 // V returns the expression consisting of the single variable v.
 func V(v Var) LinExpr { return LinExpr{terms: []term{{V: v, C: 1}}} }
 
-// CV returns the expression c·v.
-func CV(c int64, v Var) LinExpr {
-	if c == 0 {
-		return LinExpr{}
-	}
-	return LinExpr{terms: []term{{V: v, C: c}}}
-}
-
 // Const reports the constant part of the expression.
 func (e LinExpr) Const() int64 { return e.k }
 
@@ -74,22 +65,12 @@ func (e LinExpr) Vars() []Var {
 	return vs
 }
 
-// Coef returns the coefficient of v in e (0 if absent).
-func (e LinExpr) Coef(v Var) int64 {
-	for _, t := range e.terms {
-		if t.V == v {
-			return t.C
-		}
-	}
-	return 0
-}
-
 // NumTerms returns the number of variable terms.
 func (e LinExpr) NumTerms() int { return len(e.terms) }
 
 // Term returns the i-th variable term (ascending by variable, 0 ≤ i <
-// NumTerms) and its coefficient, which is never 0: Vars and Coef without
-// the slice Vars allocates.
+// NumTerms) and its coefficient, which is never 0: Vars without the slice
+// Vars allocates.
 func (e LinExpr) Term(i int) (Var, int64) { return e.terms[i].V, e.terms[i].C }
 
 // Add returns e + f.
@@ -118,15 +99,6 @@ func (e LinExpr) Scale(c int64) LinExpr {
 	out := LinExpr{k: e.k * c, terms: make([]term, 0, len(e.terms))}
 	for _, t := range e.terms {
 		out.terms = append(out.terms, term{V: t.V, C: t.C * c})
-	}
-	return out
-}
-
-// Sum returns the sum of the given expressions.
-func Sum(es ...LinExpr) LinExpr {
-	var out LinExpr
-	for _, e := range es {
-		out = out.Add(e)
 	}
 	return out
 }
@@ -179,40 +151,6 @@ func mergeTerms(a, b []term) []term {
 	out = append(out, a[i:]...)
 	out = append(out, b[j:]...)
 	return out
-}
-
-// normTerms sorts and merges duplicate terms; used by builders that accept
-// arbitrary term lists.
-func normTerms(ts []term) []term {
-	sort.Slice(ts, func(i, j int) bool { return ts[i].V < ts[j].V })
-	out := ts[:0]
-	for _, t := range ts {
-		if t.C == 0 {
-			continue
-		}
-		if n := len(out); n > 0 && out[n-1].V == t.V {
-			out[n-1].C += t.C
-			if out[n-1].C == 0 {
-				out = out[:n-1]
-			}
-			continue
-		}
-		out = append(out, t)
-	}
-	return out
-}
-
-// FromTerms builds a linear expression from explicit (coef, var) pairs plus a
-// constant. Duplicate variables are summed.
-func FromTerms(k int64, pairs ...struct {
-	C int64
-	V Var
-}) LinExpr {
-	ts := make([]term, 0, len(pairs))
-	for _, p := range pairs {
-		ts = append(ts, term{V: p.V, C: p.C})
-	}
-	return LinExpr{terms: normTerms(ts), k: k}
 }
 
 // String renders the expression using solver-independent variable names x<i>.

@@ -5,20 +5,32 @@ import (
 	"testing/quick"
 )
 
+// CV returns the expression c·v.
+func CV(c int64, v Var) LinExpr { return V(v).Scale(c) }
+
+// Sum returns the sum of the given expressions.
+func Sum(es ...LinExpr) LinExpr {
+	var out LinExpr
+	for _, e := range es {
+		out = out.Add(e)
+	}
+	return out
+}
+
 func TestLinExprBuilders(t *testing.T) {
 	x, y := Var(0), Var(1)
-	e := Sum(CV(2, x), CV(3, y), C(5))
-	if got := e.Coef(x); got != 2 {
-		t.Errorf("Coef(x) = %d, want 2", got)
+	e := V(y).Scale(3).Add(V(x).Scale(2)).AddConst(5)
+	if e.NumTerms() != 2 {
+		t.Fatalf("%v has %d terms, want 2", e, e.NumTerms())
 	}
-	if got := e.Coef(y); got != 3 {
-		t.Errorf("Coef(y) = %d, want 3", got)
+	if v, c := e.Term(0); v != x || c != 2 {
+		t.Errorf("Term(0) = (%d, %d), want (x0, 2)", v, c)
+	}
+	if v, c := e.Term(1); v != y || c != 3 {
+		t.Errorf("Term(1) = (%d, %d), want (x1, 3)", v, c)
 	}
 	if got := e.Const(); got != 5 {
 		t.Errorf("Const = %d, want 5", got)
-	}
-	if got := e.Coef(Var(7)); got != 0 {
-		t.Errorf("Coef(absent) = %d, want 0", got)
 	}
 }
 
@@ -33,8 +45,8 @@ func TestLinExprAddCancels(t *testing.T) {
 func TestLinExprSubScale(t *testing.T) {
 	x, y := Var(0), Var(1)
 	e := V(x).Sub(V(y)).Scale(4) // 4x - 4y
-	if e.Coef(x) != 4 || e.Coef(y) != -4 {
-		t.Errorf("scale: got %v", e)
+	if got := e.String(); got != "4*x0 - 4*x1" {
+		t.Errorf("scale: got %s", got)
 	}
 	if e.Scale(0).NumTerms() != 0 {
 		t.Error("Scale(0) should drop all terms")
@@ -62,24 +74,10 @@ func TestLinExprAddCommutative(t *testing.T) {
 		a := Sum(CV(int64(ax), x), CV(int64(ay), y), C(int64(ak)))
 		b := Sum(CV(int64(bx), x), CV(int64(by), y), C(int64(bk)))
 		l, r := a.Add(b), b.Add(a)
-		return l.Coef(x) == r.Coef(x) && l.Coef(y) == r.Coef(y) && l.Const() == r.Const()
+		return l.String() == r.String()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestFromTermsMergesDuplicates(t *testing.T) {
-	x := Var(3)
-	e := FromTerms(1, struct {
-		C int64
-		V Var
-	}{2, x}, struct {
-		C int64
-		V Var
-	}{5, x})
-	if e.Coef(x) != 7 || e.Const() != 1 {
-		t.Errorf("FromTerms merge: got %v", e)
 	}
 }
 

@@ -2,6 +2,7 @@ package smt
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -88,7 +89,6 @@ type Atom struct {
 // Formulas are immutable trees built with the package-level constructors
 // (And, Or, Not, Implies, Le, Lt, Ge, Gt, Eq, Ne, True, False).
 type Formula interface {
-	fString(*strings.Builder)
 	isFormula()
 }
 
@@ -111,9 +111,6 @@ var (
 	True  Formula = boolF{v: true}
 	False Formula = boolF{v: false}
 )
-
-// AtomFormula wraps an Atom as a Formula.
-func AtomFormula(a Atom) Formula { return atomF{a: a} }
 
 // AtomOf returns the atom of a bare atomic formula, and reports whether f
 // is one.
@@ -207,14 +204,6 @@ func Or(fs ...Formula) Formula {
 
 // Implies returns a → b (as ¬a ∨ b).
 func Implies(a, b Formula) Formula { return Or(Not(a), b) }
-
-// Iff returns a ↔ b.
-func Iff(a, b Formula) Formula { return And(Implies(a, b), Implies(b, a)) }
-
-// Between returns the formula lo ≤ e ≤ hi.
-func Between(e LinExpr, lo, hi int64) Formula {
-	return And(Ge(e, C(lo)), Le(e, C(hi)))
-}
 
 // nnf pushes negations down to atoms, yielding a formula consisting only of
 // atoms, conjunctions, and disjunctions.
@@ -393,52 +382,25 @@ func collectVars(f Formula, out map[Var]bool) {
 	}
 }
 
-func (f atomF) fString(b *strings.Builder) {
-	b.WriteString(f.a.Expr.String())
-	b.WriteString(" ")
-	b.WriteString(f.a.Op.String())
-	b.WriteString(" 0")
-}
-
-func (f boolF) fString(b *strings.Builder) {
-	if f.v {
-		b.WriteString("true")
-	} else {
-		b.WriteString("false")
-	}
-}
-
-func (f notF) fString(b *strings.Builder) {
-	b.WriteString("!(")
-	f.f.fString(b)
-	b.WriteString(")")
-}
-
-func (f andF) fString(b *strings.Builder) {
-	b.WriteString("(")
-	for i, sub := range f.fs {
-		if i > 0 {
-			b.WriteString(" && ")
-		}
-		sub.fString(b)
-	}
-	b.WriteString(")")
-}
-
-func (f orF) fString(b *strings.Builder) {
-	b.WriteString("(")
-	for i, sub := range f.fs {
-		if i > 0 {
-			b.WriteString(" || ")
-		}
-		sub.fString(b)
-	}
-	b.WriteString(")")
-}
-
 // FormulaString renders f for debugging.
 func FormulaString(f Formula) string {
-	var b strings.Builder
-	f.fString(&b)
-	return b.String()
+	var fs []Formula
+	sep := " && "
+	switch g := f.(type) {
+	case atomF:
+		return g.a.Expr.String() + " " + g.a.Op.String() + " 0"
+	case boolF:
+		return strconv.FormatBool(g.v)
+	case notF:
+		return "!(" + FormulaString(g.f) + ")"
+	case andF:
+		fs = g.fs
+	case orF:
+		fs, sep = g.fs, " || "
+	}
+	parts := make([]string, len(fs))
+	for i, sub := range fs {
+		parts[i] = FormulaString(sub)
+	}
+	return "(" + strings.Join(parts, sep) + ")"
 }

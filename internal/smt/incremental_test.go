@@ -72,21 +72,6 @@ func TestNestedPushPop(t *testing.T) {
 	}
 }
 
-// TestMinimizeWithExtras: the extra formulas must scope only to the query.
-func TestMinimizeWithExtras(t *testing.T) {
-	s := NewSolver()
-	x := s.NewVar("x", 0, 100)
-	s.Assert(Ge(V(x), C(10)))
-	v, st := s.Minimize(V(x), Ge(V(x), C(40)))
-	if st != Sat || v != 40 {
-		t.Errorf("constrained min = (%d,%v), want (40,sat)", v, st)
-	}
-	v, st = s.Minimize(V(x))
-	if st != Sat || v != 10 {
-		t.Errorf("unconstrained min = (%d,%v), want (10,sat): extras leaked", v, st)
-	}
-}
-
 // TestSolverSequenceProperty drives a random interleaving of assert, push,
 // pop, and check against a naive reference implementation of the assertion
 // stack.
@@ -144,32 +129,5 @@ func TestVarBoundsRespectedInModels(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-// TestFeasibleRangeEndpointsAttainable: min and max returned by
-// FeasibleRange are themselves feasible values (the transition system's
-// correctness depends on exact endpoints).
-func TestFeasibleRangeEndpointsAttainable(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	for trial := 0; trial < 60; trial++ {
-		s := NewSolver()
-		vars := []Var{s.NewVar("a", 0, 8), s.NewVar("b", 0, 8)}
-		f := randFormula(rng, vars, 2)
-		s.Assert(f)
-		lo, hi, st := s.FeasibleRange(V(vars[0]))
-		if st != Sat {
-			continue
-		}
-		for _, v := range []int64{lo, hi} {
-			r := s.CheckWith(Eq(V(vars[0]), C(v)))
-			if r.Status != Sat {
-				t.Fatalf("trial %d: endpoint %d of [%d,%d] not attainable for %s",
-					trial, v, lo, hi, FormulaString(f))
-			}
-		}
-		if lo > hi {
-			t.Fatalf("trial %d: inverted range [%d,%d]", trial, lo, hi)
-		}
 	}
 }

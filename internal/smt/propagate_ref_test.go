@@ -10,6 +10,10 @@ import (
 // every term are computed by integer division on every visit, and a
 // tightening restarts by recursion. It is kept as the reference the
 // division-free loop must reproduce step for step.
+func newDomains(lo, hi []int64) *domains {
+	return &domains{lo: append([]int64(nil), lo...), hi: append([]int64(nil), hi...)}
+}
+
 func propagateOneRef(d *domains, c *lincon, changedVars *[]Var) (ok, changed bool) {
 	var minSum, maxSum int64
 	for _, t := range c.terms {

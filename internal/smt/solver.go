@@ -47,7 +47,6 @@ type Stats struct {
 	Nodes        uint64 // search-tree nodes explored
 	Propagations uint64 // individual bound tightenings
 	Conflicts    uint64 // dead ends reached during search
-	OptQueries   uint64 // Minimize/Maximize invocations
 	BaseBuilds   uint64 // warm-start base stores built (≤ one per epoch)
 	WarmStarts   uint64 // Checks served from a memoized base store
 	BudgetStops  uint64 // Checks that returned Unknown (budget, deadline, or cancellation)
@@ -377,9 +376,6 @@ func (s *Solver) SetContext(ctx context.Context) { s.ctx = ctx }
 // that state's epoch. Callers may key memoized results by it (LeJIT's
 // witness model is); restoration deliberately revalidates such memos.
 func (s *Solver) Epoch() uint64 { return s.epoch }
-
-// NumAssertions reports the number of currently active assertions.
-func (s *Solver) NumAssertions() int { return len(s.compiled) }
 
 // Stats returns a copy of the cumulative statistics.
 func (s *Solver) Stats() Stats { return s.stats }

@@ -2,6 +2,7 @@ package smt
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -173,6 +174,9 @@ func TestPushPop(t *testing.T) {
 		t.Errorf("NumAssertions = %d, want 1", n)
 	}
 }
+
+// NumAssertions reports the number of currently active assertions.
+func (s *Solver) NumAssertions() int { return len(s.compiled) }
 
 func TestPopWithoutPushPanics(t *testing.T) {
 	defer func() {
@@ -370,5 +374,72 @@ func TestNegativeDomains(t *testing.T) {
 	}
 	if r.Model[x]+r.Model[y] != -30 || r.Model[x] > -40 {
 		t.Errorf("bad model %v", r.Model)
+	}
+}
+
+// feasibleValues lists the values of v in [lo, hi] that CheckWith finds a
+// completion for: the feasible set the enforcer's per-value queries see.
+func feasibleValues(s *Solver, v Var, lo, hi int64) []int64 {
+	var out []int64
+	for x := lo; x <= hi; x++ {
+		if s.CheckWith(Eq(V(v), C(x))).Status == Sat {
+			out = append(out, x)
+		}
+	}
+	return out
+}
+
+// paperIngress declares I0..I4 in [0, bw] with Σ I = 100 and pins the prefix
+// I0=20, I1=15, I2=25, so I3 + I4 = 40.
+func paperIngress(s *Solver, bw int64) []Var {
+	var is []Var
+	var sum LinExpr
+	for i := 0; i < 5; i++ {
+		v := s.NewVar("I", 0, bw)
+		is = append(is, v)
+		sum = sum.Add(V(v))
+	}
+	s.Assert(Eq(sum, C(100)))
+	s.Assert(Eq(V(is[0]), C(20)))
+	s.Assert(Eq(V(is[1]), C(15)))
+	s.Assert(Eq(V(is[2]), C(25)))
+	return is
+}
+
+func TestFeasibleRangeWithSuffixLookahead(t *testing.T) {
+	// LeJIT's core query: after fixing I0..I2, which values can I3 take such
+	// that SOME I4 ∈ [0,60] still completes Σ I = 100? I3 ∈ [0, 40] (paper
+	// Fig 1b step ②: 39 is valid, 70 is not).
+	s := NewSolver()
+	is := paperIngress(s, 60)
+	got := feasibleValues(s, is[3], 0, 60)
+	if len(got) != 41 || got[0] != 0 || got[40] != 40 {
+		t.Errorf("I3 feasible at %v, want 0..40", got)
+	}
+}
+
+func TestFeasibleRangeWithImplicationActive(t *testing.T) {
+	// Same as above but with the paper's R3 active (Congestion > 0, no
+	// burst generated yet): when choosing I3, either I3 itself bursts
+	// (≥ 30) or I4 must. I4 = 40 - I3 ≥ 30 → I3 ≤ 10. So the feasible
+	// set for I3 is [0,10] ∪ [30,40] — a hole inside the hull [0,40].
+	const bw = 60
+	s := NewSolver()
+	is := paperIngress(s, bw)
+	cong := s.NewVar("Congestion", 0, 100)
+	var burst []Formula
+	for _, v := range is {
+		burst = append(burst, Ge(V(v), C(bw/2)))
+	}
+	s.Assert(Implies(Gt(V(cong), C(0)), Or(burst...)))
+	s.Assert(Eq(V(cong), C(8)))
+	var want []int64
+	for x := int64(0); x <= 40; x++ {
+		if x <= 10 || x >= 30 {
+			want = append(want, x)
+		}
+	}
+	if got := feasibleValues(s, is[3], 0, bw); !slices.Equal(got, want) {
+		t.Errorf("I3 feasible at %v, want %v", got, want)
 	}
 }

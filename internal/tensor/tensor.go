@@ -17,7 +17,6 @@ package tensor
 import (
 	"fmt"
 	"math"
-	"math/rand"
 )
 
 // Mat is a dense row-major matrix.
@@ -42,12 +41,6 @@ func FromSlice(r, c int, data []float32) *Mat {
 	return &Mat{R: r, C: c, W: data}
 }
 
-// At returns element (i, j).
-func (m *Mat) At(i, j int) float32 { return m.W[i*m.C+j] }
-
-// Set assigns element (i, j).
-func (m *Mat) Set(i, j int, v float32) { m.W[i*m.C+j] = v }
-
 // Row returns a view of row i.
 func (m *Mat) Row(i int) []float32 { return m.W[i*m.C : (i+1)*m.C] }
 
@@ -55,20 +48,6 @@ func (m *Mat) Row(i int) []float32 { return m.W[i*m.C : (i+1)*m.C] }
 func (m *Mat) Zero() {
 	for i := range m.W {
 		m.W[i] = 0
-	}
-}
-
-// Clone deep-copies the matrix.
-func (m *Mat) Clone() *Mat {
-	out := NewMat(m.R, m.C)
-	copy(out.W, m.W)
-	return out
-}
-
-// Randn fills m with N(0, std²) samples from rng.
-func (m *Mat) Randn(rng *rand.Rand, std float64) {
-	for i := range m.W {
-		m.W[i] = float32(rng.NormFloat64() * std)
 	}
 }
 
@@ -307,6 +286,3 @@ func (a *Arena) Alloc(n int) []float32 {
 	a.off += n
 	return s
 }
-
-// Remaining reports how many float32s are still unallocated.
-func (a *Arena) Remaining() int { return len(a.buf) - a.off }

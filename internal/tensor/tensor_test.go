@@ -6,6 +6,26 @@ import (
 	"testing"
 )
 
+// At returns element (i, j).
+func (m *Mat) At(i, j int) float32 { return m.W[i*m.C+j] }
+
+// Set assigns element (i, j).
+func (m *Mat) Set(i, j int, v float32) { m.W[i*m.C+j] = v }
+
+// Clone deep-copies the matrix.
+func (m *Mat) Clone() *Mat {
+	out := NewMat(m.R, m.C)
+	copy(out.W, m.W)
+	return out
+}
+
+// Randn fills m with N(0, std²) samples from rng.
+func (m *Mat) Randn(rng *rand.Rand, std float64) {
+	for i := range m.W {
+		m.W[i] = float32(rng.NormFloat64() * std)
+	}
+}
+
 func approxEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
 func TestMatMulSmall(t *testing.T) {

@@ -9,10 +9,7 @@
 // is the identity on alphabet strings.
 package vocab
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Special token ids.
 const (
@@ -96,17 +93,6 @@ func (t *Tokenizer) Encode(s string) ([]int, error) {
 	return out, nil
 }
 
-// Decode renders token ids back to text. Special tokens decode to nothing.
-func (t *Tokenizer) Decode(ids []int) string {
-	var b strings.Builder
-	for _, id := range ids {
-		if t.IsChar(id) {
-			b.WriteByte(t.chars[id-FirstChar])
-		}
-	}
-	return b.String()
-}
-
 // EncodeSeq wraps Encode with BOS/EOS framing for training sequences.
 func (t *Tokenizer) EncodeSeq(s string) ([]int, error) {
 	body, err := t.Encode(s)
@@ -129,6 +115,3 @@ func (t *Tokenizer) DigitIDs() [10]int {
 	}
 	return out
 }
-
-// Alphabet returns a copy of the alphabet bytes in id order.
-func (t *Tokenizer) Alphabet() []byte { return append([]byte(nil), t.chars...) }

@@ -1,9 +1,24 @@
 package vocab
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
+
+// Decode renders token ids back to text. Special tokens decode to nothing.
+func (t *Tokenizer) Decode(ids []int) string {
+	var b strings.Builder
+	for _, id := range ids {
+		if t.IsChar(id) {
+			b.WriteByte(t.chars[id-FirstChar])
+		}
+	}
+	return b.String()
+}
+
+// Alphabet returns a copy of the alphabet bytes in id order.
+func (t *Tokenizer) Alphabet() []byte { return append([]byte(nil), t.chars...) }
 
 func TestRoundTrip(t *testing.T) {
 	tok := Telemetry()
