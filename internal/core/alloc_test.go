@@ -59,7 +59,7 @@ func TestFastPathStepAllocsNothing(t *testing.T) {
 			}
 			rng.Seed(step)
 			e.nMoves = 0
-			tok, err := ld.next(logits)
+			tok, err := stepLane(ld, logits)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -78,7 +78,7 @@ func TestFastPathStepAllocsNothing(t *testing.T) {
 						o.wvals = append(w, savedW...)
 					}
 					rng.Seed(step)
-					if again, err := ld.next(logits); err != nil || again != tok {
+					if again, err := stepLane(ld, logits); err != nil || again != tok {
 						t.Fatalf("replayed step sampled %d (%v), first run %d", again, err, tok)
 					}
 					if err := ld.advance(tok); err != nil {
@@ -117,6 +117,19 @@ func TestFastPathStepAllocsNothing(t *testing.T) {
 		t.Fatalf("only %d fast-path steps measured, %d of them with a repair of ≥ 2 moves and %d rebuilding the clause state: the gate checks too little", measured, multi, rebuilt)
 	}
 	t.Logf("%d fast-path steps replayed, %d with a repair of ≥ 2 moves, %d rebuilding the clause state", measured, multi, rebuilt)
+}
+
+// stepLane runs both halves of a lane's next token as the decode loop does,
+// handing pick the logits only when mask asks for them.
+func stepLane(ld *laneDecoder, logits []float32) (int, error) {
+	reads, err := ld.mask()
+	if err != nil {
+		return 0, err
+	}
+	if !reads {
+		logits = nil
+	}
+	return ld.pick(logits)
 }
 
 // TestReusedBatchSessionAllocsNothing: once a lane group's session is back

@@ -73,16 +73,22 @@ func (ld *laneDecoder) startFree(plan *promptPlan) {
 	ld.allowed = append(ld.allowed, vocab.EOS)
 }
 
-// nextFree is next for a free-sampling lane: a queued prompt token, or one
-// sampled from every character plus EOS. A sampled EOS ends the sample
-// without feeding the LM, so the lane either finishes — next returns with
-// done() true and nothing to feed — or restarts and hands out its BOS.
-func (ld *laneDecoder) nextFree(logits []float32) (int, error) {
-	// One context check per token, prompt tokens included: a restarting
-	// rejection lane re-feeds its prompt hundreds of times.
+// maskFree is mask for a free-sampling lane: the choice reads the logits
+// unless a prompt token is queued. It checks the context before every
+// token, prompt tokens included: a restarting rejection lane re-feeds its
+// prompt hundreds of times.
+func (ld *laneDecoder) maskFree() (bool, error) {
 	if err := ld.ctx.Err(); err != nil {
-		return 0, err
+		return false, err
 	}
+	return len(ld.pending) == 0, nil
+}
+
+// pickFree is pick for a free-sampling lane: a queued prompt token, or one
+// sampled from every character plus EOS. A sampled EOS ends the sample
+// without feeding the LM, so the lane either finishes — pick returns with
+// done() true and nothing to feed — or restarts and hands out its BOS.
+func (ld *laneDecoder) pickFree(logits []float32) (int, error) {
 	if len(ld.pending) == 0 {
 		tok := ld.e.sampleMasked(logits, ld.allowed, ld.rng)
 		ld.cur.Tokens++

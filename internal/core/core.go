@@ -67,11 +67,15 @@ type BatchSession interface {
 	// logits are never read. A consumed lane is stepped again only after
 	// ResetLane.
 	Consume(lanes, toks []int) error
+	// Finish computes the next-token logits of lanes, which the step is
+	// about to read, in one pass. Logits must return them whether or not
+	// Finish ran, so an implementation that computes logits in AppendBatch
+	// does nothing here; nn defers a row's last-layer tail to it, so that a
+	// row nobody reads never computes it.
+	Finish(lanes []int)
 	// Logits returns lane's next-token logits after its last step; the
 	// engine reads but does not retain the returned slice.
 	Logits(lane int) []float32
-	// Len reports the number of tokens lane has consumed.
-	Len(lane int) int
 	// ResetLane empties lane, leaving the others as they are; its next
 	// AppendBatch starts it again from the first position. A free-sampling
 	// lane restarts from its prompt through it.
@@ -186,7 +190,10 @@ type Config struct {
 	// Vanilla/Rejection/PostHoc baselines.
 	TraceHook func(TraceStep)
 	// FaultHook, when set, is called once per guided decoding step just
-	// before the solver probes, mirroring TraceHook. Test-only fault
+	// before the solver probes, mirroring TraceHook. Within one lane a
+	// step's FaultHook call precedes its TraceHook call; across the lanes
+	// of a batch the calls interleave (every lane's mask, then every
+	// lane's sample), so Known tells the lanes apart. Test-only fault
 	// injection: a returned error fails the lane with it (wrap ErrBudget to
 	// simulate a solver stall), a panic exercises the recover barrier, and
 	// a sleep makes the lane slow. Never set in production configs.
@@ -251,7 +258,8 @@ type TraceStep struct {
 	// Structural counts what the grammar/width alone would allow.
 	Admissible []int
 	Structural int
-	Chosen     int // the sampled token id
+	Chosen     int          // the sampled token id
+	Known      rules.Record // the lane's known prefix, as FaultSite.Known
 }
 
 // ErrInfeasible is returned when the rules conjoined with the prompt's known

@@ -302,31 +302,39 @@ func sortedChars(set map[byte]bool) string {
 	return string(cs)
 }
 
-// laneTracer collects guided steps per lane. A TraceStep names no lane, so
-// each is paired with the FaultHook call just before it on the same
-// goroutine, whose FaultSite.Known is the lane's prompt map. That names the
-// lane when every request has a map of its own (an empty one for
-// generation) and every decode runs on the test's goroutine: solo, or
-// DecodeRequests with workers 1.
+// laneTracer collects guided steps per lane. FaultSite.Known and
+// TraceStep.Known are the lane's prompt map, which names the lane when every
+// request has a map of its own (an empty one for generation) and every
+// decode runs on the test's goroutine: solo, or DecodeRequests with workers
+// 1. The hook calls of a batch's lanes interleave, so each lane's last fault
+// site is kept apart, and a trace step must follow its own lane's fault site
+// at the same slot, one site per step.
 type laneTracer struct {
-	site  core.FaultSite
+	sites map[uintptr]core.FaultSite
 	steps map[uintptr][]core.TraceStep
 }
 
-func newLaneTracer() *laneTracer { return &laneTracer{steps: map[uintptr][]core.TraceStep{}} }
+func newLaneTracer() *laneTracer {
+	return &laneTracer{sites: map[uintptr]core.FaultSite{}, steps: map[uintptr][]core.TraceStep{}}
+}
 
 func laneKey(known rules.Record) uintptr { return reflect.ValueOf(known).Pointer() }
 
 func (tr *laneTracer) fault(s core.FaultSite) error {
-	tr.site = s
+	tr.sites[laneKey(s.Known)] = s
 	return nil
 }
 
 func (tr *laneTracer) trace(s core.TraceStep) {
-	if s.Field != tr.site.Field || s.Index != tr.site.Index {
-		panic(fmt.Sprintf("trace step at %s[%d] follows a fault site at %s[%d]", s.Field, s.Index, tr.site.Field, tr.site.Index))
+	k := laneKey(s.Known)
+	site, ok := tr.sites[k]
+	if !ok {
+		panic(fmt.Sprintf("trace step at %s[%d] follows no fault site of its lane", s.Field, s.Index))
 	}
-	k := laneKey(tr.site.Known)
+	if s.Field != site.Field || s.Index != site.Index {
+		panic(fmt.Sprintf("trace step at %s[%d] follows a fault site at %s[%d]", s.Field, s.Index, site.Field, site.Index))
+	}
+	delete(tr.sites, k)
 	tr.steps[k] = append(tr.steps[k], s)
 }
 
@@ -335,6 +343,7 @@ func (tr *laneTracer) take(known rules.Record) []core.TraceStep {
 	k := laneKey(known)
 	s := tr.steps[k]
 	delete(tr.steps, k)
+	delete(tr.sites, k)
 	return s
 }
 

@@ -65,8 +65,9 @@ type laneDecoder struct {
 	structural *transition.System
 	state      transition.State
 	sepID      int
-	sampled    bool  // whether the last token from next was sampled (vs prompt)
+	sampled    bool  // whether the last token from pick was sampled (vs prompt)
 	allowed    []int // the step's admissible tokens; a free lane's fixed mask
+	nStruct    int   // the step's structurally allowed token count
 
 	// Free-sampling state (baselines.go). prompt is BOS plus the prompt,
 	// re-queued on every restart; sample is the current sample's text; cur
@@ -208,7 +209,7 @@ func (e *Engine) newLaneDecoder(ctx context.Context, method Method, known rules.
 // prefix is dropped from the LM feed queue and the restored snapshot is
 // returned for the driver to copy into its lane (it is shared with the cache
 // and other hits, so only read). Returns nil on a cold lane. Must be called
-// before the first next().
+// before the first mask().
 func (ld *laneDecoder) applyWarm() *nn.Session {
 	if ld.warm == nil || ld.finished {
 		return nil
@@ -252,36 +253,36 @@ func (ld *laneDecoder) finish() {
 	ld.e.solver.SetContext(nil)
 }
 
-// next returns the next token to feed the LM: a queued prompt token, or one
-// sampled from logits under the slot's admissible mask. logits are the LM's
-// logits after the lane's previous token and are only read once the prompt
-// has drained (BOS always precedes the first sampled token, so the first
-// call may pass nil). Unless the lane is done — a free lane whose sample
-// ended on EOS may finish here — the caller must feed the token to the LM
-// and then call advance with it.
-func (ld *laneDecoder) next(logits []float32) (int, error) {
+// mask and pick choose the next token to feed the LM, in two halves: a
+// queued prompt token, or one sampled from the LM's logits under the slot's
+// admissible mask. mask runs the step's solver work and reports whether the
+// choice reads the logits — only a sample among two or more tokens does, so a
+// prompt token or a forced one never needs them — and pick then chooses,
+// given the logits after the lane's previous token when mask asked for
+// them (nil otherwise). The decode loop runs every lane's mask before it
+// computes the logits the lanes asked for, in one pass. Unless the lane is
+// done after pick — a free lane whose sample ended on EOS may finish there
+// — the caller must feed the token to the LM and then call advance with it.
+func (ld *laneDecoder) mask() (bool, error) {
 	if ld.finished {
-		return 0, fmt.Errorf("core: laneDecoder.next after finish")
+		return false, fmt.Errorf("core: laneDecoder.mask after finish")
 	}
 	if ld.method != MethodGuided {
-		return ld.nextFree(logits)
+		return ld.maskFree()
 	}
 	if len(ld.pending) > 0 {
-		tok := ld.pending[0]
-		ld.pending = ld.pending[1:]
-		ld.sampled = false
-		return tok, nil
+		return false, nil
 	}
 	e := ld.e
 	if !ld.inSlot {
 		if err := ld.beginSlot(); err != nil {
-			return 0, err
+			return false, err
 		}
 	}
 	// One context check per emitted token — before this round of solver
 	// probes — so a cancelled request stops burning solver work mid-decode.
 	if err := ld.ctx.Err(); err != nil {
-		return 0, err
+		return false, err
 	}
 	slot := e.cfg.Slots[ld.slot]
 	if e.cfg.FaultHook != nil {
@@ -289,13 +290,13 @@ func (ld *laneDecoder) next(logits []float32) (int, error) {
 			Known: ld.known, Field: slot.Field, Index: slot.Index,
 			Tokens: ld.res.Stats.Tokens,
 		}); err != nil {
-			return 0, err
+			return false, err
 		}
 	}
 	digits, canEnd := ld.sys.Admissible(ld.state)
 	if ld.oracle != nil {
 		if err := ld.oracle.budgetErr(); err != nil {
-			return 0, lookaheadGaveUp(slot, err)
+			return false, lookaheadGaveUp(slot, err)
 		}
 	}
 	ld.allowed = ld.allowed[:0]
@@ -310,37 +311,53 @@ func (ld *laneDecoder) next(logits []float32) (int, error) {
 	if len(ld.allowed) == 0 {
 		// Unreachable if the lookahead invariant holds: the state was only
 		// entered because some completion existed.
-		return 0, fmt.Errorf("core: dead end at %s[%d] prefix %s (invariant breach)", slot.Field, slot.Index, ld.state)
+		return false, fmt.Errorf("core: dead end at %s[%d] prefix %s (invariant breach)", slot.Field, slot.Index, ld.state)
 	}
 	sDigits, sEnd := ld.structural.Admissible(ld.state)
-	nStruct := 0
+	ld.nStruct = 0
 	for d := 0; d <= 9; d++ {
 		if sDigits[d] {
-			nStruct++
+			ld.nStruct++
 		}
 	}
 	if sEnd {
-		nStruct++
+		ld.nStruct++
 	}
-	if len(ld.allowed) < nStruct {
+	if len(ld.allowed) < ld.nStruct {
 		ld.res.Stats.MaskedSteps++
 		if len(ld.allowed) == 1 {
 			ld.res.Stats.ForcedSteps++
 		}
 	}
+	return len(ld.allowed) > 1, nil
+}
+
+// pick is the second half of choosing the next token (see mask).
+func (ld *laneDecoder) pick(logits []float32) (int, error) {
+	if ld.method != MethodGuided {
+		return ld.pickFree(logits)
+	}
+	if len(ld.pending) > 0 {
+		tok := ld.pending[0]
+		ld.pending = ld.pending[1:]
+		ld.sampled = false
+		return tok, nil
+	}
+	e := ld.e
 	tok := e.sampleMasked(logits, ld.allowed, ld.rng)
 	if e.cfg.TraceHook != nil {
+		slot := e.cfg.Slots[ld.slot]
 		e.cfg.TraceHook(TraceStep{
 			Field: slot.Field, Index: slot.Index, Prefix: ld.state.String(),
 			Admissible: append([]int(nil), ld.allowed...),
-			Structural: nStruct, Chosen: tok,
+			Structural: ld.nStruct, Chosen: tok, Known: ld.known,
 		})
 	}
 	ld.sampled = true
 	return tok, nil
 }
 
-// closes reports whether tok, which next just returned, closes the lane's
+// closes reports whether tok, which pick just returned, closes the lane's
 // record: the last slot's sampled separator, or the token that ends a free
 // sample. advance(tok) then completes the record, or restarts the lane from
 // its prompt, so the LM's logits after tok are never read and the driver
@@ -392,7 +409,7 @@ func (ld *laneDecoder) beginSlot() error {
 	return nil
 }
 
-// advance records that the LM consumed tok (the value next returned). It
+// advance records that the LM consumed tok (the value pick returned). It
 // performs the post-append bookkeeping: token accounting, value completion
 // on a separator (dynamic partial instantiation: the finished value is
 // asserted so the solver's view of active rules advances with generation),

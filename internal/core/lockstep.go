@@ -71,7 +71,6 @@ type prefixBatchSession interface {
 type sessionBatch struct {
 	lm   LM
 	sess []Session
-	pos  []int
 	// ahead[l] marks a lane that consumed its token in a call a later lane
 	// then failed: Sessions cannot be validated before they mutate, so the
 	// driver's retry of the surviving lanes must not feed it again.
@@ -79,7 +78,7 @@ type sessionBatch struct {
 }
 
 func newSessionBatch(lm LM, n int) *sessionBatch {
-	b := &sessionBatch{lm: lm, sess: make([]Session, n), pos: make([]int, n), ahead: make([]bool, n)}
+	b := &sessionBatch{lm: lm, sess: make([]Session, n), ahead: make([]bool, n)}
 	for i := range b.sess {
 		b.sess[i] = lm.NewSession()
 	}
@@ -98,21 +97,21 @@ func (b *sessionBatch) AppendBatch(lanes, toks []int) error {
 			}
 			return &nn.LaneError{Lane: l, Err: err}
 		}
-		b.pos[l]++
 	}
 	return nil
 }
 
-// Consume is AppendBatch: a Session has no way to take a token without
-// computing its logits.
+// Consume is AppendBatch: a Session has no way to take a token but Append.
 func (b *sessionBatch) Consume(lanes, toks []int) error { return b.AppendBatch(lanes, toks) }
 
+// Finish does nothing: a Session computes its logits in Append or on read.
+func (b *sessionBatch) Finish([]int) {}
+
 func (b *sessionBatch) Logits(lane int) []float32 { return b.sess[lane].Logits() }
-func (b *sessionBatch) Len(lane int) int          { return b.pos[lane] }
 
 // ResetLane gives lane a fresh Session.
 func (b *sessionBatch) ResetLane(lane int) {
-	b.sess[lane], b.pos[lane], b.ahead[lane] = b.lm.NewSession(), 0, false
+	b.sess[lane], b.ahead[lane] = b.lm.NewSession(), false
 }
 
 // reusableBatchSession is a BatchSession decodeLockStep can keep for the
@@ -188,9 +187,10 @@ type lsLane struct {
 	// lane starts) a clone from the driving engine's pool.
 	eng *Engine
 
-	ld   *laneDecoder
-	slot int // lane index in the group's BatchSession
-	tok  int // token pending in the current step, -1 once the LM refused it
+	ld    *laneDecoder
+	slot  int  // lane index in the group's BatchSession
+	reads bool // whether the current step's choice reads the lane's logits
+	tok   int  // token pending in the current step, -1 once the LM refused it
 }
 
 // settle records the lane's outcome and recycles its engine.
@@ -291,7 +291,9 @@ func (e *Engine) startLane(bs BatchSession, la *lsLane) bool {
 //     for free, because the solver treats them as existentially quantified.
 //     Admissible tokens keep their model logits; everything else is masked,
 //     the remainder renormalized, and one token sampled. A free-sampling
-//     lane samples among every character and EOS.
+//     lane samples among every character and EOS. Every lane's mask comes
+//     first, then one Finish computes the logits of the lanes that sample,
+//     then every lane chooses.
 //  2. One forward pass feeds every lane its token.
 //  3. Per lane, a guided value that terminated has its equality asserted,
 //     activating/deactivating rules for later slots (dynamic partial
@@ -319,23 +321,57 @@ func (e *Engine) decodeLockStep(work []*lsLane) {
 	stepToks := make([]int, 0, len(lanes))
 	stepRefs := make([]*lsLane, 0, len(lanes))
 	closing := make([]*lsLane, 0, len(lanes))
+	reading := make([]int, 0, len(lanes))
 	for len(lanes) > 0 {
-		// Phase 1, per lane: the lane's next token (prompt tokens need no
-		// logits; the BOS is always fed before the first sampled token). A
-		// free lane may finish here, or restart and need its LM lane emptied.
-		// A token that closes its lane's record is queued apart: nothing
-		// reads the logits after it.
+		// Phase 1a, per lane: the step's mask, and whether choosing the
+		// token reads the lane's logits — only a sample among two or more
+		// tokens does (the BOS is always fed before the first one). Then one
+		// Finish computes the logits of exactly those lanes: a prompt token,
+		// a forced token and a lane that failed here never pay for the last
+		// layer's tail. A panic in Finish leaves the shared session suspect,
+		// as one in the forward does: every lane of the step fails.
+		reading = reading[:0]
+		for _, la := range lanes {
+			err := guardLane(func() error {
+				var merr error
+				la.reads, merr = la.ld.mask()
+				return merr
+			})
+			if err != nil {
+				e.failLane(la, err)
+			} else if la.reads {
+				reading = append(reading, la.slot)
+			}
+		}
+		if len(reading) > 0 {
+			if err := guardLane(func() error { bs.Finish(reading); return nil }); err != nil {
+				reusable = false
+				for _, la := range lanes {
+					if !la.ld.done() {
+						e.failLane(la, err)
+					}
+				}
+			}
+		}
+
+		// Phase 1b, per lane: the lane's next token. A free lane may finish
+		// here, or restart and need its LM lane emptied. A token that closes
+		// its lane's record is queued apart: nothing reads the logits after
+		// it.
 		stepLanes, stepToks, stepRefs, closing = stepLanes[:0], stepToks[:0], stepRefs[:0], closing[:0]
 		for _, la := range lanes {
+			if la.ld.done() {
+				continue // failed in phase 1a
+			}
 			var logits []float32
-			if bs.Len(la.slot) > 0 {
+			if la.reads {
 				logits = bs.Logits(la.slot)
 			}
 			var tok int
 			err := guardLane(func() error {
-				var nerr error
-				tok, nerr = la.ld.next(logits)
-				return nerr
+				var perr error
+				tok, perr = la.ld.pick(logits)
+				return perr
 			})
 			if err != nil {
 				e.failLane(la, err)

@@ -14,6 +14,9 @@ import (
 // tokens. The GEMM kernels' per-row accumulation order does not depend on the
 // number of rows, so identical bits are the contract.
 
+// Len reports the number of tokens lane has consumed.
+func (bs *BatchSession) Len(lane int) int { return bs.pos[lane] }
+
 // laneSchedule fixes, per lane, the token sequence it will consume.
 func laneSchedule(rng *rand.Rand, lanes, minLen, maxLen, vocab int) [][]int {
 	seqs := make([][]int, lanes)

@@ -6,7 +6,7 @@ package nn
 // distribution's logits. Sessions are cheap to create (one per generated
 // record) and not safe for concurrent use — except that a frozen snapshot
 // (BatchSession.CloneLane) is only ever read, so any number of goroutines
-// may Clone it or SeedLane from it at once.
+// may Clone it, SeedLane from it or read its Logits at once.
 type Session struct {
 	bs BatchSession
 	// lane is always {0}; tok carries Append's token. Fixed arrays, so
@@ -24,8 +24,10 @@ func (m *Model) NewSession() *Session {
 // Len reports the number of tokens consumed.
 func (s *Session) Len() int { return s.bs.pos[0] }
 
-// Append feeds one token and computes the logits for the following position.
-// It fails on a frozen snapshot; Clone one to continue it.
+// Append feeds one token. The logits for the following position are
+// computed on their first read (Logits), so a token fed again before any
+// read never pays for them. It fails on a frozen snapshot; Clone one to
+// continue it.
 func (s *Session) Append(tok int) error {
 	s.tok[0] = tok
 	err := s.bs.AppendBatch(s.lane[:], s.tok[:])
@@ -35,14 +37,15 @@ func (s *Session) Append(tok int) error {
 	return err
 }
 
-// Logits returns the next-token logits after the last Append. The returned
-// slice is owned by the session and overwritten by the next Append; callers
-// that mask it in place (LeJIT does) should copy first if they need the raw
-// values later.
+// Logits returns the next-token logits after the last Append, computing
+// them on the first read. The returned slice is owned by the session and
+// overwritten by the next Append; callers that mask it in place (LeJIT
+// does) should copy first if they need the raw values later.
 func (s *Session) Logits() []float32 { return s.bs.Logits(0) }
 
 // Clone returns an independent full-context copy of the session: same
-// consumed prefix, same pending logits, its own KV block with room up to Ctx.
+// consumed prefix, same logits (or parked row, while they are pending), its
+// own KV block with room up to Ctx.
 // Only the filled positions are copied, and the source is only read, so a
 // frozen snapshot can be cloned and continued. Used by beam-search decoding
 // (beams share a prefix and then diverge).

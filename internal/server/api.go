@@ -216,19 +216,16 @@ func ParseReloadRequest(r io.Reader) (*ReloadRequest, error) {
 	return &req, nil
 }
 
-// ParseCheckRequest decodes and validates one /v1/check body.
-func ParseCheckRequest(r io.Reader, schema *rules.Schema) (*CheckRequest, error) {
+// ParseCheckRequest decodes one /v1/check body and checks that it carries a
+// record. The record is validated against its pack's schema once the pack is
+// resolved (Server.serveCheck).
+func ParseCheckRequest(r io.Reader) (*CheckRequest, error) {
 	var req CheckRequest
 	if err := decodeBody(r, &req); err != nil {
 		return nil, err
 	}
 	if len(req.Record) == 0 {
 		return nil, badRequestf("record is required")
-	}
-	if schema != nil {
-		if err := validateRecord(req.Record, schema); err != nil {
-			return nil, err
-		}
 	}
 	return &req, nil
 }

@@ -134,7 +134,8 @@ func TestBackpressure(t *testing.T) {
 	}
 }
 
-// sleepLM sleeps on every Logits call: a decode whose cost the test sets.
+// sleepLM sleeps on every Append, the forward: a decode whose cost the test
+// sets. A forced step reads no logits, so a sleep in Logits would skip it.
 type sleepLM struct {
 	vocab int
 	d     time.Duration
@@ -150,8 +151,8 @@ type sleepSession struct {
 	logits []float32
 }
 
-func (s *sleepSession) Append(tok int) error { return nil }
-func (s *sleepSession) Logits() []float32    { time.Sleep(s.d); return s.logits }
+func (s *sleepSession) Append(tok int) error { time.Sleep(s.d); return nil }
+func (s *sleepSession) Logits() []float32    { return s.logits }
 
 // violatingLM free-samples the fine vector "1,1,1,1,1\n" after any
 // impute prompt — well-formed, and with a sum of 5 it breaks rule r2 for

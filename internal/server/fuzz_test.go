@@ -40,7 +40,10 @@ func FuzzImputeRequest(f *testing.F) {
 		if req.Known != nil && len(req.Known) == 0 {
 			t.Fatal("accepted request has empty non-nil known map")
 		}
-		// The check decoder must be panic-free on the same input too.
-		_, _ = ParseCheckRequest(bytes.NewReader(data), schema)
+		// The check decoder and the schema validation the check handler runs
+		// after it must be panic-free on the same input too.
+		if creq, err := ParseCheckRequest(bytes.NewReader(data)); err == nil {
+			_ = validateRecord(creq.Record, schema)
+		}
 	})
 }

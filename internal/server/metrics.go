@@ -97,10 +97,6 @@ type Metrics struct {
 
 	ttft *histogram // streaming time-to-first-chunk seconds (admission → first slot event)
 
-	// cond is broadcast on every counter mutation so the tests' WaitUntil
-	// (server_test.go) can sleep on state changes instead of polling.
-	cond *sync.Cond
-
 	// router samples the batcher's state at scrape time: queued and
 	// admitted-but-unfinished jobs, and the summed batch wall time. The
 	// inflight gauge is the backpressure-honest one: a full in-flight batch
@@ -112,7 +108,7 @@ type Metrics struct {
 }
 
 func newMetrics(routerStats func() router.Stats, packStats func() map[string]pack.RuntimeStats) *Metrics {
-	m := &Metrics{
+	return &Metrics{
 		requests:  map[string]map[string]map[int]uint64{},
 		perPack:   map[string]*packCounters{},
 		batchSize: newHistogram([]float64{1, 2, 4, 8, 16, 32, 64}),
@@ -121,8 +117,6 @@ func newMetrics(routerStats func() router.Stats, packStats func() map[string]pac
 		router:    routerStats,
 		packStats: packStats,
 	}
-	m.cond = sync.NewCond(&m.mu)
-	return m
 }
 
 func (m *Metrics) countRequest(route, pk string, code int) {
@@ -142,13 +136,11 @@ func (m *Metrics) countRequest(route, pk string, code int) {
 	if code == 429 {
 		m.rejected++
 	}
-	m.cond.Broadcast()
 }
 
 func (m *Metrics) countTimeout() {
 	m.mu.Lock()
 	m.timeouts++
-	m.cond.Broadcast()
 	m.mu.Unlock()
 }
 
@@ -156,39 +148,31 @@ func (m *Metrics) observeBatch(size int) {
 	m.mu.Lock()
 	m.batches++
 	m.batchSize.observe(float64(size))
-	m.cond.Broadcast()
 	m.mu.Unlock()
 }
 
 func (m *Metrics) observeLatency(seconds float64) {
 	m.mu.Lock()
 	m.latency.observe(seconds)
-	m.cond.Broadcast()
 	m.mu.Unlock()
 }
 
-// noteAdmitted records one request past admission control. Broadcasting here
-// matters beyond the counter itself: admission changes the router's queue and
-// inflight gauges, and this is the wakeup that lets the tests' WaitUntil
-// observe them.
+// noteAdmitted records one request past admission control.
 func (m *Metrics) noteAdmitted() {
 	m.mu.Lock()
 	m.admitted++
-	m.cond.Broadcast()
 	m.mu.Unlock()
 }
 
 func (m *Metrics) countStream() {
 	m.mu.Lock()
 	m.streams++
-	m.cond.Broadcast()
 	m.mu.Unlock()
 }
 
 func (m *Metrics) observeTTFT(seconds float64) {
 	m.mu.Lock()
 	m.ttft.observe(seconds)
-	m.cond.Broadcast()
 	m.mu.Unlock()
 }
 
@@ -201,7 +185,6 @@ func (m *Metrics) countDecode(pk string, tokens int, solverChecks uint64) {
 	}
 	pc.tokens += uint64(tokens)
 	pc.solverChecks += solverChecks
-	m.cond.Broadcast()
 	m.mu.Unlock()
 }
 
@@ -215,14 +198,12 @@ func (m *Metrics) countLaneRetired(budget, panicked bool) {
 	if panicked {
 		m.panicsRecovered++
 	}
-	m.cond.Broadcast()
 	m.mu.Unlock()
 }
 
 func (m *Metrics) countBatcherRestart() {
 	m.mu.Lock()
 	m.batcherRestarts++
-	m.cond.Broadcast()
 	m.mu.Unlock()
 }
 

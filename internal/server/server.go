@@ -417,7 +417,7 @@ func (s *Server) serveCheck(w http.ResponseWriter, r *http.Request) (int, string
 		return writeError(w, http.StatusMethodNotAllowed, "POST required", ""), ""
 	}
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	req, err := ParseCheckRequest(body, nil)
+	req, err := ParseCheckRequest(body)
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {

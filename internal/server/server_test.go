@@ -25,31 +25,23 @@ import (
 // fixture): a clueless model that leaves all steering to the rules.
 type uniformLM struct{ vocab int }
 
-// WaitUntil blocks until pred holds of a live snapshot or timeout elapses,
-// returning whether it held. It sleeps on the metrics condition variable —
-// every mutator broadcasts — so callers get wakeups on state changes instead
-// of sleep-polling. Router gauges (queue depth, inflight) are sampled fresh
-// at each wakeup; a mutation that indirectly changes them (an admission, a
-// dispatched batch, a delivered result) triggers re-evaluation.
+// WaitUntil polls pred on a live snapshot every millisecond until it holds
+// or timeout elapses, returning whether it held. Router gauges (queue depth,
+// inflight) are sampled fresh at each poll. The first evaluation runs before
+// WaitUntil first sleeps, under the metrics lock.
 func (m *Metrics) WaitUntil(timeout time.Duration, pred func(Snapshot) bool) bool {
-	expired := false
-	timer := time.AfterFunc(timeout, func() {
-		m.mu.Lock()
-		expired = true
-		m.cond.Broadcast()
-		m.mu.Unlock()
-	})
-	defer timer.Stop()
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	deadline := time.Now().Add(timeout)
 	for {
-		if pred(m.snapshotLocked()) {
+		m.mu.Lock()
+		held := pred(m.snapshotLocked())
+		m.mu.Unlock()
+		if held {
 			return true
 		}
-		if expired {
+		if time.Now().After(deadline) {
 			return false
 		}
-		m.cond.Wait()
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -452,9 +444,9 @@ func TestMetricsEndpointRenders(t *testing.T) {
 	}
 }
 
-// TestWaitUntilWakesOnCountDecode: countDecode broadcasts like every other
-// mutator, so a WaitUntil on the token counter that is already asleep wakes
-// on it alone, not on its timeout or a later, unrelated mutation.
+// TestWaitUntilWakesOnCountDecode: a WaitUntil on the token counter that is
+// already waiting sees countDecode alone, not its timeout or a later,
+// unrelated mutation.
 func TestWaitUntilWakesOnCountDecode(t *testing.T) {
 	m := newMetrics(func() router.Stats { return router.Stats{} }, nil)
 	asleep := make(chan struct{})
