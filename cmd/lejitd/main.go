@@ -74,7 +74,7 @@ func run() error {
 	solverBudget := flag.Uint64("solver-budget", 0, "max solver search nodes per SMT check; an exhausted check fails only its own request with 503 (0 = solver default)")
 	solverTimeout := flag.Duration("solver-timeout", 0, "wall-clock budget per SMT check (0 = none)")
 	degradedThreshold := flag.Int("degraded-threshold", 0, "report /healthz status \"degraded\" once this many requests exhausted their solver budget (0 = disabled)")
-	prefixCacheMB := flag.Int("prefix-cache-mb", 64, "per-pack cross-request prefix cache budget in MiB: decodes sharing a prompt prefix reuse transformer KV and solver state across batches (0 = disabled)")
+	prefixCacheMB := flag.Int("prefix-cache-mb", 64, "per-pack cross-request prefix cache budget in MiB: repeated prompts reuse transformer KV and solver state across batches (0 = disabled)")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address (e.g. localhost:6060); off when empty, never on the public listener")
 	flag.Parse()
 

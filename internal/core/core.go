@@ -199,8 +199,11 @@ type Config struct {
 	// a sleep makes the lane slow. Never set in production configs.
 	FaultHook func(FaultSite) error
 	// PrefixCache, when set, lets guided decodes start warm from (and
-	// capture into) a cross-request radix prefix cache pairing transformer
-	// KV snapshots with solver witness state (DESIGN.md §11). Only engines
+	// capture into) a cross-request cache of whole prompts pairing
+	// transformer KV snapshots with solver witness state (DESIGN.md §11).
+	// A decode with a non-empty prompt short of the whole record captures
+	// once, at the end of its prompt, and a repeat of that prompt starts
+	// after it. Only engines
 	// whose LM is a WrapNN transformer participate; warm output stays
 	// bit-identical to cold. Share one cache across every clone of one
 	// engine family (SetPrefixCache does this); snapshots from a different
@@ -231,10 +234,11 @@ type Stats struct {
 	// LogProb is the renormalized log-probability of the returned token
 	// sequence (filled by BeamImpute; 0 for samplers).
 	LogProb float64
-	// PrefixHitTokens is how many leading tokens (BOS included) this decode
-	// restored from the cross-request prefix cache instead of running
-	// through the transformer; 0 means a cold decode. PrefixCaptures counts
-	// snapshots this decode inserted into the cache.
+	// PrefixHitTokens is how many leading tokens (BOS plus the whole
+	// prompt) this decode restored from the cross-request prefix cache
+	// instead of running through the transformer; 0 means a cold decode.
+	// PrefixCaptures counts snapshots this decode inserted into the cache
+	// (0 or 1).
 	PrefixHitTokens int
 	PrefixCaptures  int
 	// SpecAcceptedTokens is always 0. Speculative decoding was removed

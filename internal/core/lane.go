@@ -44,18 +44,18 @@ type laneDecoder struct {
 	vals     []int64
 
 	// Prefix-cache state. key accumulates every token the LM has consumed
-	// (BOS first), keySlots the grammar slots those tokens complete; together
-	// they name the radix-tree position of the lane's current prefix. warm
+	// (BOS first), keySlots the grammar slots those tokens complete; once
+	// the prompt is consumed, key is the lane's cache key. useCache is set
+	// for a lane whose prompt is neither empty nor the whole record. warm
 	// holds a pending cache hit until the driver claims it via applyWarm;
-	// capture is the driver-installed hook that freezes the LM state at a
-	// boundary into a snapshot (nil when the batch session cannot clone a
-	// lane out).
+	// capture is the driver-installed hook that freezes the LM state at the
+	// end of the prompt into a snapshot (nil when the batch session cannot
+	// clone a lane out).
 	useCache bool
 	warm     *prefixcache.Hit
 	key      []int
 	keySlots int
 	capture  func() *nn.Session
-	genCaps  int // generated-region snapshots taken by this lane
 
 	// Per-slot state, rebuilt by beginSlot for e.cfg.Slots[slot].
 	slot       int
@@ -144,10 +144,13 @@ func (e *Engine) newLaneDecoder(ctx context.Context, method Method, known rules.
 	// left, so advance appends to it without allocating.
 	ld.key = make([]int, 0, len(ld.pending)+e.tailChars[plan.fromSlot])
 
-	// Longest-prefix lookup before any solver or LM work. Only nn-backed
+	// Whole-prompt lookup before any solver or LM work. Only nn-backed
 	// engines participate: a cached snapshot is a frozen nn.Session, which
-	// is meaningless to any other LM implementation.
-	if cache := e.cfg.PrefixCache; cache != nil && !prefixCacheDisabled(ctx) {
+	// is meaningless to any other LM implementation. An empty prompt has
+	// nothing to restore, and a prompt that is the whole record nothing to
+	// decode, so neither looks up nor captures.
+	if cache := e.cfg.PrefixCache; cache != nil && !prefixCacheDisabled(ctx) &&
+		plan.fromSlot > 0 && plan.fromSlot < len(e.cfg.Slots) {
 		if _, ok := e.cfg.LM.(nnLM); ok {
 			ld.useCache = true
 			ld.warm = cache.Lookup(ld.pending, e.fingerprint)
@@ -170,11 +173,11 @@ func (e *Engine) newLaneDecoder(ctx context.Context, method Method, known rules.
 		e.solver.Assert(eq)
 	}
 	pinned := len(eqs) > 0
-	if ld.warm != nil && ld.warm.Tokens == len(ld.pending) && ld.warm.Model != nil {
-		// Full-prompt hit with a witness: the snapshot's model satisfies the
-		// rules plus every value its key pins, and the key is this exact
-		// prompt — the same assertion stack just built (the grammar makes
-		// token prefix ⇄ value assignment one-to-one, and the rule-epoch
+	if ld.warm != nil && ld.warm.Model != nil {
+		// A hit with a witness: the snapshot's model satisfies the rules
+		// plus every value its key pins, and the key is this exact prompt —
+		// the same assertion stack just built (the grammar makes token
+		// prefix ⇄ value assignment one-to-one, and the rule-epoch
 		// fingerprint pinned the rule side). That proves Sat, so the
 		// feasibility Check is skipped and the witness seeds the first
 		// slot's oracle directly.
@@ -205,21 +208,21 @@ func (e *Engine) newLaneDecoder(ctx context.Context, method Method, known rules.
 	return ld
 }
 
-// applyWarm consumes the lane's pending cache hit: the already-consumed
-// prefix is dropped from the LM feed queue and the restored snapshot is
-// returned for the driver to copy into its lane (it is shared with the cache
-// and other hits, so only read). Returns nil on a cold lane. Must be called
-// before the first mask().
+// applyWarm consumes the lane's pending cache hit: the whole prompt is
+// dropped from the LM feed queue and the restored snapshot is returned for
+// the driver to copy into its lane (it is shared with the cache and other
+// hits, so only read). Returns nil on a cold lane. Must be called before the
+// first mask().
 func (ld *laneDecoder) applyWarm() *nn.Session {
 	if ld.warm == nil || ld.finished {
 		return nil
 	}
 	h := ld.warm
 	ld.warm = nil
-	ld.key = append(ld.key, ld.pending[:h.Tokens]...)
+	ld.key = append(ld.key, ld.pending...)
 	ld.keySlots = h.Slots
-	ld.pending = ld.pending[h.Tokens:]
-	ld.res.Stats.PrefixHitTokens = h.Tokens
+	ld.pending = nil
+	ld.res.Stats.PrefixHitTokens = len(ld.key)
 	return h.Sess
 }
 
@@ -413,8 +416,8 @@ func (ld *laneDecoder) beginSlot() error {
 // performs the post-append bookkeeping: token accounting, value completion
 // on a separator (dynamic partial instantiation: the finished value is
 // asserted so the solver's view of active rules advances with generation),
-// prefix-cache snapshot capture at slot boundaries, and record assembly
-// after the last slot.
+// prefix-cache snapshot capture at the end of the prompt, and record
+// assembly after the last slot.
 func (ld *laneDecoder) advance(tok int) error {
 	if ld.method != MethodGuided {
 		return ld.advanceFree(tok)
@@ -424,10 +427,8 @@ func (ld *laneDecoder) advance(tok int) error {
 	// A slot boundary is the separator that completes slot keySlots —
 	// whether it arrived as prompt text or was just sampled. (A separator
 	// token can never be confused with a digit, so the comparison is exact.)
-	boundary := false
 	if ld.keySlots < len(e.cfg.Slots) && tok == e.cfg.Tok.ID(e.cfg.Slots[ld.keySlots].Sep) {
 		ld.keySlots++
-		boundary = true
 	}
 	if ld.sampled {
 		ld.res.Stats.Tokens++
@@ -456,10 +457,9 @@ func (ld *laneDecoder) advance(tok int) error {
 			ld.state = st
 		}
 	}
-	if boundary {
-		// After the assert above, so a captured witness covers the pinned
-		// value and a restored one re-arms the next slot's oracle.
-		ld.maybeCapture()
+	if ld.useCache && !ld.sampled && len(ld.pending) == 0 {
+		// tok was the prompt's last token, the separator that ends it.
+		ld.capturePrompt()
 	}
 	if ld.complete() {
 		ld.res.Rec = e.assemble(ld.known, ld.fromSlot, ld.vals)
@@ -509,57 +509,28 @@ func lookaheadGaveUp(slot Slot, err error) error {
 	return fmt.Errorf("core: solver gave up during lookahead for %s[%d]: %w", slot.Field, slot.Index, err)
 }
 
-// maxGenCaptures bounds how many sampled-region boundaries one lane may
-// snapshot or find already cached. Prompt-region boundaries (where
-// clustering lives) are not counted against it; sampled-region snapshots
-// mostly pay off when a later request's longer prompt extends into this
-// record's generated values, so a couple per record buys that without
-// cloning at every separator.
-const maxGenCaptures = 2
-
-// maybeCapture freezes the lane's paired (LM, solver) state at the current
-// slot boundary and inserts it into the prefix cache, unless the boundary
-// is already cached, capture is impossible, or the record is complete (a
-// full-record key can never be another request's proper prefix).
-func (ld *laneDecoder) maybeCapture() {
+// capturePrompt freezes the lane's paired (LM, solver) state at the end of
+// its prompt and inserts it into the prefix cache under BOS + prompt, unless
+// that key is cached already or capture is impossible. The witness is the
+// prompt feasibility Check's model: no value has been asserted since, so it
+// is a model of exactly the key's assertions, and a hit stands it in for
+// the Check.
+func (ld *laneDecoder) capturePrompt() {
 	e := ld.e
-	if !ld.useCache || ld.capture == nil || ld.keySlots >= len(e.cfg.Slots) {
-		return
-	}
-	gen := ld.keySlots > ld.fromSlot
-	if gen && ld.genCaps >= maxGenCaptures {
-		return
-	}
 	cache := e.cfg.PrefixCache
-	if !cache.NeedsInsert(ld.key, e.fingerprint) {
-		// A generated boundary already cached spends the budget as an
-		// insert would: a lane that walked past it would insert deeper
-		// boundaries on every repeat of its request, and never settle.
-		if gen {
-			ld.genCaps++
-		}
+	if ld.capture == nil || e.lastModel == nil || e.lastModelEpoch != e.solver.Epoch() ||
+		!cache.NeedsInsert(ld.key, e.fingerprint) {
 		return
 	}
 	sess := ld.capture()
 	if sess == nil {
 		return
 	}
-	// Pair the KV snapshot with the solver's witness when one is current for
-	// this epoch; the witness may assign more than the key pins (later knowns
-	// are already asserted), which only makes it a stronger model of the
-	// key's assertion set. A nil model still warm-starts the transformer.
-	var model []int64
-	if e.lastModel != nil && e.lastModelEpoch == e.solver.Epoch() {
-		model = append(model, e.lastModel...)
-	}
-	key := append([]int(nil), ld.key...)
 	snap := &prefixcache.Snapshot{
-		Sess: sess, Model: model, RuleEpoch: e.fingerprint, Slots: ld.keySlots,
+		Sess: sess, Model: append([]int64(nil), e.lastModel...),
+		RuleEpoch: e.fingerprint, Slots: ld.keySlots,
 	}
-	if cache.Insert(key, snap) {
+	if cache.Insert(ld.key, snap) {
 		ld.res.Stats.PrefixCaptures++
-		if gen {
-			ld.genCaps++
-		}
 	}
 }

@@ -245,8 +245,8 @@ func (e *Engine) startLane(bs BatchSession, la *lsLane) bool {
 		}
 		// A prefix-cache hit seeds the lane's KV block and position by
 		// copying out of the shared snapshot; the laneDecoder has already
-		// dropped the restored tokens from its feed queue. Snapshot capture
-		// freezes the lane back out of the batch at slot boundaries.
+		// dropped the restored prompt from its feed queue. Snapshot capture
+		// freezes a cold lane back out of the batch at the end of its prompt.
 		if ws := la.ld.applyWarm(); ws != nil {
 			if err := pbs.SeedLane(la.slot, ws); err != nil {
 				return err

@@ -252,3 +252,73 @@ func TestSetPrefixCacheClonePool(t *testing.T) {
 	}
 	checkMatchesSolo(t, nnTestEngine(t), reqs, out, 3)
 }
+
+// TestPrefixCacheHoldsWholePrompts: three passes of impute traffic over P
+// distinct prompts, each prompt twice per batch. The first pass leaves
+// exactly one entry per prompt — no snapshot inside a prompt or inside
+// sampled values — and later passes capture nothing, evict nothing and
+// restore every prompt whole.
+func TestPrefixCacheHoldsWholePrompts(t *testing.T) {
+	cache := prefixcache.New(16 << 20)
+	e := nnPrefixEngine(t, cache, "")
+	const P = 5
+	reqs := make([]BatchRequest, 2*P)
+	for i := range reqs {
+		p := rules.Record{"TotalIngress": {100 + 20*int64(i%P)}, "Congestion": {5}}
+		if i%P == P-1 {
+			p = rules.Record{"TotalIngress": {150}} // a one-slot prompt
+		}
+		reqs[i].Prompt = p
+	}
+	for pass := 1; pass <= 3; pass++ {
+		out, err := e.DecodeRequests(context.Background(), reqs, 1, 11, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, o := range out {
+			if o.Err != nil {
+				t.Fatalf("pass %d record %d: %v", pass, i, o.Err)
+			}
+			if pass == 1 {
+				continue
+			}
+			want := len(e.planPrompt(reqs[i].Prompt, nil).ids) + 1 // BOS
+			if got := o.Res.Stats.PrefixHitTokens; got != want {
+				t.Errorf("pass %d record %d: restored %d tokens, want the whole prompt's %d", pass, i, got, want)
+			}
+			if o.Res.Stats.PrefixCaptures != 0 {
+				t.Errorf("pass %d record %d: captured %d snapshots of a cached prompt", pass, i, o.Res.Stats.PrefixCaptures)
+			}
+		}
+		if st := cache.Stats(); st.Entries != P || st.Evictions != 0 {
+			t.Fatalf("after pass %d: %d entries, %d evictions; want %d entries, 0 evictions", pass, st.Entries, st.Evictions, P)
+		}
+	}
+}
+
+// TestPrefixCacheSkipsPromptlessLanes: an unconditional generate (empty
+// prompt) has nothing to restore and a whole-record impute nothing to
+// decode, so neither looks the cache up nor captures into it.
+func TestPrefixCacheSkipsPromptlessLanes(t *testing.T) {
+	cache := prefixcache.New(16 << 20)
+	e := nnPrefixEngine(t, cache, "")
+	whole := rules.Record{"TotalIngress": {50}, "Congestion": {5}, "I": {30, 5, 5, 5, 5}}
+	reqs := []BatchRequest{{}, {}, {Prompt: whole}}
+	for pass := 0; pass < 2; pass++ {
+		out, err := e.DecodeRequests(context.Background(), reqs, 1, 4, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, o := range out {
+			if o.Err != nil {
+				t.Fatalf("record %d: %v", i, o.Err)
+			}
+			if o.Res.Stats.PrefixHitTokens != 0 || o.Res.Stats.PrefixCaptures != 0 {
+				t.Errorf("record %d: hit %d tokens, %d captures", i, o.Res.Stats.PrefixHitTokens, o.Res.Stats.PrefixCaptures)
+			}
+		}
+	}
+	if st := cache.Stats(); st != (prefixcache.Stats{}) {
+		t.Fatalf("promptless lanes touched the cache: %+v", st)
+	}
+}

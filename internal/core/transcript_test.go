@@ -568,9 +568,6 @@ func TestIdenticalReloadLeavesOutput(t *testing.T) {
 // every shipped rule set on the seeded transformer and every method, the
 // second pass captures no snapshot, and the third decodes to the second's
 // lines — bytes, errors and every Stats field, hits and captures included.
-// A lane that meets a boundary already cached spends its capture budget on
-// it, as if it had inserted it; otherwise it walks past it and inserts
-// deeper ones on every later pass.
 func TestRepeatedBatchSettlesCache(t *testing.T) {
 	defs, recs := shippedRuleSets(t)
 	for k, def := range defs {

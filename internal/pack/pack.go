@@ -14,7 +14,6 @@ package pack
 import (
 	"fmt"
 	"regexp"
-	"strconv"
 	"strings"
 	"time"
 
@@ -223,16 +222,11 @@ func FromEngine(name string, eng *core.Engine, rs *rules.RuleSet, schema *rules.
 // FormatRecord renders a record in the pack's grammar order (digits and
 // separators) — the text format the pack's LM is trained on.
 func (c *Compiled) FormatRecord(rec rules.Record) (string, error) {
-	var b strings.Builder
-	for _, sl := range c.Engine.Slots() {
-		vs, ok := rec[sl.Field]
-		if !ok || sl.Index >= len(vs) {
-			return "", fmt.Errorf("pack %s: record missing %s[%d]", c.Def.Name, sl.Field, sl.Index)
-		}
-		b.WriteString(strconv.FormatInt(vs[sl.Index], 10))
-		b.WriteByte(sl.Sep)
+	s, err := formatBySlots(c.Engine.Slots(), rec)
+	if err != nil {
+		return "", fmt.Errorf("pack %s: %w", c.Def.Name, err)
 	}
-	return b.String(), nil
+	return s, nil
 }
 
 // EpochHex renders the pack epoch as the fixed-width hex string used on the

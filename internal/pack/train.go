@@ -87,8 +87,9 @@ func TrainLM(def *Definition, tc TrainLMConfig) error {
 	return nil
 }
 
-// formatBySlots renders a record through an explicit slot list (Compiled has
-// FormatRecord; this is the pre-compile form TrainLM needs).
+// formatBySlots renders a record through an explicit slot list: the one
+// record formatter, behind Compiled.FormatRecord and, before a compile,
+// TrainLM.
 func formatBySlots(slots []core.Slot, rec rules.Record) (string, error) {
 	var b []byte
 	for _, sl := range slots {

@@ -2,6 +2,7 @@ package prefixcache
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -67,7 +68,9 @@ func snapFor(t testing.TB, key []int, epoch uint64, slots int) *Snapshot {
 	}
 }
 
-func TestLongestPrefixLookup(t *testing.T) {
+// TestExactMatchLookup: a lookup hits only the key it was stored under —
+// never a stored key that is a prefix of it, nor one it is a prefix of.
+func TestExactMatchLookup(t *testing.T) {
 	c := New(64 << 20)
 	short := []int{1, 5, 6}
 	long := []int{1, 5, 6, 7, 8}
@@ -79,34 +82,32 @@ func TestLongestPrefixLookup(t *testing.T) {
 	}
 
 	cases := []struct {
-		key        []int
-		wantTokens int // 0 = miss
-		wantSlots  int
+		key       []int
+		wantSlots int // 0 = miss
 	}{
-		{[]int{1, 5, 6, 7, 8, 9, 9}, 5, 2}, // deepest wins
-		{[]int{1, 5, 6, 7, 9}, 3, 1},       // diverges inside long's edge
-		{[]int{1, 5, 6}, 3, 1},             // exact short
-		{[]int{1, 5}, 0, 0},                // shorter than any entry
-		{[]int{2, 5, 6}, 0, 0},             // diverges at root
-		{nil, 0, 0},
+		{[]int{1, 5, 6, 7, 8}, 2},       // exact long
+		{[]int{1, 5, 6}, 1},             // exact short
+		{[]int{1, 5, 6, 7, 8, 9, 9}, 0}, // extends long
+		{[]int{1, 5, 6, 7}, 0},          // between short and long
+		{[]int{1, 5}, 0},                // prefix of short
+		{[]int{2, 5, 6}, 0},             // same length as short, other tokens
+		{[]int{1, 5, 6 + 128}, 0},       // differs where a varint spans bytes
+		{nil, 0},
 	}
 	for i, tc := range cases {
 		h := c.Lookup(tc.key, 9)
-		if tc.wantTokens == 0 {
+		if tc.wantSlots == 0 {
 			if h != nil {
-				t.Fatalf("case %d: want miss, got %d tokens", i, h.Tokens)
+				t.Fatalf("case %d: want miss, got a hit of %d tokens", i, h.Sess.Len())
 			}
 			continue
 		}
 		if h == nil {
-			t.Fatalf("case %d: want hit of %d tokens, got miss", i, tc.wantTokens)
+			t.Fatalf("case %d: want hit, got miss", i)
 		}
-		if h.Tokens != tc.wantTokens || h.Slots != tc.wantSlots {
-			t.Fatalf("case %d: got (%d tokens, %d slots), want (%d, %d)",
-				i, h.Tokens, h.Slots, tc.wantTokens, tc.wantSlots)
-		}
-		if h.Sess.Len() != tc.wantTokens {
-			t.Fatalf("case %d: restored session at %d tokens, want %d", i, h.Sess.Len(), tc.wantTokens)
+		if h.Slots != tc.wantSlots || h.Sess.Len() != len(tc.key) {
+			t.Fatalf("case %d: got (%d slots, %d tokens), want (%d, %d)",
+				i, h.Slots, h.Sess.Len(), tc.wantSlots, len(tc.key))
 		}
 		if h.Model[1] != 42 {
 			t.Fatalf("case %d: model not restored", i)
@@ -122,8 +123,8 @@ func TestLongestPrefixLookup(t *testing.T) {
 	}
 
 	st := c.Stats()
-	if st.Hits != 3 || st.Misses != 3 || st.Entries != 2 {
-		t.Fatalf("stats = %+v, want 3 hits, 3 misses, 2 entries", st)
+	if st.Hits != 2 || st.Misses != 6 || st.Entries != 2 {
+		t.Fatalf("stats = %+v, want 2 hits, 6 misses, 2 entries", st)
 	}
 }
 
@@ -135,7 +136,7 @@ func TestStaleEpochMissesAndDrops(t *testing.T) {
 	}
 	// A different rule epoch must miss — and purge the stale entry.
 	if h := c.Lookup(key, 8); h != nil {
-		t.Fatalf("stale snapshot served: %d tokens", h.Tokens)
+		t.Fatalf("stale snapshot served: %d tokens", h.Sess.Len())
 	}
 	st := c.Stats()
 	if st.Entries != 0 || st.Evictions != 1 {
@@ -174,7 +175,7 @@ func TestDuplicateInsertRejected(t *testing.T) {
 		t.Fatal("NeedsInsert false for stale-epoch key")
 	}
 	if !c.NeedsInsert([]int{1, 2}, 5) {
-		t.Fatal("NeedsInsert false for interior prefix")
+		t.Fatal("NeedsInsert false for a prefix of a cached key")
 	}
 	if c.Insert(key, snapFor(t, key, 5, 1)) {
 		t.Fatal("duplicate insert accepted")
@@ -307,4 +308,136 @@ func TestHitIsSnapshot(t *testing.T) {
 	if again.Sess.Len() != len(key) || !sameLogits(again.Sess.Logits(), want) {
 		t.Fatalf("cached snapshot moved: %d tokens, logits equal %v", again.Sess.Len(), sameLogits(again.Sess.Logits(), want))
 	}
+}
+
+// refEntry is one entry of refCache.
+type refEntry struct {
+	key   []int
+	snap  *Snapshot
+	bytes int64
+}
+
+// refCache is the naive model FuzzCacheMatchesReference checks Cache
+// against: a slice in LRU order, most recent first, searched linearly.
+type refCache struct {
+	max, bytes                       int64
+	ents                             []refEntry
+	hits, misses, evictions, inserts uint64
+}
+
+func (r *refCache) find(key []int) int {
+	for i, e := range r.ents {
+		if slices.Equal(e.key, key) {
+			return i
+		}
+	}
+	return -1
+}
+
+func (r *refCache) removeAt(i int) {
+	r.bytes -= r.ents[i].bytes
+	r.ents = append(r.ents[:i], r.ents[i+1:]...)
+	r.evictions++
+}
+
+func (r *refCache) toFront(i int) {
+	e := r.ents[i]
+	copy(r.ents[1:i+1], r.ents[:i])
+	r.ents[0] = e
+}
+
+func (r *refCache) lookup(key []int, epoch uint64) *Snapshot {
+	i := r.find(key)
+	if i >= 0 && r.ents[i].snap.RuleEpoch != epoch {
+		r.removeAt(i)
+		i = -1
+	}
+	if i < 0 {
+		r.misses++
+		return nil
+	}
+	r.hits++
+	r.toFront(i)
+	return r.ents[0].snap
+}
+
+func (r *refCache) needsInsert(key []int, epoch uint64) bool {
+	i := r.find(key)
+	return i < 0 || r.ents[i].snap.RuleEpoch != epoch
+}
+
+func (r *refCache) insert(key []int, snap *Snapshot, bytes int64) bool {
+	if bytes > r.max {
+		return false
+	}
+	if i := r.find(key); i >= 0 {
+		if r.ents[i].snap.RuleEpoch == snap.RuleEpoch {
+			r.toFront(i)
+			return false
+		}
+		r.removeAt(i)
+	}
+	r.ents = append([]refEntry{{key: key, snap: snap, bytes: bytes}}, r.ents...)
+	r.bytes += bytes
+	r.inserts++
+	for r.bytes > r.max {
+		r.removeAt(len(r.ents) - 1)
+	}
+	return true
+}
+
+// FuzzCacheMatchesReference runs random Insert / Lookup / NeedsInsert
+// sequences, with random epochs and entry sizes, through a Cache and
+// through refCache: every answer and, after every operation, every Stats
+// field must agree. The keys include prefixes of one another, so a cache
+// that matched a key's prefix instead of the key shows.
+func FuzzCacheMatchesReference(f *testing.F) {
+	keys := [][]int{{}, {1}, {1, 5}, {1, 5, 6}, {1, 5, 6, 7, 8}, {2, 5, 6}, {1, 6, 5}}
+	sess := make([]*nn.Session, len(keys))
+	for i, k := range keys {
+		sess[i] = sessFor(f, k)
+	}
+	f.Add(uint8(4), []byte{0, 3, 0, 2, 1, 3, 0, 2, 0, 4, 1, 9, 1, 3, 1, 0, 2, 4, 0, 0})
+	f.Add(uint8(1), []byte{0, 1, 0, 0, 0, 2, 0, 0, 1, 1, 1, 0, 0, 2, 1, 5})
+	f.Add(uint8(0), []byte{0, 4, 2, 200, 1, 4, 2, 0})
+	// Insert {1} and {}, hit {1}, then insert {1, 5}: the budget holds two of
+	// the three, so recency alone decides that {} goes.
+	f.Add(uint8(3), []byte{0, 1, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 2, 0, 0, 1, 1, 0, 0, 1, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, budget uint8, ops []byte) {
+		// budget counts entries of the smallest charge; 0 admits nothing.
+		unit := sess[0].KVBytes() + entryOverhead
+		c, ref := New(int64(budget)*unit), &refCache{max: int64(budget) * unit}
+		for len(ops) >= 4 {
+			op, k, epoch, size := ops[0]%3, int(ops[1])%len(keys), uint64(ops[2]%3), int(ops[3])
+			ops = ops[4:]
+			key := keys[k]
+			switch op {
+			case 0:
+				snap := &Snapshot{Sess: sess[k], Model: make([]int64, size%64), RuleEpoch: epoch, Slots: k}
+				bytes := snap.Sess.KVBytes() + int64(len(snap.Model))*8 + int64(len(key))*8 + entryOverhead
+				if got, want := c.Insert(key, snap), ref.insert(key, snap, bytes); got != want {
+					t.Fatalf("Insert(%v, epoch %d) = %v, reference %v", key, epoch, got, want)
+				}
+			case 1:
+				h, want := c.Lookup(key, epoch), ref.lookup(key, epoch)
+				if (h == nil) != (want == nil) {
+					t.Fatalf("Lookup(%v, epoch %d) hit %v, reference %v", key, epoch, h != nil, want != nil)
+				}
+				if h != nil && (h.Sess != want.Sess || h.Slots != want.Slots || len(h.Model) != len(want.Model)) {
+					t.Fatalf("Lookup(%v, epoch %d) served another entry's snapshot", key, epoch)
+				}
+			case 2:
+				if got, want := c.NeedsInsert(key, epoch), ref.needsInsert(key, epoch); got != want {
+					t.Fatalf("NeedsInsert(%v, epoch %d) = %v, reference %v", key, epoch, got, want)
+				}
+			}
+			want := Stats{
+				Hits: ref.hits, Misses: ref.misses, Evictions: ref.evictions,
+				Inserts: ref.inserts, BytesResident: ref.bytes, Entries: len(ref.ents),
+			}
+			if st := c.Stats(); st != want {
+				t.Fatalf("after op %d on %v: stats %+v, reference %+v", op, key, st, want)
+			}
+		}
+	})
 }

@@ -454,7 +454,7 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 			fmt.Fprintf(w, "lejitd_prefix_misses_total{pack=%q} %d\n", pk, stats[pk].Prefix.Misses)
 		}
 
-		fmt.Fprintln(w, "# HELP lejitd_prefix_evictions_total Prefix-cache snapshots dropped (LRU capacity, stale rule epoch, or replacement), by domain pack.")
+		fmt.Fprintln(w, "# HELP lejitd_prefix_evictions_total Prompt snapshots dropped from the prefix cache (LRU capacity, or a stale rule epoch seen by a lookup or replaced by an insert), by domain pack.")
 		fmt.Fprintln(w, "# TYPE lejitd_prefix_evictions_total counter")
 		for _, pk := range names {
 			fmt.Fprintf(w, "lejitd_prefix_evictions_total{pack=%q} %d\n", pk, stats[pk].Prefix.Evictions)

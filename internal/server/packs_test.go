@@ -399,13 +399,16 @@ func TestReloadUnderLoad(t *testing.T) {
 	const workers, perWorker = 4, 25
 	var wg sync.WaitGroup
 	errs := make(chan string, workers*perWorker)
-	examples := pack.FinComplianceExamples(workers*perWorker, 77)
+	// Five prompts, each posted 20 times across the run (with distinct
+	// seeds): a prompt cached under one epoch is asked for again under the
+	// other, so its stale entry is looked up at its own key and dropped.
+	examples := pack.FinComplianceExamples(5, 77)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				ex := examples[w*perWorker+i]
+				ex := examples[(w*perWorker+i)%len(examples)]
 				body := fmt.Sprintf(
 					`{"known": {"TotalExposure": [%d], "RiskScore": [%d], "Escalate": [%d]}, "seed": %d}`,
 					ex["TotalExposure"][0], ex["RiskScore"][0], ex["Escalate"][0], w*perWorker+i)
@@ -452,8 +455,8 @@ func TestReloadUnderLoad(t *testing.T) {
 	if ps.Reloads < 2 {
 		t.Errorf("reloads %d, want >= 2", ps.Reloads)
 	}
-	// Epoch flips invalidate cached snapshots on sight: with requests
-	// crossing at least two epochs, evictions must have happened.
+	// Epoch flips invalidate cached snapshots on sight: with repeated
+	// prompts crossing at least two epochs, evictions must have happened.
 	if ps.Prefix.Inserts > 0 && ps.Prefix.Evictions == 0 {
 		t.Errorf("prefix cache saw %d inserts but no evictions across epoch flips", ps.Prefix.Inserts)
 	}
