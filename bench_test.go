@@ -11,6 +11,7 @@ package repro
 // committed scales and EXPERIMENTS.md records those results.
 
 import (
+	"context"
 	"math/rand"
 	"strconv"
 	"sync"
@@ -71,12 +72,12 @@ func imputePrompts(b testing.TB) []rules.Record {
 
 // --- Fig 3 (left): per-decoder record decode incl. compliance check -------
 
-func benchImputeMethod(b *testing.B, run func(rules.Record, *rand.Rand) (core.Result, error)) {
+func benchImputeMethod(b *testing.B, eng *core.Engine, method core.Method) {
 	prompts := imputePrompts(b)
 	rng := rand.New(rand.NewSource(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, err := run(prompts[i%len(prompts)], rng)
+		_, err := eng.Decode(context.Background(), method, prompts[i%len(prompts)], rng)
 		if err != nil {
 			// Rejection/vanilla may legitimately fail on hard prompts.
 			continue
@@ -101,27 +102,27 @@ func BenchmarkFig3LeftViolations(b *testing.B) {
 
 func BenchmarkFig3RightLeJIT(b *testing.B) {
 	eng := benchEngine(b, benchEnv(b).ImputeRules, core.LeJIT)
-	benchImputeMethod(b, eng.Impute)
+	benchImputeMethod(b, eng, core.MethodGuided)
 }
 
 func BenchmarkFig3RightVanilla(b *testing.B) {
 	eng := benchEngine(b, benchEnv(b).ImputeRules, core.LeJIT)
-	benchImputeMethod(b, eng.Vanilla)
+	benchImputeMethod(b, eng, core.MethodFree)
 }
 
 func BenchmarkFig3RightRejection(b *testing.B) {
 	eng := benchEngine(b, benchEnv(b).ImputeRules, core.LeJIT)
-	benchImputeMethod(b, eng.Rejection)
+	benchImputeMethod(b, eng, core.MethodRejection)
 }
 
 func BenchmarkFig3RightPostHoc(b *testing.B) {
 	eng := benchEngine(b, benchEnv(b).ImputeRules, core.LeJIT)
-	benchImputeMethod(b, eng.PostHoc)
+	benchImputeMethod(b, eng, core.MethodPostHoc)
 }
 
 func BenchmarkFig3RightLeJITManual(b *testing.B) {
 	eng := benchEngine(b, benchEnv(b).ManualRules, core.LeJIT)
-	benchImputeMethod(b, eng.Impute)
+	benchImputeMethod(b, eng, core.MethodGuided)
 }
 
 // --- Fig 4: imputation accuracy + burst analysis ---------------------------
@@ -289,7 +290,7 @@ func BenchmarkLaneAcquire(b *testing.B) {
 
 func BenchmarkAblationStructureOnly(b *testing.B) {
 	eng := benchEngine(b, benchEnv(b).ImputeRules, core.StructureOnly)
-	benchImputeMethod(b, eng.Impute)
+	benchImputeMethod(b, eng, core.MethodGuided)
 }
 
 // --- Component microbenches --------------------------------------------------

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/nn"
+	"repro/internal/prefixcache"
 	"repro/internal/race"
 	"repro/internal/rules"
 )
@@ -145,6 +146,53 @@ func TestReusedBatchSessionAllocsNothing(t *testing.T) {
 		e.releaseBatchSession(e.acquireBatchSession(3))
 	}); allocs != 0 {
 		t.Errorf("acquiring a reused session allocates %.0f objects, want 0", allocs)
+	}
+}
+
+// TestGuidedLaneSetUpAllocs pins what a guided lane's set-up allocates in a
+// reused batch: startLane on a pooled clone and a reused session, the
+// prompt planned once for the batch, then settle. The lane is cold (a cache
+// miss, so it installs its capture hook) or warm (a whole-prompt hit seeded
+// into the lane). Neither copies the prompt: the lane's cache key and feed
+// queue are the plan's tokens. Most of the count is the prompt's
+// assertions and, cold, the feasibility Check; warm, the hit and its
+// witness copy come in its place.
+func TestGuidedLaneSetUpAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	e := nnPrefixEngine(t, prefixcache.New(16<<20), "")
+	known := rules.Record{"TotalIngress": {120}, "Congestion": {10}}
+	plan := e.planPrompt(known, nil)
+	bs := e.acquireBatchSession(1)
+	defer e.releaseBatchSession(bs)
+	out := new(BatchResult)
+	la := new(lsLane)
+	setUp := func() *lsLane {
+		*la = lsLane{out: out, ctx: context.Background(), method: MethodGuided, known: known, seed: 1, plan: plan}
+		if !e.startLane(bs, la) {
+			t.Fatalf("lane set-up failed: %v", out.Err)
+		}
+		e.settle(la)
+		bs.ResetLane(0)
+		return la
+	}
+	for _, c := range []struct {
+		name   string
+		warm   bool
+		allocs float64
+	}{{"cold", false, 14}, {"warm", true, 14}} {
+		if c.warm {
+			if _, err := e.DecodeRequests(context.Background(), []BatchRequest{{Prompt: known}}, 1, 1, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if hit := setUp().ld.res.Stats.PrefixHitTokens > 0; hit != c.warm {
+			t.Fatalf("%s: prefix hit = %v", c.name, hit)
+		}
+		if got := testing.AllocsPerRun(50, func() { setUp() }); got != c.allocs {
+			t.Errorf("%s lane set-up allocates %.0f objects, want %.0f", c.name, got, c.allocs)
+		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 
 	"repro/internal/ilp"
 	"repro/internal/nn"
@@ -13,36 +12,14 @@ import (
 	"repro/internal/vocab"
 )
 
-// Vanilla decodes with free sampling — no rules, no masking beyond the
-// tokenizer's vocabulary — matching the paper's "Vanilla GPT-2" baseline.
-// Generation stops when the grammar's final separator appears (or the
-// context fills). Malformed outputs are re-sampled up to MaxRetries; the
-// retry count is reported in Stats.Malformed. Like Impute, it is a batch of
-// one lane (MethodFree) on the receiver.
-func (e *Engine) Vanilla(known rules.Record, rng *rand.Rand) (Result, error) {
-	return e.decodeOne(context.Background(), MethodFree, known, rng)
-}
-
-// Rejection implements the rejection-sampling baseline: sample freely and
-// discard until the output satisfies every rule, up to MaxAttempts. The
-// paper's Fig 3 shows why this is hopeless at scale — the model repeats the
-// same mistakes because nothing guides it.
-func (e *Engine) Rejection(known rules.Record, rng *rand.Rand) (Result, error) {
-	return e.decodeOne(context.Background(), MethodRejection, known, rng)
-}
-
-// PostHoc implements post-inference enforcement (§2.2, the NetDiffusion /
-// Zoom2Net-CEM strategy): sample freely once, then, if any rule is violated,
-// project the output onto the feasible region by L1-minimal integer repair.
-// The projection guarantees compliance but optimizes numerical distance, not
-// likelihood — the fidelity cost the paper measures.
-func (e *Engine) PostHoc(known rules.Record, rng *rand.Rand) (Result, error) {
-	return e.decodeOne(context.Background(), MethodPostHoc, known, rng)
-}
+// maxRetries is how many times a free lane re-samples a malformed record
+// before it fails.
+const maxRetries = 8
 
 // startFree sets up a free-sampling lane (every method but MethodGuided):
-// no solver frame and no prefix cache, only BOS plus the prompt queued for
-// the LM. On a setup failure the lane is already finished with the error.
+// no solver frame and no prefix cache, only the plan's tokens queued for
+// the LM (newLaneDecoder). On a setup failure the lane is already finished
+// with the error.
 func (ld *laneDecoder) startFree(plan *promptPlan) {
 	e := ld.e
 	if ld.method == MethodRejection && e.cfg.Rules != nil {
@@ -61,9 +38,6 @@ func (ld *laneDecoder) startFree(plan *promptPlan) {
 	if ld.finished {
 		return
 	}
-	ld.fromSlot = plan.fromSlot
-	ld.prompt = append(append(make([]int, 0, len(plan.ids)+1), vocab.BOS), plan.ids...)
-	ld.pending = ld.prompt
 	// All character tokens plus EOS are fair game; PAD/BOS are excluded
 	// (the model never saw them mid-sequence).
 	ld.allowed = make([]int, 0, e.cfg.Tok.Size())
@@ -125,7 +99,7 @@ func (ld *laneDecoder) advanceFree(tok int) error {
 // sampleEnds reports whether appending c ends the current free sample.
 func (ld *laneDecoder) sampleEnds(c byte) bool {
 	e := ld.e
-	return c == e.cfg.Slots[len(e.cfg.Slots)-1].Sep || len(ld.sample)+1 >= 2*e.tailChars[0]+8
+	return c == e.cfg.Slots[len(e.cfg.Slots)-1].Sep || len(ld.sample)+1 >= 2*e.recordChars+8
 }
 
 // refuse tells the lane that the LM refused the token next returned (e.g.
@@ -144,7 +118,7 @@ func (ld *laneDecoder) refuse(le *nn.LaneError) {
 }
 
 // endSample parses the finished free sample and decides the lane's fate by
-// its method: a malformed sample restarts the lane until MaxRetries
+// its method: a malformed sample restarts the lane until maxRetries
 // re-samples are spent; rejection restarts a violating record until
 // MaxAttempts attempts are spent; post-hoc repairs it. A restart re-queues
 // BOS plus the prompt and sets reset, which asks the driver to empty the
@@ -157,14 +131,14 @@ func (ld *laneDecoder) endSample() {
 	ld.sample = ld.sample[:0]
 	if perr != nil {
 		ld.cur.Malformed++
-		if ld.cur.Malformed <= e.cfg.MaxRetries {
+		if ld.cur.Malformed <= maxRetries {
 			ld.pending, ld.reset = ld.prompt, true
 			return
 		}
 		if ld.method != MethodRejection {
 			ld.res.Stats = ld.cur
 		}
-		ld.fail(fmt.Errorf("core: free sampling produced no well-formed record in %d attempts", e.cfg.MaxRetries+1))
+		ld.fail(fmt.Errorf("core: free sampling produced no well-formed record in %d attempts", maxRetries+1))
 		return
 	}
 	rec := e.assemble(ld.known, ld.fromSlot, vals)

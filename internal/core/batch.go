@@ -18,15 +18,22 @@ const (
 	// MethodGuided masks every step by the engine's Mode: LeJIT's solver
 	// lookahead, or StructureOnly's grammar (Impute/Generate).
 	MethodGuided Method = iota
-	// MethodFree samples every character and EOS freely and parses the
-	// sample, restarting from the prompt while it is malformed, up to
-	// MaxRetries (Vanilla).
+	// MethodFree is the paper's "Vanilla GPT-2" baseline: it samples every
+	// character and EOS freely — no rules, no masking beyond the tokenizer's
+	// vocabulary — until the grammar's final separator, and parses the
+	// sample, restarting from the prompt while it is malformed, up to 8
+	// re-samples (counted in Stats.Malformed).
 	MethodFree
-	// MethodRejection restarts a free sample that violates a rule, up to
-	// MaxAttempts (Rejection).
+	// MethodRejection is the rejection-sampling baseline: it restarts a free
+	// sample that violates a rule, up to MaxAttempts. The paper's Fig 3 shows
+	// why this is hopeless at scale — the model repeats the same mistakes
+	// because nothing guides it.
 	MethodRejection
-	// MethodPostHoc repairs a violating free sample to the nearest compliant
-	// record (PostHoc).
+	// MethodPostHoc is post-inference enforcement (§2.2, the NetDiffusion /
+	// Zoom2Net-CEM strategy): it samples freely once, then projects a
+	// violating record onto the feasible region by L1-minimal integer
+	// repair. The projection guarantees compliance but optimizes numerical
+	// distance, not likelihood — the fidelity cost the paper measures.
 	MethodPostHoc
 )
 

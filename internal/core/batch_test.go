@@ -115,7 +115,7 @@ func TestDecodeBatchMethod(t *testing.T) {
 	}
 	n := 0
 	for i, b := range out {
-		res, err := e.Vanilla(prompts[i], rand.New(rand.NewSource(MixSeed(9, i))))
+		res, err := e.Decode(context.Background(), MethodFree, prompts[i], rand.New(rand.NewSource(MixSeed(9, i))))
 		if !reflect.DeepEqual(b.Res, res) || fmt.Sprint(b.Err) != fmt.Sprint(err) {
 			t.Errorf("record %d: batched %+v (%v), alone %+v (%v)", i, b.Res, b.Err, res, err)
 		}
@@ -292,7 +292,7 @@ func TestRejectionCancelMidDecode(t *testing.T) {
 	fed := 0
 	lm := cancelAtLM{LM: scriptedLM{tok: vocab.Telemetry(), text: "100,8|20,15,25,70,8\n"}, fed: &fed, at: at, cancel: cancel}
 	e := testEngine(t, lm, LeJIT)
-	res, err := e.decodeOne(ctx, MethodRejection, rules.Record{"TotalIngress": {100}, "Congestion": {8}}, rand.New(rand.NewSource(1)))
+	res, err := e.Decode(ctx, MethodRejection, rules.Record{"TotalIngress": {100}, "Congestion": {8}}, rand.New(rand.NewSource(1)))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -6,9 +6,10 @@
 // characters keep a rule-compliant completion reachable, masks the rest out
 // of the model's logits, renormalizes, and samples (paper §3, Fig 1b/2).
 //
-// The package also implements the evaluated baselines: Vanilla (free
-// sampling), Rejection (resample until compliant), PostHoc (L1-minimal SMT
-// repair of the free sample — the Zoom2Net-CEM strategy), and a
+// The package also implements the evaluated baselines: free sampling
+// (MethodFree, the paper's Vanilla GPT-2), rejection (resample until
+// compliant), post-hoc L1-minimal SMT repair of the free sample (the
+// Zoom2Net-CEM strategy), and a
 // StructureOnly mode (grammar/width masking without the solver — the
 // constrained-decoding strawman of §2.2). Every method decodes a record as a
 // lane of the same lock-step loop (lockstep.go); Method selects which.
@@ -21,7 +22,6 @@ import (
 	"math"
 	"math/rand"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -175,7 +175,6 @@ type Config struct {
 	Mode  Mode
 
 	Temperature float64 // softmax temperature (0 → 1.0)
-	TopK        int     // restrict sampling to the K most likely admissible tokens (0 → all)
 	MaxNodes    uint64  // solver search budget per Check (0 → solver default)
 	// SolverTimeout is the wall-clock budget per solver Check (0 → none).
 	// A Check that exceeds it returns Unknown and the lane fails with an
@@ -183,11 +182,10 @@ type Config struct {
 	// stall the whole batch.
 	SolverTimeout time.Duration
 	MaxAttempts   int // rejection-sampling attempt cap (0 → 500)
-	MaxRetries    int // vanilla parse-retry cap (0 → 8)
 	// TraceHook, when set, receives one TraceStep per guided decoding
 	// step — the observability channel for debugging rule interactions
 	// and for demonstrating minimal invasiveness. Not invoked by the
-	// Vanilla/Rejection/PostHoc baselines.
+	// free-sampling baselines.
 	TraceHook func(TraceStep)
 	// FaultHook, when set, is called once per guided decoding step just
 	// before the solver probes, mirroring TraceHook. Within one lane a
@@ -332,9 +330,9 @@ type program struct {
 	// digitTok[d] is the token id of digit d.
 	digitTok  [10]int
 	maxDigits map[string]int // per field, from the domain's upper bound
-	// tailChars[i] is the most tokens slots i.. can render: each slot's
+	// recordChars is the most tokens a record can render: each slot's
 	// widest value plus its separator.
-	tailChars []int
+	recordChars int
 	// rulesModel is the model of the root engine's construction-time
 	// rules-only Check, indexed by smt.Var: a lane whose prompt pins nothing
 	// copies it as its first witness instead of re-running that Check
@@ -370,9 +368,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if cfg.MaxAttempts == 0 {
 		cfg.MaxAttempts = 500
 	}
-	if cfg.MaxRetries == 0 {
-		cfg.MaxRetries = 8
-	}
 	if cfg.LM.VocabSize() != cfg.Tok.Size() {
 		return nil, fmt.Errorf("core: LM vocab %d != tokenizer %d", cfg.LM.VocabSize(), cfg.Tok.Size())
 	}
@@ -407,10 +402,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		}
 		seen[s.Field][s.Index] = true
 		p.maxDigits[s.Field] = len(strconv.FormatInt(f.Hi, 10))
-	}
-	p.tailChars = make([]int, len(cfg.Slots)+1)
-	for i := len(cfg.Slots) - 1; i >= 0; i-- {
-		p.tailChars[i] = p.tailChars[i+1] + p.maxDigits[cfg.Slots[i].Field] + 1
+		p.recordChars += p.maxDigits[s.Field] + 1
 	}
 
 	solver := smt.NewSolver()
@@ -453,7 +445,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 // token⇄slot-value mapping), same enforcement mode, and the same transformer
 // weights (by model identity — the cache is in-process, and cached sessions
 // keep their model reachable, so the pointer cannot be recycled under a live
-// entry). Sampling knobs (temperature, top-K, seeds) are deliberately
+// entry). Sampling knobs (temperature, seeds) are deliberately
 // excluded: they shape what is sampled after the snapshot, not the validity
 // of the state restored from it.
 func ruleFingerprint(cfg Config) uint64 {
@@ -590,7 +582,7 @@ func (e *Engine) promptFor(known rules.Record) (string, int, error) {
 	if len(known) == 0 {
 		return "", 0, nil
 	}
-	var b strings.Builder
+	var b []byte
 	covered := 0
 	for _, s := range e.cfg.Slots {
 		vs, ok := known[s.Field]
@@ -600,8 +592,7 @@ func (e *Engine) promptFor(known rules.Record) (string, int, error) {
 		if s.Index >= len(vs) {
 			return "", 0, fmt.Errorf("core: known field %q has %d values, slot needs index %d", s.Field, len(vs), s.Index)
 		}
-		b.WriteString(strconv.FormatInt(vs[s.Index], 10))
-		b.WriteByte(s.Sep)
+		b = appendSlot(b, s, vs[s.Index])
 		covered++
 	}
 	// Every known field must actually be consumed by the covered prefix.
@@ -614,7 +605,28 @@ func (e *Engine) promptFor(known rules.Record) (string, int, error) {
 			return "", 0, fmt.Errorf("core: known field %q is not a grammar prefix", f)
 		}
 	}
-	return b.String(), covered, nil
+	return string(b), covered, nil
+}
+
+// FormatRecord renders rec through slots — per slot its value's canonical
+// decimal digits, then the separator — the text the LM decodes a record as.
+// A slot rec does not fill is an error. It renders every whole record; a
+// guided lane streams single slots through the same appendSlot.
+func FormatRecord(slots []Slot, rec rules.Record) (string, error) {
+	var b []byte
+	for _, s := range slots {
+		vs := rec[s.Field]
+		if s.Index >= len(vs) {
+			return "", fmt.Errorf("record missing %s[%d]", s.Field, s.Index)
+		}
+		b = appendSlot(b, s, vs[s.Index])
+	}
+	return string(b), nil
+}
+
+// appendSlot appends slot s holding v to b: v's digits, then s's separator.
+func appendSlot(b []byte, s Slot, v int64) []byte {
+	return append(strconv.AppendInt(b, v, 10), s.Sep)
 }
 
 // parseBySlots parses generated text according to the grammar from the given
@@ -665,7 +677,7 @@ func (e *Engine) assemble(known rules.Record, fromSlot int, vals []int64) rules.
 }
 
 // sampleMasked samples a token among allowed ids using the engine's
-// temperature and top-K, renormalizing the remaining mass so the model's
+// temperature, renormalizing the remaining mass so the model's
 // relative preferences among admissible tokens are preserved (the
 // minimal-invasiveness property, §3). It draws exactly one Float64 from rng,
 // and none for a forced mask.
@@ -681,19 +693,6 @@ func (e *Engine) sampleMasked(logits []float32, allowed []int, rng *rand.Rand) i
 		cands = append(cands, cand{id: id, l: float64(logits[id]) / e.cfg.Temperature})
 	}
 	e.candBuf = cands
-	if k := e.cfg.TopK; k > 0 && k < len(cands) {
-		// Partial selection sort of the K largest.
-		for i := 0; i < k; i++ {
-			best := i
-			for j := i + 1; j < len(cands); j++ {
-				if cands[j].l > cands[best].l {
-					best = j
-				}
-			}
-			cands[i], cands[best] = cands[best], cands[i]
-		}
-		cands = cands[:k]
-	}
 	maxL := cands[0].l
 	for _, c := range cands[1:] {
 		if c.l > maxL {

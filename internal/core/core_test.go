@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"strings"
@@ -370,6 +371,22 @@ func TestImputeRejectsNonPrefixKnown(t *testing.T) {
 	}
 }
 
+// TestUnrenderableKnownValueFails: a known value whose decimal text the
+// tokenizer cannot spell (a negative one: '-' is not in the alphabet) fails
+// the lane at set-up with the tokenizer's error, guided and free alike,
+// instead of queueing an invalid token for the LM.
+func TestUnrenderableKnownValueFails(t *testing.T) {
+	e := testEngine(t, uniformLM{vocab: vocab.Telemetry().Size()}, LeJIT)
+	known := rules.Record{"TotalIngress": {-5}, "Congestion": {0}}
+	for _, m := range []Method{MethodGuided, MethodFree} {
+		_, err := e.Decode(context.Background(), m, known, rand.New(rand.NewSource(1)))
+		var pe *PanicError
+		if err == nil || errors.As(err, &pe) || !strings.Contains(err.Error(), "not in alphabet") {
+			t.Errorf("method %d: err = %v, want the tokenizer's not-in-alphabet error", m, err)
+		}
+	}
+}
+
 // TestOverlongKnownValueFails: a known field with more values than the
 // schema gives it elements fails the decode with a plain error — on the
 // guided path, in BeamImpute and in DiagnoseInfeasible alike, which render
@@ -428,7 +445,7 @@ func TestVanillaViolatesOften(t *testing.T) {
 	violations := 0
 	const trials = 15
 	for trial := 0; trial < trials; trial++ {
-		res, err := e.Vanilla(known, rng)
+		res, err := e.Decode(context.Background(), MethodFree, known, rng)
 		if err != nil {
 			t.Fatalf("trial %d: format-aware model should parse: %v", trial, err)
 		}
@@ -448,12 +465,12 @@ func TestVanillaViolatesOften(t *testing.T) {
 
 func TestVanillaUnparseableModelErrors(t *testing.T) {
 	// A uniform model emits structural chars at random; Vanilla must give
-	// up after MaxRetries rather than loop or fabricate a record.
+	// up after its re-samples rather than loop or fabricate a record.
 	e := testEngine(t, uniformLM{vocab: vocab.Telemetry().Size()}, LeJIT)
 	rng := rand.New(rand.NewSource(14))
 	failures := 0
 	for trial := 0; trial < 5; trial++ {
-		if _, err := e.Vanilla(rules.Record{"TotalIngress": {100}, "Congestion": {8}}, rng); err != nil {
+		if _, err := e.Decode(context.Background(), MethodFree, rules.Record{"TotalIngress": {100}, "Congestion": {8}}, rng); err != nil {
 			failures++
 		}
 	}
@@ -485,7 +502,7 @@ func TestRejectionEventuallyComplies(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(10))
-	res, err := e.Rejection(rules.Record{"A": {5}}, rng)
+	res, err := e.Decode(context.Background(), MethodRejection, rules.Record{"A": {5}}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -504,7 +521,7 @@ func TestPostHocRepairsToCompliance(t *testing.T) {
 	want := "100,8|20,15,25,70,8\n"
 	e := testEngine(t, scriptedLM{tok: tok, text: want}, LeJIT)
 	rng := rand.New(rand.NewSource(11))
-	res, err := e.PostHoc(rules.Record{"TotalIngress": {100}, "Congestion": {8}}, rng)
+	res, err := e.Decode(context.Background(), MethodPostHoc, rules.Record{"TotalIngress": {100}, "Congestion": {8}}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -525,7 +542,7 @@ func TestPostHocLeavesCompliantAlone(t *testing.T) {
 	want := "100,8|20,15,25,39,1\n"
 	e := testEngine(t, scriptedLM{tok: tok, text: want}, LeJIT)
 	rng := rand.New(rand.NewSource(12))
-	res, err := e.PostHoc(rules.Record{"TotalIngress": {100}, "Congestion": {8}}, rng)
+	res, err := e.Decode(context.Background(), MethodPostHoc, rules.Record{"TotalIngress": {100}, "Congestion": {8}}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}

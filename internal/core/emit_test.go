@@ -136,8 +136,8 @@ func TestEmitMatchesLineLockStep(t *testing.T) {
 
 // TestEmitWarmPromptPrecedesFirstStep: a lane restored from a full-prompt
 // cache hit streams its prompt slots when it starts, before the first guided
-// step (the first slot's base build and probes), as a cold lane streams each
-// prompt slot while the prompt is still being fed.
+// step (the first slot's base build and probes), as a cold lane does: both
+// stream the prompt's slots once the lane is set up.
 func TestEmitWarmPromptPrecedesFirstStep(t *testing.T) {
 	e := nnPrefixEngine(t, prefixcache.New(16<<20), "")
 	prompt := rules.Record{"TotalIngress": {120}, "Congestion": {10}}

@@ -17,7 +17,7 @@ import (
 // driving an LM session itself, it hands its driver one token at a time
 // (next) and is told when the LM has consumed it (advance). Its one driver is
 // the lock-step loop (lockstep.go), which steps one laneDecoder per batch
-// lane between shared forward passes; a direct Impute/Generate/Vanilla/... is
+// lane between shared forward passes; a direct Decode (Impute, Generate) is
 // a batch of one lane. A record's solver probes, RNG draws, and token
 // decisions are all made here, per lane, so its output does not depend on
 // which records share its batch.
@@ -40,21 +40,21 @@ type laneDecoder struct {
 	finished     bool
 
 	fromSlot int
-	pending  []int // BOS + prompt tokens not yet handed to the LM
-	vals     []int64
+	// prompt is the plan's BOS plus prompt tokens, shared read-only: a
+	// guided lane's prefix-cache key, re-queued by a free lane on every
+	// restart. pending is what of it the LM has yet to consume.
+	prompt  []int
+	pending []int
+	vals    []int64
 
-	// Prefix-cache state. key accumulates every token the LM has consumed
-	// (BOS first), keySlots the grammar slots those tokens complete; once
-	// the prompt is consumed, key is the lane's cache key. useCache is set
-	// for a lane whose prompt is neither empty nor the whole record. warm
-	// holds a pending cache hit until the driver claims it via applyWarm;
-	// capture is the driver-installed hook that freezes the LM state at the
-	// end of the prompt into a snapshot (nil when the batch session cannot
-	// clone a lane out).
+	// Prefix-cache state. useCache is set for a lane whose prompt is
+	// neither empty nor the whole record. warm holds a pending cache hit
+	// until the driver claims it via applyWarm; capture is the
+	// driver-installed hook that freezes the LM state at the end of the
+	// prompt into a snapshot (nil when the batch session cannot clone a
+	// lane out).
 	useCache bool
 	warm     *prefixcache.Hit
-	key      []int
-	keySlots int
 	capture  func() *nn.Session
 
 	// Per-slot state, rebuilt by beginSlot for e.cfg.Slots[slot].
@@ -69,20 +69,17 @@ type laneDecoder struct {
 	allowed    []int // the step's admissible tokens; a free lane's fixed mask
 	nStruct    int   // the step's structurally allowed token count
 
-	// Free-sampling state (baselines.go). prompt is BOS plus the prompt,
-	// re-queued on every restart; sample is the current sample's text; cur
-	// the current attempt's Tokens and Malformed. reset asks the driver to
-	// empty the lane's LM state before its next token.
-	prompt []int
+	// Free-sampling state (baselines.go). sample is the current sample's
+	// text; cur the current attempt's Tokens and Malformed. reset asks the
+	// driver to empty the lane's LM state before its next token.
 	sample []byte
 	cur    Stats
 	reset  bool
 
-	// Streaming state (WithEmit, DESIGN.md §16). emitTok/emitSlots mark how
-	// far along key the hook has been fed.
-	emit      EmitFn
-	emitTok   int // tokens of key already rendered to the hook
-	emitSlots int // slots already rendered to the hook
+	// emit is a guided lane's streaming hook (WithEmit, DESIGN.md §16): the
+	// prompt's slots once the lane is set up (emitPrompt), each sampled slot
+	// when its separator is consumed (advance).
+	emit EmitFn
 }
 
 // promptPlan is a prompt rendered and tokenized once. DecodeRequests plans
@@ -91,7 +88,7 @@ type laneDecoder struct {
 type promptPlan struct {
 	text     string
 	fromSlot int
-	ids      []int // encoded prompt tokens, BOS excluded; never mutated
+	toks     []int // BOS then the prompt's tokens; never mutated
 	err      error
 }
 
@@ -107,7 +104,8 @@ func (e *Engine) planPrompt(known rules.Record, byText map[string]*promptPlan) *
 		return p
 	}
 	p := &promptPlan{text: text, fromSlot: fromSlot}
-	p.ids, p.err = e.cfg.Tok.Encode(text)
+	ids, err := e.cfg.Tok.Encode(text)
+	p.toks, p.err = append([]int{vocab.BOS}, ids...), err
 	if byText != nil {
 		byText[text] = p
 	}
@@ -125,10 +123,11 @@ func (e *Engine) newLaneDecoder(ctx context.Context, method Method, known rules.
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	ld := &laneDecoder{e: e, ctx: ctx, method: method, rng: rng, known: known, emit: emitFor(ctx)}
 	if plan == nil {
 		plan = e.planPrompt(known, nil)
 	}
+	ld := &laneDecoder{e: e, ctx: ctx, method: method, rng: rng, known: known,
+		fromSlot: plan.fromSlot, slot: plan.fromSlot, prompt: plan.toks, pending: plan.toks}
 	if method != MethodGuided {
 		ld.startFree(plan)
 		return ld
@@ -137,12 +136,8 @@ func (e *Engine) newLaneDecoder(ctx context.Context, method Method, known rules.
 		ld.fail(plan.err)
 		return ld
 	}
-	ld.fromSlot, ld.slot = plan.fromSlot, plan.fromSlot
+	ld.emit = emitFor(ctx)
 	ld.checksBefore = e.solver.Stats().Checks
-	ld.pending = append(append(make([]int, 0, len(plan.ids)+1), vocab.BOS), plan.ids...)
-	// key never outgrows the prompt plus the widest rendering of every slot
-	// left, so advance appends to it without allocating.
-	ld.key = make([]int, 0, len(ld.pending)+e.tailChars[plan.fromSlot])
 
 	// Whole-prompt lookup before any solver or LM work. Only nn-backed
 	// engines participate: a cached snapshot is a frozen nn.Session, which
@@ -153,7 +148,7 @@ func (e *Engine) newLaneDecoder(ctx context.Context, method Method, known rules.
 		plan.fromSlot > 0 && plan.fromSlot < len(e.cfg.Slots) {
 		if _, ok := e.cfg.LM.(nnLM); ok {
 			ld.useCache = true
-			ld.warm = cache.Lookup(ld.pending, e.fingerprint)
+			ld.warm = cache.Lookup(ld.prompt, e.fingerprint)
 		}
 	}
 
@@ -218,11 +213,8 @@ func (ld *laneDecoder) applyWarm() *nn.Session {
 		return nil
 	}
 	h := ld.warm
-	ld.warm = nil
-	ld.key = append(ld.key, ld.pending...)
-	ld.keySlots = h.Slots
-	ld.pending = nil
-	ld.res.Stats.PrefixHitTokens = len(ld.key)
+	ld.warm, ld.pending = nil, nil
+	ld.res.Stats.PrefixHitTokens = len(ld.prompt)
 	return h.Sess
 }
 
@@ -415,21 +407,14 @@ func (ld *laneDecoder) beginSlot() error {
 // advance records that the LM consumed tok (the value pick returned). It
 // performs the post-append bookkeeping: token accounting, value completion
 // on a separator (dynamic partial instantiation: the finished value is
-// asserted so the solver's view of active rules advances with generation),
-// prefix-cache snapshot capture at the end of the prompt, and record
-// assembly after the last slot.
+// asserted so the solver's view of active rules advances with generation,
+// and the value streamed), prefix-cache snapshot capture at the end of the
+// prompt, and record assembly after the last slot.
 func (ld *laneDecoder) advance(tok int) error {
 	if ld.method != MethodGuided {
 		return ld.advanceFree(tok)
 	}
 	e := ld.e
-	ld.key = append(ld.key, tok)
-	// A slot boundary is the separator that completes slot keySlots —
-	// whether it arrived as prompt text or was just sampled. (A separator
-	// token can never be confused with a digit, so the comparison is exact.)
-	if ld.keySlots < len(e.cfg.Slots) && tok == e.cfg.Tok.ID(e.cfg.Slots[ld.keySlots].Sep) {
-		ld.keySlots++
-	}
 	if ld.sampled {
 		ld.res.Stats.Tokens++
 		if tok == ld.sepID {
@@ -446,6 +431,9 @@ func (ld *laneDecoder) advance(tok int) error {
 			// patch fast path productive for the following slots.
 			if wasValid && e.patchValue(e.slotVar(slot), v) {
 				e.lastModelEpoch = e.solver.Epoch()
+			}
+			if ld.emit != nil {
+				ld.emit(ld.slot, string(appendSlot(nil, slot, v)))
 			}
 			ld.inSlot = false
 			ld.slot++
@@ -465,36 +453,18 @@ func (ld *laneDecoder) advance(tok int) error {
 		ld.res.Rec = e.assemble(ld.known, ld.fromSlot, ld.vals)
 		ld.finish()
 	}
-	if ld.emit != nil {
-		ld.flushEmit()
-	}
 	return nil
 }
 
-// flushEmit renders every completed-but-unstreamed slot of key to the emit
-// hook. A completed slot is final — every token is decided exactly once —
-// so streamed chunks are never retracted.
-func (ld *laneDecoder) flushEmit() {
-	e := ld.e
-	for ld.emitSlots < ld.keySlots {
-		if ld.emitTok == 0 {
-			ld.emitTok = 1 // key[0] is BOS, which renders to nothing
-		}
-		sep := e.cfg.Tok.ID(e.cfg.Slots[ld.emitSlots].Sep)
-		end := ld.emitTok
-		for end < len(ld.key) && ld.key[end] != sep {
-			end++
-		}
-		if end >= len(ld.key) {
-			return // slot still incomplete (unreachable while emitSlots < keySlots)
-		}
-		buf := make([]byte, 0, end+1-ld.emitTok)
-		for _, tok := range ld.key[ld.emitTok : end+1] {
-			buf = append(buf, e.cfg.Tok.Char(tok))
-		}
-		ld.emit(ld.emitSlots, string(buf))
-		ld.emitTok = end + 1
-		ld.emitSlots++
+// emitPrompt streams the prompt's slots, rendered from known, to a guided
+// lane's emit hook. The driver calls it once the lane is set up, warm or
+// cold, so a lane whose set-up fails streams nothing.
+func (ld *laneDecoder) emitPrompt() {
+	if ld.emit == nil {
+		return
+	}
+	for i, s := range ld.e.cfg.Slots[:ld.fromSlot] {
+		ld.emit(i, string(appendSlot(nil, s, ld.known[s.Field][s.Index])))
 	}
 }
 
@@ -519,18 +489,15 @@ func (ld *laneDecoder) capturePrompt() {
 	e := ld.e
 	cache := e.cfg.PrefixCache
 	if ld.capture == nil || e.lastModel == nil || e.lastModelEpoch != e.solver.Epoch() ||
-		!cache.NeedsInsert(ld.key, e.fingerprint) {
+		!cache.NeedsInsert(ld.prompt, e.fingerprint) {
 		return
 	}
 	sess := ld.capture()
 	if sess == nil {
 		return
 	}
-	snap := &prefixcache.Snapshot{
-		Sess: sess, Model: append([]int64(nil), e.lastModel...),
-		RuleEpoch: e.fingerprint, Slots: ld.keySlots,
-	}
-	if cache.Insert(ld.key, snap) {
+	snap := &prefixcache.Snapshot{Sess: sess, Model: append([]int64(nil), e.lastModel...), RuleEpoch: e.fingerprint}
+	if cache.Insert(ld.prompt, snap) {
 		ld.res.Stats.PrefixCaptures++
 	}
 }

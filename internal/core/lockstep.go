@@ -11,8 +11,8 @@ import (
 )
 
 // This file implements the decode driver: every decode, of every method — a
-// DecodeRequests batch, or a direct Impute/Generate/Vanilla/Rejection/PostHoc
-// as its one-lane case — steps through one shared BatchSession, so each
+// DecodeRequests batch, or a direct Decode (Impute, Generate) as its
+// one-lane case — steps through one shared BatchSession, so each
 // transformer weight block is streamed from memory once per token step (a
 // GEMM) instead of once per record. The solver side stays strictly per-lane
 // — each lane drives its own laneDecoder on an engine dedicated to it — so a
@@ -56,18 +56,10 @@ func (e *Engine) releaseClone(c *Engine) {
 	e.poolMu.Unlock()
 }
 
-// prefixBatchSession is the optional BatchSession extension the prefix cache
-// needs: seeding a fresh lane from a frozen snapshot and freezing a lane
-// back out as one. *nn.BatchSession implements it; a BatchLM whose sessions
-// do not simply decodes cold (an unclaimed hit is just never read).
-type prefixBatchSession interface {
-	SeedLane(lane int, src *nn.Session) error
-	CloneLane(lane int) *nn.Session
-}
-
 // sessionBatch implements BatchSession over n plain Sessions by looping
 // Append, for LMs that have no batched forward pass (pack.UniformLM, test
-// LMs). It does not implement prefixBatchSession, so its lanes decode cold.
+// LMs). Its lanes never use the prefix cache, which only a WrapNN
+// transformer's *nn.BatchSession serves.
 type sessionBatch struct {
 	lm   LM
 	sess []Session
@@ -223,10 +215,10 @@ func (e *Engine) failLane(la *lsLane, err error) {
 }
 
 // startLane builds la's decoder on its engine and wires it to lane la.slot
-// of bs: prefix-cache warm start and snapshot capture when the session can
-// seed and clone a lane. It reports
-// whether the lane has tokens to decode; a lane that failed or finished
-// during set-up has its outcome recorded already.
+// of bs — prefix-cache warm start and snapshot capture for a lane that uses
+// the cache — then streams the prompt's slots of a lane set up this far. It
+// reports whether the lane has tokens to decode; a lane that failed or
+// finished during set-up has its outcome recorded already.
 func (e *Engine) startLane(bs BatchSession, la *lsLane) bool {
 	if la.eng == nil {
 		la.eng = e.acquireClone()
@@ -239,26 +231,21 @@ func (e *Engine) startLane(bs BatchSession, la *lsLane) bool {
 		if la.ld.done() {
 			return nil
 		}
-		pbs, ok := bs.(prefixBatchSession)
-		if !ok {
-			return nil
-		}
 		// A prefix-cache hit seeds the lane's KV block and position by
 		// copying out of the shared snapshot; the laneDecoder has already
 		// dropped the restored prompt from its feed queue. Snapshot capture
 		// freezes a cold lane back out of the batch at the end of its prompt.
-		if ws := la.ld.applyWarm(); ws != nil {
-			if err := pbs.SeedLane(la.slot, ws); err != nil {
-				return err
+		// A lane uses the cache only on a WrapNN engine, whose sessions are
+		// *nn.BatchSession; on any other session a hit is never claimed.
+		if nbs, ok := bs.(*nn.BatchSession); ok && la.ld.useCache {
+			if ws := la.ld.applyWarm(); ws != nil {
+				if err := nbs.SeedLane(la.slot, ws); err != nil {
+					return err
+				}
 			}
-			// The restored slots are complete: stream them now, as a cold
-			// lane streams each prompt slot when its separator is fed, not
-			// after the first slot's base build and probes.
-			if la.ld.emit != nil {
-				la.ld.flushEmit()
-			}
+			la.ld.capture = func() *nn.Session { return nbs.CloneLane(la.slot) }
 		}
-		la.ld.capture = func() *nn.Session { return pbs.CloneLane(la.slot) }
+		la.ld.emitPrompt()
 		return nil
 	}); perr != nil {
 		// Set-up panicked or the warm seed failed. A seeded-then-failed lane

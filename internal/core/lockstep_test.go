@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/nn"
+	"repro/internal/prefixcache"
 	"repro/internal/rules"
 	"repro/internal/vocab"
 )
@@ -81,7 +82,7 @@ func nnEngineWith(tb testing.TB, m *nn.Model, ruleText string) *Engine {
 }
 
 // soloDecode runs reqs[i] alone through its method's direct entry point —
-// ImputeCtx/GenerateCtx, Vanilla, Rejection or PostHoc, each a batch of one
+// ImputeCtx/GenerateCtx, or Decode for a baseline, each a batch of one
 // lane — on a fresh clone, so the comparison engine carries no state from
 // other records.
 func soloDecode(tb testing.TB, e *Engine, req BatchRequest, seed int64, i int) (Result, error) {
@@ -101,11 +102,11 @@ func soloDecode(tb testing.TB, e *Engine, req BatchRequest, seed int64, i int) (
 	rng := rand.New(rand.NewSource(s))
 	switch {
 	case req.Method == MethodFree:
-		return eng.Vanilla(req.Prompt, rng)
+		return eng.Decode(context.Background(), MethodFree, req.Prompt, rng)
 	case req.Method == MethodRejection:
-		return eng.Rejection(req.Prompt, rng)
+		return eng.Decode(context.Background(), MethodRejection, req.Prompt, rng)
 	case req.Method == MethodPostHoc:
-		return eng.PostHoc(req.Prompt, rng)
+		return eng.Decode(context.Background(), MethodPostHoc, req.Prompt, rng)
 	case req.Prompt == nil:
 		return eng.GenerateCtx(rctx, rng)
 	}
@@ -358,6 +359,12 @@ func TestLockStepConcurrentGroups(t *testing.T) {
 // samples part mid-record; 2 copies prompt and seed, a full twin whose
 // every row is shared; 3 copies both but decodes by free sampling, so the
 // two share only the prompt's rows.
+//
+// Every lane streams through WithEmit, and checkStreams holds each batch to
+// the one streaming rule. The same requests then decode twice on an engine
+// with a prefix cache: the first pass cold, the second from whole-prompt
+// hits. Both passes must decode and stream exactly what the cache-free
+// batch did.
 func FuzzLockStepMatchesSolo(f *testing.F) {
 	f.Add(int64(1), uint8(2), uint8(0), uint8(0))
 	f.Add(int64(42), uint8(5), uint8(0xA5), uint8(0))
@@ -395,12 +402,66 @@ func FuzzLockStepMatchesSolo(f *testing.F) {
 				reqs[i].Prompt, reqs[i].Seed, reqs[i].Method = prev.Prompt, &s, MethodFree
 			}
 		}
-		out, err := e.DecodeRequests(context.Background(), reqs, 1+int(mix)%3, seed, nil)
+		workers := 1 + int(mix)%3
+		sreqs, cols := streaming(reqs)
+		out, err := e.DecodeRequests(context.Background(), sreqs, workers, seed, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		checkMatchesSolo(t, e, reqs, out, seed)
+		checkStreams(t, e, reqs, out, cols)
+
+		pe := nnPrefixEngine(t, prefixcache.New(16<<20), "")
+		for pass := 1; pass <= 2; pass++ {
+			preqs, pcols := streaming(reqs)
+			pout, err := pe.DecodeRequests(context.Background(), preqs, workers, seed, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range reqs {
+				if !reflect.DeepEqual(pout[i].Res.Rec, out[i].Res.Rec) || fmt.Sprint(pout[i].Err) != fmt.Sprint(out[i].Err) {
+					t.Fatalf("pass %d lane %d: %v (%v) with a prefix cache, %v (%v) without", pass, i, pout[i].Res.Rec, pout[i].Err, out[i].Res.Rec, out[i].Err)
+				}
+				if !reflect.DeepEqual(pcols[i], cols[i]) {
+					t.Fatalf("pass %d lane %d: streamed %q at slots %v with a prefix cache, %q at %v without", pass, i, pcols[i].chunks, pcols[i].slots, cols[i].chunks, cols[i].slots)
+				}
+				if pass == 2 && reqs[i].Method == MethodGuided && reqs[i].Prompt != nil && out[i].Err == nil &&
+					pout[i].Res.Stats.PrefixHitTokens == 0 {
+					t.Fatalf("pass 2 lane %d: decoded cold, want a whole-prompt hit", i)
+				}
+			}
+		}
 	})
+}
+
+// streaming returns a copy of reqs in which every request streams into its
+// own collector.
+func streaming(reqs []BatchRequest) ([]BatchRequest, []chunkCollector) {
+	cols := make([]chunkCollector, len(reqs))
+	out := append([]BatchRequest(nil), reqs...)
+	for i := range out {
+		out[i].Ctx = WithEmit(context.Background(), cols[i].fn)
+	}
+	return out, cols
+}
+
+// checkStreams holds a batch's streams to the one rule (DESIGN.md §16): a
+// guided lane that decoded streamed each slot once, in slot order, joining
+// to its record's line; one whose set-up failed streamed nothing, and so did
+// every free lane. Without a solver budget or a cancellation a guided lane
+// can fail only at set-up, on an infeasible prompt: the lookahead keeps
+// every later slot feasible.
+func checkStreams(t *testing.T, e *Engine, reqs []BatchRequest, out []BatchResult, cols []chunkCollector) {
+	t.Helper()
+	for i := range reqs {
+		c, label := &cols[i], fmt.Sprintf("lane %d", i)
+		switch {
+		case reqs[i].Method == MethodGuided && out[i].Err == nil:
+			checkChunks(t, label, e, out[i].Res.Rec, c)
+		case len(c.slots) != 0:
+			t.Fatalf("%s: method %d, error %v, streamed %q", label, reqs[i].Method, out[i].Err, c.chunks)
+		}
+	}
 }
 
 // TestLockStepClonePool: pooled engine clones are reused across batches and

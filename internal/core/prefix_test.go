@@ -282,7 +282,8 @@ func TestPrefixCacheHoldsWholePrompts(t *testing.T) {
 			if pass == 1 {
 				continue
 			}
-			want := len(e.planPrompt(reqs[i].Prompt, nil).ids) + 1 // BOS
+			text, _, _ := e.promptFor(reqs[i].Prompt)
+			want := len(text) + 1 // BOS
 			if got := o.Res.Stats.PrefixHitTokens; got != want {
 				t.Errorf("pass %d record %d: restored %d tokens, want the whole prompt's %d", pass, i, got, want)
 			}

@@ -141,41 +141,6 @@ func TestModelErrorPropagates(t *testing.T) {
 	}
 }
 
-func TestTopK1IsGreedyDeterministic(t *testing.T) {
-	schema := testSchema(t)
-	rs, err := rules.ParseRuleSet(testRules, schema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mk := func() *Engine {
-		e, err := NewEngine(Config{
-			LM:  scriptedLM{tok: vocab.Telemetry(), text: "100,8|20,15,25,39,1\n"},
-			Tok: vocab.Telemetry(), Schema: schema, Rules: rs,
-			Slots: testGrammar(t, schema), TopK: 1,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return e
-	}
-	known := rules.Record{"TotalIngress": {100}, "Congestion": {8}}
-	// Different RNG seeds, same argmax path: TopK=1 removes all sampling
-	// randomness.
-	a, err := mk().Impute(known, rand.New(rand.NewSource(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := mk().Impute(known, rand.New(rand.NewSource(999)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Rec["I"] {
-		if a.Rec["I"][i] != b.Rec["I"][i] {
-			t.Fatalf("greedy decode not deterministic: %v vs %v", a.Rec["I"], b.Rec["I"])
-		}
-	}
-}
-
 // TestCountRuleGuidedDecoding drives the engine with a counting rule — the
 // §5 "richer temporal constraints" extension — and verifies guided decoding
 // respects it: at most one burst interval per window, conservation intact.

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"fmt"
 	"hash/fnv"
@@ -47,9 +48,16 @@ var transcriptMethods = []transcriptMethod{
 		}
 		return e.Impute(known, rng)
 	}, core.MethodGuided},
-	{"vanilla", (*core.Engine).Vanilla, core.MethodFree},
-	{"rejection", (*core.Engine).Rejection, core.MethodRejection},
-	{"posthoc", (*core.Engine).PostHoc, core.MethodPostHoc},
+	{"vanilla", decodeAs(core.MethodFree), core.MethodFree},
+	{"rejection", decodeAs(core.MethodRejection), core.MethodRejection},
+	{"posthoc", decodeAs(core.MethodPostHoc), core.MethodPostHoc},
+}
+
+// decodeAs is the solo entry point of a baseline method: Engine.Decode.
+func decodeAs(m core.Method) func(*core.Engine, rules.Record, *rand.Rand) (core.Result, error) {
+	return func(e *core.Engine, known rules.Record, rng *rand.Rand) (core.Result, error) {
+		return e.Decode(context.Background(), m, known, rng)
+	}
 }
 
 // stepTracer collects the TraceSteps of the engines it is installed on,
@@ -361,7 +369,7 @@ func (s *slotPatternSession) Logits() []float32 {
 // rules: a format-aware LM whose well-formed samples all violate the rules
 // (rejection exhausts MaxAttempts, post-hoc repairs), and a transformer whose
 // context ends three tokens past the longest prompt, so free samples run
-// into the NN context limit and vanilla exhausts MaxRetries.
+// into the NN context limit and vanilla exhausts its 8 re-samples.
 func TestTranscriptEdges(t *testing.T) {
 	if race.Enabled {
 		// Its post-hoc repairs are solver searches the race detector slows

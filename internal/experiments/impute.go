@@ -15,10 +15,11 @@ import (
 // ImputeMethod is one imputation strategy under evaluation.
 type ImputeMethod struct {
 	Name string
-	Run  func(known rules.Record, rng *rand.Rand) (rules.Record, error)
-	// Batch, when non-nil, decodes all prompts as lanes of one
-	// core.DecodeBatch (engine-backed methods set it); serial-only methods —
-	// stateful generators like Zoom2Net — leave it nil and fall back to Run.
+	// Batch decodes all prompts as lanes of one core.DecodeBatch; every
+	// engine-backed method sets it. Run, read only when Batch is nil,
+	// imputes one record at a time: the serial-only methods — stateful
+	// generators like Zoom2Net — set it instead.
+	Run   func(known rules.Record, rng *rand.Rand) (rules.Record, error)
 	Batch func(prompts []rules.Record, workers int, seed int64) []core.BatchResult
 }
 
@@ -83,22 +84,16 @@ func (e *Env) ImputeMethods() ([]ImputeMethod, error) {
 		return nil, err
 	}
 
-	wrap := func(f func(rules.Record, *rand.Rand) (core.Result, error)) func(rules.Record, *rand.Rand) (rules.Record, error) {
-		return func(known rules.Record, rng *rand.Rand) (rules.Record, error) {
-			res, err := f(known, rng)
-			return res.Rec, err
-		}
-	}
 	return []ImputeMethod{
-		{Name: "Vanilla GPT-2", Run: wrap(engMined.Vanilla), Batch: batcher(engMined, core.MethodFree)},
-		{Name: "Rejection Sampling", Run: wrap(engMined.Rejection), Batch: batcher(engMined, core.MethodRejection)},
-		{Name: "Post-hoc SMT Repair", Run: wrap(engMined.PostHoc), Batch: batcher(engMined, core.MethodPostHoc)},
-		{Name: "Constrained Decoding", Run: wrap(engStruct.Impute), Batch: batcher(engStruct, core.MethodGuided)},
+		{Name: "Vanilla GPT-2", Batch: batcher(engMined, core.MethodFree)},
+		{Name: "Rejection Sampling", Batch: batcher(engMined, core.MethodRejection)},
+		{Name: "Post-hoc SMT Repair", Batch: batcher(engMined, core.MethodPostHoc)},
+		{Name: "Constrained Decoding", Batch: batcher(engStruct, core.MethodGuided)},
 		{Name: "Zoom2Net", Run: func(known rules.Record, _ *rand.Rand) (rules.Record, error) {
 			return z2n.Impute(known)
 		}},
-		{Name: "LeJIT (manual rules)", Run: wrap(engManual.Impute), Batch: batcher(engManual, core.MethodGuided)},
-		{Name: "LeJIT", Run: wrap(engMined.Impute), Batch: batcher(engMined, core.MethodGuided)},
+		{Name: "LeJIT (manual rules)", Batch: batcher(engManual, core.MethodGuided)},
+		{Name: "LeJIT", Batch: batcher(engMined, core.MethodGuided)},
 	}, nil
 }
 

@@ -15,10 +15,11 @@ import (
 // SynthMethod is one synthetic-data generator under evaluation.
 type SynthMethod struct {
 	Name string
-	Run  func(rng *rand.Rand) (rules.Record, error)
-	// Batch, when non-nil, draws all samples as lanes of one core.DecodeBatch
-	// (the GPT-2-backed generators); the fitted statistical generators
-	// stay serial via Run.
+	// Batch draws all samples as lanes of one core.DecodeBatch; the
+	// GPT-2-backed generators set it. Run, read only when Batch is nil,
+	// draws one sample at a time: the fitted statistical generators set it
+	// instead.
+	Run   func(rng *rand.Rand) (rules.Record, error)
 	Batch func(n, workers int, seed int64) []core.BatchResult
 }
 
@@ -64,18 +65,9 @@ func (e *Env) SynthMethods() ([]SynthMethod, error) {
 	}
 
 	methods := []SynthMethod{
-		{Name: "Vanilla GPT-2", Run: func(rng *rand.Rand) (rules.Record, error) {
-			res, err := engSynth.Vanilla(nil, rng)
-			return res.Rec, err
-		}, Batch: genBatcher(engSynth, core.MethodFree)},
-		{Name: "Rejection Sampling", Run: func(rng *rand.Rand) (rules.Record, error) {
-			res, err := engSynth.Rejection(nil, rng)
-			return res.Rec, err
-		}, Batch: genBatcher(engSynth, core.MethodRejection)},
-		{Name: "REaLTabFormer", Run: func(rng *rand.Rand) (rules.Record, error) {
-			res, err := engStruct.Generate(rng)
-			return res.Rec, err
-		}, Batch: genBatcher(engStruct, core.MethodGuided)},
+		{Name: "Vanilla GPT-2", Batch: genBatcher(engSynth, core.MethodFree)},
+		{Name: "Rejection Sampling", Batch: genBatcher(engSynth, core.MethodRejection)},
+		{Name: "REaLTabFormer", Batch: genBatcher(engStruct, core.MethodGuided)},
 	}
 
 	gens := []baselines.Generator{
@@ -96,10 +88,7 @@ func (e *Env) SynthMethods() ([]SynthMethod, error) {
 		}})
 	}
 
-	methods = append(methods, SynthMethod{Name: "LeJIT", Run: func(rng *rand.Rand) (rules.Record, error) {
-		res, err := engSynth.Generate(rng)
-		return res.Rec, err
-	}, Batch: genBatcher(engSynth, core.MethodGuided)})
+	methods = append(methods, SynthMethod{Name: "LeJIT", Batch: genBatcher(engSynth, core.MethodGuided)})
 	return methods, nil
 }
 

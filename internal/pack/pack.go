@@ -222,7 +222,7 @@ func FromEngine(name string, eng *core.Engine, rs *rules.RuleSet, schema *rules.
 // FormatRecord renders a record in the pack's grammar order (digits and
 // separators) — the text format the pack's LM is trained on.
 func (c *Compiled) FormatRecord(rec rules.Record) (string, error) {
-	s, err := formatBySlots(c.Engine.Slots(), rec)
+	s, err := core.FormatRecord(c.Engine.Slots(), rec)
 	if err != nil {
 		return "", fmt.Errorf("pack %s: %w", c.Def.Name, err)
 	}

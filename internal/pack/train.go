@@ -2,11 +2,9 @@ package pack
 
 import (
 	"fmt"
-	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/nn"
-	"repro/internal/rules"
 )
 
 // TrainLMConfig sizes the tiny per-pack transformer the demo and benchmark
@@ -60,7 +58,7 @@ func TrainLM(def *Definition, tc TrainLMConfig) error {
 	}
 	seqs := make([][]int, 0, len(def.Examples))
 	for i, rec := range def.Examples {
-		line, err := formatBySlots(slots, rec)
+		line, err := core.FormatRecord(slots, rec)
 		if err != nil {
 			return fmt.Errorf("pack %s: example %d: %w", def.Name, i, err)
 		}
@@ -85,20 +83,4 @@ func TrainLM(def *Definition, tc TrainLMConfig) error {
 	}
 	def.LM = core.WrapNN(m)
 	return nil
-}
-
-// formatBySlots renders a record through an explicit slot list: the one
-// record formatter, behind Compiled.FormatRecord and, before a compile,
-// TrainLM.
-func formatBySlots(slots []core.Slot, rec rules.Record) (string, error) {
-	var b []byte
-	for _, sl := range slots {
-		vs, ok := rec[sl.Field]
-		if !ok || sl.Index >= len(vs) {
-			return "", fmt.Errorf("record missing %s[%d]", sl.Field, sl.Index)
-		}
-		b = strconv.AppendInt(b, vs[sl.Index], 10)
-		b = append(b, sl.Sep)
-	}
-	return string(b), nil
 }

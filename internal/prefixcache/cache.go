@@ -41,7 +41,8 @@ type Snapshot struct {
 	// RuleEpoch fingerprints the rule environment (rules, schema, slots,
 	// decode mode, model identity) the snapshot was captured under.
 	RuleEpoch uint64
-	// Slots is how many grammar slots the key covers (separators consumed).
+	// Slots is not read: a lane knows how many slots its prompt covers. It
+	// stays only because the repository benchmark's probes set it.
 	Slots int
 }
 
@@ -52,7 +53,6 @@ type Snapshot struct {
 type Hit struct {
 	Sess  *nn.Session
 	Model []int64
-	Slots int
 }
 
 // Stats is a point-in-time view of the cache counters.
@@ -123,7 +123,7 @@ func (c *Cache) Lookup(key []int, epoch uint64) *Hit {
 	c.hits++
 	c.lru.MoveToFront(el)
 	snap := el.Value.(*entry).snap
-	h := &Hit{Sess: snap.Sess, Slots: snap.Slots}
+	h := &Hit{Sess: snap.Sess}
 	if snap.Model != nil {
 		h.Model = append([]int64(nil), snap.Model...)
 	}

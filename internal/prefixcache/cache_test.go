@@ -59,13 +59,8 @@ func advanceClone(h *Hit) (untouched bool, err error) {
 	return h.Sess.Len() == n && sameLogits(h.Sess.Logits(), want), nil
 }
 
-func snapFor(t testing.TB, key []int, epoch uint64, slots int) *Snapshot {
-	return &Snapshot{
-		Sess:      sessFor(t, key),
-		Model:     []int64{0, 42},
-		RuleEpoch: epoch,
-		Slots:     slots,
-	}
+func snapFor(t testing.TB, key []int, epoch uint64) *Snapshot {
+	return &Snapshot{Sess: sessFor(t, key), Model: []int64{0, 42}, RuleEpoch: epoch}
 }
 
 // TestExactMatchLookup: a lookup hits only the key it was stored under —
@@ -74,29 +69,29 @@ func TestExactMatchLookup(t *testing.T) {
 	c := New(64 << 20)
 	short := []int{1, 5, 6}
 	long := []int{1, 5, 6, 7, 8}
-	if !c.Insert(short, snapFor(t, short, 9, 1)) {
+	if !c.Insert(short, snapFor(t, short, 9)) {
 		t.Fatal("insert short rejected")
 	}
-	if !c.Insert(long, snapFor(t, long, 9, 2)) {
+	if !c.Insert(long, snapFor(t, long, 9)) {
 		t.Fatal("insert long rejected")
 	}
 
 	cases := []struct {
-		key       []int
-		wantSlots int // 0 = miss
+		key []int
+		hit bool
 	}{
-		{[]int{1, 5, 6, 7, 8}, 2},       // exact long
-		{[]int{1, 5, 6}, 1},             // exact short
-		{[]int{1, 5, 6, 7, 8, 9, 9}, 0}, // extends long
-		{[]int{1, 5, 6, 7}, 0},          // between short and long
-		{[]int{1, 5}, 0},                // prefix of short
-		{[]int{2, 5, 6}, 0},             // same length as short, other tokens
-		{[]int{1, 5, 6 + 128}, 0},       // differs where a varint spans bytes
-		{nil, 0},
+		{[]int{1, 5, 6, 7, 8}, true},        // exact long
+		{[]int{1, 5, 6}, true},              // exact short
+		{[]int{1, 5, 6, 7, 8, 9, 9}, false}, // extends long
+		{[]int{1, 5, 6, 7}, false},          // between short and long
+		{[]int{1, 5}, false},                // prefix of short
+		{[]int{2, 5, 6}, false},             // same length as short, other tokens
+		{[]int{1, 5, 6 + 128}, false},       // differs where a varint spans bytes
+		{nil, false},
 	}
 	for i, tc := range cases {
 		h := c.Lookup(tc.key, 9)
-		if tc.wantSlots == 0 {
+		if !tc.hit {
 			if h != nil {
 				t.Fatalf("case %d: want miss, got a hit of %d tokens", i, h.Sess.Len())
 			}
@@ -105,9 +100,8 @@ func TestExactMatchLookup(t *testing.T) {
 		if h == nil {
 			t.Fatalf("case %d: want hit, got miss", i)
 		}
-		if h.Slots != tc.wantSlots || h.Sess.Len() != len(tc.key) {
-			t.Fatalf("case %d: got (%d slots, %d tokens), want (%d, %d)",
-				i, h.Slots, h.Sess.Len(), tc.wantSlots, len(tc.key))
+		if h.Sess.Len() != len(tc.key) {
+			t.Fatalf("case %d: got a hit of %d tokens, want %d", i, h.Sess.Len(), len(tc.key))
 		}
 		if h.Model[1] != 42 {
 			t.Fatalf("case %d: model not restored", i)
@@ -131,7 +125,7 @@ func TestExactMatchLookup(t *testing.T) {
 func TestStaleEpochMissesAndDrops(t *testing.T) {
 	c := New(64 << 20)
 	key := []int{1, 2, 3, 4}
-	if !c.Insert(key, snapFor(t, key, 7, 1)) {
+	if !c.Insert(key, snapFor(t, key, 7)) {
 		t.Fatal("insert rejected")
 	}
 	// A different rule epoch must miss — and purge the stale entry.
@@ -148,10 +142,10 @@ func TestStaleEpochMissesAndDrops(t *testing.T) {
 	}
 
 	// Same-key insert at a new epoch replaces rather than duplicates.
-	if !c.Insert(key, snapFor(t, key, 7, 1)) {
+	if !c.Insert(key, snapFor(t, key, 7)) {
 		t.Fatal("reinsert rejected")
 	}
-	if !c.Insert(key, snapFor(t, key, 8, 1)) {
+	if !c.Insert(key, snapFor(t, key, 8)) {
 		t.Fatal("cross-epoch replacement rejected")
 	}
 	if st := c.Stats(); st.Entries != 1 {
@@ -165,7 +159,7 @@ func TestStaleEpochMissesAndDrops(t *testing.T) {
 func TestDuplicateInsertRejected(t *testing.T) {
 	c := New(64 << 20)
 	key := []int{1, 2, 3}
-	if !c.Insert(key, snapFor(t, key, 5, 1)) {
+	if !c.Insert(key, snapFor(t, key, 5)) {
 		t.Fatal("first insert rejected")
 	}
 	if c.NeedsInsert(key, 5) {
@@ -177,7 +171,7 @@ func TestDuplicateInsertRejected(t *testing.T) {
 	if !c.NeedsInsert([]int{1, 2}, 5) {
 		t.Fatal("NeedsInsert false for a prefix of a cached key")
 	}
-	if c.Insert(key, snapFor(t, key, 5, 1)) {
+	if c.Insert(key, snapFor(t, key, 5)) {
 		t.Fatal("duplicate insert accepted")
 	}
 	if st := c.Stats(); st.Entries != 1 || st.Inserts != 1 {
@@ -194,7 +188,7 @@ func TestLRUEvictionByBytes(t *testing.T) {
 	c := New(3 * per)
 	keys := [][]int{{1, 2}, {2, 3}, {3, 4}, {4, 5}}
 	for _, k := range keys[:3] {
-		if !c.Insert(k, snapFor(t, k, 1, 1)) {
+		if !c.Insert(k, snapFor(t, k, 1)) {
 			t.Fatalf("insert %v rejected", k)
 		}
 	}
@@ -202,7 +196,7 @@ func TestLRUEvictionByBytes(t *testing.T) {
 	if h := c.Lookup(keys[0], 1); h == nil {
 		t.Fatal("expected hit")
 	}
-	if !c.Insert(keys[3], snapFor(t, keys[3], 1, 1)) {
+	if !c.Insert(keys[3], snapFor(t, keys[3], 1)) {
 		t.Fatal("insert over budget rejected instead of evicting")
 	}
 	if h := c.Lookup(keys[1], 1); h != nil {
@@ -220,7 +214,7 @@ func TestLRUEvictionByBytes(t *testing.T) {
 
 	// A snapshot bigger than the whole budget is rejected outright.
 	tiny := New(per - 1)
-	if tiny.Insert(keys[0], snapFor(t, keys[0], 1, 1)) {
+	if tiny.Insert(keys[0], snapFor(t, keys[0], 1)) {
 		t.Fatal("over-budget snapshot accepted")
 	}
 }
@@ -249,7 +243,7 @@ func TestConcurrentHitEvictInsert(t *testing.T) {
 				switch rng.Intn(3) {
 				case 0:
 					if c.NeedsInsert(k, 1) {
-						c.Insert(k, snapFor(t, k, 1, 1))
+						c.Insert(k, snapFor(t, k, 1))
 					}
 				case 1:
 					if h := c.Lookup(k, 1); h != nil {
@@ -278,7 +272,7 @@ func TestConcurrentHitEvictInsert(t *testing.T) {
 func TestHitIsSnapshot(t *testing.T) {
 	c := New(64 << 20)
 	key := []int{1, 5, 6, 7}
-	snap := snapFor(t, key, 3, 2)
+	snap := snapFor(t, key, 3)
 	want := append([]float32(nil), snap.Sess.Logits()...)
 	if !c.Insert(key, snap) {
 		t.Fatal("insert rejected")
@@ -413,7 +407,7 @@ func FuzzCacheMatchesReference(f *testing.F) {
 			key := keys[k]
 			switch op {
 			case 0:
-				snap := &Snapshot{Sess: sess[k], Model: make([]int64, size%64), RuleEpoch: epoch, Slots: k}
+				snap := &Snapshot{Sess: sess[k], Model: make([]int64, size%64), RuleEpoch: epoch}
 				bytes := snap.Sess.KVBytes() + int64(len(snap.Model))*8 + int64(len(key))*8 + entryOverhead
 				if got, want := c.Insert(key, snap), ref.insert(key, snap, bytes); got != want {
 					t.Fatalf("Insert(%v, epoch %d) = %v, reference %v", key, epoch, got, want)
@@ -423,7 +417,7 @@ func FuzzCacheMatchesReference(f *testing.F) {
 				if (h == nil) != (want == nil) {
 					t.Fatalf("Lookup(%v, epoch %d) hit %v, reference %v", key, epoch, h != nil, want != nil)
 				}
-				if h != nil && (h.Sess != want.Sess || h.Slots != want.Slots || len(h.Model) != len(want.Model)) {
+				if h != nil && (h.Sess != want.Sess || len(h.Model) != len(want.Model)) {
 					t.Fatalf("Lookup(%v, epoch %d) served another entry's snapshot", key, epoch)
 				}
 			case 2:

@@ -28,6 +28,7 @@
 package lejit
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -145,11 +146,6 @@ func WithTemperature(t float64) PipelineOption {
 	return func(c *core.Config) { c.Temperature = t }
 }
 
-// WithTopK restricts sampling to the K most likely admissible tokens.
-func WithTopK(k int) PipelineOption {
-	return func(c *core.Config) { c.TopK = k }
-}
-
 // WithGrammar overrides the output grammar (default: the telemetry grammar
 // over the schema's scalar fields followed by its vector field).
 func WithGrammar(slots []Slot) PipelineOption {
@@ -244,21 +240,21 @@ func (p *Pipeline) Generate(rng *rand.Rand) (Record, Stats, error) {
 
 // Sample decodes without any rule enforcement (the vanilla baseline).
 func (p *Pipeline) Sample(known Record, rng *rand.Rand) (Record, Stats, error) {
-	res, err := p.eng.Vanilla(known, rng)
+	res, err := p.eng.Decode(context.Background(), core.MethodFree, known, rng)
 	return res.Rec, res.Stats, err
 }
 
 // SampleRejection resamples until the output complies with the rules (the
 // rejection baseline); errors once the attempt cap is exhausted.
 func (p *Pipeline) SampleRejection(known Record, rng *rand.Rand) (Record, Stats, error) {
-	res, err := p.eng.Rejection(known, rng)
+	res, err := p.eng.Decode(context.Background(), core.MethodRejection, known, rng)
 	return res.Rec, res.Stats, err
 }
 
 // SampleRepair decodes freely and projects violating outputs onto the rules
 // by L1-minimal repair (the post-hoc baseline).
 func (p *Pipeline) SampleRepair(known Record, rng *rand.Rand) (Record, Stats, error) {
-	res, err := p.eng.PostHoc(known, rng)
+	res, err := p.eng.Decode(context.Background(), core.MethodPostHoc, known, rng)
 	return res.Rec, res.Stats, err
 }
 
@@ -309,15 +305,11 @@ func FormatRecord(rec Record, schema *Schema) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	var b []byte
-	for _, s := range slots {
-		vs, ok := rec[s.Field]
-		if !ok || s.Index >= len(vs) {
-			return "", fmt.Errorf("lejit: record missing %s[%d]", s.Field, s.Index)
-		}
-		b = append(b, fmt.Sprintf("%d%c", vs[s.Index], s.Sep)...)
+	line, err := core.FormatRecord(slots, rec)
+	if err != nil {
+		return "", fmt.Errorf("lejit: %w", err)
 	}
-	return string(b), nil
+	return line, nil
 }
 
 // IsInfeasible reports whether err indicates that no rule-compliant
